@@ -1,23 +1,13 @@
-//! `bench-pdn`: throughput gate for the explicit-SIMD batched transient
-//! kernel and the end-to-end sweep pipeline built on it.
+//! `bench-pdn`: throughput gate for the explicit-SIMD transient kernel.
 //!
-//! Verifies that every forced kernel width (scalar, ×4, ×8) is
-//! bit-identical to sequential scalar `run` calls on a 32-lane batch,
-//! then measures each width's wall-clock speedup over the sequential
-//! baseline and emits one row per width.
+//! Verifies that every forced kernel width (scalar, ×4) is bit-identical
+//! to sequential scalar `run` calls on a 32-lane batch, then measures each
+//! width's wall-clock speedup over the sequential baseline and emits one
+//! row per width.
 //!
-//! A second section measures the pipeline end to end: a 2,048-lane
-//! `droop_sweep` through the *retired* path (chunk-barrier scheduling,
-//! capability-widest `detect()` dispatch, a fresh heap workspace per lane
-//! group — [`dg_pdn::droop_sweep_barrier_reference`]) against the current
-//! one (streaming scheduler, calibrated `dispatch()` width, warm
-//! per-thread [`dg_pdn::BatchWorkspace`]s), after asserting the two are
-//! bit-identical. `--check` gates the end-to-end ratio at
-//! [`E2E_FLOOR`] whenever the two paths can actually differ on the
-//! running host (more than one core, or `dispatch() != detect()`);
-//! otherwise the row is informational — on a single-core host whose
-//! dispatch matches capability, the paths differ only by allocation
-//! traffic and the ratio is not a meaningful gate.
+//! The sequential baseline runs the same kernel one lane at a time, so the
+//! ratio measures what lane blocking buys over single-lane blocks — not
+//! an old kernel against a new one.
 //!
 //! ```text
 //! # Human-readable report:
@@ -35,12 +25,10 @@ use dg_pdn::simd::KernelWidth;
 use dg_pdn::skylake::{PdnVariant, SkylakePdn};
 use dg_pdn::transient::{LoadStep, TransientResult, TransientSim};
 use dg_pdn::units::{Amps, Seconds, Volts};
-use dg_pdn::{droop_sweep_barrier_reference, droop_sweep_with_progress};
 use std::hint::black_box;
 
 /// Lanes in the headline batch: the `didt::SWEEP_LANES` shape that droop
-/// sweeps carve their populations into — several full vectors of the
-/// widest kernel, so the per-step bookkeeping amortizes.
+/// sweeps carve their populations into — eight full ×4 blocks.
 const LANES: usize = 32;
 
 /// Timing repetitions; the best (minimum) of these is reported, which is
@@ -48,26 +36,10 @@ const LANES: usize = 32;
 const REPS: usize = 5;
 
 /// `--check` fails when the *best* width's speedup lands below this. The
-/// PR-5 auto-vectorized kernel measured 2.416x at 8 lanes; the explicit
-/// lane-major kernel at 32 lanes clears 2.5x even on a machine whose
-/// dispatcher falls back to the scalar width, so a dip below the old
-/// baseline is a real regression, not runner noise.
+/// PR-5 auto-vectorized kernel measured 2.416x at 8 lanes; the blocked
+/// kernel at 32 lanes clears 2.5x over its own single-lane runs, so a dip
+/// below the old baseline is a real regression, not runner noise.
 const CHECK_FLOOR: f64 = 2.5;
-
-/// Lanes in the end-to-end sweep: a population-scale grid, two orders of
-/// magnitude above the kernel batch, so scheduler and allocator behavior
-/// dominate anything a single batch could show.
-const E2E_LANES: usize = 2048;
-
-/// Timing repetitions for the end-to-end sweep (each rep times both
-/// paths, interleaved).
-const E2E_REPS: usize = 3;
-
-/// `--check` fails when the end-to-end sweep speedup (retired
-/// barrier+detect+fresh-workspace path over the current
-/// streaming+dispatch+warm-workspace path) lands below this — but only
-/// on hosts where the paths can differ (see the module docs).
-const E2E_FLOOR: f64 = 1.15;
 
 /// One measured row: a forced kernel width and its best-of-[`REPS`]
 /// wall-clock seconds for the 32-lane batch.
@@ -148,8 +120,8 @@ fn main() {
         }
     }
 
-    // Interleave the sequential baseline and all three widths inside
-    // each repetition.
+    // Interleave the sequential baseline and every width inside each
+    // repetition.
     let mut seq_best = f64::INFINITY;
     let mut rows: Vec<WidthRow> = widths
         .iter()
@@ -172,80 +144,11 @@ fn main() {
         }
     }
 
-    let capability = KernelWidth::detect();
-    let dispatched = KernelWidth::dispatch();
+    let dispatched = KernelWidth::detect();
     let best_speedup = rows
         .iter()
         .map(|r| seq_best / r.batch_best)
         .fold(0.0f64, f64::max);
-
-    // End-to-end sweep: the retired pipeline against the current one,
-    // bit-identity asserted before anything is timed.
-    let sweep_sim = TransientSim {
-        source: Volts::new(1.0),
-        dt: Seconds::from_ns(2.0),
-        duration: Seconds::from_us(5.0),
-        decimate: 256,
-    };
-    let quiescent = Amps::new(5.0);
-    let sweep_slew = Seconds::from_ns(10.0);
-    // 64 distinct step targets cycled across the population, so the
-    // steady-state cache stays bounded while every lane still integrates.
-    #[allow(clippy::cast_precision_loss)]
-    let deltas: Vec<Amps> = (0..E2E_LANES)
-        .map(|k| Amps::new(1.0 + 0.5 * ((k % 64) as f64)))
-        .collect();
-    let barrier_ref =
-        droop_sweep_barrier_reference(&pdn.ladder, &sweep_sim, quiescent, &deltas, sweep_slew);
-    let streamed = droop_sweep_with_progress(
-        &pdn.ladder,
-        &sweep_sim,
-        quiescent,
-        &deltas,
-        sweep_slew,
-        |_, _| {},
-    );
-    let sweep_identical = barrier_ref.len() == streamed.len()
-        && barrier_ref
-            .iter()
-            .zip(&streamed)
-            .all(|(a, b)| a.value().to_bits() == b.value().to_bits());
-    if !sweep_identical {
-        eprintln!("FAIL: streaming droop_sweep is not bit-identical to the barrier reference");
-        std::process::exit(1);
-    }
-    let mut barrier_best = f64::INFINITY;
-    let mut streaming_best = f64::INFINITY;
-    for _ in 0..E2E_REPS {
-        timed(&mut barrier_best, || {
-            black_box(droop_sweep_barrier_reference(
-                &pdn.ladder,
-                &sweep_sim,
-                quiescent,
-                &deltas,
-                sweep_slew,
-            ));
-        });
-        timed(&mut streaming_best, || {
-            black_box(droop_sweep_with_progress(
-                &pdn.ladder,
-                &sweep_sim,
-                quiescent,
-                &deltas,
-                sweep_slew,
-                |_, _| {},
-            ));
-        });
-    }
-    let e2e_speedup = barrier_best / streaming_best;
-    #[allow(clippy::cast_precision_loss)]
-    let lanes_per_sec = E2E_LANES as f64 / streaming_best;
-    // The floor is a meaningful gate only where the two paths can differ:
-    // with several cores the schedulers diverge, and whenever dispatch
-    // clamps away from capability the kernels diverge. A single-core host
-    // with dispatch == detect differs only by allocator traffic.
-    let e2e_gated =
-        std::thread::available_parallelism().is_ok_and(|p| p.get() > 1) || capability != dispatched;
 
     if json {
         let row_json: Vec<String> = rows
@@ -261,25 +164,15 @@ fn main() {
             .collect();
         println!(
             "{{\"bench\":\"dg-pdn-transient-batch\",\"lanes\":{LANES},\"reps\":{REPS},\
-             \"bit_identical\":true,\"capability\":\"{}\",\"dispatched\":\"{}\",\
-             \"seq_best_ms\":{:.3},\"rows\":[{}],\"best_speedup\":{:.3},\
-             \"check_floor\":{CHECK_FLOOR},\"sweep\":{{\"lanes\":{E2E_LANES},\
-             \"reps\":{E2E_REPS},\"bit_identical\":true,\"barrier_ms\":{:.3},\
-             \"streaming_ms\":{:.3},\"lanes_per_sec\":{:.0},\"e2e_speedup\":{:.3},\
-             \"e2e_floor\":{E2E_FLOOR},\"e2e_gated\":{}}}}}",
-            capability.label(),
+             \"bit_identical\":true,\"dispatched\":\"{}\",\"seq_best_ms\":{:.3},\
+             \"rows\":[{}],\"best_speedup\":{:.3},\"check_floor\":{CHECK_FLOOR}}}",
             dispatched.label(),
             seq_best * 1e3,
             row_json.join(","),
             best_speedup,
-            barrier_best * 1e3,
-            streaming_best * 1e3,
-            lanes_per_sec,
-            e2e_speedup,
-            e2e_gated,
         );
     } else {
-        println!("bench-pdn: explicit-SIMD batched kernel vs sequential scalar runs");
+        println!("bench-pdn: explicit-SIMD transient kernel, batched vs sequential runs");
         println!("  lanes            : {LANES}");
         println!("  bit-identical    : yes (every width, all fields and samples, to_bits)");
         println!("  dispatched width : {}", dispatched.label());
@@ -293,37 +186,12 @@ fn main() {
             );
         }
         println!("  best speedup     : {best_speedup:.2}x");
-        println!("bench-pdn: end-to-end {E2E_LANES}-lane droop sweep, retired vs current path");
-        println!("  bit-identical    : yes (every lane droop, to_bits)");
-        println!("  capability width : {}", capability.label());
-        println!("  dispatched width : {}", dispatched.label());
-        println!(
-            "  barrier best-of-{E2E_REPS}  : {:.3} ms",
-            barrier_best * 1e3
-        );
-        println!(
-            "  streaming best-of-{E2E_REPS}: {:.3} ms  ({:.0} lanes/s)",
-            streaming_best * 1e3,
-            lanes_per_sec
-        );
-        println!(
-            "  e2e speedup      : {e2e_speedup:.2}x (floor {E2E_FLOOR}x, {})",
-            if e2e_gated {
-                "gated"
-            } else {
-                "informational on this host"
-            }
-        );
     }
 
     if check && best_speedup < CHECK_FLOOR {
         eprintln!(
             "FAIL: best speedup {best_speedup:.2}x below the {CHECK_FLOOR}x regression floor"
         );
-        std::process::exit(1);
-    }
-    if check && e2e_gated && e2e_speedup < E2E_FLOOR {
-        eprintln!("FAIL: end-to-end sweep speedup {e2e_speedup:.2}x below the {E2E_FLOOR}x floor");
         std::process::exit(1);
     }
 }

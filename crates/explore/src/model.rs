@@ -291,7 +291,7 @@ impl EvalContext {
                 // the droop scalar is read, so the borrowed results never
                 // escape the closure.
                 let droops: Vec<f64> = darkgates::pdn::with_thread_workspace(|ws| {
-                    sim.run_batch_in(ladder, &steps, darkgates::pdn::KernelWidth::dispatch(), ws)
+                    sim.run_batch_in(ladder, &steps, darkgates::pdn::KernelWidth::detect(), ws)
                         .iter()
                         .map(|r| r.droop().value())
                         .collect()

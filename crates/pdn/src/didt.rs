@@ -12,16 +12,15 @@ use crate::transient::{LoadStep, TransientResult, TransientSim};
 use crate::units::{Amps, Seconds, Volts};
 use serde::{Deserialize, Serialize};
 
-/// Lanes per batched transient task: several full vectors of the widest
-/// explicit-SIMD kernel ([`crate::simd::KernelWidth::X8`]) so the
-/// per-step bookkeeping amortizes across a wide batch, yet small enough
-/// that a sweep still spreads across the worker pool.
+/// Lanes per batched transient task: eight full 4-lane blocks of the x4
+/// kernel ([`crate::simd::KernelWidth::X4`]), so no lane falls into the
+/// scalar remainder, yet small enough that a sweep still spreads across
+/// the worker pool.
 pub(crate) const SWEEP_LANES: usize = 32;
 
-/// Lane groups integrated between two progress reports in
-/// [`droop_sweep_with_progress`]: large enough to keep every worker busy
-/// between barriers, small enough that a streaming consumer sees steady
-/// progress.
+/// Lane groups per progress wave in [`droop_sweep_with_progress`]: enough
+/// to keep every worker busy within a wave, few enough that a streaming
+/// consumer sees steady progress.
 pub(crate) const PROGRESS_GROUPS: usize = 8;
 
 /// A named di/dt event class.
@@ -210,40 +209,6 @@ pub fn droop_sweep_with_progress(
     .collect()
 }
 
-/// The retired end-to-end sweep path, kept as the executable baseline for
-/// `bench-pdn`'s end-to-end row: chunk-barrier scheduling
-/// ([`dg_engine::par_map_progress_barrier`]), capability-widest kernel
-/// dispatch ([`crate::simd::KernelWidth::detect`]), and a fresh heap
-/// workspace per lane group — exactly the scheduling, dispatch, and
-/// allocation profile the streaming rewrite replaced. Results are
-/// bit-identical to [`droop_sweep`], which the bench asserts before
-/// timing.
-pub fn droop_sweep_barrier_reference(
-    ladder: &Ladder,
-    sim: &TransientSim,
-    quiescent: Amps,
-    deltas: &[Amps],
-    slew: Seconds,
-) -> Vec<Volts> {
-    let steps = sweep_steps(quiescent, deltas, slew);
-    let groups: Vec<&[LoadStep]> = steps.chunks(SWEEP_LANES).collect();
-    dg_engine::par_map_progress_barrier(
-        &groups,
-        PROGRESS_GROUPS,
-        |_, group| {
-            let mut ws = crate::batch::BatchWorkspace::new();
-            sim.run_batch_in(ladder, group, crate::simd::KernelWidth::detect(), &mut ws)
-                .iter()
-                .map(TransientResult::droop)
-                .collect::<Vec<Volts>>()
-        },
-        |_, _| {},
-    )
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// Expands a delta grid into the load steps [`analyze`] applies (ramp
 /// start at 1 µs, shared slew).
 fn sweep_steps(quiescent: Amps, deltas: &[Amps], slew: Seconds) -> Vec<LoadStep> {
@@ -264,7 +229,7 @@ fn sweep_steps(quiescent: Amps, deltas: &[Amps], slew: Seconds) -> Vec<LoadStep>
 /// the droop vector itself.
 fn droop_group(ladder: &Ladder, sim: &TransientSim, group: &[LoadStep]) -> Vec<Volts> {
     crate::batch::with_thread_workspace(|ws| {
-        sim.run_batch_in(ladder, group, crate::simd::KernelWidth::dispatch(), ws)
+        sim.run_batch_in(ladder, group, crate::simd::KernelWidth::detect(), ws)
             .iter()
             .map(TransientResult::droop)
             .collect()

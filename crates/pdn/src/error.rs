@@ -16,6 +16,14 @@ pub enum PdnError {
     },
     /// The ladder has no stages, so there is nothing to analyze.
     EmptyLadder,
+    /// The ladder's chain model is deeper than the transient kernel
+    /// integrates ([`crate::transient::MAX_NODES`]).
+    TooManyNodes {
+        /// Chain-model nodes the ladder compiles to.
+        nodes: usize,
+        /// The supported maximum.
+        max: usize,
+    },
     /// A frequency sweep was requested with an empty or inverted range.
     InvalidSweep {
         /// Start frequency in Hz.
@@ -45,6 +53,9 @@ impl fmt::Display for PdnError {
                 write!(f, "invalid {what}: {value} (must be positive and finite)")
             }
             PdnError::EmptyLadder => write!(f, "PDN ladder has no stages"),
+            PdnError::TooManyNodes { nodes, max } => {
+                write!(f, "PDN ladder has {nodes} chain nodes (at most {max})")
+            }
             PdnError::InvalidSweep { start_hz, stop_hz } => {
                 write!(f, "invalid frequency sweep: {start_hz} Hz .. {stop_hz} Hz")
             }
@@ -75,6 +86,9 @@ mod tests {
         };
         assert!(e.to_string().contains("series resistance"));
         assert!(PdnError::EmptyLadder.to_string().contains("no stages"));
+        assert!(PdnError::TooManyNodes { nodes: 9, max: 8 }
+            .to_string()
+            .contains("at most 8"));
         assert!(PdnError::InvalidSweep {
             start_hz: 10.0,
             stop_hz: 1.0

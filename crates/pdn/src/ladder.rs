@@ -18,6 +18,7 @@
 use crate::complex::Complex;
 use crate::elements::{CapBank, SeriesBranch};
 use crate::error::PdnError;
+use crate::transient::{LadderCoeffs, MAX_NODES};
 use crate::units::{Hertz, Ohms};
 use serde::{Deserialize, Serialize};
 
@@ -259,16 +260,26 @@ impl LadderBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`PdnError::EmptyLadder`] if no stages were added.
+    /// Returns [`PdnError::EmptyLadder`] if no stages were added, and
+    /// [`PdnError::TooManyNodes`] if the chain model is deeper than
+    /// [`MAX_NODES`].
     pub fn build(&self) -> Result<Ladder, PdnError> {
         if self.stages.is_empty() {
             return Err(PdnError::EmptyLadder);
         }
-        Ok(Ladder {
+        let ladder = Ladder {
             name: self.name.clone(),
             vr: self.vr,
             stages: self.stages.clone(),
-        })
+        };
+        let nodes = LadderCoeffs::from_ladder(&ladder).nodes();
+        if nodes > MAX_NODES {
+            return Err(PdnError::TooManyNodes {
+                nodes,
+                max: MAX_NODES,
+            });
+        }
+        Ok(ladder)
     }
 }
 

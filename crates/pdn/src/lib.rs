@@ -59,8 +59,8 @@ pub mod vr;
 pub use architectures::{delivery_loss, IvrModel, LdoModel, PdnArchitecture};
 pub use batch::{with_thread_workspace, BatchWorkspace};
 pub use didt::{
-    analyze as didt_analyze, client_event_family, droop_sweep, droop_sweep_barrier_reference,
-    droop_sweep_with_progress, DidtEvent, NoiseAnalysis,
+    analyze as didt_analyze, client_event_family, droop_sweep, droop_sweep_with_progress,
+    DidtEvent, NoiseAnalysis,
 };
 pub use error::PdnError;
 pub use impedance::{ImpedanceAnalyzer, ImpedanceProfile};

@@ -1,10 +1,10 @@
-//! Portable explicit-SIMD lane arithmetic for the batched transient kernel.
+//! Portable explicit-SIMD lane arithmetic for the transient kernel.
 //!
-//! The batched RK4 kernel in [`crate::batch`] steps B independent scenarios
-//! ("lanes") in lockstep over lane-major structure-of-arrays buffers. Its
-//! inner loops are pure element-wise f64 arithmetic across lanes, which this
-//! module expresses explicitly: a [`Lanes`] trait over array-backed vector
-//! newtypes ([`F64x4`], [`F64x8`]) plus the plain `f64` scalar fallback.
+//! The kernel in [`crate::batch`] integrates independent scenarios
+//! ("lanes") in blocks of [`Lanes::WIDTH`], carrying each block's state in
+//! local vector arrays. Its arithmetic is pure element-wise f64 work across
+//! lanes, which this module expresses explicitly: a [`Lanes`] trait over
+//! the array-backed [`F64x4`] newtype plus the plain `f64` scalar fallback.
 //!
 //! Two invariants make the wrapper safe to dispatch at any width:
 //!
@@ -16,43 +16,38 @@
 //! * **One dispatch seam.** [`KernelWidth::detect`] is the only place in the
 //!   workspace allowed to query CPU features at runtime (enforced by
 //!   `dg-analyze`'s determinism-hygiene rule); the kernel picks a width once
-//!   per batch — [`KernelWidth::dispatch`], which clamps AVX-512 hosts to
-//!   the measured-faster x4 kernel — and the remainder columns run the
-//!   scalar implementation.
+//!   per batch, and lanes past the last full block run the scalar
+//!   implementation.
 //!
-//! The newtypes are plain `[f64; N]` arrays, not `std::arch` intrinsics: the
-//! batch kernel's width-specific entry points are compiled under
-//! `#[target_feature(enable = "avx2")]` / `"avx512f"`, where LLVM lowers the
-//! per-element loops to full-width vector instructions. Off x86-64, or on
-//! CPUs without the feature, the same generic code compiles portably.
+//! [`F64x4`] is a plain `[f64; 4]` array, not `std::arch` intrinsics: the
+//! kernel's x4 entry point is compiled under
+//! `#[target_feature(enable = "avx2")]`, where LLVM lowers the per-element
+//! loops to ymm instructions. Off x86-64, or on CPUs without AVX2, the same
+//! generic code compiles portably.
 
 /// Kernel vector width, selected once per batch at the dispatch seam.
 ///
-/// Widths are ordered narrowest-first so a requested width can be clamped
-/// to what the running CPU supports (`min(requested, detected)`).
+/// Widths are ordered narrowest-first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum KernelWidth {
-    /// One lane per loop iteration — the portable fallback, and the
-    /// reference semantics every wider width must reproduce bit-for-bit.
+    /// One lane per block — the portable fallback, and the reference
+    /// semantics the wider width must reproduce bit-for-bit.
     Scalar,
-    /// Four f64 lanes per iteration (AVX2 ymm registers).
+    /// Four f64 lanes per block (AVX2 ymm registers).
     X4,
-    /// Eight f64 lanes per iteration (AVX-512F zmm registers).
-    X8,
 }
 
 impl KernelWidth {
     /// Every width, narrowest first (bench and equivalence tests iterate
     /// this).
-    pub const ALL: [KernelWidth; 3] = [KernelWidth::Scalar, KernelWidth::X4, KernelWidth::X8];
+    pub const ALL: [KernelWidth; 2] = [KernelWidth::Scalar, KernelWidth::X4];
 
-    /// Number of f64 elements processed per inner-loop iteration.
+    /// Number of f64 lanes integrated together in one block.
     #[must_use]
     pub fn lanes(self) -> usize {
         match self {
             KernelWidth::Scalar => 1,
             KernelWidth::X4 => 4,
-            KernelWidth::X8 => 8,
         }
     }
 
@@ -62,54 +57,28 @@ impl KernelWidth {
         match self {
             KernelWidth::Scalar => "scalar",
             KernelWidth::X4 => "x4",
-            KernelWidth::X8 => "x8",
         }
     }
 
-    /// The widest kernel the running CPU can execute natively.
+    /// The kernel width for the running CPU: x4 under AVX2, else scalar.
     ///
     /// This is the workspace's **only** runtime CPU-feature query: every
     /// other module takes a [`KernelWidth`] value and trusts it. The choice
     /// cannot perturb results — all widths are bit-identical — so dispatch
-    /// stays outside the determinism contract by construction.
+    /// stays outside the determinism contract by construction. There is no
+    /// wider width: an 8-lane block needs two ymm registers per state row
+    /// and spills under AVX2, and the AVX-512 build measured slower than
+    /// x4 on every host it ran on (DESIGN.md §11).
     #[must_use]
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
-            // dg-analyze: allow(determinism-hygiene, reason = "the single sanctioned dispatch seam; all widths are bit-identical")
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return KernelWidth::X8;
-            }
             // dg-analyze: allow(determinism-hygiene, reason = "the single sanctioned dispatch seam; all widths are bit-identical")
             if std::arch::is_x86_feature_detected!("avx2") {
                 return KernelWidth::X4;
             }
         }
         KernelWidth::Scalar
-    }
-
-    /// The *calibrated* default width — what [`detect`](Self::detect)
-    /// supports, corrected for the known AVX-512 pathology.
-    ///
-    /// `BENCH_pdn.json` measures the x8 kernel consistently *slower* than
-    /// x4 on AVX-512 hosts (5.2× vs 7.0× over scalar on the reference
-    /// machine): 512-bit execution triggers frequency downclocking, and the
-    /// batched RK4 kernel is dense enough in zmm µops to sit squarely in
-    /// the licence-throttled regime. So the default dispatch clamps X8 to
-    /// X4 — AVX2 at full clocks beats AVX-512 at reduced ones — while
-    /// [`detect`](Self::detect) keeps reporting true capability for the
-    /// safety gates of the `#[target_feature]` entry points and for callers
-    /// that explicitly want the widest kernel (the bench sweeps every
-    /// width regardless). All widths are bit-identical, so this choice is
-    /// pure throughput policy; `tests/width_dispatch.rs` pins that the
-    /// dispatched width is never the measured-slowest row of
-    /// `BENCH_pdn.json`.
-    #[must_use]
-    pub fn dispatch() -> Self {
-        match KernelWidth::detect() {
-            KernelWidth::X8 => KernelWidth::X4,
-            w => w,
-        }
     }
 }
 
@@ -118,7 +87,7 @@ impl KernelWidth {
 /// Implementations must be pure per-element IEEE-754 operations in lane
 /// order with no fused multiply-add and no cross-lane interaction, so that
 /// any two implementations agree bit-for-bit element-for-element. The
-/// batch kernel's correctness proptests pin this contract.
+/// kernel's golden and equivalence tests pin this contract.
 pub trait Lanes: Copy {
     /// Number of f64 elements per vector.
     const WIDTH: usize;
@@ -126,15 +95,18 @@ pub trait Lanes: Copy {
     /// Broadcasts `x` into every lane.
     fn splat(x: f64) -> Self;
 
-    /// Loads `Self::WIDTH` elements from the head of `src`.
-    ///
-    /// Callers hand exact-width chunks (via `chunks_exact`); shorter
-    /// slices load zeros in the missing lanes rather than panicking.
-    fn load(src: &[f64]) -> Self;
+    /// Builds a vector whose lane `j` is `f(j)`.
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self;
 
-    /// Stores the lanes into the head of `dst` (excess lanes are dropped
-    /// if `dst` is shorter than the width).
-    fn store(self, dst: &mut [f64]);
+    /// Loads `Self::WIDTH` elements from the head of `src`; a shorter
+    /// slice loads zeros in the missing lanes rather than panicking.
+    #[inline(always)]
+    fn load(src: &[f64]) -> Self {
+        Self::from_fn(|j| src.get(j).copied().unwrap_or(0.0))
+    }
+
+    /// Lane `j`'s value (`j < Self::WIDTH`).
+    fn lane(self, j: usize) -> f64;
 
     /// Lane-wise addition.
     #[must_use]
@@ -158,15 +130,13 @@ impl Lanes for f64 {
     }
 
     #[inline(always)]
-    fn load(src: &[f64]) -> Self {
-        src.first().copied().unwrap_or(0.0)
+    fn from_fn(mut f: impl FnMut(usize) -> f64) -> Self {
+        f(0)
     }
 
     #[inline(always)]
-    fn store(self, dst: &mut [f64]) {
-        if let Some(d) = dst.first_mut() {
-            *d = self;
-        }
+    fn lane(self, _j: usize) -> f64 {
+        self
     }
 
     #[inline(always)]
@@ -185,63 +155,44 @@ impl Lanes for f64 {
     }
 }
 
-macro_rules! array_lanes {
-    ($(#[$doc:meta])* $name:ident, $w:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy)]
-        pub struct $name([f64; $w]);
+/// Four f64 lanes backed by a plain array; lowers to one ymm register
+/// under AVX2 codegen and to SSE2 pairs portably.
+#[derive(Debug, Clone, Copy)]
+pub struct F64x4([f64; 4]);
 
-        impl Lanes for $name {
-            const WIDTH: usize = $w;
+impl Lanes for F64x4 {
+    const WIDTH: usize = 4;
 
-            #[inline(always)]
-            fn splat(x: f64) -> Self {
-                $name([x; $w])
-            }
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        F64x4([x; 4])
+    }
 
-            #[inline(always)]
-            fn load(src: &[f64]) -> Self {
-                $name(core::array::from_fn(|i| src.get(i).copied().unwrap_or(0.0)))
-            }
+    #[inline(always)]
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self {
+        F64x4(core::array::from_fn(f))
+    }
 
-            #[inline(always)]
-            fn store(self, dst: &mut [f64]) {
-                for (d, s) in dst.iter_mut().zip(self.0) {
-                    *d = s;
-                }
-            }
+    #[inline(always)]
+    fn lane(self, j: usize) -> f64 {
+        self.0[j % 4]
+    }
 
-            #[inline(always)]
-            fn add(self, rhs: Self) -> Self {
-                $name(core::array::from_fn(|i| self.0[i] + rhs.0[i]))
-            }
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        F64x4(core::array::from_fn(|i| self.0[i] + rhs.0[i]))
+    }
 
-            #[inline(always)]
-            fn sub(self, rhs: Self) -> Self {
-                $name(core::array::from_fn(|i| self.0[i] - rhs.0[i]))
-            }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        F64x4(core::array::from_fn(|i| self.0[i] - rhs.0[i]))
+    }
 
-            #[inline(always)]
-            fn mul(self, rhs: Self) -> Self {
-                $name(core::array::from_fn(|i| self.0[i] * rhs.0[i]))
-            }
-        }
-    };
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        F64x4(core::array::from_fn(|i| self.0[i] * rhs.0[i]))
+    }
 }
-
-array_lanes!(
-    /// Four f64 lanes backed by a plain array; lowers to one ymm register
-    /// under AVX2 codegen and to SSE2 pairs portably.
-    F64x4,
-    4
-);
-
-array_lanes!(
-    /// Eight f64 lanes backed by a plain array; lowers to one zmm register
-    /// under AVX-512F codegen and to narrower pairs portably.
-    F64x8,
-    8
-);
 
 #[cfg(test)]
 mod tests {
@@ -251,40 +202,27 @@ mod tests {
         let xs: Vec<f64> = (0..L::WIDTH).map(|i| 1.5 + i as f64).collect();
         let ys: Vec<f64> = (0..L::WIDTH).map(|i| 0.25 * (i as f64 + 1.0)).collect();
         let x = L::load(&xs);
-        let y = L::load(&ys);
-        let mut add = vec![0.0; L::WIDTH];
-        let mut sub = vec![0.0; L::WIDTH];
-        let mut mul = vec![0.0; L::WIDTH];
-        x.add(y).store(&mut add);
-        x.sub(y).store(&mut sub);
-        x.mul(y).store(&mut mul);
+        let y = L::from_fn(|j| ys[j]);
         for i in 0..L::WIDTH {
-            assert_eq!(add[i].to_bits(), (xs[i] + ys[i]).to_bits());
-            assert_eq!(sub[i].to_bits(), (xs[i] - ys[i]).to_bits());
-            assert_eq!(mul[i].to_bits(), (xs[i] * ys[i]).to_bits());
+            assert_eq!(x.add(y).lane(i).to_bits(), (xs[i] + ys[i]).to_bits());
+            assert_eq!(x.sub(y).lane(i).to_bits(), (xs[i] - ys[i]).to_bits());
+            assert_eq!(x.mul(y).lane(i).to_bits(), (xs[i] * ys[i]).to_bits());
+            assert_eq!(L::splat(3.75).lane(i).to_bits(), 3.75f64.to_bits());
         }
-        let mut splat = vec![0.0; L::WIDTH];
-        L::splat(3.75).store(&mut splat);
-        assert!(splat.iter().all(|v| v.to_bits() == 3.75f64.to_bits()));
     }
 
     #[test]
     fn lane_ops_match_scalar_bitwise_at_every_width() {
         probe::<f64>();
         probe::<F64x4>();
-        probe::<F64x8>();
     }
 
     #[test]
     fn short_loads_fill_missing_lanes_with_zero() {
         let v = F64x4::load(&[7.0, 8.0]);
-        let mut out = [1.0; 4];
-        v.store(&mut out);
-        assert_eq!(out, [7.0, 8.0, 0.0, 0.0]);
-        // A short store drops the excess lanes without panicking.
-        let mut two = [0.0; 2];
-        F64x8::splat(2.5).store(&mut two);
-        assert_eq!(two, [2.5, 2.5]);
+        let lanes: Vec<f64> = (0..4).map(|j| v.lane(j)).collect();
+        assert_eq!(lanes, [7.0, 8.0, 0.0, 0.0]);
+        assert_eq!(f64::load(&[]).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -292,8 +230,8 @@ mod tests {
         let w = KernelWidth::detect();
         assert_eq!(w, KernelWidth::detect());
         assert!(KernelWidth::Scalar <= w);
-        assert_eq!(KernelWidth::ALL.map(KernelWidth::lanes), [1, 4, 8]);
+        assert_eq!(KernelWidth::ALL.map(KernelWidth::lanes), [1, 4]);
         assert_eq!(KernelWidth::Scalar.label(), "scalar");
-        assert_eq!(KernelWidth::X8.label(), "x8");
+        assert_eq!(KernelWidth::X4.label(), "x4");
     }
 }

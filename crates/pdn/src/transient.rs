@@ -28,13 +28,20 @@ const PARASITIC_NODE_CAP: f64 = 1e-9;
 /// consecutive simulated time before the run may stop early. Long enough
 /// that a slow zero-crossing of a still-ringing waveform cannot fake
 /// convergence unless its amplitude is already negligible.
-pub(crate) const SETTLE_WINDOW_S: f64 = 500e-9;
+pub const SETTLE_WINDOW_S: f64 = 500e-9;
 
 /// Settling band half-width relative to the overall voltage excursion.
-pub(crate) const SETTLE_REL_TOL: f64 = 1e-4;
+pub const SETTLE_REL_TOL: f64 = 1e-4;
 
 /// Absolute floor of the settling band (guards the zero-excursion case).
-pub(crate) const SETTLE_ABS_TOL_V: f64 = 1e-6;
+pub const SETTLE_ABS_TOL_V: f64 = 1e-6;
+
+/// Deepest chain model the transient kernel integrates: the kernel holds
+/// each lane block's `2 * nodes` state rows in registers, with the node
+/// count as a compile-time constant, and is instantiated for
+/// `1..=MAX_NODES`. [`crate::ladder::LadderBuilder::build`] rejects deeper
+/// ladders; every ladder in the workspace has 1–4 nodes.
+pub const MAX_NODES: usize = 8;
 
 /// A current step applied at the die node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -73,6 +80,14 @@ impl LoadStep {
         }
         let progress = ((t - self.at).value() / self.slew.value()).clamp(0.0, 1.0);
         self.from + (self.to - self.from) * progress
+    }
+
+    /// `true` once the ramp has finished at `t`. Ramp progress is monotone
+    /// in `t`, so from then on [`current_at`](Self::current_at) returns
+    /// the same value, bit for bit, at every later time.
+    pub(crate) fn ramp_done(&self, t: Seconds) -> bool {
+        t >= self.at
+            && (self.slew.value() <= 0.0 || (t - self.at).value() / self.slew.value() >= 1.0)
     }
 }
 
@@ -169,10 +184,10 @@ impl TransientSim {
     /// Runs the simulation of `step` applied to `ladder`'s die node.
     ///
     /// This is a thin wrapper over a one-lane [`TransientSim::run_batch`]
-    /// call — the batched structure-of-arrays kernel in [`crate::batch`]
-    /// is the *only* integration loop, and it is bit-identical
-    /// lane-for-lane at every kernel width, so a single-lane batch is the
-    /// scalar path. The chain-model coefficients are memoized per ladder
+    /// call — the lane-block kernel in [`crate::batch`] is the *only*
+    /// integration loop, and it is bit-identical lane-for-lane at every
+    /// kernel width, so a single-lane batch is the scalar path. The
+    /// chain-model coefficients are memoized per ladder
     /// content in [`crate::cache::ladder_coeffs`], the system starts in
     /// the exact DC steady state for `step.from`, and once the die voltage
     /// has held the post-step analytic steady state within a tight band
@@ -312,10 +327,10 @@ impl LadderCoeffs {
     /// Computes `d(state)/dt` into `out` for die load current `i_load`,
     /// with the VR setpoint `source` at the head of the chain.
     ///
-    /// This is the scalar *reference* recurrence: the batched kernel in
-    /// [`crate::batch`] mirrors it row-by-row across lanes, and the
-    /// equivalence tests pin the two together bit-for-bit. Zipped
-    /// iteration (no indexing) so the loop carries no bounds checks.
+    /// This is the scalar *reference* recurrence: the kernel in
+    /// [`crate::batch`] evaluates the same expressions in the same order
+    /// per lane, and `tests/batch_equivalence.rs` pins the two together
+    /// bit-for-bit through a test-local RK4 built on this function.
     pub fn derivative(&self, source: f64, state: &[f64], i_load: f64, out: &mut [f64]) {
         let n = self.nodes();
         let (i, v) = state.split_at(n);

@@ -1,18 +1,167 @@
-//! Property-based equivalence between the batched SoA transient kernel and
-//! the scalar reference path.
+//! Property-based equivalence between the transient kernel and scalar
+//! reference paths.
 //!
-//! The batch kernel promises *bit-identical* results lane-for-lane: for any
+//! The kernel promises *bit-identical* results lane-for-lane: for any
 //! ladder, any mix of load steps, and any batch size, `run_batch` must
 //! produce exactly what per-lane `run` calls would — including lanes that
 //! settle early at different steps and lanes that never settle at all.
+//! Because `run` is itself a one-lane batch, the file also carries an
+//! independent oracle: a plain scalar RK4 over
+//! [`LadderCoeffs::derivative`], which the kernel must match bit-for-bit
+//! on ladders of every supported depth.
 
 use dg_pdn::didt;
 use dg_pdn::elements::{CapBank, SeriesBranch};
 use dg_pdn::ladder::{Ladder, VrOutputModel};
 use dg_pdn::simd::KernelWidth;
-use dg_pdn::transient::{LoadStep, TransientResult, TransientSim};
+use dg_pdn::transient::{
+    LadderCoeffs, LoadStep, TransientResult, TransientSim, MAX_NODES, SETTLE_ABS_TOL_V,
+    SETTLE_REL_TOL, SETTLE_WINDOW_S,
+};
 use dg_pdn::units::{Amps, Farads, Henries, Hertz, Ohms, Seconds, Volts};
+use dg_pdn::PdnError;
 use proptest::prelude::*;
+
+/// Scalar classical RK4 over [`LadderCoeffs::derivative`], with the
+/// kernel's sampling, settle and final-sample rules written out
+/// independently of `dg_pdn::batch`.
+fn reference_run(sim: &TransientSim, ladder: &Ladder, step: LoadStep) -> TransientResult {
+    let coeffs = LadderCoeffs::from_ladder(ladder);
+    let die = 2 * coeffs.nodes() - 1;
+    let source = sim.source.value();
+    let dt = sim.dt.value();
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let n_steps = (sim.duration.value() / dt).ceil() as usize;
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let settle_steps = ((SETTLE_WINDOW_S / dt).ceil() as usize).max(1);
+    let decimate = sim.decimate.max(1);
+
+    let mut x = coeffs.steady_state(sim.source, step.from);
+    let v_initial = x[die];
+    let target = coeffs.die_steady_voltage(sim.source, step.to);
+    let settle_tol = SETTLE_ABS_TOL_V.max(SETTLE_REL_TOL * (v_initial - target).abs());
+    let settle_after = (step.at + step.slew).value();
+
+    let mut samples = vec![(Seconds::ZERO, Volts::new(v_initial))];
+    let (mut v_min, mut t_min, mut t_exit) = (v_initial, 0.0, 0.0);
+    let mut in_band = 0;
+    let len = x.len();
+    let (mut k1, mut k2, mut k3, mut k4, mut tmp) = (
+        vec![0.0; len],
+        vec![0.0; len],
+        vec![0.0; len],
+        vec![0.0; len],
+        vec![0.0; len],
+    );
+    let stage = |tmp: &mut [f64], x: &[f64], k: &[f64], scale: f64| {
+        for ((t, &xi), &ki) in tmp.iter_mut().zip(x).zip(k) {
+            *t = xi + ki * scale;
+        }
+    };
+    for s in 0..n_steps {
+        #[allow(clippy::cast_precision_loss)]
+        let t = s as f64 * dt;
+        let i_now = step.current_at(Seconds::new(t)).value();
+        let i_mid = step.current_at(Seconds::new(t + 0.5 * dt)).value();
+        let i_end = step.current_at(Seconds::new(t + dt)).value();
+        coeffs.derivative(source, &x, i_now, &mut k1);
+        stage(&mut tmp, &x, &k1, 0.5 * dt);
+        coeffs.derivative(source, &tmp, i_mid, &mut k2);
+        stage(&mut tmp, &x, &k2, 0.5 * dt);
+        coeffs.derivative(source, &tmp, i_mid, &mut k3);
+        stage(&mut tmp, &x, &k3, dt);
+        coeffs.derivative(source, &tmp, i_end, &mut k4);
+        for m in 0..len {
+            x[m] += dt / 6.0 * (k1[m] + 2.0 * k2[m] + 2.0 * k3[m] + k4[m]);
+        }
+
+        let t_now = t + dt;
+        t_exit = t_now;
+        let v_die = x[die];
+        if v_die < v_min {
+            v_min = v_die;
+            t_min = t_now;
+        }
+        if s % decimate == 0 {
+            samples.push((Seconds::new(t_now), Volts::new(v_die)));
+        }
+        if t_now >= settle_after {
+            if (v_die - target).abs() <= settle_tol {
+                in_band += 1;
+                if in_band >= settle_steps {
+                    break;
+                }
+            } else {
+                in_band = 0;
+            }
+        }
+    }
+    let v_final = x[die];
+    if samples.last().map(|(t, _)| t.value().to_bits()) != Some(t_exit.to_bits()) {
+        samples.push((Seconds::new(t_exit), Volts::new(v_final)));
+    }
+    TransientResult {
+        samples,
+        v_min: Volts::new(v_min),
+        t_min: Seconds::new(t_min),
+        v_initial: Volts::new(v_initial),
+        v_final: Volts::new(v_final),
+    }
+}
+
+/// One chain stage's element values in plain numbers.
+#[derive(Debug, Clone, Copy)]
+struct StageSpec {
+    r_mohm: f64,
+    l_ph: f64,
+    c_nf: f64,
+}
+
+fn stage_spec() -> impl Strategy<Value = StageSpec> {
+    (0.05..2.0f64, 20.0..500.0f64, 100.0..5000.0f64).prop_map(|(r_mohm, l_ph, c_nf)| StageSpec {
+        r_mohm,
+        l_ph,
+        c_nf,
+    })
+}
+
+/// A ladder whose chain model has exactly `stages.len()` nodes: every
+/// stage carries a shunt bank.
+fn chain_ladder(stages: &[StageSpec]) -> Result<Ladder, PdnError> {
+    let vr = VrOutputModel::new(Ohms::from_mohm(1.6), Hertz::new(300e3))?;
+    let mut b = Ladder::builder("prop-chain", vr);
+    for (k, s) in stages.iter().enumerate() {
+        b.series_with_decap(
+            format!("stage{k}"),
+            SeriesBranch::new(Ohms::from_mohm(s.r_mohm), Henries::from_ph(s.l_ph))?,
+            CapBank::new(
+                Farads::from_nf(s.c_nf),
+                Ohms::from_mohm(1.0),
+                Henries::from_ph(1.0),
+                1,
+            )?,
+        );
+    }
+    b.build()
+}
+
+#[test]
+fn ladder_deeper_than_max_nodes_is_rejected() {
+    let stage = StageSpec {
+        r_mohm: 0.5,
+        l_ph: 100.0,
+        c_nf: 500.0,
+    };
+    let at_cap = chain_ladder(&[stage; MAX_NODES]).unwrap();
+    assert_eq!(LadderCoeffs::from_ladder(&at_cap).nodes(), MAX_NODES);
+    assert_eq!(
+        chain_ladder(&[stage; MAX_NODES + 1]).unwrap_err(),
+        PdnError::TooManyNodes {
+            nodes: MAX_NODES + 1,
+            max: MAX_NODES,
+        }
+    );
+}
 
 /// One lane's step expressed in plain numbers for proptest generation.
 #[derive(Debug, Clone, Copy)]
@@ -158,7 +307,7 @@ proptest! {
 
     /// Lanes with wildly different step magnitudes settle at different
     /// times; mixing a null step (settles almost immediately) with large
-    /// steps exercises the early-exit compaction path, and the results
+    /// steps exercises lane retirement inside a block, and the results
     /// still have to be bit-identical and in input order.
     #[test]
     fn early_exit_lanes_stay_bit_identical(
@@ -174,7 +323,7 @@ proptest! {
         ).unwrap();
         let quiescent = Amps::new(5.0);
         // Null step (exits first), small step, big step, and a second null
-        // so two lanes exit on the same sweep of the compaction loop.
+        // so two lanes of one block retire on the same step.
         let deltas = [0.0, small, big, 0.0];
         let steps: Vec<LoadStep> = deltas
             .iter()
@@ -193,11 +342,11 @@ proptest! {
         }
     }
 
-    /// Remainder lanes: for batch sizes that are *not* multiples of either
-    /// SIMD width (1..=11 covers every residue mod 4 and several mod 8),
-    /// each forced kernel width must agree bit-for-bit with the forced
-    /// scalar kernel — the vector chunks and the per-row scalar remainder
-    /// have to be the same arithmetic in the same order.
+    /// Remainder lanes: for batch sizes that are *not* multiples of the
+    /// block width (1..=11 covers every residue mod 4), the forced x4
+    /// kernel must agree bit-for-bit with the forced scalar kernel — the
+    /// vector blocks and the single-lane remainder blocks have to be the
+    /// same arithmetic in the same order.
     #[test]
     fn every_kernel_width_matches_scalar_for_remainder_counts(
         lanes in prop::collection::vec(lane_spec(), 1..12),
@@ -220,12 +369,10 @@ proptest! {
             .collect();
         let scalar = sim.run_batch_with_width(&ladder, &steps, KernelWidth::Scalar);
         prop_assert_eq!(scalar.len(), steps.len());
-        for width in [KernelWidth::X4, KernelWidth::X8] {
-            let wide = sim.run_batch_with_width(&ladder, &steps, width);
-            prop_assert_eq!(wide.len(), scalar.len());
-            for (lane, (w, s)) in wide.iter().zip(&scalar).enumerate() {
-                assert_lane_bit_identical(lane, w, s)?;
-            }
+        let wide = sim.run_batch_with_width(&ladder, &steps, KernelWidth::X4);
+        prop_assert_eq!(wide.len(), scalar.len());
+        for (lane, (w, s)) in wide.iter().zip(&scalar).enumerate() {
+            assert_lane_bit_identical(lane, w, s)?;
         }
     }
 
@@ -271,6 +418,51 @@ proptest! {
                 "lane {}",
                 lane
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On random ladders of every supported depth, `run_batch` at the
+    /// detected width and at the forced scalar width reproduces the
+    /// test-local scalar RK4 over `LadderCoeffs::derivative` bit-for-bit
+    /// on every lane — the check that catches an arithmetic change the
+    /// kernel would otherwise share with `run`.
+    #[test]
+    fn batch_matches_reference_rk4_at_every_depth(
+        nodes in 1..=MAX_NODES,
+        stages in prop::collection::vec(stage_spec(), MAX_NODES),
+        lanes in prop::collection::vec(lane_spec(), 1..7),
+        dur_us in 1.5..4.0f64,
+        decimate in 1..64usize,
+    ) {
+        let ladder = chain_ladder(&stages[..nodes]).unwrap();
+        prop_assert_eq!(LadderCoeffs::from_ladder(&ladder).nodes(), nodes);
+        let mut sim = TransientSim::new(
+            Volts::new(1.0),
+            Seconds::from_ns(1.0),
+            Seconds::from_us(dur_us),
+        ).unwrap();
+        sim.decimate = decimate;
+        let steps: Vec<LoadStep> = lanes
+            .iter()
+            .map(|l| LoadStep {
+                from: Amps::new(l.from_a),
+                to: Amps::new(l.to_a),
+                at: Seconds::from_us(l.at_us),
+                slew: Seconds::from_ns(l.slew_ns),
+            })
+            .collect();
+        let detected = sim.run_batch(&ladder, &steps);
+        let scalar = sim.run_batch_with_width(&ladder, &steps, KernelWidth::Scalar);
+        prop_assert_eq!(detected.len(), steps.len());
+        prop_assert_eq!(scalar.len(), steps.len());
+        for (lane, step) in steps.iter().enumerate() {
+            let reference = reference_run(&sim, &ladder, *step);
+            assert_lane_bit_identical(lane, &detected[lane], &reference)?;
+            assert_lane_bit_identical(lane, &scalar[lane], &reference)?;
         }
     }
 }

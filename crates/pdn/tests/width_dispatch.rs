@@ -1,34 +1,28 @@
-//! Regression tests for the calibrated kernel-width dispatch
-//! ([`dg_pdn::KernelWidth::dispatch`]).
+//! Regression tests for kernel-width dispatch ([`dg_pdn::KernelWidth::detect`]).
 //!
-//! PR 9's bench surfaced an AVX-512 pathology: `detect()` picks the x8
-//! kernel on capable hosts, but `BENCH_pdn.json` measures it *slower*
-//! than x4 there (frequency downclocking). These tests pin the fix from
-//! two directions: structurally (dispatch never returns X8, never
-//! exceeds capability) and empirically (the dispatched width is never
-//! the measured-slowest row of the committed bench payload).
+//! `detect()` picks x4 exactly when the CPU has AVX2 and scalar otherwise;
+//! there is no wider width (8-lane blocks spill under AVX2, and the
+//! retired AVX-512 build measured slower than x4). These tests pin the
+//! choice from two directions: structurally (it follows the AVX2 probe)
+//! and empirically (the chosen width is never the measured-slowest row of
+//! the committed bench payload).
 
 use dg_pdn::KernelWidth;
 
 #[test]
-fn dispatch_never_exceeds_capability_and_clamps_x8() {
+fn detect_picks_x4_exactly_under_avx2() {
     let detected = KernelWidth::detect();
-    let dispatched = KernelWidth::dispatch();
-    assert!(
-        dispatched <= detected,
-        "dispatch {:?} wider than the CPU supports ({:?})",
-        dispatched,
-        detected
-    );
-    assert_ne!(
-        dispatched,
-        KernelWidth::X8,
-        "dispatch must clamp the downclock-prone x8 kernel to x4"
-    );
-    match detected {
-        KernelWidth::X8 => assert_eq!(dispatched, KernelWidth::X4),
-        other => assert_eq!(dispatched, other),
-    }
+    assert_eq!(detected, KernelWidth::detect(), "detect() must be stable");
+    #[cfg(target_arch = "x86_64")]
+    let expected = if std::arch::is_x86_feature_detected!("avx2") {
+        KernelWidth::X4
+    } else {
+        KernelWidth::Scalar
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let expected = KernelWidth::Scalar;
+    assert_eq!(detected, expected);
+    assert_eq!(KernelWidth::ALL, [KernelWidth::Scalar, KernelWidth::X4]);
 }
 
 /// Pulls `(width, speedup)` rows out of the committed BENCH_pdn.json
@@ -60,7 +54,7 @@ fn dispatched_width_is_never_the_measured_slowest() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pdn.json");
     let Ok(text) = std::fs::read_to_string(path) else {
         // A fresh checkout before the first bench run has no payload to
-        // cross-check; the structural test above still pins the clamp.
+        // cross-check; the structural test above still pins the choice.
         eprintln!("skipping: {path} not found");
         return;
     };
@@ -74,7 +68,7 @@ fn dispatched_width_is_never_the_measured_slowest() {
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(w, _)| w.clone())
         .unwrap_or_default();
-    let dispatched = KernelWidth::dispatch().label();
+    let dispatched = KernelWidth::detect().label();
     assert_ne!(
         dispatched, slowest,
         "dispatch picked the measured-slowest kernel width ({slowest}); rows: {rows:?}"

@@ -68,7 +68,7 @@ fn warm_workspace_run_batch_performs_zero_allocations() {
         decimate: 64,
     };
     // A multi-lane batch with lanes that settle at different times, so the
-    // measured calls exercise settle detection and swap-compaction too.
+    // measured calls exercise settle detection and lane retirement too.
     #[allow(clippy::cast_precision_loss)]
     let steps: Vec<LoadStep> = (0..8)
         .map(|k| LoadStep {
@@ -78,7 +78,7 @@ fn warm_workspace_run_batch_performs_zero_allocations() {
             slew: Seconds::from_ns(10.0),
         })
         .collect();
-    let width = KernelWidth::dispatch();
+    let width = KernelWidth::detect();
     let mut ws = BatchWorkspace::new();
 
     // Warm-up: fills the ladder-coefficient and DC steady-state caches and
