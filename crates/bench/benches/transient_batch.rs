@@ -1,4 +1,4 @@
-//! Benchmarks of the batched SoA transient kernel against the scalar
+//! Benchmarks of the batched transient kernel against the scalar
 //! reference path. The headline comparison is eight droop captures run
 //! sequentially versus one eight-lane `run_batch` call — the shape that
 //! di/dt sweeps, sensitivity analyses, and `/v1/droop_batch` all hit.
@@ -10,7 +10,7 @@ use dg_pdn::units::{Amps, Seconds, Volts};
 use std::hint::black_box;
 
 /// Eight load steps with distinct magnitudes so lanes settle at different
-/// times — the batch kernel has to carry its lane-compaction cost.
+/// times — the batch kernel has to carry its lane-retirement cost.
 fn eight_steps() -> Vec<LoadStep> {
     (0..8)
         .map(|k| {
@@ -39,12 +39,12 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // The batched kernel: one call, eight lanes stepped in lockstep.
+    // The batched kernel: one call, eight lanes in two 4-lane blocks.
     g.bench_function("batch8_run_batch", |b| {
         b.iter(|| black_box(sim.run_batch(&pdn.ladder, &steps)))
     });
 
-    // A single-lane batch pins the overhead of the SoA plumbing relative
+    // A single-lane batch pins the overhead of the batch plumbing relative
     // to the scalar kernel for the degenerate case.
     let one = &steps[..1];
     g.bench_function("batch1_run_batch", |b| {

@@ -502,8 +502,7 @@ where
 /// Kept as the executable reference semantics for [`par_map_progress`]:
 /// the streaming scheduler's differential proptests oracle against it,
 /// and the sequential/nested paths of [`par_map_progress`] delegate to
-/// it. New
-/// code should call [`par_map_progress`].
+/// it. New code should call [`par_map_progress`].
 ///
 /// # Panics
 ///

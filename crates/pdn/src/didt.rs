@@ -114,9 +114,9 @@ pub fn analyze(
         duration: Seconds::from_us(30.0),
         decimate: 256,
     };
-    // The whole event family integrates as one lockstep batch: the
-    // structure-of-arrays kernel is bit-identical to per-event scalar
-    // runs, so the results (and every downstream guardband) are unchanged.
+    // The whole event family integrates as one batch: the kernel is
+    // bit-identical to per-event scalar runs, so the results (and every
+    // downstream guardband) are unchanged.
     let steps: Vec<LoadStep> = events
         .iter()
         .map(|event| LoadStep {
@@ -156,7 +156,7 @@ pub fn analyze(
 ///
 /// The grid is carved into [`SWEEP_LANES`]-wide batches and the batches
 /// fan out over the [`dg_engine`] worker pool, so each worker integrates
-/// several lanes in lockstep instead of one scenario per task. Results are
+/// several lanes per task instead of one scenario. Results are
 /// bit-identical to sequential [`TransientSim::run`] calls (ramp start at
 /// 1 µs, as in [`analyze`]) for any thread count.
 pub fn droop_sweep(

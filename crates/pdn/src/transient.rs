@@ -187,8 +187,8 @@ impl TransientSim {
     /// call — the lane-block kernel in [`crate::batch`] is the *only*
     /// integration loop, and it is bit-identical lane-for-lane at every
     /// kernel width, so a single-lane batch is the scalar path. The
-    /// chain-model coefficients are memoized per ladder
-    /// content in [`crate::cache::ladder_coeffs`], the system starts in
+    /// chain-model coefficients are memoized per ladder content in
+    /// [`crate::cache::ladder_coeffs`], the system starts in
     /// the exact DC steady state for `step.from`, and once the die voltage
     /// has held the post-step analytic steady state within a tight band
     /// for [`SETTLE_WINDOW_S`] of simulated time the remaining window is
