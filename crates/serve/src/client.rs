@@ -6,7 +6,7 @@
 //! makes `BENCH_serve.json` comparable across runs and the CI smoke step
 //! reproducible.
 
-use crate::http::{chunked_body_end, decode_chunked};
+use crate::http::{chunked_body_end, decode_chunked, head_end, read_reply};
 use crate::json::{obj, Json};
 use crate::metrics::monotonic_us;
 use std::io::{Read, Write};
@@ -381,119 +381,31 @@ pub fn http_request_with(
     request_with_retries(addr, raw.as_bytes(), policy, seed)
 }
 
-/// Finds the end (exclusive) of the `\r\n\r\n`-terminated response head.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
-}
-
-/// Reads one `Content-Length`-framed HTTP/1.1 response from `stream`,
-/// using (and refilling) `leftover` as the connection's read buffer so
-/// bytes of a following response are preserved for the next call.
+/// Reads one HTTP/1.1 response from a persistent connection and parses
+/// it, using (and refilling) `leftover` as the connection's read buffer
+/// so bytes of a following response are preserved for the next call.
 ///
 /// This is the keep-alive counterpart of [`parse_reply`]: where the
 /// close-framed path can read to EOF, a persistent connection must stop
-/// exactly at the declared body length. The dg-router forward path uses
-/// the same routine for its pooled upstream connections.
+/// exactly where the reply ends, which [`read_reply`] finds.
+/// [`KeepAliveClient`] reads every reply through it.
 ///
 /// # Errors
 ///
 /// Socket errors, a clean close before a complete response
-/// (`UnexpectedEof`), or an unparseable head (`InvalidData`).
+/// (`UnexpectedEof`), or an unparseable reply (`InvalidData`).
 pub fn read_framed_reply(
     stream: &mut TcpStream,
     leftover: &mut Vec<u8>,
 ) -> std::io::Result<HttpReply> {
-    use std::io::{Error, ErrorKind};
-    let mut chunk = [0u8; 16 * 1024];
-    let head_len = loop {
-        if let Some(end) = head_end(leftover) {
-            break end;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "connection closed before a complete response head",
-                ))
-            }
-            Ok(n) => leftover.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    };
-    let head = String::from_utf8_lossy(leftover.get(..head_len).unwrap_or_default()).into_owned();
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| Error::new(ErrorKind::InvalidData, "unparseable status line"))?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_owned()))
-        .collect();
-    if is_chunked(&headers) {
-        // A streamed reply (`/v1/explore`): read until the terminal
-        // chunk, then hand back the de-chunked payload so callers see
-        // the NDJSON lines, not the chunk framing.
-        let encoded_len = loop {
-            if let Some(end) = chunked_body_end(leftover.get(head_len..).unwrap_or_default()) {
-                break end;
-            }
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "connection closed mid-stream",
-                    ))
-                }
-                Ok(n) => leftover.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        };
-        let total = head_len.saturating_add(encoded_len);
-        let (payload, _) = decode_chunked(leftover.get(head_len..total).unwrap_or_default())
-            .ok_or_else(|| Error::new(ErrorKind::InvalidData, "bad chunked framing"))?;
-        leftover.drain(..total);
-        return Ok(HttpReply {
-            status,
-            headers,
-            body: String::from_utf8_lossy(&payload).into_owned(),
-        });
-    }
-    let content_length: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0);
-    let total = head_len.saturating_add(content_length);
-    while leftover.len() < total {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ))
-            }
-            Ok(n) => leftover.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let body =
-        String::from_utf8_lossy(leftover.get(head_len..total).unwrap_or_default()).into_owned();
-    leftover.drain(..total);
-    Ok(HttpReply {
-        status,
-        headers,
-        body,
-    })
+    let reply = read_reply(stream, leftover)?;
+    parse_reply(&reply.bytes)
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "unparseable reply"))
 }
 
 /// A persistent HTTP/1.1 connection: requests are sent without
-/// `Connection: close` and responses are read by `Content-Length`
-/// framing, so consecutive requests reuse one TCP connection.
+/// `Connection: close` and each response is framed by [`read_reply`], so
+/// consecutive requests reuse one TCP connection.
 ///
 /// The client reconnects lazily: a transport fault on a *reused*
 /// connection (the server may simply have timed out the idle socket or

@@ -17,8 +17,14 @@
 //!
 //! Header names are case-insensitive per RFC 9110 and are normalised to
 //! lowercase at parse time.
+//!
+//! Replies are framed once, by [`read_reply`]: it finds where a reply
+//! ends on a persistent connection and hands back its exact bytes, which
+//! is all the router's verbatim relay, its health probe and the
+//! keep-alive client need.
 
 use std::fmt;
+use std::io::{self, ErrorKind, Read};
 
 /// Default cap on the request head (request line + headers).
 pub const DEFAULT_MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -449,7 +455,7 @@ fn chunk_size_at(buf: &[u8], at: usize) -> Option<(usize, usize)> {
 /// Finds the end of a chunked message body starting at `buf[0]`:
 /// returns the total encoded length (through the terminal `0\r\n\r\n`)
 /// once the whole message has arrived, `None` while incomplete. Used by
-/// the router proxy to relay chunked shard replies verbatim.
+/// [`read_reply`] to frame streamed replies.
 pub fn chunked_body_end(buf: &[u8]) -> Option<usize> {
     let mut at = 0usize;
     loop {
@@ -484,6 +490,106 @@ pub fn decode_chunked(buf: &[u8]) -> Option<(Vec<u8>, usize)> {
         }
         payload.extend_from_slice(buf.get(payload_start..payload_start + size)?);
         at = payload_start + size + 2;
+    }
+}
+
+/// One HTTP/1.1 reply exactly as it came off the wire.
+#[derive(Debug)]
+pub struct RawReply {
+    /// The complete reply — head, body, and any chunk framing — byte for
+    /// byte.
+    pub bytes: Vec<u8>,
+    /// The status code from the status line.
+    pub status: u16,
+    /// Whether the sender closes its side after this reply
+    /// (`Connection: close`).
+    pub close: bool,
+}
+
+/// Finds the end of a reply head (`\r\n\r\n`), returning the offset just
+/// past it.
+pub fn head_end(buf: &[u8]) -> Option<usize> {
+    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+}
+
+/// Case-insensitively finds a header's trimmed value in a raw head.
+fn header_value<'a>(head: &'a [u8], name: &str) -> Option<&'a str> {
+    for line in head.split(|&b| b == b'\n') {
+        let line = std::str::from_utf8(line).ok()?.trim_end_matches('\r');
+        if let Some((k, v)) = line.split_once(':') {
+            if k.trim().eq_ignore_ascii_case(name) {
+                return Some(v.trim());
+            }
+        }
+    }
+    None
+}
+
+/// Reads one reply off `stream` without parsing it into headers: only its
+/// status, its framing (`Content-Length` or chunked) and its
+/// `Connection: close` verdict are scanned. `leftover` is the
+/// connection's read buffer: bytes already read past this reply stay in
+/// it for the next call.
+///
+/// # Errors
+///
+/// Socket errors, a close before the reply is complete
+/// (`UnexpectedEof`), or a head that is not an HTTP/1.x status line
+/// (`InvalidData`).
+pub fn read_reply(stream: &mut impl Read, leftover: &mut Vec<u8>) -> io::Result<RawReply> {
+    let mut chunk = [0u8; 16 * 1024];
+    let head_len = fill_until(stream, leftover, &mut chunk, head_end)?;
+    let head = leftover.get(..head_len).unwrap_or_default();
+    let status: u16 = head
+        .strip_prefix(b"HTTP/1.1 ")
+        .or_else(|| head.strip_prefix(b"HTTP/1.0 "))
+        .and_then(|rest| std::str::from_utf8(rest.get(..3)?).ok()?.parse().ok())
+        .ok_or_else(|| io::Error::new(ErrorKind::InvalidData, "reply is not HTTP"))?;
+    let close = header_value(head, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
+    let total = if header_value(head, "transfer-encoding")
+        .is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
+    {
+        fill_until(stream, leftover, &mut chunk, |buf| {
+            chunked_body_end(buf.get(head_len..)?).map(|n| head_len + n)
+        })?
+    } else {
+        let body_len: usize = header_value(head, "content-length")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        let total = head_len.saturating_add(body_len);
+        fill_until(stream, leftover, &mut chunk, |buf| {
+            (buf.len() >= total).then_some(total)
+        })?
+    };
+    Ok(RawReply {
+        bytes: leftover.drain(..total).collect(),
+        status,
+        close,
+    })
+}
+
+/// Reads from `stream` into `buf` until `done(buf)` has an answer.
+fn fill_until<T>(
+    stream: &mut impl Read,
+    buf: &mut Vec<u8>,
+    chunk: &mut [u8],
+    done: impl Fn(&[u8]) -> Option<T>,
+) -> io::Result<T> {
+    loop {
+        if let Some(answer) = done(buf) {
+            return Ok(answer);
+        }
+        match stream.read(chunk) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    ErrorKind::UnexpectedEof,
+                    "connection closed mid-reply",
+                ))
+            }
+            Ok(n) => buf.extend_from_slice(chunk.get(..n).unwrap_or_default()),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
 }
 

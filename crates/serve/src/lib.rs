@@ -16,14 +16,16 @@
 //! | `GET /healthz` | liveness + drain state |
 //! | `POST /admin/drain` | start a graceful drain |
 //!
-//! The serve tier is event-driven (DESIGN.md §12): one epoll loop owns
-//! every connection's state machine with HTTP/1.1 keep-alive, CPU-bound
-//! routes dispatch to a bounded worker pool, and completions wake the
-//! loop through a self-pipe. In front of N such shards, the `dg-router`
-//! binary ([`proxy`]) consistent-hashes requests on the same content
-//! keys the caches use, so coalescing and substrate caches stay
-//! shard-local; `--cache-dir` persists them to disk
-//! ([`darkgates::pdn::diskcache`]) so restarted shards warm instantly.
+//! The serve tier is event-driven (DESIGN.md §12) and has one connection
+//! engine ([`event_loop`]): an epoll loop owns every connection's state
+//! machine with HTTP/1.1 keep-alive, queued work runs on a bounded worker
+//! pool, and completions wake the loop through a self-pipe. A shard
+//! ([`server`]) and the `dg-router` binary ([`proxy`]) are two small
+//! dispatchers on that engine. The router consistent-hashes requests
+//! across N shards on the same content keys the caches use, so
+//! coalescing and substrate caches stay shard-local; `--cache-dir`
+//! persists them to disk ([`darkgates::pdn::diskcache`]) so restarted
+//! shards warm instantly.
 //!
 //! Four mechanisms keep the daemon well-behaved under load (DESIGN.md
 //! §9, §12): **admission control** (a bounded dispatch queue; overflow is

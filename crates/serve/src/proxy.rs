@@ -24,42 +24,34 @@
 //! `GET /healthz` is answered by the router itself with per-shard
 //! liveness; `GET /metrics` aggregates the shards' Prometheus text with a
 //! `shard="i"` label plus the router's own counters. Everything else is
-//! forwarded verbatim — the request as method + target + body, and the
-//! shard's reply byte-for-byte (the router only scans its head for the
-//! `Content-Length` framing and the `Connection: close` verdict, so
-//! `Retry-After` and every other header pass through untouched).
+//! forwarded verbatim — the request as method + target + body bytes, and
+//! the shard's reply byte-for-byte as [`crate::http::read_reply`] framed
+//! it, so `Retry-After` and every other header pass through untouched.
 //!
-//! The client-facing side is the same epoll state machine as the shard's
-//! event loop: one thread owns every client connection, answers
-//! `/healthz`, parse errors, and reply-cache hits inline, and dispatches
-//! only cache misses (and `/metrics` scrapes) to a small pool of
-//! blocking forward workers. Three hot-path economies keep it fast:
-//! the shard reply is *relayed*, never parsed into headers; the
-//! per-request routing key is served from a raw-bytes → content-key
-//! alias table, so the router JSON-parses any given request body shape
-//! once, not once per request; and a bounded [`ReplyCache`] serves
-//! repeat keys their exact shard bytes without an upstream exchange
-//! (sound because simulation responses are pure functions of their
-//! content key).
+//! The client-facing side is the shard's own connection engine
+//! ([`crate::event_loop`]) with a router [`Dispatcher`]: `/healthz` and
+//! reply-cache hits are answered inline on the event loop, and only cache
+//! misses (and `/metrics` scrapes) are queued for a small pool of
+//! blocking forward workers. Parse errors, shedding and graceful drain
+//! are the engine's, exactly as on a shard. Two hot-path economies keep
+//! the hop cheap: the per-request routing key is served from a raw-bytes
+//! → content-key alias table, so the router JSON-parses any given request
+//! body shape once, not once per request; and a bounded [`ReplyCache`]
+//! serves repeat keys their exact shard bytes without an upstream
+//! exchange (sound because simulation responses are pure functions of
+//! their content key).
 
-use crate::client::{http_request, read_framed_reply};
-use crate::event_loop::{drain_wakeups, waker_pair, Poller, Waker, EVENT_READ, EVENT_WRITE};
-use crate::http::{
-    chunked_body_end, write_response, HttpError, ParserLimits, Request, RequestParser,
-};
+use crate::client::http_request;
+use crate::event_loop::{Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox};
+use crate::http::{read_reply, write_response, ParserLimits, RawReply, Request};
 use crate::json::{obj, Json};
-use crate::metrics::monotonic_us;
-use crate::queue::{BoundedQueue, PushError};
 use crate::ring::{HashRing, DEFAULT_REPLICAS};
 use crate::routes::{content_key_of, reason_of};
-use crate::server::retry_after_secs;
 use darkgates::pdn::cache::ContentKey;
 use dg_engine::sync::TrackedMutex;
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -235,45 +227,31 @@ fn cacheable_route(method: &str, path: &str) -> bool {
     )
 }
 
-/// What a dispatched job asks of a forward worker.
-enum JobKind {
+/// What a forward worker is asked to do.
+enum ProxyJob {
     /// Forward to the key's shard (the cache-miss path).
-    Forward,
+    Forward {
+        request: Request,
+        key: u64,
+        cacheable: bool,
+    },
     /// Render the aggregated `/metrics` (scrapes every live shard, so it
     /// must not run on the event loop).
     Metrics,
 }
 
-/// A request handed from the event loop to a forward worker.
-struct ProxyJob {
-    token: u64,
-    kind: JobKind,
-    request: Request,
-    key: u64,
-    cacheable: bool,
-    close: bool,
-}
-
-/// A forward worker's finished reply, already framed for the wire.
-struct ProxyCompletion {
-    token: u64,
-    bytes: Vec<u8>,
-    close: bool,
-}
-
-struct RouterShared {
+/// The router's half of the connection engine: the ring, shard liveness,
+/// counters and reply cache the event loop, the forward workers and the
+/// health loop share.
+struct Proxy {
     config: RouterConfig,
     ring: HashRing,
     alive: Vec<AtomicBool>,
-    stop: AtomicBool,
-    queue: BoundedQueue<ProxyJob>,
-    completions: TrackedMutex<Vec<ProxyCompletion>>,
-    waker: Waker,
     counters: RouterMetrics,
     replies: ReplyCache,
 }
 
-impl RouterShared {
+impl Proxy {
     fn is_alive(&self, shard: usize) -> bool {
         self.alive
             .get(shard)
@@ -301,6 +279,106 @@ impl RouterShared {
     }
 }
 
+impl Dispatcher for Proxy {
+    type Job = ProxyJob;
+    /// The raw-bytes → content-key alias table: routing a request shape
+    /// costs one JSON parse ever, not one per request.
+    type LoopState = HashMap<u64, u64>;
+    /// Each forward worker's pooled keep-alive connection per shard.
+    type WorkerState = HashMap<usize, Upstream>;
+
+    fn admit(
+        &self,
+        aliases: &mut HashMap<u64, u64>,
+        request: Request,
+        close: bool,
+    ) -> Admit<ProxyJob> {
+        self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
+        let path = request.target.split('?').next().unwrap_or(&request.target);
+        let get = request.method == "GET";
+        if get && path == "/healthz" {
+            let bytes = healthz_bytes(self, close);
+            return Admit::Reply { bytes, close };
+        }
+        if get && path == "/metrics" {
+            return Admit::Queue(ProxyJob::Metrics);
+        }
+        let cacheable = cacheable_route(&request.method, path);
+        let key = routing_key(&request, aliases);
+        if cacheable {
+            if let Some(bytes) = self.replies.get(key) {
+                self.counters
+                    .cache_hits_total
+                    .fetch_add(1, Ordering::Relaxed);
+                let bytes = bytes.as_ref().clone();
+                return Admit::Reply { bytes, close };
+            }
+        }
+        Admit::Queue(ProxyJob::Forward {
+            request,
+            key,
+            cacheable,
+        })
+    }
+
+    fn serve(
+        &self,
+        pools: &mut HashMap<usize, Upstream>,
+        job: ProxyJob,
+        close: bool,
+        out: &Outbox<'_>,
+    ) {
+        let (bytes, close) = match job {
+            ProxyJob::Metrics => {
+                let body = aggregated_metrics(self);
+                let bytes = write_response(
+                    200,
+                    reason_of(200),
+                    "text/plain; version=0.0.4",
+                    &[],
+                    body.as_bytes(),
+                    close,
+                );
+                (bytes, close)
+            }
+            ProxyJob::Forward {
+                request,
+                key,
+                cacheable,
+            } => match forward(self, &request, key, pools) {
+                // Verbatim relay: the shard's exact bytes, headers
+                // included — Retry-After, Content-Type, and framing all
+                // pass through. (If the client-side `close` verdict
+                // differs from the relayed `Connection` header, the
+                // socket action after the write is what decides; both
+                // sides handle an early close cleanly.)
+                Some(reply) => {
+                    if cacheable && !reply.close && reply.status == 200 {
+                        self.replies.put(key, &reply.bytes);
+                    }
+                    (reply.bytes, close)
+                }
+                None => {
+                    self.counters
+                        .unrouteable_total
+                        .fetch_add(1, Ordering::Relaxed);
+                    (unrouteable_bytes(self), true)
+                }
+            },
+        };
+        out.push(bytes, true, close);
+    }
+
+    fn note(&self, event: Event) {
+        let counter = match event {
+            Event::Shed => &self.counters.shed_total,
+            Event::BadRequest(_) => &self.counters.bad_requests_total,
+            Event::Accepted | Event::Panic => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// A pooled keep-alive connection to one shard.
 struct Upstream {
     stream: TcpStream,
@@ -323,120 +401,22 @@ impl Upstream {
     /// reply's exact bytes for verbatim relay.
     fn exchange(&mut self, raw: &[u8]) -> std::io::Result<RawReply> {
         self.stream.write_all(raw)?;
-        read_raw_reply(&mut self.stream, &mut self.leftover)
+        read_reply(&mut self.stream, &mut self.leftover)
     }
-}
-
-/// A shard reply as raw relayable bytes plus the reuse verdict scanned
-/// from its head.
-struct RawReply {
-    /// The complete framed response, byte-for-byte as the shard sent it.
-    bytes: Vec<u8>,
-    /// Whether the shard is closing its side after this reply.
-    close: bool,
-}
-
-/// Finds the end of an HTTP head (`\r\n\r\n`), returning the offset just
-/// past it.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
-}
-
-/// Case-insensitively finds a header's trimmed value in a raw head.
-fn header_value<'a>(head: &'a [u8], name: &str) -> Option<&'a str> {
-    for line in head.split(|&b| b == b'\n') {
-        let line = std::str::from_utf8(line).ok()?.trim_end_matches('\r');
-        if let Some((k, v)) = line.split_once(':') {
-            if k.trim().eq_ignore_ascii_case(name) {
-                return Some(v.trim());
-            }
-        }
-    }
-    None
-}
-
-/// Reads one framed reply off `stream` without parsing it into headers:
-/// the hot path only needs the framing boundary and the
-/// `Connection: close` verdict, and the bytes are relayed verbatim —
-/// `Content-Length` bodies and chunked streams (`/v1/explore`) alike,
-/// chunk framing included, so a streaming client behind the router sees
-/// the shard's exact progress protocol. Pipelined successor bytes are
-/// preserved in `leftover`.
-fn read_raw_reply(stream: &mut TcpStream, leftover: &mut Vec<u8>) -> std::io::Result<RawReply> {
-    let mut chunk = [0u8; 16 * 1024];
-    let head_len = loop {
-        if let Some(end) = head_end(leftover) {
-            break end;
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-reply",
-            ));
-        }
-        leftover.extend_from_slice(chunk.get(..n).unwrap_or_default());
-    };
-    let head = leftover.get(..head_len).unwrap_or_default();
-    if !head.starts_with(b"HTTP/1.1 ") && !head.starts_with(b"HTTP/1.0 ") {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "upstream reply is not HTTP",
-        ));
-    }
-    let chunked =
-        header_value(head, "transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
-    let close = header_value(head, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
-    let total = if chunked {
-        loop {
-            let body = leftover.get(head_len..).unwrap_or_default();
-            if let Some(encoded_len) = chunked_body_end(body) {
-                break head_len + encoded_len;
-            }
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-stream",
-                ));
-            }
-            leftover.extend_from_slice(chunk.get(..n).unwrap_or_default());
-        }
-    } else {
-        let body_len: usize = header_value(head, "content-length")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        head_len + body_len
-    };
-    while leftover.len() < total {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        leftover.extend_from_slice(chunk.get(..n).unwrap_or_default());
-    }
-    let bytes = leftover.drain(..total).collect();
-    Ok(RawReply { bytes, close })
 }
 
 /// A running router; dropping the handle does NOT stop it — call
 /// [`RouterHandle::shutdown`].
 pub struct RouterHandle {
-    local_addr: SocketAddr,
-    shared: Arc<RouterShared>,
-    event_loop: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
+    inner: EngineHandle<Proxy>,
+    health: JoinHandle<()>,
 }
 
 impl std::fmt::Debug for RouterHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterHandle")
-            .field("local_addr", &self.local_addr)
-            .field("shards", &self.shared.config.shards)
+            .field("local_addr", &self.inner.local_addr())
+            .field("shards", &self.inner.engine().dispatcher.config.shards)
             .finish()
     }
 }
@@ -445,7 +425,8 @@ impl std::fmt::Debug for RouterHandle {
 pub struct RouterServer;
 
 impl RouterServer {
-    /// Binds the router and spawns its accept, worker, and health threads.
+    /// Binds the router and spawns its event loop, forward workers, and
+    /// health thread.
     ///
     /// # Errors
     ///
@@ -458,121 +439,65 @@ impl RouterServer {
                 "a router needs at least one shard",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let poller = Poller::new()?;
-        let (waker, wake_rx) = waker_pair()?;
-
+        let engine = EngineConfig {
+            addr: config.addr.clone(),
+            name: "dg-router",
+            workers: config.workers,
+            queue_depth: config.queue_depth,
+            limits: config.limits,
+            read_timeout_ms: config.read_timeout_ms,
+            retry_after_secs: config.retry_after_secs.max(1),
+            max_requests_per_conn: config.max_requests_per_conn,
+            max_connections: config.max_connections,
+        };
         let n = config.shards.len();
-        let ring = HashRing::new(n, config.replicas);
-        let shared = Arc::new(RouterShared {
-            ring,
+        let proxy = Proxy {
+            ring: HashRing::new(n, config.replicas),
             alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            stop: AtomicBool::new(false),
-            queue: BoundedQueue::new(config.queue_depth.max(1)),
-            completions: TrackedMutex::new("serve.router.completions", Vec::new()),
-            waker,
             counters: RouterMetrics {
                 shard_requests: (0..n).map(|_| AtomicU64::new(0)).collect(),
                 ..RouterMetrics::default()
             },
             replies: ReplyCache::new(config.reply_cache_entries),
             config,
-        });
-
-        let workers: Vec<JoinHandle<()>> = (0..shared.config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("dg-router-fwd-{i}"))
-                    .spawn(move || forward_worker_loop(&shared))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        let event_loop = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("dg-router-loop".to_owned())
-                .spawn(move || RouterEventLoop::new(&shared, poller, listener, wake_rx).run())?
         };
+        let inner = Engine::start(engine, proxy, Arc::new(AtomicBool::new(false)))?;
         let health = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || health_loop(&shared))
+            let engine = Arc::clone(inner.engine());
+            std::thread::spawn(move || health_loop(&engine.dispatcher, &engine.draining))
         };
-
-        Ok(RouterHandle {
-            local_addr,
-            shared,
-            event_loop: Some(event_loop),
-            workers,
-            health: Some(health),
-        })
+        Ok(RouterHandle { inner, health })
     }
 }
 
 impl RouterHandle {
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.inner.local_addr()
     }
 
     /// Whether the router currently considers `shard` live.
     pub fn is_shard_alive(&self, shard: usize) -> bool {
-        self.shared.is_alive(shard)
+        self.inner.engine().dispatcher.is_alive(shard)
     }
 
     /// The router's own counters.
     pub fn counters(&self) -> &RouterMetrics {
-        &self.shared.counters
+        &self.inner.engine().dispatcher.counters
     }
 
-    /// Stops accepting, closes every connection, and joins every thread.
+    /// Drains like a shard — the listener closes, idle connections drop,
+    /// requests already admitted are forwarded and answered, each
+    /// connection closing after its reply — then joins every thread.
     /// Returns `true` when all threads exited cleanly.
-    pub fn shutdown(mut self) -> bool {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.waker.notify();
-        let mut clean = true;
-        if let Some(t) = self.event_loop.take() {
-            // The loop closes the queue on its way out; forward workers
-            // then see `None` and exit.
-            clean &= t.join().is_ok();
-        }
-        for t in self.workers.drain(..) {
-            clean &= t.join().is_ok();
-        }
-        if let Some(t) = self.health.take() {
-            clean &= t.join().is_ok();
-        }
-        clean
+    pub fn shutdown(self) -> bool {
+        let report = self.inner.shutdown();
+        report.clean & self.health.join().is_ok()
     }
-}
-
-/// The 503 a shed request carries: overload body, a `Retry-After`
-/// derived from the forward queue's current depth (same policy as the
-/// shard's [`retry_after_secs`]), and `Connection: close`.
-fn shed_bytes(shared: &RouterShared) -> Vec<u8> {
-    let secs = retry_after_secs(
-        shared.config.retry_after_secs.max(1),
-        shared.queue.len(),
-        shared.queue.capacity(),
-    );
-    let body = obj(vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::Str("router overloaded".to_owned())),
-    ])
-    .render();
-    write_response(
-        503,
-        reason_of(503),
-        "application/json",
-        &[("Retry-After".to_owned(), secs.to_string())],
-        body.as_bytes(),
-        true,
-    )
 }
 
 /// The 503 for a request with no live shard to take it.
-fn unrouteable_bytes(shared: &RouterShared) -> Vec<u8> {
+fn unrouteable_bytes(proxy: &Proxy) -> Vec<u8> {
     let body = obj(vec![
         ("ok", Json::Bool(false)),
         ("error", Json::Str("no live shard".to_owned())),
@@ -584,7 +509,7 @@ fn unrouteable_bytes(shared: &RouterShared) -> Vec<u8> {
         "application/json",
         &[(
             "Retry-After".to_owned(),
-            shared.config.retry_after_secs.max(1).to_string(),
+            proxy.config.retry_after_secs.max(1).to_string(),
         )],
         body.as_bytes(),
         true,
@@ -592,8 +517,8 @@ fn unrouteable_bytes(shared: &RouterShared) -> Vec<u8> {
 }
 
 /// The router's own `GET /healthz` body: per-shard liveness.
-fn healthz_bytes(shared: &RouterShared, close: bool) -> Vec<u8> {
-    let shards: Vec<Json> = shared
+fn healthz_bytes(proxy: &Proxy, close: bool) -> Vec<u8> {
+    let shards: Vec<Json> = proxy
         .config
         .shards
         .iter()
@@ -605,12 +530,12 @@ fn healthz_bytes(shared: &RouterShared, close: bool) -> Vec<u8> {
                     Json::Num(f64::from(u32::try_from(i).unwrap_or(u32::MAX))),
                 ),
                 ("addr", Json::Str(addr.to_string())),
-                ("alive", Json::Bool(shared.is_alive(i))),
+                ("alive", Json::Bool(proxy.is_alive(i))),
             ])
         })
         .collect();
-    let live = (0..shared.config.shards.len())
-        .filter(|&i| shared.is_alive(i))
+    let live = (0..proxy.config.shards.len())
+        .filter(|&i| proxy.is_alive(i))
         .count();
     let body = obj(vec![
         (
@@ -631,546 +556,47 @@ fn healthz_bytes(shared: &RouterShared, close: bool) -> Vec<u8> {
     )
 }
 
-/// Pops dispatched jobs, forwards them (or renders `/metrics`), and hands
-/// the framed reply back to the event loop through the completion list +
-/// waker. Each worker keeps one pooled keep-alive connection per shard.
-fn forward_worker_loop(shared: &RouterShared) {
-    let mut pools: HashMap<usize, Upstream> = HashMap::new();
-    while let Some(job) = shared.queue.pop() {
-        let (bytes, close) = match job.kind {
-            JobKind::Metrics => {
-                let body = aggregated_metrics(shared);
-                let bytes = write_response(
-                    200,
-                    reason_of(200),
-                    "text/plain; version=0.0.4",
-                    &[],
-                    body.as_bytes(),
-                    job.close,
-                );
-                (bytes, job.close)
-            }
-            JobKind::Forward => match forward(shared, &job.request, job.key, &mut pools) {
-                // Verbatim relay: the shard's exact bytes, headers
-                // included — Retry-After, Content-Type, and framing all
-                // pass through. (If the client-side `close` verdict
-                // differs from the relayed `Connection` header, the
-                // socket action after the write is what decides; both
-                // sides handle an early close cleanly.)
-                Some(reply) => {
-                    if job.cacheable
-                        && !reply.close
-                        && reply.bytes.get(9..12) == Some(b"200".as_ref())
-                    {
-                        shared.replies.put(job.key, &reply.bytes);
-                    }
-                    (reply.bytes, job.close)
-                }
-                None => {
-                    shared
-                        .counters
-                        .unrouteable_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    (unrouteable_bytes(shared), true)
-                }
-            },
-        };
-        shared.completions.lock().push(ProxyCompletion {
-            token: job.token,
-            bytes,
-            close,
-        });
-        shared.waker.notify();
-    }
-}
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
-
-/// epoll wait timeout; also the granularity of the deadline scan.
-const TICK_MS: i32 = 25;
-
-/// Wall-clock budget for a lingering close (mirrors the shard's).
-const LINGER_BUDGET_MS: u64 = 250;
-
-/// Where a client connection's state machine currently is (the same
-/// three-state machine as the shard's event loop).
-enum ConnState {
-    /// Waiting for (more) request bytes, or flushing a reply.
-    Reading,
-    /// A request is with the forward workers; epoll interest is empty,
-    /// so further pipelined bytes exert TCP backpressure.
-    Dispatched,
-    /// Write side shut down; sinking the peer's in-flight bytes until
-    /// FIN or the deadline.
-    Lingering { deadline_us: u64 },
-}
-
-struct Conn {
-    stream: TcpStream,
-    parser: RequestParser,
-    out: Vec<u8>,
-    out_pos: usize,
-    state: ConnState,
-    close_after_write: bool,
-    served: usize,
-    last_activity_us: u64,
-    interest: u32,
-}
-
-/// What a readiness handler decided about one connection.
-enum Action {
-    Keep,
-    Drop,
-    Request(Request),
-    ParseError(HttpError),
-}
-
-/// The router's client-facing epoll loop: one thread owning every client
-/// connection. Reply-cache hits, `/healthz`, and parse errors are
-/// answered inline; cache misses and `/metrics` dispatch to the forward
-/// workers and resume through the completion list + waker — the same
-/// shape as the shard's event loop, which is what keeps tail latency
-/// flat as client concurrency grows (a thread per connection convoys on
-/// small machines; a loop does not).
-struct RouterEventLoop<'a> {
-    shared: &'a RouterShared,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    wake_rx: UnixStream,
-    conns: HashMap<u64, Conn>,
-    /// The raw-bytes → content-key alias table: routing a request shape
-    /// costs one JSON parse ever, not one per request.
-    aliases: HashMap<u64, u64>,
-    next_token: u64,
-    events: Vec<(u64, u32)>,
-}
-
-impl<'a> RouterEventLoop<'a> {
-    fn new(
-        shared: &'a RouterShared,
-        poller: Poller,
-        listener: TcpListener,
-        wake_rx: UnixStream,
-    ) -> Self {
-        let _ = poller.add(listener.as_raw_fd(), TOKEN_LISTENER, EVENT_READ);
-        let _ = poller.add(wake_rx.as_raw_fd(), TOKEN_WAKER, EVENT_READ);
-        RouterEventLoop {
-            shared,
-            poller,
-            listener: Some(listener),
-            wake_rx,
-            conns: HashMap::new(),
-            aliases: HashMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-            events: Vec::with_capacity(256),
-        }
-    }
-
-    fn run(mut self) {
-        loop {
-            if self.shared.stop.load(Ordering::SeqCst) {
-                // Routers stop hard: close the queue so workers exit;
-                // dropping `self` closes the listener and every socket.
-                self.shared.queue.close();
-                return;
-            }
-            let mut events = std::mem::take(&mut self.events);
-            let _ = self.poller.wait(&mut events, TICK_MS);
-            for &(token, _readiness) in &events {
-                match token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => drain_wakeups(&mut self.wake_rx),
-                    token => self.conn_ready(token),
-                }
-            }
-            self.events = events;
-            self.apply_completions();
-            self.scan_deadlines();
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    if self.conns.len() >= self.shared.config.max_connections {
-                        self.shared
-                            .counters
-                            .shed_total
-                            .fetch_add(1, Ordering::Relaxed);
-                        let mut stream = stream;
-                        let _ = stream.write(&shed_bytes(self.shared));
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .add(stream.as_raw_fd(), token, EVENT_READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            parser: RequestParser::new(self.shared.config.limits),
-                            out: Vec::new(),
-                            out_pos: 0,
-                            state: ConnState::Reading,
-                            close_after_write: false,
-                            served: 0,
-                            last_activity_us: monotonic_us(),
-                            interest: EVENT_READ,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn conn_ready(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        match conn.state {
-            ConnState::Dispatched => {}
-            ConnState::Lingering { .. } => self.linger_ready(token),
-            ConnState::Reading => {
-                if conn.out_pos < conn.out.len() {
-                    self.flush(token);
-                } else {
-                    self.read_ready(token);
-                }
-            }
-        }
-    }
-
-    fn read_ready(&mut self, token: u64) {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            let action = match conn.stream.read(&mut chunk) {
-                Ok(0) => Action::Drop,
-                Ok(n) => {
-                    conn.last_activity_us = monotonic_us();
-                    match conn.parser.feed(chunk.get(..n).unwrap_or_default()) {
-                        Ok(Some(request)) => Action::Request(request),
-                        Ok(None) => continue,
-                        Err(e) => Action::ParseError(e),
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => Action::Keep,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => Action::Drop,
-            };
-            match action {
-                Action::Keep => return,
-                Action::Drop => return self.drop_conn(token),
-                Action::Request(request) => return self.on_request(token, request),
-                Action::ParseError(e) => return self.on_parse_error(token, e),
-            }
-        }
-    }
-
-    /// A complete request: `/healthz` and reply-cache hits answer inline;
-    /// everything else dispatches to the forward workers.
-    fn on_request(&mut self, token: u64, request: Request) {
-        self.shared
-            .counters
-            .requests_total
-            .fetch_add(1, Ordering::Relaxed);
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.served += 1;
-        let close = !request.keep_alive()
-            || conn.served >= self.shared.config.max_requests_per_conn.max(1)
-            || self.shared.stop.load(Ordering::SeqCst);
-
-        let path = request
-            .target
-            .split('?')
-            .next()
-            .unwrap_or(&request.target)
-            .to_owned();
-        if request.method == "GET" && path == "/healthz" {
-            let bytes = healthz_bytes(self.shared, close);
-            return self.queue_write(token, bytes, close);
-        }
-
-        let (kind, key, cacheable) = if request.method == "GET" && path == "/metrics" {
-            (JobKind::Metrics, 0, false)
-        } else {
-            let key = routing_key(&request, &mut self.aliases);
-            let cacheable = cacheable_route(request.method.as_str(), &path);
-            if cacheable {
-                if let Some(bytes) = self.shared.replies.get(key) {
-                    self.shared
-                        .counters
-                        .cache_hits_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    return self.queue_write(token, bytes.as_ref().clone(), close);
-                }
-            }
-            (JobKind::Forward, key, cacheable)
-        };
-
-        match self.shared.queue.try_push(ProxyJob {
-            token,
-            kind,
-            request,
-            key,
-            cacheable,
-            close,
-        }) {
-            Ok(()) => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.state = ConnState::Dispatched;
-                }
-                self.set_interest(token, 0);
-            }
-            Err(PushError::Full(_) | PushError::Closed(_)) => {
-                self.shared
-                    .counters
-                    .shed_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let bytes = shed_bytes(self.shared);
-                self.queue_write(token, bytes, true);
-            }
-        }
-    }
-
-    fn on_parse_error(&mut self, token: u64, error: HttpError) {
-        self.shared
-            .counters
-            .bad_requests_total
-            .fetch_add(1, Ordering::Relaxed);
-        let (status, reason) = error.status();
-        let body = obj(vec![
-            ("ok", Json::Bool(false)),
-            ("error", Json::Str(error.to_string())),
-        ])
-        .render();
-        let bytes = write_response(
-            status,
-            reason,
-            "application/json",
-            &[],
-            body.as_bytes(),
-            true,
-        );
-        self.queue_write(token, bytes, true);
-    }
-
-    /// Stages `bytes` as the connection's pending output and flushes
-    /// optimistically.
-    fn queue_write(&mut self, token: u64, bytes: Vec<u8>, close: bool) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.state = ConnState::Reading;
-        conn.out = bytes;
-        conn.out_pos = 0;
-        conn.close_after_write = close;
-        self.flush(token);
-    }
-
-    /// Writes pending output until done or the kernel pushes back; a full
-    /// flush either lingers the connection out or re-arms it for the next
-    /// request (serving a buffered pipelined one immediately).
-    fn flush(&mut self, token: u64) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.out_pos >= conn.out.len() {
-                break;
-            }
-            let pending = conn.out.get(conn.out_pos..).unwrap_or_default();
-            match conn.stream.write(pending) {
-                Ok(0) => return self.drop_conn(token),
-                Ok(n) => {
-                    conn.out_pos += n;
-                    conn.last_activity_us = monotonic_us();
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    return self.set_interest(token, EVENT_WRITE);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return self.drop_conn(token),
-            }
-        }
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.out = Vec::new();
-        conn.out_pos = 0;
-        if conn.close_after_write {
-            return self.begin_linger(token);
-        }
-        conn.last_activity_us = monotonic_us();
-        self.set_interest(token, EVENT_READ);
-        // Keep-alive: a pipelined successor may already be buffered.
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        match conn.parser.feed(&[]) {
-            Ok(Some(request)) => self.on_request(token, request),
-            Ok(None) => {}
-            Err(e) => self.on_parse_error(token, e),
-        }
-    }
-
-    /// Non-blocking linger: half-close, then sink reads until FIN or the
-    /// deadline scan reaps the connection.
-    fn begin_linger(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let _ = conn.stream.shutdown(Shutdown::Write);
-        conn.state = ConnState::Lingering {
-            deadline_us: monotonic_us().saturating_add(LINGER_BUDGET_MS.saturating_mul(1_000)),
-        };
-        self.set_interest(token, EVENT_READ);
-        self.linger_ready(token);
-    }
-
-    fn linger_ready(&mut self, token: u64) {
-        let mut sink = [0u8; 4096];
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            match conn.stream.read(&mut sink) {
-                Ok(0) => return self.drop_conn(token),
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return self.drop_conn(token),
-            }
-        }
-    }
-
-    /// Hands worker completions back to their connections' state machines.
-    fn apply_completions(&mut self) {
-        let done = std::mem::take(&mut *self.shared.completions.lock());
-        for completion in done {
-            // Tokens are never recycled, so a completion for a dead
-            // connection simply misses.
-            if self.conns.contains_key(&completion.token) {
-                self.queue_write(completion.token, completion.bytes, completion.close);
-            }
-        }
-    }
-
-    /// Reaps idle connections, stalled writers, and expired lingers.
-    fn scan_deadlines(&mut self) {
-        let now = monotonic_us();
-        let idle_budget_us = self
-            .shared
-            .config
-            .read_timeout_ms
-            .max(1)
-            .saturating_mul(1_000);
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| match c.state {
-                ConnState::Lingering { deadline_us } => now >= deadline_us,
-                ConnState::Reading => now.saturating_sub(c.last_activity_us) >= idle_budget_us,
-                // The forward worker owns the deadline while dispatched
-                // (upstream timeouts bound it).
-                ConnState::Dispatched => false,
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            self.drop_conn(token);
-        }
-    }
-
-    fn set_interest(&mut self, token: u64, interest: u32) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.interest != interest {
-            // A failed re-arm would otherwise leave the fd silently stalled
-            // (never readable/writable again): tear the connection down.
-            let rearmed = self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, interest)
-                .is_ok();
-            conn.interest = interest;
-            if !rearmed {
-                self.drop_conn(token);
-            }
-        }
-    }
-
-    fn drop_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            // dg-analyze: allow(swallowed-result, reason = "the fd is being torn down; EBADF from epoll_ctl DEL is the expected benign race with peer close")
-            let _ = self.poller.remove(conn.stream.as_raw_fd());
-        }
-    }
-}
-
 /// Forwards to the key's shard, failing over clockwise on faults.
 fn forward(
-    shared: &RouterShared,
+    proxy: &Proxy,
     request: &Request,
     key: u64,
     pools: &mut HashMap<usize, Upstream>,
 ) -> Option<RawReply> {
-    let n = shared.config.shards.len();
+    let n = proxy.config.shards.len();
     let mut tried = vec![false; n];
-    let body = String::from_utf8_lossy(&request.body);
-    let raw = format!(
-        "{} {} HTTP/1.1\r\nHost: dg-router\r\nContent-Length: {}\r\n\r\n{}",
+    // The body goes out as the exact bytes the client sent: its
+    // Content-Length is their count, so any re-encoding would desync the
+    // pooled connection.
+    let mut raw = format!(
+        "{} {} HTTP/1.1\r\nHost: dg-router\r\nContent-Length: {}\r\n\r\n",
         request.method,
         request.target,
-        request.body.len(),
-        body
-    );
+        request.body.len()
+    )
+    .into_bytes();
+    raw.extend_from_slice(&request.body);
     for attempt in 0..n {
-        let shard = shared.ring.route(key, |s| {
-            shared.is_alive(s) && !tried.get(s).copied().unwrap_or(true)
+        let shard = proxy.ring.route(key, |s| {
+            proxy.is_alive(s) && !tried.get(s).copied().unwrap_or(true)
         })?;
         if let Some(t) = tried.get_mut(shard) {
             *t = true;
         }
-        match exchange_with_shard(shared, shard, raw.as_bytes(), pools) {
+        match exchange_with_shard(proxy, shard, &raw, pools) {
             Ok(reply) => {
-                if let Some(c) = shared.counters.shard_requests.get(shard) {
+                if let Some(c) = proxy.counters.shard_requests.get(shard) {
                     c.fetch_add(1, Ordering::Relaxed);
                 }
                 if attempt > 0 {
-                    shared
-                        .counters
-                        .retries_total
-                        .fetch_add(1, Ordering::Relaxed);
+                    proxy.counters.retries_total.fetch_add(1, Ordering::Relaxed);
                 }
                 return Some(reply);
             }
             Err(_) => {
                 // A fresh connection to this shard failed too: it is dead
                 // until the health loop sees it answer again.
-                shared.eject(shard);
+                proxy.eject(shard);
             }
         }
     }
@@ -1207,15 +633,15 @@ fn routing_key(request: &Request, aliases: &mut HashMap<u64, u64>) -> u64 {
 /// One upstream exchange, transparently replacing a stale pooled
 /// connection with a fresh one before declaring the shard failed.
 fn exchange_with_shard(
-    shared: &RouterShared,
+    proxy: &Proxy,
     shard: usize,
     raw: &[u8],
     pools: &mut HashMap<usize, Upstream>,
 ) -> std::io::Result<RawReply> {
-    let addr = shared.config.shards.get(shard).copied().ok_or_else(|| {
+    let addr = proxy.config.shards.get(shard).copied().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "shard index out of range")
     })?;
-    let timeout = Duration::from_millis(shared.config.upstream_timeout_ms.max(1));
+    let timeout = Duration::from_millis(proxy.config.upstream_timeout_ms.max(1));
     if let Some(pooled) = pools.get_mut(&shard) {
         match pooled.exchange(raw) {
             Ok(reply) => {
@@ -1241,28 +667,29 @@ fn exchange_with_shard(
     Ok(reply)
 }
 
-fn health_loop(shared: &RouterShared) {
-    let mut fail_streaks = vec![0u32; shared.config.shards.len()];
-    while !shared.stop.load(Ordering::SeqCst) {
-        for (i, addr) in shared.config.shards.iter().enumerate() {
+/// Probes every shard until `stop` is set (the router's drain flag).
+fn health_loop(proxy: &Proxy, stop: &AtomicBool) {
+    let mut fail_streaks = vec![0u32; proxy.config.shards.len()];
+    while !stop.load(Ordering::SeqCst) {
+        for (i, addr) in proxy.config.shards.iter().enumerate() {
             let healthy = probe_health(*addr);
             let Some(streak) = fail_streaks.get_mut(i) else {
                 continue;
             };
             if healthy {
                 *streak = 0;
-                shared.rejoin(i);
+                proxy.rejoin(i);
             } else {
                 *streak = streak.saturating_add(1);
-                if *streak >= shared.config.health_failures.max(1) {
-                    shared.eject(i);
+                if *streak >= proxy.config.health_failures.max(1) {
+                    proxy.eject(i);
                 }
             }
         }
         // Sleep in small slices so shutdown is prompt.
-        let deadline = shared.config.health_interval_ms.max(10);
+        let deadline = proxy.config.health_interval_ms.max(10);
         let mut slept = 0;
-        while slept < deadline && !shared.stop.load(Ordering::SeqCst) {
+        while slept < deadline && !stop.load(Ordering::SeqCst) {
             let slice = (deadline - slept).min(25);
             std::thread::sleep(Duration::from_millis(slice));
             slept += slice;
@@ -1287,15 +714,14 @@ fn probe_health(addr: SocketAddr) -> bool {
     if stream.write_all(probe).is_err() {
         return false;
     }
-    let mut leftover = Vec::new();
-    matches!(read_framed_reply(&mut stream, &mut leftover), Ok(reply) if reply.status == 200)
+    matches!(read_reply(&mut stream, &mut Vec::new()), Ok(reply) if reply.status == 200)
 }
 
 /// The router's counters plus every live shard's `/metrics`, with each
 /// shard sample rewritten to carry a `shard="i"` label.
-fn aggregated_metrics(shared: &RouterShared) -> String {
+fn aggregated_metrics(proxy: &Proxy) -> String {
     let mut out = String::with_capacity(8 * 1024);
-    let c = &shared.counters;
+    let c = &proxy.counters;
     for (name, help, v) in [
         (
             "dg_router_requests_total",
@@ -1352,14 +778,14 @@ fn aggregated_metrics(shared: &RouterShared) -> String {
     }
     out.push_str("# HELP dg_router_shard_alive Shard liveness (1 = routable).\n");
     out.push_str("# TYPE dg_router_shard_alive gauge\n");
-    for i in 0..shared.config.shards.len() {
+    for i in 0..proxy.config.shards.len() {
         out.push_str(&format!(
             "dg_router_shard_alive{{shard=\"{i}\"}} {}\n",
-            u8::from(shared.is_alive(i))
+            u8::from(proxy.is_alive(i))
         ));
     }
-    for (i, addr) in shared.config.shards.iter().enumerate() {
-        if !shared.is_alive(i) {
+    for (i, addr) in proxy.config.shards.iter().enumerate() {
+        if !proxy.is_alive(i) {
             continue;
         }
         let Ok(reply) = http_request(*addr, "GET", "/metrics", None) else {

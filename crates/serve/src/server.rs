@@ -1,66 +1,37 @@
-//! The event-driven TCP server: one epoll loop owning every connection's
-//! state machine, a bounded work queue, a worker pool for CPU-bound
-//! routes, and graceful drain.
+//! The `dg-serve` shard: its config, its handle, and its [`Dispatcher`]
+//! on the shared connection engine ([`crate::event_loop`], which owns
+//! every socket, the worker pool, shedding and the drain policy).
 //!
-//! Life of a connection:
+//! What a parsed request becomes:
 //!
-//! 1. the event loop accepts the socket (non-blocking, counted, `TCP_NODELAY`)
-//!    and registers it for read readiness under a monotonically increasing
-//!    token that is never recycled, so a late completion for a dead
-//!    connection can never touch its successor,
-//! 2. read readiness feeds the hardened incremental [`RequestParser`]
-//!    until one request completes; the loop stops reading there, leaving
-//!    any pipelined bytes to the kernel and the parser buffer,
-//! 3. cheap control routes (`GET /healthz`, `GET /metrics`,
-//!    `POST /admin/drain`) are answered inline on the loop — health stays
-//!    observable even under full compute overload — while every other
-//!    route is pushed onto the bounded [`BoundedQueue`] for the worker
-//!    pool. A full queue sheds **that request** with `503`, a
-//!    `Retry-After` derived from the current queue depth, and
-//!    `Connection: close`,
-//! 4. while a request is dispatched the connection's epoll interest drops
-//!    to zero: the peer's further pipelined bytes stay in the kernel
-//!    buffer (TCP backpressure bounds memory) and only the worker's
-//!    completion — delivered through a self-pipe [`Waker`] — resumes the
-//!    state machine,
-//! 5. responses are written optimistically; a short write parks the
-//!    connection on write readiness (`EPOLLOUT`) until the peer drains
-//!    it, with progress bounded by the read-timeout deadline scan,
-//! 6. HTTP/1.1 keep-alive: after a full flush the parser is polled for a
-//!    buffered pipelined request, otherwise the connection re-arms for
-//!    read readiness and an idle deadline,
-//! 7. closes (errors, `Connection: close`, drain, per-connection request
-//!    cap) go through a non-blocking linger: write side shut down, reads
-//!    sunk for up to [`LINGER_BUDGET_MS`], so the peer's in-flight bytes
-//!    never turn the response into an RST,
-//! 8. on drain ([`ServerHandle::request_drain`], `POST /admin/drain`, or
-//!    SIGTERM in the binary) the listener closes immediately, idle
-//!    connections drop, in-flight requests finish with
-//!    `Connection: close`, then the queue closes, workers exit, and
-//!    [`ServerHandle::shutdown`] reports whether the drain was clean.
+//! * cheap control routes (`GET /healthz`, `GET /metrics`,
+//!   `POST /admin/drain`) are answered inline on the event loop — health
+//!   stays observable even under full compute overload, and a drain
+//!   request cannot be shed by the very pressure it relieves,
+//! * memory-tier response-cache hits are answered inline too: one JSON
+//!   parse and one lock, no queue, no worker,
+//! * everything else is queued for the worker pool, which runs handlers
+//!   with `par_map` inlined and streams `/v1/explore` and
+//!   `/v1/droop_sweep` as chunked NDJSON, one completion per wave.
+//!
+//! Drain ([`ServerHandle::request_drain`], `POST /admin/drain`, or SIGTERM
+//! in the binary) is the engine's: the listener closes, idle connections
+//! drop, admitted requests finish with `Connection: close`, and
+//! [`ServerHandle::shutdown`] reports whether every thread exited cleanly.
 
 use crate::coalesce::Role;
-use crate::event_loop::{drain_wakeups, waker_pair, Poller, Waker, EVENT_READ, EVENT_WRITE};
+pub use crate::event_loop::{retry_after_secs, DrainReport};
+use crate::event_loop::{Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox};
 use crate::http::{
-    write_chunk, write_response, write_stream_head, HttpError, ParserLimits, Request,
-    RequestParser, LAST_CHUNK,
+    write_chunk, write_response, write_stream_head, ParserLimits, Request, LAST_CHUNK,
 };
 use crate::json::{obj, Json};
 use crate::metrics::{monotonic_us, Metrics, Route};
-use crate::queue::{BoundedQueue, PushError};
 use crate::routes::{Response, Router, StreamEvent, StreamPlan};
-use dg_engine::sync::TrackedMutex;
-use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -111,69 +82,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// What [`ServerHandle::shutdown`] observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DrainReport {
-    /// Requests served over the server's lifetime (inline + dispatched).
-    pub requests_served: usize,
-    /// `true` when the event loop and every worker exited without
-    /// panicking — the graceful-drain contract held.
-    pub clean: bool,
-}
-
-/// A dispatched request: which connection wants the answer, and whether
-/// that connection must close after it.
-struct Job {
-    token: u64,
-    request: Request,
-    close: bool,
-}
-
-/// Bytes a worker hands back to the event loop, already framed for the
-/// wire. Ordinary routes produce exactly one completion with
-/// `fin = true`; the streaming `/v1/explore` route produces a sequence —
-/// head, progress chunks, then the terminal chunk — where only the last
-/// carries `fin`. Completions for one token are pushed in wire order and
-/// the event loop appends them in arrival order.
-struct Completion {
-    token: u64,
-    bytes: Vec<u8>,
-    close: bool,
-    /// Whether this completion ends the response.
-    fin: bool,
-}
-
-/// Everything the event loop and workers share.
-struct Shared {
-    config: ServerConfig,
-    metrics: Arc<Metrics>,
-    router: Router,
-    draining: Arc<AtomicBool>,
-    queue: BoundedQueue<Job>,
-    completions: TrackedMutex<Vec<Completion>>,
-    waker: Waker,
-}
-
 /// The `dg-serve` daemon. Construct with [`Server::start`].
 #[derive(Debug)]
 pub struct Server;
 
 /// A handle to a running server; dropping it does **not** stop the
 /// server — call [`ServerHandle::shutdown`].
+#[derive(Debug)]
 pub struct ServerHandle {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    event_loop: Option<JoinHandle<usize>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ServerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerHandle")
-            .field("local_addr", &self.local_addr)
-            .field("workers", &self.workers.len())
-            .finish()
-    }
+    inner: EngineHandle<Shard>,
 }
 
 impl Server {
@@ -188,50 +105,30 @@ impl Server {
         if let Some(dir) = &config.cache_dir {
             darkgates::pdn::diskcache::set_dir(Some(dir.clone()));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let poller = Poller::new()?;
-        let (waker, wake_rx) = waker_pair()?;
-
         let metrics = Arc::new(Metrics::default());
         let draining = Arc::new(AtomicBool::new(false));
-        let router = Router::new(
-            Arc::clone(&metrics),
-            Arc::clone(&draining),
-            config.enable_debug_routes,
-        );
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_depth),
-            router,
+        let shard = Shard {
+            router: Router::new(
+                Arc::clone(&metrics),
+                Arc::clone(&draining),
+                config.enable_debug_routes,
+            ),
             metrics,
-            draining,
-            completions: TrackedMutex::new("serve.completions", Vec::new()),
-            waker,
-            config,
-        });
-
-        let workers = (0..shared.config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("dg-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-
-        let event_loop = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("dg-serve-loop".to_owned())
-                .spawn(move || EventLoop::new(&shared, poller, listener, wake_rx).run())?
+            draining: Arc::clone(&draining),
         };
-
+        let engine = EngineConfig {
+            addr: config.addr,
+            name: "dg-serve",
+            workers: config.workers,
+            queue_depth: config.queue_depth,
+            limits: config.limits,
+            read_timeout_ms: config.read_timeout_ms,
+            retry_after_secs: config.retry_after_secs,
+            max_requests_per_conn: config.max_requests_per_conn,
+            max_connections: config.max_connections,
+        };
         Ok(ServerHandle {
-            local_addr,
-            shared,
-            event_loop: Some(event_loop),
-            workers,
+            inner: Engine::start(engine, shard, draining)?,
         })
     }
 }
@@ -239,171 +136,215 @@ impl Server {
 impl ServerHandle {
     /// The bound address (resolves port 0 binds).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.inner.local_addr()
     }
 
     /// The live metrics registry (shared with the handlers).
     pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.shared.metrics)
+        Arc::clone(&self.inner.engine().dispatcher.metrics)
     }
 
     /// Whether a drain has been requested (by this handle, by
     /// `POST /admin/drain`, or by a signal in the binary).
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        self.inner.engine().draining.load(Ordering::SeqCst)
     }
 
     /// Starts a graceful drain: stop admitting, serve what was admitted.
     /// Idempotent; returns immediately.
     pub fn request_drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.waker.notify();
+        self.inner.engine().request_drain();
     }
 
     /// Drains (if not already draining) and blocks until the event loop
     /// and every worker have exited, reporting whether the drain was
     /// clean.
-    pub fn shutdown(mut self) -> DrainReport {
-        self.request_drain();
-        let mut clean = true;
-        let mut requests_served = 0usize;
-        if let Some(event_loop) = self.event_loop.take() {
-            // The loop closes the queue on its way out; workers then see
-            // `None` and exit.
-            match event_loop.join() {
-                Ok(served) => requests_served = served,
-                Err(_) => clean = false,
+    pub fn shutdown(self) -> DrainReport {
+        self.inner.shutdown()
+    }
+}
+
+/// The shard's half of the connection engine.
+struct Shard {
+    router: Router,
+    metrics: Arc<Metrics>,
+    /// The engine's drain flag, which `POST /admin/drain` sets.
+    draining: Arc<AtomicBool>,
+}
+
+impl Dispatcher for Shard {
+    type Job = Request;
+    type LoopState = ();
+    type WorkerState = ();
+
+    fn admit(&self, _: &mut (), request: Request, close: bool) -> Admit<Request> {
+        if is_inline(&request) {
+            let start = monotonic_us();
+            // dg-analyze: allow(no-blocking-in-event-loop, reason = "is_inline gates this dispatch to /healthz, /metrics and /admin/drain, which touch no disk, queue, coalescer or sleep; every other route goes through the worker pool below")
+            let (route, response) = self.router.handle(&request);
+            let latency = monotonic_us().saturating_sub(start);
+            self.metrics.record(route, response.status, latency);
+            // `POST /admin/drain` flips the flag inside the handler; honor
+            // it on this very response.
+            let close = close || self.draining.load(Ordering::SeqCst);
+            let bytes = framed(&response, close);
+            return Admit::Reply { bytes, close };
+        }
+        match self.router.cached_response(&request) {
+            Some((route, response)) => {
+                self.metrics.record(route, response.status, 0);
+                let bytes = framed(&response, close);
+                Admit::Reply { bytes, close }
             }
-        }
-        for worker in self.workers.drain(..) {
-            clean &= worker.join().is_ok();
-        }
-        DrainReport {
-            requests_served,
-            clean,
+            None => Admit::Queue(request),
         }
     }
-}
 
-/// The `Retry-After` a shed response carries: the configured base plus a
-/// penalty that grows with how deep the queue already is, so a client of
-/// a lightly loaded server retries quickly while a client of a saturated
-/// one backs off harder. Monotone in `queue_len`, capped at 30 s.
-pub fn retry_after_secs(base: u32, queue_len: usize, capacity: usize) -> u32 {
-    if capacity == 0 {
-        // Nothing can ever be admitted; advertise the maximum backoff.
-        return 30;
-    }
-    let penalty = (3 * queue_len) / capacity;
-    base.saturating_add(penalty.min(u32::MAX as usize) as u32)
-        .min(30)
-}
-
-/// Frames the shed 503 from the current queue depth.
-fn shed_response_bytes(shared: &Shared) -> Vec<u8> {
-    let secs = retry_after_secs(
-        shared.config.retry_after_secs,
-        shared.queue.len(),
-        shared.queue.capacity(),
-    );
-    let body = format!("{{\"ok\":false,\"error\":\"server is at capacity, retry after {secs}s\"}}");
-    let extra = [("Retry-After".to_owned(), secs.to_string())];
-    write_response(
-        503,
-        "Service Unavailable",
-        "application/json",
-        &extra,
-        body.as_bytes(),
-        true,
-    )
-}
-
-/// Total wall-clock budget for a lingering close. Bounds how long a peer
-/// trickling bytes can keep a closed connection's fd alive.
-const LINGER_BUDGET_MS: u64 = 250;
-
-/// Per-read timeout inside the blocking [`linger_close`]; a peer that
-/// goes quiet for this long ends the drain early.
-const LINGER_READ_TIMEOUT_MS: u64 = 50;
-
-/// Half-closes `stream` and drains whatever the peer still has in flight
-/// before dropping it (blocking variant, used by callers that own the
-/// socket outright, e.g. the router proxy). Closing a socket with unread
-/// bytes in its receive buffer makes the kernel send RST, and an RST
-/// destroys any response still sitting in the peer's receive buffer —
-/// lingering turns that RST into an orderly FIN. Bounded by a hard
-/// wall-clock deadline ([`LINGER_BUDGET_MS`]) so a peer trickling bytes
-/// cannot hold the drain open.
-pub fn linger_close(mut stream: TcpStream) {
-    let deadline = monotonic_us().saturating_add(LINGER_BUDGET_MS.saturating_mul(1_000));
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(LINGER_READ_TIMEOUT_MS)));
-    let _ = stream.shutdown(Shutdown::Write);
-    let mut sink = [0u8; 4096];
-    while monotonic_us() < deadline {
-        match stream.read(&mut sink) {
-            // Peer finished (FIN), went quiet past the read timeout, or
-            // errored: the linger has done its job either way.
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
+    fn serve(&self, _: &mut (), request: Request, close: bool, out: &Outbox<'_>) {
+        let _inflight = InFlight::enter(&self.metrics.inflight);
+        if let Some(route) = streaming_route(&request) {
+            return self.stream(route, &request, close, out);
         }
-    }
-}
-
-/// Pops dispatched requests, runs the router with panics contained, and
-/// hands the framed response back to the event loop through the
-/// completion list + waker.
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        if let Some(route) = streaming_route(&job.request) {
-            stream_route(shared, &job, route);
-            continue;
-        }
-        shared.metrics.inflight.fetch_add(1, Ordering::Relaxed);
         let start = monotonic_us();
-        // Handlers run with par_map inlined (one thread per request) and
-        // any panic that escapes the router's own containment becomes a
-        // 500 on this request, not a dead worker.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            dg_engine::inline_scope(|| shared.router.handle(&job.request))
-        }));
-        let (route, response) = match outcome {
-            Ok(pair) => pair,
-            Err(_) => {
-                shared.metrics.panics_total.fetch_add(1, Ordering::Relaxed);
-                (
-                    Route::Other,
-                    Response {
-                        status: 500,
-                        reason: "Internal Server Error",
-                        content_type: "application/json",
-                        body: Arc::new(
-                            "{\"ok\":false,\"error\":\"internal handler panic\"}".to_owned(),
-                        ),
-                    },
-                )
+        // Handlers run with par_map inlined: one thread per request.
+        let (route, response) = dg_engine::inline_scope(|| self.router.handle(&request));
+        let latency = monotonic_us().saturating_sub(start);
+        self.metrics.record(route, response.status, latency);
+        out.push(framed(&response, close), true, close);
+    }
+
+    fn note(&self, event: Event) {
+        let m = &self.metrics;
+        let counter = match event {
+            Event::Accepted => &m.connections_total,
+            Event::Shed => &m.shed_total,
+            Event::BadRequest(status) => {
+                m.record(Route::Other, status, 0);
+                &m.bad_requests_total
+            }
+            Event::Panic => {
+                m.record(Route::Other, 500, 0);
+                &m.panics_total
             }
         };
-        let latency = monotonic_us().saturating_sub(start);
-        shared.metrics.record(route, response.status, latency);
-        shared.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
-
-        let close = job.close || shared.draining.load(Ordering::SeqCst);
-        let bytes = write_response(
-            response.status,
-            response.reason,
-            response.content_type,
-            &[],
-            response.body.as_bytes(),
-            close,
-        );
-        shared.completions.lock().push(Completion {
-            token: job.token,
-            bytes,
-            close,
-            fin: true,
-        });
-        shared.waker.notify();
+        counter.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+impl Shard {
+    /// Serves one request on a streaming route (`/v1/explore`,
+    /// `/v1/droop_sweep`): chunked NDJSON progress lines as batches
+    /// finish, then the result line. Rejections (400/413) stay ordinary
+    /// framed responses; cache hits and coalesced followers stream only
+    /// the result line.
+    fn stream(&self, route: Route, request: &Request, close: bool, out: &Outbox<'_>) {
+        let start = monotonic_us();
+        let status = match self.router.plan_stream(route, request) {
+            StreamPlan::Reject(resp) => {
+                out.push(framed(&resp, close), true, close);
+                resp.status
+            }
+            StreamPlan::Cached(body) => {
+                out.push(stream_reply(&body, close), true, close);
+                200
+            }
+            // The sweep deliberately runs with the engine's par_map pool
+            // live (no inline_scope): a 10k-point explore grid or a
+            // thousand-lane droop population is exactly the workload the
+            // chunked evaluation parallelises, and its results are
+            // bit-identical for any thread count.
+            StreamPlan::Run(run) => match run(&mut |event| match event {
+                StreamEvent::Started => out.push(stream_head(close), false, close),
+                StreamEvent::Progress(line) => {
+                    out.push(write_chunk(line.as_bytes()), false, close);
+                }
+            }) {
+                // Head and progress are already queued in order; a non-200
+                // logical status rides the wire-200 stream (the head is
+                // long gone) and closes.
+                (Ok((status, body)), Role::Leader) => {
+                    out.push(stream_tail(&body), true, close || status != 200);
+                    status
+                }
+                // Followers saw no events: stream head + result line,
+                // exactly like a cache hit — unless the shared outcome is
+                // an error, which they can still report with honest
+                // framing.
+                (Ok((200, body)), Role::Follower) => {
+                    out.push(stream_reply(&body, close), true, close);
+                    200
+                }
+                (Ok((status, body)), Role::Follower) => {
+                    let bytes = write_response(
+                        status,
+                        "Internal Server Error",
+                        "application/json",
+                        &[],
+                        body.as_bytes(),
+                        close,
+                    );
+                    out.push(bytes, true, close);
+                    status
+                }
+                // The leader's compute panicked inside the coalescer
+                // (already booked in panics_total by the runner). The
+                // leader's head is on the wire: terminate its stream with
+                // an error line and close. Followers sent nothing yet and
+                // get a plain framed 500.
+                (Err(panic_msg), role) => {
+                    let body = obj(vec![
+                        ("ok", Json::Bool(false)),
+                        ("error", Json::Str(format!("handler panicked: {panic_msg}"))),
+                    ])
+                    .render();
+                    let bytes = match role {
+                        Role::Leader => stream_tail(&body),
+                        Role::Follower => write_response(
+                            500,
+                            "Internal Server Error",
+                            "application/json",
+                            &[],
+                            body.as_bytes(),
+                            close,
+                        ),
+                    };
+                    out.push(bytes, true, true);
+                    500
+                }
+            },
+        };
+        let latency = monotonic_us().saturating_sub(start);
+        self.metrics.record(route, status, latency);
+    }
+}
+
+/// Counts one request in `dg_inflight` for as long as it lives, a panic
+/// unwinding through it included.
+struct InFlight<'a>(&'a AtomicU64);
+
+impl<'a> InFlight<'a> {
+    fn enter(gauge: &'a AtomicU64) -> Self {
+        gauge.fetch_add(1, Ordering::Relaxed);
+        InFlight(gauge)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Frames a handler's response for the wire.
+fn framed(response: &Response, close: bool) -> Vec<u8> {
+    write_response(
+        response.status,
+        response.reason,
+        response.content_type,
+        &[],
+        response.body.as_bytes(),
+        close,
+    )
 }
 
 /// The streaming route a dispatched request targets, if any — these
@@ -434,702 +375,12 @@ fn stream_tail(body: &str) -> Vec<u8> {
     bytes
 }
 
-/// Serves one request on a streaming route (`/v1/explore`,
-/// `/v1/droop_sweep`): chunked NDJSON progress lines as batches finish,
-/// then the result line. Rejections (400/413) stay ordinary framed
-/// responses; cache hits and coalesced followers stream only the result
-/// line.
-fn stream_route(shared: &Shared, job: &Job, route: Route) {
-    shared.metrics.inflight.fetch_add(1, Ordering::Relaxed);
-    let start = monotonic_us();
-    let close = job.close || shared.draining.load(Ordering::SeqCst);
-    let token = job.token;
-
-    let push = |bytes: Vec<u8>, fin: bool, close: bool| {
-        shared.completions.lock().push(Completion {
-            token,
-            bytes,
-            close,
-            fin,
-        });
-        shared.waker.notify();
-    };
-
-    let plan = catch_unwind(AssertUnwindSafe(|| {
-        shared.router.plan_stream(route, &job.request)
-    }));
-    let status = match plan {
-        Err(_) => {
-            shared.metrics.panics_total.fetch_add(1, Ordering::Relaxed);
-            push(
-                write_response(
-                    500,
-                    "Internal Server Error",
-                    "application/json",
-                    &[],
-                    b"{\"ok\":false,\"error\":\"internal handler panic\"}",
-                    close,
-                ),
-                true,
-                close,
-            );
-            500
-        }
-        Ok(StreamPlan::Reject(resp)) => {
-            push(
-                write_response(
-                    resp.status,
-                    resp.reason,
-                    resp.content_type,
-                    &[],
-                    resp.body.as_bytes(),
-                    close,
-                ),
-                true,
-                close,
-            );
-            resp.status
-        }
-        Ok(StreamPlan::Cached(body)) => {
-            let mut bytes = stream_head(close);
-            bytes.extend_from_slice(&stream_tail(&body));
-            push(bytes, true, close);
-            200
-        }
-        Ok(StreamPlan::Run(run)) => {
-            // The sweep deliberately runs with the engine's par_map pool
-            // live (no inline_scope): a 10k-point explore grid or a
-            // thousand-lane droop population is exactly the workload the
-            // chunked evaluation parallelises, and its results are
-            // bit-identical for any thread count.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                run(&mut |event| match event {
-                    StreamEvent::Started => push(stream_head(close), false, close),
-                    StreamEvent::Progress(line) => {
-                        push(write_chunk(line.as_bytes()), false, close);
-                    }
-                })
-            }));
-            match outcome {
-                Ok((Ok((status, body)), role)) => {
-                    match role {
-                        // Head and progress are already queued in order;
-                        // a non-200 logical status rides the wire-200
-                        // stream (the head is long gone) and closes.
-                        Role::Leader => push(stream_tail(&body), true, close || status != 200),
-                        // Followers saw no events: stream head + result
-                        // line, exactly like a cache hit — unless the
-                        // shared outcome is an error, which they can
-                        // still report with honest framing.
-                        Role::Follower if status == 200 => {
-                            let mut bytes = stream_head(close);
-                            bytes.extend_from_slice(&stream_tail(&body));
-                            push(bytes, true, close);
-                        }
-                        Role::Follower => push(
-                            write_response(
-                                status,
-                                "Internal Server Error",
-                                "application/json",
-                                &[],
-                                body.as_bytes(),
-                                close,
-                            ),
-                            true,
-                            close,
-                        ),
-                    }
-                    status
-                }
-                Ok((Err(panic_msg), role)) => {
-                    // The leader's compute panicked inside the coalescer
-                    // (already booked in panics_total by the runner).
-                    // The leader's head is on the wire: terminate its
-                    // stream with an error line and close. Followers sent
-                    // nothing yet and get a plain framed 500.
-                    let body = obj(vec![
-                        ("ok", Json::Bool(false)),
-                        ("error", Json::Str(format!("handler panicked: {panic_msg}"))),
-                    ])
-                    .render();
-                    match role {
-                        Role::Leader => push(stream_tail(&body), true, true),
-                        Role::Follower => push(
-                            write_response(
-                                500,
-                                "Internal Server Error",
-                                "application/json",
-                                &[],
-                                body.as_bytes(),
-                                close,
-                            ),
-                            true,
-                            true,
-                        ),
-                    }
-                    500
-                }
-                Err(_) => {
-                    // A panic escaped the runner itself (outside the
-                    // coalescer's containment — bookkeeping, not compute).
-                    // Whether the head went out is unknowable here; end
-                    // the response as a stream and close, which bounds
-                    // the damage either way.
-                    shared.metrics.panics_total.fetch_add(1, Ordering::Relaxed);
-                    push(
-                        stream_tail("{\"ok\":false,\"error\":\"internal handler panic\"}"),
-                        true,
-                        true,
-                    );
-                    500
-                }
-            }
-        }
-    };
-    let latency = monotonic_us().saturating_sub(start);
-    shared.metrics.record(route, status, latency);
-    shared.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
-}
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
-
-/// epoll wait timeout; also the granularity of the deadline scan.
-const TICK_MS: i32 = 25;
-
-/// Where a connection's state machine currently is.
-enum ConnState {
-    /// Waiting for (more) request bytes, or flushing a response.
-    Reading,
-    /// A request is with the worker pool; epoll interest is empty, so the
-    /// peer's further bytes exert TCP backpressure instead of buffering.
-    Dispatched,
-    /// Write side shut down; sinking the peer's in-flight bytes until FIN
-    /// or the deadline.
-    Lingering { deadline_us: u64 },
-}
-
-struct Conn {
-    stream: TcpStream,
-    parser: RequestParser,
-    out: Vec<u8>,
-    out_pos: usize,
-    state: ConnState,
-    close_after_write: bool,
-    /// Set when the final completion of a streamed response has been
-    /// appended to `out`: the next full flush may leave [`ConnState::Dispatched`]
-    /// instead of waiting for more chunks.
-    stream_fin: bool,
-    served: usize,
-    last_activity_us: u64,
-    interest: u32,
-}
-
-/// What a readiness handler decided about one connection.
-enum Action {
-    /// Nothing further; keep waiting.
-    Keep,
-    /// Close and forget the connection.
-    Drop,
-    /// A complete request parsed; dispatch it.
-    Request(Request),
-    /// The parser rejected the framing.
-    ParseError(HttpError),
-}
-
-struct EventLoop<'a> {
-    shared: &'a Shared,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    wake_rx: UnixStream,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    served: usize,
-    events: Vec<(u64, u32)>,
-}
-
-impl<'a> EventLoop<'a> {
-    fn new(shared: &'a Shared, poller: Poller, listener: TcpListener, wake_rx: UnixStream) -> Self {
-        let _ = poller.add(listener.as_raw_fd(), TOKEN_LISTENER, EVENT_READ);
-        let _ = poller.add(wake_rx.as_raw_fd(), TOKEN_WAKER, EVENT_READ);
-        EventLoop {
-            shared,
-            poller,
-            listener: Some(listener),
-            wake_rx,
-            conns: HashMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-            served: 0,
-            events: Vec::with_capacity(256),
-        }
-    }
-
-    fn run(mut self) -> usize {
-        loop {
-            if self.shared.draining.load(Ordering::SeqCst) {
-                self.begin_drain();
-                if self.conns.is_empty() {
-                    self.shared.queue.close();
-                    return self.served;
-                }
-            }
-            let mut events = std::mem::take(&mut self.events);
-            let _ = self.poller.wait(&mut events, TICK_MS);
-            for &(token, _readiness) in &events {
-                match token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => drain_wakeups(&mut self.wake_rx),
-                    token => self.conn_ready(token),
-                }
-            }
-            self.events = events;
-            self.apply_completions();
-            self.scan_deadlines();
-        }
-    }
-
-    /// Stops admission (idempotent): close the listener, drop idle
-    /// connections. In-flight work — dispatched requests, partial
-    /// uploads, unflushed responses, lingers — continues to completion,
-    /// each path bounded by its own deadline.
-    fn begin_drain(&mut self) {
-        if let Some(listener) = self.listener.take() {
-            // dg-analyze: allow(swallowed-result, reason = "the listener is closed on the next line regardless; a failed epoll DEL cannot keep it admitting")
-            let _ = self.poller.remove(listener.as_raw_fd());
-        }
-        let idle: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                matches!(c.state, ConnState::Reading)
-                    && c.out.is_empty()
-                    && c.parser.buffered() == 0
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for token in idle {
-            self.drop_conn(token);
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.shared
-                        .metrics
-                        .connections_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    if self.conns.len() >= self.shared.config.max_connections {
-                        // Best-effort shed; never block the loop on it.
-                        self.shared
-                            .metrics
-                            .shed_total
-                            .fetch_add(1, Ordering::Relaxed);
-                        let mut stream = stream;
-                        let _ = stream.write(&shed_response_bytes(self.shared));
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .add(stream.as_raw_fd(), token, EVENT_READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            parser: RequestParser::new(self.shared.config.limits),
-                            out: Vec::new(),
-                            out_pos: 0,
-                            state: ConnState::Reading,
-                            close_after_write: false,
-                            stream_fin: false,
-                            served: 0,
-                            last_activity_us: monotonic_us(),
-                            interest: EVENT_READ,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                // Transient accept errors (EMFILE, ECONNABORTED): the next
-                // readiness event retries rather than killing the daemon.
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn conn_ready(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        match conn.state {
-            // While dispatched, readiness only matters if a streamed
-            // response parked mid-chunk on write readiness; otherwise
-            // (interest is empty, but level-triggered ERR/HUP still fire)
-            // the completion path discovers a dead peer at write time.
-            ConnState::Dispatched => {
-                if conn.out_pos < conn.out.len() {
-                    self.flush(token);
-                }
-            }
-            ConnState::Lingering { .. } => self.linger_ready(token),
-            ConnState::Reading => {
-                if conn.out_pos < conn.out.len() {
-                    self.flush(token);
-                } else {
-                    self.read_ready(token);
-                }
-            }
-        }
-    }
-
-    /// Reads until one request completes, the socket runs dry, or the
-    /// connection dies. Stops at the first complete request so pipelined
-    /// successors wait their turn in kernel + parser buffers.
-    fn read_ready(&mut self, token: u64) {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            let action = match conn.stream.read(&mut chunk) {
-                Ok(0) => Action::Drop,
-                Ok(n) => {
-                    conn.last_activity_us = monotonic_us();
-                    match conn.parser.feed(chunk.get(..n).unwrap_or_default()) {
-                        Ok(Some(request)) => Action::Request(request),
-                        Ok(None) => continue,
-                        Err(e) => Action::ParseError(e),
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => Action::Keep,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => Action::Drop,
-            };
-            match action {
-                Action::Keep => return,
-                Action::Drop => return self.drop_conn(token),
-                Action::Request(request) => return self.on_request(token, request),
-                Action::ParseError(e) => return self.on_parse_error(token, e),
-            }
-        }
-    }
-
-    /// A complete request: answer control routes inline, dispatch the
-    /// rest to the worker pool, shed if the queue refuses.
-    fn on_request(&mut self, token: u64, request: Request) {
-        self.served += 1;
-        let draining = self.shared.draining.load(Ordering::SeqCst);
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.served += 1;
-        let close = !request.keep_alive()
-            || draining
-            || conn.served >= self.shared.config.max_requests_per_conn;
-
-        if is_inline(&request) {
-            let start = monotonic_us();
-            // dg-analyze: allow(no-blocking-in-event-loop, reason = "is_inline gates this dispatch to /healthz, /metrics and /admin/drain, which touch no disk, queue, coalescer or sleep; every other route goes through the worker pool below")
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.shared.router.handle(&request)));
-            let (route, response) = match outcome {
-                Ok(pair) => pair,
-                Err(_) => {
-                    self.shared
-                        .metrics
-                        .panics_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    (
-                        Route::Other,
-                        Response {
-                            status: 500,
-                            reason: "Internal Server Error",
-                            content_type: "application/json",
-                            body: Arc::new(
-                                "{\"ok\":false,\"error\":\"internal handler panic\"}".to_owned(),
-                            ),
-                        },
-                    )
-                }
-            };
-            let latency = monotonic_us().saturating_sub(start);
-            self.shared.metrics.record(route, response.status, latency);
-            // `POST /admin/drain` flips the flag inside the handler; honor
-            // it on this very response.
-            let close = close || self.shared.draining.load(Ordering::SeqCst);
-            let bytes = write_response(
-                response.status,
-                response.reason,
-                response.content_type,
-                &[],
-                response.body.as_bytes(),
-                close,
-            );
-            self.queue_write(token, bytes, close);
-            return;
-        }
-
-        // Memoized content answers straight off the loop: one JSON parse
-        // and one lock, no queue dispatch, no completion wake-up.
-        if let Some((route, response)) = self.shared.router.cached_response(&request) {
-            self.shared.metrics.record(route, response.status, 0);
-            let bytes = write_response(
-                response.status,
-                response.reason,
-                response.content_type,
-                &[],
-                response.body.as_bytes(),
-                close,
-            );
-            self.queue_write(token, bytes, close);
-            return;
-        }
-
-        match self.shared.queue.try_push(Job {
-            token,
-            request,
-            close,
-        }) {
-            Ok(()) => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.state = ConnState::Dispatched;
-                }
-                self.set_interest(token, 0);
-            }
-            Err(PushError::Full(_) | PushError::Closed(_)) => {
-                self.shared
-                    .metrics
-                    .shed_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let bytes = shed_response_bytes(self.shared);
-                self.queue_write(token, bytes, true);
-            }
-        }
-    }
-
-    fn on_parse_error(&mut self, token: u64, error: HttpError) {
-        self.shared
-            .metrics
-            .bad_requests_total
-            .fetch_add(1, Ordering::Relaxed);
-        let (status, reason) = error.status();
-        self.shared.metrics.record(Route::Other, status, 0);
-        let body = format!("{{\"ok\":false,\"error\":\"{error}\"}}");
-        let bytes = write_response(
-            status,
-            reason,
-            "application/json",
-            &[],
-            body.as_bytes(),
-            true,
-        );
-        // Framing is ambiguous from here on: answer and close.
-        self.queue_write(token, bytes, true);
-    }
-
-    /// Stages `bytes` as the connection's pending output and flushes
-    /// optimistically.
-    fn queue_write(&mut self, token: u64, bytes: Vec<u8>, close: bool) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.state = ConnState::Reading;
-        conn.out = bytes;
-        conn.out_pos = 0;
-        conn.close_after_write = close;
-        conn.stream_fin = false;
-        self.flush(token);
-    }
-
-    /// Writes pending output until done or the kernel pushes back; a full
-    /// flush either lingers the connection out or re-arms it for the next
-    /// request (serving a buffered pipelined one immediately).
-    fn flush(&mut self, token: u64) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.out_pos >= conn.out.len() {
-                break;
-            }
-            let pending = conn.out.get(conn.out_pos..).unwrap_or_default();
-            match conn.stream.write(pending) {
-                Ok(0) => return self.drop_conn(token),
-                Ok(n) => {
-                    conn.out_pos += n;
-                    conn.last_activity_us = monotonic_us();
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    // Peer not draining yet: park on write readiness.
-                    return self.set_interest(token, EVENT_WRITE);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return self.drop_conn(token),
-            }
-        }
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if matches!(conn.state, ConnState::Dispatched) && !conn.stream_fin {
-            // Mid-stream: the chunks written so far are out, the worker
-            // will push more. Stay dispatched with empty interest so only
-            // the next completion (or a terminal deadline) resumes us.
-            conn.out = Vec::new();
-            conn.out_pos = 0;
-            conn.last_activity_us = monotonic_us();
-            return self.set_interest(token, 0);
-        }
-        conn.out = Vec::new();
-        conn.out_pos = 0;
-        conn.stream_fin = false;
-        conn.state = ConnState::Reading;
-        if conn.close_after_write {
-            return self.begin_linger(token);
-        }
-        conn.last_activity_us = monotonic_us();
-        self.set_interest(token, EVENT_READ);
-        // Keep-alive: a pipelined successor may already be buffered.
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        match conn.parser.feed(&[]) {
-            Ok(Some(request)) => self.on_request(token, request),
-            Ok(None) => {}
-            Err(e) => self.on_parse_error(token, e),
-        }
-    }
-
-    /// Non-blocking linger: half-close, then sink reads until FIN or the
-    /// deadline scan reaps the connection.
-    fn begin_linger(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let _ = conn.stream.shutdown(Shutdown::Write);
-        conn.state = ConnState::Lingering {
-            deadline_us: monotonic_us().saturating_add(LINGER_BUDGET_MS.saturating_mul(1_000)),
-        };
-        self.set_interest(token, EVENT_READ);
-        self.linger_ready(token);
-    }
-
-    fn linger_ready(&mut self, token: u64) {
-        let mut sink = [0u8; 4096];
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            match conn.stream.read(&mut sink) {
-                Ok(0) => return self.drop_conn(token),
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return self.drop_conn(token),
-            }
-        }
-    }
-
-    /// Hands worker completions back to their connections' state machines.
-    /// A dispatched connection **appends** each completion's bytes (the
-    /// completion vector preserves the worker's push order, so a streamed
-    /// head → progress → terminal sequence lands on the wire in order);
-    /// only the `fin` completion releases the connection back to
-    /// [`ConnState::Reading`] via the flush tail.
-    fn apply_completions(&mut self) {
-        let done = std::mem::take(&mut *self.shared.completions.lock());
-        for completion in done {
-            // The connection may have died while its request was in
-            // flight; tokens are never recycled, so a stale completion
-            // simply misses.
-            let Some(conn) = self.conns.get_mut(&completion.token) else {
-                continue;
-            };
-            if matches!(conn.state, ConnState::Dispatched) {
-                conn.out.extend_from_slice(&completion.bytes);
-                if completion.fin {
-                    conn.stream_fin = true;
-                    conn.close_after_write = completion.close;
-                }
-                self.flush(completion.token);
-            } else {
-                // Defensive: a completion for a connection no longer
-                // dispatched (should not happen — the worker owns the
-                // connection until fin). Frame it as a whole response.
-                self.queue_write(completion.token, completion.bytes, completion.close);
-            }
-        }
-    }
-
-    /// Reaps idle connections, stalled writers, and expired lingers.
-    fn scan_deadlines(&mut self) {
-        let now = monotonic_us();
-        let idle_budget_us = self
-            .shared
-            .config
-            .read_timeout_ms
-            .max(1)
-            .saturating_mul(1_000);
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| match c.state {
-                ConnState::Lingering { deadline_us } => now >= deadline_us,
-                // Covers idle keep-alive, stalled heads/bodies, and peers
-                // not draining their response (write stall): any quiet
-                // period past the read timeout closes the connection.
-                ConnState::Reading => now.saturating_sub(c.last_activity_us) >= idle_budget_us,
-                // The worker owns the deadline while dispatched — unless a
-                // streamed response has pending bytes the peer will not
-                // drain (a stalled streaming reader), which the idle
-                // budget reaps like any other write stall.
-                ConnState::Dispatched => {
-                    !c.out.is_empty() && now.saturating_sub(c.last_activity_us) >= idle_budget_us
-                }
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            self.drop_conn(token);
-        }
-    }
-
-    fn set_interest(&mut self, token: u64, interest: u32) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.interest != interest {
-            // A failed re-arm would otherwise leave the fd silently stalled
-            // (never readable/writable again): tear the connection down.
-            let rearmed = self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, interest)
-                .is_ok();
-            conn.interest = interest;
-            if !rearmed {
-                self.drop_conn(token);
-            }
-        }
-    }
-
-    fn drop_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            // dg-analyze: allow(swallowed-result, reason = "the fd is being torn down; EBADF from epoll_ctl DEL is the expected benign race with peer close")
-            let _ = self.poller.remove(conn.stream.as_raw_fd());
-        }
-    }
+/// A whole stream that is just its result line: a cache hit, or a
+/// coalesced follower's copy of the leader's result.
+fn stream_reply(body: &str, close: bool) -> Vec<u8> {
+    let mut bytes = stream_head(close);
+    bytes.extend_from_slice(&stream_tail(body));
+    bytes
 }
 
 /// Routes cheap enough (and important enough) to answer on the event loop
@@ -1146,6 +397,10 @@ fn is_inline(request: &Request) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
+    use std::thread;
+    use std::time::Duration;
 
     fn tiny_config() -> ServerConfig {
         ServerConfig {
@@ -1342,41 +597,6 @@ mod tests {
             "close arrived after {elapsed_ms} ms for a 200 ms idle budget"
         );
         assert!(handle.shutdown().clean);
-    }
-
-    #[test]
-    fn linger_close_is_bounded_against_trickling_peers() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let stop = Arc::new(AtomicBool::new(false));
-        let trickler = {
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let mut s = TcpStream::connect(addr).expect("connect");
-                // A slowloris peer: keep a byte in flight so every server
-                // read returns data and the loop never hits its read
-                // timeout. Only the deadline can end the drain.
-                while !stop.load(Ordering::Relaxed) {
-                    if s.write_all(b"x").is_err() {
-                        break;
-                    }
-                    thread::sleep(Duration::from_millis(5));
-                }
-            })
-        };
-        let (server_side, _) = listener.accept().expect("accept");
-        let start = monotonic_us();
-        linger_close(server_side);
-        let elapsed_ms = monotonic_us().saturating_sub(start) / 1_000;
-        stop.store(true, Ordering::Relaxed);
-        trickler.join().expect("trickler");
-        // Generous slack over LINGER_BUDGET_MS for slow CI machines, but
-        // far below the unbounded behaviour (16 reads x trickle pacing).
-        assert!(
-            elapsed_ms <= LINGER_BUDGET_MS + 750,
-            "linger drain took {elapsed_ms} ms, budget is {LINGER_BUDGET_MS} ms"
-        );
-        drop(listener);
     }
 
     #[test]

@@ -12,10 +12,11 @@ use darkgates::pdn::units::{Amps, Seconds, Volts};
 use dg_serve::client::http_request;
 use dg_serve::http::decode_chunked;
 use dg_serve::json::{self, Json};
+use dg_serve::proxy::{RouterConfig, RouterServer};
 use dg_serve::routes::delta_grid;
 use dg_serve::{Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -80,7 +81,26 @@ fn assert_bits_equal(served: &[f64], direct: &[f64]) {
 #[test]
 fn droop_sweep_streams_chunked_ndjson_and_lanes_are_bit_identical() {
     let handle = start();
-    let mut s = TcpStream::connect(handle.local_addr()).expect("connect");
+    assert_streams_bit_identical_lanes(handle.local_addr());
+    assert!(handle.shutdown().clean);
+
+    // The same stream relayed by a router. Its shard is fresh: a repeat
+    // on the first one would be a cache hit streaming only the result.
+    let shard = start();
+    let router = RouterServer::start(RouterConfig {
+        shards: vec![shard.local_addr()],
+        ..RouterConfig::default()
+    })
+    .expect("router start");
+    assert_streams_bit_identical_lanes(router.local_addr());
+    assert!(router.shutdown());
+    assert!(shard.shutdown().clean);
+}
+
+/// Sends [`SMALL_GRID`] to `addr` and checks the chunked NDJSON framing,
+/// the progress waves, and every lane against the library.
+fn assert_streams_bit_identical_lanes(addr: SocketAddr) {
+    let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(120)))
         .expect("timeout");
     let raw = format!(
@@ -143,7 +163,6 @@ fn droop_sweep_streams_chunked_ndjson_and_lanes_are_bit_identical() {
         .expect("worst");
     let max = direct.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     assert_eq!(worst.to_bits(), max.to_bits(), "worst lane");
-    assert!(handle.shutdown().clean);
 }
 
 #[test]
