@@ -189,11 +189,12 @@ impl TransientSim {
     /// view into the workspace (input order, one entry per step).
     ///
     /// After `ws` has warmed up on a given batch shape — same or larger
-    /// ladder and lane count, warm coefficient/steady-state caches — a
-    /// call performs **zero heap allocations**: the initial-state rows,
-    /// the lane bookkeeping, and each result's waveform `Vec` are reused
-    /// in place. The returned slice borrows `ws` and is overwritten by the
-    /// next batch run through the same workspace.
+    /// ladder and lane count, warm coefficient cache — a call performs
+    /// **zero heap allocations**, whatever load steps it carries: each
+    /// lane's DC operating point is computed in place, and the
+    /// initial-state rows, the lane bookkeeping, and each result's
+    /// waveform `Vec` are reused. The returned slice borrows `ws` and is
+    /// overwritten by the next batch run through the same workspace.
     ///
     /// Results are bit-identical to [`TransientSim::run_batch`] at every
     /// width; the wrappers are thin clones of this path.
@@ -225,22 +226,24 @@ impl TransientSim {
         ws.prepare(rows, b);
 
         for (lane, &step) in steps.iter().enumerate() {
-            let init = crate::cache::dc_steady_state(ladder, source, step.from.value(), || {
-                coeffs.steady_state(self.source, step.from)
-            });
-            for (k, &x) in init.iter().enumerate() {
-                ws.state[k * b + lane] = x;
+            // The lane starts in the DC steady state for `step.from`
+            // (`coeffs.steady_state`), written straight into its state
+            // rows; the settle target is the post-step die voltage
+            // (`coeffs.die_steady_voltage` for `step.to`). Both come from
+            // the same allocation-free recurrence, so the bits match the
+            // reference helpers exactly.
+            let from = step.from.value();
+            let mut v_die = source;
+            for (k, v) in coeffs.dc_voltages(source, from).enumerate() {
+                ws.state[k * b + lane] = from;
+                ws.state[(n + k) * b + lane] = v;
+                v_die = v;
             }
-            let v_initial = Volts::new(init[2 * n - 1]);
-            // The settle target is the die entry of the post-step DC
-            // solution — the same solve `dc_steady_state` already caches,
-            // so a warm sweep reads it back alloc-free instead of paying a
-            // fresh `steady_state` vector per lane per call. Bit-identical
-            // to `coeffs.die_steady_voltage(self.source, step.to)`.
-            let target = crate::cache::dc_steady_state(ladder, source, step.to.value(), || {
-                coeffs.steady_state(self.source, step.to)
-            });
-            let v_settle_target = target.get(2 * n - 1).copied().unwrap_or(source);
+            let v_initial = Volts::new(v_die);
+            let v_settle_target = coeffs
+                .dc_voltages(source, step.to.value())
+                .last()
+                .unwrap_or(source);
             let settle_tol =
                 SETTLE_ABS_TOL_V.max(SETTLE_REL_TOL * (v_initial.value() - v_settle_target).abs());
             ws.lanes.push(LaneRun {

@@ -3,13 +3,19 @@
 //! The experiment harness rebuilds the same physical substrates over and
 //! over: every `Product::build` sweeps a full impedance profile to size its
 //! guardband, every figure builds the same two Skylake PDNs, and every
-//! transient run re-derives the same DC operating point. These quantities
-//! are pure functions of the circuit values, so they are cached
-//! process-wide, keyed by *content* (an FNV-1a hash over the exact `f64`
-//! bit patterns of every component value). Two ladders with identical
-//! element values share one cache entry no matter how they were built;
-//! perturbing any value (as the sensitivity analysis does) produces a new
-//! key and a fresh computation.
+//! transient run compiles the same ladder into chain-model coefficients.
+//! These quantities are pure functions of the circuit values, so they are
+//! cached process-wide, keyed by *content* (an FNV-1a hash over the exact
+//! `f64` bit patterns of every component value). Two ladders with
+//! identical element values share one cache entry no matter how they were
+//! built; perturbing any value (as the sensitivity analysis does) produces
+//! a new key and a fresh computation.
+//!
+//! Only work that costs more than a lookup is cached. Impedance profiles
+//! take milliseconds and also persist through [`crate::diskcache`];
+//! ladder coefficients stay in memory only. A lane's DC operating point
+//! (2n multiply-subtracts) is not cached at all: the kernel computes it in
+//! place.
 //!
 //! All entries are wrapped in [`Arc`], so a cache hit is a pointer bump and
 //! results can be shared freely across the worker threads of
@@ -158,41 +164,6 @@ pub fn skylake_profile(variant: PdnVariant) -> Arc<ImpedanceProfile> {
     }))
 }
 
-type SteadyStateMap = TrackedMutex<HashMap<u64, Arc<Vec<f64>>>>;
-
-fn steady_state_map() -> &'static SteadyStateMap {
-    static MAP: OnceLock<SteadyStateMap> = OnceLock::new();
-    MAP.get_or_init(|| TrackedMutex::new("pdn.cache.steady", HashMap::new()))
-}
-
-/// The DC steady state of `ladder`'s transient chain model for a given
-/// source voltage and load current (the initial condition of every
-/// transient run). Keyed by content, so the five-event di/dt sweeps that
-/// all start from the same quiescent point derive it once.
-pub fn dc_steady_state(
-    ladder: &Ladder,
-    source: f64,
-    load: f64,
-    compute: impl FnOnce() -> Vec<f64>,
-) -> Arc<Vec<f64>> {
-    let key = ContentKey::new()
-        .word(ladder_key(ladder))
-        .f64(source)
-        .f64(load)
-        .finish();
-    if let Some(hit) = steady_state_map().lock().get(&key) {
-        return Arc::clone(hit);
-    }
-    if let Some(warm) = crate::diskcache::load_state(key) {
-        let mut map = steady_state_map().lock();
-        return Arc::clone(map.entry(key).or_insert_with(|| Arc::new(warm)));
-    }
-    let fresh = Arc::new(compute());
-    crate::diskcache::store_state(key, &fresh);
-    let mut map = steady_state_map().lock();
-    Arc::clone(map.entry(key).or_insert(fresh))
-}
-
 type CoeffsMap = TrackedMutex<HashMap<u64, Arc<LadderCoeffs>>>;
 
 fn coeffs_map() -> &'static CoeffsMap {
@@ -202,19 +173,15 @@ fn coeffs_map() -> &'static CoeffsMap {
 
 /// The precompiled transient chain-model coefficients of `ladder`, computed
 /// once per distinct ladder content and shared thereafter. Every transient
-/// run — scalar or batched — starts here, so sweeps that integrate hundreds
-/// of load steps against one ladder pay the `from_ladder` walk exactly once.
+/// run — scalar or batched — starts here; the memory entry is what lets a
+/// warm [`crate::batch::BatchWorkspace`] run allocate nothing. There is no
+/// disk tier: the `from_ladder` walk costs less than reading a file.
 pub fn ladder_coeffs(ladder: &Ladder) -> Arc<LadderCoeffs> {
     let key = ladder_key(ladder);
     if let Some(hit) = coeffs_map().lock().get(&key) {
         return Arc::clone(hit);
     }
-    if let Some(warm) = crate::diskcache::load_coeffs(key) {
-        let mut map = coeffs_map().lock();
-        return Arc::clone(map.entry(key).or_insert_with(|| Arc::new(warm)));
-    }
     let fresh = Arc::new(LadderCoeffs::from_ladder(ladder));
-    crate::diskcache::store_coeffs(key, &fresh);
     let mut map = coeffs_map().lock();
     Arc::clone(map.entry(key).or_insert(fresh))
 }
@@ -285,21 +252,5 @@ mod tests {
         assert_eq!(*a, LadderCoeffs::from_ladder(&pdn.ladder));
         let c = ladder_coeffs(&SkylakePdn::build(PdnVariant::Bypassed).ladder);
         assert!(!Arc::ptr_eq(&a, &c));
-    }
-
-    #[test]
-    fn steady_state_computed_once_per_operating_point() {
-        let pdn = SkylakePdn::build(PdnVariant::Bypassed);
-        let mut calls = 0;
-        let a = dc_steady_state(&pdn.ladder, 1.0, 20.0, || {
-            calls += 1;
-            vec![1.0, 2.0]
-        });
-        let b = dc_steady_state(&pdn.ladder, 1.0, 20.0, || {
-            calls += 1;
-            unreachable!("second lookup must hit the cache")
-        });
-        assert_eq!(calls, 1);
-        assert!(Arc::ptr_eq(&a, &b));
     }
 }

@@ -154,7 +154,7 @@ pub fn analyze(
 /// Worst droop for each step magnitude in `deltas` (from `quiescent`, with
 /// a common `slew`), in input order.
 ///
-/// The grid is carved into [`SWEEP_LANES`]-wide batches and the batches
+/// The grid is carved into 32-lane (`SWEEP_LANES`) batches and the batches
 /// fan out over the [`dg_engine`] worker pool, so each worker integrates
 /// several lanes per task instead of one scenario. Results are
 /// bit-identical to sequential [`TransientSim::run`] calls (ramp start at
@@ -175,7 +175,7 @@ pub fn droop_sweep(
 }
 
 /// [`droop_sweep`] with streaming progress: `progress` is called on the
-/// integrating thread after each [`PROGRESS_GROUPS`]-group wave completes,
+/// integrating thread after each 8-group (`PROGRESS_GROUPS`) wave completes,
 /// with the total number of finished lanes and the just-finished droops in
 /// input order.
 ///

@@ -1,25 +1,28 @@
-//! Disk tier for the content-addressed substrate caches.
+//! Disk tier for the content-addressed caches that are expensive to fill.
 //!
-//! The in-memory maps in [`crate::cache`] reset on every process start, so
-//! a freshly spawned serve shard pays the full cold-compute cost for every
-//! substrate its traffic touches. This module persists the same entries —
-//! impedance profiles, DC steady states, [`LadderCoeffs`] — under a
-//! configurable root directory so restarted or newly spawned shards warm
-//! from disk instead of recomputing.
+//! The in-memory maps reset on every process start, so a freshly spawned
+//! serve shard pays the full cold-compute cost for every entry its traffic
+//! touches. This module persists the two kinds whose compute costs far
+//! more than a file read — impedance profiles (`profile/`, milliseconds
+//! each) and the serve tier's cached response bodies (`resp/`) — under a
+//! configurable root directory, so restarted or newly spawned shards warm
+//! from disk instead of recomputing. Cheap derivations (ladder
+//! coefficients, DC operating points) are never written: recomputing them
+//! beats a read, and older `state/` and `coeffs/` directories are ignored.
 //!
 //! Format, by construction simple enough to audit byte-by-byte:
 //!
 //! * **Filename is the content hash**: `<root>/<kind>/<key:016x>.bin`,
 //!   where `key` is the same FNV-1a content key the memory tier uses. Two
-//!   processes caching the same substrate write the same file with the
-//!   same bytes, so concurrent writers are idempotent.
+//!   processes caching the same entry write the same file with the same
+//!   bytes, so concurrent writers are idempotent.
 //! * **Atomic rename writes**: payloads land in a unique `*.tmp` sibling
 //!   first and are `rename(2)`d into place, so a reader never observes a
 //!   half-written entry and a crash leaves at worst a stray temp file.
 //! * **Corruption is a miss**: every payload carries a magic, a kind tag,
 //!   and an FNV-1a checksum of the body. Any mismatch — truncation, bit
-//!   rot, a format change between versions — makes [`load`] return `None`
-//!   and the caller recompute (and overwrite) the entry.
+//!   rot, a format change between versions — makes [`load_blob`] return
+//!   `None` and the caller recompute (and overwrite) the entry.
 //!
 //! The tier is disabled until [`set_dir`] is called (the `--cache-dir`
 //! flag of `dg-serve`); with no directory configured every operation is a
@@ -29,7 +32,6 @@
 
 use crate::cache::ContentKey;
 use crate::impedance::ImpedanceProfile;
-use crate::transient::LadderCoeffs;
 use crate::units::{Hertz, Ohms};
 use dg_engine::sync::TrackedMutex;
 use std::fs;
@@ -158,8 +160,6 @@ pub fn store_blob(kind: &str, tag: u8, key: u64, body: &[u8]) {
 // Kind tags distinguish payload layouts inside the shared envelope so a
 // key collision across kinds can never deserialize as the wrong type.
 const TAG_PROFILE: u8 = 1;
-const TAG_STATE: u8 = 2;
-const TAG_COEFFS: u8 = 3;
 /// Tag for opaque response bodies cached by the serve tier.
 pub const TAG_RESPONSE: u8 = 4;
 
@@ -187,33 +187,14 @@ impl<'a> Cursor<'a> {
             .map(f64::from_le_bytes)
     }
 
-    fn f64_vec(&mut self) -> Option<Vec<f64>> {
-        let n = self.u32()? as usize;
-        if n > MAX_ELEMENTS {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Some(out)
-    }
-
     fn done(&self) -> bool {
         self.0.is_empty()
     }
 }
 
 /// Upper bound on decoded element counts; anything larger is corruption,
-/// not a substrate this workspace produces.
+/// not a profile this workspace produces.
 const MAX_ELEMENTS: usize = 1 << 22;
-
-fn push_f64_vec(out: &mut Vec<u8>, values: &[f64]) {
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
 
 /// Loads a cached impedance profile. Exact `f64` bit patterns round-trip,
 /// so a disk hit is indistinguishable from the original computation.
@@ -254,55 +235,9 @@ pub fn store_profile(key: u64, profile: &ImpedanceProfile) {
     store_blob("profile", TAG_PROFILE, key, &body);
 }
 
-/// Loads a cached DC steady-state vector.
-pub fn load_state(key: u64) -> Option<Vec<f64>> {
-    let body = load_blob("state", TAG_STATE, key)?;
-    let mut cur = Cursor(&body);
-    let values = cur.f64_vec()?;
-    cur.done().then_some(values)
-}
-
-/// Persists a DC steady-state vector under its content key.
-pub fn store_state(key: u64, state: &[f64]) {
-    let mut body = Vec::with_capacity(4 + 8 * state.len());
-    push_f64_vec(&mut body, state);
-    store_blob("state", TAG_STATE, key, &body);
-}
-
-/// Loads cached transient chain-model coefficients. The four arrays must
-/// be mutually consistent (equal node counts, non-empty) or the entry is
-/// treated as corrupt.
-pub fn load_coeffs(key: u64) -> Option<LadderCoeffs> {
-    let body = load_blob("coeffs", TAG_COEFFS, key)?;
-    let mut cur = Cursor(&body);
-    let r = cur.f64_vec()?;
-    let c = cur.f64_vec()?;
-    let inv_l = cur.f64_vec()?;
-    let inv_c = cur.f64_vec()?;
-    if !cur.done() || r.is_empty() {
-        return None;
-    }
-    let n = r.len();
-    if c.len() != n || inv_l.len() != n || inv_c.len() != n {
-        return None;
-    }
-    Some(LadderCoeffs { r, c, inv_l, inv_c })
-}
-
-/// Persists transient chain-model coefficients under the ladder key.
-pub fn store_coeffs(key: u64, coeffs: &LadderCoeffs) {
-    let mut body = Vec::new();
-    push_f64_vec(&mut body, &coeffs.r);
-    push_f64_vec(&mut body, &coeffs.c);
-    push_f64_vec(&mut body, &coeffs.inv_l);
-    push_f64_vec(&mut body, &coeffs.inv_c);
-    store_blob("coeffs", TAG_COEFFS, key, &body);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skylake::{PdnVariant, SkylakePdn};
 
     fn scratch(label: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -318,35 +253,19 @@ mod tests {
     #[test]
     fn envelope_round_trips_and_rejects_corruption() {
         let body = b"hello substrate";
-        let raw = encode_envelope(TAG_STATE, body);
-        assert_eq!(decode_envelope(TAG_STATE, &raw), Some(&body[..]));
+        let raw = encode_envelope(TAG_RESPONSE, body);
+        assert_eq!(decode_envelope(TAG_RESPONSE, &raw), Some(&body[..]));
         // Wrong kind tag.
-        assert_eq!(decode_envelope(TAG_COEFFS, &raw), None);
+        assert_eq!(decode_envelope(TAG_PROFILE, &raw), None);
         // Flipped body bit fails the checksum.
         let mut bad = raw.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
-        assert_eq!(decode_envelope(TAG_STATE, &bad), None);
+        assert_eq!(decode_envelope(TAG_RESPONSE, &bad), None);
         // Truncation at every prefix length is a clean miss.
         for cut in 0..raw.len() {
-            assert_eq!(decode_envelope(TAG_STATE, &raw[..cut]), None);
+            assert_eq!(decode_envelope(TAG_RESPONSE, &raw[..cut]), None);
         }
-    }
-
-    #[test]
-    fn coeffs_codec_rejects_inconsistent_arrays() {
-        let pdn = SkylakePdn::build(PdnVariant::Gated);
-        let coeffs = LadderCoeffs::from_ladder(&pdn.ladder);
-        let mut body = Vec::new();
-        push_f64_vec(&mut body, &coeffs.r);
-        push_f64_vec(&mut body, &coeffs.c[..coeffs.c.len() - 1]); // short
-        push_f64_vec(&mut body, &coeffs.inv_l);
-        push_f64_vec(&mut body, &coeffs.inv_c);
-        // Bypass the blob layer: decode the arrays directly.
-        let mut cur = Cursor(&body);
-        let r = cur.f64_vec().unwrap();
-        let c = cur.f64_vec().unwrap();
-        assert_ne!(r.len(), c.len(), "the corruption under test");
     }
 
     /// One sequential test owns the process-global directory so parallel
@@ -356,18 +275,15 @@ mod tests {
         let root = scratch("roundtrip");
         set_dir(Some(root.clone()));
 
-        // Steady state.
-        let state = vec![1.5, -2.25, 1e-9, f64::MIN_POSITIVE];
-        store_state(7, &state);
-        assert_eq!(load_state(7).as_deref(), Some(&state[..]));
+        // Opaque response body.
+        let body = b"{\"ok\":true}";
+        store_blob("resp", TAG_RESPONSE, 7, body);
+        assert_eq!(
+            load_blob("resp", TAG_RESPONSE, 7).as_deref(),
+            Some(&body[..])
+        );
 
-        // Coefficients: exact bit-level round trip.
-        let pdn = SkylakePdn::build(PdnVariant::Gated);
-        let coeffs = LadderCoeffs::from_ladder(&pdn.ladder);
-        store_coeffs(9, &coeffs);
-        assert_eq!(load_coeffs(9).as_ref(), Some(&coeffs));
-
-        // Impedance profile.
+        // Impedance profile: exact bit-level round trip.
         let profile = ImpedanceProfile::from_points(
             "rt",
             vec![
@@ -386,24 +302,24 @@ mod tests {
 
         // Filename is the content hash.
         assert!(root
-            .join("state")
-            .join(format!("{:016x}.bin", 7u64))
+            .join("profile")
+            .join(format!("{:016x}.bin", 11u64))
             .exists());
 
         // Corrupting the file on disk turns the entry into a miss.
-        let path = entry_path(&root, "state", 7);
+        let path = entry_path(&root, "profile", 11);
         let mut raw = fs::read(&path).expect("entry bytes");
         let last = raw.len() - 1;
         raw[last] ^= 0xff;
         fs::write(&path, &raw).expect("rewrite corrupted");
-        assert_eq!(load_state(7), None, "corruption must read as a miss");
+        assert!(load_profile(11).is_none(), "corruption must read as a miss");
 
         // A recompute overwrites the corrupt entry in place.
-        store_state(7, &state);
-        assert_eq!(load_state(7).as_deref(), Some(&state[..]));
+        store_profile(11, &profile);
+        assert!(load_profile(11).is_some());
 
         // No stray temp files remain.
-        let strays: Vec<_> = fs::read_dir(root.join("state"))
+        let strays: Vec<_> = fs::read_dir(root.join("profile"))
             .expect("dir")
             .filter_map(Result::ok)
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
@@ -411,7 +327,7 @@ mod tests {
         assert!(strays.is_empty(), "temp files must be renamed or removed");
 
         set_dir(None);
-        assert_eq!(load_state(7), None, "disabled tier never hits");
+        assert!(load_profile(11).is_none(), "disabled tier never hits");
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -74,7 +74,7 @@ impl ImpedanceAnalyzer {
     /// Sweeps the ladder and returns its impedance profile.
     ///
     /// Sample points are independent, so the sweep fans out over the
-    /// [`dg_engine`] worker pool in [`SWEEP_CHUNK`]-frequency batches —
+    /// [`dg_engine`] worker pool in 64-frequency (`SWEEP_CHUNK`) batches —
     /// each task amortizes its claim over a run of samples instead of
     /// paying per-point scheduling. Chunks come back in input order and
     /// are flattened, making the profile bit-identical to a sequential

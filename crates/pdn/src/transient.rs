@@ -297,19 +297,25 @@ impl LadderCoeffs {
         self.c.len()
     }
 
-    /// DC steady state for a constant load current: every branch carries the
-    /// load current; node voltages drop cumulatively along the chain.
+    /// The DC node voltages for a constant `load` current, in chain order:
+    /// every branch carries the load, so each node sits one `r · load`
+    /// drop below its upstream neighbour. The one DC recurrence — the
+    /// kernel fills its initial state and settle target from it without
+    /// allocating, and the two reference helpers below wrap it.
+    pub(crate) fn dc_voltages(&self, source: f64, load: f64) -> impl Iterator<Item = f64> + '_ {
+        self.r.iter().scan(source, move |v, &rk| {
+            *v -= rk * load;
+            Some(*v)
+        })
+    }
+
+    /// DC steady state for a constant load current: every branch carries
+    /// the load current, and node voltages drop cumulatively along the
+    /// chain.
     #[must_use]
     pub fn steady_state(&self, source: Volts, load: Amps) -> Vec<f64> {
-        let n = self.nodes();
-        let mut state = vec![0.0; 2 * n];
-        let i0 = load.value();
-        let mut v = source.value();
-        for k in 0..n {
-            state[k] = i0;
-            v -= self.r[k] * i0;
-            state[n + k] = v;
-        }
+        let mut state = vec![load.value(); self.nodes()];
+        state.extend(self.dc_voltages(source.value(), load.value()));
         state
     }
 
@@ -317,10 +323,8 @@ impl LadderCoeffs {
     /// settle target of the early-exit detector.
     #[must_use]
     pub fn die_steady_voltage(&self, source: Volts, load: Amps) -> f64 {
-        let n = self.nodes();
-        self.steady_state(source, load)
-            .get(2 * n - 1)
-            .copied()
+        self.dc_voltages(source.value(), load.value())
+            .last()
             .unwrap_or_else(|| source.value())
     }
 

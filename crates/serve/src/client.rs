@@ -385,7 +385,7 @@ pub fn http_request_with(
 /// it, using (and refilling) `leftover` as the connection's read buffer
 /// so bytes of a following response are preserved for the next call.
 ///
-/// This is the keep-alive counterpart of [`parse_reply`]: where the
+/// This is the keep-alive counterpart of `parse_reply`: where the
 /// close-framed path can read to EOF, a persistent connection must stop
 /// exactly where the reply ends, which [`read_reply`] finds.
 /// [`KeepAliveClient`] reads every reply through it.

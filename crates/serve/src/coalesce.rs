@@ -5,15 +5,16 @@
 //! same content key that arrives while the leader is still computing
 //! becomes a **follower** and blocks on a condition variable until the
 //! leader publishes the shared result. Keys are the same content hashes
-//! the PR-1 substrate caches use ([`dg_pdn::cache::ContentKey`] via
-//! `darkgates::pdn::cache`), so "identical" means identical *physics
-//! inputs*, not identical bytes-on-the-wire.
+//! the substrate caches use ([`darkgates::pdn::cache::ContentKey`]), so
+//! "identical" means identical *physics inputs*, not identical
+//! bytes-on-the-wire.
 //!
-//! Coalescing composes with the substrate caches rather than replacing
-//! them: the caches deduplicate *across time* (a repeat of yesterday's
-//! sweep is a pointer bump), the coalescer deduplicates *across
-//! concurrency* (a thundering herd of the same cold sweep computes it
-//! once instead of once per worker).
+//! Coalescing composes with the response cache
+//! ([`crate::respcache`]) rather than replacing it: the cache
+//! deduplicates *across time* (a repeat of yesterday's sweep is a map
+//! lookup), the coalescer deduplicates *across concurrency* (a
+//! thundering herd of the same cold sweep computes it once instead of
+//! once per worker).
 //!
 //! A leader that panics publishes the panic message instead of a value, so
 //! followers never hang; the flight entry is removed either way.
@@ -98,7 +99,7 @@ impl<T: Clone> Coalescer<T> {
 
         // Leader path: compute outside every lock, publish, then retire
         // the flight so later identical requests start fresh (and hit the
-        // substrate caches instead).
+        // response cache instead).
         let outcome = catch_unwind(AssertUnwindSafe(compute)).map_err(|payload| {
             payload
                 .downcast_ref::<&str>()
@@ -218,8 +219,8 @@ mod tests {
             calls += 1;
             2
         });
-        // No overlap → no coalescing: time-domain dedup is the substrate
-        // caches' job, not the coalescer's.
+        // No overlap → no coalescing: time-domain dedup is the response
+        // cache's job, not the coalescer's.
         assert_eq!(calls, 2);
     }
 

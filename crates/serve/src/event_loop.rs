@@ -1,6 +1,6 @@
 //! The connection engine shared by `dg-serve` shards and `dg-router`: a
 //! std-only epoll readiness layer, and one event-driven connection state
-//! machine on top of it that is generic over a small [`Dispatcher`] trait.
+//! machine on top of it that is generic over a small `Dispatcher` trait.
 //!
 //! The readiness layer needs exactly three kernel facilities: register a
 //! file descriptor with a token, change the interest set, and block until
@@ -23,7 +23,7 @@
 //! 2. read readiness feeds the hardened incremental [`RequestParser`]
 //!    until one request completes; the loop stops reading there, leaving
 //!    any pipelined bytes to the kernel and the parser buffer,
-//! 3. the server's [`Dispatcher::admit`] either answers the request inline
+//! 3. the server's `Dispatcher::admit` either answers the request inline
 //!    or hands back a job for the bounded worker queue. A full queue sheds
 //!    **that request** with `503`, a `Retry-After` derived from the current
 //!    queue depth ([`retry_after_secs`]), and `Connection: close`,
@@ -41,11 +41,11 @@
 //!    read readiness and an idle deadline,
 //! 7. closes (errors, `Connection: close`, drain, per-connection request
 //!    cap) go through a non-blocking linger: write side shut down, reads
-//!    sunk for up to [`LINGER_BUDGET_MS`], so the peer's in-flight bytes
-//!    never turn the reply into an RST,
+//!    sunk for up to 250 ms (`LINGER_BUDGET_MS`), so the peer's
+//!    in-flight bytes never turn the reply into an RST,
 //! 8. on drain the listener closes immediately, idle connections drop,
 //!    admitted requests finish with `Connection: close`, then the queue
-//!    closes, workers exit, and [`EngineHandle::shutdown`] reports whether
+//!    closes, workers exit, and `EngineHandle::shutdown` reports whether
 //!    every thread exited cleanly.
 //!
 //! Both dispatcher calls run under `catch_unwind`: a panicking handler

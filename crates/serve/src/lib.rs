@@ -7,7 +7,7 @@
 //! |---|---|
 //! | `POST /v1/droop` | one transient droop capture ([`darkgates::pdn::transient`]) |
 //! | `POST /v1/droop_batch` | up to 256 load-step lanes through the lockstep explicit-SIMD kernel |
-//! | `POST /v1/sweep` | an impedance sweep via the content-keyed substrate cache |
+//! | `POST /v1/sweep` | an impedance sweep over the client's frequency grid, computed per request (repeats come from the response cache) |
 //! | `POST /v1/product` | a SPEC / graphics / energy cell on a catalog product |
 //! | `POST /v1/explore` | a design-space sweep ([`dg_explore`]) streamed as chunked NDJSON: progress lines per batch, then the result document |
 //! | `POST /v1/droop_sweep` | a population droop sweep: a delta *grid* expanded server-side into up to 8192 lanes, streamed as chunked NDJSON waves |
@@ -23,9 +23,9 @@
 //! ([`server`]) and the `dg-router` binary ([`proxy`]) are two small
 //! dispatchers on that engine. The router consistent-hashes requests
 //! across N shards on the same content keys the caches use, so
-//! coalescing and substrate caches stay shard-local; `--cache-dir`
-//! persists them to disk ([`darkgates::pdn::diskcache`]) so restarted
-//! shards warm instantly.
+//! coalescing and caches stay shard-local; `--cache-dir` persists
+//! response bodies and impedance profiles to disk
+//! ([`darkgates::pdn::diskcache`]) so restarted shards warm instantly.
 //!
 //! Four mechanisms keep the daemon well-behaved under load (DESIGN.md
 //! §9, §12): **admission control** (a bounded dispatch queue; overflow is

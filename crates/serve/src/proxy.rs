@@ -29,27 +29,29 @@
 //! it, so `Retry-After` and every other header pass through untouched.
 //!
 //! The client-facing side is the shard's own connection engine
-//! ([`crate::event_loop`]) with a router [`Dispatcher`]: `/healthz` and
+//! ([`crate::event_loop`]) with a router `Dispatcher`: `/healthz` and
 //! reply-cache hits are answered inline on the event loop, and only cache
 //! misses (and `/metrics` scrapes) are queued for a small pool of
 //! blocking forward workers. Parse errors, shedding and graceful drain
 //! are the engine's, exactly as on a shard. Two hot-path economies keep
 //! the hop cheap: the per-request routing key is served from a raw-bytes
 //! → content-key alias table, so the router JSON-parses any given request
-//! body shape once, not once per request; and a bounded [`ReplyCache`]
-//! serves repeat keys their exact shard bytes without an upstream
-//! exchange (sound because simulation responses are pure functions of
-//! their content key).
+//! body shape once, not once per request; and a bounded reply cache (a
+//! `respcache::Fifo`, like the shard's response cache) serves
+//! repeat keys their exact shard bytes without an upstream exchange
+//! (sound because simulation responses are pure functions of their
+//! content key).
 
 use crate::client::http_request;
 use crate::event_loop::{Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox};
 use crate::http::{read_reply, write_response, ParserLimits, RawReply, Request};
 use crate::json::{obj, Json};
+use crate::respcache::{Fifo, DEFAULT_MAX_BYTES};
 use crate::ring::{HashRing, DEFAULT_REPLICAS};
 use crate::routes::{content_key_of, reason_of};
 use darkgates::pdn::cache::ContentKey;
 use dg_engine::sync::TrackedMutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -144,71 +146,6 @@ pub struct RouterMetrics {
     shard_requests: Vec<AtomicU64>,
 }
 
-/// A bounded FIFO cache of verbatim shard replies keyed by content key.
-/// Only clean 200 replies to the deterministic simulation routes are
-/// admitted (see [`cacheable_route`]), so a cached entry is exactly the
-/// bytes the owning shard would send again.
-struct ReplyCache {
-    state: TrackedMutex<ReplyCacheState>,
-    max_entries: usize,
-    max_bytes: usize,
-}
-
-struct ReplyCacheState {
-    map: HashMap<u64, Arc<Vec<u8>>>,
-    order: VecDeque<u64>,
-    bytes: usize,
-}
-
-/// Total reply-byte budget for the router cache (64 MiB, matching the
-/// shard response cache's default).
-const REPLY_CACHE_MAX_BYTES: usize = 64 * 1024 * 1024;
-
-impl ReplyCache {
-    fn new(max_entries: usize) -> Self {
-        ReplyCache {
-            state: TrackedMutex::new(
-                "serve.router.replycache",
-                ReplyCacheState {
-                    map: HashMap::new(),
-                    order: VecDeque::new(),
-                    bytes: 0,
-                },
-            ),
-            max_entries,
-            max_bytes: REPLY_CACHE_MAX_BYTES,
-        }
-    }
-
-    fn get(&self, key: u64) -> Option<Arc<Vec<u8>>> {
-        if self.max_entries == 0 {
-            return None;
-        }
-        self.state.lock().map.get(&key).map(Arc::clone)
-    }
-
-    fn put(&self, key: u64, bytes: &[u8]) {
-        if self.max_entries == 0 {
-            return;
-        }
-        let mut state = self.state.lock();
-        if state.map.contains_key(&key) {
-            return;
-        }
-        state.map.insert(key, Arc::new(bytes.to_vec()));
-        state.order.push_back(key);
-        state.bytes = state.bytes.saturating_add(bytes.len());
-        while state.map.len() > self.max_entries || state.bytes > self.max_bytes {
-            let Some(evicted) = state.order.pop_front() else {
-                break;
-            };
-            if let Some(old) = state.map.remove(&evicted) {
-                state.bytes = state.bytes.saturating_sub(old.len());
-            }
-        }
-    }
-}
-
 /// Whether a request targets one of the deterministic simulation routes
 /// whose `200` replies are safe to cache (mirrors the shard's own
 /// response-cache admission in `routes.rs`). The streaming routes
@@ -248,7 +185,11 @@ struct Proxy {
     ring: HashRing,
     alive: Vec<AtomicBool>,
     counters: RouterMetrics,
-    replies: ReplyCache,
+    /// Verbatim shard replies by content key; `None` when
+    /// [`RouterConfig::reply_cache_entries`] is 0. Only clean 200 replies
+    /// to the [`cacheable_route`]s are admitted, so an entry is exactly
+    /// the bytes the owning shard would send again.
+    replies: Option<TrackedMutex<Fifo<Arc<Vec<u8>>>>>,
 }
 
 impl Proxy {
@@ -256,6 +197,20 @@ impl Proxy {
         self.alive
             .get(shard)
             .is_some_and(|a| a.load(Ordering::SeqCst))
+    }
+
+    /// The cached reply for `key`: one lock, one map lookup.
+    fn cached_reply(&self, key: u64) -> Option<Arc<Vec<u8>>> {
+        self.replies.as_ref()?.lock().get(key).map(Arc::clone)
+    }
+
+    /// Admits a clean 200 reply to the reply cache (a no-op when the
+    /// cache is off or already holds `key`).
+    fn cache_reply(&self, key: u64, bytes: &[u8]) {
+        if let Some(replies) = &self.replies {
+            let entry = Arc::new(bytes.to_vec());
+            replies.lock().insert(key, entry, bytes.len());
+        }
     }
 
     /// Marks a shard dead; counts the ejection only on a live→dead edge.
@@ -306,7 +261,7 @@ impl Dispatcher for Proxy {
         let cacheable = cacheable_route(&request.method, path);
         let key = routing_key(&request, aliases);
         if cacheable {
-            if let Some(bytes) = self.replies.get(key) {
+            if let Some(bytes) = self.cached_reply(key) {
                 self.counters
                     .cache_hits_total
                     .fetch_add(1, Ordering::Relaxed);
@@ -354,7 +309,7 @@ impl Dispatcher for Proxy {
                 // sides handle an early close cleanly.)
                 Some(reply) => {
                     if cacheable && !reply.close && reply.status == 200 {
-                        self.replies.put(key, &reply.bytes);
+                        self.cache_reply(key, &reply.bytes);
                     }
                     (reply.bytes, close)
                 }
@@ -458,7 +413,12 @@ impl RouterServer {
                 shard_requests: (0..n).map(|_| AtomicU64::new(0)).collect(),
                 ..RouterMetrics::default()
             },
-            replies: ReplyCache::new(config.reply_cache_entries),
+            replies: (config.reply_cache_entries > 0).then(|| {
+                TrackedMutex::new(
+                    "serve.router.replycache",
+                    Fifo::new(config.reply_cache_entries, DEFAULT_MAX_BYTES),
+                )
+            }),
             config,
         };
         let inner = Engine::start(engine, proxy, Arc::new(AtomicBool::new(false)))?;

@@ -1,4 +1,5 @@
-//! Response cache for deterministic 200s, in memory and on disk.
+//! Response cache for deterministic 200s, in memory and on disk, and the
+//! bounded FIFO map behind both reply caches.
 //!
 //! Every simulation route is a pure function of its content key (that is
 //! what makes the coalescer sound, and what the chaos oracle's
@@ -10,10 +11,11 @@
 //! disk tier ([`darkgates::pdn::diskcache`]), across process restarts.
 //!
 //! Only `200 OK` bodies are cached: errors are cheap to re-render and a
-//! cached error could mask a fixed input. The memory tier is bounded by
-//! entry count and total bytes with FIFO eviction; the disk tier is
+//! cached error could mask a fixed input. The memory tier is a `Fifo`
+//! bounded by entry count and total bytes; the disk tier is
 //! content-addressed (filename = content key) with atomic rename writes,
-//! enabled by `--cache-dir`.
+//! enabled by `--cache-dir`. The router's reply cache
+//! ([`crate::proxy`]) is a second `Fifo` under its own lock.
 
 use darkgates::pdn::diskcache;
 use dg_engine::sync::TrackedMutex;
@@ -26,30 +28,85 @@ const KIND: &str = "resp";
 /// Default bound on cached entries.
 pub const DEFAULT_MAX_ENTRIES: usize = 1_024;
 
-/// Default bound on total cached body bytes (64 MiB). Large sweep bodies
+/// Default bound on total cached body bytes (64 MiB), for the shard's
+/// response cache and the router's reply cache alike. Large sweep bodies
 /// run to hundreds of kilobytes, so the byte budget binds first for them.
 pub const DEFAULT_MAX_BYTES: usize = 64 * 1024 * 1024;
 
-struct CacheState {
-    map: HashMap<u64, Arc<String>>,
-    order: VecDeque<u64>,
+/// A map from content key to value, bounded by entry count and by the
+/// total byte size the caller declares per value, evicting the oldest
+/// insertion first. It has no lock of its own: each owner wraps it in a
+/// `TrackedMutex` with its own lock class.
+pub(crate) struct Fifo<V> {
+    map: HashMap<u64, V>,
+    /// Insertion order, with each entry's declared size.
+    order: VecDeque<(u64, usize)>,
     bytes: usize,
+    max_entries: usize,
+    max_bytes: usize,
+}
+
+impl<V> Fifo<V> {
+    /// An empty map holding at most `max_entries` entries and
+    /// `max_bytes` declared bytes.
+    pub(crate) fn new(max_entries: usize, max_bytes: usize) -> Self {
+        Fifo {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            bytes: 0,
+            max_entries,
+            max_bytes,
+        }
+    }
+
+    /// The value cached under `key`.
+    pub(crate) fn get(&self, key: u64) -> Option<&V> {
+        self.map.get(&key)
+    }
+
+    /// Caches `value` (declared as `size` bytes) under `key` unless the key
+    /// is already present, then evicts the oldest entries until both
+    /// bounds hold. Returns whether `value` was inserted.
+    pub(crate) fn insert(&mut self, key: u64, value: V, size: usize) -> bool {
+        if self.map.contains_key(&key) {
+            return false;
+        }
+        self.map.insert(key, value);
+        self.order.push_back((key, size));
+        self.bytes = self.bytes.saturating_add(size);
+        while self.map.len() > self.max_entries || self.bytes > self.max_bytes {
+            let Some((evicted, size)) = self.order.pop_front() else {
+                break;
+            };
+            self.map.remove(&evicted);
+            self.bytes = self.bytes.saturating_sub(size);
+        }
+        true
+    }
+
+    /// Entries currently held.
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Total declared bytes currently held.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
+    }
 }
 
 /// A bounded FIFO cache of response bodies keyed by content key, with a
 /// write-through disk tier when the process-wide cache dir is set.
 pub struct ResponseCache {
-    state: TrackedMutex<CacheState>,
-    max_entries: usize,
-    max_bytes: usize,
+    state: TrackedMutex<Fifo<Arc<String>>>,
 }
 
 impl std::fmt::Debug for ResponseCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.state.lock();
         f.debug_struct("ResponseCache")
-            .field("entries", &state.map.len())
-            .field("bytes", &state.bytes)
+            .field("entries", &state.len())
+            .field("bytes", &state.bytes())
             .finish()
     }
 }
@@ -67,14 +124,8 @@ impl ResponseCache {
         ResponseCache {
             state: TrackedMutex::new(
                 "serve.respcache.state",
-                CacheState {
-                    map: HashMap::new(),
-                    order: VecDeque::new(),
-                    bytes: 0,
-                },
+                Fifo::new(max_entries.max(1), max_bytes.max(1)),
             ),
-            max_entries: max_entries.max(1),
-            max_bytes: max_bytes.max(1),
         }
     }
 
@@ -86,7 +137,7 @@ impl ResponseCache {
         }
         let raw = diskcache::load_blob(KIND, diskcache::TAG_RESPONSE, key)?;
         let body = Arc::new(String::from_utf8(raw).ok()?);
-        self.insert_mem(key, &body);
+        self.state.lock().insert(key, Arc::clone(&body), body.len());
         Some(body)
     }
 
@@ -94,41 +145,21 @@ impl ResponseCache {
     /// is safe to call from latency-critical paths (the event loop's
     /// inline fast path).
     pub fn get_memory(&self, key: u64) -> Option<Arc<String>> {
-        self.state.lock().map.get(&key).map(Arc::clone)
+        self.state.lock().get(key).map(Arc::clone)
     }
 
     /// Caches a `200` body under `key` (idempotent), writing through to
     /// the disk tier when enabled.
     pub fn put(&self, key: u64, body: &Arc<String>) {
-        if !self.insert_mem(key, body) {
+        if !self.state.lock().insert(key, Arc::clone(body), body.len()) {
             return; // already cached: disk entry exists (or is in flight)
         }
         diskcache::store_blob(KIND, diskcache::TAG_RESPONSE, key, body.as_bytes());
     }
 
-    /// Inserts into the memory tier; returns `false` if already present.
-    fn insert_mem(&self, key: u64, body: &Arc<String>) -> bool {
-        let mut state = self.state.lock();
-        if state.map.contains_key(&key) {
-            return false;
-        }
-        state.map.insert(key, Arc::clone(body));
-        state.order.push_back(key);
-        state.bytes = state.bytes.saturating_add(body.len());
-        while state.map.len() > self.max_entries || state.bytes > self.max_bytes {
-            let Some(evicted) = state.order.pop_front() else {
-                break;
-            };
-            if let Some(old) = state.map.remove(&evicted) {
-                state.bytes = state.bytes.saturating_sub(old.len());
-            }
-        }
-        true
-    }
-
     /// Entries currently in the memory tier (observability).
     pub fn len(&self) -> usize {
-        self.state.lock().map.len()
+        self.state.lock().len()
     }
 
     /// Whether the memory tier is empty.

@@ -2,7 +2,7 @@
 //!
 //! `dg-router` places every shard on a ring at `replicas` pseudo-random
 //! points (virtual nodes) derived from the shard index via the same
-//! FNV-1a [`ContentKey`](darkgates::pdn::cache::ContentKey) fold the
+//! FNV-1a [`ContentKey`] fold the
 //! substrate caches use. A request's content key routes to the first
 //! ring point at or clockwise-after the key, skipping shards the health
 //! checker has ejected. Two properties matter here:

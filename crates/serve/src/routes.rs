@@ -14,7 +14,7 @@ use crate::json::{self, obj, Json};
 use crate::metrics::{Metrics, Route};
 use crate::respcache::ResponseCache;
 use darkgates::claims;
-use darkgates::pdn::cache::{self, ladder_key, ContentKey};
+use darkgates::pdn::cache::{ladder_key, ContentKey};
 use darkgates::pdn::didt;
 use darkgates::pdn::impedance::ImpedanceAnalyzer;
 use darkgates::pdn::skylake::{PdnVariant, SkylakePdn};
@@ -1028,9 +1028,11 @@ fn sweep_route(params: &Json) -> HandlerResult {
     let analyzer = ImpedanceAnalyzer::new(Hertz::new(p.start_hz), Hertz::new(p.stop_hz), p.points)
         .map_err(|e| bad_request(format!("sweep: {e}")))?;
     let pdn = SkylakePdn::build(p.variant);
-    // The content-keyed PR-1 cache: repeats of this sweep are pointer
-    // bumps, concurrent repeats are additionally coalesced upstream.
-    let profile = cache::impedance_profile(&analyzer, &pdn.ladder);
+    // Computed directly, not through `cache::impedance_profile`: the grid
+    // is the client's, so a substrate-cache entry per grid would grow the
+    // shard without bound. Repeats are served by the response cache in
+    // front of this handler, concurrent repeats by the coalescer.
+    let profile = analyzer.profile(&pdn.ladder);
     let (peak_f, peak_z) = profile.peak();
     let points: Vec<Json> = profile
         .points()

@@ -1,4 +1,4 @@
-//! The `dg-serve` shard: its config, its handle, and its [`Dispatcher`]
+//! The `dg-serve` shard: its config, its handle, and its `Dispatcher`
 //! on the shared connection engine ([`crate::event_loop`], which owns
 //! every socket, the worker pool, shedding and the drain policy).
 //!
@@ -60,8 +60,8 @@ pub struct ServerConfig {
     /// Enables `POST /v1/debug/sleep` (overload tests only).
     pub enable_debug_routes: bool,
     /// Root of the persistent content-addressed cache (`--cache-dir`).
-    /// Enables the process-wide disk tier for impedance profiles, DC
-    /// steady states, ladder coefficients, and cached response bodies.
+    /// Enables the process-wide disk tier for cached response bodies and
+    /// impedance profiles.
     pub cache_dir: Option<PathBuf>,
 }
 

@@ -249,7 +249,7 @@ fn concurrent_identical_sweeps_coalesce_to_one_leader() {
     let addr = handle.local_addr();
     let metrics = handle.metrics();
     // Six concurrent identical sweeps of a shape nothing else computes
-    // (cold substrate cache, expensive enough to overlap). The overlap
+    // (a response-cache miss, expensive enough to overlap). The overlap
     // window is scheduling-dependent, so allow a few attempts — each with
     // a fresh content key — before declaring coalescing broken.
     let mut coalesced = false;
