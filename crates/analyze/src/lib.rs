@@ -30,6 +30,8 @@
 //!   `dg-serve` may block.
 //! * `swallowed-result` — `let _ =` never discards a workspace `Result` in
 //!   the no-panic crates.
+//! * `unreached-mod` — every `pub mod` in a crate's `lib.rs` is named by a
+//!   binary, an example or other library code ([`reach`]).
 //!
 //! Violations can be suppressed, with a mandatory reason, via
 //! `// dg-analyze: allow(rule, reason = "…")` ([`allow`]); stale or
@@ -41,6 +43,7 @@ pub mod allow;
 pub mod flow;
 pub mod lexer;
 pub mod manifest;
+pub mod reach;
 pub mod rules;
 pub mod scope;
 pub mod witness;
@@ -140,8 +143,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// Process exit code: the OR of [`RuleId::exit_bit`] over every rule
-    /// with at least one violation (0 = clean tree).
+    /// The OR of [`RuleId::exit_bit`] over every rule with at least one
+    /// violation (0 = clean tree). The CLI's exit status is coarser: 1 on
+    /// any violation.
     pub fn exit_code(&self) -> i32 {
         let mut code = 0;
         for v in &self.violations {
@@ -255,6 +259,40 @@ pub fn analyze_workspace_witness(
     drop(flow_inputs);
     for (file_idx, finding) in flow_report.findings {
         data[file_idx].findings.push(finding);
+    }
+
+    // Phase 2b: modules nothing outside them names. Examples count as
+    // references, so they are lexed here, for this rule only.
+    if enabled.contains(&RuleId::UnreachedMod) {
+        let mut example_paths = Vec::new();
+        for dir in std::iter::once(root).chain(crate_dirs.iter().map(PathBuf::as_path)) {
+            collect_rs_files(&dir.join("examples"), &mut example_paths)?;
+        }
+        example_paths.sort();
+        let mut examples = Vec::new();
+        for path in example_paths {
+            let lexed = lexer::lex(&fs::read_to_string(&path)?);
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
+            examples.push((rel, lexed));
+        }
+        let files: Vec<reach::ReachFile<'_>> = data
+            .iter()
+            .map(|d| reach::ReachFile {
+                rel: &d.rel,
+                lexed: &d.lexed,
+            })
+            .chain(
+                examples
+                    .iter()
+                    .map(|(rel, lexed)| reach::ReachFile { rel, lexed }),
+            )
+            .collect();
+        let findings = reach::unreached_mods(&files);
+        for (file_idx, finding) in findings {
+            if let Some(d) = data.get_mut(file_idx) {
+                d.findings.push(finding);
+            }
+        }
     }
 
     // Phase 3: cross-check the runtime witness against the static graph.
@@ -478,6 +516,7 @@ fn filter_file(d: FileData, enabled: &[RuleId], pre_consumed: &[usize], report: 
                 Some(RuleId::GuardAcrossBlocking) => flow::GUARD_BLOCKING_CRATES.contains(&name),
                 Some(RuleId::NoBlockingInEventLoop) => name == flow::EVENT_LOOP_CRATE,
                 Some(RuleId::SwallowedResult) => is_lib && NO_PANIC_CRATES.contains(&name),
+                Some(RuleId::UnreachedMod) => rel.ends_with("src/lib.rs"),
                 _ => false,
             };
             if in_scope {

@@ -4,17 +4,13 @@
 //! dg-analyze [--root DIR] [--rule RULE]... [--witness FILE] [--quiet] [--list-rules]
 //! ```
 //!
-//! Exits 0 on a clean tree. Otherwise the exit code is the OR of one bit
-//! per failing rule (`no-panic-in-lib` = 1, `unit-hygiene` = 2,
-//! `determinism-hygiene` = 4, `doc-coverage` = 8, `dep-hygiene` = 16,
-//! `allow-syntax` = 32, `lock-order` = 64, `guard-across-blocking` = 128,
-//! `no-blocking-in-event-loop` = 256, `swallowed-result` = 512), so CI
-//! logs show *which* family of invariant broke at a glance.
+//! Exits 0 on a clean tree, 1 when any rule has a violation, and 2 on a
+//! usage or I/O error. The printed summary names each failing rule.
 //!
 //! `--witness FILE` cross-checks a runtime lock-order witness (recorded by
 //! `dg-engine`'s `lock-witness` feature, e.g. via `dg-chaos --smoke
 //! --witness FILE`) against the static lock-order graph; mismatches report
-//! under the `lock-order` bit against the witness file.
+//! under the `lock-order` rule against the witness file.
 
 use dg_analyze::rules::RuleId;
 use dg_analyze::{analyze_workspace_witness, Report};
@@ -45,12 +41,7 @@ fn main() -> ExitCode {
             "--quiet" | "-q" => quiet = true,
             "--list-rules" => {
                 for rule in RuleId::ALL {
-                    println!(
-                        "{:<22} (exit bit {:>2})  {}",
-                        rule.name(),
-                        rule.exit_bit(),
-                        rule.description()
-                    );
+                    println!("{:<26} {}", rule.name(), rule.description());
                 }
                 return ExitCode::SUCCESS;
             }
@@ -59,8 +50,8 @@ fn main() -> ExitCode {
                     "dg-analyze: DarkGates workspace lint engine\n\n\
                      USAGE: dg-analyze [--root DIR] [--rule RULE]... [--witness FILE] \
                      [--quiet] [--list-rules]\n\n\
-                     Without --rule, every rule runs. The exit code ORs one bit per\n\
-                     failing rule; 0 means the tree is clean. --witness cross-checks a\n\
+                     Without --rule, every rule runs. Exits 0 on a clean tree, 1 on any\n\
+                     violation, 2 on a usage or I/O error. --witness cross-checks a\n\
                      runtime lock-order witness file against the static graph."
                 );
                 return ExitCode::SUCCESS;
@@ -80,7 +71,7 @@ fn main() -> ExitCode {
         Ok(report) => report,
         Err(err) => {
             eprintln!("dg-analyze: cannot analyze {}: {err}", root.display());
-            return ExitCode::from(64);
+            return ExitCode::from(2);
         }
     };
 
@@ -91,11 +82,10 @@ fn main() -> ExitCode {
     }
     print_summary(&report, &enabled);
 
-    let code = report.exit_code();
-    if code == 0 {
+    if report.violations.is_empty() {
         ExitCode::SUCCESS
     } else {
-        ExitCode::from(code.min(255) as u8)
+        ExitCode::from(1)
     }
 }
 
@@ -138,5 +128,5 @@ fn find_workspace_root() -> PathBuf {
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("dg-analyze: {err}\nUSAGE: dg-analyze [--root DIR] [--rule RULE]... [--quiet] [--list-rules]");
-    ExitCode::from(64)
+    ExitCode::from(2)
 }

@@ -8,7 +8,7 @@
 use crate::lexer::Lexed;
 
 /// Identifies one lint rule. The discriminant order fixes both the
-/// reporting order and the per-rule exit-code bit.
+/// reporting order and the rule's bit in [`crate::Report::exit_code`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// `unwrap`/`expect`/`panic!`/`unreachable!`/indexing-by-literal in
@@ -35,11 +35,14 @@ pub enum RuleId {
     NoBlockingInEventLoop,
     /// `let _ =` discarding a `Result` returned by a workspace function.
     SwallowedResult,
+    /// A `pub mod` in a crate's `lib.rs` that no binary, example or other
+    /// library code names.
+    UnreachedMod,
 }
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 10] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::NoPanicInLib,
         RuleId::UnitHygiene,
         RuleId::DeterminismHygiene,
@@ -50,6 +53,7 @@ impl RuleId {
         RuleId::GuardAcrossBlocking,
         RuleId::NoBlockingInEventLoop,
         RuleId::SwallowedResult,
+        RuleId::UnreachedMod,
     ];
 
     /// The kebab-case rule name used in diagnostics and allow-comments.
@@ -65,6 +69,7 @@ impl RuleId {
             RuleId::GuardAcrossBlocking => "guard-across-blocking",
             RuleId::NoBlockingInEventLoop => "no-blocking-in-event-loop",
             RuleId::SwallowedResult => "swallowed-result",
+            RuleId::UnreachedMod => "unreached-mod",
         }
     }
 
@@ -73,7 +78,7 @@ impl RuleId {
         RuleId::ALL.iter().copied().find(|r| r.name() == name)
     }
 
-    /// The process exit-code bit reported when this rule has violations.
+    /// This rule's bit in [`crate::Report::exit_code`].
     pub fn exit_bit(self) -> i32 {
         1 << (self as i32)
     }
@@ -118,6 +123,11 @@ impl RuleId {
             RuleId::SwallowedResult => {
                 "`let _ =` must not discard a Result returned by a workspace \
                  function in the no-panic crates"
+            }
+            RuleId::UnreachedMod => {
+                "every pub mod in a crate's lib.rs must be named (`mod::` or a \
+                 re-exported item) by a binary, an example, or library code \
+                 outside it; tests and benches do not count"
             }
         }
     }

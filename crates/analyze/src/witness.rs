@@ -24,7 +24,7 @@
 //!   believed impossible.
 //!
 //! Violations are reported against the witness file itself, under the
-//! `lock-order` exit bit.
+//! `lock-order` rule.
 
 use crate::flow::LockGraph;
 use crate::rules::{Finding, RuleId};

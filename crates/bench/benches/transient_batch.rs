@@ -1,7 +1,7 @@
 //! Benchmarks of the batched transient kernel against the scalar
 //! reference path. The headline comparison is eight droop captures run
 //! sequentially versus one eight-lane `run_batch` call — the shape that
-//! di/dt sweeps, sensitivity analyses, and `/v1/droop_batch` all hit.
+//! di/dt sweeps and `/v1/droop_batch` both hit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dg_pdn::skylake::{PdnVariant, SkylakePdn};

@@ -30,14 +30,14 @@
 //! processes, SIGKILLs one mid-run, and requires uninterrupted,
 //! byte-identical service plus an observed health ejection.
 
-use dg_serve::client::{http_request, Lcg};
+use dg_serve::client::{http_request, spawn_sibling, Lcg};
 use dg_serve::http::Request;
 use dg_serve::metrics::monotonic_us;
 use dg_serve::routes::Router;
 use dg_serve::{Server, ServerConfig};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -904,12 +904,6 @@ impl ShardKillReport {
     }
 }
 
-/// A spawned sibling process and the address it bound.
-struct ChildProc {
-    child: Child,
-    addr: SocketAddr,
-}
-
 /// Child processes with guaranteed teardown: any exit path from the
 /// campaign (including early errors) reaps every spawned server.
 #[derive(Default)]
@@ -939,40 +933,6 @@ impl Drop for Fleet {
             self.kill(index);
         }
     }
-}
-
-/// Spawns a sibling binary from this executable's directory and reads its
-/// bound address from the `listening on <addr>` banner line.
-fn spawn_sibling(binary: &str, args: &[String]) -> Result<ChildProc, String> {
-    let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let path = me
-        .parent()
-        .map(|dir| dir.join(binary))
-        .filter(|p| p.exists())
-        .ok_or_else(|| {
-            format!("{binary} binary not found next to dg-chaos (build dg-serve first)")
-        })?;
-    let mut child = Command::new(path)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("spawn {binary}: {e}"))?;
-    let stdout = child.stdout.take().ok_or("no child stdout")?;
-    let mut line = String::new();
-    if let Err(e) = BufReader::new(stdout).read_line(&mut line) {
-        let _ = child.kill();
-        return Err(format!("read {binary} banner: {e}"));
-    }
-    let Some(addr) = line
-        .trim()
-        .strip_prefix("listening on ")
-        .and_then(|a| a.parse().ok())
-    else {
-        let _ = child.kill();
-        return Err(format!("unexpected {binary} banner {line:?}"));
-    };
-    Ok(ChildProc { child, addr })
 }
 
 /// Draws a deterministic `/v1/*` probe — the shard-kill campaign only

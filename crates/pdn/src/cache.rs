@@ -8,8 +8,7 @@
 //! cached process-wide, keyed by *content* (an FNV-1a hash over the exact
 //! `f64` bit patterns of every component value). Two ladders with
 //! identical element values share one cache entry no matter how they were
-//! built; perturbing any value (as the sensitivity analysis does) produces
-//! a new key and a fresh computation.
+//! built; perturbing any value produces a new key and a fresh computation.
 //!
 //! Only work that costs more than a lookup is cached. Impedance profiles
 //! take milliseconds and also persist through [`crate::diskcache`];

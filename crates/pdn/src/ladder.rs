@@ -201,8 +201,7 @@ impl Ladder {
     }
 
     /// Returns a copy of the ladder with the named stage transformed by
-    /// `f`, or `None` if no stage has that name. Used by sensitivity
-    /// analysis to perturb individual elements.
+    /// `f`, or `None` if no stage has that name.
     pub fn with_mapped_stage(&self, name: &str, f: impl FnOnce(&mut Stage)) -> Option<Ladder> {
         let idx = self.stages.iter().position(|s| s.name == name)?;
         let mut copy = self.clone();

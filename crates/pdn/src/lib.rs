@@ -37,7 +37,6 @@
 //! assert!(zg.peak().1.value() > 1.5 * zb.peak().1.value());
 //! ```
 
-pub mod architectures;
 pub mod batch;
 pub mod cache;
 pub mod complex;
@@ -49,14 +48,12 @@ pub mod impedance;
 pub mod ladder;
 pub mod loadline;
 pub mod package;
-pub mod sensitivity;
 pub mod simd;
 pub mod skylake;
 pub mod transient;
 pub mod units;
 pub mod vr;
 
-pub use architectures::{delivery_loss, IvrModel, LdoModel, PdnArchitecture};
 pub use batch::{with_thread_workspace, BatchWorkspace};
 pub use didt::{
     analyze as didt_analyze, client_event_family, droop_sweep, droop_sweep_with_progress,
@@ -67,10 +64,6 @@ pub use impedance::{ImpedanceAnalyzer, ImpedanceProfile};
 pub use ladder::{Ladder, LadderBuilder, Stage};
 pub use loadline::{LoadLine, VirusLevel, VirusLevelTable};
 pub use package::{PackageLayout, VoltageDomain};
-pub use sensitivity::{
-    droop_sensitivities, peak_sensitivities, target_impedance, DroopSensitivity, ElementKind,
-    Sensitivity,
-};
 pub use simd::{KernelWidth, Lanes};
 pub use transient::{LadderCoeffs, LoadStep, TransientResult, TransientSim};
 pub use units::{Amps, Celsius, Farads, Henries, Hertz, Ohms, Seconds, Volts, Watts};

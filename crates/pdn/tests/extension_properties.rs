@@ -1,11 +1,10 @@
-//! Property-based tests for the PDN extension modules: package domains,
-//! di/dt analysis, and the delivery-architecture models.
+//! Property-based tests for the PDN extension modules: package domains
+//! and di/dt analysis.
 
-use dg_pdn::architectures::{delivery_loss, IvrModel, LdoModel, PdnArchitecture};
 use dg_pdn::didt::{analyze, DidtEvent};
 use dg_pdn::package::{PackageLayout, VoltageDomain};
 use dg_pdn::skylake::{PdnVariant, SkylakePdn};
-use dg_pdn::units::{Amps, Ohms, Seconds, Volts, Watts};
+use dg_pdn::units::{Amps, Seconds, Volts};
 use proptest::prelude::*;
 
 proptest! {
@@ -76,34 +75,5 @@ proptest! {
         );
         prop_assert!(a.results[1].droop >= a.results[0].droop);
         prop_assert!(a.worst_droop >= a.results[1].droop);
-    }
-
-    /// IVR efficiency stays in (0, 1] and input power is never below the
-    /// output for any load point.
-    #[test]
-    fn ivr_physical(load in 0.001..=1.0f64, out_w in 0.1..80.0f64) {
-        let m = IvrModel::fivr();
-        let eta = m.efficiency(load);
-        prop_assert!(eta > 0.0 && eta <= 1.0);
-        let input = m.input_power(Watts::new(out_w), load);
-        prop_assert!(input.value() >= out_w);
-    }
-
-    /// LDO efficiency equals the voltage ratio for all valid outputs, and
-    /// delivery loss is non-negative for every architecture.
-    #[test]
-    fn architecture_losses_nonnegative(
-        out_w in 0.5..60.0f64,
-        v_out in 0.65..1.25f64,
-        load in 0.05..=1.0f64,
-    ) {
-        let ldo = LdoModel::skylake_x();
-        let eta = ldo.efficiency(Volts::new(v_out));
-        prop_assert!((eta - v_out / 1.35).abs() < 1e-12);
-        for arch in [PdnArchitecture::Mbvr, PdnArchitecture::Ivr, PdnArchitecture::Ldo] {
-            let loss = delivery_loss(arch, Watts::new(out_w), Volts::new(v_out), Ohms::from_mohm(1.6), load);
-            prop_assert!(loss.value() >= 0.0, "{arch:?}: {loss}");
-            prop_assert!(loss.is_finite());
-        }
     }
 }

@@ -25,9 +25,7 @@
 //! assert!(fmax_loose > fmax_tight);
 //! ```
 
-pub mod aging;
 pub mod dynamic;
-pub mod efficiency;
 pub mod energy;
 pub mod error;
 pub mod leakage;
@@ -41,9 +39,7 @@ pub mod vf;
 /// Re-export of the electrical unit newtypes used throughout this crate.
 pub use dg_pdn::units;
 
-pub use aging::AgingModel;
 pub use dynamic::CdynProfile;
-pub use efficiency::{energy_curve, energy_per_cycle, most_efficient_state, EnergyPoint};
 pub use energy::EnergyCounter;
 pub use error::PowerError;
 pub use leakage::LeakageModel;

@@ -1,4 +1,4 @@
-//! `dg-load`: load generator and smoke harness for `dg-serve`.
+//! `dg-load`: smoke harness for `dg-serve`.
 //!
 //! ```text
 //! # CI smoke gate: spawn a constrained server, fire a 200-request mixed
@@ -8,76 +8,51 @@
 //! # and require a clean graceful drain. Exit 0 only if all of it holds.
 //! cargo run --release -p dg-serve --bin dg-load -- --smoke --spawn
 //!
-//! # Throughput/latency baseline (the BENCH_serve.json payload): spawn a
-//! # router over N dg-serve shards with disk caches, bench the valid-only
-//! # mix over keep-alive connections, record the malformed-probe mix as a
-//! # separate run, and compare a cache-warmed cold start to an empty one.
-//! cargo run --release -p dg-serve --bin dg-load -- --bench --spawn --json
-//!
-//! # Against an already-running server (no router, no warm-start check):
-//! cargo run --release -p dg-serve --bin dg-load -- --bench --addr 127.0.0.1:8737
+//! # The same checks against an already-running server:
+//! cargo run --release -p dg-serve --bin dg-load -- --smoke --addr 127.0.0.1:8737
 //! ```
 //!
-//! The bench and smoke mixes are deliberately different populations: the
-//! smoke mix interleaves malformed/oversized probes to exercise the error
-//! path under load, while the bench mix is valid-only so the headline
-//! rps/p99 numbers measure request throughput, not 4xx short-circuits.
-//! The error probes still run in a bench — as their own reported record.
+//! Throughput and latency are measured by the serve-tier benchmark
+//! (`bash benchmark/run.sh`), not here.
 
-use dg_serve::client::{http_request, run_mix, run_mix_with, LoadReport, MixKind, RunOptions};
+use dg_serve::client::{http_request, run_mix, spawn_sibling, SpawnedServer};
 use dg_serve::json::{self, Json};
-use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 
 struct Options {
-    smoke: bool,
-    bench: bool,
     spawn: bool,
-    json: bool,
     addr: Option<String>,
     n: usize,
     seed: u64,
     concurrency: usize,
-    shards: usize,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dg-load (--smoke|--bench) (--spawn|--addr HOST:PORT) \
-         [--json] [-n N] [--seed S] [--concurrency C] [--shards N]"
+        "usage: dg-load --smoke (--spawn|--addr HOST:PORT) [-n N] [--seed S] [--concurrency C]"
     );
     std::process::exit(2);
 }
 
 fn parse_options(args: &[String]) -> Options {
+    let mut smoke = false;
     let mut opts = Options {
-        smoke: false,
-        bench: false,
         spawn: false,
-        json: false,
         addr: None,
         n: 0,
         seed: 42,
         concurrency: 0,
-        shards: 2,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--bench" => opts.bench = true,
+            "--smoke" => smoke = true,
             "--spawn" => opts.spawn = true,
-            "--json" => opts.json = true,
             "--addr" => opts.addr = iter.next().cloned(),
             "-n" => opts.n = iter.next().and_then(|v| v.parse().ok()).unwrap_or(0),
             "--seed" => opts.seed = iter.next().and_then(|v| v.parse().ok()).unwrap_or(42),
             "--concurrency" => {
                 opts.concurrency = iter.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-            }
-            "--shards" => {
-                opts.shards = iter.next().and_then(|v| v.parse().ok()).unwrap_or(2);
             }
             "--help" | "-h" => usage(),
             other => {
@@ -86,81 +61,16 @@ fn parse_options(args: &[String]) -> Options {
             }
         }
     }
-    if opts.smoke == opts.bench || (opts.spawn == opts.addr.is_some()) {
+    if !smoke || (opts.spawn == opts.addr.is_some()) {
         usage();
     }
     if opts.n == 0 {
-        opts.n = if opts.smoke { 200 } else { 4000 };
+        opts.n = 200;
     }
     if opts.concurrency == 0 {
-        // The bench default is 10x the historical baseline's concurrency
-        // of 8: the event loop is expected to hold p99 there.
-        opts.concurrency = if opts.smoke { 8 } else { 80 };
+        opts.concurrency = 8;
     }
     opts
-}
-
-/// A spawned child server (shard or router) and the address it bound.
-struct Spawned {
-    child: Child,
-    addr: SocketAddr,
-}
-
-/// Spawns a sibling binary from this executable's directory and reads its
-/// bound address from the `listening on <addr>` banner line.
-fn spawn_child(binary: &str, args: &[String]) -> Result<Spawned, String> {
-    let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let path = me
-        .parent()
-        .map(|dir| dir.join(binary))
-        .filter(|p| p.exists())
-        .ok_or_else(|| {
-            format!("{binary} binary not found next to dg-load (build the package first)")
-        })?;
-    let mut child = Command::new(path)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("spawn {binary}: {e}"))?;
-    let stdout = child.stdout.take().ok_or("no child stdout")?;
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .map_err(|e| format!("read child banner: {e}"))?;
-    let addr = line
-        .trim()
-        .strip_prefix("listening on ")
-        .and_then(|a| a.parse().ok())
-        .ok_or_else(|| format!("unexpected banner {line:?}"))?;
-    Ok(Spawned { child, addr })
-}
-
-/// Spawns `dg-serve` with the given extra flags.
-fn spawn_server(extra_args: &[&str]) -> Result<Spawned, String> {
-    let mut args = vec!["--addr".to_owned(), "127.0.0.1:0".to_owned()];
-    args.extend(extra_args.iter().map(|s| (*s).to_owned()));
-    spawn_child("dg-serve", &args)
-}
-
-/// Spawns `dg-router` over the given shard addresses. The router's
-/// client side is event-driven, so its worker pool only has to cover
-/// concurrent *cache-miss* forwards, not connection concurrency.
-fn spawn_router(shards: &[SocketAddr]) -> Result<Spawned, String> {
-    let workers = 8;
-    let mut args = vec![
-        "--addr".to_owned(),
-        "127.0.0.1:0".to_owned(),
-        "--workers".to_owned(),
-        workers.to_string(),
-        "--queue".to_owned(),
-        "512".to_owned(),
-    ];
-    for addr in shards {
-        args.push("--shard".to_owned());
-        args.push(addr.to_string());
-    }
-    spawn_child("dg-router", &args)
 }
 
 fn resolve_addr(raw: &str) -> SocketAddr {
@@ -448,7 +358,7 @@ fn forced_overload(addr: SocketAddr, gate: &mut Gate) {
     );
 }
 
-fn smoke(addr: SocketAddr, opts: &Options, spawned: Option<Spawned>) -> i32 {
+fn smoke(addr: SocketAddr, opts: &Options, spawned: Option<SpawnedServer>) -> i32 {
     let mut gate = Gate { failures: 0 };
 
     spot_check_droop(addr, &mut gate);
@@ -527,293 +437,36 @@ fn smoke(addr: SocketAddr, opts: &Options, spawned: Option<Spawned>) -> i32 {
     i32::from(gate.failures > 0)
 }
 
-/// The spawned bench topology: N disk-cached shards behind one router.
-struct Fleet {
-    router: Spawned,
-    shards: Vec<Spawned>,
-    cache_dirs: Vec<PathBuf>,
-    base_dir: PathBuf,
-}
-
-/// A per-invocation scratch root that avoids wall-clock naming (banned
-/// crate-wide for determinism): the pid plus the seed is unique enough
-/// for concurrent CI jobs.
-fn scratch_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("dg-load-{}-{seed:x}", std::process::id()))
-}
-
-fn spawn_fleet(opts: &Options) -> Result<Fleet, String> {
-    let base_dir = scratch_dir(opts.seed);
-    let mut shards = Vec::new();
-    let mut cache_dirs = Vec::new();
-    for i in 0..opts.shards.max(1) {
-        let dir = base_dir.join(format!("shard{i}"));
-        std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-        let dir_flag = dir.display().to_string();
-        shards.push(spawn_server(&[
-            "--workers",
-            "4",
-            "--queue",
-            "256",
-            "--cache-dir",
-            &dir_flag,
-        ])?);
-        cache_dirs.push(dir);
-    }
-    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr).collect();
-    let router = spawn_router(&addrs)?;
-    Ok(Fleet {
-        router,
-        shards,
-        cache_dirs,
-        base_dir,
-    })
-}
-
-impl Fleet {
-    /// Kills the router, drains every shard, and reports whether all the
-    /// shards exited cleanly.
-    fn teardown(mut self) -> bool {
-        let _ = self.router.child.kill();
-        let _ = self.router.child.wait();
-        let mut clean = true;
-        for mut shard in self.shards {
-            let _ = http_request(shard.addr, "POST", "/admin/drain", Some(""));
-            clean &= shard
-                .child
-                .wait()
-                .as_ref()
-                .is_ok_and(std::process::ExitStatus::success);
-        }
-        clean
-    }
-}
-
-/// Reads one unlabelled counter from a server's `/metrics` text.
-fn metric_value(addr: SocketAddr, name: &str) -> Option<u64> {
-    let body = http_request(addr, "GET", "/metrics", None)
-        .ok()
-        .filter(|r| r.status == 200)?
-        .body;
-    body.lines()
-        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
-        .and_then(|v| v.trim().parse().ok())
-}
-
-/// Runs the same deterministic valid burst against a fresh shard started
-/// over `cache_dir` and reports its disk-cache hits: a warmed directory
-/// must satisfy far more of the first traffic from disk than an empty one.
-fn cold_start_hits(cache_dir: &std::path::Path, seed: u64) -> Result<u64, String> {
-    let dir_flag = cache_dir.display().to_string();
-    let mut shard = spawn_server(&["--workers", "4", "--queue", "64", "--cache-dir", &dir_flag])?;
-    let report = run_mix_with(
-        shard.addr,
-        &RunOptions {
-            n: 120,
-            seed,
-            concurrency: 8,
-            kind: MixKind::Valid,
-            keep_alive: true,
-        },
-    );
-    if report.transport_errors > 0 {
-        let _ = shard.child.kill();
-        return Err(format!("warm-start probe run failed: {report:?}"));
-    }
-    let hits = metric_value(shard.addr, "dg_disk_cache_hits_total").unwrap_or(0);
-    let _ = http_request(shard.addr, "POST", "/admin/drain", Some(""));
-    let _ = shard.child.wait();
-    Ok(hits)
-}
-
-/// The warm-start comparison (acceptance: a warmed `--cache-dir` serves a
-/// measurably larger share of its first traffic from disk than an empty
-/// directory does).
-fn warm_start_record(fleet: &Fleet, opts: &Options) -> Json {
-    let warm_dir = fleet.cache_dirs.first().cloned().unwrap_or_default();
-    let cold_dir = fleet.base_dir.join("cold");
-    let cold_ready = std::fs::create_dir_all(&cold_dir).is_ok();
-    let warm_hits = cold_start_hits(&warm_dir, opts.seed ^ 0x5EED).unwrap_or_else(|e| {
-        eprintln!("warning: warm-start probe (warm dir): {e}");
-        0
-    });
-    let cold_hits = if cold_ready {
-        cold_start_hits(&cold_dir, opts.seed ^ 0x5EED).unwrap_or_else(|e| {
-            eprintln!("warning: warm-start probe (cold dir): {e}");
-            0
-        })
-    } else {
-        0
-    };
-    #[allow(clippy::cast_precision_loss)]
-    json::obj(vec![
-        ("warm_dir_hits", Json::Num(warm_hits as f64)),
-        ("cold_dir_hits", Json::Num(cold_hits as f64)),
-        ("warm_exceeds_cold", Json::Bool(warm_hits > cold_hits)),
-    ])
-}
-
-fn bench(opts: &Options) -> i32 {
-    let (addr, fleet) = if opts.spawn {
-        match spawn_fleet(opts) {
-            Ok(fleet) => (fleet.router.addr, Some(fleet)),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        }
-    } else {
-        (resolve_addr(opts.addr.as_deref().unwrap_or("")), None)
-    };
-
-    // Warm the substrate and response caches so the baseline measures
-    // serving, not first-touch physics.
-    let warmup = run_mix_with(
-        addr,
-        &RunOptions {
-            n: 256.max(4 * opts.concurrency),
-            seed: opts.seed ^ 0xDEAD,
-            concurrency: opts.concurrency,
-            kind: MixKind::Valid,
-            keep_alive: true,
-        },
-    );
-    if warmup.transport_errors > 0 {
-        eprintln!("error: warmup run failed: {warmup:?}");
-        if let Some(fleet) = fleet {
-            fleet.teardown();
-        }
-        return 1;
-    }
-
-    // The headline run: valid-only traffic over keep-alive connections,
-    // timed from a start barrier so rps excludes connection setup.
-    let report = run_mix_with(
-        addr,
-        &RunOptions {
-            n: opts.n,
-            seed: opts.seed,
-            concurrency: opts.concurrency,
-            kind: MixKind::Valid,
-            keep_alive: true,
-        },
-    );
-
-    // The malformed/oversized probes, recorded as their own run so the
-    // headline latencies stay a pure valid-request population.
-    let probes = run_mix_with(
-        addr,
-        &RunOptions {
-            n: 100,
-            seed: opts.seed ^ 0xBAD,
-            concurrency: 8,
-            kind: MixKind::ErrorProbes,
-            keep_alive: false,
-        },
-    );
-
-    let (warm_start, fleet_clean) = match fleet {
-        Some(fleet) => {
-            let record = warm_start_record(&fleet, opts);
-            let base_dir = fleet.base_dir.clone();
-            let clean = fleet.teardown();
-            let _ = std::fs::remove_dir_all(base_dir);
-            (Some(record), clean)
-        }
-        None => (None, true),
-    };
-
-    let failed = report.other_5xx > 0
-        || report.transport_errors > 0
-        || report.err_4xx > 0
-        || probes.expectation_failures > 0
-        || probes.other_5xx > 0
-        || probes.transport_errors > 0
-        || !fleet_clean;
-    if opts.json {
-        println!(
-            "{}",
-            bench_json(&report, &probes, warm_start, opts).render()
-        );
-    } else {
-        println!(
-            "dg-load bench: {} requests, {} concurrency, seed {}, {} shard(s), keep-alive",
-            report.requests,
-            opts.concurrency,
-            opts.seed,
-            if opts.spawn { opts.shards.max(1) } else { 1 },
-        );
-        println!(
-            "  rps={:.0} p50={}us p99={}us 2xx={} 4xx={} 503={} other5xx={} transport={}",
-            report.rps(),
-            report.p50_us(),
-            report.p99_us(),
-            report.ok_2xx,
-            report.err_4xx,
-            report.shed_503,
-            report.other_5xx,
-            report.transport_errors
-        );
-        println!(
-            "  error-probe run: {} probes, expectation_failures={}",
-            probes.requests, probes.expectation_failures
-        );
-    }
-    i32::from(failed)
-}
-
-fn bench_json(
-    report: &LoadReport,
-    probes: &LoadReport,
-    warm_start: Option<Json>,
-    opts: &Options,
-) -> Json {
-    #[allow(clippy::cast_precision_loss)]
-    let mut fields = vec![
-        ("bench", Json::Str("dg-serve".to_owned())),
-        ("seed", Json::Num(opts.seed as f64)),
-        ("concurrency", Json::Num(opts.concurrency as f64)),
-        (
-            "shards",
-            #[allow(clippy::cast_precision_loss)]
-            Json::Num(if opts.spawn { opts.shards.max(1) } else { 1 } as f64),
-        ),
-        ("keep_alive", Json::Bool(true)),
-        ("report", report.to_json()),
-        ("error_probes", probes.to_json()),
-    ];
-    if let Some(ws) = warm_start {
-        fields.push(("warm_start", ws));
-    }
-    json::obj(fields)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_options(&args);
 
-    let code = if opts.smoke {
-        // Smoke wants a deliberately constrained server (small worker
-        // pool + queue so overload is reachable) with the debug sleep
-        // route enabled.
-        let spawned = if opts.spawn {
-            match spawn_server(&["--workers", "2", "--queue", "4", "--debug-routes"]) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
+    // Smoke wants a deliberately constrained server (small worker pool +
+    // queue so overload is reachable) with the debug sleep route enabled.
+    let spawned = if opts.spawn {
+        let args = [
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--queue",
+            "4",
+            "--debug-routes",
+        ]
+        .map(str::to_owned);
+        match spawn_sibling("dg-serve", &args) {
+            Ok(s) => Some(s),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
             }
-        } else {
-            None
-        };
-        let addr = spawned
-            .as_ref()
-            .map(|s| s.addr)
-            .unwrap_or_else(|| resolve_addr(opts.addr.as_deref().unwrap_or("")));
-        smoke(addr, &opts, spawned)
+        }
     } else {
-        bench(&opts)
+        None
     };
-    std::process::exit(code);
+    let addr = spawned
+        .as_ref()
+        .map(|s| s.addr)
+        .unwrap_or_else(|| resolve_addr(opts.addr.as_deref().unwrap_or("")));
+    std::process::exit(smoke(addr, &opts, spawned));
 }

@@ -1,16 +1,18 @@
 //! A minimal std-only HTTP client and deterministic load generator.
 //!
-//! Powers the `dg-load` binary and the integration smoke tests. The mix
-//! generator is seeded (its own LCG, no wall-clock entropy), so a given
-//! `(seed, n)` always produces the same request sequence — which is what
-//! makes `BENCH_serve.json` comparable across runs and the CI smoke step
-//! reproducible.
+//! Powers the `dg-load` and `dg-chaos` binaries and the integration smoke
+//! tests. The mix generator is seeded (its own LCG, no wall-clock
+//! entropy), so a given `(seed, n)` always produces the same request
+//! sequence — which is what makes the CI smoke step reproducible.
+//! [`spawn_sibling`] starts a server binary next to the running
+//! executable and reads the address it bound.
 
 use crate::http::{chunked_body_end, decode_chunked, head_end, read_reply};
-use crate::json::{obj, Json};
 use crate::metrics::monotonic_us;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 /// A parsed HTTP response.
@@ -602,15 +604,11 @@ enum MixItem {
 
 /// Which slice of the probe population a run draws from.
 ///
-/// The historical single mix interleaved well-formed traffic with
-/// deliberately broken framing, which made the benchmark numbers measure
-/// "valid work plus parser rejections" in one blur. The bench run now
-/// uses [`Valid`] (every request is a well-formed computation or read)
-/// and records a separate [`ErrorProbes`] pass; the smoke tests keep
-/// [`Full`] so the rejection paths stay exercised under concurrency.
+/// [`Full`] interleaves well-formed traffic with deliberately broken
+/// framing, so the rejection paths stay exercised under concurrency;
+/// [`Valid`] draws only well-formed computations and reads.
 ///
 /// [`Valid`]: MixKind::Valid
-/// [`ErrorProbes`]: MixKind::ErrorProbes
 /// [`Full`]: MixKind::Full
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MixKind {
@@ -618,8 +616,6 @@ pub enum MixKind {
     Full,
     /// Only well-formed requests that expect success.
     Valid,
-    /// Only the rejection probes (malformed, oversized, empty/huge batch).
-    ErrorProbes,
 }
 
 fn droop_probe(rng: &mut Lcg) -> MixItem {
@@ -826,15 +822,6 @@ fn mix_item_of(rng: &mut Lcg, kind: MixKind) -> MixItem {
             15 => explore_probe(rng),
             _ => droop_sweep_probe(rng),
         },
-        MixKind::ErrorProbes => match rng.below(7) {
-            0 => garbage_probe(),
-            1 => oversized_probe(),
-            2 => empty_batch_probe(),
-            3 => oversized_batch_probe(),
-            4 => malformed_explore_probe(),
-            5 => oversized_explore_probe(),
-            _ => oversized_sweep_probe(),
-        },
     }
 }
 
@@ -908,31 +895,6 @@ impl LoadReport {
         {
             (self.requests as f64) * 1e6 / (self.elapsed_us as f64)
         }
-    }
-
-    /// The report as JSON (the `BENCH_serve.json` payload).
-    pub fn to_json(&self) -> Json {
-        #[allow(clippy::cast_precision_loss)]
-        fn num(n: usize) -> Json {
-            Json::Num(n as f64)
-        }
-        #[allow(clippy::cast_precision_loss)]
-        fn num64(n: u64) -> Json {
-            Json::Num(n as f64)
-        }
-        obj(vec![
-            ("requests", num(self.requests)),
-            ("ok_2xx", num(self.ok_2xx)),
-            ("err_4xx", num(self.err_4xx)),
-            ("shed_503", num(self.shed_503)),
-            ("other_5xx", num(self.other_5xx)),
-            ("transport_errors", num(self.transport_errors)),
-            ("expectation_failures", num(self.expectation_failures)),
-            ("elapsed_us", num64(self.elapsed_us)),
-            ("rps", Json::Num(self.rps())),
-            ("p50_us", num64(self.p50_us())),
-            ("p99_us", num64(self.p99_us())),
-        ])
     }
 
     fn absorb(&mut self, status: u16, expected: Option<u16>, latency_us: u64) {
@@ -1107,6 +1069,70 @@ fn run_one(
     }
 }
 
+/// A server process started by [`spawn_sibling`], and the address from
+/// its `listening on <addr>` banner.
+#[derive(Debug)]
+pub struct SpawnedServer {
+    /// The running child; the caller owns its shutdown.
+    pub child: Child,
+    /// The address the server bound.
+    pub addr: SocketAddr,
+}
+
+/// Spawns `binary` from the running executable's directory (where cargo
+/// puts every binary of the workspace) and reads the address it bound
+/// from its first stdout line.
+///
+/// # Errors
+///
+/// A missing binary, a failed spawn, or a missing or malformed banner.
+/// A child that started is killed and reaped before the error returns,
+/// so a failed start never leaves a server running.
+pub fn spawn_sibling(binary: &str, args: &[String]) -> Result<SpawnedServer, String> {
+    let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let path = me
+        .parent()
+        .map(|dir| dir.join(binary))
+        .filter(|p| p.exists())
+        .ok_or_else(|| {
+            format!(
+                "{binary} not found next to {} (build dg-serve first)",
+                me.display()
+            )
+        })?;
+    spawn_with_banner(&path, args)
+}
+
+/// The spawn-and-read-banner half of [`spawn_sibling`].
+fn spawn_with_banner(program: &Path, args: &[String]) -> Result<SpawnedServer, String> {
+    let mut child = Command::new(program)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .map_err(|e| format!("spawn {}: {e}", program.display()))?;
+    match read_banner(&mut child) {
+        Ok(addr) => Ok(SpawnedServer { child, addr }),
+        Err(e) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(format!("{}: {e}", program.display()))
+        }
+    }
+}
+
+fn read_banner(child: &mut Child) -> Result<SocketAddr, String> {
+    let stdout = child.stdout.take().ok_or("no child stdout")?;
+    let mut line = String::new();
+    BufReader::new(stdout)
+        .read_line(&mut line)
+        .map_err(|e| format!("read banner: {e}"))?;
+    line.trim()
+        .strip_prefix("listening on ")
+        .and_then(|a| a.parse().ok())
+        .ok_or_else(|| format!("unexpected banner {line:?}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1234,7 +1260,7 @@ mod tests {
     }
 
     #[test]
-    fn valid_mix_is_error_free_and_error_mix_is_probes_only() {
+    fn valid_mix_is_error_free() {
         let mut rng = Lcg::new(5);
         for _ in 0..300 {
             match mix_item_of(&mut rng, MixKind::Valid) {
@@ -1244,17 +1270,6 @@ mod tests {
                 }
             }
         }
-        let mut rng = Lcg::new(5);
-        let mut raws = 0;
-        for _ in 0..100 {
-            match mix_item_of(&mut rng, MixKind::ErrorProbes) {
-                MixItem::Raw(..) => raws += 1,
-                MixItem::Framed(_, _, _, expect) => {
-                    assert!(expect.is_some(), "every error probe expects a status")
-                }
-            }
-        }
-        assert!(raws > 10, "error mix must include raw framing probes");
     }
 
     /// A one-connection server answering `n` framed requests, then EOF.
@@ -1480,8 +1495,46 @@ mod tests {
         r.absorb(500, None, 10);
         assert_eq!((r.ok_2xx, r.err_4xx, r.shed_503, r.other_5xx), (1, 2, 1, 1));
         assert_eq!(r.expectation_failures, 1);
-        let json = r.to_json().render();
-        assert!(json.contains("\"other_5xx\":1"));
+    }
+
+    /// Runs `script` under `/bin/sh` through the spawn seam. The script
+    /// receives a pid file path as `$0`.
+    fn spawn_script(tag: &str, script: &str) -> (Result<SpawnedServer, String>, Option<u32>) {
+        let pid_file =
+            std::env::temp_dir().join(format!("dg-spawn-{}-{tag}.pid", std::process::id()));
+        let _ = std::fs::remove_file(&pid_file);
+        let args = [
+            "-c".to_owned(),
+            script.to_owned(),
+            pid_file.display().to_string(),
+        ];
+        let result = spawn_with_banner(Path::new("/bin/sh"), &args);
+        let pid = std::fs::read_to_string(&pid_file)
+            .ok()
+            .and_then(|s| s.trim().parse().ok());
+        let _ = std::fs::remove_file(&pid_file);
+        (result, pid)
+    }
+
+    #[test]
+    fn spawn_reaps_a_child_with_a_bad_banner() {
+        let (result, pid) = spawn_script("bad", "echo $$ > \"$0\"; echo 'ready'; exec sleep 30");
+        let err = result.expect_err("a wrong banner must fail the spawn");
+        assert!(err.contains("unexpected banner"), "{err}");
+        let pid = pid.expect("the stand-in recorded its pid");
+        assert!(
+            !Path::new(&format!("/proc/{pid}")).exists(),
+            "pid {pid} outlived the failed spawn"
+        );
+    }
+
+    #[test]
+    fn spawn_reads_the_bound_address_from_the_banner() {
+        let (result, _) = spawn_script("good", "echo 'listening on 127.0.0.1:9'; exec sleep 30");
+        let mut spawned = result.expect("a well-formed banner spawns");
+        assert_eq!(spawned.addr, "127.0.0.1:9".parse().expect("addr"));
+        spawned.child.kill().expect("kill stand-in");
+        spawned.child.wait().expect("reap stand-in");
     }
 
     #[test]

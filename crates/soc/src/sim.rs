@@ -9,10 +9,10 @@
 
 use crate::products::Product;
 use dg_cstates::power::IdlePowerModel;
+use dg_pmu::dvfs::{DvfsRequest, DvfsSolver};
 use dg_pmu::pbm::TurboController;
 use dg_power::dynamic::CdynProfile;
 use dg_power::energy::EnergyCounter;
-use dg_power::leakage::LeakageModel;
 use dg_power::pstate::{PState, PStateTable};
 use dg_power::units::{Celsius, Hertz, Seconds, Watts};
 use serde::{Deserialize, Serialize};
@@ -270,10 +270,11 @@ impl<'a> Simulator<'a> {
         )
     }
 
-    /// Convenience: evaluates a graphics operating point. Searches the
-    /// graphics table for the highest state whose *total* package power
-    /// (graphics + overhead) fits `budget`; leakage is evaluated at the
-    /// steady-state temperature, iterated to a fixed point.
+    /// Convenience: evaluates a graphics operating point. Runs the
+    /// firmware's [`DvfsSolver`] over the graphics table: the highest
+    /// state whose *total* package power (graphics + overhead) fits
+    /// `budget` at a self-consistent steady-state temperature. When no
+    /// state fits, reports the self-consistent point at Pn.
     pub fn solve_graphics(
         &self,
         gfx_cdyn: CdynProfile,
@@ -281,23 +282,19 @@ impl<'a> Simulator<'a> {
         budget: Watts,
     ) -> (PState, Watts, Celsius) {
         let p = self.product;
-        let leak: &LeakageModel = &p.gfx_leakage;
-        for state in p.table_gfx.iter_descending() {
-            let mut tj = Celsius::new(60.0);
-            let mut total = overhead;
-            for _ in 0..16 {
-                let gfx_power =
-                    gfx_cdyn.power(state.voltage, state.frequency) + leak.power(state.voltage, tj);
-                total = gfx_power + overhead;
-                tj = p.thermal.steady_state(total);
-            }
-            if total <= budget && tj.value() <= p.limits.tjmax.value() + 1e-9 {
-                return (state, total, tj);
-            }
-        }
-        let floor = p.table_gfx.pn();
-        let total = overhead + gfx_cdyn.power(floor.voltage, floor.frequency);
-        (floor, total, p.thermal.steady_state(total))
+        let solver = DvfsSolver::new(p.gfx_leakage, p.thermal);
+        let op = solver
+            .solve(&DvfsRequest {
+                table: &p.table_gfx,
+                active_cores: 1,
+                cdyn_per_core: gfx_cdyn,
+                budget,
+                overhead,
+                vmax: p.limits.vmax,
+                tjmax: p.limits.tjmax,
+            })
+            .unwrap_or_else(|_| solver.evaluate(p.table_gfx.pn(), 1, gfx_cdyn, overhead));
+        (op.state, op.total_power, op.tj)
     }
 }
 
@@ -417,6 +414,25 @@ mod tests {
             Watts::new(35.0),
         );
         assert!(poor.frequency <= rich.frequency);
+    }
+
+    #[test]
+    fn graphics_fallback_charges_leakage_at_its_own_tj() {
+        // 9 W against 8 W of overhead: no graphics state fits, so the
+        // solver falls back to Pn. The reported total must still be the
+        // self-consistent one, leakage included.
+        let p = Product::skylake_s(Watts::new(35.0));
+        let cdyn = CdynProfile::graphics_full();
+        let overhead = Watts::new(8.0);
+        let (state, total, tj) = Simulator::new(&p).solve_graphics(cdyn, overhead, Watts::new(9.0));
+        assert_eq!(state, p.table_gfx.pn());
+        let expected = overhead
+            + cdyn.power(state.voltage, state.frequency)
+            + p.gfx_leakage.power(state.voltage, tj);
+        assert!(
+            (total.value() - expected.value()).abs() < 1e-6,
+            "reported {total} vs self-consistent {expected}"
+        );
     }
 
     #[test]

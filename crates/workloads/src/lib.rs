@@ -11,8 +11,6 @@
 //! * [`energy`] — energy-efficiency workloads: ENERGY STAR mode-weighted
 //!   traces and the Intel Ready Mode Technology (RMT) ~99 %-idle trace.
 //!
-//! [`synth`] adds a seeded random workload generator for stress tests.
-//!
 //! ## Quick example
 //!
 //! ```
@@ -27,18 +25,14 @@
 //! assert_eq!(SpecMode::Base.active_cores(4), 1);
 //! ```
 
-pub mod cpi;
 pub mod energy;
 pub mod graphics;
 pub mod spec;
-pub mod synth;
 pub mod trace;
 
-pub use cpi::{suite_cpi_models, CpiModel};
 pub use energy::{
     energy_star, ready_mode, video_conferencing, web_browsing, EnergyWorkload, Phase, PhaseKind,
 };
 pub use graphics::{three_dmark_suite, GraphicsWorkload};
 pub use spec::{suite, SpecBenchmark, SpecMode, SpecSuite};
-pub use synth::SyntheticWorkloadGen;
 pub use trace::{bursty, rmt_trace, video_playback, PhaseTrace, TracePhase, TracePhaseKind};

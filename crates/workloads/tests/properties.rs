@@ -2,9 +2,9 @@
 
 use dg_cstates::power::{GatingConfig, IdlePowerModel};
 use dg_cstates::states::PackageCstate;
-use dg_power::units::Seconds;
+use dg_power::units::{Seconds, Watts};
+use dg_workloads::energy::{EnergyWorkload, Phase, PhaseKind};
 use dg_workloads::spec::{suite, SpecBenchmark, SpecSuite};
-use dg_workloads::synth::SyntheticWorkloadGen;
 use dg_workloads::trace::bursty;
 use proptest::prelude::*;
 
@@ -56,9 +56,26 @@ proptest! {
     /// Synthetic energy traces always satisfy the residency algebra and
     /// yield an average power bracketed by their phase powers.
     #[test]
-    fn synthetic_energy_traces_valid(seed in 0..2000u64) {
-        let mut g = SyntheticWorkloadGen::new(seed);
-        let wl = g.energy_trace();
+    fn synthetic_energy_traces_valid(
+        idle in 0.90..=0.999f64,
+        busy_power in 2.0..10.0f64,
+        idle_cores in 0..4usize,
+    ) {
+        // An RMT-like two-phase trace: mostly C10, the rest active.
+        let wl = EnergyWorkload {
+            name: "synthetic-energy",
+            phases: vec![
+                Phase {
+                    kind: PhaseKind::Idle { requested: PackageCstate::C10 },
+                    weight: idle,
+                },
+                Phase {
+                    kind: PhaseKind::Active { busy_power: Watts::new(busy_power), idle_cores },
+                    weight: 1.0 - idle,
+                },
+            ],
+            limit: Watts::new(1.0),
+        };
         prop_assert!(wl.weights_sum_to_one());
         let model = IdlePowerModel::new();
         for bypassed in [false, true] {
