@@ -219,8 +219,8 @@ pub fn no_panic_in_lib(lexed: &Lexed) -> Vec<Finding> {
                     rule: RuleId::NoPanicInLib,
                     line,
                     message: format!("`.{name}()` can panic in library code"),
-                    help: "return a typed error (PdnError / PowerError / CStateError / \
-                           WorkloadError / EngineError) or recover explicitly"
+                    help: "return a typed error (PdnError / PowerError / PmuError / \
+                           ExploreError) or recover explicitly"
                         .into(),
                 });
             }

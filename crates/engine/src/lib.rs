@@ -5,7 +5,7 @@
 //! samples within an impedance sweep, claims within a validation run).
 //! This crate provides the primitives the rest of the workspace builds on:
 //!
-//! * [`par_map`] / [`try_par_map`] — map a closure over an indexed slice
+//! * [`par_map`] — map a closure over an indexed slice
 //!   on a transient thread pool, returning results **in input order**.
 //!   Output is bit-identical to the sequential loop for any thread count,
 //!   because each result is written back to its input index and any
@@ -18,17 +18,15 @@
 //!   chunk-barrier scheduler survives as [`par_map_progress_barrier`],
 //!   the executable oracle the streaming one is differentially tested
 //!   against.
-//! * [`par_tasks`] / [`try_par_tasks`] — run a set of heterogeneous boxed
-//!   closures concurrently, again collecting results in input order.
+//! * [`par_tasks`] — run a set of heterogeneous boxed closures
+//!   concurrently, again collecting results in input order.
 //!
 //! Worker panics do **not** poison the pool: every unit of work runs under
-//! `catch_unwind`, the remaining items still complete, and the failure is
-//! surfaced as a typed [`EngineError`] carrying the panicking index and
-//! its payload. The `try_` variants return it; the plain variants re-raise
-//! the original payload on the calling thread, so existing callers observe
-//! the same behaviour as a sequential loop. When several workers panic in
-//! one call, the error reported is always the **lowest panicking index**,
-//! independent of thread scheduling — errors are as deterministic as
+//! `catch_unwind`, the remaining items still complete, and then the
+//! payload is re-raised on the calling thread, so callers observe the same
+//! behaviour as a sequential loop. When several items panic in one call,
+//! the payload re-raised is always the **lowest panicking index**'s,
+//! independent of thread scheduling — panics are as deterministic as
 //! results.
 //!
 //! Nested calls degrade gracefully: a `par_map` issued from inside a
@@ -45,7 +43,6 @@ pub mod sync;
 
 use crate::sync::TrackedMutex;
 use std::cell::Cell;
-use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -64,35 +61,8 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A failure inside a parallel call, reported without poisoning the pool.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum EngineError {
-    /// A unit of work panicked. Holds the input index of the work item and
-    /// the panic payload (stringified; non-string payloads are described).
-    WorkerPanic {
-        /// Index of the item or task whose closure panicked. When several
-        /// panic in one call, this is the lowest such index for any thread
-        /// count or schedule.
-        index: usize,
-        /// The panic payload, if it was a `&str` or `String`.
-        payload: String,
-    },
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::WorkerPanic { index, payload } => {
-                write!(f, "parallel work item {index} panicked: {payload}")
-            }
-        }
-    }
-}
-
-impl Error for EngineError {}
-
-/// Stringifies a `catch_unwind` payload for [`EngineError::WorkerPanic`].
+/// Stringifies a `catch_unwind` payload so it can be re-raised as a
+/// `String`.
 fn describe_payload(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -299,19 +269,65 @@ type Bucket<U> = TrackedMutex<Vec<(usize, Outcome<U>)>>;
 ///
 /// # Panics
 ///
-/// If `f` panics for any item, the panic payload is re-raised on the
-/// calling thread (for the lowest panicking index); use [`try_par_map`]
-/// to receive it as a typed [`EngineError`] instead.
+/// If `f` panics for any item, the remaining items still complete, then
+/// the panic payload of the lowest panicking index is re-raised on the
+/// calling thread.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    match try_par_map(items, f) {
-        Ok(out) => out,
-        Err(EngineError::WorkerPanic { payload, .. }) => resume_unwind(Box::new(payload)),
+    let threads = num_threads().min(items.len().max(1));
+    if threads <= 1 || items.len() <= 1 || IN_WORKER.with(Cell::get) {
+        return collect_outcomes(
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, x)| (i, run_guarded(|| f(i, x))))
+                .collect(),
+            items.len(),
+        );
     }
+
+    // Work-stealing via a shared atomic cursor: each worker claims the
+    // next unprocessed slot, computes, and stashes (index, outcome) in a
+    // local bucket. Buckets are merged into slot order afterwards, so the
+    // output permutation is independent of which worker ran which index.
+    // Under a schedule seed the claimed slot maps through a seeded
+    // permutation, perturbing the interleaving without touching results.
+    let schedule_seed = SCHEDULE_SEED.load(Ordering::SeqCst);
+    let cursor = AtomicUsize::new(0);
+    let buckets: Vec<Bucket<U>> = (0..threads)
+        .map(|_| TrackedMutex::new("engine.bucket", Vec::new()))
+        .collect();
+
+    std::thread::scope(|scope| {
+        for bucket in &buckets {
+            let cursor = &cursor;
+            let f = &f;
+            scope.spawn(move || {
+                IN_WORKER.with(|w| w.set(true));
+                let mut local = Vec::new();
+                loop {
+                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
+                    if slot >= items.len() {
+                        break;
+                    }
+                    let i = schedule_index(schedule_seed, slot, items.len());
+                    local.push((i, run_guarded(|| f(i, &items[i]))));
+                }
+                *bucket.lock() = local;
+                IN_WORKER.with(|w| w.set(false));
+            });
+        }
+    });
+
+    let mut outcomes = Vec::with_capacity(items.len());
+    for bucket in &buckets {
+        outcomes.extend(bucket.lock().drain(..));
+    }
+    collect_outcomes(outcomes, items.len())
 }
 
 /// One chunk's cell in the streaming scheduler's reorder window: outcome
@@ -532,72 +548,6 @@ where
     out
 }
 
-/// Fallible form of [`par_map`]: worker panics surface as
-/// [`EngineError::WorkerPanic`] with the item index and payload, instead
-/// of unwinding through the caller.
-///
-/// # Errors
-///
-/// Returns [`EngineError::WorkerPanic`] if `f` panicked for any item
-/// (lowest index wins); the remaining items still complete.
-pub fn try_par_map<T, U, F>(items: &[T], f: F) -> Result<Vec<U>, EngineError>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let threads = num_threads().min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 || IN_WORKER.with(Cell::get) {
-        return collect_outcomes(
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, x)| (i, run_guarded(|| f(i, x))))
-                .collect(),
-            items.len(),
-        );
-    }
-
-    // Work-stealing via a shared atomic cursor: each worker claims the
-    // next unprocessed slot, computes, and stashes (index, outcome) in a
-    // local bucket. Buckets are merged into slot order afterwards, so the
-    // output permutation is independent of which worker ran which index.
-    // Under a schedule seed the claimed slot maps through a seeded
-    // permutation, perturbing the interleaving without touching results.
-    let schedule_seed = SCHEDULE_SEED.load(Ordering::SeqCst);
-    let cursor = AtomicUsize::new(0);
-    let buckets: Vec<Bucket<U>> = (0..threads)
-        .map(|_| TrackedMutex::new("engine.bucket", Vec::new()))
-        .collect();
-
-    std::thread::scope(|scope| {
-        for bucket in &buckets {
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                let mut local = Vec::new();
-                loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    if slot >= items.len() {
-                        break;
-                    }
-                    let i = schedule_index(schedule_seed, slot, items.len());
-                    local.push((i, run_guarded(|| f(i, &items[i]))));
-                }
-                *bucket.lock() = local;
-                IN_WORKER.with(|w| w.set(false));
-            });
-        }
-    });
-
-    let mut outcomes = Vec::with_capacity(items.len());
-    for bucket in &buckets {
-        outcomes.extend(bucket.lock().drain(..));
-    }
-    collect_outcomes(outcomes, items.len())
-}
-
 /// A boxed unit of work for [`par_tasks`].
 pub type Task<'a, U> = Box<dyn FnOnce() -> U + Send + 'a>;
 
@@ -607,26 +557,11 @@ pub type Task<'a, U> = Box<dyn FnOnce() -> U + Send + 'a>;
 ///
 /// # Panics
 ///
-/// If a task panics, its payload is re-raised on the calling thread (for
-/// the lowest panicking index); use [`try_par_tasks`] for a typed
-/// [`EngineError`] instead.
+/// If a task panics, the remaining tasks still run to completion, then
+/// the payload of the lowest panicking submission index is re-raised on
+/// the calling thread.
 #[must_use]
 pub fn par_tasks<U: Send>(tasks: Vec<Task<'_, U>>) -> Vec<U> {
-    match try_par_tasks(tasks) {
-        Ok(out) => out,
-        Err(EngineError::WorkerPanic { payload, .. }) => resume_unwind(Box::new(payload)),
-    }
-}
-
-/// Fallible form of [`par_tasks`]: a panicking task surfaces as
-/// [`EngineError::WorkerPanic`] with its submission index and payload,
-/// and the remaining tasks still run to completion.
-///
-/// # Errors
-///
-/// Returns [`EngineError::WorkerPanic`] if any task panicked (lowest
-/// submission index wins).
-pub fn try_par_tasks<U: Send>(tasks: Vec<Task<'_, U>>) -> Result<Vec<U>, EngineError> {
     let n = tasks.len();
     let threads = num_threads().min(n.max(1));
     if threads <= 1 || n <= 1 || IN_WORKER.with(Cell::get) {
@@ -693,9 +628,9 @@ fn run_guarded<U>(work: impl FnOnce() -> U) -> Outcome<U> {
 }
 
 /// Merges `(index, outcome)` pairs into input order. On any panic the
-/// **lowest** panicking index wins, so the reported error is independent
-/// of scheduling.
-fn collect_outcomes<U>(pairs: Vec<(usize, Outcome<U>)>, n: usize) -> Result<Vec<U>, EngineError> {
+/// payload of the **lowest** panicking index is re-raised, so the panic
+/// the caller sees is independent of scheduling.
+fn collect_outcomes<U>(pairs: Vec<(usize, Outcome<U>)>, n: usize) -> Vec<U> {
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
     let mut first_panic: Option<(usize, String)> = None;
     for (i, outcome) in pairs {
@@ -712,24 +647,20 @@ fn collect_outcomes<U>(pairs: Vec<(usize, Outcome<U>)>, n: usize) -> Result<Vec<
             }
         }
     }
-    if let Some((index, payload)) = first_panic {
-        return Err(EngineError::WorkerPanic { index, payload });
+    if let Some((_, payload)) = first_panic {
+        resume_unwind(Box::new(payload));
     }
     let mut out = Vec::with_capacity(n);
-    for (index, slot) in slots.into_iter().enumerate() {
+    for slot in slots {
         match slot {
             Some(value) => out.push(value),
             // Unreachable by construction (every index is claimed exactly
-            // once); typed rather than panicking to honour no-panic-in-lib.
-            None => {
-                return Err(EngineError::WorkerPanic {
-                    index,
-                    payload: "work item produced no result".to_string(),
-                })
-            }
+            // once); re-raised like a work item's panic rather than
+            // panicking here directly.
+            None => resume_unwind(Box::new("work item produced no result".to_string())),
         }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -921,37 +852,53 @@ mod tests {
         });
     }
 
+    /// Runs `call`, which must panic, and returns the re-raised payload.
+    fn panic_payload<R>(call: impl FnOnce() -> R) -> String {
+        let caught = catch_unwind(AssertUnwindSafe(call))
+            .err()
+            .expect("the call must panic");
+        caught
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("payload is re-raised as a String")
+    }
+
     #[test]
-    fn try_par_map_surfaces_payload_and_index() {
+    fn par_map_surfaces_payload_and_index() {
         let _l = serial();
         for threads in [1, 2, 8] {
             let _g = set_thread_override(threads);
             let items: Vec<u32> = (0..64).collect();
-            let err = try_par_map(&items, |_, &x| {
-                assert!(x != 40, "task {x} exploded");
-                x * 2
-            })
-            .expect_err("a panicking item must yield an error");
-            let EngineError::WorkerPanic { index, payload } = err;
-            assert_eq!(index, 40, "threads={threads}");
-            assert_eq!(payload, "task 40 exploded");
+            let ran = AtomicUsize::new(0);
+            let payload = panic_payload(|| {
+                par_map(&items, |_, &x| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    assert!(x != 40, "task {x} exploded");
+                    x * 2
+                })
+            });
+            assert_eq!(payload, "task 40 exploded", "threads={threads}");
+            assert_eq!(
+                ran.load(Ordering::Relaxed),
+                64,
+                "every other item still runs (threads={threads})"
+            );
         }
     }
 
     #[test]
-    fn try_par_map_reports_lowest_panicking_index() {
+    fn par_map_reports_lowest_panicking_index() {
         let _l = serial();
         for threads in [2, 5] {
             let _g = set_thread_override(threads);
             let items: Vec<u32> = (0..64).collect();
-            let err = try_par_map(&items, |_, &x| {
-                assert!(x % 7 != 3, "boom {x}");
-                x
-            })
-            .expect_err("panics expected");
-            let EngineError::WorkerPanic { index, payload } = err;
-            assert_eq!(index, 3, "threads={threads}");
-            assert_eq!(payload, "boom 3");
+            let payload = panic_payload(|| {
+                par_map(&items, |_, &x| {
+                    assert!(x % 7 != 3, "boom {x}");
+                    x
+                })
+            });
+            assert_eq!(payload, "boom 3", "threads={threads}");
         }
     }
 
@@ -960,9 +907,11 @@ mod tests {
         let _l = serial();
         let _g = set_thread_override(4);
         let items: Vec<u32> = (0..32).collect();
-        let _ = try_par_map(&items, |_, &x| {
-            assert!(x != 0, "first item dies");
-            x
+        panic_payload(|| {
+            par_map(&items, |_, &x| {
+                assert!(x != 0, "first item dies");
+                x
+            })
         });
         // The next call on the same thread pool machinery must succeed.
         let out = par_map(&items, |_, &x| x + 1);
@@ -970,21 +919,26 @@ mod tests {
     }
 
     #[test]
-    fn try_par_tasks_surfaces_payload_and_index() {
+    fn par_tasks_surfaces_payload_and_index() {
         let _l = serial();
         let _g = set_thread_override(3);
+        let ran = AtomicUsize::new(0);
         let tasks: Vec<Task<'_, usize>> = (0..17usize)
             .map(|i| {
+                let ran = &ran;
                 Box::new(move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
                     assert!(i != 11, "task {i} failed");
                     i
                 }) as Task<'_, usize>
             })
             .collect();
-        let err = try_par_tasks(tasks).expect_err("task 11 panics");
-        let EngineError::WorkerPanic { index, payload } = err;
-        assert_eq!(index, 11);
-        assert_eq!(payload, "task 11 failed");
+        assert_eq!(panic_payload(|| par_tasks(tasks)), "task 11 failed");
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            17,
+            "every other task still runs"
+        );
     }
 
     #[test]
@@ -1120,13 +1074,13 @@ mod tests {
                 "seed {seed}"
             );
             let items: Vec<u32> = (0..64).collect();
-            let err = try_par_map(&items, |_, &x| {
-                assert!(x % 9 != 4, "boom {x}");
-                x
-            })
-            .expect_err("panics expected");
-            let EngineError::WorkerPanic { index, .. } = err;
-            assert_eq!(index, 4, "lowest index must win under seed {seed}");
+            let payload = panic_payload(|| {
+                par_map(&items, |_, &x| {
+                    assert!(x % 9 != 4, "boom {x}");
+                    x
+                })
+            });
+            assert_eq!(payload, "boom 4", "lowest index must win under seed {seed}");
         }
     }
 
@@ -1143,15 +1097,5 @@ mod tests {
             assert_eq!(SCHEDULE_SEED.load(Ordering::SeqCst), 5);
         }
         assert_eq!(SCHEDULE_SEED.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn engine_error_display_names_index_and_payload() {
-        let err = EngineError::WorkerPanic {
-            index: 7,
-            payload: "x".into(),
-        };
-        let text = err.to_string();
-        assert!(text.contains('7') && text.contains('x'), "{text}");
     }
 }

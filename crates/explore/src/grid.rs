@@ -68,9 +68,10 @@ pub fn expand(spec: &ExploreSpec) -> Vec<ConfigPoint> {
     out
 }
 
-/// A Knuth MMIX LCG: the same generator the serve tier's load client
-/// uses, reproduced here so the evaluation shuffle has no dependency on
-/// the HTTP stack.
+/// A Knuth MMIX LCG, seeded with the raw spec seed and returning the full
+/// 64-bit state. It shares its constants with the serve tier's load
+/// client, but not its stream: that one mixes its seed and drops the low
+/// 11 bits of each word.
 struct Lcg(u64);
 
 impl Lcg {

@@ -20,8 +20,8 @@ use dg_serve::json::{self, Json};
 use std::net::SocketAddr;
 
 struct Options {
-    spawn: bool,
-    addr: Option<String>,
+    /// The server to drive; `None` spawns one (`--spawn`).
+    addr: Option<SocketAddr>,
     n: usize,
     seed: u64,
     concurrency: usize,
@@ -34,52 +34,51 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_options(args: &[String]) -> Options {
-    let mut smoke = false;
+/// Parses the command line. `Err` holds the message to print above the
+/// usage line (empty for `--help`).
+fn parse_options(args: &[String]) -> Result<Options, String> {
+    let (mut smoke, mut spawn) = (false, false);
     let mut opts = Options {
-        spawn: false,
         addr: None,
-        n: 0,
+        n: 200,
         seed: 42,
-        concurrency: 0,
+        concurrency: 8,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--spawn" => opts.spawn = true,
-            "--addr" => opts.addr = iter.next().cloned(),
-            "-n" => opts.n = iter.next().and_then(|v| v.parse().ok()).unwrap_or(0),
-            "--seed" => opts.seed = iter.next().and_then(|v| v.parse().ok()).unwrap_or(42),
-            "--concurrency" => {
-                opts.concurrency = iter.next().and_then(|v| v.parse().ok()).unwrap_or(0);
+            "--spawn" => spawn = true,
+            "--addr" => {
+                let raw = iter.next().ok_or("--addr requires HOST:PORT")?;
+                let addr = raw
+                    .parse()
+                    .map_err(|e| format!("bad --addr {raw:?}: {e}"))?;
+                opts.addr = Some(addr);
             }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                usage();
+            "-n" => opts.n = positive(arg, iter.next())?,
+            "--seed" => {
+                opts.seed = iter
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .ok_or("--seed requires an unsigned integer")?;
             }
+            "--concurrency" => opts.concurrency = positive(arg, iter.next())?,
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if !smoke || (opts.spawn == opts.addr.is_some()) {
-        usage();
+    if !smoke || spawn == opts.addr.is_some() {
+        return Err("--smoke needs exactly one of --spawn and --addr".to_owned());
     }
-    if opts.n == 0 {
-        opts.n = 200;
-    }
-    if opts.concurrency == 0 {
-        opts.concurrency = 8;
-    }
-    opts
+    Ok(opts)
 }
 
-fn resolve_addr(raw: &str) -> SocketAddr {
-    match raw.parse() {
-        Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("error: bad --addr {raw:?}: {e}");
-            std::process::exit(2);
-        }
+/// The value of a flag that takes a positive integer.
+fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
+    match value.and_then(|v| v.parse().ok()) {
+        Some(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} requires a positive integer")),
     }
 }
 
@@ -384,7 +383,7 @@ fn smoke(addr: SocketAddr, opts: &Options, spawned: Option<SpawnedServer>) -> i3
         &format!("{}", report.transport_errors),
     );
     gate.check(
-        "malformed/oversized probes answered as expected",
+        "every probe answered with its expected status",
         report.expectation_failures == 0 && report.err_4xx > 0,
         &format!(
             "expectation_failures={} err_4xx={}",
@@ -427,46 +426,114 @@ fn smoke(addr: SocketAddr, opts: &Options, spawned: Option<SpawnedServer>) -> i3
         );
     }
 
-    println!(
-        "smoke: {} check(s) failed; p50={}us p99={}us rps={:.0}",
-        gate.failures,
-        report.p50_us(),
-        report.p99_us(),
-        report.rps()
-    );
+    println!("smoke: {} check(s) failed", gate.failures);
     i32::from(gate.failures > 0)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options(&args);
+    let opts = match parse_options(&args) {
+        Ok(opts) => opts,
+        Err(message) => {
+            if !message.is_empty() {
+                eprintln!("error: {message}");
+            }
+            usage();
+        }
+    };
 
     // Smoke wants a deliberately constrained server (small worker pool +
     // queue so overload is reachable) with the debug sleep route enabled.
-    let spawned = if opts.spawn {
-        let args = [
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--queue",
-            "4",
-            "--debug-routes",
-        ]
-        .map(str::to_owned);
-        match spawn_sibling("dg-serve", &args) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
+    let (addr, spawned) = match opts.addr {
+        Some(addr) => (addr, None),
+        None => {
+            let args = [
+                "--addr",
+                "127.0.0.1:0",
+                "--workers",
+                "2",
+                "--queue",
+                "4",
+                "--debug-routes",
+            ]
+            .map(str::to_owned);
+            match spawn_sibling("dg-serve", &args) {
+                Ok(s) => (s.addr, Some(s)),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                }
             }
         }
-    } else {
-        None
     };
-    let addr = spawned
-        .as_ref()
-        .map(|s| s.addr)
-        .unwrap_or_else(|| resolve_addr(opts.addr.as_deref().unwrap_or("")));
     std::process::exit(smoke(addr, &opts, spawned));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse_options(&args)
+    }
+
+    #[test]
+    fn omitted_numbers_take_their_defaults() {
+        let opts = parse(&["--smoke", "--spawn"]).expect("valid");
+        assert!(opts.addr.is_none(), "--spawn leaves no address");
+        assert_eq!((opts.n, opts.seed, opts.concurrency), (200, 42, 8));
+        let opts = parse(&[
+            "--smoke",
+            "--addr",
+            "127.0.0.1:9",
+            "-n",
+            "50",
+            "--seed",
+            "0",
+            "--concurrency",
+            "3",
+        ])
+        .expect("valid");
+        assert_eq!(opts.addr, Some("127.0.0.1:9".parse().expect("addr")));
+        assert_eq!((opts.n, opts.seed, opts.concurrency), (50, 0, 3));
+    }
+
+    #[test]
+    fn malformed_numbers_are_usage_errors() {
+        for (flag, value) in [
+            ("-n", "abc"),
+            ("-n", "-5"),
+            ("-n", "0"),
+            ("--seed", "x"),
+            ("--seed", "-1"),
+            ("--concurrency", "0"),
+            ("--concurrency", "many"),
+        ] {
+            let err = parse(&["--smoke", "--spawn", flag, value])
+                .err()
+                .unwrap_or_else(|| panic!("{flag} {value} must be rejected"));
+            assert!(err.contains(flag), "{flag} {value}: {err}");
+        }
+        for flag in ["-n", "--seed", "--concurrency", "--addr"] {
+            assert!(
+                parse(&["--smoke", "--spawn", flag]).is_err(),
+                "{flag} without a value must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn mode_and_unknown_flags_are_usage_errors() {
+        for args in [
+            &["--spawn"][..],
+            &["--smoke"],
+            &["--smoke", "--spawn", "--addr", "127.0.0.1:9"],
+            &["--smoke", "--addr", "not-an-addr"],
+            &["--smoke", "--spawn", "--bench"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} must be rejected");
+        }
+        assert_eq!(parse(&["--help"]).err().as_deref(), Some(""));
+    }
 }

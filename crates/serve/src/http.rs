@@ -19,9 +19,9 @@
 //! lowercase at parse time.
 //!
 //! Replies are framed once, by [`read_reply`]: it finds where a reply
-//! ends on a persistent connection and hands back its exact bytes, which
-//! is all the router's verbatim relay, its health probe and the
-//! keep-alive client need.
+//! ends on a persistent connection and hands back its exact bytes. Every
+//! serve-crate client reads its replies through it, via
+//! [`crate::client::Conn`].
 
 use std::fmt;
 use std::io::{self, ErrorKind, Read};
@@ -802,6 +802,92 @@ mod tests {
         assert_eq!(chunked_body_end(&body), Some(end));
         for bad in [&b"zz\r\nhi\r\n0\r\n\r\n"[..], b"5\r\nhelloXX0\r\n\r\n"] {
             assert_eq!(decode_chunked(bad), None, "{bad:?}");
+        }
+    }
+
+    /// A reader that hands out one byte per `read`, so every framing
+    /// decision runs across read boundaries.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let (Some(byte), Some(slot)) = (self.0.first(), buf.first_mut()) else {
+                return Ok(0);
+            };
+            *slot = *byte;
+            self.0 = &self.0[1..];
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn read_reply_leaves_a_pipelined_second_reply_in_leftover() {
+        let first = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfirst";
+        let second = b"HTTP/1.1 404 Not Found\r\nContent-Length: 2\r\n\r\nno";
+        let wire = [&first[..], &second[..]].concat();
+        let mut stream = io::Cursor::new(wire);
+        let mut leftover = Vec::new();
+        let reply = read_reply(&mut stream, &mut leftover).expect("first reply");
+        assert_eq!((reply.status, reply.close), (200, false));
+        assert_eq!(reply.bytes, first);
+        assert_eq!(leftover, second, "the second reply waits in leftover");
+        let reply = read_reply(&mut stream, &mut leftover).expect("second reply");
+        assert_eq!(reply.status, 404);
+        assert_eq!(reply.bytes, second);
+        assert!(leftover.is_empty());
+    }
+
+    #[test]
+    fn read_reply_frames_a_chunked_reply_through_its_terminal_chunk() {
+        let reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n2\r\nde\r\n0\r\n\r\n";
+        let wire = [&reply[..], b"HTTP/1.1 200 OK\r\n"].concat();
+        let mut leftover = Vec::new();
+        let framed = read_reply(&mut io::Cursor::new(&wire), &mut leftover).expect("reply");
+        assert_eq!(framed.bytes, reply);
+        assert_eq!(leftover, b"HTTP/1.1 200 OK\r\n");
+        // The same reply arriving a byte at a time frames identically.
+        let mut leftover = Vec::new();
+        let trickled = read_reply(&mut Trickle(reply), &mut leftover).expect("reply");
+        assert_eq!(trickled.bytes, reply);
+        assert!(leftover.is_empty());
+    }
+
+    #[test]
+    fn read_reply_reports_connection_close() {
+        for (head, close) in [
+            ("Connection: close", true),
+            ("connection: Close", true),
+            ("Connection: keep-alive", false),
+            ("X-Other: close", false),
+        ] {
+            let wire =
+                format!("HTTP/1.1 503 Service Unavailable\r\n{head}\r\nContent-Length: 0\r\n\r\n");
+            let reply = read_reply(&mut wire.as_bytes(), &mut Vec::new()).expect("reply");
+            assert_eq!((reply.status, reply.close), (503, close), "{head}");
+        }
+    }
+
+    #[test]
+    fn read_reply_cut_mid_body_is_unexpected_eof() {
+        for cut in [
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort"[..],
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhel",
+            b"HTTP/1.1 200 OK\r\nContent-",
+        ] {
+            let err = read_reply(&mut Trickle(cut), &mut Vec::new()).expect_err("cut reply");
+            assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{cut:?}");
+        }
+    }
+
+    #[test]
+    fn read_reply_rejects_a_non_http_head() {
+        for junk in [
+            &b"NOT HTTP AT ALL\r\n\r\nbody"[..],
+            b"HTTP/2 200\r\n\r\n",
+            b"HTTP/1.1 2xx OK\r\n\r\n",
+        ] {
+            let err = read_reply(&mut &junk[..], &mut Vec::new()).expect_err("junk head");
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{junk:?}");
         }
     }
 }

@@ -27,6 +27,12 @@
 //! response bodies and impedance profiles to disk
 //! ([`darkgates::pdn::diskcache`]) so restarted shards warm instantly.
 //!
+//! The client side has one connection type too, [`client::Conn`]: the
+//! router's upstream pool and health probe, the `dg-load` burst and the
+//! one-shot [`client::http_request`] all send on it, and every reply they
+//! read is framed by [`http::read_reply`]. It retries once, on a fresh
+//! socket, only when a reused keep-alive socket failed.
+//!
 //! Four mechanisms keep the daemon well-behaved under load (DESIGN.md
 //! §9, §12): **admission control** (a bounded dispatch queue; overflow is
 //! answered `503` with a queue-depth-derived `Retry-After` instead of

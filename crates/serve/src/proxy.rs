@@ -1,7 +1,8 @@
 //! `dg-router`: a consistent-hash reverse proxy over N `dg-serve` shards.
 //!
 //! The router owns the client-facing listener and forwards every request
-//! to one of its shards over pooled keep-alive upstream connections. The
+//! to one of its shards over pooled keep-alive upstream connections
+//! ([`crate::client::Conn`], the crate's one client connection). The
 //! shard is chosen by consistent-hashing the request's *content key*
 //! ([`crate::routes::content_key_of`]) on a [`HashRing`], which gives the
 //! deployment its scaling property: identical requests always land on the
@@ -10,9 +11,9 @@
 //!
 //! Failure handling is two-layered (DESIGN.md §12):
 //!
-//! * **request path** — an upstream transport fault retries once on a
-//!   fresh connection (the pooled socket may simply have been closed by
-//!   the shard's per-connection cap); a fresh-connection fault ejects the
+//! * **request path** — an upstream transport fault on a pooled socket
+//!   retries once on a fresh connection (the shard may simply have closed
+//!   it at its per-connection cap); a fresh-connection fault ejects the
 //!   shard immediately and the request is re-routed to the next live
 //!   shard clockwise, so a SIGKILLed shard costs in-flight requests at
 //!   most one retry, never a 5xx.
@@ -42,18 +43,18 @@
 //! (sound because simulation responses are pure functions of their
 //! content key).
 
-use crate::client::http_request;
+use crate::client::{http_request, Conn};
 use crate::event_loop::{Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox};
-use crate::http::{read_reply, write_response, ParserLimits, RawReply, Request};
+use crate::http::{write_response, ParserLimits, RawReply, Request};
 use crate::json::{obj, Json};
 use crate::respcache::{Fifo, DEFAULT_MAX_BYTES};
 use crate::ring::{HashRing, DEFAULT_REPLICAS};
 use crate::routes::{content_key_of, reason_of};
 use darkgates::pdn::cache::ContentKey;
 use dg_engine::sync::TrackedMutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -240,7 +241,7 @@ impl Dispatcher for Proxy {
     /// costs one JSON parse ever, not one per request.
     type LoopState = HashMap<u64, u64>;
     /// Each forward worker's pooled keep-alive connection per shard.
-    type WorkerState = HashMap<usize, Upstream>;
+    type WorkerState = HashMap<usize, Conn>;
 
     fn admit(
         &self,
@@ -278,7 +279,7 @@ impl Dispatcher for Proxy {
 
     fn serve(
         &self,
-        pools: &mut HashMap<usize, Upstream>,
+        pools: &mut HashMap<usize, Conn>,
         job: ProxyJob,
         close: bool,
         out: &Outbox<'_>,
@@ -331,32 +332,6 @@ impl Dispatcher for Proxy {
             Event::Accepted | Event::Panic => return,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A pooled keep-alive connection to one shard.
-struct Upstream {
-    stream: TcpStream,
-    leftover: Vec<u8>,
-}
-
-impl Upstream {
-    fn connect(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        stream.set_nodelay(true)?;
-        Ok(Upstream {
-            stream,
-            leftover: Vec::new(),
-        })
-    }
-
-    /// One request/response exchange on this connection, returning the
-    /// reply's exact bytes for verbatim relay.
-    fn exchange(&mut self, raw: &[u8]) -> std::io::Result<RawReply> {
-        self.stream.write_all(raw)?;
-        read_reply(&mut self.stream, &mut self.leftover)
     }
 }
 
@@ -521,7 +496,7 @@ fn forward(
     proxy: &Proxy,
     request: &Request,
     key: u64,
-    pools: &mut HashMap<usize, Upstream>,
+    pools: &mut HashMap<usize, Conn>,
 ) -> Option<RawReply> {
     let n = proxy.config.shards.len();
     let mut tried = vec![false; n];
@@ -590,41 +565,26 @@ fn routing_key(request: &Request, aliases: &mut HashMap<u64, u64>) -> u64 {
     key
 }
 
-/// One upstream exchange, transparently replacing a stale pooled
-/// connection with a fresh one before declaring the shard failed.
+/// One upstream exchange on this worker's pooled connection to `shard`.
+/// The [`Conn`] replaces a stale pooled socket with a fresh one before
+/// it reports a fault, so an error here means a fresh socket failed.
 fn exchange_with_shard(
     proxy: &Proxy,
     shard: usize,
     raw: &[u8],
-    pools: &mut HashMap<usize, Upstream>,
+    pools: &mut HashMap<usize, Conn>,
 ) -> std::io::Result<RawReply> {
-    let addr = proxy.config.shards.get(shard).copied().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "shard index out of range")
-    })?;
-    let timeout = Duration::from_millis(proxy.config.upstream_timeout_ms.max(1));
-    if let Some(pooled) = pools.get_mut(&shard) {
-        match pooled.exchange(raw) {
-            Ok(reply) => {
-                if reply.close {
-                    pools.remove(&shard);
-                }
-                return Ok(reply);
-            }
-            Err(_) => {
-                // Stale pool entry (idle-timeout close, per-conn cap, or a
-                // real failure) — retry below on a fresh connection.
-                pools.remove(&shard);
-            }
+    let conn = match pools.entry(shard) {
+        Entry::Occupied(pooled) => pooled.into_mut(),
+        Entry::Vacant(slot) => {
+            let addr = proxy.config.shards.get(shard).copied().ok_or_else(|| {
+                std::io::Error::new(std::io::ErrorKind::InvalidInput, "shard index out of range")
+            })?;
+            let timeout = Duration::from_millis(proxy.config.upstream_timeout_ms.max(1));
+            slot.insert(Conn::new(addr, timeout))
         }
-    }
-    let mut fresh = Upstream::connect(addr, timeout)?;
-    let reply = fresh.exchange(raw)?;
-    if reply.close {
-        pools.remove(&shard);
-    } else {
-        pools.insert(shard, fresh);
-    }
-    Ok(reply)
+    };
+    conn.exchange(raw)
 }
 
 /// Probes every shard until `stop` is set (the router's drain flag).
@@ -657,24 +617,12 @@ fn health_loop(proxy: &Proxy, stop: &AtomicBool) {
     }
 }
 
-/// One `GET /healthz` probe with tight timeouts; any transport fault or
-/// non-200 counts as unhealthy.
+/// One `GET /healthz` probe on a fresh connection with a 500 ms timeout;
+/// any transport fault or non-200 counts as unhealthy.
 fn probe_health(addr: SocketAddr) -> bool {
-    let timeout = Duration::from_millis(500);
-    let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    let mut stream = stream;
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-    {
-        return false;
-    }
     let probe = b"GET /healthz HTTP/1.1\r\nHost: dg-router\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
-    if stream.write_all(probe).is_err() {
-        return false;
-    }
-    matches!(read_reply(&mut stream, &mut Vec::new()), Ok(reply) if reply.status == 200)
+    let reply = Conn::new(addr, Duration::from_millis(500)).exchange(probe);
+    matches!(reply, Ok(reply) if reply.status == 200)
 }
 
 /// The router's counters plus every live shard's `/metrics`, with each

@@ -6,7 +6,7 @@
 //! step: same assertions, but against `Server::start` in-process, so a
 //! regression is caught by `cargo test` without building binaries.
 
-use dg_serve::client::{http_request, run_mix, run_mix_with, MixKind, RunOptions};
+use dg_serve::client::{http_request, run_mix};
 use dg_serve::http::ParserLimits;
 use dg_serve::json::{self, Json};
 use dg_serve::{Server, ServerConfig};
@@ -163,8 +163,8 @@ fn forced_overload_sheds_with_503_and_retry_after_only() {
 #[test]
 fn shed_requests_recover_under_a_followup_burst() {
     // Regression for the shedding path: a burst that forces 503s must not
-    // poison the server — an immediately following burst of valid traffic
-    // has to come back entirely 2xx.
+    // poison the server — an immediately following burst has to come back
+    // without a shed, every probe answered with its expected status.
     let handle = start(ServerConfig {
         workers: 1,
         queue_depth: 1,
@@ -191,23 +191,18 @@ fn shed_requests_recover_under_a_followup_burst() {
     }
     assert!(shed >= 1, "the setup burst must actually shed");
 
-    // Recovery: the same server, serial valid-only keep-alive traffic.
-    // (One request in flight never fills even a depth-1 queue, so any
-    // shed here means the burst left the admission path wedged.)
-    let report = run_mix_with(
-        addr,
-        &RunOptions {
-            n: 100,
-            seed: 7,
-            concurrency: 1,
-            kind: MixKind::Valid,
-            keep_alive: true,
-        },
-    );
+    // Recovery: the same server, serial keep-alive traffic of the full
+    // mix. (One request in flight never fills even a depth-1 queue, so
+    // any shed here means the burst left the admission path wedged.)
+    let report = run_mix(addr, 100, 7, 1);
     assert_eq!(report.requests, 100);
     assert_eq!(
-        report.ok_2xx, 100,
-        "post-shed valid traffic must be all-2xx: {report:?}"
+        report.shed_503, 0,
+        "post-shed traffic must not shed: {report:?}"
+    );
+    assert_eq!(
+        report.expectation_failures, 0,
+        "post-shed traffic must get its expected statuses: {report:?}"
     );
     assert_eq!(report.transport_errors, 0, "{report:?}");
     assert!(handle.shutdown().clean);
@@ -220,21 +215,13 @@ fn keep_alive_valid_mix_is_error_free_end_to_end() {
         queue_depth: 64,
         ..small()
     });
-    let report = run_mix_with(
-        handle.local_addr(),
-        &RunOptions {
-            n: 200,
-            seed: 42,
-            concurrency: 8,
-            kind: MixKind::Valid,
-            keep_alive: true,
-        },
-    );
+    let report = run_mix(handle.local_addr(), 200, 42, 8);
     assert_eq!(report.requests, 200);
-    assert_eq!(report.ok_2xx, 200, "{report:?}");
-    assert_eq!(report.err_4xx, 0, "{report:?}");
+    assert_eq!(report.shed_503, 0, "{report:?}");
+    assert_eq!(report.expectation_failures, 0, "{report:?}");
     assert_eq!(report.transport_errors, 0, "{report:?}");
-    assert!(report.p50_us() > 0 && report.p99_us() >= report.p50_us());
+    assert_eq!(report.other_5xx, 0, "{report:?}");
+    assert!(report.ok_2xx > 100 && report.err_4xx > 0, "{report:?}");
     let drained = handle.shutdown();
     assert!(drained.clean);
 }
