@@ -9,8 +9,8 @@
 //! so serve-side call sites are unchanged. Objects are kept as
 //! insertion-ordered `Vec<(String, Value)>` rather than a `HashMap`, so
 //! rendering is byte-deterministic — two identical requests produce
-//! identical response bodies, which is what makes response-level request
-//! coalescing sound.
+//! identical response bodies, which is what makes response caching
+//! sound.
 
 use std::fmt;
 

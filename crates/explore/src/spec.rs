@@ -9,8 +9,8 @@
 //!
 //! [`ExploreSpec::normalized_json`] renders the spec back out in
 //! canonical key order with every default filled in and every scaling
-//! row resolved; the serve tier keys its coalescer and response cache on
-//! that rendering, so formatting, key order, and omitted defaults never
+//! row resolved; the serve tier keys its response cache on that
+//! rendering, so formatting, key order, and omitted defaults never
 //! split the cache.
 
 use crate::error::ExploreError;
@@ -262,7 +262,7 @@ impl ExploreSpec {
     /// Canonical rendering: every default filled in, every scaling row
     /// resolved, keys in a fixed order. Equal specs (up to formatting and
     /// defaults) render byte-identically, which is what the serve tier
-    /// keys its coalescer and caches on.
+    /// keys its caches on.
     pub fn normalized_json(&self) -> Json {
         let scaling_rows: Vec<Json> = self
             .tech_nodes

@@ -10,11 +10,11 @@
 //! identical element values share one cache entry no matter how they were
 //! built; perturbing any value produces a new key and a fresh computation.
 //!
-//! Only work that costs more than a lookup is cached. Impedance profiles
-//! take milliseconds and also persist through [`crate::diskcache`];
-//! ladder coefficients stay in memory only. A lane's DC operating point
-//! (2n multiply-subtracts) is not cached at all: the kernel computes it in
-//! place.
+//! Only work that costs more than a lookup is cached, and only in memory:
+//! a default impedance profile computes in about 0.1 ms and a ladder's
+//! coefficients in less, too little to be worth a file, so neither has a
+//! disk tier. A lane's DC operating point (2n multiply-subtracts) is not
+//! cached at all: the kernel computes it in place.
 //!
 //! All entries are wrapped in [`Arc`], so a cache hit is a pointer bump and
 //! results can be shared freely across the worker threads of
@@ -130,18 +130,10 @@ pub fn impedance_profile(analyzer: &ImpedanceAnalyzer, ladder: &Ladder) -> Arc<I
     if let Some(hit) = profile_map().lock().get(&key) {
         return Arc::clone(hit);
     }
-    // Disk tier before compute: a warmed `--cache-dir` turns a
-    // milliseconds-long sweep into one read. Exact bit patterns round-trip
-    // through the codec, so a disk hit equals the original computation.
-    if let Some(warm) = crate::diskcache::load_profile(key) {
-        let mut map = profile_map().lock();
-        return Arc::clone(map.entry(key).or_insert_with(|| Arc::new(warm)));
-    }
-    // Compute outside the lock: profiles take milliseconds and other
-    // threads may want unrelated entries meanwhile. A racing miss on the
-    // same key computes twice and the entries are identical.
+    // Compute outside the lock: other threads may want unrelated entries
+    // meanwhile. A racing miss on the same key computes twice and the
+    // entries are identical.
     let fresh = Arc::new(analyzer.profile(ladder));
-    crate::diskcache::store_profile(key, &fresh);
     let mut map = profile_map().lock();
     Arc::clone(map.entry(key).or_insert(fresh))
 }

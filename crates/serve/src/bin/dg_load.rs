@@ -397,12 +397,12 @@ fn smoke(addr: SocketAddr, opts: &Options, spawned: Option<SpawnedServer>) -> i3
     let metrics_ok = metrics
         .as_ref()
         .is_ok_and(|r| r.status == 200 && r.body.contains("dg_requests_total"));
-    let coalesce_visible = metrics.as_ref().is_ok_and(|r| {
-        r.body.contains("dg_shed_total") && r.body.contains("dg_coalesce_leaders_total")
+    let counters_visible = metrics.as_ref().is_ok_and(|r| {
+        r.body.contains("dg_shed_total") && r.body.contains("dg_resp_cache_hits_total")
     });
     gate.check(
         "/metrics is populated",
-        metrics_ok && coalesce_visible,
+        metrics_ok && counters_visible,
         &format!(
             "{} bytes",
             metrics.as_ref().map(|r| r.body.len()).unwrap_or(0)

@@ -271,7 +271,7 @@ fn product_energy_probe() -> MixItem {
 
 fn valid_batch_probe(rng: &mut Lcg) -> MixItem {
     // A small valid batch (2–4 lanes from a fixed menu): few distinct
-    // shapes → the coalescer and the batch kernel both see repetition.
+    // shapes → the response cache and the batch kernel both see repetition.
     let lanes = 2 + rng.below(3);
     let steps: Vec<String> = (0..lanes)
         .map(|k| format!("{{\"from_a\":10,\"to_a\":{}}}", 40 + 10 * k))
@@ -354,10 +354,10 @@ fn oversized_batch_probe() -> MixItem {
 fn droop_sweep_probe(rng: &mut Lcg) -> MixItem {
     // A small delta grid (2 or 3 lanes from two fixed shapes): streams
     // chunked NDJSON waves like explore, with enough repetition that the
-    // coalescer and response cache both see the route. Kept tiny on
-    // purpose — each lane is a full transient capture, and the smoke
-    // server is deliberately starved (2 workers, queue of 4), so a fat
-    // grid would turn the whole burst into a shed storm.
+    // response cache sees the route. Kept tiny on purpose — each lane is
+    // a full transient capture, and the smoke server is deliberately
+    // starved (2 workers, queue of 4), so a fat grid would turn the whole
+    // burst into a shed storm.
     let points = 2 + rng.below(2);
     MixItem::Framed(
         "POST",
@@ -384,10 +384,10 @@ fn oversized_sweep_probe() -> MixItem {
 /// The deterministic next request of the seeded mix.
 ///
 /// The mix leans on repetition on purpose: repeated identical droops and
-/// sweeps exercise the substrate caches, the response cache, and the
-/// coalescer; the malformed and oversized entries exercise the parser's
-/// rejection paths; the batch probes (valid, empty, oversized) exercise
-/// the lockstep transient kernel and its admission limits.
+/// sweeps exercise the substrate caches and the response cache; the
+/// malformed and oversized entries exercise the parser's rejection paths;
+/// the batch probes (valid, empty, oversized) exercise the lockstep
+/// transient kernel and its admission limits.
 fn mix_item_of(rng: &mut Lcg) -> MixItem {
     match rng.below(24) {
         0 | 1 => MixItem::Framed("GET", "/healthz", String::new(), 200),

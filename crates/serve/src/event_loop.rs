@@ -48,9 +48,10 @@
 //!    closes, workers exit, and `EngineHandle::shutdown` reports whether
 //!    every thread exited cleanly.
 //!
-//! Both dispatcher calls run under `catch_unwind`: a panicking handler
-//! costs its request a `500` (or, once a stream has started, a cut stream
-//! and a close), never the loop or a worker.
+//! Both dispatcher calls run under `catch_unwind`, the serve tier's one
+//! panic boundary: a panicking handler costs its request a `500` (or, once
+//! a stream has started, a cut stream and a close), never the loop or a
+//! worker.
 
 use crate::http::{write_response, HttpError, ParserLimits, Request, RequestParser};
 use crate::metrics::monotonic_us;
@@ -1070,6 +1071,138 @@ impl<'a, D: Dispatcher> EventLoop<'a, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{read_reply, write_chunk, write_stream_head, RawReply};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    /// The one progress line the panicking stream sends before it dies.
+    const PROGRESS: &[u8] = b"{\"completed\":1}\n";
+
+    /// A dispatcher that panics on request: `/admit-panic` in `admit`,
+    /// `/panic` in `serve` before any push, `/stream-panic` in `serve`
+    /// after a stream head and one chunk. Anything else is queued and
+    /// answered `200 ok`.
+    #[derive(Default)]
+    struct Panicky {
+        panics: AtomicUsize,
+    }
+
+    impl Dispatcher for Panicky {
+        type Job = String;
+        type LoopState = ();
+        type WorkerState = ();
+
+        fn admit(&self, _: &mut (), request: Request, _close: bool) -> Admit<String> {
+            assert_ne!(request.target, "/admit-panic", "admit panics on purpose");
+            Admit::Queue(request.target)
+        }
+
+        fn serve(&self, _: &mut (), target: String, close: bool, out: &Outbox<'_>) {
+            match target.as_str() {
+                "/panic" => panic!("serve panics on purpose"),
+                "/stream-panic" => {
+                    let head = write_stream_head(200, "OK", "application/x-ndjson", close);
+                    out.push(head, false, close);
+                    out.push(write_chunk(PROGRESS), false, close);
+                    panic!("serve panics mid-stream on purpose");
+                }
+                _ => {
+                    let bytes = write_response(200, "OK", "text/plain", &[], b"ok", close);
+                    out.push(bytes, true, close);
+                }
+            }
+        }
+
+        fn note(&self, event: Event) {
+            if matches!(event, Event::Panic) {
+                self.panics.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    fn start_panicky() -> EngineHandle<Panicky> {
+        let config = EngineConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            name: "panicky",
+            workers: 1,
+            queue_depth: 4,
+            limits: ParserLimits::default(),
+            read_timeout_ms: 2_000,
+            retry_after_secs: 1,
+            max_requests_per_conn: 100,
+            max_connections: 64,
+        };
+        Engine::start(config, Panicky::default(), Arc::new(AtomicBool::new(false))).expect("bind")
+    }
+
+    fn send(addr: SocketAddr, target: &str) -> TcpStream {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        s.write_all(format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+            .expect("write");
+        s
+    }
+
+    /// One keep-alive request on a fresh connection and its one reply.
+    fn exchange(addr: SocketAddr, target: &str) -> RawReply {
+        let mut leftover = Vec::new();
+        let reply = read_reply(&mut send(addr, target), &mut leftover).expect("one reply");
+        assert!(leftover.is_empty(), "nothing follows the reply");
+        reply
+    }
+
+    fn panics(handle: &EngineHandle<Panicky>) -> usize {
+        handle.engine().dispatcher.panics.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn a_serve_panic_before_any_byte_is_one_framed_500() {
+        let handle = start_panicky();
+        let addr = handle.local_addr();
+        let reply = exchange(addr, "/panic");
+        assert_eq!(reply.status, 500);
+        assert!(
+            reply
+                .bytes
+                .ends_with(br#"{"ok":false,"error":"internal handler panic"}"#),
+            "{}",
+            String::from_utf8_lossy(&reply.bytes)
+        );
+        assert_eq!(panics(&handle), 1);
+        assert_eq!(exchange(addr, "/ok").status, 200, "the worker survives");
+        assert_eq!(panics(&handle), 1);
+        assert!(handle.shutdown().clean);
+    }
+
+    #[test]
+    fn a_serve_panic_after_a_stream_head_cuts_the_stream_and_closes() {
+        let handle = start_panicky();
+        let mut s = send(handle.local_addr(), "/stream-panic");
+        let mut bytes = Vec::new();
+        s.read_to_end(&mut bytes)
+            .expect("the engine closes the connection");
+        let mut sent = write_stream_head(200, "OK", "application/x-ndjson", false);
+        sent.extend_from_slice(&write_chunk(PROGRESS));
+        assert_eq!(
+            bytes,
+            sent,
+            "exactly the head and the chunk, with no terminal chunk: {}",
+            String::from_utf8_lossy(&bytes)
+        );
+        assert_eq!(panics(&handle), 1);
+        assert!(handle.shutdown().clean);
+    }
+
+    #[test]
+    fn an_admit_panic_is_a_500_and_the_loop_keeps_accepting() {
+        let handle = start_panicky();
+        let addr = handle.local_addr();
+        assert_eq!(exchange(addr, "/admit-panic").status, 500);
+        assert_eq!(panics(&handle), 1);
+        assert_eq!(exchange(addr, "/ok").status, 200, "the loop survives");
+        assert!(handle.shutdown().clean);
+    }
 
     #[test]
     fn poller_surfaces_listener_readiness_with_the_registered_token() {

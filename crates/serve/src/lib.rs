@@ -12,7 +12,7 @@
 //! | `POST /v1/explore` | a design-space sweep ([`dg_explore`]) streamed as chunked NDJSON: progress lines per batch, then the result document |
 //! | `POST /v1/droop_sweep` | a population droop sweep: a delta *grid* expanded server-side into up to 8192 lanes, streamed as chunked NDJSON waves |
 //! | `GET /v1/claims` | the 12 paper-claim graders ([`darkgates::claims`]) |
-//! | `GET /metrics` | Prometheus text: latency histograms, shed/coalesce/panic counters |
+//! | `GET /metrics` | Prometheus text: latency histograms, shed/cache/panic counters |
 //! | `GET /healthz` | liveness + drain state |
 //! | `POST /admin/drain` | start a graceful drain |
 //!
@@ -22,10 +22,10 @@
 //! pool, and completions wake the loop through a self-pipe. A shard
 //! ([`server`]) and the `dg-router` binary ([`proxy`]) are two small
 //! dispatchers on that engine. The router consistent-hashes requests
-//! across N shards on the same content keys the caches use, so
-//! coalescing and caches stay shard-local; `--cache-dir` persists
-//! response bodies and impedance profiles to disk
-//! ([`darkgates::pdn::diskcache`]) so restarted shards warm instantly.
+//! across N shards on the same content keys the caches use, so each
+//! shard's caches see every repeat of a key; `--cache-dir` persists
+//! response bodies to disk ([`darkgates::pdn::diskcache`]) so restarted
+//! shards warm instantly.
 //!
 //! The client side has one connection type too, [`client::Conn`]: the
 //! router's upstream pool and health probe, the `dg-load` burst and the
@@ -33,28 +33,29 @@
 //! read is framed by [`http::read_reply`]. It retries once, on a fresh
 //! socket, only when a reused keep-alive socket failed.
 //!
-//! Four mechanisms keep the daemon well-behaved under load (DESIGN.md
+//! Three mechanisms keep the daemon well-behaved under load (DESIGN.md
 //! §9, §12): **admission control** (a bounded dispatch queue; overflow is
 //! answered `503` with a queue-depth-derived `Retry-After` instead of
-//! queuing unboundedly), **request coalescing** (concurrent identical
-//! requests — identical by the same content hashes the substrate caches
-//! use — compute once), **response caching** (deterministic 200s are
+//! queuing unboundedly), **response caching** (deterministic 200s —
+//! identical by the same content hashes the substrate caches use — are
 //! reused outright, in memory and on disk), and **graceful drain** (stop
 //! admitting, finish what was admitted, then exit; SIGTERM does this in
-//! the binary).
+//! the binary). Control routes (`/healthz`, `/metrics`, `/admin/drain`)
+//! are answered on the event loop, so overload never sheds them.
 //!
 //! `/v1/explore` and `/v1/droop_sweep` are the streaming routes
 //! (DESIGN.md §14): the worker emits a chunked-transfer NDJSON stream — a
 //! progress line after every evaluated batch or lane wave, then a result
-//! line — through multi-completion dispatch to the event loop. Replays
-//! (response-cache hits, coalesced followers) stream only the result
-//! line, byte-identical to the leader's.
+//! line — through multi-completion dispatch to the event loop.
+//! Response-cache replays stream only the result line, byte-identical to
+//! the computed one.
 //!
-//! The crate is on the `dg-analyze` no-panic list: handler bugs become
-//! `500`s and a `dg_panics_total` increment, never a dead worker.
+//! The crate is on the `dg-analyze` no-panic list. The connection engine
+//! is the one panic boundary: a handler bug becomes a `500` (or, once a
+//! stream's head is out, a cut stream and a close) and a
+//! `dg_panics_total` increment, never a dead worker.
 
 pub mod client;
-pub mod coalesce;
 pub mod event_loop;
 pub mod http;
 pub mod json;

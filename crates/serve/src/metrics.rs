@@ -221,12 +221,8 @@ pub struct Metrics {
     pub connections_total: AtomicU64,
     /// Connections rejected at admission (503 + Retry-After).
     pub shed_total: AtomicU64,
-    /// Requests whose response was taken from another in-flight identical
-    /// request instead of being recomputed.
-    pub coalesced_total: AtomicU64,
-    /// Requests that computed a response other coalesced requests reused.
-    pub coalesce_leaders_total: AtomicU64,
-    /// Handler panics converted to 500s.
+    /// Handler panics the connection engine contained: a 500, or a cut
+    /// stream once its head is out.
     pub panics_total: AtomicU64,
     /// Requests rejected by the HTTP parser (malformed framing).
     pub bad_requests_total: AtomicU64,
@@ -321,16 +317,6 @@ impl Metrics {
                 "dg_shed_total",
                 "Connections shed at admission with 503.",
                 self.shed_total.load(Ordering::Relaxed),
-            ),
-            (
-                "dg_coalesced_total",
-                "Requests served from an identical in-flight computation.",
-                self.coalesced_total.load(Ordering::Relaxed),
-            ),
-            (
-                "dg_coalesce_leaders_total",
-                "Requests that led a coalesced computation.",
-                self.coalesce_leaders_total.load(Ordering::Relaxed),
             ),
             (
                 "dg_panics_total",

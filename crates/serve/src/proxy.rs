@@ -6,8 +6,8 @@
 //! shard is chosen by consistent-hashing the request's *content key*
 //! ([`crate::routes::content_key_of`]) on a [`HashRing`], which gives the
 //! deployment its scaling property: identical requests always land on the
-//! same shard, so each shard's coalescer, response cache, and substrate
-//! caches see every repeat of a key instead of `1/N` of them.
+//! same shard, so each shard's response cache and substrate caches see
+//! every repeat of a key instead of `1/N` of them.
 //!
 //! Failure handling is two-layered (DESIGN.md §12):
 //!
@@ -47,9 +47,10 @@ use crate::client::{http_request, Conn};
 use crate::event_loop::{Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox};
 use crate::http::{write_response, ParserLimits, RawReply, Request};
 use crate::json::{obj, Json};
+use crate::metrics::Route;
 use crate::respcache::{Fifo, DEFAULT_MAX_BYTES};
 use crate::ring::{HashRing, DEFAULT_REPLICAS};
-use crate::routes::{content_key_of, reason_of};
+use crate::routes::{content_key_of, kind_of, reason_of, Kind};
 use darkgates::pdn::cache::ContentKey;
 use dg_engine::sync::TrackedMutex;
 use std::collections::hash_map::Entry;
@@ -147,24 +148,6 @@ pub struct RouterMetrics {
     shard_requests: Vec<AtomicU64>,
 }
 
-/// Whether a request targets one of the deterministic simulation routes
-/// whose `200` replies are safe to cache (mirrors the shard's own
-/// response-cache admission in `routes.rs`). The streaming routes
-/// (`/v1/explore`, `/v1/droop_sweep`) are deliberately excluded: their
-/// leader replies interleave progress lines, so the router relays them
-/// verbatim instead of replaying one leader's progress to every client —
-/// the shard's own response cache already makes repeats cheap.
-fn cacheable_route(method: &str, path: &str) -> bool {
-    matches!(
-        (method, path),
-        ("GET", "/v1/claims")
-            | ("POST", "/v1/droop")
-            | ("POST", "/v1/droop_batch")
-            | ("POST", "/v1/sweep")
-            | ("POST", "/v1/product")
-    )
-}
-
 /// What a forward worker is asked to do.
 enum ProxyJob {
     /// Forward to the key's shard (the cache-miss path).
@@ -188,8 +171,10 @@ struct Proxy {
     counters: RouterMetrics,
     /// Verbatim shard replies by content key; `None` when
     /// [`RouterConfig::reply_cache_entries`] is 0. Only clean 200 replies
-    /// to the [`cacheable_route`]s are admitted, so an entry is exactly
-    /// the bytes the owning shard would send again.
+    /// to [`Kind::Cacheable`] routes are admitted, so an entry is exactly
+    /// the bytes the owning shard would send again. Streams are relayed,
+    /// never cached: a computed stream carries progress lines that a
+    /// replay would repeat to every client.
     replies: Option<TrackedMutex<Fifo<Arc<Vec<u8>>>>>,
 }
 
@@ -250,16 +235,16 @@ impl Dispatcher for Proxy {
         close: bool,
     ) -> Admit<ProxyJob> {
         self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
-        let path = request.target.split('?').next().unwrap_or(&request.target);
-        let get = request.method == "GET";
-        if get && path == "/healthz" {
-            let bytes = healthz_bytes(self, close);
-            return Admit::Reply { bytes, close };
+        let kind = kind_of(&request.method, &request.target);
+        match kind {
+            Kind::Control(Route::Healthz) => {
+                let bytes = healthz_bytes(self, close);
+                return Admit::Reply { bytes, close };
+            }
+            Kind::Control(Route::Metrics) => return Admit::Queue(ProxyJob::Metrics),
+            _ => {}
         }
-        if get && path == "/metrics" {
-            return Admit::Queue(ProxyJob::Metrics);
-        }
-        let cacheable = cacheable_route(&request.method, path);
+        let cacheable = matches!(kind, Kind::Cacheable(_));
         let key = routing_key(&request, aliases);
         if cacheable {
             if let Some(bytes) = self.cached_reply(key) {
@@ -543,7 +528,7 @@ fn forward(
 /// a miss pays the canonical [`content_key_of`] derivation (JSON parse)
 /// once and records the alias. Identical raw bytes always parse to the
 /// same canonical key, so the alias can never disagree with the shard's
-/// own coalescing key.
+/// own response-cache key.
 fn routing_key(request: &Request, aliases: &mut HashMap<u64, u64>) -> u64 {
     let raw_hash = ContentKey::new()
         .word(request.method.len() as u64)

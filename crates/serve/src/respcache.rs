@@ -1,14 +1,13 @@
 //! Response cache for deterministic 200s, in memory and on disk, and the
 //! bounded FIFO map behind both reply caches.
 //!
-//! Every simulation route is a pure function of its content key (that is
-//! what makes the coalescer sound, and what the chaos oracle's
-//! byte-identical differential check proves on every CI run), so a
-//! *successful* response body can be reused outright instead of
-//! recomputed. This sits in front of the coalescer: the coalescer
-//! deduplicates identical requests that overlap in time, the response
-//! cache deduplicates identical requests across time — and, through the
-//! disk tier ([`darkgates::pdn::diskcache`]), across process restarts.
+//! Every simulation route is a pure function of its content key (what the
+//! chaos oracle's byte-identical differential check proves on every CI
+//! run), so a *successful* response body can be reused outright instead
+//! of recomputed: across time in one process and, through the disk tier
+//! ([`darkgates::pdn::diskcache`]), across process restarts. Identical
+//! requests that overlap in time each compute, at most one per worker;
+//! their bodies are identical and the first to finish fills the cache.
 //!
 //! Only `200 OK` bodies are cached: errors are cheap to re-render and a
 //! cached error could mask a fixed input. The memory tier is a `Fifo`
@@ -21,9 +20,6 @@ use darkgates::pdn::diskcache;
 use dg_engine::sync::TrackedMutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-/// Disk-store kind subdirectory for cached response bodies.
-const KIND: &str = "resp";
 
 /// Default bound on cached entries.
 pub const DEFAULT_MAX_ENTRIES: usize = 1_024;
@@ -135,7 +131,7 @@ impl ResponseCache {
         if let Some(hit) = self.get_memory(key) {
             return Some(hit);
         }
-        let raw = diskcache::load_blob(KIND, diskcache::TAG_RESPONSE, key)?;
+        let raw = diskcache::load_blob(key)?;
         let body = Arc::new(String::from_utf8(raw).ok()?);
         self.state.lock().insert(key, Arc::clone(&body), body.len());
         Some(body)
@@ -154,7 +150,7 @@ impl ResponseCache {
         if !self.state.lock().insert(key, Arc::clone(body), body.len()) {
             return; // already cached: disk entry exists (or is in flight)
         }
-        diskcache::store_blob(KIND, diskcache::TAG_RESPONSE, key, body.as_bytes());
+        diskcache::store_blob(key, body.as_bytes());
     }
 
     /// Entries currently in the memory tier (observability).

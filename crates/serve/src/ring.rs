@@ -8,8 +8,8 @@
 //! checker has ejected. Two properties matter here:
 //!
 //! * **Affinity** — identical requests land on the same shard, so the
-//!   per-shard coalescer, response cache, and substrate caches see every
-//!   repeat of a key instead of `1/N` of them.
+//!   per-shard response cache and substrate caches see every repeat of a
+//!   key instead of `1/N` of them.
 //! * **Minimal disruption** — when a shard dies, only the arcs it owned
 //!   move (to the next shard clockwise); every other key keeps its shard
 //!   and therefore its warm caches.

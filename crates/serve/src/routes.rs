@@ -1,14 +1,15 @@
 //! Route table and handlers: the HTTP surface over the experiment stack.
 //!
-//! Every simulation route goes through the [`Coalescer`] keyed by the same
-//! content-hash scheme the substrate caches use
+//! [`kind_of`] classifies a request once, on its method and path: a
+//! control route, a cacheable simulation route, a streaming route, or
+//! anything else. Every simulation route runs through the response cache,
+//! keyed by the same content-hash scheme the substrate caches use
 //! ([`darkgates::pdn::cache::ContentKey`]): the key folds in every request
-//! parameter that affects the response, so two requests coalesce exactly
-//! when their physics is identical. Handlers call the *library* entry
-//! points (`darkgates::claims`, `dg_pdn::transient`, `dg_soc::run`, the
-//! PR-1 substrate caches) — nothing here shells out to the bench binaries.
+//! parameter that affects the response, so two requests share an entry
+//! exactly when their physics is identical. Handlers call the *library*
+//! entry points (`darkgates::claims`, `dg_pdn::transient`, `dg_soc::run`,
+//! the substrate caches) — nothing here shells out to the bench binaries.
 
-use crate::coalesce::{Coalescer, Role};
 use crate::http::Request;
 use crate::json::{self, obj, Json};
 use crate::metrics::{Metrics, Route};
@@ -62,18 +63,23 @@ pub struct Response {
     pub reason: &'static str,
     /// `Content-Type` value.
     pub content_type: &'static str,
-    /// Response body (shared: coalesced followers clone the `Arc`).
+    /// Response body (shared: a cache hit clones the `Arc`).
     pub body: Arc<String>,
 }
 
 impl Response {
-    fn json(status: u16, body: String) -> Self {
+    /// A JSON response around an already rendered body.
+    fn of_body(status: u16, body: Arc<String>) -> Self {
         Response {
             status,
             reason: reason_of(status),
             content_type: "application/json",
-            body: Arc::new(body),
+            body,
         }
+    }
+
+    fn json(status: u16, body: String) -> Self {
+        Self::of_body(status, Arc::new(body))
     }
 
     fn ok_json(value: &Json) -> Self {
@@ -120,25 +126,12 @@ fn bad_request(message: impl Into<String>) -> RouteError {
 
 type HandlerResult = Result<Json, RouteError>;
 
-/// Leader-side stream events emitted by a [`StreamPlan::Run`] runner: the
-/// coalescing leader's connection sees the head and every progress line;
-/// followers receive only the shared result.
-pub enum StreamEvent<'a> {
-    /// The computation is starting — send the stream head now.
-    Started,
-    /// One newline-terminated NDJSON progress line.
-    Progress(&'a str),
-}
-
-/// A planned single-flight stream computation, boxed so every streaming
-/// route (`/v1/explore`, `/v1/droop_sweep`) presents the worker loop with
-/// the same shape: invoke it with the leader-side event sink and collect
-/// the final result line. The runner books the coalesce counters and
-/// populates the response cache on success; `Err` carries a leader panic
-/// message.
-pub type StreamRunner<'r> = Box<
-    dyn FnOnce(&mut dyn FnMut(StreamEvent<'_>)) -> (Result<(u16, Arc<String>), String>, Role) + 'r,
->;
+/// A planned stream computation, boxed so every streaming route
+/// (`/v1/explore`, `/v1/droop_sweep`) presents the worker with the same
+/// shape: invoke it with a sink for newline-terminated NDJSON progress
+/// lines and collect the status and the final result line (no trailing
+/// newline). The runner caches a `200` result line.
+pub type StreamRunner<'r> = Box<dyn FnOnce(&mut dyn FnMut(&str)) -> (u16, Arc<String>) + 'r>;
 
 /// What the worker should do with a request on a streaming route
 /// (computed by [`Router::plan_stream`] before any bytes go out).
@@ -149,15 +142,52 @@ pub enum StreamPlan<'r> {
     /// The result line is already cached (memory or disk tier): stream
     /// head + result line + terminator without running anything.
     Cached(Arc<String>),
-    /// Run the computation single-flight, streaming progress events.
+    /// Run the computation, streaming its progress lines.
     Run(StreamRunner<'r>),
+}
+
+/// How the serve tier treats a request, decided once on its method and
+/// path; a query string never changes it. A shard and `dg-router` both
+/// dispatch on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `GET /healthz`, `GET /metrics` and `POST /admin/drain` (labelled
+    /// [`Route::Other`]): cheap control routes a shard answers on its
+    /// event loop, so overload never queues or sheds them.
+    Control(Route),
+    /// A simulation route whose `200` body is a pure function of its
+    /// content key, so a shard's memory-tier fast path and the router's
+    /// reply cache may answer a repeat.
+    Cacheable(Route),
+    /// `POST /v1/explore` and `POST /v1/droop_sweep`: chunked NDJSON
+    /// streams, relayed by the router and never held in its reply cache.
+    Stream(Route),
+    /// Anything else: 404s, 405s and the debug routes.
+    Other,
+}
+
+/// Classifies a request by its method and the path part of its target.
+pub fn kind_of(method: &str, target: &str) -> Kind {
+    let path = target.split('?').next().unwrap_or(target);
+    match (method, path) {
+        ("GET", "/healthz") => Kind::Control(Route::Healthz),
+        ("GET", "/metrics") => Kind::Control(Route::Metrics),
+        ("POST", "/admin/drain") => Kind::Control(Route::Other),
+        ("GET", "/v1/claims") => Kind::Cacheable(Route::Claims),
+        ("POST", "/v1/droop") => Kind::Cacheable(Route::Droop),
+        ("POST", "/v1/droop_batch") => Kind::Cacheable(Route::DroopBatch),
+        ("POST", "/v1/sweep") => Kind::Cacheable(Route::Sweep),
+        ("POST", "/v1/product") => Kind::Cacheable(Route::Product),
+        ("POST", "/v1/explore") => Kind::Stream(Route::Explore),
+        ("POST", "/v1/droop_sweep") => Kind::Stream(Route::DroopSweep),
+        _ => Kind::Other,
+    }
 }
 
 /// Dispatches requests to handlers; shared across all worker threads.
 #[derive(Debug)]
 pub struct Router {
     metrics: Arc<Metrics>,
-    coalescer: Coalescer<(u16, Arc<String>)>,
     respcache: ResponseCache,
     draining: Arc<AtomicBool>,
     debug_routes: bool,
@@ -170,16 +200,10 @@ impl Router {
     pub fn new(metrics: Arc<Metrics>, draining: Arc<AtomicBool>, debug_routes: bool) -> Self {
         Router {
             metrics,
-            coalescer: Coalescer::new(),
             respcache: ResponseCache::default(),
             draining,
             debug_routes,
         }
-    }
-
-    /// Number of distinct computations currently in flight (observability).
-    pub fn inflight_coalesced(&self) -> usize {
-        self.coalescer.inflight_len()
     }
 
     /// Answers from the in-memory response-cache tier only — the event
@@ -189,75 +213,74 @@ impl Router {
     /// of the dispatch path. Returns `None` for anything that must go
     /// through [`Router::handle`].
     pub fn cached_response(&self, req: &Request) -> Option<(Route, Response)> {
-        let path = req.target.split('?').next().unwrap_or(&req.target);
-        let route = match (req.method.as_str(), path) {
-            ("GET", "/v1/claims") => Route::Claims,
-            ("POST", "/v1/droop") => Route::Droop,
-            ("POST", "/v1/droop_batch") => Route::DroopBatch,
-            ("POST", "/v1/sweep") => Route::Sweep,
-            ("POST", "/v1/product") => Route::Product,
-            _ => return None,
+        let Kind::Cacheable(route) = kind_of(&req.method, &req.target) else {
+            return None;
         };
         let key = content_key_of(&req.method, &req.target, &req.body);
         let body = self.respcache.get_memory(key)?;
         self.metrics
             .resp_cache_hits_total
             .fetch_add(1, Ordering::Relaxed);
-        Some((
-            route,
-            Response {
-                status: 200,
-                reason: reason_of(200),
-                content_type: "application/json",
-                body,
-            },
-        ))
+        Some((route, Response::of_body(200, body)))
     }
 
     /// Handles one parsed request, returning the route label (for
     /// metrics) and the response.
     pub fn handle(&self, req: &Request) -> (Route, Response) {
-        let path = req.target.split('?').next().unwrap_or(&req.target);
-        match (req.method.as_str(), path) {
-            ("GET", "/healthz") => (Route::Healthz, self.healthz()),
-            ("GET", "/metrics") => (
-                Route::Metrics,
-                Response {
-                    status: 200,
-                    reason: "OK",
-                    content_type: "text/plain; version=0.0.4",
-                    body: Arc::new(self.metrics.render()),
-                },
-            ),
-            ("GET", "/v1/claims") => (
+        match kind_of(&req.method, &req.target) {
+            Kind::Control(route) => (route, self.control(route)),
+            Kind::Cacheable(Route::Claims) => (
                 Route::Claims,
-                self.coalesced(ContentKey::new().bytes(b"claims").finish(), claims_route),
+                self.cache_or_compute(ContentKey::new().bytes(b"claims").finish(), claims_route),
             ),
-            ("POST", "/v1/droop") => (Route::Droop, self.json_route(req, droop_key, droop_route)),
-            ("POST", "/v1/droop_batch") => (
+            Kind::Cacheable(Route::Droop) => {
+                (Route::Droop, self.json_route(req, droop_key, droop_route))
+            }
+            Kind::Cacheable(Route::DroopBatch) => (
                 Route::DroopBatch,
                 self.json_route(req, droop_batch_key, droop_batch_route),
             ),
-            ("POST", "/v1/sweep") => (Route::Sweep, self.json_route(req, sweep_key, sweep_route)),
-            ("POST", "/v1/product") => (
+            Kind::Cacheable(Route::Sweep) => {
+                (Route::Sweep, self.json_route(req, sweep_key, sweep_route))
+            }
+            Kind::Cacheable(Route::Product) => (
                 Route::Product,
                 self.json_route(req, product_key, product_route),
             ),
-            ("POST", "/v1/explore") => (Route::Explore, self.stream_sync(Route::Explore, req)),
-            ("POST", "/v1/droop_sweep") => {
-                (Route::DroopSweep, self.stream_sync(Route::DroopSweep, req))
-            }
-            ("POST", "/admin/drain") => (Route::Other, self.drain()),
-            ("POST", "/v1/debug/sleep") if self.debug_routes => (Route::Other, debug_sleep(req)),
+            Kind::Stream(route) => (route, self.stream_sync(route, req)),
+            Kind::Cacheable(_) | Kind::Other => (Route::Other, self.other(req)),
+        }
+    }
+
+    /// Answers a [`Kind::Control`] route: `/healthz`, `/metrics`, and
+    /// `POST /admin/drain` for [`Route::Other`]. It touches no disk, queue
+    /// or sleep, so a shard runs it on its event loop.
+    pub(crate) fn control(&self, route: Route) -> Response {
+        match route {
+            Route::Healthz => self.healthz(),
+            Route::Metrics => Response {
+                status: 200,
+                reason: "OK",
+                content_type: "text/plain; version=0.0.4",
+                body: Arc::new(self.metrics.render()),
+            },
+            // `POST /admin/drain`, the one other control route.
+            _ => self.drain(),
+        }
+    }
+
+    /// The debug routes when enabled, then 405 for a known path under the
+    /// wrong method, else 404.
+    fn other(&self, req: &Request) -> Response {
+        let path = req.target.split('?').next().unwrap_or(&req.target);
+        match (req.method.as_str(), path) {
+            ("POST", "/v1/debug/sleep") if self.debug_routes => debug_sleep(req),
             (
                 "GET" | "POST" | "HEAD" | "PUT" | "DELETE",
                 "/healthz" | "/metrics" | "/v1/claims" | "/v1/droop" | "/v1/droop_batch"
                 | "/v1/sweep" | "/v1/product" | "/v1/explore" | "/v1/droop_sweep" | "/admin/drain",
-            ) => (
-                Route::Other,
-                Response::error(405, "method not allowed for this resource"),
-            ),
-            _ => (Route::Other, Response::error(404, "no such resource")),
+            ) => Response::error(405, "method not allowed for this resource"),
+            _ => Response::error(404, "no such resource"),
         }
     }
 
@@ -273,8 +296,8 @@ impl Router {
         Response::ok_json(&obj(vec![("status", Json::Str("draining".to_owned()))]))
     }
 
-    /// Parses the JSON body, derives the coalescing key, and runs the
-    /// handler single-flight.
+    /// Parses the JSON body, derives the cache key, and answers from the
+    /// cache or the handler.
     fn json_route(
         &self,
         req: &Request,
@@ -285,70 +308,54 @@ impl Router {
             Ok(params) => params,
             Err(resp) => return resp,
         };
-        self.coalesced(key_of(&params), move || handler(&params))
+        self.cache_or_compute(key_of(&params), move || handler(&params))
     }
 
-    /// Runs `compute` through the response cache and the single-flight
-    /// coalescer, booking the cache/coalesce/panic counters. The cache is
-    /// consulted first: a hit (memory or disk tier) answers without any
-    /// recompute; successful (`200`) computations populate it.
-    fn coalesced(&self, key: u64, compute: impl FnOnce() -> HandlerResult) -> Response {
-        if let Some(body) = self.respcache.get(key) {
-            self.metrics
-                .resp_cache_hits_total
-                .fetch_add(1, Ordering::Relaxed);
-            return Response {
-                status: 200,
-                reason: reason_of(200),
-                content_type: "application/json",
-                body,
-            };
+    /// The cached `200` body under `key` (memory or disk tier), counted as
+    /// a response-cache hit.
+    fn cached(&self, key: u64) -> Option<Arc<String>> {
+        let body = self.respcache.get(key)?;
+        self.metrics
+            .resp_cache_hits_total
+            .fetch_add(1, Ordering::Relaxed);
+        Some(body)
+    }
+
+    /// Caches `body` under `key` when `status` is `200`; passes both
+    /// through.
+    fn cache_ok(&self, key: u64, (status, body): (u16, Arc<String>)) -> (u16, Arc<String>) {
+        if status == 200 {
+            self.respcache.put(key, &body);
         }
-        let (outcome, role) = self.coalescer.run(key, || match compute() {
-            Ok(value) => {
-                let body = obj(vec![("ok", Json::Bool(true)), ("result", value)]);
-                (200u16, Arc::new(body.render()))
-            }
-            Err(e) => {
-                let body = obj(vec![
+        (status, body)
+    }
+
+    /// Answers from the response cache, or runs `compute` and caches its
+    /// `200`.
+    fn cache_or_compute(&self, key: u64, compute: impl FnOnce() -> HandlerResult) -> Response {
+        if let Some(body) = self.cached(key) {
+            return Response::of_body(200, body);
+        }
+        let (status, value) = match compute() {
+            Ok(value) => (200, obj(vec![("ok", Json::Bool(true)), ("result", value)])),
+            Err(e) => (
+                e.status,
+                obj(vec![
                     ("ok", Json::Bool(false)),
                     ("error", Json::Str(e.message)),
-                ]);
-                (e.status, Arc::new(body.render()))
-            }
-        });
-        match role {
-            Role::Leader => self
-                .metrics
-                .coalesce_leaders_total
-                .fetch_add(1, Ordering::Relaxed),
-            Role::Follower => self.metrics.coalesced_total.fetch_add(1, Ordering::Relaxed),
+                ]),
+            ),
         };
-        match outcome {
-            Ok((status, body)) => {
-                if status == 200 {
-                    self.respcache.put(key, &body);
-                }
-                Response {
-                    status,
-                    reason: reason_of(status),
-                    content_type: "application/json",
-                    body,
-                }
-            }
-            Err(panic_msg) => {
-                self.metrics.panics_total.fetch_add(1, Ordering::Relaxed);
-                Response::error(500, &format!("handler panicked: {panic_msg}"))
-            }
-        }
+        let (status, body) = self.cache_ok(key, (status, Arc::new(value.render())));
+        Response::of_body(status, body)
     }
 
     /// Validates a request on a streaming route and decides how the
     /// worker answers it: `Route::DroopSweep` plans a delta-grid droop
     /// sweep, everything else plans a design-space explore. Rejections
     /// (400/413) come back as ordinary framed responses; cache hits skip
-    /// compute entirely; everything else returns a boxed single-flight
-    /// runner the worker drives with its event sink.
+    /// compute entirely; everything else returns a boxed runner the
+    /// worker drives with its progress-line sink.
     pub fn plan_stream(&self, route: Route, req: &Request) -> StreamPlan<'_> {
         if route == Route::DroopSweep {
             self.plan_droop_sweep(req)
@@ -371,35 +378,28 @@ impl Router {
             ));
         }
         let key = explore_key(&spec);
-        if let Some(body) = self.respcache.get(key) {
-            self.metrics
-                .resp_cache_hits_total
-                .fetch_add(1, Ordering::Relaxed);
+        if let Some(body) = self.cached(key) {
             return StreamPlan::Cached(body);
         }
-        StreamPlan::Run(Box::new(move |on_event| {
-            self.run_stream(key, on_event, |emit| {
-                match dg_explore::run_with_progress(&spec, |p| {
-                    let line = progress_line(p);
-                    emit(StreamEvent::Progress(&line));
-                }) {
-                    Ok(result) => {
-                        let body =
-                            obj(vec![("ok", Json::Bool(true)), ("result", result.to_json())]);
-                        (200u16, Arc::new(body.render()))
-                    }
+        StreamPlan::Run(Box::new(move |progress| {
+            let (status, body) =
+                match dg_explore::run_with_progress(&spec, |p| progress(&progress_line(p))) {
+                    Ok(result) => (
+                        200,
+                        obj(vec![("ok", Json::Bool(true)), ("result", result.to_json())]),
+                    ),
                     // Unreachable behind plan_explore's tighter point
                     // bound, but the library contract allows it: render it
                     // like any other handler error instead of panicking.
-                    Err(e) => {
-                        let body = obj(vec![
+                    Err(e) => (
+                        500,
+                        obj(vec![
                             ("ok", Json::Bool(false)),
                             ("error", Json::Str(format!("{e}"))),
-                        ]);
-                        (500u16, Arc::new(body.render()))
-                    }
-                }
-            })
+                        ]),
+                    ),
+                };
+            self.cache_ok(key, (status, Arc::new(body.render())))
         }))
     }
 
@@ -424,96 +424,41 @@ impl Router {
             Err(e) => return StreamPlan::Reject(Response::error(e.status, &e.message)),
         };
         let key = droop_sweep_key(&p);
-        if let Some(body) = self.respcache.get(key) {
-            self.metrics
-                .resp_cache_hits_total
-                .fetch_add(1, Ordering::Relaxed);
+        if let Some(body) = self.cached(key) {
             return StreamPlan::Cached(body);
         }
-        StreamPlan::Run(Box::new(move |on_event| {
-            self.run_stream(key, on_event, |emit| {
-                let pdn = SkylakePdn::build(p.variant);
-                let sim = TransientSim::droop_capture(Volts::new(p.source_v));
-                let deltas: Vec<Amps> = delta_grid(p.start_a, p.stop_a, p.points)
-                    .into_iter()
-                    .map(Amps::new)
-                    .collect();
-                let total = deltas.len();
-                let droops = didt::droop_sweep_with_progress(
-                    &pdn.ladder,
-                    &sim,
-                    Amps::new(p.quiescent_a),
-                    &deltas,
-                    Seconds::from_ns(p.slew_ns),
-                    |done, fresh| {
-                        let line = sweep_progress_line(done, total, fresh);
-                        emit(StreamEvent::Progress(&line));
-                    },
-                );
-                (200u16, Arc::new(droop_sweep_body(&p, &droops)))
-            })
+        StreamPlan::Run(Box::new(move |progress| {
+            let pdn = SkylakePdn::build(p.variant);
+            let sim = TransientSim::droop_capture(Volts::new(p.source_v));
+            let deltas: Vec<Amps> = delta_grid(p.start_a, p.stop_a, p.points)
+                .into_iter()
+                .map(Amps::new)
+                .collect();
+            let total = deltas.len();
+            let droops = didt::droop_sweep_with_progress(
+                &pdn.ladder,
+                &sim,
+                Amps::new(p.quiescent_a),
+                &deltas,
+                Seconds::from_ns(p.slew_ns),
+                |done, fresh| progress(&sweep_progress_line(done, total, fresh)),
+            );
+            self.cache_ok(key, (200, Arc::new(droop_sweep_body(&p, &droops))))
         }))
-    }
-
-    /// Runs a planned stream computation single-flight, booking the
-    /// coalesce counters and populating the response cache on success.
-    ///
-    /// `on_event` fires only on the coalescing leader (the closure the
-    /// [`Coalescer`] runs): [`StreamEvent::Started`] before any compute,
-    /// then whatever [`StreamEvent::Progress`] lines `compute` emits.
-    /// Followers see neither — they receive only the shared result. The
-    /// returned body is the final result line (no trailing newline);
-    /// `Err` carries a leader panic message.
-    fn run_stream(
-        &self,
-        key: u64,
-        on_event: &mut dyn FnMut(StreamEvent<'_>),
-        compute: impl FnOnce(&mut dyn FnMut(StreamEvent<'_>)) -> (u16, Arc<String>),
-    ) -> (Result<(u16, Arc<String>), String>, Role) {
-        let (outcome, role) = self.coalescer.run(key, || {
-            on_event(StreamEvent::Started);
-            compute(&mut *on_event)
-        });
-        match role {
-            Role::Leader => self
-                .metrics
-                .coalesce_leaders_total
-                .fetch_add(1, Ordering::Relaxed),
-            Role::Follower => self.metrics.coalesced_total.fetch_add(1, Ordering::Relaxed),
-        };
-        if let Ok((200, body)) = &outcome {
-            self.respcache.put(key, body);
-        }
-        if outcome.is_err() {
-            self.metrics.panics_total.fetch_add(1, Ordering::Relaxed);
-        }
-        (outcome, role)
     }
 
     /// The non-streaming fallback used when a streaming route reaches the
     /// generic [`Router::handle`] dispatch (direct library callers, tests,
-    /// the chaos oracle): same plan, same single-flight run, same result
-    /// body — just without the progress stream around it.
+    /// the chaos oracle): same plan, same run, same result body — just
+    /// without the progress stream around it.
     fn stream_sync(&self, route: Route, req: &Request) -> Response {
         match self.plan_stream(route, req) {
             StreamPlan::Reject(resp) => resp,
-            StreamPlan::Cached(body) => Response {
-                status: 200,
-                reason: reason_of(200),
-                content_type: "application/json",
-                body,
-            },
-            StreamPlan::Run(run) => match run(&mut |_| {}) {
-                (Ok((status, body)), _) => Response {
-                    status,
-                    reason: reason_of(status),
-                    content_type: "application/json",
-                    body,
-                },
-                (Err(panic_msg), _) => {
-                    Response::error(500, &format!("handler panicked: {panic_msg}"))
-                }
-            },
+            StreamPlan::Cached(body) => Response::of_body(200, body),
+            StreamPlan::Run(run) => {
+                let (status, body) = run(&mut |_| {});
+                Response::of_body(status, body)
+            }
         }
     }
 }
@@ -542,8 +487,7 @@ fn explore_spec_of(body: &[u8]) -> Result<ExploreSpec, Response> {
     ExploreSpec::from_text(text).map_err(|e| Response::error(400, &format!("spec: {e}")))
 }
 
-/// Coalescing / response-cache / shard-affinity key for an explore
-/// sweep: the content hash of the *normalized* spec rendering, so
+/// Response-cache / shard-affinity key for an explore sweep: the content hash of the *normalized* spec rendering, so
 /// formatting, key order, and omitted defaults never split the cache.
 fn explore_key(spec: &ExploreSpec) -> u64 {
     ContentKey::new()
@@ -566,9 +510,9 @@ fn progress_line(p: dg_explore::Progress) -> String {
 
 /// The content key `dg-router` hashes for shard affinity.
 ///
-/// For the simulation routes this reproduces the shard-local coalescing
-/// key exactly, so every repeat of a request lands on the shard whose
-/// coalescer, response cache, and substrate caches already hold it. Any
+/// For the simulation routes this reproduces the shard-local
+/// response-cache key exactly, so every repeat of a request lands on the
+/// shard whose response cache and substrate caches already hold it. Any
 /// other request (including unparsable bodies, which the shard will
 /// `400`) hashes method + path + raw body for a stable spread.
 pub fn content_key_of(method: &str, target: &str, body: &[u8]) -> u64 {
@@ -677,7 +621,7 @@ fn droop_params(params: &Json) -> Result<DroopParams, RouteError> {
     })
 }
 
-/// Coalescing key: route tag + the ladder's content hash + every numeric
+/// Cache key: route tag + the ladder's content hash + every numeric
 /// parameter — the same composition `dg_pdn::cache` uses for its own maps.
 fn droop_key(params: &Json) -> u64 {
     let Ok(p) = droop_params(params) else {
@@ -774,9 +718,9 @@ fn droop_batch_params(params: &Json) -> Result<DroopBatchParams, RouteError> {
     })
 }
 
-/// Coalescing key: route tag + ladder content hash + shared source + lane
-/// count + every per-lane parameter in lane order — two batches coalesce
-/// exactly when their full lane-for-lane physics is identical.
+/// Cache key: route tag + ladder content hash + shared source + lane
+/// count + every per-lane parameter in lane order — two batches share a
+/// key exactly when their full lane-for-lane physics is identical.
 fn droop_batch_key(params: &Json) -> u64 {
     let Ok(p) = droop_batch_params(params) else {
         return error_key(b"droop-batch-invalid", params);
@@ -911,8 +855,8 @@ pub fn delta_grid(start_a: f64, stop_a: f64, points: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Coalescing key: route tag + ladder content hash + every grid parameter
-/// — two sweeps coalesce exactly when their expanded populations match.
+/// Cache key: route tag + ladder content hash + every grid parameter —
+/// two sweeps share a key exactly when their expanded populations match.
 fn droop_sweep_key(p: &DroopSweepParams) -> u64 {
     let pdn = SkylakePdn::build(p.variant);
     ContentKey::new()
@@ -1031,7 +975,7 @@ fn sweep_route(params: &Json) -> HandlerResult {
     // Computed directly, not through `cache::impedance_profile`: the grid
     // is the client's, so a substrate-cache entry per grid would grow the
     // shard without bound. Repeats are served by the response cache in
-    // front of this handler, concurrent repeats by the coalescer.
+    // front of this handler.
     let profile = analyzer.profile(&pdn.ladder);
     let (peak_f, peak_z) = profile.peak();
     let points: Vec<Json> = profile
@@ -1484,7 +1428,7 @@ mod tests {
             br#"{"quiescent_a":8,"delta":{"start_a":5,"stop_a":45,"points":10}}"#,
         );
         assert_eq!(a, b, "parameter order must not matter");
-        assert_ne!(a, c, "a different grid must not coalesce");
+        assert_ne!(a, c, "a different grid must not share a key");
     }
 
     #[test]
@@ -1621,7 +1565,7 @@ mod tests {
         let b = droop_key(&json::parse(r#"{"to_a":60,"from_a":10}"#).expect("json"));
         let c = droop_key(&json::parse(r#"{"from_a":10,"to_a":61}"#).expect("json"));
         assert_eq!(a, b, "parameter order must not matter");
-        assert_ne!(a, c, "different physics must not coalesce");
+        assert_ne!(a, c, "different physics must not share a key");
     }
 
     #[test]
@@ -1661,7 +1605,7 @@ mod tests {
         let a = content_key_of("POST", "/v1/droop", br#"{"from_a":10,"to_a":60}"#);
         let b = content_key_of("POST", "/v1/droop", br#"{"to_a":60,"from_a":10}"#);
         assert_eq!(a, b);
-        // And it is exactly the shard's coalescing key.
+        // And it is exactly the shard's response-cache key.
         let direct = droop_key(&json::parse(r#"{"from_a":10,"to_a":60}"#).expect("json"));
         assert_eq!(a, direct);
         // Query strings do not perturb the key; unknown routes still key.
@@ -1673,6 +1617,23 @@ mod tests {
             content_key_of("GET", "/nope", b"x"),
             content_key_of("GET", "/nope", b"y")
         );
+    }
+
+    #[test]
+    fn kind_ignores_the_query_string() {
+        for (method, target, kind) in [
+            ("GET", "/healthz?probe=1", Kind::Control(Route::Healthz)),
+            ("GET", "/metrics?x=1", Kind::Control(Route::Metrics)),
+            ("POST", "/admin/drain?now", Kind::Control(Route::Other)),
+            ("GET", "/v1/claims?pretty=1", Kind::Cacheable(Route::Claims)),
+            ("POST", "/v1/droop?", Kind::Cacheable(Route::Droop)),
+            ("POST", "/v1/explore?x=1", Kind::Stream(Route::Explore)),
+            ("POST", "/v1/droop_sweep?x", Kind::Stream(Route::DroopSweep)),
+            ("POST", "/healthz?probe=1", Kind::Other),
+            ("GET", "/v1/droop?x=1", Kind::Other),
+        ] {
+            assert_eq!(kind_of(method, target), kind, "{method} {target}");
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //!
 //! What a parsed request becomes:
 //!
-//! * cheap control routes (`GET /healthz`, `GET /metrics`,
-//!   `POST /admin/drain`) are answered inline on the event loop — health
-//!   stays observable even under full compute overload, and a drain
-//!   request cannot be shed by the very pressure it relieves,
+//! * cheap control routes ([`Kind::Control`]: `GET /healthz`,
+//!   `GET /metrics`, `POST /admin/drain`, with or without a query string)
+//!   are answered inline on the event loop — health stays observable even
+//!   under full compute overload, and a drain request cannot be shed by
+//!   the very pressure it relieves,
 //! * memory-tier response-cache hits are answered inline too: one JSON
 //!   parse and one lock, no queue, no worker,
 //! * everything else is queued for the worker pool, which runs handlers
@@ -18,16 +19,18 @@
 //! in the binary) is the engine's: the listener closes, idle connections
 //! drop, admitted requests finish with `Connection: close`, and
 //! [`ServerHandle::shutdown`] reports whether every thread exited cleanly.
+//!
+//! A handler panic is contained by the engine alone: a framed `500` if no
+//! byte of the reply has gone out, a cut stream and a close after a
+//! stream head.
 
-use crate::coalesce::Role;
 pub use crate::event_loop::{retry_after_secs, DrainReport};
 use crate::event_loop::{Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox};
 use crate::http::{
     write_chunk, write_response, write_stream_head, ParserLimits, Request, LAST_CHUNK,
 };
-use crate::json::{obj, Json};
 use crate::metrics::{monotonic_us, Metrics, Route};
-use crate::routes::{Response, Router, StreamEvent, StreamPlan};
+use crate::routes::{kind_of, Kind, Response, Router, StreamPlan};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,8 +63,7 @@ pub struct ServerConfig {
     /// Enables `POST /v1/debug/sleep` (overload tests only).
     pub enable_debug_routes: bool,
     /// Root of the persistent content-addressed cache (`--cache-dir`).
-    /// Enables the process-wide disk tier for cached response bodies and
-    /// impedance profiles.
+    /// Enables the process-wide disk tier for cached response bodies.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -178,10 +180,9 @@ impl Dispatcher for Shard {
     type WorkerState = ();
 
     fn admit(&self, _: &mut (), request: Request, close: bool) -> Admit<Request> {
-        if is_inline(&request) {
+        if let Kind::Control(route) = kind_of(&request.method, &request.target) {
             let start = monotonic_us();
-            // dg-analyze: allow(no-blocking-in-event-loop, reason = "is_inline gates this dispatch to /healthz, /metrics and /admin/drain, which touch no disk, queue, coalescer or sleep; every other route goes through the worker pool below")
-            let (route, response) = self.router.handle(&request);
+            let response = self.router.control(route);
             let latency = monotonic_us().saturating_sub(start);
             self.metrics.record(route, response.status, latency);
             // `POST /admin/drain` flips the flag inside the handler; honor
@@ -202,7 +203,7 @@ impl Dispatcher for Shard {
 
     fn serve(&self, _: &mut (), request: Request, close: bool, out: &Outbox<'_>) {
         let _inflight = InFlight::enter(&self.metrics.inflight);
-        if let Some(route) = streaming_route(&request) {
+        if let Kind::Stream(route) = kind_of(&request.method, &request.target) {
             return self.stream(route, &request, close, out);
         }
         let start = monotonic_us();
@@ -235,8 +236,7 @@ impl Shard {
     /// Serves one request on a streaming route (`/v1/explore`,
     /// `/v1/droop_sweep`): chunked NDJSON progress lines as batches
     /// finish, then the result line. Rejections (400/413) stay ordinary
-    /// framed responses; cache hits and coalesced followers stream only
-    /// the result line.
+    /// framed responses; cache hits stream only the result line.
     fn stream(&self, route: Route, request: &Request, close: bool, out: &Outbox<'_>) {
         let start = monotonic_us();
         let status = match self.router.plan_stream(route, request) {
@@ -253,65 +253,15 @@ impl Shard {
             // thousand-lane droop population is exactly the workload the
             // chunked evaluation parallelises, and its results are
             // bit-identical for any thread count.
-            StreamPlan::Run(run) => match run(&mut |event| match event {
-                StreamEvent::Started => out.push(stream_head(close), false, close),
-                StreamEvent::Progress(line) => {
-                    out.push(write_chunk(line.as_bytes()), false, close);
-                }
-            }) {
-                // Head and progress are already queued in order; a non-200
-                // logical status rides the wire-200 stream (the head is
-                // long gone) and closes.
-                (Ok((status, body)), Role::Leader) => {
-                    out.push(stream_tail(&body), true, close || status != 200);
-                    status
-                }
-                // Followers saw no events: stream head + result line,
-                // exactly like a cache hit — unless the shared outcome is
-                // an error, which they can still report with honest
-                // framing.
-                (Ok((200, body)), Role::Follower) => {
-                    out.push(stream_reply(&body, close), true, close);
-                    200
-                }
-                (Ok((status, body)), Role::Follower) => {
-                    let bytes = write_response(
-                        status,
-                        "Internal Server Error",
-                        "application/json",
-                        &[],
-                        body.as_bytes(),
-                        close,
-                    );
-                    out.push(bytes, true, close);
-                    status
-                }
-                // The leader's compute panicked inside the coalescer
-                // (already booked in panics_total by the runner). The
-                // leader's head is on the wire: terminate its stream with
-                // an error line and close. Followers sent nothing yet and
-                // get a plain framed 500.
-                (Err(panic_msg), role) => {
-                    let body = obj(vec![
-                        ("ok", Json::Bool(false)),
-                        ("error", Json::Str(format!("handler panicked: {panic_msg}"))),
-                    ])
-                    .render();
-                    let bytes = match role {
-                        Role::Leader => stream_tail(&body),
-                        Role::Follower => write_response(
-                            500,
-                            "Internal Server Error",
-                            "application/json",
-                            &[],
-                            body.as_bytes(),
-                            close,
-                        ),
-                    };
-                    out.push(bytes, true, true);
-                    500
-                }
-            },
+            StreamPlan::Run(run) => {
+                out.push(stream_head(close), false, close);
+                let (status, body) =
+                    run(&mut |line| out.push(write_chunk(line.as_bytes()), false, close));
+                // A non-200 logical status rides the wire-200 stream (the
+                // head is long gone) and closes.
+                out.push(stream_tail(&body), true, close || status != 200);
+                status
+            }
         };
         let latency = monotonic_us().saturating_sub(start);
         self.metrics.record(route, status, latency);
@@ -347,18 +297,6 @@ fn framed(response: &Response, close: bool) -> Vec<u8> {
     )
 }
 
-/// The streaming route a dispatched request targets, if any — these
-/// bypass the generic handle-then-frame path for multi-completion
-/// chunked NDJSON.
-fn streaming_route(request: &Request) -> Option<Route> {
-    let path = request.target.split('?').next().unwrap_or(&request.target);
-    match (request.method.as_str(), path) {
-        ("POST", "/v1/explore") => Some(Route::Explore),
-        ("POST", "/v1/droop_sweep") => Some(Route::DroopSweep),
-        _ => None,
-    }
-}
-
 /// The NDJSON stream head shared by every streaming route.
 fn stream_head(close: bool) -> Vec<u8> {
     write_stream_head(200, "OK", "application/x-ndjson", close)
@@ -375,23 +313,11 @@ fn stream_tail(body: &str) -> Vec<u8> {
     bytes
 }
 
-/// A whole stream that is just its result line: a cache hit, or a
-/// coalesced follower's copy of the leader's result.
+/// A whole stream that is just its result line: a cache hit.
 fn stream_reply(body: &str, close: bool) -> Vec<u8> {
     let mut bytes = stream_head(close);
     bytes.extend_from_slice(&stream_tail(body));
     bytes
-}
-
-/// Routes cheap enough (and important enough) to answer on the event loop
-/// itself: liveness and metrics stay observable under full compute
-/// overload, and `POST /admin/drain` cannot be shed by the very pressure
-/// it relieves.
-fn is_inline(request: &Request) -> bool {
-    matches!(
-        (request.method.as_str(), request.target.as_str()),
-        ("GET", "/healthz") | ("GET", "/metrics") | ("POST", "/admin/drain")
-    )
 }
 
 #[cfg(test)]
@@ -661,6 +587,54 @@ mod tests {
         }
         assert!(shed >= 1, "8 concurrent sleeps on 1 worker must shed");
         assert_eq!(handle.metrics().shed_total.load(Ordering::Relaxed), shed);
+        assert!(handle.shutdown().clean);
+    }
+
+    #[test]
+    fn a_saturated_shard_answers_control_routes_with_a_query_string() {
+        // One worker and a queue of one: one sleep runs, one waits.
+        let handle = Server::start(ServerConfig {
+            workers: 1,
+            queue_depth: 1,
+            enable_debug_routes: true,
+            ..tiny_config()
+        })
+        .expect("bind");
+        let addr = handle.local_addr();
+        let sleep = |ms: u64| {
+            let body = format!("{{\"ms\": {ms}}}");
+            let head = format!(
+                "POST /v1/debug/sleep HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            );
+            head + &body
+        };
+        let running = thread::spawn(move || talk(addr, sleep(1_500).as_bytes()));
+        let metrics = handle.metrics();
+        let deadline = monotonic_us() + 5_000_000;
+        while metrics.inflight.load(Ordering::Relaxed) == 0 {
+            assert!(monotonic_us() < deadline, "the first sleep never started");
+            thread::sleep(Duration::from_millis(5));
+        }
+        let queued = thread::spawn(move || talk(addr, sleep(1).as_bytes()));
+        thread::sleep(Duration::from_millis(200));
+
+        // Saturated: a request that needs the queue is shed.
+        let shed = talk(addr, b"GET /v1/nope HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(shed.starts_with("HTTP/1.1 503"), "{shed}");
+        // Control routes never queue, query string or not.
+        for target in ["/healthz", "/healthz?probe=1", "/metrics?x=1"] {
+            let reply = talk(
+                addr,
+                format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
+            );
+            assert!(reply.starts_with("HTTP/1.1 200 OK"), "{target}: {reply}");
+        }
+
+        for client in [running, queued] {
+            let reply = client.join().expect("client");
+            assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+        }
         assert!(handle.shutdown().clean);
     }
 

@@ -208,10 +208,9 @@ fn explore_completes_a_ten_thousand_point_sweep_over_http() {
 }
 
 #[test]
-fn concurrent_identical_explores_coalesce_and_agree_byte_for_byte() {
+fn concurrent_identical_explores_agree_byte_for_byte() {
     let handle = start();
     let addr = handle.local_addr();
-    let metrics = handle.metrics();
     // A spec nothing else requests (distinct seed) so the run is cold.
     let spec = r#"{"seed":9,"tech_nodes":[45,22,16],"tdp_w":[35,91],
         "big_perf":[10,30],"small_perf":[2],"fraction_parallelism":[0.99],"batch":16}"#;
@@ -231,12 +230,5 @@ fn concurrent_identical_explores_coalesce_and_agree_byte_for_byte() {
     for pair in results.windows(2) {
         assert_eq!(pair[0], pair[1], "all clients must see identical results");
     }
-    let leaders = metrics.coalesce_leaders_total.load(Ordering::Relaxed);
-    let followers = metrics.coalesced_total.load(Ordering::Relaxed);
-    let hits = metrics.resp_cache_hits_total.load(Ordering::Relaxed);
-    assert!(
-        leaders + followers + hits >= 4,
-        "every request is a leader, follower, or cache hit ({leaders}/{followers}/{hits})"
-    );
     assert!(handle.shutdown().clean);
 }

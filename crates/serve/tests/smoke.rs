@@ -1,6 +1,6 @@
 //! In-process end-to-end smoke: a real server on a real socket, the real
 //! mixed burst (including malformed and oversized probes), forced
-//! overload, coalescing under concurrency, metrics, and a clean drain.
+//! overload, metrics, and a clean drain.
 //!
 //! This is the library-level twin of the CI `dg-load --smoke --spawn`
 //! step: same assertions, but against `Server::start` in-process, so a
@@ -224,62 +224,6 @@ fn keep_alive_valid_mix_is_error_free_end_to_end() {
     assert!(report.ok_2xx > 100 && report.err_4xx > 0, "{report:?}");
     let drained = handle.shutdown();
     assert!(drained.clean);
-}
-
-#[test]
-fn concurrent_identical_sweeps_coalesce_to_one_leader() {
-    let handle = start(ServerConfig {
-        workers: 6,
-        queue_depth: 32,
-        ..small()
-    });
-    let addr = handle.local_addr();
-    let metrics = handle.metrics();
-    // Six concurrent identical sweeps of a shape nothing else computes
-    // (a response-cache miss, expensive enough to overlap). The overlap
-    // window is scheduling-dependent, so allow a few attempts — each with
-    // a fresh content key — before declaring coalescing broken.
-    let mut coalesced = false;
-    for attempt in 0..5 {
-        let body = format!(
-            "{{\"variant\":\"gated\",\"points\":19999,\"decimate\":1000,\"start_hz\":{}}}",
-            12_345 + attempt
-        );
-        let before_leaders = metrics.coalesce_leaders_total.load(Ordering::Relaxed);
-        let before_followers = metrics.coalesced_total.load(Ordering::Relaxed);
-        let before_hits = metrics.resp_cache_hits_total.load(Ordering::Relaxed);
-        let threads: Vec<_> = (0..6)
-            .map(|_| {
-                let body = body.clone();
-                std::thread::spawn(move || {
-                    http_request(addr, "POST", "/v1/sweep", Some(&body))
-                        .expect("sweep")
-                        .status
-                })
-            })
-            .collect();
-        for t in threads {
-            assert_eq!(t.join().expect("client"), 200);
-        }
-        let leaders = metrics.coalesce_leaders_total.load(Ordering::Relaxed) - before_leaders;
-        let followers = metrics.coalesced_total.load(Ordering::Relaxed) - before_followers;
-        let cache_hits = metrics.resp_cache_hits_total.load(Ordering::Relaxed) - before_hits;
-        assert_eq!(
-            leaders + followers + cache_hits,
-            6,
-            "every request is a leader, a coalesced follower, or a response-cache hit"
-        );
-        assert!(leaders >= 1);
-        if followers >= 1 {
-            coalesced = true;
-            break;
-        }
-    }
-    assert!(
-        coalesced,
-        "no attempt produced a coalesced follower for identical concurrent sweeps"
-    );
-    assert!(handle.shutdown().clean);
 }
 
 #[test]
