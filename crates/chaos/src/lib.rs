@@ -889,17 +889,23 @@ pub struct ShardKillReport {
     pub mismatches: Vec<String>,
     /// Whether the router's `/healthz` reported the killed shard dead.
     pub ejection_observed: bool,
+    /// Whether `POST /admin/drain` drained the router and no shard:
+    /// `dg-router` exited 0 within the deadline and the surviving shard
+    /// still answered `/healthz` with `"draining":false`.
+    pub router_drained: bool,
     /// Wall time of the campaign, µs.
     pub elapsed_us: u64,
 }
 
 impl ShardKillReport {
     /// The gate verdict: every request answered below 500, every body
-    /// byte-identical to the library, and the kill actually ejected.
+    /// byte-identical to the library, the kill actually ejected, and the
+    /// closing drain stopped the router alone.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
             && self.mismatches.is_empty()
             && self.ejection_observed
+            && self.router_drained
             && self.ok == self.requests
     }
 }
@@ -914,6 +920,27 @@ struct Fleet {
 impl Fleet {
     fn adopt(&mut self, child: Child) {
         self.children.push(Some(child));
+    }
+
+    /// Whether the child at `index` exits 0 before `deadline_us`
+    /// ([`monotonic_us`]); reaps it if so.
+    fn exits_cleanly(&mut self, index: usize, deadline_us: u64) -> bool {
+        let Some(Some(child)) = self.children.get_mut(index) else {
+            return false;
+        };
+        while monotonic_us() < deadline_us {
+            match child.try_wait() {
+                Ok(Some(status)) => {
+                    if let Some(slot) = self.children.get_mut(index) {
+                        *slot = None;
+                    }
+                    return status.success();
+                }
+                Ok(None) => std::thread::sleep(Duration::from_millis(25)),
+                Err(_) => return false,
+            }
+        }
+        false
     }
 
     /// SIGKILLs and reaps the child at `index` (idempotent).
@@ -956,6 +983,8 @@ fn service_probe(rng: &mut Lcg) -> Probe {
 /// `dg-router` over them (reply cache off, so repeat keys exercise real
 /// shard traffic), drive seeded requests through the router, SIGKILL
 /// shard 0 mid-run, and require uninterrupted, byte-identical service.
+/// It ends by posting `/admin/drain` to the router, which must exit 0
+/// while the surviving shard keeps serving undrained.
 ///
 /// # Errors
 ///
@@ -1041,6 +1070,22 @@ pub fn run_shard_kill(config: &ShardKillConfig) -> Result<ShardKillReport, Strin
             }
         }
         std::thread::sleep(Duration::from_millis(25));
+    }
+
+    // The drain is the router's own: it must exit, and leave the surviving
+    // shard serving.
+    let drained = http_request(router.addr, "POST", "/admin/drain", None);
+    let exited = fleet.exits_cleanly(2, monotonic_us().saturating_add(10_000_000));
+    let survivor = http_request(shard_b.addr, "GET", "/healthz", None);
+    report.router_drained = matches!(&drained, Ok(reply) if reply.status == 200)
+        && exited
+        && matches!(&survivor, Ok(reply) if reply.body.contains("\"draining\":false"));
+    if !report.router_drained {
+        report.failures.push(format!(
+            "router drain: reply {:?}, router exited 0: {exited}, surviving shard /healthz {:?}",
+            drained.map(|r| r.status),
+            survivor.map(|r| r.body)
+        ));
     }
 
     report.elapsed_us = monotonic_us().saturating_sub(started);

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p dg-chaos -- --smoke
 //! cargo run --release -p dg-chaos -- --seed 7 --connections 1000 --verbose
-//! cargo run --release -p dg-chaos -- --shards   # router + 2 shards, kill one
+//! cargo run --release -p dg-chaos -- --shards   # router + 2 shards, kill one, drain
 //! cargo run --release -p dg-chaos --features dg-engine/lock-witness -- \
 //!     --smoke --witness target/lock-witness.txt
 //! ```
@@ -48,12 +48,14 @@ fn run_shards_mode(args: &[String]) -> ! {
     };
     println!("{:-<72}", "");
     println!(
-        "  ok {}/{} | failures {} | mismatches {} | ejection observed {} | {:.2} s",
+        "  ok {}/{} | failures {} | mismatches {} | ejection observed {} | \
+         router drained {} | {:.2} s",
         report.ok,
         report.requests,
         report.failures.len(),
         report.mismatches.len(),
         report.ejection_observed,
+        report.router_drained,
         report.elapsed_us as f64 / 1e6
     );
     for line in report.failures.iter().chain(&report.mismatches).take(10) {

@@ -155,6 +155,19 @@ pub fn skylake_profile(variant: PdnVariant) -> Arc<ImpedanceProfile> {
     }))
 }
 
+/// [`ladder_key`] of the calibrated Skylake PDN of `variant`, computed
+/// once per variant: the serve tier folds it into every request key, so
+/// deriving a key never builds a ladder.
+pub fn skylake_ladder_key(variant: PdnVariant) -> u64 {
+    static GATED: OnceLock<u64> = OnceLock::new();
+    static BYPASSED: OnceLock<u64> = OnceLock::new();
+    let slot = match variant {
+        PdnVariant::Gated => &GATED,
+        PdnVariant::Bypassed => &BYPASSED,
+    };
+    *slot.get_or_init(|| ladder_key(&SkylakePdn::build(variant).ladder))
+}
+
 type CoeffsMap = TrackedMutex<HashMap<u64, Arc<LadderCoeffs>>>;
 
 fn coeffs_map() -> &'static CoeffsMap {
@@ -189,6 +202,18 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same variant must share one profile");
         let c = skylake_profile(PdnVariant::Bypassed);
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn skylake_ladder_keys_match_a_fresh_build() {
+        for variant in [PdnVariant::Gated, PdnVariant::Bypassed] {
+            let fresh = ladder_key(&SkylakePdn::build(variant).ladder);
+            assert_eq!(skylake_ladder_key(variant), fresh, "{variant:?}");
+        }
+        assert_ne!(
+            skylake_ladder_key(PdnVariant::Gated),
+            skylake_ladder_key(PdnVariant::Bypassed)
+        );
     }
 
     #[test]

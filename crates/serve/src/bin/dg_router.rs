@@ -7,38 +7,17 @@
 //! ```
 //!
 //! Prints `listening on <addr>` once bound (the load and chaos harnesses
-//! read that line), then routes until SIGTERM/SIGINT. Each request is
+//! read that line), then routes until SIGTERM/SIGINT or `POST
+//! /admin/drain`, and exits 0 after a clean drain. Each request is
 //! consistent-hashed on its content key across the shards, so identical
 //! requests always hit the same shard's caches; dead shards are ejected
 //! and their arcs fail over to the next shard clockwise.
 
+use dg_serve::event_loop::{stop_on_signals, stop_signalled};
 use dg_serve::proxy::{RouterConfig, RouterServer};
 use std::io::Write;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-/// Set by the signal handler; polled by the main loop.
-static STOP: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" fn on_signal(_signum: i32) {
-        // Only async-signal-safe work here: one atomic store.
-        STOP.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    // SIGINT = 2, SIGTERM = 15 on every Unix this builds for.
-    unsafe {
-        signal(2, on_signal);
-        signal(15, on_signal);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
 
 fn usage() -> ! {
     eprintln!(
@@ -107,7 +86,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let config = parse_config(&args);
 
-    install_signal_handlers();
+    stop_on_signals();
     let handle = match RouterServer::start(config) {
         Ok(handle) => handle,
         Err(e) => {
@@ -118,7 +97,7 @@ fn main() {
     println!("listening on {}", handle.local_addr());
     let _ = std::io::stdout().flush();
 
-    while !STOP.load(Ordering::SeqCst) {
+    while !stop_signalled() && !handle.is_draining() {
         std::thread::sleep(Duration::from_millis(50));
     }
 

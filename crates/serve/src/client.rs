@@ -726,6 +726,28 @@ mod tests {
         assert!(well_formed > 10, "{well_formed} well-formed probes");
     }
 
+    #[test]
+    fn mix_content_keys_are_pinned() {
+        // The content key of every framed probe, valid shapes and error
+        // probes alike, folded into one digest: any change to how a
+        // request is keyed moves it, which would strand every response
+        // cache entry, `resp/` file and router affinity arc.
+        let mut digest = darkgates::pdn::cache::ContentKey::new();
+        let mut framed = 0;
+        for seed in 1..=3 {
+            let mut rng = Lcg::new(seed);
+            for _ in 0..300 {
+                if let MixItem::Framed(method, path, body, _) = mix_item_of(&mut rng) {
+                    let key = crate::routes::content_key_of(method, path, body.as_bytes());
+                    digest = digest.word(key);
+                    framed += 1;
+                }
+            }
+        }
+        assert_eq!(framed, 823);
+        assert_eq!(digest.finish(), 0x63af_6157_e536_5054);
+    }
+
     /// Reads one request head (or whatever arrives before EOF).
     fn read_head(s: &mut TcpStream) -> Vec<u8> {
         let mut head = Vec::new();

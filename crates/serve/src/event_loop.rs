@@ -261,6 +261,34 @@ const TICK_MS: i32 = 25;
 /// trickling bytes can keep a closed connection's fd alive.
 const LINGER_BUDGET_MS: u64 = 250;
 
+/// Set by the [`stop_on_signals`] handler.
+static STOP: AtomicBool = AtomicBool::new(false);
+
+/// Makes SIGINT and SIGTERM set a process-wide stop flag, which a server
+/// binary's main loop polls with [`stop_signalled`] before it drains.
+pub fn stop_on_signals() {
+    extern "C" fn on_signal(_signum: i32) {
+        // Only async-signal-safe work here: one atomic store.
+        STOP.store(true, Ordering::SeqCst);
+    }
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    }
+    // SIGINT = 2, SIGTERM = 15 on every Linux target (epoll already ties
+    // the engine to Linux).
+    // SAFETY: `on_signal` only performs one atomic store, which is
+    // async-signal-safe.
+    unsafe {
+        signal(2, on_signal);
+        signal(15, on_signal);
+    }
+}
+
+/// Whether SIGINT or SIGTERM arrived since [`stop_on_signals`].
+pub fn stop_signalled() -> bool {
+    STOP.load(Ordering::SeqCst)
+}
+
 /// The `Retry-After` a shed response carries: the configured base plus a
 /// penalty that grows with how deep the queue already is, so a client of
 /// a lightly loaded server retries quickly while a client of a saturated

@@ -12,32 +12,10 @@
 //! admitting, finishes every admitted request, reports, and exits 0 only
 //! if the drain was clean.
 
+use dg_serve::event_loop::{stop_on_signals, stop_signalled};
 use dg_serve::{Server, ServerConfig};
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-/// Set by the signal handler; polled by the main loop.
-static STOP: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" fn on_signal(_signum: i32) {
-        // Only async-signal-safe work here: one atomic store.
-        STOP.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    // SIGINT = 2, SIGTERM = 15 on every Unix this builds for.
-    unsafe {
-        signal(2, on_signal);
-        signal(15, on_signal);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
 
 fn usage() -> ! {
     eprintln!(
@@ -93,7 +71,7 @@ fn main() {
         eprintln!("warning: {issue} to auto-detected thread count");
     }
 
-    install_signal_handlers();
+    stop_on_signals();
     let handle = match Server::start(config) {
         Ok(handle) => handle,
         Err(e) => {
@@ -104,7 +82,7 @@ fn main() {
     println!("listening on {}", handle.local_addr());
     let _ = std::io::stdout().flush();
 
-    while !STOP.load(Ordering::SeqCst) && !handle.is_draining() {
+    while !stop_signalled() && !handle.is_draining() {
         std::thread::sleep(Duration::from_millis(50));
     }
 

@@ -129,6 +129,9 @@ fn bucket_bound_us(i: usize) -> u64 {
 }
 
 /// The routes the registry tracks. `Other` absorbs 404s and probes.
+///
+/// Declaration order is [`Route::ALL`]'s order, so `route as usize`
+/// indexes the registry's per-route slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// `POST /v1/droop`
@@ -185,21 +188,6 @@ impl Route {
     }
 }
 
-/// One [`RouteMetrics`] slot per tracked route.
-#[derive(Debug, Default)]
-struct RouteSlots {
-    droop: RouteMetrics,
-    droop_batch: RouteMetrics,
-    sweep: RouteMetrics,
-    product: RouteMetrics,
-    explore: RouteMetrics,
-    droop_sweep: RouteMetrics,
-    claims: RouteMetrics,
-    metrics: RouteMetrics,
-    healthz: RouteMetrics,
-    other: RouteMetrics,
-}
-
 /// Per-route counters and latency histogram.
 #[derive(Debug, Default)]
 pub struct RouteMetrics {
@@ -216,7 +204,8 @@ pub struct RouteMetrics {
 /// The process-wide metrics registry.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    routes: RouteSlots,
+    /// One slot per tracked route, in [`Route::ALL`] order.
+    routes: [RouteMetrics; Route::ALL.len()],
     /// Connections accepted.
     pub connections_total: AtomicU64,
     /// Connections rejected at admission (503 + Retry-After).
@@ -236,18 +225,8 @@ pub struct Metrics {
 impl Metrics {
     /// The per-route slot.
     pub fn route(&self, route: Route) -> &RouteMetrics {
-        match route {
-            Route::Droop => &self.routes.droop,
-            Route::DroopBatch => &self.routes.droop_batch,
-            Route::Sweep => &self.routes.sweep,
-            Route::Product => &self.routes.product,
-            Route::Explore => &self.routes.explore,
-            Route::DroopSweep => &self.routes.droop_sweep,
-            Route::Claims => &self.routes.claims,
-            Route::Metrics => &self.routes.metrics,
-            Route::Healthz => &self.routes.healthz,
-            Route::Other => &self.routes.other,
-        }
+        // In bounds: one slot per variant, in declaration order.
+        &self.routes[route as usize]
     }
 
     /// Records one handled request.
@@ -266,8 +245,7 @@ impl Metrics {
         let mut out = String::with_capacity(4096);
         out.push_str("# HELP dg_requests_total Handled requests by route and status class.\n");
         out.push_str("# TYPE dg_requests_total counter\n");
-        for route in Route::ALL {
-            let slot = self.route(route);
+        for (route, slot) in Route::ALL.iter().zip(&self.routes) {
             let label = route.label();
             for (class, v) in [
                 ("2xx", slot.ok_2xx.load(Ordering::Relaxed)),
@@ -281,8 +259,7 @@ impl Metrics {
         }
         out.push_str("# HELP dg_request_latency_us Handler latency histogram (µs).\n");
         out.push_str("# TYPE dg_request_latency_us histogram\n");
-        for route in Route::ALL {
-            let slot = self.route(route);
+        for (route, slot) in Route::ALL.iter().zip(&self.routes) {
             if slot.latency.count() == 0 {
                 continue;
             }
@@ -439,6 +416,38 @@ mod tests {
         assert!(text.contains("dg_shed_total 3"));
         assert!(text.contains("dg_request_latency_us_count{route=\"droop\"} 2"));
         assert!(text.contains("le=\"+Inf\""));
+    }
+
+    #[test]
+    fn render_text_is_pinned_with_one_record_per_route() {
+        let m = Metrics::default();
+        for (i, route) in (0u64..).zip(Route::ALL) {
+            let status = match i % 3 {
+                0 => 200,
+                1 => 404,
+                _ => 503,
+            };
+            m.record(route, status, 3 * i + 1);
+        }
+        m.shed_total.fetch_add(2, Ordering::Relaxed);
+        m.resp_cache_hits_total.fetch_add(5, Ordering::Relaxed);
+        // The disk-tier values are process-wide, so only their sample
+        // lines are left out; every other byte is pinned.
+        let text: String = m
+            .render()
+            .lines()
+            .filter(|l| !l.starts_with("dg_disk_cache_"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(
+            (
+                text.len(),
+                darkgates::pdn::cache::ContentKey::new()
+                    .bytes(text.as_bytes())
+                    .finish()
+            ),
+            (16_377, 0x2f5a_c307_3470_5158)
+        );
     }
 
     #[test]

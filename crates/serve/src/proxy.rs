@@ -1,13 +1,14 @@
 //! `dg-router`: a consistent-hash reverse proxy over N `dg-serve` shards.
 //!
 //! The router owns the client-facing listener and forwards every request
-//! to one of its shards over pooled keep-alive upstream connections
-//! ([`crate::client::Conn`], the crate's one client connection). The
-//! shard is chosen by consistent-hashing the request's *content key*
-//! ([`crate::routes::content_key_of`]) on a [`HashRing`], which gives the
-//! deployment its scaling property: identical requests always land on the
-//! same shard, so each shard's response cache and substrate caches see
-//! every repeat of a key instead of `1/N` of them.
+//! but the control routes to one of its shards over pooled keep-alive
+//! upstream connections ([`crate::client::Conn`], the crate's one client
+//! connection). The shard is chosen by consistent-hashing the request's
+//! *content key* ([`crate::routes::Query::key`], read off the same route
+//! table the shards resolve requests with) on a [`HashRing`], which gives
+//! the deployment its scaling property: identical requests always land on
+//! the same shard, so each shard's response cache and substrate caches
+//! see every repeat of a key instead of `1/N` of them.
 //!
 //! Failure handling is two-layered (DESIGN.md §12):
 //!
@@ -22,26 +23,28 @@
 //!   a shard, and a single success rejoins it (its cache-warm arcs return
 //!   with it).
 //!
-//! `GET /healthz` is answered by the router itself with per-shard
-//! liveness; `GET /metrics` aggregates the shards' Prometheus text with a
-//! `shard="i"` label plus the router's own counters. Everything else is
-//! forwarded verbatim — the request as method + target + body bytes, and
-//! the shard's reply byte-for-byte as [`crate::http::read_reply`] framed
-//! it, so `Retry-After` and every other header pass through untouched.
+//! The router answers every control route ([`Kind::Control`]) itself:
+//! `GET /healthz` with per-shard liveness, `GET /metrics` by aggregating
+//! the shards' Prometheus text with a `shard="i"` label plus the router's
+//! own counters, and `POST /admin/drain` by draining the router (never a
+//! shard). Everything else is forwarded verbatim — the request as its
+//! method, target and body bytes, and the shard's reply byte-for-byte as
+//! [`crate::http::read_reply`] framed it, so `Retry-After` and every
+//! other header pass through untouched.
 //!
 //! The client-facing side is the shard's own connection engine
-//! ([`crate::event_loop`]) with a router `Dispatcher`: `/healthz` and
-//! reply-cache hits are answered inline on the event loop, and only cache
-//! misses (and `/metrics` scrapes) are queued for a small pool of
-//! blocking forward workers. Parse errors, shedding and graceful drain
+//! ([`crate::event_loop`]) with a router `Dispatcher`: `/healthz`, the
+//! drain and reply-cache hits are answered inline on the event loop, and
+//! only cache misses (and `/metrics` scrapes) are queued for a small pool
+//! of blocking forward workers. Parse errors, shedding and graceful drain
 //! are the engine's, exactly as on a shard. Two hot-path economies keep
 //! the hop cheap: the per-request routing key is served from a raw-bytes
-//! → content-key alias table, so the router JSON-parses any given request
-//! body shape once, not once per request; and a bounded reply cache (a
-//! `respcache::Fifo`, like the shard's response cache) serves
-//! repeat keys their exact shard bytes without an upstream exchange
-//! (sound because simulation responses are pure functions of their
-//! content key).
+//! → content-key alias table, so the router resolves any given request
+//! shape against the route table once, not once per request; and a
+//! bounded reply cache (a `respcache::Fifo`, like the shard's response
+//! cache) serves repeat keys their exact shard bytes without an upstream
+//! exchange (sound because simulation responses are pure functions of
+//! their content key).
 
 use crate::client::{http_request, Conn};
 use crate::event_loop::{Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox};
@@ -50,7 +53,7 @@ use crate::json::{obj, Json};
 use crate::metrics::Route;
 use crate::respcache::{Fifo, DEFAULT_MAX_BYTES};
 use crate::ring::{HashRing, DEFAULT_REPLICAS};
-use crate::routes::{content_key_of, kind_of, reason_of, Kind};
+use crate::routes::{drain, kind_of, reason_of, Kind, Query, Response};
 use darkgates::pdn::cache::ContentKey;
 use dg_engine::sync::TrackedMutex;
 use std::collections::hash_map::Entry;
@@ -169,6 +172,8 @@ struct Proxy {
     ring: HashRing,
     alive: Vec<AtomicBool>,
     counters: RouterMetrics,
+    /// The engine's drain flag, which `POST /admin/drain` sets.
+    draining: Arc<AtomicBool>,
     /// Verbatim shard replies by content key; `None` when
     /// [`RouterConfig::reply_cache_entries`] is 0. Only clean 200 replies
     /// to [`Kind::Cacheable`] routes are admitted, so an entry is exactly
@@ -235,16 +240,19 @@ impl Dispatcher for Proxy {
         close: bool,
     ) -> Admit<ProxyJob> {
         self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
-        let kind = kind_of(&request.method, &request.target);
-        match kind {
+        let cacheable = match kind_of(&request.method, &request.target) {
             Kind::Control(Route::Healthz) => {
                 let bytes = healthz_bytes(self, close);
                 return Admit::Reply { bytes, close };
             }
             Kind::Control(Route::Metrics) => return Admit::Queue(ProxyJob::Metrics),
-            _ => {}
-        }
-        let cacheable = matches!(kind, Kind::Cacheable(_));
+            // `POST /admin/drain` drains the router, never a shard.
+            Kind::Control(_) => {
+                let bytes = drain(&self.draining).framed(true);
+                return Admit::Reply { bytes, close: true };
+            }
+            kind => matches!(kind, Kind::Cacheable(_)),
+        };
         let key = routing_key(&request, aliases);
         if cacheable {
             if let Some(bytes) = self.cached_reply(key) {
@@ -270,18 +278,10 @@ impl Dispatcher for Proxy {
         out: &Outbox<'_>,
     ) {
         let (bytes, close) = match job {
-            ProxyJob::Metrics => {
-                let body = aggregated_metrics(self);
-                let bytes = write_response(
-                    200,
-                    reason_of(200),
-                    "text/plain; version=0.0.4",
-                    &[],
-                    body.as_bytes(),
-                    close,
-                );
-                (bytes, close)
-            }
+            ProxyJob::Metrics => (
+                Response::text(aggregated_metrics(self)).framed(close),
+                close,
+            ),
             ProxyJob::Forward {
                 request,
                 key,
@@ -366,9 +366,11 @@ impl RouterServer {
             max_connections: config.max_connections,
         };
         let n = config.shards.len();
+        let draining = Arc::new(AtomicBool::new(false));
         let proxy = Proxy {
             ring: HashRing::new(n, config.replicas),
             alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
+            draining: Arc::clone(&draining),
             counters: RouterMetrics {
                 shard_requests: (0..n).map(|_| AtomicU64::new(0)).collect(),
                 ..RouterMetrics::default()
@@ -381,7 +383,7 @@ impl RouterServer {
             }),
             config,
         };
-        let inner = Engine::start(engine, proxy, Arc::new(AtomicBool::new(false)))?;
+        let inner = Engine::start(engine, proxy, draining)?;
         let health = {
             let engine = Arc::clone(inner.engine());
             std::thread::spawn(move || health_loop(&engine.dispatcher, &engine.draining))
@@ -399,6 +401,12 @@ impl RouterHandle {
     /// Whether the router currently considers `shard` live.
     pub fn is_shard_alive(&self, shard: usize) -> bool {
         self.inner.engine().dispatcher.is_alive(shard)
+    }
+
+    /// Whether a drain has been requested (by `POST /admin/drain`, or by
+    /// [`RouterHandle::shutdown`]).
+    pub fn is_draining(&self) -> bool {
+        self.inner.engine().draining.load(Ordering::SeqCst)
     }
 
     /// The router's own counters.
@@ -457,23 +465,13 @@ fn healthz_bytes(proxy: &Proxy, close: bool) -> Vec<u8> {
     let live = (0..proxy.config.shards.len())
         .filter(|&i| proxy.is_alive(i))
         .count();
-    let body = obj(vec![
-        (
-            "status",
-            Json::Str(if live > 0 { "ok" } else { "unrouteable" }.to_owned()),
-        ),
+    let status = if live > 0 { "ok" } else { "unrouteable" };
+    Response::ok_json(&obj(vec![
+        ("status", Json::Str(status.to_owned())),
         ("role", Json::Str("router".to_owned())),
         ("shards", Json::Arr(shards)),
-    ])
-    .render();
-    write_response(
-        200,
-        reason_of(200),
-        "application/json",
-        &[],
-        body.as_bytes(),
-        close,
-    )
+    ]))
+    .framed(close)
 }
 
 /// Forwards to the key's shard, failing over clockwise on faults.
@@ -523,12 +521,12 @@ fn forward(
     None
 }
 
-/// The consistent-hash routing key for a request, via the per-worker
+/// The consistent-hash routing key for a request, via the event loop's
 /// alias table: identical raw bytes short-circuit straight to the key;
-/// a miss pays the canonical [`content_key_of`] derivation (JSON parse)
-/// once and records the alias. Identical raw bytes always parse to the
-/// same canonical key, so the alias can never disagree with the shard's
-/// own response-cache key.
+/// a miss resolves the request against the route table once
+/// ([`Query::parse`]) and records the alias. Identical raw bytes always
+/// resolve to the same key, so the alias can never disagree with the
+/// shard's own response-cache key.
 fn routing_key(request: &Request, aliases: &mut HashMap<u64, u64>) -> u64 {
     let raw_hash = ContentKey::new()
         .word(request.method.len() as u64)
@@ -540,7 +538,7 @@ fn routing_key(request: &Request, aliases: &mut HashMap<u64, u64>) -> u64 {
     if let Some(&key) = aliases.get(&raw_hash) {
         return key;
     }
-    let key = content_key_of(&request.method, &request.target, &request.body);
+    let key = Query::parse(&request.method, &request.target, &request.body).key;
     if aliases.len() >= 16 * 1024 {
         // A bounded table; real workloads repeat a small shape menu, so a
         // wholesale reset on overflow is simpler than eviction order.

@@ -1,25 +1,31 @@
 //! Route table and handlers: the HTTP surface over the experiment stack.
 //!
-//! [`kind_of`] classifies a request once, on its method and path: a
-//! control route, a cacheable simulation route, a streaming route, or
-//! anything else. Every simulation route runs through the response cache,
-//! keyed by the same content-hash scheme the substrate caches use
-//! ([`darkgates::pdn::cache::ContentKey`]): the key folds in every request
-//! parameter that affects the response, so two requests share an entry
-//! exactly when their physics is identical. Handlers call the *library*
-//! entry points (`darkgates::claims`, `dg_pdn::transient`, `dg_soc::run`,
-//! the substrate caches) — nothing here shells out to the bench binaries.
+//! One table (`row_of`) lists every path with its one method, its
+//! [`Kind`] and its parameter parser. [`Query::parse`] resolves a request
+//! against it once — row, body, validation, content key — and the route
+//! label, the reply and the 404/405 decision are read off that [`Query`].
+//! A path with no row is a `404`; another method on a known path is a
+//! `405` whose `Allow` names the row's method.
+//!
+//! Every simulation route runs through the response cache, keyed by the
+//! content-hash scheme the substrate caches use
+//! ([`darkgates::pdn::cache::ContentKey`]) over the validated parameters,
+//! so two requests share an entry exactly when their physics is
+//! identical; a ladder enters a key as
+//! [`darkgates::pdn::cache::skylake_ladder_key`], so no key derivation
+//! builds one. Handlers call the *library* entry points — nothing here
+//! shells out to the bench binaries.
 
-use crate::http::Request;
-use crate::json::{self, obj, Json};
+use crate::http::{write_response, Request};
+use crate::json::{self, obj, Json, JsonError};
 use crate::metrics::{Metrics, Route};
 use crate::respcache::ResponseCache;
 use darkgates::claims;
-use darkgates::pdn::cache::{ladder_key, ContentKey};
+use darkgates::pdn::cache::{skylake_ladder_key, ContentKey};
 use darkgates::pdn::didt;
 use darkgates::pdn::impedance::ImpedanceAnalyzer;
 use darkgates::pdn::skylake::{PdnVariant, SkylakePdn};
-use darkgates::pdn::transient::{LoadStep, TransientSim};
+use darkgates::pdn::transient::{LoadStep, TransientResult, TransientSim};
 use darkgates::pdn::units::{Amps, Hertz, Seconds, Volts, Watts};
 use darkgates::soc::products::Product;
 use darkgates::soc::run::{run_energy, run_graphics, run_spec};
@@ -27,7 +33,7 @@ use darkgates::workloads::energy::{energy_star, ready_mode, video_conferencing, 
 use darkgates::workloads::graphics::three_dmark_suite;
 use darkgates::workloads::spec::{by_name, SpecMode};
 use darkgates::DarkGates;
-use dg_explore::ExploreSpec;
+use dg_explore::{ExploreError, ExploreSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -54,7 +60,7 @@ pub const MAX_SWEEP_LANES: u64 = 8_192;
 /// Largest accepted debug-sleep duration.
 const MAX_SLEEP_MS: u64 = 10_000;
 
-/// A fully formed response, ready for `http::write_response`.
+/// A fully formed response, ready for the wire.
 #[derive(Debug, Clone)]
 pub struct Response {
     /// HTTP status code.
@@ -65,6 +71,8 @@ pub struct Response {
     pub content_type: &'static str,
     /// Response body (shared: a cache hit clones the `Arc`).
     pub body: Arc<String>,
+    /// A `405`'s `Allow` value: the one method its path's row lists.
+    allow: Option<&'static str>,
 }
 
 impl Response {
@@ -75,23 +83,39 @@ impl Response {
             reason: reason_of(status),
             content_type: "application/json",
             body,
+            allow: None,
         }
     }
 
-    fn json(status: u16, body: String) -> Self {
-        Self::of_body(status, Arc::new(body))
-    }
-
-    fn ok_json(value: &Json) -> Self {
-        Self::json(200, value.render())
+    pub(crate) fn ok_json(value: &Json) -> Self {
+        Self::of_body(200, Arc::new(value.render()))
     }
 
     fn error(status: u16, message: &str) -> Self {
-        let body = obj(vec![
-            ("ok", Json::Bool(false)),
-            ("error", Json::Str(message.to_owned())),
-        ]);
-        Self::json(status, body.render())
+        let message = message.to_owned();
+        let (status, body) = rendered(Err(RouteError { status, message }));
+        Self::of_body(status, body)
+    }
+
+    /// A `200` in Prometheus text format.
+    pub(crate) fn text(body: String) -> Self {
+        Response {
+            content_type: "text/plain; version=0.0.4",
+            ..Self::of_body(200, Arc::new(body))
+        }
+    }
+
+    /// The response framed for the wire, `Allow` header included.
+    pub(crate) fn framed(&self, close: bool) -> Vec<u8> {
+        let allow = self.allow.map(|m| ("Allow".to_owned(), m.to_owned()));
+        write_response(
+            self.status,
+            self.reason,
+            self.content_type,
+            allow.as_slice(),
+            self.body.as_bytes(),
+            close,
+        )
     }
 }
 
@@ -126,6 +150,22 @@ fn bad_request(message: impl Into<String>) -> RouteError {
 
 type HandlerResult = Result<Json, RouteError>;
 
+/// A handler result rendered as its reply: `{"ok":true,"result":…}` with
+/// `200`, or `{"ok":false,"error":…}` with the error's status.
+fn rendered(result: HandlerResult) -> (u16, Arc<String>) {
+    let (status, value) = match result {
+        Ok(value) => (200, obj(vec![("ok", Json::Bool(true)), ("result", value)])),
+        Err(e) => (
+            e.status,
+            obj(vec![
+                ("ok", Json::Bool(false)),
+                ("error", Json::Str(e.message)),
+            ]),
+        ),
+    };
+    (status, Arc::new(value.render()))
+}
+
 /// A planned stream computation, boxed so every streaming route
 /// (`/v1/explore`, `/v1/droop_sweep`) presents the worker with the same
 /// shape: invoke it with a sink for newline-terminated NDJSON progress
@@ -133,11 +173,12 @@ type HandlerResult = Result<Json, RouteError>;
 /// newline). The runner caches a `200` result line.
 pub type StreamRunner<'r> = Box<dyn FnOnce(&mut dyn FnMut(&str)) -> (u16, Arc<String>) + 'r>;
 
-/// What the worker should do with a request on a streaming route
+/// What the worker should do with a query on a streaming route
 /// (computed by [`Router::plan_stream`] before any bytes go out).
 pub enum StreamPlan<'r> {
-    /// Invalid spec or oversized grid: answer with an ordinary framed
-    /// response — no stream ever starts.
+    /// No stream to run — a rejected spec or grid (400/413), or a query
+    /// on a route that does not stream: answer with an ordinary framed
+    /// response, and no stream ever starts.
     Reject(Response),
     /// The result line is already cached (memory or disk tier): stream
     /// head + result line + terminator without running anything.
@@ -146,14 +187,15 @@ pub enum StreamPlan<'r> {
     Run(StreamRunner<'r>),
 }
 
-/// How the serve tier treats a request, decided once on its method and
-/// path; a query string never changes it. A shard and `dg-router` both
-/// dispatch on it.
+/// How the serve tier treats a request, read off its route-table row; a
+/// query string never changes it. A shard and `dg-router` both dispatch
+/// on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// `GET /healthz`, `GET /metrics` and `POST /admin/drain` (labelled
-    /// [`Route::Other`]): cheap control routes a shard answers on its
-    /// event loop, so overload never queues or sheds them.
+    /// [`Route::Other`]): cheap control routes a shard and `dg-router`
+    /// each answer on their event loop, so overload never queues or sheds
+    /// them.
     Control(Route),
     /// A simulation route whose `200` body is a pure function of its
     /// content key, so a shard's memory-tier fast path and the router's
@@ -162,26 +204,173 @@ pub enum Kind {
     /// `POST /v1/explore` and `POST /v1/droop_sweep`: chunked NDJSON
     /// streams, relayed by the router and never held in its reply cache.
     Stream(Route),
-    /// Anything else: 404s, 405s and the debug routes.
+    /// Anything else: 404s, 405s and the debug route.
     Other,
 }
 
-/// Classifies a request by its method and the path part of its target.
+impl Kind {
+    /// The metrics label: the row's route, or [`Route::Other`].
+    pub fn route(self) -> Route {
+        match self {
+            Kind::Control(route) | Kind::Cacheable(route) | Kind::Stream(route) => route,
+            Kind::Other => Route::Other,
+        }
+    }
+}
+
+/// One row of the route table: the one method its path answers (any
+/// other gets a `405` naming it), its kind, and the parser that validates
+/// a body into its call (`Err` is the rejection).
+type Row = (&'static str, Kind, fn(&[u8]) -> Result<Call, Call>);
+
+/// The route table: the one list of the paths the serve tier answers.
+/// The debug row (`Kind::Other`) is visible only to a router that enables
+/// debug routes.
+fn row_of(path: &str) -> Option<Row> {
+    Some(match path {
+        "/healthz" => ("GET", Kind::Control(Route::Healthz), |_| Ok(Call::Control)),
+        "/metrics" => ("GET", Kind::Control(Route::Metrics), |_| Ok(Call::Control)),
+        "/admin/drain" => ("POST", Kind::Control(Route::Other), |_| Ok(Call::Control)),
+        "/v1/claims" => ("GET", Kind::Cacheable(Route::Claims), |_| Ok(Call::Claims)),
+        "/v1/droop" => ("POST", Kind::Cacheable(Route::Droop), |b| {
+            json_call(b, b"droop-invalid", droop_params, Call::Droop)
+        }),
+        "/v1/droop_batch" => ("POST", Kind::Cacheable(Route::DroopBatch), |b| {
+            json_call(
+                b,
+                b"droop-batch-invalid",
+                droop_batch_params,
+                Call::DroopBatch,
+            )
+        }),
+        "/v1/sweep" => ("POST", Kind::Cacheable(Route::Sweep), |b| {
+            json_call(b, b"sweep-invalid", sweep_params, Call::Sweep)
+        }),
+        "/v1/product" => ("POST", Kind::Cacheable(Route::Product), |b| {
+            json_call(b, b"product-invalid", product_params, Call::Product)
+        }),
+        "/v1/explore" => ("POST", Kind::Stream(Route::Explore), explore_call),
+        "/v1/droop_sweep" => ("POST", Kind::Stream(Route::DroopSweep), |b| {
+            json_call(
+                b,
+                b"droop-sweep-invalid",
+                droop_sweep_params,
+                Call::DroopSweep,
+            )
+        }),
+        "/v1/debug/sleep" => ("POST", Kind::Other, |b| Ok(Call::DebugSleep(sleep_ms(b)))),
+        _ => return None,
+    })
+}
+
+/// The path part of a request target.
+fn path_of(target: &str) -> &str {
+    target.split('?').next().unwrap_or(target)
+}
+
+/// Classifies a request by its method and the path part of its target,
+/// from the route table alone (no body is read).
 pub fn kind_of(method: &str, target: &str) -> Kind {
-    let path = target.split('?').next().unwrap_or(target);
-    match (method, path) {
-        ("GET", "/healthz") => Kind::Control(Route::Healthz),
-        ("GET", "/metrics") => Kind::Control(Route::Metrics),
-        ("POST", "/admin/drain") => Kind::Control(Route::Other),
-        ("GET", "/v1/claims") => Kind::Cacheable(Route::Claims),
-        ("POST", "/v1/droop") => Kind::Cacheable(Route::Droop),
-        ("POST", "/v1/droop_batch") => Kind::Cacheable(Route::DroopBatch),
-        ("POST", "/v1/sweep") => Kind::Cacheable(Route::Sweep),
-        ("POST", "/v1/product") => Kind::Cacheable(Route::Product),
-        ("POST", "/v1/explore") => Kind::Stream(Route::Explore),
-        ("POST", "/v1/droop_sweep") => Kind::Stream(Route::DroopSweep),
+    match row_of(path_of(target)) {
+        Some((row_method, kind, _)) if row_method == method => kind,
         _ => Kind::Other,
     }
+}
+
+/// What a query asks for, its parameters already validated.
+#[derive(Debug)]
+enum Call {
+    /// A [`Kind::Control`] route, answered by [`Router::control`].
+    Control,
+    Claims,
+    Droop(DroopParams),
+    DroopBatch(DroopBatchParams),
+    Sweep(SweepParams),
+    Product(ProductParams),
+    Explore(Box<ExploreSpec>),
+    DroopSweep(DroopSweepParams),
+    DebugSleep(u64),
+    /// Answered without computing: a `400`/`413` for parameters that fail
+    /// validation, a `405` or a `404`; keyed by its raw bytes when the key
+    /// is `None`.
+    Reject(Option<u64>, Response),
+}
+
+impl Call {
+    /// The content key of a call that has one; `None` keys the request by
+    /// its method, path and raw body.
+    fn key(&self) -> Option<u64> {
+        Some(match self {
+            Call::Claims => ContentKey::new().bytes(b"claims").finish(),
+            Call::Droop(p) => droop_key(p),
+            Call::DroopBatch(p) => droop_batch_key(p),
+            Call::Sweep(p) => sweep_key(p),
+            Call::Product(p) => product_key(p),
+            Call::Explore(spec) => explore_key(spec),
+            Call::DroopSweep(p) => droop_sweep_key(p),
+            Call::Reject(key, _) => return *key,
+            Call::Control | Call::DebugSleep(_) => return None,
+        })
+    }
+}
+
+fn reject(key: Option<u64>, status: u16, message: &str) -> Call {
+    Call::Reject(key, Response::error(status, message))
+}
+
+/// A request resolved once against the route table: its [`Kind`], its
+/// content key, and what it asks for with its parameters validated. A
+/// shard queues the query itself, so a worker never parses the request
+/// again.
+#[derive(Debug)]
+pub struct Query {
+    /// How the serve tier dispatches the request.
+    pub kind: Kind,
+    /// The content key: the shard's response-cache key and `dg-router`'s
+    /// affinity key. Invalid parameters are keyed by a route tag and the
+    /// body's canonical rendering; an unparsable body, a control route, a
+    /// 404 or a 405 by its method, path and raw body.
+    pub key: u64,
+    call: Call,
+}
+
+impl Query {
+    /// Resolves a request with every row visible, the debug route
+    /// included (keys do not depend on it): finds the row, parses the
+    /// body once and validates its parameters once.
+    pub fn parse(method: &str, target: &str, body: &[u8]) -> Query {
+        Query::resolve(method, target, body, true)
+    }
+
+    fn resolve(method: &str, target: &str, body: &[u8], debug_routes: bool) -> Query {
+        let path = path_of(target);
+        let row = row_of(path).filter(|(_, kind, _)| debug_routes || *kind != Kind::Other);
+        let (kind, call) = match row {
+            Some((row_method, kind, parse)) if row_method == method => {
+                (kind, parse(body).unwrap_or_else(|rejected| rejected))
+            }
+            Some((allow, ..)) => {
+                let mut response = Response::error(405, "method not allowed for this resource");
+                response.allow = Some(allow);
+                (Kind::Other, Call::Reject(None, response))
+            }
+            None => (Kind::Other, reject(None, 404, "no such resource")),
+        };
+        let key = call.key().unwrap_or_else(|| {
+            ContentKey::new()
+                .bytes(method.as_bytes())
+                .bytes(path.as_bytes())
+                .bytes(body)
+                .finish()
+        });
+        Query { kind, key, call }
+    }
+}
+
+/// The content key `dg-router` hashes for shard affinity:
+/// [`Query::key`] of the parsed request.
+pub fn content_key_of(method: &str, target: &str, body: &[u8]) -> u64 {
+    Query::parse(method, target, body).key
 }
 
 /// Dispatches requests to handlers; shared across all worker threads.
@@ -206,49 +395,63 @@ impl Router {
         }
     }
 
+    /// Resolves a request as this router answers it: [`Query::parse`],
+    /// with the debug route a `404` unless it is enabled.
+    pub(crate) fn query(&self, req: &Request) -> Query {
+        Query::resolve(&req.method, &req.target, &req.body, self.debug_routes)
+    }
+
     /// Answers from the in-memory response-cache tier only — the event
-    /// loop's inline fast path. A hit costs one JSON parse and one mutex
-    /// lock; it never touches the disk tier and never occupies a compute
-    /// worker, so repeated identical requests skip both thread handoffs
-    /// of the dispatch path. Returns `None` for anything that must go
+    /// loop's inline fast path. Returns `None` for anything that must go
     /// through [`Router::handle`].
     pub fn cached_response(&self, req: &Request) -> Option<(Route, Response)> {
-        let Kind::Cacheable(route) = kind_of(&req.method, &req.target) else {
+        let query = self.query(req);
+        Some((query.kind.route(), self.memory_hit(&query)?))
+    }
+
+    /// The memory-tier hit for a [`Kind::Cacheable`] query: one lock, no
+    /// disk and no worker, so repeats skip both thread handoffs of the
+    /// dispatch path.
+    pub(crate) fn memory_hit(&self, query: &Query) -> Option<Response> {
+        if !matches!(query.kind, Kind::Cacheable(_)) {
             return None;
-        };
-        let key = content_key_of(&req.method, &req.target, &req.body);
-        let body = self.respcache.get_memory(key)?;
+        }
+        let body = self.respcache.get_memory(query.key)?;
         self.metrics
             .resp_cache_hits_total
             .fetch_add(1, Ordering::Relaxed);
-        Some((route, Response::of_body(200, body)))
+        Some(Response::of_body(200, body))
     }
 
     /// Handles one parsed request, returning the route label (for
     /// metrics) and the response.
     pub fn handle(&self, req: &Request) -> (Route, Response) {
-        match kind_of(&req.method, &req.target) {
-            Kind::Control(route) => (route, self.control(route)),
-            Kind::Cacheable(Route::Claims) => (
-                Route::Claims,
-                self.cache_or_compute(ContentKey::new().bytes(b"claims").finish(), claims_route),
-            ),
-            Kind::Cacheable(Route::Droop) => {
-                (Route::Droop, self.json_route(req, droop_key, droop_route))
+        let query = self.query(req);
+        (query.kind.route(), self.answer(query))
+    }
+
+    /// Answers a query whole; a stream's reply is its result line alone.
+    pub(crate) fn answer(&self, query: Query) -> Response {
+        let key = query.key;
+        match query.call {
+            Call::Control => self.control(query.kind.route()),
+            Call::Reject(_, response) => response,
+            Call::DebugSleep(ms) => debug_sleep(ms),
+            Call::Claims => self.cache_or_compute(key, claims_route),
+            Call::Droop(p) => self.cache_or_compute(key, || droop_route(&p)),
+            Call::DroopBatch(p) => self.cache_or_compute(key, || droop_batch_route(&p)),
+            Call::Sweep(p) => self.cache_or_compute(key, || sweep_route(&p)),
+            Call::Product(p) => self.cache_or_compute(key, || product_route(&p)),
+            call @ (Call::Explore(_) | Call::DroopSweep(_)) => {
+                match self.plan_stream(Query { call, ..query }) {
+                    StreamPlan::Reject(response) => response,
+                    StreamPlan::Cached(body) => Response::of_body(200, body),
+                    StreamPlan::Run(run) => {
+                        let (status, body) = run(&mut |_| {});
+                        Response::of_body(status, body)
+                    }
+                }
             }
-            Kind::Cacheable(Route::DroopBatch) => (
-                Route::DroopBatch,
-                self.json_route(req, droop_batch_key, droop_batch_route),
-            ),
-            Kind::Cacheable(Route::Sweep) => {
-                (Route::Sweep, self.json_route(req, sweep_key, sweep_route))
-            }
-            Kind::Cacheable(Route::Product) => (
-                Route::Product,
-                self.json_route(req, product_key, product_route),
-            ),
-            Kind::Stream(route) => (route, self.stream_sync(route, req)),
-            Kind::Cacheable(_) | Kind::Other => (Route::Other, self.other(req)),
         }
     }
 
@@ -257,58 +460,14 @@ impl Router {
     /// or sleep, so a shard runs it on its event loop.
     pub(crate) fn control(&self, route: Route) -> Response {
         match route {
-            Route::Healthz => self.healthz(),
-            Route::Metrics => Response {
-                status: 200,
-                reason: "OK",
-                content_type: "text/plain; version=0.0.4",
-                body: Arc::new(self.metrics.render()),
-            },
+            Route::Healthz => Response::ok_json(&obj(vec![
+                ("status", Json::Str("ok".to_owned())),
+                ("draining", Json::Bool(self.draining.load(Ordering::SeqCst))),
+            ])),
+            Route::Metrics => Response::text(self.metrics.render()),
             // `POST /admin/drain`, the one other control route.
-            _ => self.drain(),
+            _ => drain(&self.draining),
         }
-    }
-
-    /// The debug routes when enabled, then 405 for a known path under the
-    /// wrong method, else 404.
-    fn other(&self, req: &Request) -> Response {
-        let path = req.target.split('?').next().unwrap_or(&req.target);
-        match (req.method.as_str(), path) {
-            ("POST", "/v1/debug/sleep") if self.debug_routes => debug_sleep(req),
-            (
-                "GET" | "POST" | "HEAD" | "PUT" | "DELETE",
-                "/healthz" | "/metrics" | "/v1/claims" | "/v1/droop" | "/v1/droop_batch"
-                | "/v1/sweep" | "/v1/product" | "/v1/explore" | "/v1/droop_sweep" | "/admin/drain",
-            ) => Response::error(405, "method not allowed for this resource"),
-            _ => Response::error(404, "no such resource"),
-        }
-    }
-
-    fn healthz(&self) -> Response {
-        Response::ok_json(&obj(vec![
-            ("status", Json::Str("ok".to_owned())),
-            ("draining", Json::Bool(self.draining.load(Ordering::SeqCst))),
-        ]))
-    }
-
-    fn drain(&self) -> Response {
-        self.draining.store(true, Ordering::SeqCst);
-        Response::ok_json(&obj(vec![("status", Json::Str("draining".to_owned()))]))
-    }
-
-    /// Parses the JSON body, derives the cache key, and answers from the
-    /// cache or the handler.
-    fn json_route(
-        &self,
-        req: &Request,
-        key_of: fn(&Json) -> u64,
-        handler: fn(&Json) -> HandlerResult,
-    ) -> Response {
-        let params = match body_json_of(&req.body) {
-            Ok(params) => params,
-            Err(resp) => return resp,
-        };
-        self.cache_or_compute(key_of(&params), move || handler(&params))
     }
 
     /// The cached `200` body under `key` (memory or disk tier), counted as
@@ -336,159 +495,129 @@ impl Router {
         if let Some(body) = self.cached(key) {
             return Response::of_body(200, body);
         }
-        let (status, value) = match compute() {
-            Ok(value) => (200, obj(vec![("ok", Json::Bool(true)), ("result", value)])),
-            Err(e) => (
-                e.status,
-                obj(vec![
-                    ("ok", Json::Bool(false)),
-                    ("error", Json::Str(e.message)),
-                ]),
-            ),
-        };
-        let (status, body) = self.cache_ok(key, (status, Arc::new(value.render())));
+        let (status, body) = self.cache_ok(key, rendered(compute()));
         Response::of_body(status, body)
     }
 
-    /// Validates a request on a streaming route and decides how the
-    /// worker answers it: `Route::DroopSweep` plans a delta-grid droop
-    /// sweep, everything else plans a design-space explore. Rejections
-    /// (400/413) come back as ordinary framed responses; cache hits skip
-    /// compute entirely; everything else returns a boxed runner the
-    /// worker drives with its progress-line sink.
-    pub fn plan_stream(&self, route: Route, req: &Request) -> StreamPlan<'_> {
-        if route == Route::DroopSweep {
-            self.plan_droop_sweep(req)
-        } else {
-            self.plan_explore(req)
-        }
-    }
-
-    /// Plans a `POST /v1/explore` design-space sweep.
-    fn plan_explore(&self, req: &Request) -> StreamPlan<'_> {
-        let spec = match explore_spec_of(&req.body) {
-            Ok(spec) => spec,
-            Err(resp) => return StreamPlan::Reject(resp),
-        };
-        let points = spec.point_count();
-        if points > MAX_EXPLORE_POINTS {
-            return StreamPlan::Reject(Response::error(
-                413,
-                &format!("grid of {points} points exceeds the {MAX_EXPLORE_POINTS} point limit"),
-            ));
-        }
-        let key = explore_key(&spec);
-        if let Some(body) = self.cached(key) {
-            return StreamPlan::Cached(body);
-        }
-        StreamPlan::Run(Box::new(move |progress| {
-            let (status, body) =
-                match dg_explore::run_with_progress(&spec, |p| progress(&progress_line(p))) {
-                    Ok(result) => (
-                        200,
-                        obj(vec![("ok", Json::Bool(true)), ("result", result.to_json())]),
-                    ),
-                    // Unreachable behind plan_explore's tighter point
-                    // bound, but the library contract allows it: render it
-                    // like any other handler error instead of panicking.
-                    Err(e) => (
-                        500,
-                        obj(vec![
-                            ("ok", Json::Bool(false)),
-                            ("error", Json::Str(format!("{e}"))),
-                        ]),
-                    ),
-                };
-            self.cache_ok(key, (status, Arc::new(body.render())))
-        }))
-    }
-
-    /// Plans a `POST /v1/droop_sweep` population droop sweep: the request
-    /// carries a delta *grid*, not an array of lanes; the server expands
-    /// it and integrates [`didt::SWEEP_LANES`]-wide batches through the
-    /// explicit-SIMD kernel, emitting one progress line per finished wave
-    /// with the fresh droops in lane order.
+    /// Decides how a worker answers a query on a streaming route: a
+    /// rejection (400/413) comes back as an ordinary framed response, a
+    /// cache hit skips compute entirely, and anything else is a boxed
+    /// runner the worker drives with its progress-line sink.
     ///
-    /// Waves ride `dg_engine`'s barrier-free streaming scheduler: an
-    /// NDJSON line flushes as soon as its prefix of lane groups seals,
-    /// without waiting on stragglers deeper in the grid — and the *bytes*
-    /// stay identical to the retired barrier scheduler's for any thread
-    /// count, which the route's to_bits oracle tests pin.
-    fn plan_droop_sweep(&self, req: &Request) -> StreamPlan<'_> {
-        let params = match body_json_of(&req.body) {
-            Ok(params) => params,
-            Err(resp) => return StreamPlan::Reject(resp),
+    /// `/v1/droop_sweep` integrates its server-expanded delta grid in
+    /// 32-lane batches through the explicit-SIMD kernel
+    /// ([`didt::droop_sweep_with_progress`]) and emits one progress line
+    /// per finished wave, its fresh droops in lane order. Waves ride
+    /// `dg_engine`'s barrier-free streaming scheduler: a line flushes as
+    /// soon as its prefix of lane groups seals, and the bytes are
+    /// identical for any thread count, which the route's to_bits oracle
+    /// tests pin.
+    pub fn plan_stream(&self, query: Query) -> StreamPlan<'_> {
+        let key = query.key;
+        let run: StreamRunner<'_> = match query.call {
+            Call::Explore(spec) => Box::new(move |progress| {
+                let outcome = dg_explore::run_with_progress(&spec, |p| progress(&progress_line(p)));
+                // An error is unreachable behind the parser's tighter point
+                // bound, but the library contract allows it: render it like
+                // any other handler error instead of panicking.
+                let result = outcome.map(|r| r.to_json()).map_err(|e| RouteError {
+                    status: 500,
+                    message: e.to_string(),
+                });
+                self.cache_ok(key, rendered(result))
+            }),
+            Call::DroopSweep(p) => Box::new(move |progress| {
+                let pdn = SkylakePdn::build(p.variant);
+                let sim = TransientSim::droop_capture(Volts::new(p.source_v));
+                let deltas: Vec<Amps> = delta_grid(p.start_a, p.stop_a, p.points)
+                    .into_iter()
+                    .map(Amps::new)
+                    .collect();
+                let total = deltas.len();
+                let droops = didt::droop_sweep_with_progress(
+                    &pdn.ladder,
+                    &sim,
+                    Amps::new(p.quiescent_a),
+                    &deltas,
+                    Seconds::from_ns(p.slew_ns),
+                    |done, fresh| progress(&sweep_progress_line(done, total, fresh)),
+                );
+                self.cache_ok(key, rendered(Ok(droop_sweep_result(&p, &droops))))
+            }),
+            call => return StreamPlan::Reject(self.answer(Query { call, ..query })),
         };
-        let p = match droop_sweep_params(&params) {
-            Ok(p) => p,
-            Err(e) => return StreamPlan::Reject(Response::error(e.status, &e.message)),
-        };
-        let key = droop_sweep_key(&p);
-        if let Some(body) = self.cached(key) {
-            return StreamPlan::Cached(body);
-        }
-        StreamPlan::Run(Box::new(move |progress| {
-            let pdn = SkylakePdn::build(p.variant);
-            let sim = TransientSim::droop_capture(Volts::new(p.source_v));
-            let deltas: Vec<Amps> = delta_grid(p.start_a, p.stop_a, p.points)
-                .into_iter()
-                .map(Amps::new)
-                .collect();
-            let total = deltas.len();
-            let droops = didt::droop_sweep_with_progress(
-                &pdn.ladder,
-                &sim,
-                Amps::new(p.quiescent_a),
-                &deltas,
-                Seconds::from_ns(p.slew_ns),
-                |done, fresh| progress(&sweep_progress_line(done, total, fresh)),
-            );
-            self.cache_ok(key, (200, Arc::new(droop_sweep_body(&p, &droops))))
-        }))
-    }
-
-    /// The non-streaming fallback used when a streaming route reaches the
-    /// generic [`Router::handle`] dispatch (direct library callers, tests,
-    /// the chaos oracle): same plan, same run, same result body — just
-    /// without the progress stream around it.
-    fn stream_sync(&self, route: Route, req: &Request) -> Response {
-        match self.plan_stream(route, req) {
-            StreamPlan::Reject(resp) => resp,
-            StreamPlan::Cached(body) => Response::of_body(200, body),
-            StreamPlan::Run(run) => {
-                let (status, body) = run(&mut |_| {});
-                Response::of_body(status, body)
-            }
+        match self.cached(key) {
+            Some(body) => StreamPlan::Cached(body),
+            None => StreamPlan::Run(run),
         }
     }
 }
 
-/// Parses a request body as JSON (empty body → `{}`), mapping UTF-8 and
-/// parse failures to the framed 400 every JSON route shares.
-fn body_json_of(body: &[u8]) -> Result<Json, Response> {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return Err(Response::error(400, "body is not UTF-8")),
-    };
+/// Sets the drain flag and renders the reply to `POST /admin/drain`, on a
+/// shard and on `dg-router` alike.
+pub(crate) fn drain(draining: &AtomicBool) -> Response {
+    draining.store(true, Ordering::SeqCst);
+    Response::ok_json(&obj(vec![("status", Json::Str("draining".to_owned()))]))
+}
+
+/// Parses a body as JSON, once (an empty body reads as `{}`). A body that
+/// is not UTF-8 or not JSON is a `400` keyed by its raw bytes, with the
+/// message `describe` gives the parse error.
+fn body_json(body: &[u8], describe: fn(JsonError) -> String) -> Result<Json, Call> {
+    let text = std::str::from_utf8(body).map_err(|_| reject(None, 400, "body is not UTF-8"))?;
     if text.trim().is_empty() {
         return Ok(Json::Obj(Vec::new()));
     }
-    json::parse(text).map_err(|e| Response::error(400, &format!("body: {e}")))
+    json::parse(text).map_err(|e| reject(None, 400, &describe(e)))
 }
 
-/// Parses and validates an explore spec body (empty body → the default
-/// Charm axes, mirroring the CLI's `{}` spec).
-fn explore_spec_of(body: &[u8]) -> Result<ExploreSpec, Response> {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return Err(Response::error(400, "body is not UTF-8")),
-    };
-    let text = if text.trim().is_empty() { "{}" } else { text };
-    ExploreSpec::from_text(text).map_err(|e| Response::error(400, &format!("spec: {e}")))
+/// Parses and validates a JSON route's body once. Parameters that fail
+/// validation are keyed by `tag` and the body's canonical rendering, so
+/// identical bad requests share a key.
+fn json_call<P>(
+    body: &[u8],
+    tag: &[u8],
+    params: fn(&Json) -> Result<P, RouteError>,
+    call: fn(P) -> Call,
+) -> Result<Call, Call> {
+    let json = body_json(body, |e| format!("body: {e}"))?;
+    let p = params(&json).map_err(|e| reject(Some(error_key(tag, &json)), e.status, &e.message))?;
+    Ok(call(p))
 }
 
-/// Response-cache / shard-affinity key for an explore sweep: the content hash of the *normalized* spec rendering, so
-/// formatting, key order, and omitted defaults never split the cache.
+fn error_key(tag: &[u8], params: &Json) -> u64 {
+    ContentKey::new()
+        .bytes(tag)
+        .bytes(params.render().as_bytes())
+        .finish()
+}
+
+// ----------------------------------------------------------------- explore
+
+/// Parses and validates an explore spec (an empty body is the default
+/// Charm axes, as the CLI's `{}` spec is). A grid past
+/// [`MAX_EXPLORE_POINTS`] is a `413`, keyed like the spec it would run.
+fn explore_call(body: &[u8]) -> Result<Call, Call> {
+    let json = body_json(body, |e| format!("spec: {}", ExploreError::from(e)))?;
+    let spec = ExploreSpec::from_json(&json).map_err(|e| {
+        reject(
+            Some(error_key(b"explore-invalid", &json)),
+            400,
+            &format!("spec: {e}"),
+        )
+    })?;
+    let points = spec.point_count();
+    if points > MAX_EXPLORE_POINTS {
+        let message =
+            format!("grid of {points} points exceeds the {MAX_EXPLORE_POINTS} point limit");
+        return Err(reject(Some(explore_key(&spec)), 413, &message));
+    }
+    Ok(Call::Explore(Box::new(spec)))
+}
+
+/// Response-cache / shard-affinity key for an explore sweep: the content
+/// hash of the *normalized* spec rendering, so formatting, key order, and
+/// omitted defaults never split the cache.
 fn explore_key(spec: &ExploreSpec) -> u64 {
     ContentKey::new()
         .bytes(b"explore")
@@ -506,44 +635,6 @@ fn progress_line(p: dg_explore::Progress) -> String {
     .render();
     line.push('\n');
     line
-}
-
-/// The content key `dg-router` hashes for shard affinity.
-///
-/// For the simulation routes this reproduces the shard-local
-/// response-cache key exactly, so every repeat of a request lands on the
-/// shard whose response cache and substrate caches already hold it. Any
-/// other request (including unparsable bodies, which the shard will
-/// `400`) hashes method + path + raw body for a stable spread.
-pub fn content_key_of(method: &str, target: &str, body: &[u8]) -> u64 {
-    let path = target.split('?').next().unwrap_or(target);
-    let parsed = std::str::from_utf8(body).ok().and_then(|text| {
-        if text.trim().is_empty() {
-            Some(Json::Obj(Vec::new()))
-        } else {
-            json::parse(text).ok()
-        }
-    });
-    let keyed = match (method, path, &parsed) {
-        ("GET", "/v1/claims", _) => Some(ContentKey::new().bytes(b"claims").finish()),
-        ("POST", "/v1/droop", Some(p)) => Some(droop_key(p)),
-        ("POST", "/v1/droop_batch", Some(p)) => Some(droop_batch_key(p)),
-        ("POST", "/v1/sweep", Some(p)) => Some(sweep_key(p)),
-        ("POST", "/v1/product", Some(p)) => Some(product_key(p)),
-        ("POST", "/v1/droop_sweep", Some(p)) => Some(droop_sweep_key_of(p)),
-        ("POST", "/v1/explore", Some(p)) => Some(match ExploreSpec::from_json(p) {
-            Ok(spec) => explore_key(&spec),
-            Err(_) => error_key(b"explore-invalid", p),
-        }),
-        _ => None,
-    };
-    keyed.unwrap_or_else(|| {
-        ContentKey::new()
-            .bytes(method.as_bytes())
-            .bytes(path.as_bytes())
-            .bytes(body)
-            .finish()
-    })
 }
 
 // ------------------------------------------------------------------ params
@@ -603,6 +694,7 @@ fn catalog_tdp(params: &Json) -> Result<Watts, RouteError> {
 
 // ------------------------------------------------------------------- droop
 
+#[derive(Debug)]
 struct DroopParams {
     variant: PdnVariant,
     source_v: f64,
@@ -623,16 +715,10 @@ fn droop_params(params: &Json) -> Result<DroopParams, RouteError> {
 
 /// Cache key: route tag + the ladder's content hash + every numeric
 /// parameter — the same composition `dg_pdn::cache` uses for its own maps.
-fn droop_key(params: &Json) -> u64 {
-    let Ok(p) = droop_params(params) else {
-        // Invalid requests never compute; key them by raw body shape so
-        // identical bad requests still share the one error render.
-        return error_key(b"droop-invalid", params);
-    };
-    let pdn = SkylakePdn::build(p.variant);
+fn droop_key(p: &DroopParams) -> u64 {
     ContentKey::new()
         .bytes(b"droop")
-        .word(ladder_key(&pdn.ladder))
+        .word(skylake_ladder_key(p.variant))
         .f64(p.source_v)
         .f64(p.from_a)
         .f64(p.to_a)
@@ -640,15 +726,7 @@ fn droop_key(params: &Json) -> u64 {
         .finish()
 }
 
-fn error_key(tag: &[u8], params: &Json) -> u64 {
-    ContentKey::new()
-        .bytes(tag)
-        .bytes(params.render().as_bytes())
-        .finish()
-}
-
-fn droop_route(params: &Json) -> HandlerResult {
-    let p = droop_params(params)?;
+fn droop_route(p: &DroopParams) -> HandlerResult {
     let pdn = SkylakePdn::build(p.variant);
     let sim = TransientSim::droop_capture(Volts::new(p.source_v));
     let step = LoadStep {
@@ -657,9 +735,14 @@ fn droop_route(params: &Json) -> HandlerResult {
         at: Seconds::from_us(1.0),
         slew: Seconds::from_ns(p.slew_ns),
     };
-    let r = sim.run(&pdn.ladder, step);
-    Ok(obj(vec![
-        ("variant", Json::Str(p.variant.label().to_owned())),
+    let mut fields = vec![("variant", Json::Str(p.variant.label().to_owned()))];
+    fields.extend(lane_fields(&sim.run(&pdn.ladder, step)));
+    Ok(obj(fields))
+}
+
+/// The fields `/v1/droop` and each `/v1/droop_batch` lane report.
+fn lane_fields(r: &TransientResult) -> Vec<(&'static str, Json)> {
+    vec![
         ("droop_mv", Json::Num(r.droop().as_mv())),
         ("dc_shift_mv", Json::Num(r.dc_shift().as_mv())),
         ("dynamic_droop_mv", Json::Num(r.dynamic_droop().as_mv())),
@@ -668,11 +751,12 @@ fn droop_route(params: &Json) -> HandlerResult {
         ("v_final", Json::Num(r.v_final.value())),
         ("t_min_us", Json::Num(r.t_min.value() * 1e6)),
         ("samples", Json::Num(approx_f64(r.samples.len()))),
-    ]))
+    ]
 }
 
 // ------------------------------------------------------------- droop batch
 
+#[derive(Debug)]
 struct DroopBatchParams {
     variant: PdnVariant,
     source_v: f64,
@@ -695,22 +779,17 @@ fn droop_batch_params(params: &Json) -> Result<DroopBatchParams, RouteError> {
             steps.len()
         )));
     }
-    let mut lanes = Vec::with_capacity(steps.len());
-    for (i, lane) in steps.iter().enumerate() {
-        let parsed: Result<(f64, f64, f64), RouteError> = (|| {
-            Ok((
-                in_range("from_a", finite_f64(lane, "from_a", 10.0)?, 0.0, 500.0)?,
-                in_range("to_a", finite_f64(lane, "to_a", 60.0)?, 0.0, 500.0)?,
-                in_range("slew_ns", finite_f64(lane, "slew_ns", 0.0)?, 0.0, 1_000.0)?,
-            ))
-        })();
-        match parsed {
-            Ok(lane) => lanes.push(lane),
-            Err(e) => {
-                return Err(bad_request(format!("steps[{i}]: {}", e.message)));
-            }
-        }
-    }
+    let lane = |lane: &Json| -> Result<(f64, f64, f64), RouteError> {
+        Ok((
+            in_range("from_a", finite_f64(lane, "from_a", 10.0)?, 0.0, 500.0)?,
+            in_range("to_a", finite_f64(lane, "to_a", 60.0)?, 0.0, 500.0)?,
+            in_range("slew_ns", finite_f64(lane, "slew_ns", 0.0)?, 0.0, 1_000.0)?,
+        ))
+    };
+    let lanes = (0..)
+        .zip(steps)
+        .map(|(i, l)| lane(l).map_err(|e| bad_request(format!("steps[{i}]: {}", e.message))))
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(DroopBatchParams {
         variant: variant_of(params)?,
         source_v: in_range("source_v", finite_f64(params, "source_v", 1.0)?, 0.5, 2.0)?,
@@ -721,14 +800,10 @@ fn droop_batch_params(params: &Json) -> Result<DroopBatchParams, RouteError> {
 /// Cache key: route tag + ladder content hash + shared source + lane
 /// count + every per-lane parameter in lane order — two batches share a
 /// key exactly when their full lane-for-lane physics is identical.
-fn droop_batch_key(params: &Json) -> u64 {
-    let Ok(p) = droop_batch_params(params) else {
-        return error_key(b"droop-batch-invalid", params);
-    };
-    let pdn = SkylakePdn::build(p.variant);
+fn droop_batch_key(p: &DroopBatchParams) -> u64 {
     let mut k = ContentKey::new()
         .bytes(b"droop_batch")
-        .word(ladder_key(&pdn.ladder))
+        .word(skylake_ladder_key(p.variant))
         .f64(p.source_v)
         .word(p.lanes.len() as u64);
     for (from_a, to_a, slew_ns) in &p.lanes {
@@ -737,8 +812,7 @@ fn droop_batch_key(params: &Json) -> u64 {
     k.finish()
 }
 
-fn droop_batch_route(params: &Json) -> HandlerResult {
-    let p = droop_batch_params(params)?;
+fn droop_batch_route(p: &DroopBatchParams) -> HandlerResult {
     let pdn = SkylakePdn::build(p.variant);
     let sim = TransientSim::droop_capture(Volts::new(p.source_v));
     let steps: Vec<LoadStep> = p
@@ -752,21 +826,7 @@ fn droop_batch_route(params: &Json) -> HandlerResult {
         })
         .collect();
     let results = sim.run_batch(&pdn.ladder, &steps);
-    let lanes: Vec<Json> = results
-        .iter()
-        .map(|r| {
-            obj(vec![
-                ("droop_mv", Json::Num(r.droop().as_mv())),
-                ("dc_shift_mv", Json::Num(r.dc_shift().as_mv())),
-                ("dynamic_droop_mv", Json::Num(r.dynamic_droop().as_mv())),
-                ("v_initial", Json::Num(r.v_initial.value())),
-                ("v_min", Json::Num(r.v_min.value())),
-                ("v_final", Json::Num(r.v_final.value())),
-                ("t_min_us", Json::Num(r.t_min.value() * 1e6)),
-                ("samples", Json::Num(approx_f64(r.samples.len()))),
-            ])
-        })
-        .collect();
+    let lanes: Vec<Json> = results.iter().map(|r| obj(lane_fields(r))).collect();
     Ok(obj(vec![
         ("variant", Json::Str(p.variant.label().to_owned())),
         ("n_lanes", Json::Num(approx_f64(lanes.len()))),
@@ -780,6 +840,7 @@ fn droop_batch_route(params: &Json) -> HandlerResult {
 /// point count) the server expands into lanes, never an array of lanes —
 /// the request stays a few hundred bytes while the sweep spans thousands
 /// of load steps.
+#[derive(Debug)]
 struct DroopSweepParams {
     variant: PdnVariant,
     source_v: f64,
@@ -801,27 +862,13 @@ fn droop_sweep_params(params: &Json) -> Result<DroopSweepParams, RouteError> {
                 "`delta.points` must be an integer in [1, {MAX_SWEEP_LANES}]"
             ))
         })?;
+    let amps = |name, value| in_range(name, value, 0.0, 500.0);
     let p = DroopSweepParams {
         variant: variant_of(params)?,
         source_v: in_range("source_v", finite_f64(params, "source_v", 1.0)?, 0.5, 2.0)?,
-        quiescent_a: in_range(
-            "quiescent_a",
-            finite_f64(params, "quiescent_a", 10.0)?,
-            0.0,
-            500.0,
-        )?,
-        start_a: in_range(
-            "delta.start_a",
-            finite_f64(delta, "start_a", 1.0)?,
-            0.0,
-            500.0,
-        )?,
-        stop_a: in_range(
-            "delta.stop_a",
-            finite_f64(delta, "stop_a", 50.0)?,
-            0.0,
-            500.0,
-        )?,
+        quiescent_a: amps("quiescent_a", finite_f64(params, "quiescent_a", 10.0)?)?,
+        start_a: amps("delta.start_a", finite_f64(delta, "start_a", 1.0)?)?,
+        stop_a: amps("delta.stop_a", finite_f64(delta, "stop_a", 50.0)?)?,
         points: usize::try_from(points).unwrap_or(1),
         slew_ns: in_range("slew_ns", finite_f64(params, "slew_ns", 0.0)?, 0.0, 1_000.0)?,
     };
@@ -834,6 +881,21 @@ fn droop_sweep_params(params: &Json) -> Result<DroopSweepParams, RouteError> {
         )));
     }
     Ok(p)
+}
+
+/// Cache key: route tag + ladder content hash + every grid parameter —
+/// two sweeps share a key exactly when their expanded populations match.
+fn droop_sweep_key(p: &DroopSweepParams) -> u64 {
+    ContentKey::new()
+        .bytes(b"droop_sweep")
+        .word(skylake_ladder_key(p.variant))
+        .f64(p.source_v)
+        .f64(p.quiescent_a)
+        .f64(p.start_a)
+        .f64(p.stop_a)
+        .word(p.points as u64)
+        .f64(p.slew_ns)
+        .finish()
 }
 
 /// Expands a delta grid into per-lane current deltas: `points` values
@@ -855,31 +917,6 @@ pub fn delta_grid(start_a: f64, stop_a: f64, points: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Cache key: route tag + ladder content hash + every grid parameter —
-/// two sweeps share a key exactly when their expanded populations match.
-fn droop_sweep_key(p: &DroopSweepParams) -> u64 {
-    let pdn = SkylakePdn::build(p.variant);
-    ContentKey::new()
-        .bytes(b"droop_sweep")
-        .word(ladder_key(&pdn.ladder))
-        .f64(p.source_v)
-        .f64(p.quiescent_a)
-        .f64(p.start_a)
-        .f64(p.stop_a)
-        .word(p.points as u64)
-        .f64(p.slew_ns)
-        .finish()
-}
-
-/// The shard-affinity key for a raw droop-sweep body (see
-/// [`content_key_of`]).
-fn droop_sweep_key_of(params: &Json) -> u64 {
-    match droop_sweep_params(params) {
-        Ok(p) => droop_sweep_key(&p),
-        Err(_) => error_key(b"droop-sweep-invalid", params),
-    }
-}
-
 /// One newline-terminated NDJSON progress line: total lanes finished so
 /// far plus the just-finished wave's droops in lane order.
 fn sweep_progress_line(done: usize, total: usize, fresh: &[Volts]) -> String {
@@ -894,9 +931,9 @@ fn sweep_progress_line(done: usize, total: usize, fresh: &[Volts]) -> String {
     line
 }
 
-/// The final result line: the full droop population in lane order plus
-/// its extremes, wrapped in the standard `{"ok":true,"result":…}` frame.
-fn droop_sweep_body(p: &DroopSweepParams, droops: &[Volts]) -> String {
+/// The final result: the full droop population in lane order plus its
+/// extremes.
+fn droop_sweep_result(p: &DroopSweepParams, droops: &[Volts]) -> Json {
     let mut worst = f64::NEG_INFINITY;
     let mut best = f64::INFINITY;
     for d in droops {
@@ -904,7 +941,7 @@ fn droop_sweep_body(p: &DroopSweepParams, droops: &[Volts]) -> String {
         best = best.min(d.as_mv());
     }
     let lanes: Vec<Json> = droops.iter().map(|d| Json::Num(d.as_mv())).collect();
-    let result = obj(vec![
+    obj(vec![
         ("variant", Json::Str(p.variant.label().to_owned())),
         ("n_lanes", Json::Num(approx_f64(droops.len()))),
         ("quiescent_a", Json::Num(p.quiescent_a)),
@@ -914,12 +951,12 @@ fn droop_sweep_body(p: &DroopSweepParams, droops: &[Volts]) -> String {
         ("worst_droop_mv", Json::Num(worst)),
         ("best_droop_mv", Json::Num(best)),
         ("droop_mv", Json::Arr(lanes)),
-    ]);
-    obj(vec![("ok", Json::Bool(true)), ("result", result)]).render()
+    ])
 }
 
 // ------------------------------------------------------------------- sweep
 
+#[derive(Debug)]
 struct SweepParams {
     variant: PdnVariant,
     start_hz: f64,
@@ -952,14 +989,10 @@ fn sweep_params(params: &Json) -> Result<SweepParams, RouteError> {
     })
 }
 
-fn sweep_key(params: &Json) -> u64 {
-    let Ok(p) = sweep_params(params) else {
-        return error_key(b"sweep-invalid", params);
-    };
-    let pdn = SkylakePdn::build(p.variant);
+fn sweep_key(p: &SweepParams) -> u64 {
     ContentKey::new()
         .bytes(b"sweep")
-        .word(ladder_key(&pdn.ladder))
+        .word(skylake_ladder_key(p.variant))
         .f64(p.start_hz)
         .f64(p.stop_hz)
         .word(p.points as u64)
@@ -967,8 +1000,7 @@ fn sweep_key(params: &Json) -> u64 {
         .finish()
 }
 
-fn sweep_route(params: &Json) -> HandlerResult {
-    let p = sweep_params(params)?;
+fn sweep_route(p: &SweepParams) -> HandlerResult {
     let analyzer = ImpedanceAnalyzer::new(Hertz::new(p.start_hz), Hertz::new(p.stop_hz), p.points)
         .map_err(|e| bad_request(format!("sweep: {e}")))?;
     let pdn = SkylakePdn::build(p.variant);
@@ -998,90 +1030,96 @@ fn sweep_route(params: &Json) -> HandlerResult {
 
 // ----------------------------------------------------------------- product
 
-fn workload_descriptor(params: &Json) -> Result<(String, String), RouteError> {
+/// The validated `POST /v1/product` request. The workload's name is only
+/// checked against its catalog when the cell runs.
+#[derive(Debug)]
+struct ProductParams {
+    design: DarkGates,
+    tdp: Watts,
+    workload: Workload,
+}
+
+#[derive(Debug)]
+enum Workload {
+    Spec { benchmark: String, mode: SpecMode },
+    Graphics(String),
+    Energy(String),
+}
+
+fn product_params(params: &Json) -> Result<ProductParams, RouteError> {
+    let design = design_of(params)?;
+    let tdp = catalog_tdp(params)?;
     let workload = params
         .get("workload")
         .ok_or_else(|| bad_request("missing `workload` object"))?;
-    let kind = workload.get("kind").and_then(Json::as_str).ok_or_else(|| {
-        bad_request("`workload.kind` must be \"spec\", \"graphics\" or \"energy\"")
-    })?;
-    let name = match kind {
-        "spec" => {
-            let bench = workload
-                .get("benchmark")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad_request("`workload.benchmark` is required for spec"))?;
-            let mode = workload
-                .get("mode")
-                .and_then(Json::as_str)
-                .unwrap_or("base");
-            if !matches!(mode, "base" | "rate") {
-                return Err(bad_request("`workload.mode` must be \"base\" or \"rate\""));
-            }
-            format!("{bench}:{mode}")
+    let named = |field: &str, what: &str| {
+        workload
+            .get(field)
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| bad_request(format!("`workload.{field}` is required for {what}")))
+    };
+    let workload = match workload.get("kind").and_then(Json::as_str) {
+        Some("spec") => {
+            let benchmark = named("benchmark", "spec")?;
+            let mode = match workload.get("mode").and_then(Json::as_str) {
+                None | Some("base") => SpecMode::Base,
+                Some("rate") => SpecMode::Rate,
+                Some(_) => return Err(bad_request("`workload.mode` must be \"base\" or \"rate\"")),
+            };
+            Workload::Spec { benchmark, mode }
         }
-        "graphics" => workload
-            .get("scene")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad_request("`workload.scene` is required for graphics"))?
-            .to_owned(),
-        "energy" => workload
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad_request("`workload.name` is required for energy"))?
-            .to_owned(),
-        other => return Err(bad_request(format!("unknown `workload.kind` \"{other}\""))),
+        Some("graphics") => Workload::Graphics(named("scene", "graphics")?),
+        Some("energy") => Workload::Energy(named("name", "energy")?),
+        Some(other) => return Err(bad_request(format!("unknown `workload.kind` \"{other}\""))),
+        None => {
+            return Err(bad_request(
+                "`workload.kind` must be \"spec\", \"graphics\" or \"energy\"",
+            ))
+        }
     };
-    Ok((kind.to_owned(), name))
+    Ok(ProductParams {
+        design,
+        tdp,
+        workload,
+    })
 }
 
-fn product_key(params: &Json) -> u64 {
-    let (Ok(dg), Ok(tdp), Ok((kind, name))) = (
-        design_of(params),
-        catalog_tdp(params),
-        workload_descriptor(params),
-    ) else {
-        return error_key(b"product-invalid", params);
-    };
-    ContentKey::new()
+fn product_key(p: &ProductParams) -> u64 {
+    let k = ContentKey::new()
         .bytes(b"product")
-        .word(u64::from(dg == DarkGates::desktop()))
-        .f64(tdp.value())
-        .bytes(kind.as_bytes())
-        .bytes(name.as_bytes())
-        .finish()
+        .word(u64::from(p.design == DarkGates::desktop()))
+        .f64(p.tdp.value());
+    match &p.workload {
+        Workload::Spec { benchmark, mode } => k
+            .bytes(b"spec")
+            .bytes(benchmark.as_bytes())
+            .bytes(b":")
+            .bytes(mode.label().as_bytes()),
+        Workload::Graphics(scene) => k.bytes(b"graphics").bytes(scene.as_bytes()),
+        Workload::Energy(name) => k.bytes(b"energy").bytes(name.as_bytes()),
+    }
+    .finish()
 }
 
-fn product_route(params: &Json) -> HandlerResult {
-    let dg = design_of(params)?;
-    let tdp = catalog_tdp(params)?;
-    let (kind, _) = workload_descriptor(params)?;
-    let product = dg.product(tdp);
-    let workload = params.get("workload").unwrap_or(&Json::Null);
-    let cell = match kind.as_str() {
-        "spec" => spec_cell(&product, workload)?,
-        "graphics" => graphics_cell(&product, workload)?,
-        _ => energy_cell(&product, workload)?,
+fn product_route(p: &ProductParams) -> HandlerResult {
+    let product = p.design.product(p.tdp);
+    let cell = match &p.workload {
+        Workload::Spec { benchmark, mode } => spec_cell(&product, benchmark, *mode)?,
+        Workload::Graphics(scene) => graphics_cell(&product, scene)?,
+        Workload::Energy(name) => energy_cell(&product, name)?,
     };
     Ok(obj(vec![
         ("product", Json::Str(product.name.clone())),
-        ("tdp_w", Json::Num(tdp.value())),
+        ("tdp_w", Json::Num(p.tdp.value())),
         ("fmax_1c_mhz", Json::Num(product.fmax_1c().as_mhz())),
         ("cell", cell),
     ]))
 }
 
-fn spec_cell(product: &Product, workload: &Json) -> HandlerResult {
-    let name = workload
-        .get("benchmark")
-        .and_then(Json::as_str)
-        .unwrap_or_default();
+fn spec_cell(product: &Product, name: &str, mode: SpecMode) -> HandlerResult {
     let bench =
         by_name(name).ok_or_else(|| bad_request(format!("unknown SPEC benchmark \"{name}\"")))?;
-    let mode = match workload.get("mode").and_then(Json::as_str) {
-        Some("rate") => SpecMode::Rate,
-        _ => SpecMode::Base,
-    };
     let r = run_spec(product, &bench, mode);
     Ok(obj(vec![
         ("kind", Json::Str("spec".to_owned())),
@@ -1098,11 +1136,7 @@ fn spec_cell(product: &Product, workload: &Json) -> HandlerResult {
     ]))
 }
 
-fn graphics_cell(product: &Product, workload: &Json) -> HandlerResult {
-    let scene_name = workload
-        .get("scene")
-        .and_then(Json::as_str)
-        .unwrap_or_default();
+fn graphics_cell(product: &Product, scene_name: &str) -> HandlerResult {
     let suite = three_dmark_suite();
     let scene = suite.iter().find(|s| s.name == scene_name).ok_or_else(|| {
         let known: Vec<&str> = suite.iter().map(|s| s.name).collect();
@@ -1123,11 +1157,7 @@ fn graphics_cell(product: &Product, workload: &Json) -> HandlerResult {
     ]))
 }
 
-fn energy_cell(product: &Product, workload: &Json) -> HandlerResult {
-    let name = workload
-        .get("name")
-        .and_then(Json::as_str)
-        .unwrap_or_default();
+fn energy_cell(product: &Product, name: &str) -> HandlerResult {
     let wl = match name {
         "energy-star" | "energy_star" => energy_star(),
         "rmt" | "ready-mode" => ready_mode(),
@@ -1174,13 +1204,18 @@ fn claims_route() -> HandlerResult {
 
 // ------------------------------------------------------------------- debug
 
-fn debug_sleep(req: &Request) -> Response {
-    let ms = std::str::from_utf8(&req.body)
+/// The debug route's `ms`: 100 unless the body says otherwise, capped at
+/// [`MAX_SLEEP_MS`].
+fn sleep_ms(body: &[u8]) -> u64 {
+    std::str::from_utf8(body)
         .ok()
         .and_then(|t| json::parse(t).ok())
         .and_then(|v| v.get("ms").and_then(Json::as_u64))
         .unwrap_or(100)
-        .min(MAX_SLEEP_MS);
+        .min(MAX_SLEEP_MS)
+}
+
+fn debug_sleep(ms: u64) -> Response {
     std::thread::sleep(std::time::Duration::from_millis(ms));
     Response::ok_json(&obj(vec![("slept_ms", Json::Num(approx_f64_u64(ms)))]))
 }
@@ -1327,20 +1362,25 @@ mod tests {
         }
     }
 
+    /// The typed cache key of a valid body's parameters.
+    fn typed_key<P>(
+        body: &str,
+        params: fn(&Json) -> Result<P, RouteError>,
+        key: fn(&P) -> u64,
+    ) -> u64 {
+        let json = json::parse(body).expect("json");
+        params(&json)
+            .map(|p| key(&p))
+            .ok()
+            .expect("valid parameters")
+    }
+
     #[test]
     fn identical_droop_batches_share_a_content_key() {
-        let a = droop_batch_key(
-            &json::parse(r#"{"steps":[{"from_a":5,"to_a":40},{"from_a":10,"to_a":60}]}"#)
-                .expect("json"),
-        );
-        let b = droop_batch_key(
-            &json::parse(r#"{"steps":[{"to_a":40,"from_a":5},{"to_a":60,"from_a":10}]}"#)
-                .expect("json"),
-        );
-        let c = droop_batch_key(
-            &json::parse(r#"{"steps":[{"from_a":10,"to_a":60},{"from_a":5,"to_a":40}]}"#)
-                .expect("json"),
-        );
+        let key = |body| typed_key(body, droop_batch_params, droop_batch_key);
+        let a = key(r#"{"steps":[{"from_a":5,"to_a":40},{"from_a":10,"to_a":60}]}"#);
+        let b = key(r#"{"steps":[{"to_a":40,"from_a":5},{"to_a":60,"from_a":10}]}"#);
+        let c = key(r#"{"steps":[{"from_a":10,"to_a":60},{"from_a":5,"to_a":40}]}"#);
         assert_eq!(a, b, "parameter order within a lane must not matter");
         assert_ne!(a, c, "lane order changes the batch's physics");
     }
@@ -1538,12 +1578,47 @@ mod tests {
         let r = router();
         let (route, resp) = r.handle(&get("/v1/nope"));
         assert_eq!(route, Route::Other);
-        assert_eq!(resp.status, 404);
-        let (_, resp) = r.handle(&get("/v1/droop"));
-        assert_eq!(resp.status, 405);
-        // Debug routes stay hidden unless enabled.
-        let (_, resp) = r.handle(&post("/v1/debug/sleep", r#"{"ms":1}"#));
-        assert_eq!(resp.status, 404);
+        assert_eq!((resp.status, resp.allow), (404, None));
+        // Any method a known path's row does not list is a 405 whose
+        // Allow names the row's method.
+        for (method, target, allow) in [
+            ("GET", "/v1/droop", "POST"),
+            ("PUT", "/v1/droop", "POST"),
+            ("PATCH", "/v1/droop", "POST"),
+            ("OPTIONS", "/healthz", "GET"),
+            ("HEAD", "/metrics", "GET"),
+            ("DELETE", "/admin/drain?now", "POST"),
+            ("POST", "/v1/claims", "GET"),
+            ("GET", "/v1/droop_sweep", "POST"),
+        ] {
+            let req = Request {
+                method: method.to_owned(),
+                ..get(target)
+            };
+            let (route, resp) = r.handle(&req);
+            assert_eq!(
+                (route, resp.status, resp.allow),
+                (Route::Other, 405, Some(allow)),
+                "{method} {target}"
+            );
+            assert!(resp.body.contains("method not allowed"), "{}", resp.body);
+        }
+        // Debug routes stay hidden unless enabled: 404 for every method.
+        for method in ["POST", "GET", "PATCH"] {
+            let req = Request {
+                method: method.to_owned(),
+                ..post("/v1/debug/sleep", r#"{"ms":1}"#)
+            };
+            let (_, resp) = r.handle(&req);
+            assert_eq!((resp.status, resp.allow), (404, None), "{method}");
+        }
+        let debug = Router::new(
+            Arc::new(Metrics::default()),
+            Arc::new(AtomicBool::new(false)),
+            true,
+        );
+        let (_, resp) = debug.handle(&get("/v1/debug/sleep"));
+        assert_eq!((resp.status, resp.allow), (405, Some("POST")));
     }
 
     #[test]
@@ -1561,9 +1636,10 @@ mod tests {
 
     #[test]
     fn identical_droop_requests_share_a_content_key() {
-        let a = droop_key(&json::parse(r#"{"from_a":10,"to_a":60}"#).expect("json"));
-        let b = droop_key(&json::parse(r#"{"to_a":60,"from_a":10}"#).expect("json"));
-        let c = droop_key(&json::parse(r#"{"from_a":10,"to_a":61}"#).expect("json"));
+        let key = |body| typed_key(body, droop_params, droop_key);
+        let a = key(r#"{"from_a":10,"to_a":60}"#);
+        let b = key(r#"{"to_a":60,"from_a":10}"#);
+        let c = key(r#"{"from_a":10,"to_a":61}"#);
         assert_eq!(a, b, "parameter order must not matter");
         assert_ne!(a, c, "different physics must not share a key");
     }
@@ -1600,14 +1676,16 @@ mod tests {
     }
 
     #[test]
-    fn router_affinity_key_matches_the_shard_coalescing_key() {
+    fn router_affinity_key_matches_the_shard_cache_key() {
         // Same physics, different JSON spelling → same affinity key.
         let a = content_key_of("POST", "/v1/droop", br#"{"from_a":10,"to_a":60}"#);
         let b = content_key_of("POST", "/v1/droop", br#"{"to_a":60,"from_a":10}"#);
         assert_eq!(a, b);
         // And it is exactly the shard's response-cache key.
-        let direct = droop_key(&json::parse(r#"{"from_a":10,"to_a":60}"#).expect("json"));
+        let direct = typed_key(r#"{"from_a":10,"to_a":60}"#, droop_params, droop_key);
         assert_eq!(a, direct);
+        let shard = router().query(&post("/v1/droop", r#"{"from_a":10,"to_a":60}"#));
+        assert_eq!(a, shard.key);
         // Query strings do not perturb the key; unknown routes still key.
         assert_eq!(
             content_key_of("GET", "/v1/claims", b""),
@@ -1617,6 +1695,105 @@ mod tests {
             content_key_of("GET", "/nope", b"x"),
             content_key_of("GET", "/nope", b"y")
         );
+    }
+
+    #[test]
+    fn content_keys_are_pinned() {
+        // Literal keys: a change to how any request is keyed strands every
+        // response-cache entry, `resp/` file and router affinity arc.
+        let cases: &[(&str, &str, &[u8], u64)] = &[
+            // One valid request per route.
+            ("GET", "/healthz", b"", 0x309d_4f26_9105_782c),
+            ("GET", "/metrics", b"", 0xebd3_36cc_cc2e_d74d),
+            ("POST", "/admin/drain", b"", 0x2594_958c_5d63_a9f2),
+            ("GET", "/v1/claims", b"", 0xbe2f_be80_062c_f874),
+            (
+                "POST",
+                "/v1/droop",
+                br#"{"variant":"bypassed","from_a":5,"to_a":40,"source_v":1.0}"#,
+                0x641d_e376_5f9c_ad01,
+            ),
+            (
+                "POST",
+                "/v1/droop_batch",
+                br#"{"variant":"gated","steps":[{"from_a":10,"to_a":40},{"from_a":10,"to_a":50,"slew_ns":10}]}"#,
+                0x0125_bc13_f4df_8cce,
+            ),
+            (
+                "POST",
+                "/v1/sweep",
+                br#"{"variant":"gated","points":64,"decimate":8}"#,
+                0x8da6_0d3f_7452_d8c8,
+            ),
+            (
+                "POST",
+                "/v1/product",
+                br#"{"design":"desktop","tdp_w":91,"workload":{"kind":"spec","benchmark":"444.namd","mode":"base"}}"#,
+                0xa929_8cd9_bbfb_52c9,
+            ),
+            (
+                "POST",
+                "/v1/explore",
+                br#"{"seed":1,"tech_nodes":[45,22],"tdp_w":[45,91],"big_perf":[20],"small_perf":[2],"fraction_parallelism":[0.9]}"#,
+                0x692d_0110_f832_08b4,
+            ),
+            (
+                "POST",
+                "/v1/droop_sweep",
+                br#"{"variant":"bypassed","quiescent_a":8,"slew_ns":2,"delta":{"start_a":5,"stop_a":45,"points":9}}"#,
+                0x6635_aa4b_a858_b2fd,
+            ),
+            // Every body of bad_parameters_yield_400_not_500.
+            ("POST", "/v1/droop", br#"{"variant":"wormhole"}"#, 0xd092_2789_af5c_faf1),
+            ("POST", "/v1/droop", br#"{"from_a":-3}"#, 0x3554_9361_cec9_4497),
+            ("POST", "/v1/droop", br#"{"source_v":99}"#, 0xd56b_22e2_4b06_e8b9),
+            ("POST", "/v1/sweep", br#"{"points":1}"#, 0xaadb_9b2d_8975_aef1),
+            ("POST", "/v1/sweep", br#"{"points":9999999}"#, 0xf30c_1bd5_5295_3367),
+            (
+                "POST",
+                "/v1/product",
+                br#"{"tdp_w":50,"workload":{"kind":"spec","benchmark":"444.namd"}}"#,
+                0xd572_24d3_ea9a_2574,
+            ),
+            (
+                "POST",
+                "/v1/product",
+                br#"{"workload":{"kind":"spec","benchmark":"no.such"}}"#,
+                0x2c44_1eab_6ec9_df7b,
+            ),
+            ("POST", "/v1/product", br#"{"workload":{"kind":"dance"}}"#, 0xce88_a18e_f89d_a97c),
+            ("POST", "/v1/product", br#"{}"#, 0x956b_e1b0_fd4f_bcb2),
+            ("POST", "/v1/droop", b"{not json", 0xf383_d3f8_eb28_7fbe),
+            // Invalid batch, sweep grid and explore spec.
+            ("POST", "/v1/droop_batch", br#"{"steps":[]}"#, 0x17d6_74dc_2fc0_fb2b),
+            ("POST", "/v1/droop_sweep", br#"{"delta":{"points":8193}}"#, 0xa035_cbf9_f3fd_f956),
+            ("POST", "/v1/explore", br#"{"tdp_w":[]}"#, 0x3b16_3b97_bc9b_9caa),
+            // Bodies that are not UTF-8, not JSON, or not an object.
+            ("POST", "/v1/droop", b"\xff\xfe{}", 0xdc04_29a4_d809_ba2f),
+            ("POST", "/v1/explore", b"\xff\xfe{}", 0xa220_ff06_39fe_2a64),
+            ("GET", "/v1/claims", b"\xff\xfe{}", 0xbe2f_be80_062c_f874),
+            ("POST", "/v1/explore", b"{not json", 0xa68a_3d0a_055f_1103),
+            ("POST", "/v1/droop_sweep", b"{not json", 0xad5d_99a9_8816_4507),
+            ("POST", "/v1/droop", b"[1,2]", 0x68e0_e1d4_1002_8df0),
+            // Empty bodies take every default.
+            ("POST", "/v1/explore", b"", 0xa04f_c030_59be_10cb),
+            ("POST", "/v1/droop", b"  ", 0x68e0_e1d4_1002_8df0),
+            // Query strings, unknown paths, wrong methods, debug route.
+            ("GET", "/v1/claims?pretty=1", b"", 0xbe2f_be80_062c_f874),
+            ("POST", "/v1/droop?x=1", br#"{"from_a":10,"to_a":60}"#, 0x68e0_e1d4_1002_8df0),
+            ("GET", "/v1/nope", b"x", 0xca77_ef96_da96_a446),
+            ("GET", "/v1/droop", b"", 0x6bd9_4bf6_d922_fefa),
+            ("PATCH", "/v1/droop", br#"{"from_a":10}"#, 0x04d8_5d00_6d8b_e557),
+            ("POST", "/v1/debug/sleep", br#"{"ms":1}"#, 0xc736_4da8_8e74_7526),
+        ];
+        for &(method, target, body, want) in cases {
+            assert_eq!(
+                content_key_of(method, target, body),
+                want,
+                "{method} {target} {}",
+                String::from_utf8_lossy(body)
+            );
+        }
     }
 
     #[test]

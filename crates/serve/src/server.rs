@@ -2,18 +2,21 @@
 //! on the shared connection engine ([`crate::event_loop`], which owns
 //! every socket, the worker pool, shedding and the drain policy).
 //!
-//! What a parsed request becomes:
+//! The event loop resolves each request once, into a [`Query`]
+//! (`Router::query`: route-table row, body parsed, parameters
+//! validated, content key derived). What the query becomes:
 //!
 //! * cheap control routes ([`Kind::Control`]: `GET /healthz`,
 //!   `GET /metrics`, `POST /admin/drain`, with or without a query string)
 //!   are answered inline on the event loop — health stays observable even
 //!   under full compute overload, and a drain request cannot be shed by
 //!   the very pressure it relieves,
-//! * memory-tier response-cache hits are answered inline too: one JSON
-//!   parse and one lock, no queue, no worker,
-//! * everything else is queued for the worker pool, which runs handlers
-//!   with `par_map` inlined and streams `/v1/explore` and
-//!   `/v1/droop_sweep` as chunked NDJSON, one completion per wave.
+//! * memory-tier response-cache hits on [`Kind::Cacheable`] routes are
+//!   answered inline too: one lock, no queue, no worker,
+//! * everything else is queued for the worker pool as the query itself,
+//!   so no worker parses the request again. Workers run handlers with
+//!   `par_map` inlined and stream `/v1/explore` and `/v1/droop_sweep` as
+//!   chunked NDJSON, one completion per wave.
 //!
 //! Drain ([`ServerHandle::request_drain`], `POST /admin/drain`, or SIGTERM
 //! in the binary) is the engine's: the listener closes, idle connections
@@ -26,11 +29,9 @@
 
 pub use crate::event_loop::{retry_after_secs, DrainReport};
 use crate::event_loop::{Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox};
-use crate::http::{
-    write_chunk, write_response, write_stream_head, ParserLimits, Request, LAST_CHUNK,
-};
+use crate::http::{write_chunk, write_stream_head, ParserLimits, Request, LAST_CHUNK};
 use crate::metrics::{monotonic_us, Metrics, Route};
-use crate::routes::{kind_of, Kind, Response, Router, StreamPlan};
+use crate::routes::{Kind, Query, Router, StreamPlan};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -175,12 +176,13 @@ struct Shard {
 }
 
 impl Dispatcher for Shard {
-    type Job = Request;
+    type Job = Query;
     type LoopState = ();
     type WorkerState = ();
 
-    fn admit(&self, _: &mut (), request: Request, close: bool) -> Admit<Request> {
-        if let Kind::Control(route) = kind_of(&request.method, &request.target) {
+    fn admit(&self, _: &mut (), request: Request, close: bool) -> Admit<Query> {
+        let query = self.router.query(&request);
+        if let Kind::Control(route) = query.kind {
             let start = monotonic_us();
             let response = self.router.control(route);
             let latency = monotonic_us().saturating_sub(start);
@@ -188,30 +190,31 @@ impl Dispatcher for Shard {
             // `POST /admin/drain` flips the flag inside the handler; honor
             // it on this very response.
             let close = close || self.draining.load(Ordering::SeqCst);
-            let bytes = framed(&response, close);
+            let bytes = response.framed(close);
             return Admit::Reply { bytes, close };
         }
-        match self.router.cached_response(&request) {
-            Some((route, response)) => {
-                self.metrics.record(route, response.status, 0);
-                let bytes = framed(&response, close);
+        match self.router.memory_hit(&query) {
+            Some(response) => {
+                self.metrics.record(query.kind.route(), response.status, 0);
+                let bytes = response.framed(close);
                 Admit::Reply { bytes, close }
             }
-            None => Admit::Queue(request),
+            None => Admit::Queue(query),
         }
     }
 
-    fn serve(&self, _: &mut (), request: Request, close: bool, out: &Outbox<'_>) {
+    fn serve(&self, _: &mut (), query: Query, close: bool, out: &Outbox<'_>) {
         let _inflight = InFlight::enter(&self.metrics.inflight);
-        if let Kind::Stream(route) = kind_of(&request.method, &request.target) {
-            return self.stream(route, &request, close, out);
+        if let Kind::Stream(route) = query.kind {
+            return self.stream(route, query, close, out);
         }
+        let route = query.kind.route();
         let start = monotonic_us();
         // Handlers run with par_map inlined: one thread per request.
-        let (route, response) = dg_engine::inline_scope(|| self.router.handle(&request));
+        let response = dg_engine::inline_scope(|| self.router.answer(query));
         let latency = monotonic_us().saturating_sub(start);
         self.metrics.record(route, response.status, latency);
-        out.push(framed(&response, close), true, close);
+        out.push(response.framed(close), true, close);
     }
 
     fn note(&self, event: Event) {
@@ -233,15 +236,15 @@ impl Dispatcher for Shard {
 }
 
 impl Shard {
-    /// Serves one request on a streaming route (`/v1/explore`,
+    /// Serves one query on a streaming route (`/v1/explore`,
     /// `/v1/droop_sweep`): chunked NDJSON progress lines as batches
     /// finish, then the result line. Rejections (400/413) stay ordinary
     /// framed responses; cache hits stream only the result line.
-    fn stream(&self, route: Route, request: &Request, close: bool, out: &Outbox<'_>) {
+    fn stream(&self, route: Route, query: Query, close: bool, out: &Outbox<'_>) {
         let start = monotonic_us();
-        let status = match self.router.plan_stream(route, request) {
+        let status = match self.router.plan_stream(query) {
             StreamPlan::Reject(resp) => {
-                out.push(framed(&resp, close), true, close);
+                out.push(resp.framed(close), true, close);
                 resp.status
             }
             StreamPlan::Cached(body) => {
@@ -283,18 +286,6 @@ impl Drop for InFlight<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
-}
-
-/// Frames a handler's response for the wire.
-fn framed(response: &Response, close: bool) -> Vec<u8> {
-    write_response(
-        response.status,
-        response.reason,
-        response.content_type,
-        &[],
-        response.body.as_bytes(),
-        close,
-    )
 }
 
 /// The NDJSON stream head shared by every streaming route.
@@ -634,6 +625,39 @@ mod tests {
         for client in [running, queued] {
             let reply = client.join().expect("client");
             assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+        }
+        assert!(handle.shutdown().clean);
+    }
+
+    #[test]
+    fn wrong_methods_get_405_with_allow_over_http() {
+        let handle = Server::start(tiny_config()).expect("bind");
+        let addr = handle.local_addr();
+        for (method, target, allow) in [
+            ("PUT", "/v1/droop", Some("POST")),
+            ("PATCH", "/v1/droop", Some("POST")),
+            ("OPTIONS", "/healthz", Some("GET")),
+            ("GET", "/admin/drain", Some("POST")),
+            ("GET", "/v1/nope", None),
+            // Debug routes are off: their path is no row at all.
+            ("GET", "/v1/debug/sleep", None),
+            ("POST", "/v1/debug/sleep", None),
+        ] {
+            let reply = talk(
+                addr,
+                format!("{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n")
+                    .as_bytes(),
+            );
+            let status = if allow.is_some() { 405 } else { 404 };
+            assert!(
+                reply.starts_with(&format!("HTTP/1.1 {status} ")),
+                "{method} {target}: {reply}"
+            );
+            let header = reply
+                .lines()
+                .take_while(|l| !l.is_empty())
+                .find_map(|l| l.strip_prefix("Allow: "));
+            assert_eq!(header, allow, "{method} {target}: {reply}");
         }
         assert!(handle.shutdown().clean);
     }

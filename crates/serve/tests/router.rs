@@ -139,3 +139,42 @@ fn shutdown_finishes_a_request_already_in_flight() {
     assert_eq!(reply.status, 200, "{}", reply.body);
     assert!(shard.shutdown().clean);
 }
+
+#[test]
+fn admin_drain_drains_the_router_and_no_shard() {
+    let shards = [start_shard(false), start_shard(false)];
+    let router = RouterServer::start(RouterConfig {
+        shards: shards.iter().map(ServerHandle::local_addr).collect(),
+        ..RouterConfig::default()
+    })
+    .expect("router start");
+    let addr = router.local_addr();
+
+    let reply = http_request(addr, "POST", "/admin/drain", None).expect("drain");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(reply.body, r#"{"status":"draining"}"#);
+    assert_eq!(reply.header("connection"), Some("close"));
+    // Neither shard saw the drain.
+    for shard in &shards {
+        let health =
+            http_request(shard.local_addr(), "GET", "/healthz", None).expect("shard healthz");
+        assert!(
+            health.body.contains("\"draining\":false"),
+            "{}",
+            health.body
+        );
+    }
+    // The router closed its listener.
+    let deadline = monotonic_us() + 5_000_000;
+    while http_request(addr, "GET", "/healthz", None).is_ok() {
+        assert!(
+            monotonic_us() < deadline,
+            "router still serving after a drain"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(router.shutdown(), "router drains cleanly");
+    for shard in shards {
+        assert!(shard.shutdown().clean);
+    }
+}
