@@ -24,19 +24,7 @@ fn main() {
 
     // Report. The scoreboard is the same reduction dg-chaos's oracle
     // applies to the served claims payload.
-    let board = dg_bench::claims_scoreboard(&graded);
-    println!("DarkGates reproduction self-check");
-    println!("{:-<78}", "");
-    for c in &graded {
-        println!(
-            "[{}] {:<40} paper: {:<26} measured: {}",
-            if c.pass { "PASS" } else { "FAIL" },
-            c.name,
-            c.paper,
-            c.measured
-        );
-    }
-    println!("{:-<78}", "");
+    let board = dg_bench::print_graded("DarkGates reproduction self-check", &graded);
     println!(
         "{}/{} claims hold ({} worker thread(s), {:.1} ms)",
         board.passed,

@@ -1,6 +1,6 @@
-//! Shared printers for the experiment binaries and benches: each function
-//! regenerates one of the paper's figures/tables and prints its rows in
-//! the same structure the paper reports.
+//! Shared printers for the experiment binaries: each function regenerates
+//! one of the paper's figures/tables and prints its rows in the same
+//! structure the paper reports.
 
 use darkgates::experiments::{
     self, Fig10Row, Fig3Row, Fig3SweepPoint, Fig4Result, Fig7Result, Fig8Cell, Fig9Row,
@@ -292,31 +292,42 @@ fn pass(ok: bool) -> &'static str {
 ///    because [`dg_engine::num_threads`] deliberately falls back in
 ///    silence.
 ///
-/// An invalid `--threads` value is also warned about and ignored.
+/// An invalid or missing `--threads` value is also warned about and
+/// ignored.
 pub fn apply_thread_overrides(args: &[String]) -> Option<dg_engine::ThreadOverrideGuard> {
     for issue in dg_engine::thread_env_issues() {
         eprintln!("warning: {issue} to auto-detected thread count");
     }
-    let mut requested: Option<&str> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--threads" {
-            requested = iter.next().map(String::as_str);
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            requested = Some(v);
-        }
-    }
-    let raw = requested?;
-    match raw.parse::<usize>() {
-        Ok(n) if n > 0 => Some(dg_engine::set_thread_override(n)),
-        _ => {
-            eprintln!(
-                "warning: --threads {raw:?} ignored (must be a positive integer); \
-                 falling back to auto-detected thread count"
-            );
+    match threads_flag(args)? {
+        Ok(n) => Some(dg_engine::set_thread_override(n)),
+        Err(warning) => {
+            eprintln!("{warning}");
             None
         }
     }
+}
+
+/// The last `--threads` flag in `args`: `None` without one, the count
+/// when it is a positive integer, else the warning to print.
+fn threads_flag(args: &[String]) -> Option<Result<usize, String>> {
+    let mut requested: Option<Option<&str>> = None;
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if arg == "--threads" {
+            requested = Some(iter.next().map(String::as_str));
+        } else if let Some(v) = arg.strip_prefix("--threads=") {
+            requested = Some(Some(v));
+        }
+    }
+    let raw = requested?;
+    Some(match raw.map(str::parse::<usize>) {
+        Some(Ok(n)) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "warning: --threads {} ignored (must be a positive integer); \
+             falling back to auto-detected thread count",
+            raw.map_or_else(|| "with no value".to_owned(), |r| format!("{r:?}"))
+        )),
+    })
 }
 
 /// A compact pass/fail scoreboard over graded paper claims.
@@ -341,6 +352,25 @@ impl ClaimsScoreboard {
     }
 }
 
+/// Prints graded rows under `title`, one `[PASS]`/`[FAIL]` line per row
+/// between two rules, and returns their scoreboard. `validate` prints the
+/// paper claims through it and `ablations` the ablations.
+pub fn print_graded(title: &str, graded: &[darkgates::claims::Claim]) -> ClaimsScoreboard {
+    println!("{title}");
+    println!("{:-<78}", "");
+    for c in graded {
+        println!(
+            "[{}] {:<40} paper: {:<26} measured: {}",
+            pass(c.pass),
+            c.name,
+            c.paper,
+            c.measured
+        );
+    }
+    println!("{:-<78}", "");
+    claims_scoreboard(graded)
+}
+
 /// Reduces graded claims to the scoreboard every consumer reports.
 pub fn claims_scoreboard(graded: &[darkgates::claims::Claim]) -> ClaimsScoreboard {
     let rows: Vec<(String, bool)> = graded.iter().map(|c| (c.name.to_owned(), c.pass)).collect();
@@ -362,6 +392,35 @@ mod tests {
         super::print_fig10();
         super::print_table1();
         super::print_table2();
+    }
+
+    #[test]
+    fn threads_flag_accepts_positive_counts_and_warns_otherwise() {
+        let flag = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+            super::threads_flag(&args)
+        };
+        assert_eq!(flag(&[]), None);
+        assert_eq!(flag(&["--quiet"]), None);
+        assert_eq!(flag(&["--threads", "2"]), Some(Ok(2)));
+        assert_eq!(flag(&["--threads=2"]), Some(Ok(2)));
+        assert_eq!(flag(&["--threads", "1", "--threads=3"]), Some(Ok(3)));
+        for (args, shown) in [
+            (&["--threads", "0"][..], "\"0\""),
+            (&["--threads=0"][..], "\"0\""),
+            (&["--threads", "abc"][..], "\"abc\""),
+            (&["--threads"][..], "with no value"),
+            (&["--threads=2", "--threads"][..], "with no value"),
+        ] {
+            assert_eq!(
+                flag(args),
+                Some(Err(format!(
+                    "warning: --threads {shown} ignored (must be a positive integer); \
+                     falling back to auto-detected thread count"
+                ))),
+                "{args:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,14 +8,13 @@ use dg_pmu::modes::{Fuse, OperatingMode};
 use dg_pmu::reliability::ReliabilityModel;
 use dg_power::units::{Volts, Watts};
 use dg_soc::products::Product;
-use serde::{Deserialize, Serialize};
 
 /// A DarkGates-capable processor configuration, fixed by its package fuse.
 ///
 /// The same die serves both configurations (paper Sec. 2.2): construct with
 /// [`DarkGates::desktop`] for the bypassed Skylake-S-like package or
 /// [`DarkGates::mobile`] for the gated Skylake-H-like package.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DarkGates {
     fuse: Fuse,
 }

@@ -11,9 +11,10 @@
 //! identical for any thread count — and, because the engine inlines
 //! nested parallelism, also when invoked from inside a server worker.
 
-use crate::experiments::{self, Fig10Row, Fig4Result, Fig7Result, Fig8Cell, Fig9Row};
+use crate::experiments::{self, Ablations, Fig10Row, Fig4Result, Fig7Result, Fig8Cell, Fig9Row};
 use crate::DarkGates;
 use dg_pdn::units::Watts;
+use dg_power::pstate::PStateTable;
 
 /// One graded claim: the paper's number, the reproduction's number, and
 /// whether the reproduction is inside the accepted band.
@@ -263,6 +264,108 @@ pub fn grade_all() -> Vec<Claim> {
     grade(&ClaimData::compute())
 }
 
+/// Grades the six ablations of [`experiments::ablations`], one row each
+/// in a fixed order. A row's `paper` column states its pass rule: what
+/// the paper says breaks, or what it costs, without that design choice.
+/// A row whose data is missing or failed to compute fails.
+pub fn grade_ablations(a: &Ablations) -> Vec<Claim> {
+    let missing = || "dataset incomplete".to_owned();
+    let bypass = match (a.fig10.first(), a.fig10.get(1)) {
+        (Some(es), Some(rmt)) => Ok((
+            format!(
+                "ES {:.3} W, RMT {:.3} W",
+                es.dg_c7_power.value(),
+                rmt.dg_c7_power.value()
+            ),
+            !es.dg_c7_meets_limit && !rmt.dg_c7_meets_limit,
+        )),
+        _ => Err(missing()),
+    };
+    let c8 = Ok((
+        format!(
+            "C7 {:.3} -> C8 {:.3} W, Fmax {:.1} < {:.1} GHz",
+            a.gated_idle_c7.value(),
+            a.gated_idle_c8.value(),
+            a.fmax_gated.as_ghz(),
+            a.fmax_bypassed.as_ghz()
+        ),
+        a.gated_idle_c8 < a.gated_idle_c7 && a.fmax_gated < a.fmax_bypassed,
+    ));
+    let adder = match &a.fmax_with_and_without_adder {
+        Ok((with, without)) => Ok((
+            format!(
+                "{:.1} mV: Fmax {:.1} -> {:.1} GHz",
+                a.reliability_adder.as_mv(),
+                with.as_ghz(),
+                without.as_ghz()
+            ),
+            ((*without - *with) / PStateTable::standard_bin()).round() <= 1.0,
+        )),
+        Err(e) => Err(e.to_string()),
+    };
+    let levels = &a.virus_levels;
+    let virus = match levels.last() {
+        Some(single) => Ok((
+            format!(
+                "{} mV, saving {} mV",
+                joined(levels.iter().map(|l| l.guardband.as_mv()), 1),
+                joined(levels.iter().map(|l| l.saving.as_mv()), 1)
+            ),
+            levels.iter().all(|l| l.guardband <= single.guardband),
+        )),
+        None => Err(missing()),
+    };
+    let gains = &a.rate_gains;
+    let rate = if gains.is_empty() {
+        Err(missing())
+    } else {
+        let positive = gains.iter().all(|&(_, gain)| gain > 0.0);
+        let never_rises = gains.windows(2).all(|w| w[1].1 <= w[0].1);
+        Ok((
+            format!(
+                "{}% at {} copies",
+                joined(gains.iter().map(|&(_, gain)| gain * 100.0), 1),
+                joined(gains.iter().map(|&(copies, _)| copies), 0)
+            ),
+            positive && never_rises,
+        ))
+    };
+    let [b, g] = [a.governor_bypassed, a.governor_gated]
+        .map(|p| [p.adaptive, p.always_c8, p.always_c6].map(Watts::value));
+    let [adaptive, always_c8, always_c6] = b;
+    let governor = Ok((
+        format!(
+            "adaptive/C8/C6 {} W, gated {} W",
+            joined(b, 3),
+            joined(g, 3)
+        ),
+        adaptive.to_bits() == always_c8.to_bits() && adaptive < always_c6,
+    ));
+    [
+        ("bypass without C8", "ES and RMT both fail", bypass),
+        ("C8 without bypass", "less idle power, no Fmax", c8),
+        ("no reliability adder", "gains at most one bin", adder),
+        ("one power-virus level", ">= every level's guardband", virus),
+        ("rate-mode contention", "> 0 and non-increasing", rate),
+        ("idle governor", "bypassed: = C8, < C6", governor),
+    ]
+    .into_iter()
+    .map(|(name, rule, graded)| {
+        let (measured, pass) = graded.unwrap_or_else(|why| (why, false));
+        claim(name, rule.into(), measured, pass)
+    })
+    .collect()
+}
+
+/// The values joined with `/`, `digits` decimals each.
+fn joined<T: std::fmt::Display>(values: impl IntoIterator<Item = T>, digits: usize) -> String {
+    values
+        .into_iter()
+        .map(|v| format!("{v:.digits$}"))
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,5 +414,49 @@ mod tests {
             .count();
         assert_eq!(incomplete, 6, "the row-indexed graders must fail closed");
         assert!(claims.iter().filter(|c| !c.pass).count() >= 6);
+    }
+
+    #[test]
+    fn all_six_ablations_hold() {
+        let rows = grade_ablations(&experiments::ablations());
+        assert_eq!(rows.len(), 6);
+        for r in &rows {
+            assert!(
+                r.pass,
+                "ablation failed: {} (measured {})",
+                r.name, r.measured
+            );
+        }
+    }
+
+    #[test]
+    fn incomplete_ablations_fail_closed_instead_of_panicking() {
+        let mut data = experiments::ablations();
+        data.fig10.clear();
+        data.virus_levels.clear();
+        data.rate_gains.clear();
+        data.fmax_with_and_without_adder = Err(dg_power::PowerError::OutOfRange {
+            what: "frequency",
+            value: 0.0,
+            min: 1.0,
+            max: 2.0,
+        });
+        let rows = grade_ablations(&data);
+        assert_eq!(rows.len(), 6);
+        let failed: Vec<&str> = rows.iter().filter(|r| !r.pass).map(|r| r.name).collect();
+        assert_eq!(
+            failed,
+            [
+                "bypass without C8",
+                "no reliability adder",
+                "one power-virus level",
+                "rate-mode contention",
+            ]
+        );
+        let incomplete = rows
+            .iter()
+            .filter(|r| r.measured == "dataset incomplete")
+            .count();
+        assert_eq!(incomplete, 3, "the row-indexed graders must fail closed");
     }
 }

@@ -3,23 +3,26 @@
 //! can print them and the integration tests can assert the paper's shape.
 
 use crate::architecture::DarkGates;
+use dg_cstates::governor::IdleGovernor;
 use dg_cstates::power::{GatingConfig, IdlePowerModel};
 use dg_cstates::states::PackageCstate;
 use dg_pdn::impedance::ImpedanceProfile;
 use dg_pdn::skylake::{PdnVariant, SkylakePdn};
-use dg_power::units::{Volts, Watts};
+use dg_power::pstate::PStateTable;
+use dg_power::units::{Hertz, Seconds, Volts, Watts};
+use dg_power::vf::VfCurve;
+use dg_power::PowerError;
 use dg_soc::products::Product;
 use dg_soc::run::{run_energy, run_graphics, run_spec};
 use dg_workloads::energy::{energy_star, ready_mode, EnergyWorkload};
 use dg_workloads::graphics::three_dmark_suite;
 use dg_workloads::spec::{suite, SpecMode, SpecSuite};
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------- Fig. 3
 
 /// One bar of the motivational Fig. 3: the average SPEC gain on Broadwell
 /// from a −100 mV guardband reduction, per TDP × suite × mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Row {
     /// TDP level (35/45/65/95 W).
     pub tdp: Watts,
@@ -71,7 +74,7 @@ pub fn fig3() -> Vec<Fig3Row> {
 
 /// One point of the Fig. 3 guardband sweep: mean SPEC base gain on
 /// Broadwell for a given guardband reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3SweepPoint {
     /// TDP level.
     pub tdp: Watts,
@@ -118,7 +121,7 @@ pub fn fig3_sweep() -> Vec<Fig3SweepPoint> {
 // ---------------------------------------------------------------- Fig. 4
 
 /// The impedance–frequency comparison of Fig. 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Result {
     /// Profile with power-gates in the path.
     pub gated: ImpedanceProfile,
@@ -147,7 +150,7 @@ pub fn fig4() -> Fig4Result {
 // ---------------------------------------------------------------- Fig. 7
 
 /// One bar of Fig. 7: a benchmark's gain at 91 W.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -160,7 +163,7 @@ pub struct Fig7Row {
 }
 
 /// The Fig. 7 result: per-benchmark gains at 91 W, base mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Result {
     /// Per-benchmark rows, suite order.
     pub rows: Vec<Fig7Row>,
@@ -198,7 +201,7 @@ pub fn fig7() -> Fig7Result {
 // ---------------------------------------------------------------- Fig. 8
 
 /// One TDP column of Fig. 8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Cell {
     /// TDP level.
     pub tdp: Watts,
@@ -247,7 +250,7 @@ pub fn fig8() -> Vec<Fig8Cell> {
 // ---------------------------------------------------------------- Fig. 9
 
 /// One TDP bar of Fig. 9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig9Row {
     /// TDP level.
     pub tdp: Watts,
@@ -278,7 +281,7 @@ pub fn fig9() -> Vec<Fig9Row> {
 // --------------------------------------------------------------- Fig. 10
 
 /// One workload group of Fig. 10.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig10Row {
     /// Workload name.
     pub workload: String,
@@ -339,7 +342,7 @@ pub fn table1() -> Vec<(PackageCstate, &'static str)> {
 }
 
 /// The Table 2 system-parameter summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2 {
     /// Desktop product name (the DarkGates part).
     pub desktop: String,
@@ -376,7 +379,7 @@ pub fn table2() -> Table2 {
 // ----------------------------------------------------------- Full sweep
 
 /// Every figure dataset of the evaluation, computed in one pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// Fig. 3 grid rows.
     pub fig3: Vec<Fig3Row>,
@@ -411,6 +414,153 @@ pub fn evaluate_all() -> Evaluation {
         fig8: fig8(),
         fig9: fig9(),
         fig10: fig10(),
+    }
+}
+
+// ------------------------------------------------------------ Ablations
+
+/// One power-virus level of the bypassed PDN (the Fig. 2(c) mechanism).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VirusLevelCost {
+    /// IR guardband paid at this level.
+    pub guardband: Volts,
+    /// What this level saves over a single-level design, which always pays
+    /// the top level's guardband.
+    pub saving: Volts,
+}
+
+/// Average package idle power of three C-state policies on one mixed
+/// idle trace.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GovernorCosts {
+    /// The adaptive [`IdleGovernor`].
+    pub adaptive: Watts,
+    /// Entering package C8 on every idle period.
+    pub always_c8: Watts,
+    /// Entering package C6 on every idle period.
+    pub always_c6: Watts,
+}
+
+/// The measured values behind the six ablations. Each one removes a
+/// DarkGates design choice and shows what breaks, or what it costs;
+/// [`crate::claims::grade_ablations`] grades them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ablations {
+    /// The Fig. 10 rows. Their DarkGates+C7 columns are the bypass-only
+    /// ablation: gates bypassed, no package C8.
+    pub fig10: Vec<Fig10Row>,
+    /// Gated-package idle power at package C7.
+    pub gated_idle_c7: Watts,
+    /// Gated-package idle power at package C8 (C8 without bypass).
+    pub gated_idle_c8: Watts,
+    /// 1-core Fmax of the gated part at 91 W.
+    pub fmax_gated: Hertz,
+    /// 1-core Fmax of the bypassed part at 91 W.
+    pub fmax_bypassed: Hertz,
+    /// The reliability guardband adder at 91 W.
+    pub reliability_adder: Volts,
+    /// The bypassed part's 1-core Fmax at 91 W with and without the
+    /// adder, within the gated part's voltage budget.
+    pub fmax_with_and_without_adder: Result<(Hertz, Hertz), PowerError>,
+    /// The bypassed PDN's power-virus levels, lowest first.
+    pub virus_levels: Vec<VirusLevelCost>,
+    /// `(copies, gain)`: the mean SPEC rate gain of the 91 W cell's
+    /// 4.4 GHz over 4.0 GHz when the copies contend for memory.
+    pub rate_gains: Vec<(usize, f64)>,
+    /// The idle policies on the bypassed (DarkGates) package.
+    pub governor_bypassed: GovernorCosts,
+    /// The idle policies on the gated baseline package.
+    pub governor_gated: GovernorCosts,
+}
+
+/// Measures the six ablations at 91 W.
+pub fn ablations() -> Ablations {
+    let tdp = Watts::new(91.0);
+    let model = IdlePowerModel::new();
+    let gated = GatingConfig::skylake(false, 4);
+    let virus = SkylakePdn::build(PdnVariant::Bypassed).virus_table;
+    Ablations {
+        fig10: fig10(),
+        gated_idle_c7: model.package_idle_power(PackageCstate::C7, &gated),
+        gated_idle_c8: model.package_idle_power(PackageCstate::C8, &gated),
+        fmax_gated: DarkGates::mobile().product(tdp).fmax_1c(),
+        fmax_bypassed: DarkGates::desktop().product(tdp).fmax_1c(),
+        reliability_adder: DarkGates::desktop().reliability_model().guardband(tdp),
+        fmax_with_and_without_adder: fmax_with_and_without_adder(tdp),
+        virus_levels: (0..virus.levels().len())
+            .map(|i| VirusLevelCost {
+                guardband: virus.guardband_at(i),
+                saving: virus.saving_vs_single_level(i),
+            })
+            .collect(),
+        rate_gains: [1, 2, 4]
+            .into_iter()
+            .map(|copies| (copies, contended_rate_gain(copies)))
+            .collect(),
+        governor_bypassed: governor_costs(true),
+        governor_gated: governor_costs(false),
+    }
+}
+
+/// The bypassed part's quantized 1-core Fmax at `tdp` with its full
+/// guardband and with the reliability adder taken out. Both fit the
+/// voltage the gated part spends at its fused 4.2 GHz ceiling.
+fn fmax_with_and_without_adder(tdp: Watts) -> Result<(Hertz, Hertz), PowerError> {
+    let curve = VfCurve::skylake_core();
+    let desktop = DarkGates::desktop();
+    let guardband = desktop.guardband_manager().total_guardband(tdp);
+    let adder = desktop.reliability_model().guardband(tdp);
+    let budget = curve.voltage_at(Hertz::from_ghz(4.2))?
+        + DarkGates::mobile().guardband_manager().total_guardband(tdp);
+    let fmax = |gb: Volts| {
+        curve
+            .with_guardband(gb)
+            .max_frequency_at_quantized(budget, PStateTable::standard_bin())
+    };
+    Ok((fmax(guardband)?, fmax(guardband - adder)?))
+}
+
+/// Suite-mean SPEC rate gain of 4.4 GHz over 4.0 GHz with `copies`
+/// copies contending for memory bandwidth.
+fn contended_rate_gain(copies: usize) -> f64 {
+    let all = suite();
+    all.iter()
+        .map(|b| b.rate_speedup(4.4e9, 4.0e9, copies) - 1.0)
+        .sum::<f64>()
+        / all.len() as f64
+}
+
+/// The adaptive idle governor against always-C8 and always-C6 on an
+/// interactive trace: 400 µs gaps, with every tenth gap 0.8 s long.
+fn governor_costs(bypassed: bool) -> GovernorCosts {
+    let trace: Vec<Seconds> = (0..60)
+        .map(|i| {
+            if i % 10 == 0 {
+                Seconds::new(0.8)
+            } else {
+                Seconds::from_us(400.0)
+            }
+        })
+        .collect();
+    let mut governor = IdleGovernor::new(
+        GatingConfig::skylake(bypassed, 4),
+        PackageCstate::C8,
+        Seconds::from_ms(2.0),
+    );
+    let idle: f64 = trace.iter().map(|d| d.value()).sum();
+    let always = |state| {
+        let energy: f64 = trace
+            .iter()
+            .map(|&d| governor.expected_energy(state, d))
+            .sum();
+        Watts::new(energy / idle)
+    };
+    let always_c8 = always(PackageCstate::C8);
+    let always_c6 = always(PackageCstate::C6);
+    GovernorCosts {
+        adaptive: governor.evaluate(&trace),
+        always_c8,
+        always_c6,
     }
 }
 
@@ -457,6 +607,53 @@ mod tests {
             // Non-DarkGates edges out DarkGates+C8.
             assert!(r.non_dg_reduction >= r.dg_c8_reduction);
         }
+    }
+
+    /// Every ablation value, pinned bit for bit, so a change to any
+    /// mechanism an ablation exercises shows here.
+    #[test]
+    fn ablation_values_are_pinned() {
+        let a = ablations();
+        let (with, without) = a
+            .fmax_with_and_without_adder
+            .clone()
+            .expect("the V/F curve places both Fmax points");
+        let [bypassed, gated] = [a.governor_bypassed, a.governor_gated]
+            .map(|p| vec![p.adaptive.value(), p.always_c8.value(), p.always_c6.value()]);
+        let measured: [Vec<f64>; 9] = [
+            a.fig10.iter().map(|r| r.dg_c7_power.value()).collect(),
+            vec![a.gated_idle_c7.value(), a.gated_idle_c8.value()],
+            vec![a.fmax_gated.as_ghz(), a.fmax_bypassed.as_ghz()],
+            vec![a.reliability_adder.as_mv(), with.as_ghz(), without.as_ghz()],
+            a.virus_levels.iter().map(|l| l.guardband.as_mv()).collect(),
+            a.virus_levels.iter().map(|l| l.saving.as_mv()).collect(),
+            a.rate_gains.iter().map(|&(_, gain)| gain).collect(),
+            bypassed,
+            gated,
+        ];
+        let pinned: [&[f64]; 9] = [
+            // bypass only: ENERGY STAR and RMT at DarkGates+C7 (W)
+            &[1.261695139749841, 1.564625425899306],
+            // C8 only: gated C7 and C8 idle (W), gated and bypassed Fmax (GHz)
+            &[0.47800000000000004, 0.445],
+            &[4.2, 4.6],
+            // reliability adder (mV), Fmax with and without it (GHz)
+            &[4.92572252820211, 4.6, 4.6],
+            // virus levels: guardbands, then savings against one level (mV)
+            &[54.400000000000006, 99.20000000000002, 188.79999999999998],
+            &[134.4, 89.59999999999998, 0.0],
+            // contended rate gain at 1, 2 and 4 copies
+            &[0.05049997499441977, 0.04942991665050662, 0.0474527076675595],
+            // adaptive, always-C8, always-C6 (W): bypassed, then gated
+            &[0.4553258884911367, 0.4553258884911367, 1.640440663712909],
+            &[0.47627502903600505, 0.4513036336485815, 0.6303519163763059],
+        ];
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (got, want) in measured.iter().zip(pinned) {
+            assert_eq!(bits(got), bits(want), "measured {got:?}");
+        }
+        let copies: Vec<usize> = a.rate_gains.iter().map(|&(c, _)| c).collect();
+        assert_eq!(copies, [1, 2, 4]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Minimal, dependency-free JSON: a value tree, a recursive-descent
 //! parser with a depth limit, and a deterministic renderer.
 //!
-//! The vendored `serde` stand-in is derive-only (no data model, no
-//! serializer), so the workspace carries its own JSON layer. It started
+//! The build is offline and vendors no serialization crate, so the
+//! workspace carries its own JSON layer. It started
 //! life inside `dg-serve`; it lives here so crates below the serve tier
 //! (`dg-explore` specs, future tooling) can read and render JSON without
 //! depending on the HTTP stack — `dg_serve::json` re-exports this module,

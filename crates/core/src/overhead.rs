@@ -6,8 +6,6 @@
 //! genuinely distinct artifacts — and those already exist for market
 //! reasons (LGA desktop vs. BGA mobile).
 
-use serde::{Deserialize, Serialize};
-
 /// Size of the DarkGates mode-handling firmware, bytes (paper: ~0.3 KB).
 pub const FIRMWARE_BYTES: usize = 300;
 
@@ -22,7 +20,7 @@ pub const ROM_MM2_PER_BYTE: f64 = 0.016 / 1024.0;
 pub const PACKAGE_DESIGNS: usize = 2;
 
 /// Hardware-cost summary of the DarkGates implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadReport {
     /// Firmware bytes added.
     pub firmware_bytes: usize,

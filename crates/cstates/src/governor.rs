@@ -11,7 +11,6 @@ use crate::latency::{break_even_time, LatencyTable};
 use crate::power::{GatingConfig, IdlePowerModel};
 use crate::states::PackageCstate;
 use dg_power::units::{Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// EWMA weight given to the newest observation.
 const EWMA_ALPHA: f64 = 0.35;
@@ -20,7 +19,7 @@ const EWMA_ALPHA: f64 = 0.35;
 const DEMOTION_THRESHOLD: u32 = 2;
 
 /// An idle-duration predictor (EWMA with misprediction tracking).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdlePredictor {
     estimate: f64,
     overestimates: u32,
@@ -64,7 +63,7 @@ impl Default for IdlePredictor {
 }
 
 /// Per-state residency/selection statistics.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GovernorStats {
     /// Idle entries per package state index (into [`PackageCstate::ALL`]).
     pub selections: [u64; 8],
@@ -92,7 +91,7 @@ pub struct GovernorStats {
 /// // Feed back the observed duration to train the predictor.
 /// governor.record_idle(Seconds::from_ms(500.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdleGovernor {
     latency: LatencyTable,
     model: IdlePowerModel,
@@ -137,7 +136,7 @@ impl IdleGovernor {
     /// shallow states barely save power — the un-gateable cores leak at
     /// the idle VID in everything shallower than C8 — so the governor
     /// switches to direct expected-energy minimization, which is markedly
-    /// more C8-aggressive (see the `ablations` bench).
+    /// more C8-aggressive (see the `ablations` binary).
     pub fn select(&mut self) -> PackageCstate {
         let predicted = self.predictor.predict();
         let mut best = if self.config.bypassed {

@@ -7,10 +7,9 @@
 
 use crate::states::PackageCstate;
 use dg_power::units::{Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Entry/exit latencies for each package state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyTable {
     entries: Vec<(PackageCstate, Seconds, Seconds)>,
 }

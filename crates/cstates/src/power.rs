@@ -12,7 +12,6 @@
 use crate::states::PackageCstate;
 use dg_power::leakage::LeakageModel;
 use dg_power::units::{Celsius, Volts, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Uncore + IO + DRAM-refresh power at each package state, in watts.
 ///
@@ -50,7 +49,7 @@ pub const ACTIVE_IDLE_VID: Volts = Volts::new(1.00);
 pub const ACTIVE_IDLE_TEMP: Celsius = Celsius::new(75.0);
 
 /// Whether the package can actually power-gate its cores.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatingConfig {
     /// `true` for a DarkGates (bypassed) package: gates cannot cut power.
     pub bypassed: bool,
@@ -82,7 +81,7 @@ impl GatingConfig {
 }
 
 /// The calibrated idle power model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IdlePowerModel;
 
 impl IdlePowerModel {

@@ -8,11 +8,10 @@
 use crate::power::{GatingConfig, IdlePowerModel};
 use crate::states::PackageCstate;
 use dg_power::units::{Seconds, Watts};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Accumulates per-state residency and active-phase energy.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResidencyTracker {
     idle: BTreeMap<PackageCstate, f64>,
     active_seconds: f64,

@@ -5,10 +5,9 @@
 //! deepest package C-state the system may enter.
 
 use crate::states::{CoreCstate, DisplayState, GraphicsCstate, MemoryState, PackageCstate};
-use serde::{Deserialize, Serialize};
 
 /// The inputs the PMU examines when choosing a package C-state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlatformInputs {
     /// Per-core component C-states.
     pub cores: Vec<CoreCstate>,

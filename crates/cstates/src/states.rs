@@ -6,7 +6,6 @@
 //! PackageCstate::C7`. The package states and their entry conditions mirror
 //! Table 1 of the paper (Intel Skylake).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Hardware-thread C-states (TCi) — the finest level of Table 1.
@@ -14,9 +13,7 @@ use std::fmt;
 /// With SMT, each hardware thread requests its own idle state; the core's
 /// state is bound by its *shallowest* thread (a core can only clock-gate
 /// once both threads have).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ThreadCstate {
     /// Executing instructions.
     #[default]
@@ -73,9 +70,7 @@ pub fn core_state_from_threads(threads: &[ThreadCstate]) -> CoreCstate {
 }
 
 /// CPU-core component C-states (CCi).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum CoreCstate {
     /// Executing instructions.
     #[default]
@@ -134,9 +129,7 @@ impl fmt::Display for CoreCstate {
 }
 
 /// Graphics-engine component C-states (RCi).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum GraphicsCstate {
     /// Rendering.
     #[default]
@@ -162,9 +155,7 @@ impl fmt::Display for GraphicsCstate {
 }
 
 /// Display-pipeline state, which gates the deepest package states.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum DisplayState {
     /// Actively scanned out by the display controller.
     #[default]
@@ -176,9 +167,7 @@ pub enum DisplayState {
 }
 
 /// External-memory (DRAM) state.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum MemoryState {
     /// DRAM actively serving requests.
     #[default]
@@ -189,9 +178,7 @@ pub enum MemoryState {
 
 /// Package (system-level) C-states of the Intel Skylake architecture
 /// (paper Table 1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum PackageCstate {
     /// One or more cores or the graphics engine executing.
     #[default]

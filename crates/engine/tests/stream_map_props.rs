@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-/// Serializes cases: the thread override and schedule seed are
+/// Runs one case at a time: the thread override and schedule seed are
 /// process-global, and a poisoned lock just means a previous case
 /// panicked on purpose.
 static SERIAL: Mutex<()> = Mutex::new(());

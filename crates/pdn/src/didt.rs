@@ -10,7 +10,6 @@
 use crate::ladder::Ladder;
 use crate::transient::{LoadStep, TransientResult, TransientSim};
 use crate::units::{Amps, Seconds, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Lanes per batched transient task: eight full 4-lane blocks of the x4
 /// kernel ([`crate::simd::KernelWidth::X4`]), so no lane falls into the
@@ -24,7 +23,7 @@ pub(crate) const SWEEP_LANES: usize = 32;
 pub(crate) const PROGRESS_GROUPS: usize = 8;
 
 /// A named di/dt event class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DidtEvent {
     /// Event name (e.g. `"1-core pipeline restart"`).
     pub name: String,
@@ -67,7 +66,7 @@ pub fn client_event_family() -> Vec<DidtEvent> {
 }
 
 /// Result of simulating one event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DidtResult {
     /// The event.
     pub event: DidtEvent,
@@ -80,7 +79,7 @@ pub struct DidtResult {
 }
 
 /// Noise analysis of a ladder under the event family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseAnalysis {
     /// Per-event results.
     pub results: Vec<DidtResult>,

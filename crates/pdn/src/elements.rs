@@ -11,10 +11,9 @@
 use crate::complex::Complex;
 use crate::error::PdnError;
 use crate::units::{Farads, Henries, Hertz, Ohms};
-use serde::{Deserialize, Serialize};
 
 /// A series R–L branch (routing segment or power-gate).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesBranch {
     /// Series resistance.
     pub resistance: Ohms,
@@ -101,7 +100,7 @@ impl SeriesBranch {
 }
 
 /// A bank of identical decoupling capacitors, each with ESR and ESL.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapBank {
     /// Capacitance of a single capacitor.
     pub capacitance: Farads,

@@ -7,7 +7,6 @@
 use crate::error::PdnError;
 use crate::ladder::Ladder;
 use crate::units::{Hertz, Ohms};
-use serde::{Deserialize, Serialize};
 
 /// Frequencies evaluated per worker task in [`ImpedanceAnalyzer::profile`]:
 /// the default 400-point sweep still spreads over every worker, while each
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const SWEEP_CHUNK: usize = 64;
 
 /// Configuration for a logarithmic frequency sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpedanceAnalyzer {
     /// Sweep start frequency (inclusive).
     pub start: Hertz,
@@ -100,7 +99,7 @@ impl ImpedanceAnalyzer {
 }
 
 /// An impedance-versus-frequency profile (paper Fig. 4 series).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImpedanceProfile {
     name: String,
     points: Vec<(Hertz, Ohms)>,

@@ -20,11 +20,10 @@ use crate::elements::{CapBank, SeriesBranch};
 use crate::error::PdnError;
 use crate::transient::{LadderCoeffs, MAX_NODES};
 use crate::units::{Hertz, Ohms};
-use serde::{Deserialize, Serialize};
 
 /// One segment of the PDN: a series branch plus an optional shunt cap bank
 /// at the downstream node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// Human-readable name (e.g. `"package routing"`, `"power-gate"`).
     pub name: String,
@@ -59,7 +58,7 @@ impl Stage {
 /// Below its control bandwidth a buck VR holds its output at the load-line
 /// resistance `R_LL`; above the bandwidth the output impedance rises
 /// inductively with an equivalent inductance `L_eq = R_LL / ω_bw`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VrOutputModel {
     /// Load-line (DC output) resistance.
     pub loadline: Ohms,
@@ -132,7 +131,7 @@ impl VrOutputModel {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ladder {
     name: String,
     vr: VrOutputModel,

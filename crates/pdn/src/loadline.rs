@@ -10,10 +10,9 @@
 
 use crate::error::PdnError;
 use crate::units::{Amps, Ohms, Volts};
-use serde::{Deserialize, Serialize};
 
 /// The load-line model `Vcc_load = Vcc − R_LL · Icc`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadLine {
     /// System impedance `R_LL` (typically 1.6–2.4 mΩ for client parts).
     pub resistance: Ohms,
@@ -54,7 +53,7 @@ impl LoadLine {
 
 /// One power-virus level: a system state (e.g. "2 active cores") and the
 /// maximum current that state can possibly draw.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirusLevel {
     /// Descriptive name (e.g. `"1 active core"`).
     pub name: String,
@@ -77,7 +76,7 @@ impl VirusLevel {
 /// Levels must be strictly increasing in current. Level indices are
 /// 1-based in the paper's notation (`VirusLevel_1 < VirusLevel_2 < ...`);
 /// this API uses 0-based indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirusLevelTable {
     loadline: LoadLine,
     levels: Vec<VirusLevel>,

@@ -9,10 +9,9 @@
 
 use crate::error::PdnError;
 use crate::units::Amps;
-use serde::{Deserialize, Serialize};
 
 /// One package-level voltage domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoltageDomain {
     /// Domain name (e.g. `"VC0G"`).
     pub name: String,
@@ -44,7 +43,7 @@ impl VoltageDomain {
 }
 
 /// A package's core-rail domain layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackageLayout {
     /// Package name.
     pub name: String,

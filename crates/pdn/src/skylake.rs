@@ -22,7 +22,6 @@ use crate::ladder::{Ladder, VrOutputModel};
 use crate::loadline::{LoadLine, VirusLevel, VirusLevelTable};
 use crate::units::{Amps, Farads, Henries, Hertz, Ohms, Volts, Watts};
 use crate::vr::{VoltageRegulator, VrLimits};
-use serde::{Deserialize, Serialize};
 
 /// Number of CPU cores on the modeled die.
 pub const CORE_COUNT: usize = 4;
@@ -69,7 +68,7 @@ pub const MIM_ESR_MOHM: f64 = 3.5;
 pub const MIM_ESL_PH: f64 = 1.0;
 
 /// Which side of the DarkGates hybrid a package implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PdnVariant {
     /// Power-gates in the path (mobile / Skylake-H-like package).
     Gated,
@@ -89,7 +88,7 @@ impl PdnVariant {
 }
 
 /// A fully-assembled Skylake-class PDN: ladder, load-line, virus levels, VR.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkylakePdn {
     /// The topology variant.
     pub variant: PdnVariant,

@@ -14,7 +14,6 @@
 use crate::error::PdnError;
 use crate::ladder::Ladder;
 use crate::units::{Amps, Seconds, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Minimum branch inductance substituted for ideal (zero-L) branches to keep
 /// the ODE system well-posed. 1 pH is far below any physical routing segment.
@@ -44,7 +43,7 @@ pub const SETTLE_ABS_TOL_V: f64 = 1e-6;
 pub const MAX_NODES: usize = 8;
 
 /// A current step applied at the die node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadStep {
     /// Quiescent current before the step.
     pub from: Amps,
@@ -92,7 +91,7 @@ impl LoadStep {
 }
 
 /// Result of a transient simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransientResult {
     /// Decimated `(time, die-voltage)` waveform.
     pub samples: Vec<(Seconds, Volts)>,
@@ -139,7 +138,7 @@ impl TransientResult {
 }
 
 /// Fixed-step RK4 transient simulator over a [`Ladder`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientSim {
     /// VR setpoint voltage at the head of the ladder.
     pub source: Volts,

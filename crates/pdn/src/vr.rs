@@ -8,10 +8,9 @@
 use crate::error::PdnError;
 use crate::loadline::LoadLine;
 use crate::units::{Amps, Ohms, Volts, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Current limits of a VR and its upstream power supply.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VrLimits {
     /// Thermal design current — sustainable indefinitely (PL2-related).
     pub tdc: Amps,
@@ -57,7 +56,7 @@ impl VrLimits {
 }
 
 /// How a current/power demand relates to the VR's limits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LimitCheck {
     /// Within every limit.
     Ok,
@@ -71,7 +70,7 @@ pub enum LimitCheck {
 }
 
 /// A motherboard voltage regulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoltageRegulator {
     setpoint: Volts,
     loadline: LoadLine,

@@ -17,7 +17,6 @@ use dg_power::leakage::LeakageModel;
 use dg_power::pstate::{PState, PStateTable};
 use dg_power::thermal::ThermalModel;
 use dg_power::units::{Celsius, Volts, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Tolerance on the thermal limit, °C (the PBM regulates to the limit, so
 /// exact equality is feasible).
@@ -44,7 +43,7 @@ pub struct DvfsRequest<'a> {
 }
 
 /// The solver's result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// The chosen P-state.
     pub state: PState,
@@ -57,7 +56,7 @@ pub struct OperatingPoint {
 }
 
 /// The DVFS solver: core leakage + thermal models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsSolver {
     core_leakage: LeakageModel,
     thermal: ThermalModel,

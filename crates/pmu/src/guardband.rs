@@ -12,7 +12,6 @@ use crate::reliability::ReliabilityModel;
 use dg_pdn::impedance::ImpedanceProfile;
 use dg_pdn::skylake::PdnVariant;
 use dg_pdn::units::{Amps, Ohms, Volts, Watts};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Worst-case transient current step for the droop guardband: a
@@ -21,7 +20,7 @@ use std::sync::OnceLock;
 pub const DROOP_STEP_CURRENT_A: f64 = 48.0;
 
 /// The guardband manager for one PDN variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GuardbandManager {
     variant: PdnVariant,
     peak_impedance: Ohms,

@@ -10,12 +10,9 @@
 
 use dg_pdn::loadline::VirusLevelTable;
 use dg_pdn::units::{Amps, Hertz, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Instruction-intensity license classes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum License {
     /// Scalar / SSE-class code.
     #[default]
@@ -68,7 +65,7 @@ impl License {
 
 /// Tracks the current license and resolves virus levels for
 /// (active-cores, license) system states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LicenseManager {
     current: License,
     /// Upgrades granted (telemetry).

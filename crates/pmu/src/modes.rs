@@ -9,11 +9,10 @@
 //!   leakage savings, package C-states per the mobile table.
 
 use dg_pdn::skylake::PdnVariant;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A factory-programmed configuration fuse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fuse {
     /// Raw fuse word (bit 0: bypass enable).
     raw: u32,
@@ -56,7 +55,7 @@ impl Fuse {
 }
 
 /// The firmware operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatingMode {
     /// Power-gates bypassed (desktop / DarkGates).
     Bypass,

@@ -11,10 +11,9 @@
 //! bursts up to PL2 are allowed.
 
 use dg_power::units::{Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A compute-domain budget split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetSplit {
     /// Budget left for the CPU cores.
     pub cores: Watts,
@@ -23,7 +22,7 @@ pub struct BudgetSplit {
 }
 
 /// The power budget manager for one SoC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBudgetManager {
     /// Sustained package power limit (PL1 = TDP).
     pub tdp: Watts,
@@ -70,7 +69,7 @@ impl PowerBudgetManager {
 }
 
 /// Exponentially-weighted moving average of package power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerEma {
     tau: Seconds,
     value: Option<f64>,
@@ -109,7 +108,7 @@ impl PowerEma {
 }
 
 /// The PL1/PL2 turbo controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TurboController {
     /// Sustained limit (PL1 = TDP).
     pub pl1: Watts,

@@ -23,10 +23,9 @@ use dg_power::limits::DesignLimits;
 use dg_power::pstate::{PState, PStateTable};
 use dg_power::thermal::ThermalModel;
 use dg_power::units::{Celsius, Hertz, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of a Pcode instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcodeConfig {
     /// Operating mode (from the package fuse).
     pub mode: OperatingMode,
@@ -49,7 +48,7 @@ pub struct PcodeConfig {
 }
 
 /// Events delivered to the firmware.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PcodeEvent {
     /// The OS scheduled work: `active_cores` running a workload of the
     /// given per-core dynamic capacitance.
@@ -71,7 +70,7 @@ pub enum PcodeEvent {
 }
 
 /// Firmware telemetry (MSR-flavored counters).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Telemetry {
     /// RAPL-style package energy/average power.
     pub energy: EnergyCounter,
@@ -88,7 +87,7 @@ pub struct Telemetry {
 }
 
 /// What the package is currently doing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Activity {
     /// Running `active_cores` at the current P-state.
     Running,
@@ -146,7 +145,7 @@ enum Activity {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pcode {
     cfg: PcodeConfig,
     svid: SvidBus,

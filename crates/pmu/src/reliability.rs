@@ -20,7 +20,6 @@
 //! endpoints.
 
 use dg_power::units::{Celsius, Volts, Watts};
-use serde::{Deserialize, Serialize};
 
 /// The extra junction temperature caused by bypassing (paper: ~5 °C).
 pub const EXTRA_TEMPERATURE_C: f64 = 5.0;
@@ -42,7 +41,7 @@ const STRESS_HIGH_TDP: f64 = 0.14;
 const AGING_K_MV: f64 = 30.5;
 
 /// The reliability stress/guardband model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReliabilityModel;
 
 impl ReliabilityModel {

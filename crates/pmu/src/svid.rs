@@ -7,7 +7,6 @@
 //! (raise-voltage-then-frequency; lower-frequency-then-voltage).
 
 use dg_pdn::units::{Seconds, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Voltage of VID code 0 (codes below the offset are "off").
 pub const VID_OFFSET_V: f64 = 0.245;
@@ -16,7 +15,7 @@ pub const VID_OFFSET_V: f64 = 0.245;
 pub const VID_STEP_V: f64 = 0.005;
 
 /// An 8-bit VID code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VidCode(pub u8);
 
 impl VidCode {
@@ -52,7 +51,7 @@ impl VidCode {
 }
 
 /// Commands carried by the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SvidCommand {
     /// Program a new output voltage.
     SetVid(VidCode),
@@ -63,7 +62,7 @@ pub enum SvidCommand {
 }
 
 /// The SVID bus plus the VR's slewing output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvidBus {
     /// Command latency (serial protocol overhead).
     pub command_latency: Seconds,

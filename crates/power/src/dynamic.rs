@@ -8,10 +8,9 @@
 
 use crate::error::PowerError;
 use dg_pdn::units::{Amps, Farads, Hertz, Volts, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A dynamic-capacitance operating profile for one component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CdynProfile {
     /// Effective switched capacitance in farads.
     cdyn: f64,

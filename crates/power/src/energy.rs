@@ -5,10 +5,9 @@
 //! benchmarks read back average power and total energy.
 
 use dg_pdn::units::{Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Accumulates energy from `(power, duration)` samples.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyCounter {
     joules: f64,
     elapsed: f64,

@@ -14,10 +14,9 @@
 
 use crate::error::PowerError;
 use dg_pdn::units::{Celsius, Volts, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A calibrated leakage model for one component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageModel {
     /// Leakage at the reference point (`v0`, `t0`).
     pub p0: Watts,

@@ -7,10 +7,9 @@
 
 use crate::error::PowerError;
 use dg_pdn::units::{Celsius, Volts, Watts};
-use serde::{Deserialize, Serialize};
 
 /// The running-average and instantaneous power limits (PL1–PL4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLimits {
     /// PL1: sustained power limit — equals TDP by definition.
     pub pl1: Watts,
@@ -71,7 +70,7 @@ impl PowerLimits {
 }
 
 /// The full set of design limits for a processor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignLimits {
     /// Thermal design power.
     pub tdp: Watts,

@@ -8,10 +8,9 @@
 use crate::error::PowerError;
 use crate::vf::VfCurve;
 use dg_pdn::units::{Hertz, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A single operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PState {
     /// Core clock frequency.
     pub frequency: Hertz,
@@ -20,7 +19,7 @@ pub struct PState {
 }
 
 /// An ordered table of P-states, lowest frequency first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PStateTable {
     states: Vec<PState>,
     bin: Hertz,

@@ -8,10 +8,9 @@
 
 use crate::error::PowerError;
 use dg_pdn::units::{Celsius, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A first-order thermal model (junction → ambient).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     /// Junction-to-ambient thermal resistance in °C/W.
     pub r_th: f64,

@@ -13,10 +13,9 @@
 
 use crate::error::PowerError;
 use dg_pdn::units::{Celsius, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A lumped multi-node thermal model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalNetwork {
     names: Vec<String>,
     /// Symmetric coupling conductances `G[i][j]` in W/°C (`i != j`).

@@ -11,10 +11,9 @@ use crate::vf::VfCurve;
 use dg_pdn::units::{Hertz, Volts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Distribution parameters of a process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessVariation {
     /// Standard deviation of the die's V/F voltage offset.
     pub sigma_voltage: Volts,
@@ -49,7 +48,7 @@ impl ProcessVariation {
 }
 
 /// One sampled die.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DieSample {
     /// Voltage offset of this die's V/F curve (positive = slow die).
     pub voltage_offset: Volts,
@@ -88,7 +87,7 @@ impl DieSample {
 }
 
 /// Yield report of a binning run: how many dies landed in each bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinningReport {
     /// `(bin frequency, count)`, ascending.
     pub bins: Vec<(Hertz, usize)>,

@@ -9,14 +9,13 @@
 
 use crate::error::PowerError;
 use dg_pdn::units::{Hertz, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A monotone piecewise-linear V/F curve.
 ///
 /// Invariants: at least two points; frequencies strictly increasing;
 /// voltages strictly increasing (a higher frequency always needs a higher
 /// voltage).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VfCurve {
     points: Vec<(Hertz, Volts)>,
     /// Constant guardband added on top of the bare curve.

@@ -27,7 +27,6 @@ use dg_power::pstate::PStateTable;
 use dg_power::thermal::ThermalModel;
 use dg_power::units::{Hertz, Volts, Watts};
 use dg_power::vf::VfCurve;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -57,7 +56,7 @@ const BROADWELL_FUSED: [(f64, f64, f64); 4] = [
 ];
 
 /// A fully-configured processor product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Product {
     /// Marketing-style name.
     pub name: String,

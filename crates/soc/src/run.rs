@@ -8,7 +8,6 @@ use dg_power::units::{Celsius, Hertz, Watts};
 use dg_workloads::energy::EnergyWorkload;
 use dg_workloads::graphics::GraphicsWorkload;
 use dg_workloads::spec::{SpecBenchmark, SpecMode};
-use serde::{Deserialize, Serialize};
 
 /// The nominal frequency at which SPEC scalability factors are defined.
 pub const SPEC_NOMINAL_HZ: f64 = 4.2e9;
@@ -17,7 +16,7 @@ pub const SPEC_NOMINAL_HZ: f64 = 4.2e9;
 pub const GFX_REF_HZ: f64 = 1.15e9;
 
 /// Result of a SPEC run on one product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecReport {
     /// Benchmark name.
     pub benchmark: String,
@@ -56,7 +55,7 @@ pub fn run_spec(product: &Product, benchmark: &SpecBenchmark, mode: SpecMode) ->
 }
 
 /// Result of a graphics run on one product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphicsReport {
     /// Scene name.
     pub workload: String,
@@ -112,7 +111,7 @@ pub fn run_graphics(product: &Product, workload: &GraphicsWorkload) -> GraphicsR
 }
 
 /// Result of an energy-efficiency run on one product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
     /// Workload name.
     pub workload: String,

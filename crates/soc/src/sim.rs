@@ -15,13 +15,12 @@ use dg_power::dynamic::CdynProfile;
 use dg_power::energy::EnergyCounter;
 use dg_power::pstate::{PState, PStateTable};
 use dg_power::units::{Celsius, Hertz, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Margin below Tjmax at which reactive throttling engages.
 const THROTTLE_MARGIN_C: f64 = 0.5;
 
 /// Configuration of a time-stepped run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Total simulated duration.
     pub duration: Seconds,
@@ -44,7 +43,7 @@ impl Default for SimConfig {
 }
 
 /// One recorded simulation step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepTrace {
     /// Simulation time at the end of the step.
     pub time: Seconds,
@@ -59,7 +58,7 @@ pub struct StepTrace {
 }
 
 /// Result of a CPU-domain run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSimResult {
     /// Time-weighted average core frequency.
     pub avg_frequency: Hertz,

@@ -9,10 +9,9 @@ use dg_pmu::pcode::{Pcode, PcodeConfig, PcodeEvent};
 use dg_power::dynamic::CdynProfile;
 use dg_power::units::{Hertz, Seconds, Watts};
 use dg_workloads::trace::{PhaseTrace, TracePhaseKind};
-use serde::{Deserialize, Serialize};
 
 /// Result of replaying a trace on one product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
     /// Trace name.
     pub trace: String,

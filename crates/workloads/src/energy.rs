@@ -20,7 +20,6 @@ use dg_cstates::power::{GatingConfig, IdlePowerModel};
 use dg_cstates::residency::ResidencyTracker;
 use dg_cstates::states::PackageCstate;
 use dg_power::units::{Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Average-power limit (watts) an ENERGY STAR desktop must meet in this
 /// model.
@@ -30,7 +29,7 @@ pub const ENERGY_STAR_LIMIT_W: f64 = 1.0;
 pub const RMT_LIMIT_W: f64 = 1.0;
 
 /// One phase of an energy workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseKind {
     /// System off (S5): fixed platform power.
     Off {
@@ -59,7 +58,7 @@ pub enum PhaseKind {
 }
 
 /// A weighted phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// What happens during the phase.
     pub kind: PhaseKind,
@@ -68,7 +67,7 @@ pub struct Phase {
 }
 
 /// A residency-style energy workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyWorkload {
     /// Workload name.
     pub name: &'static str,

@@ -7,10 +7,9 @@
 //! idle (power-gated on the baseline, leaking under DarkGates).
 
 use dg_power::dynamic::CdynProfile;
-use serde::{Deserialize, Serialize};
 
 /// A graphics benchmark scene.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphicsWorkload {
     /// Scene name.
     pub name: &'static str,

@@ -14,10 +14,9 @@
 //! uplift.
 
 use dg_power::dynamic::CdynProfile;
-use serde::{Deserialize, Serialize};
 
 /// Which half of SPEC CPU2006 a benchmark belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpecSuite {
     /// SPECint (integer).
     Int,
@@ -27,7 +26,7 @@ pub enum SpecSuite {
 
 /// Run mode (paper Sec. 3): `base` runs one copy on one core; `rate` runs
 /// one copy per core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpecMode {
     /// Single-copy, single-core.
     Base,
@@ -54,7 +53,7 @@ impl SpecMode {
 }
 
 /// One SPEC CPU2006 benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecBenchmark {
     /// Official benchmark name (e.g. `"444.namd"`).
     pub name: &'static str,
@@ -90,8 +89,8 @@ impl SpecBenchmark {
     /// 91 W exceed its base gains, which implies bandwidth was not the
     /// binding constraint on the suite mean, and our fused-ceiling
     /// calibration absorbs the average contention. This method exposes the
-    /// contended model for sensitivity studies (see the
-    /// `ablation_rate_contention` bench).
+    /// contended model for sensitivity studies (see the rate-contention
+    /// row of the `ablations` binary).
     ///
     /// # Panics
     ///

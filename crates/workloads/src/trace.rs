@@ -9,10 +9,9 @@ use dg_power::dynamic::CdynProfile;
 use dg_power::units::Seconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// What happens during one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TracePhaseKind {
     /// `active_cores` run at the given per-core dynamic capacitance.
     Busy {
@@ -26,7 +25,7 @@ pub enum TracePhaseKind {
 }
 
 /// One timed phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePhase {
     /// The activity.
     pub kind: TracePhaseKind,
@@ -46,7 +45,7 @@ impl TracePhase {
 }
 
 /// A named sequence of phases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTrace {
     /// Trace name.
     pub name: String,
