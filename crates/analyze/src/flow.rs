@@ -4,11 +4,11 @@
 //! reasons across function and crate boundaries using the structure
 //! extracted by [`crate::scope`]:
 //!
-//! * **lock-order** — every `.lock()`/`.read()`/`.write()` on a tracked
-//!   lock is resolved to its declared *class*; nesting one acquisition
-//!   inside another guard's live span (directly, or by calling a uniquely
-//!   named free function that transitively locks) contributes an edge to a
-//!   workspace-wide lock-order graph, which must be acyclic. Self-loops
+//! * **lock-order** — every `.lock()` on a tracked lock is resolved to its
+//!   declared *class*; nesting one acquisition inside another guard's live
+//!   span (directly, or by calling a uniquely named free function that
+//!   transitively locks) contributes an edge to a workspace-wide
+//!   lock-order graph, which must be acyclic. Self-loops
 //!   (re-acquiring a held class) are cycles of length one. The same graph
 //!   backs the `--witness` runtime cross-check.
 //! * **guard-across-blocking** — in `dg-serve`/`dg-pdn`, no guard may be
@@ -30,7 +30,7 @@
 
 use crate::lexer::Lexed;
 use crate::rules::{idents, next_nonspace, Finding, RuleId};
-use crate::scope::{self, AcqMode, Acquisition, BlockingSite, CallSite};
+use crate::scope::{self, Acquisition, BlockingSite, CallSite};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates in scope for `guard-across-blocking`.
@@ -156,7 +156,7 @@ struct FnData {
     in_test: bool,
     has_body: bool,
     returns_result: bool,
-    acqs: Vec<(Acquisition, Option<String>)>,
+    acqs: Vec<(Acquisition, String)>,
     calls: Vec<CallSite>,
     blocking: Vec<BlockingSite>,
 }
@@ -181,14 +181,10 @@ pub fn analyze_flow(files: &[FileFlow], enabled: &[RuleId]) -> FlowReport {
     // ---- Binding → class resolution maps -------------------------------
     let mut file_bindings: Vec<BTreeMap<&str, BTreeSet<&str>>> = Vec::new();
     let mut global_bindings: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    let mut rw_classes: BTreeSet<&str> = BTreeSet::new();
     for (_, decls, ..) in &per_file {
         let mut local: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
         for d in decls {
             report.graph.classes.insert(d.class.clone());
-            if d.rw {
-                rw_classes.insert(&d.class);
-            }
             if let Some(b) = &d.binding {
                 local.entry(b).or_default().insert(&d.class);
                 global_bindings.entry(b).or_default().insert(&d.class);
@@ -236,19 +232,8 @@ pub fn analyze_flow(files: &[FileFlow], enabled: &[RuleId]) -> FlowReport {
             let Some(idx) = scope::enclosing_fn(fns, acq.offset) else {
                 continue;
             };
-            let class = match resolve(file, &acq.receiver) {
-                Some(class) => Some(class),
-                // `.read()`/`.write()` that resolves to nothing is far more
-                // often a std trait call than an untracked rwlock: skip.
-                None if acq.mode == AcqMode::Lock => Some(format!("{}@{stem}", acq.receiver)),
-                None => None,
-            };
-            // Read/write guards only count against declared rwlock classes.
-            if acq.mode != AcqMode::Lock
-                && !class.as_deref().is_some_and(|c| rw_classes.contains(c))
-            {
-                continue;
-            }
+            let class =
+                resolve(file, &acq.receiver).unwrap_or_else(|| format!("{}@{stem}", acq.receiver));
             fn_data[base + idx].acqs.push((acq.clone(), class));
         }
         for call in calls {
@@ -286,7 +271,7 @@ pub fn analyze_flow(files: &[FileFlow], enabled: &[RuleId]) -> FlowReport {
     // ---- Transitive closures: classes locked / blocking performed ------
     let mut locks: Vec<BTreeSet<String>> = fn_data
         .iter()
-        .map(|f| f.acqs.iter().filter_map(|(_, c)| c.clone()).collect())
+        .map(|f| f.acqs.iter().map(|(_, c)| c.clone()).collect())
         .collect();
     let mut blocks: Vec<Option<String>> = fn_data
         .iter()
@@ -351,13 +336,10 @@ pub fn analyze_flow(files: &[FileFlow], enabled: &[RuleId]) -> FlowReport {
     let mut candidates: Vec<(String, String, usize, usize)> = Vec::new();
     for f in &fn_data {
         for (i, (a, a_class)) in f.acqs.iter().enumerate() {
-            let Some(a_class) = a_class else { continue };
             let in_span = |off: usize| a.span.0 <= off && off < a.span.1;
             for (b, b_class) in f.acqs.iter().skip(i + 1) {
-                if let Some(b_class) = b_class {
-                    if in_span(b.offset) {
-                        candidates.push((a_class.clone(), b_class.clone(), f.file, b.line));
-                    }
+                if in_span(b.offset) {
+                    candidates.push((a_class.clone(), b_class.clone(), f.file, b.line));
                 }
             }
             for call in &f.calls {
@@ -414,7 +396,6 @@ pub fn analyze_flow(files: &[FileFlow], enabled: &[RuleId]) -> FlowReport {
                 continue;
             }
             for (a, class) in &f.acqs {
-                let Some(class) = class else { continue };
                 let in_span = |off: usize| a.span.0 <= off && off < a.span.1;
                 for b in f
                     .blocking

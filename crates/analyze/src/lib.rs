@@ -32,6 +32,9 @@
 //!   the no-panic crates.
 //! * `unreached-mod` — every `pub mod` in a crate's `lib.rs` is named by a
 //!   binary, an example or other library code ([`reach`]).
+//! * `unreached-pub` — every `pub` library item is named by another file
+//!   ([`reach`]); once it is private, rustc's `dead_code` lint decides
+//!   whether anything needs it.
 //!
 //! Violations can be suppressed, with a mandatory reason, via
 //! `// dg-analyze: allow(rule, reason = "…")` ([`allow`]); stale or
@@ -143,17 +146,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// The OR of [`RuleId::exit_bit`] over every rule with at least one
-    /// violation (0 = clean tree). The CLI's exit status is coarser: 1 on
-    /// any violation.
-    pub fn exit_code(&self) -> i32 {
-        let mut code = 0;
-        for v in &self.violations {
-            code |= v.rule.exit_bit();
-        }
-        code
-    }
-
     /// Violation count for one rule.
     pub fn count(&self, rule: RuleId) -> usize {
         self.violations.iter().filter(|v| v.rule == rule).count()
@@ -169,19 +161,6 @@ enum FileKind {
     Aux,
 }
 
-/// Analyses the workspace rooted at `root` (the directory holding the
-/// top-level `Cargo.toml`) with every rule enabled.
-pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
-    analyze_workspace_rules(root, &RuleId::ALL)
-}
-
-/// Analyses the workspace with only the given rules enabled.
-/// [`RuleId::AllowSyntax`] is always implied: suppression hygiene cannot
-/// be opted out of.
-pub fn analyze_workspace_rules(root: &Path, enabled: &[RuleId]) -> io::Result<Report> {
-    analyze_workspace_witness(root, enabled, None)
-}
-
 /// One loaded source file, carried between the per-file and flow phases.
 struct FileData {
     crate_name: String,
@@ -194,8 +173,11 @@ struct FileData {
     findings: Vec<Finding>,
 }
 
-/// Analyses the workspace, optionally cross-checking a runtime lock-order
-/// witness file (see [`witness`]) against the static graph.
+/// Analyses the workspace rooted at `root` (the directory holding the
+/// top-level `Cargo.toml`) with the `enabled` rules, optionally
+/// cross-checking a runtime lock-order witness file (see [`witness`])
+/// against the static graph. [`RuleId::AllowSyntax`] is always implied:
+/// suppression hygiene cannot be opted out of.
 ///
 /// The engine runs in two phases: a per-file pass (local rules, allow
 /// collection), then the workspace-wide flow pass whose findings are
@@ -261,34 +243,36 @@ pub fn analyze_workspace_witness(
         data[file_idx].findings.push(finding);
     }
 
-    // Phase 2b: modules nothing outside them names. Examples count as
-    // references, so they are lexed here, for this rule only.
-    if enabled.contains(&RuleId::UnreachedMod) {
-        let mut example_paths = Vec::new();
+    // Phase 2b: modules and items nothing outside them names. Examples
+    // and the benchmark's sources count as references, so they are lexed
+    // here, for these rules only.
+    if enabled.contains(&RuleId::UnreachedMod) || enabled.contains(&RuleId::UnreachedPub) {
+        let mut extra_paths = Vec::new();
         for dir in std::iter::once(root).chain(crate_dirs.iter().map(PathBuf::as_path)) {
-            collect_rs_files(&dir.join("examples"), &mut example_paths)?;
+            collect_rs_files(&dir.join("examples"), &mut extra_paths)?;
         }
-        example_paths.sort();
-        let mut examples = Vec::new();
-        for path in example_paths {
+        collect_rs_files(&root.join("benchmark").join("src"), &mut extra_paths)?;
+        extra_paths.sort();
+        let mut extras = Vec::new();
+        for path in extra_paths {
             let lexed = lexer::lex(&fs::read_to_string(&path)?);
             let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-            examples.push((rel, lexed));
+            extras.push((rel, lexed));
         }
         let files: Vec<reach::ReachFile<'_>> = data
             .iter()
             .map(|d| reach::ReachFile {
                 rel: &d.rel,
                 lexed: &d.lexed,
+                lib: d.kind == FileKind::Lib,
             })
-            .chain(
-                examples
-                    .iter()
-                    .map(|(rel, lexed)| reach::ReachFile { rel, lexed }),
-            )
+            .chain(extras.iter().map(|(rel, lexed)| reach::ReachFile {
+                rel,
+                lexed,
+                lib: false,
+            }))
             .collect();
-        let findings = reach::unreached_mods(&files);
-        for (file_idx, finding) in findings {
+        for (file_idx, finding) in reach::unreached(&files, enabled) {
             if let Some(d) = data.get_mut(file_idx) {
                 d.findings.push(finding);
             }
@@ -517,6 +501,7 @@ fn filter_file(d: FileData, enabled: &[RuleId], pre_consumed: &[usize], report: 
                 Some(RuleId::NoBlockingInEventLoop) => name == flow::EVENT_LOOP_CRATE,
                 Some(RuleId::SwallowedResult) => is_lib && NO_PANIC_CRATES.contains(&name),
                 Some(RuleId::UnreachedMod) => rel.ends_with("src/lib.rs"),
+                Some(RuleId::UnreachedPub) => is_lib,
                 _ => false,
             };
             if in_scope {

@@ -1,30 +1,41 @@
-//! The `unreached-mod` rule: library modules that no production code runs.
+//! The reachability rules: library code that no production code names.
 //!
-//! rustc's `dead_code` lint cannot see a `pub mod`: everything public
-//! counts as used. This pass looks for users from the outside. A
-//! `pub mod X;` declared in a crate's `lib.rs` is reached when code
-//! outside `X`'s own files names `X::`, or names an item that `lib.rs`
-//! re-exports from `X`.
+//! rustc's `dead_code` lint cannot see a `pub` item: everything public
+//! counts as used. These passes look for users from the outside.
 //!
-//! Library code, binaries and examples count as references; `tests/`,
-//! `benches/`, `#[cfg(test)]` code and `pub use` statements do not. The
-//! scan is by name over the masked view, so comments and strings never
-//! count, and it has no fixpoint: a module named only by another
-//! unreached module still counts as reached.
+//! * `unreached-mod`: a `pub mod X;` declared in a crate's `lib.rs` is
+//!   reached when code outside `X`'s own files names `X::`, or names an
+//!   item that `lib.rs` re-exports from `X`.
+//! * `unreached-pub`: a `pub` item in library code is reached when another
+//!   file names it, directly or through a `pub use … as` alias. A type
+//!   named by a `pub fn` signature or a `pub` field in its own file is
+//!   reached too: rustc would not let it be private.
+//!
+//! Library code, binaries, examples and the benchmark's sources count as
+//! references; `tests/`, `#[cfg(test)]` code and `pub use` statements do
+//! not. The scan is by name over the masked view, so comments and strings
+//! never count, and it has no fixpoint: once an unreached item is
+//! private, `dead_code` decides whether anything needs it at all.
 
 use crate::lexer::Lexed;
-use crate::rules::{idents, is_ident_byte, next_nonspace, Finding, RuleId};
-use std::collections::BTreeSet;
+use crate::rules::{
+    idents, in_spans, is_ident_byte, macro_rules_spans, next_nonspace, pub_item, Finding, RuleId,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-/// One source file the pass reads: library and binary sources under
-/// `crates/*/src`, plus the root and per-crate `examples/`.
+/// One source file the passes read: library and binary sources under
+/// `crates/*/src`, the root and per-crate `examples/`, and the
+/// benchmark's `src/`.
 #[derive(Debug, Clone, Copy)]
 pub struct ReachFile<'a> {
     /// Path relative to the workspace root.
     pub rel: &'a Path,
     /// The lexed source.
     pub lexed: &'a Lexed,
+    /// Library code under `crates/*/src`, whose `pub` items `unreached-pub`
+    /// checks.
+    pub lib: bool,
 }
 
 /// The names one file uses: every identifier, and the identifiers that
@@ -34,11 +45,23 @@ struct Names {
     path_heads: BTreeSet<String>,
 }
 
-/// Flags every `pub mod X;` in a crate's `src/lib.rs` that no other file
-/// reaches. Findings are `(index into files, finding)` pairs attributed to
-/// the declaring `lib.rs`.
-pub fn unreached_mods(files: &[ReachFile<'_>]) -> Vec<(usize, Finding)> {
+/// Runs the enabled reachability rules over `files`. Findings are
+/// `(index into files, finding)` pairs attributed to the declaring file.
+pub fn unreached(files: &[ReachFile<'_>], enabled: &[RuleId]) -> Vec<(usize, Finding)> {
     let names: Vec<Names> = files.iter().map(|f| names_of(f.lexed)).collect();
+    let mut out = Vec::new();
+    if enabled.contains(&RuleId::UnreachedMod) {
+        out.extend(unreached_mods(files, &names));
+    }
+    if enabled.contains(&RuleId::UnreachedPub) {
+        out.extend(unreached_pubs(files, &names));
+    }
+    out
+}
+
+/// Flags every `pub mod X;` in a crate's `src/lib.rs` that no other file
+/// reaches.
+fn unreached_mods(files: &[ReachFile<'_>], names: &[Names]) -> Vec<(usize, Finding)> {
     let mut out = Vec::new();
     for (idx, file) in files.iter().enumerate() {
         let Some(src_dir) = crate_src_dir(file.rel) else {
@@ -53,7 +76,7 @@ pub fn unreached_mods(files: &[ReachFile<'_>]) -> Vec<(usize, Finding)> {
                 .filter(|(module, _)| *module == name)
                 .map(|(_, item)| item.as_str())
                 .collect();
-            let reached = files.iter().zip(&names).any(|(other, used)| {
+            let reached = files.iter().zip(names).any(|(other, used)| {
                 other.rel != own_file
                     && !other.rel.starts_with(&own_dir)
                     && (used.path_heads.contains(&name)
@@ -66,13 +89,148 @@ pub fn unreached_mods(files: &[ReachFile<'_>]) -> Vec<(usize, Finding)> {
                         rule: RuleId::UnreachedMod,
                         line,
                         message: format!(
-                            "public mod `{name}` is unreached: no binary, example or \
-                             library code outside it names `{name}::` or an item \
-                             lib.rs re-exports from it"
+                            "public mod `{name}` is unreached: no binary, example, \
+                             benchmark or library code outside it names `{name}::` or \
+                             an item lib.rs re-exports from it"
                         ),
                         help: "delete the module, or run it from production code".into(),
                     },
                 ));
+            }
+        }
+    }
+    out
+}
+
+/// Flags every `pub` item in library code that no other file names.
+fn unreached_pubs(files: &[ReachFile<'_>], names: &[Names]) -> Vec<(usize, Finding)> {
+    let mut aliases: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for file in files {
+        for (item, alias) in use_aliases(file.lexed) {
+            aliases.entry(item).or_default().push(alias);
+        }
+    }
+    let mut out = Vec::new();
+    for (idx, file) in files.iter().enumerate().filter(|(_, f)| f.lib) {
+        let signatures = signature_words(file.lexed);
+        for (kw, name, line) in pub_items(file.lexed) {
+            let alias_of = aliases.get(&name).map(Vec::as_slice).unwrap_or_default();
+            let named_elsewhere = names.iter().enumerate().any(|(j, used)| {
+                j != idx
+                    && (used.words.contains(&name)
+                        || alias_of.iter().any(|alias| used.words.contains(alias)))
+            });
+            let in_signature =
+                matches!(kw, "struct" | "enum" | "trait" | "type") && signatures.contains(&name);
+            if !named_elsewhere && !in_signature {
+                out.push((
+                    idx,
+                    Finding {
+                        rule: RuleId::UnreachedPub,
+                        line,
+                        message: format!(
+                            "public {kw} `{name}` is unreached: no other library file, \
+                             binary, example or benchmark source names it"
+                        ),
+                        help: "make it private; rustc's dead_code lint then says whether \
+                               anything needs it"
+                            .into(),
+                    },
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// `(keyword, name, line)` of each `pub` item `unreached-pub` checks,
+/// outside test code and `macro_rules!` bodies.
+fn pub_items(lexed: &Lexed) -> Vec<(&'static str, String, usize)> {
+    let macros = macro_rules_spans(&lexed.masked);
+    let mut out = Vec::new();
+    for (i, line) in lexed.masked.lines().enumerate() {
+        if lexed.is_test_line(i + 1) || in_spans(&macros, i + 1) {
+            continue;
+        }
+        if let Some((kw, name)) = pub_item(line) {
+            if !matches!(kw, "mod" | "union") {
+                out.push((kw, name.to_string(), i + 1));
+            }
+        }
+    }
+    out
+}
+
+/// The identifiers in a file's public signatures: each `pub fn`'s
+/// parameters, return type and bounds, and each `pub` field's type
+/// (tuple-struct fields included).
+fn signature_words(lexed: &Lexed) -> BTreeSet<String> {
+    let masked = &lexed.masked;
+    let bytes = masked.as_bytes();
+    let mut spans = Vec::new();
+    let mut start = 0;
+    for (i, line) in masked.split_inclusive('\n').enumerate() {
+        let line_start = start;
+        start += line.len();
+        if lexed.is_test_line(i + 1) {
+            continue;
+        }
+        if let Some(("fn" | "struct", name)) = pub_item(line) {
+            // The signature runs from after the item's own name to the
+            // body's `{` or a bodiless `;`: a tuple struct's fields are
+            // inside it.
+            let from = idents(line)
+                .into_iter()
+                .find(|&(s, e)| &line[s..e] == name)
+                .map_or(line_start, |(_, e)| line_start + e);
+            let (mut end, mut depth) = (from, 0i32);
+            while let Some(&b) = bytes.get(end) {
+                match b {
+                    b'(' | b'[' | b'<' => depth += 1,
+                    b')' | b']' => depth -= 1,
+                    b'>' if bytes.get(end.wrapping_sub(1)) != Some(&b'-') => depth -= 1,
+                    b'{' | b';' if depth <= 0 => break,
+                    _ => {}
+                }
+                end += 1;
+            }
+            spans.push((from, end));
+        } else if let Some(rest) = line.trim_start().strip_prefix("pub ") {
+            // A field: `pub name: Type,`.
+            let field = rest.trim_start();
+            let name_len = field
+                .bytes()
+                .take_while(|b| b.is_ascii_alphanumeric() || *b == b'_')
+                .count();
+            let after = field[name_len..].trim_start();
+            if name_len > 0 && after.starts_with(':') && !after.starts_with("::") {
+                spans.push((line_start, line_start + line.len()));
+            }
+        }
+    }
+    let mut words = BTreeSet::new();
+    for (from, to) in spans {
+        for (s, e) in idents(&masked[from..to]) {
+            words.insert(masked[from + s..from + e].to_string());
+        }
+    }
+    words
+}
+
+/// `(item, alias)` for every `item as alias` in the file's `pub use`
+/// statements.
+fn use_aliases(lexed: &Lexed) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for (start, end) in pub_use_spans(&lexed.masked) {
+        if lexed.is_test_line(lexed.line_of(start)) {
+            continue;
+        }
+        let tokens = use_tokens(&lexed.masked[start..end]);
+        for window in tokens.windows(3) {
+            if let [item, as_kw, alias] = window {
+                if as_kw == "as" && alias != "_" {
+                    out.push((item.clone(), alias.clone()));
+                }
             }
         }
     }
@@ -246,6 +404,30 @@ mod tests {
         assert_eq!(
             got,
             want.map(|(m, i)| (m.to_string(), i.to_string())).to_vec()
+        );
+    }
+
+    #[test]
+    fn signatures_cover_params_returns_bounds_and_pub_fields() {
+        let lexed = lex("pub fn f<T: Bound>(\n    a: [Arr; 4],\n) -> Ret\nwhere\n    T: Where,\n{\n    Body\n}\n\
+             pub struct S {\n    pub field: Field,\n    hidden: Hidden,\n}\n\
+             pub struct Pair(pub Tuple);\n\
+             fn private(p: Private) {}\n");
+        let words = signature_words(&lexed);
+        for named in ["Bound", "Arr", "Ret", "Where", "Field", "Tuple"] {
+            assert!(words.contains(named), "{named}");
+        }
+        for unnamed in ["Body", "Hidden", "Private", "S", "Pair", "f"] {
+            assert!(!words.contains(unnamed), "{unnamed}");
+        }
+    }
+
+    #[test]
+    fn aliases_pair_items_with_their_new_names() {
+        let lexed = lex("pub use a::{b as c, d};\npub use e::f as g;\nuse h::i as j;\n");
+        assert_eq!(
+            use_aliases(&lexed),
+            vec![("b".to_string(), "c".to_string()), ("f".into(), "g".into())]
         );
     }
 

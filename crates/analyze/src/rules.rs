@@ -7,8 +7,8 @@
 
 use crate::lexer::Lexed;
 
-/// Identifies one lint rule. The discriminant order fixes both the
-/// reporting order and the rule's bit in [`crate::Report::exit_code`].
+/// Identifies one lint rule. The discriminant order fixes the reporting
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// `unwrap`/`expect`/`panic!`/`unreachable!`/indexing-by-literal in
@@ -38,11 +38,13 @@ pub enum RuleId {
     /// A `pub mod` in a crate's `lib.rs` that no binary, example or other
     /// library code names.
     UnreachedMod,
+    /// A `pub` library item that no other file names.
+    UnreachedPub,
 }
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 11] = [
+    pub const ALL: [RuleId; 12] = [
         RuleId::NoPanicInLib,
         RuleId::UnitHygiene,
         RuleId::DeterminismHygiene,
@@ -54,6 +56,7 @@ impl RuleId {
         RuleId::NoBlockingInEventLoop,
         RuleId::SwallowedResult,
         RuleId::UnreachedMod,
+        RuleId::UnreachedPub,
     ];
 
     /// The kebab-case rule name used in diagnostics and allow-comments.
@@ -70,17 +73,13 @@ impl RuleId {
             RuleId::NoBlockingInEventLoop => "no-blocking-in-event-loop",
             RuleId::SwallowedResult => "swallowed-result",
             RuleId::UnreachedMod => "unreached-mod",
+            RuleId::UnreachedPub => "unreached-pub",
         }
     }
 
     /// Parses a rule name as written in an allow-comment or `--rule` flag.
     pub fn parse(name: &str) -> Option<RuleId> {
         RuleId::ALL.iter().copied().find(|r| r.name() == name)
-    }
-
-    /// This rule's bit in [`crate::Report::exit_code`].
-    pub fn exit_bit(self) -> i32 {
-        1 << (self as i32)
     }
 
     /// One-line description shown by `dg-analyze --list-rules`.
@@ -128,6 +127,12 @@ impl RuleId {
                 "every pub mod in a crate's lib.rs must be named (`mod::` or a \
                  re-exported item) by a binary, an example, or library code \
                  outside it; tests and benches do not count"
+            }
+            RuleId::UnreachedPub => {
+                "every pub fn/const/static/struct/enum/trait/type in library code \
+                 must be named by another library file, a binary, an example or \
+                 the benchmark (a type also by its own file's pub signatures); \
+                 tests do not count"
             }
         }
     }
@@ -727,6 +732,27 @@ const ITEM_KEYWORDS: [&str; 9] = [
     "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
 ];
 
+/// The keyword and name of the `pub` item a masked source line declares,
+/// e.g. `("fn", "run")` for `pub const fn run(`. `pub(crate)` items,
+/// `pub use` and fields are not items here.
+pub(crate) fn pub_item(line: &str) -> Option<(&'static str, &str)> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let mut words = rest
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty());
+    let mut word = words.next()?;
+    while matches!(word, "const" | "unsafe" | "async") {
+        let next = words.next()?;
+        if word == "const" && !matches!(next, "fn" | "unsafe" | "async") {
+            // `pub const NAME: …` — `const` is the item keyword.
+            return Some(("const", next));
+        }
+        word = next;
+    }
+    let kw = ITEM_KEYWORDS.iter().find(|k| **k == word)?;
+    Some((kw, words.next()?))
+}
+
 /// A `pub mod name;` declaration whose docs may live in the child file.
 #[derive(Debug, Clone)]
 pub struct ModDecl {
@@ -750,54 +776,16 @@ pub fn doc_coverage(lexed: &Lexed, original: &str) -> (Vec<Finding>, Vec<ModDecl
         if lexed.is_test_line(lineno) || in_spans(&macro_spans, lineno) {
             continue;
         }
-        let trimmed = line.trim_start();
-        let Some(rest) = trimmed.strip_prefix("pub ") else {
+        let Some((kw, item_name)) = pub_item(line) else {
             continue;
         };
-        let mut words = rest.split_whitespace();
-        let mut kw = words.next().unwrap_or("");
-        while matches!(kw, "const" | "unsafe" | "async") {
-            let next = words.next().unwrap_or("");
-            if next == "fn" {
-                kw = "fn";
-                break;
-            }
-            // `pub const NAME: …` — keep `const` as the item keyword.
-            if kw == "const" {
-                break;
-            }
-            kw = next;
-        }
-        if !ITEM_KEYWORDS.contains(&kw) {
-            continue;
-        }
-        let item_name = rest
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .filter(|w| !w.is_empty())
-            .find(|w| {
-                !matches!(
-                    *w,
-                    "fn" | "struct"
-                        | "enum"
-                        | "trait"
-                        | "type"
-                        | "const"
-                        | "static"
-                        | "mod"
-                        | "union"
-                        | "unsafe"
-                        | "async"
-                )
-            })
-            .unwrap_or("")
-            .to_string();
         if has_doc_above(&src_lines, i) {
             continue;
         }
-        if kw == "mod" && trimmed.trim_end().ends_with(';') {
+        if kw == "mod" && line.trim_end().ends_with(';') {
             // Docs may be inner (`//!`) in the child file; defer to engine.
             mods.push(ModDecl {
-                name: item_name,
+                name: item_name.to_string(),
                 line: lineno,
             });
             continue;
@@ -855,7 +843,7 @@ fn has_doc_above(src_lines: &[&str], idx: usize) -> bool {
 
 /// Line spans of `macro_rules!` definitions (their bodies contain template
 /// fragments, not items).
-fn macro_rules_spans(masked: &str) -> Vec<(usize, usize)> {
+pub(crate) fn macro_rules_spans(masked: &str) -> Vec<(usize, usize)> {
     let bytes = masked.as_bytes();
     let mut spans = Vec::new();
     let mut from = 0;
@@ -898,7 +886,7 @@ fn line_of_bytes(bytes: &[u8], offset: usize) -> usize {
         + 1
 }
 
-fn in_spans(spans: &[(usize, usize)], line: usize) -> bool {
+pub(crate) fn in_spans(spans: &[(usize, usize)], line: usize) -> bool {
     spans.iter().any(|&(a, b)| line >= a && line <= b)
 }
 

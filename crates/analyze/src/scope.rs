@@ -34,18 +34,7 @@ pub struct FnItem {
     pub in_test: bool,
 }
 
-/// How a guard was produced at an acquisition site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcqMode {
-    /// `.lock()` on a mutex.
-    Lock,
-    /// `.read()` on an rwlock.
-    Read,
-    /// `.write()` on an rwlock.
-    Write,
-}
-
-/// One `.lock()` / `.read()` / `.write()` acquisition site.
+/// One `.lock()` acquisition site.
 #[derive(Debug, Clone)]
 pub struct Acquisition {
     /// The receiver identifier immediately before the method call
@@ -56,8 +45,6 @@ pub struct Acquisition {
     pub offset: usize,
     /// 1-indexed line of the call.
     pub line: usize,
-    /// Which guard type the call produces.
-    pub mode: AcqMode,
     /// Byte span over which the guard is live: to the enclosing block's
     /// close (or an explicit `drop(guard)`) for a `let`-bound guard, to the
     /// end of the statement (including a trailing `{}` block, covering
@@ -65,8 +52,7 @@ pub struct Acquisition {
     pub span: (usize, usize),
 }
 
-/// One `TrackedMutex::new("class", …)` / `TrackedRwLock::new("class", …)`
-/// declaration site.
+/// One `TrackedMutex::new("class", …)` declaration site.
 #[derive(Debug, Clone)]
 pub struct ClassDecl {
     /// The lock-class string literal.
@@ -75,8 +61,6 @@ pub struct ClassDecl {
     /// struct-literal field, or the enclosing function for accessor-style
     /// `CELL.get_or_init(|| TrackedMutex::new(…))` declarations.
     pub binding: Option<String>,
-    /// `true` for `TrackedRwLock`.
-    pub rw: bool,
     /// 1-indexed line of the declaration.
     pub line: usize,
 }
@@ -203,11 +187,9 @@ pub fn class_decls(lexed: &Lexed, src: &str, fns: &[FnItem]) -> Vec<ClassDecl> {
     let sbytes = src.as_bytes();
     let mut out = Vec::new();
     for &(start, end) in &idents(masked) {
-        let rw = match &masked[start..end] {
-            "TrackedMutex" => false,
-            "TrackedRwLock" => true,
-            _ => continue,
-        };
+        if &masked[start..end] != "TrackedMutex" {
+            continue;
+        }
         let line = lexed.line_of(start);
         if lexed.is_test_line(line) {
             continue;
@@ -241,7 +223,6 @@ pub fn class_decls(lexed: &Lexed, src: &str, fns: &[FnItem]) -> Vec<ClassDecl> {
         out.push(ClassDecl {
             class,
             binding,
-            rw,
             line,
         });
     }
@@ -254,19 +235,14 @@ pub fn acquisitions(lexed: &Lexed) -> Vec<Acquisition> {
     let bytes = masked.as_bytes();
     let mut out = Vec::new();
     for &(start, end) in &idents(masked) {
-        let mode = match &masked[start..end] {
-            "lock" => AcqMode::Lock,
-            "read" => AcqMode::Read,
-            "write" => AcqMode::Write,
-            _ => continue,
-        };
+        if &masked[start..end] != "lock" {
+            continue;
+        }
         let line = lexed.line_of(start);
         if lexed.is_test_line(line) {
             continue;
         }
-        // Must be a zero-argument method call: `.lock()`. RwLock's `read()`
-        // and `write()` take no arguments, so `io::Read::read(&mut buf)`
-        // and `io::Write::write(&buf)` are excluded automatically.
+        // Must be a zero-argument method call: `.lock()`.
         let Some((dot, b'.')) = prev_nonspace(bytes, start) else {
             continue;
         };
@@ -294,7 +270,6 @@ pub fn acquisitions(lexed: &Lexed) -> Vec<Acquisition> {
             receiver,
             offset: start,
             line,
-            mode,
             span: (span_start, span_end),
         });
     }
@@ -424,7 +399,7 @@ pub fn blocking_sites(lexed: &Lexed) -> Vec<BlockingSite> {
 }
 
 /// Offset of the `}` matching the `{` at `open`.
-pub fn matching_brace(bytes: &[u8], open: usize) -> Option<usize> {
+fn matching_brace(bytes: &[u8], open: usize) -> Option<usize> {
     let mut depth = 0usize;
     let mut j = open;
     while j < bytes.len() {
@@ -444,7 +419,7 @@ pub fn matching_brace(bytes: &[u8], open: usize) -> Option<usize> {
 }
 
 /// The close offset of the innermost `{ … }` block containing `offset`.
-pub fn enclosing_block_end(bytes: &[u8], offset: usize) -> Option<usize> {
+fn enclosing_block_end(bytes: &[u8], offset: usize) -> Option<usize> {
     let mut stack: Vec<usize> = Vec::new();
     for (j, &b) in bytes.iter().enumerate() {
         match b {
@@ -690,7 +665,7 @@ mod tests {
                 let q: TrackedMutex<Vec<(usize, u8)>> = TrackedMutex::new("a.queue", Vec::new());
             }
             fn slot() -> usize {
-                CELL.get_or_init(|| TrackedRwLock::new("a.slot", 0));
+                CELL.get_or_init(|| TrackedMutex::new("a.slot", 0));
                 0
             }
         "#;
@@ -708,7 +683,6 @@ mod tests {
         );
         assert_eq!(pairs[2], ("a.queue".into(), Some("q".into())));
         assert_eq!(pairs[3], ("a.slot".into(), Some("slot".into())));
-        assert!(decls[3].rw);
     }
 
     #[test]

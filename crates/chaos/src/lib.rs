@@ -223,6 +223,7 @@ pub struct ConnPlan {
 
 /// Derives the seed of connection `index` within run `run_seed`
 /// (SplitMix64-style mixing, so nearby indices get unrelated streams).
+// dg-analyze: allow(unreached-pub, reason = "live (the campaign seeds each connection with it); crates/chaos/tests/campaign.rs names it")
 pub fn conn_seed(run_seed: u64, index: usize) -> u64 {
     let mut z = run_seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(index as u64 + 1));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -233,6 +234,7 @@ pub fn conn_seed(run_seed: u64, index: usize) -> u64 {
 impl ConnPlan {
     /// Builds the plan for `seed` — a pure function, so any logged seed
     /// replays to the identical probe, fault, and pacing.
+    // dg-analyze: allow(unreached-pub, reason = "live (conn_seed's plans come from it); crates/chaos/tests/campaign.rs names it")
     pub fn from_seed(seed: u64) -> ConnPlan {
         let mut rng = Lcg::new(seed);
         let probe = probe_from(&mut rng);
@@ -411,6 +413,7 @@ fn write_chunked(
 /// `server_read_timeout_ms` sizes the guard timeout for faults that wait
 /// on the *server* to act (stalled heads, partial bodies): the client
 /// allows the server several timeout periods before declaring it stuck.
+// dg-analyze: allow(unreached-pub, reason = "live (the campaign runs it per connection); crates/chaos/tests/campaign.rs names it")
 pub fn run_connection(
     addr: SocketAddr,
     plan: &ConnPlan,
@@ -595,7 +598,7 @@ impl Oracle {
     /// Cross-checks a served `/v1/claims` body against the shared
     /// [`dg_bench::claims_scoreboard`] reduction of the library graders.
     /// Returns a mismatch description on drift.
-    pub fn check_claims_scoreboard(&self, served_body: &str) -> Option<String> {
+    fn check_claims_scoreboard(&self, served_body: &str) -> Option<String> {
         let board = dg_bench::claims_scoreboard(&darkgates::claims::grade_all());
         let served = dg_serve::json::parse(served_body).ok()?;
         let result = served.get("result")?;

@@ -6,7 +6,7 @@ use dg_pdn::skylake::{PdnVariant, SkylakePdn};
 use dg_pmu::guardband::GuardbandManager;
 use dg_pmu::modes::{Fuse, OperatingMode};
 use dg_pmu::reliability::ReliabilityModel;
-use dg_power::units::{Volts, Watts};
+use dg_power::units::Watts;
 use dg_soc::products::Product;
 
 /// A DarkGates-capable processor configuration, fixed by its package fuse.
@@ -20,11 +20,6 @@ pub struct DarkGates {
 }
 
 impl DarkGates {
-    /// Creates a configuration from a raw fuse.
-    pub fn from_fuse(fuse: Fuse) -> Self {
-        DarkGates { fuse }
-    }
-
     /// The desktop (bypass-fused) configuration.
     pub fn desktop() -> Self {
         DarkGates {
@@ -74,14 +69,6 @@ impl DarkGates {
         ReliabilityModel::new()
     }
 
-    /// Net guardband saving of the desktop configuration over the mobile
-    /// baseline at `tdp` (positive means DarkGates wins).
-    pub fn guardband_saving(tdp: Watts) -> Volts {
-        let gated = GuardbandManager::for_variant(PdnVariant::Gated).total_guardband(tdp);
-        let bypassed = GuardbandManager::for_variant(PdnVariant::Bypassed).total_guardband(tdp);
-        gated - bypassed
-    }
-
     /// **Component 3 — deeper desktop package C-states.** The deepest
     /// package state this configuration's platform supports: C8 for the
     /// DarkGates desktop (core VR off recovers the un-gated leakage), C7
@@ -116,7 +103,6 @@ mod tests {
     fn desktop_and_mobile_decode_correctly() {
         assert_eq!(DarkGates::desktop().mode(), OperatingMode::Bypass);
         assert_eq!(DarkGates::mobile().mode(), OperatingMode::Normal);
-        assert_eq!(DarkGates::from_fuse(Fuse::desktop()), DarkGates::desktop());
         assert_eq!(DarkGates::desktop().fuse(), Fuse::desktop());
     }
 
@@ -147,7 +133,10 @@ mod tests {
     #[test]
     fn guardband_saving_positive_at_all_tdps() {
         for tdp in [35.0, 45.0, 65.0, 91.0] {
-            let saving = DarkGates::guardband_saving(Watts::new(tdp));
+            // The desktop configuration's net saving over the mobile baseline.
+            let tdp = Watts::new(tdp);
+            let saving = GuardbandManager::for_variant(PdnVariant::Gated).total_guardband(tdp)
+                - GuardbandManager::for_variant(PdnVariant::Bypassed).total_guardband(tdp);
             assert!(saving.as_mv() > 50.0, "{tdp} W: {saving}");
         }
     }

@@ -13,7 +13,7 @@ use dg_power::units::{Hertz, Seconds, Volts, Watts};
 use dg_power::vf::VfCurve;
 use dg_power::PowerError;
 use dg_soc::products::Product;
-use dg_soc::run::{run_energy, run_graphics, run_spec};
+use dg_soc::run::{run_graphics, run_spec};
 use dg_workloads::energy::{energy_star, ready_mode, EnergyWorkload};
 use dg_workloads::graphics::three_dmark_suite;
 use dg_workloads::spec::{suite, SpecMode, SpecSuite};
@@ -562,20 +562,6 @@ fn governor_costs(bypassed: bool) -> GovernorCosts {
         always_c8,
         always_c6,
     }
-}
-
-// ------------------------------------------------------------- Energy API
-
-/// Convenience wrapper running both energy workloads on a full product
-/// (exercising the `run_energy` path rather than the raw models).
-pub fn energy_compliance(product: &Product) -> Vec<(String, Watts, bool)> {
-    [energy_star(), ready_mode()]
-        .into_iter()
-        .map(|w| {
-            let r = run_energy(product, &w);
-            (r.workload, r.avg_power, r.meets_limit)
-        })
-        .collect()
 }
 
 #[cfg(test)]

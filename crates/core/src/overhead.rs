@@ -10,14 +10,14 @@
 pub const FIRMWARE_BYTES: usize = 300;
 
 /// Die area of the modeled Skylake 4+2 die in mm² (client 4-core + GT2).
-pub const DIE_AREA_MM2: f64 = 122.3;
+const DIE_AREA_MM2: f64 = 122.3;
 
 /// Approximate silicon area of one byte of Pcode ROM at 14 nm, mm²
 /// (high-density ROM, ~0.016 mm² per KB).
-pub const ROM_MM2_PER_BYTE: f64 = 0.016 / 1024.0;
+const ROM_MM2_PER_BYTE: f64 = 0.016 / 1024.0;
 
 /// Number of distinct packages the hybrid needs (LGA desktop + BGA mobile).
-pub const PACKAGE_DESIGNS: usize = 2;
+const PACKAGE_DESIGNS: usize = 2;
 
 /// Hardware-cost summary of the DarkGates implementation.
 #[derive(Debug, Clone, Copy, PartialEq)]

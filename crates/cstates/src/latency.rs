@@ -51,6 +51,7 @@ impl LatencyTable {
 
     /// The deepest state whose exit latency does not exceed `budget`
     /// (a wake-latency / QoS constraint).
+    // dg-analyze: allow(unreached-pub, reason = "only latency::tests calls it; deleting it retires exit_budget_selects_deepest_fitting_state (ROADMAP item 4)")
     pub fn deepest_within_exit_budget(&self, budget: Seconds) -> PackageCstate {
         self.entries
             .iter()

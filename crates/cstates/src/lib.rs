@@ -11,17 +11,20 @@
 //! ## Quick example
 //!
 //! ```
-//! use dg_cstates::states::{CoreCstate, GraphicsCstate, MemoryState, PackageCstate};
+//! use dg_cstates::states::{CoreCstate, DisplayState, GraphicsCstate, MemoryState, PackageCstate};
 //! use dg_cstates::resolve::{PlatformInputs, resolve};
 //!
 //! // All cores power-gated, graphics in RC6, DRAM in self-refresh, LLC
 //! // flushed, desktop platform that supports up to C8 (the DarkGates
 //! // extension):
-//! let inputs = PlatformInputs::all_cores(CoreCstate::Cc6, 4)
-//!     .graphics(GraphicsCstate::Rc6)
-//!     .memory(MemoryState::SelfRefresh)
-//!     .llc_flushed(true)
-//!     .deepest_allowed(PackageCstate::C8);
+//! let inputs = PlatformInputs {
+//!     cores: vec![CoreCstate::Cc6; 4],
+//!     graphics: GraphicsCstate::Rc6,
+//!     display: DisplayState::On,
+//!     memory: MemoryState::SelfRefresh,
+//!     llc_flushed: true,
+//!     deepest_allowed: PackageCstate::C8,
+//! };
 //! assert_eq!(resolve(&inputs), PackageCstate::C8);
 //! ```
 
@@ -38,6 +41,5 @@ pub use power::{GatingConfig, IdlePowerModel};
 pub use residency::ResidencyTracker;
 pub use resolve::{resolve, PlatformInputs};
 pub use states::{
-    core_state_from_threads, CoreCstate, DisplayState, GraphicsCstate, MemoryState, PackageCstate,
-    ThreadCstate,
+    CoreCstate, DisplayState, GraphicsCstate, MemoryState, PackageCstate, ThreadCstate,
 };

@@ -17,7 +17,7 @@ use dg_power::units::{Celsius, Volts, Watts};
 ///
 /// C0 is the uncore's *idle floor* while the package is active; compute
 /// power (cores, graphics) comes from the performance simulator on top.
-pub const UNCORE_POWER_W: [(PackageCstate, f64); 8] = [
+const UNCORE_POWER_W: [(PackageCstate, f64); 8] = [
     (PackageCstate::C0, 3.00),
     (PackageCstate::C2, 2.00),
     (PackageCstate::C3, 1.20),
@@ -29,24 +29,24 @@ pub const UNCORE_POWER_W: [(PackageCstate, f64); 8] = [
 ];
 
 /// Standby overhead of the core VR while it is on (watts).
-pub const CORE_VR_ON_OVERHEAD_W: f64 = 0.02;
+const CORE_VR_ON_OVERHEAD_W: f64 = 0.02;
 
 /// Residual leakage of a power-gated core (watts per core): the gate's
 /// off-state leakage.
-pub const GATED_CORE_RESIDUAL_W: f64 = 0.002;
+const GATED_CORE_RESIDUAL_W: f64 = 0.002;
 
 /// The idle VID the core VR parks at while the package idles with the VR on.
-pub const IDLE_VID: Volts = Volts::new(0.85);
+const IDLE_VID: Volts = Volts::new(0.85);
 
 /// Junction temperature while the package idles deeply.
-pub const IDLE_TEMP: Celsius = Celsius::new(35.0);
+const IDLE_TEMP: Celsius = Celsius::new(35.0);
 
 /// Supply voltage seen by idle (but un-gated) cores while the package is
 /// active and another core or the graphics engine is running.
-pub const ACTIVE_IDLE_VID: Volts = Volts::new(1.00);
+const ACTIVE_IDLE_VID: Volts = Volts::new(1.00);
 
 /// Junction temperature of idle cores while the package is active.
-pub const ACTIVE_IDLE_TEMP: Celsius = Celsius::new(75.0);
+const ACTIVE_IDLE_TEMP: Celsius = Celsius::new(75.0);
 
 /// Whether the package can actually power-gate its cores.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,7 +91,7 @@ impl IdlePowerModel {
     }
 
     /// Uncore + IO + DRAM power at `state`.
-    pub fn uncore_power(&self, state: PackageCstate) -> Watts {
+    fn uncore_power(&self, state: PackageCstate) -> Watts {
         let w = UNCORE_POWER_W
             .iter()
             .find(|(s, _)| *s == state)
@@ -108,7 +108,7 @@ impl IdlePowerModel {
     /// * VR on, gated package: per-core residual gate leakage.
     /// * VR on, bypassed package: full leakage at the idle VID — the
     ///   DarkGates penalty.
-    pub fn cores_idle_power(&self, state: PackageCstate, config: &GatingConfig) -> Watts {
+    fn cores_idle_power(&self, state: PackageCstate, config: &GatingConfig) -> Watts {
         if state.core_vr_off() {
             return Watts::ZERO;
         }

@@ -69,6 +69,7 @@ impl ResidencyTracker {
     }
 
     /// Fraction of the total time spent active (package C0).
+    // dg-analyze: allow(unreached-pub, reason = "only tests read it (residency and pcode unit tests, cstates properties, tests/firmware.rs); deleting it retires their assertions (ROADMAP item 4)")
     pub fn active_fraction(&self) -> f64 {
         let total = self.total().value();
         if total <= 0.0 {
@@ -100,6 +101,7 @@ impl ResidencyTracker {
     }
 
     /// Iterates over `(state, seconds)` idle entries, shallowest first.
+    // dg-analyze: allow(unreached-pub, reason = "only residency::tests calls it; deleting it retires iter_idle_lists_entries (ROADMAP item 4)")
     pub fn iter_idle(&self) -> impl Iterator<Item = (PackageCstate, Seconds)> + '_ {
         self.idle.iter().map(|(s, t)| (*s, Seconds::new(*t)))
     }

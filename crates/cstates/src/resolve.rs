@@ -31,6 +31,7 @@ impl PlatformInputs {
     /// # Panics
     ///
     /// Panics if `count` is zero.
+    // dg-analyze: allow(unreached-pub, reason = "only resolve::tests call it; deleting it retires zero_cores_panics (ROADMAP item 4)")
     pub fn all_cores(state: CoreCstate, count: usize) -> Self {
         assert!(count > 0, "a platform needs at least one core");
         PlatformInputs {
@@ -55,38 +56,10 @@ impl PlatformInputs {
         self
     }
 
-    /// Sets the memory state.
-    pub fn memory(mut self, m: MemoryState) -> Self {
-        self.memory = m;
-        self
-    }
-
-    /// Sets whether the LLC has been flushed.
-    pub fn llc_flushed(mut self, flushed: bool) -> Self {
-        self.llc_flushed = flushed;
-        self
-    }
-
-    /// Sets the platform's deepest supported package state.
-    pub fn deepest_allowed(mut self, deepest: PackageCstate) -> Self {
-        self.deepest_allowed = deepest;
-        self
-    }
-
-    /// Sets one core's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn with_core(mut self, index: usize, state: CoreCstate) -> Self {
-        self.cores[index] = state;
-        self
-    }
-
     /// The shallowest core state (the binding constraint). An empty core
     /// list resolves to `Cc0` (the conservative answer: package stays
     /// active).
-    pub fn shallowest_core(&self) -> CoreCstate {
+    fn shallowest_core(&self) -> CoreCstate {
         self.cores.iter().copied().min().unwrap_or(CoreCstate::Cc0)
     }
 }
@@ -134,10 +107,9 @@ mod tests {
 
     #[test]
     fn executing_core_pins_c0() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc6, 4)
-            .with_core(2, CoreCstate::Cc0)
-            .graphics(GraphicsCstate::Rc6)
-            .memory(MemoryState::SelfRefresh);
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc6, 4).graphics(GraphicsCstate::Rc6);
+        i.cores[2] = CoreCstate::Cc0;
+        i.memory = MemoryState::SelfRefresh;
         assert_eq!(resolve(&i), PackageCstate::C0);
     }
 
@@ -150,69 +122,61 @@ mod tests {
 
     #[test]
     fn active_graphics_pins_c0() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc6, 4)
-            .graphics(GraphicsCstate::Rc0)
-            .memory(MemoryState::SelfRefresh);
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc6, 4).graphics(GraphicsCstate::Rc0);
+        i.memory = MemoryState::SelfRefresh;
         assert_eq!(resolve(&i), PackageCstate::C0);
     }
 
     #[test]
     fn clocks_off_with_active_dram_is_c2() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc3, 4)
-            .graphics(GraphicsCstate::Rc6)
-            .memory(MemoryState::Active);
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc3, 4).graphics(GraphicsCstate::Rc6);
+        i.memory = MemoryState::Active;
         assert_eq!(resolve(&i), PackageCstate::C2);
     }
 
     #[test]
     fn clocks_off_with_self_refresh_is_c3() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc3, 4)
-            .graphics(GraphicsCstate::Rc6)
-            .memory(MemoryState::SelfRefresh);
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc3, 4).graphics(GraphicsCstate::Rc6);
+        i.memory = MemoryState::SelfRefresh;
         assert_eq!(resolve(&i), PackageCstate::C3);
     }
 
     #[test]
     fn mixed_cc3_cc6_limited_by_shallowest() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc6, 4)
-            .with_core(0, CoreCstate::Cc3)
-            .graphics(GraphicsCstate::Rc6)
-            .memory(MemoryState::SelfRefresh);
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc6, 4).graphics(GraphicsCstate::Rc6);
+        i.cores[0] = CoreCstate::Cc3;
+        i.memory = MemoryState::SelfRefresh;
         assert_eq!(resolve(&i), PackageCstate::C3);
     }
 
     #[test]
     fn gated_cores_unflushed_llc_is_c6() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc6, 4)
-            .graphics(GraphicsCstate::Rc6)
-            .memory(MemoryState::SelfRefresh)
-            .llc_flushed(false);
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc6, 4).graphics(GraphicsCstate::Rc6);
+        i.memory = MemoryState::SelfRefresh;
+        i.llc_flushed = false;
         assert_eq!(resolve(&i), PackageCstate::C6);
     }
 
     #[test]
     fn gated_cores_active_dram_pins_c2() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc6, 4)
-            .graphics(GraphicsCstate::Rc6)
-            .memory(MemoryState::Active);
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc6, 4).graphics(GraphicsCstate::Rc6);
+        i.memory = MemoryState::Active;
         assert_eq!(resolve(&i), PackageCstate::C2);
     }
 
     #[test]
     fn flushed_llc_display_on_reaches_c8() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc7, 4)
-            .graphics(GraphicsCstate::Rc6)
-            .memory(MemoryState::SelfRefresh)
-            .llc_flushed(true);
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc7, 4).graphics(GraphicsCstate::Rc6);
+        i.memory = MemoryState::SelfRefresh;
+        i.llc_flushed = true;
         assert_eq!(resolve(&i), PackageCstate::C8);
     }
 
     #[test]
     fn display_psr_reaches_c9_and_off_reaches_c10() {
-        let base = PlatformInputs::all_cores(CoreCstate::Cc7, 4)
-            .graphics(GraphicsCstate::Rc6)
-            .memory(MemoryState::SelfRefresh)
-            .llc_flushed(true);
+        let mut base = PlatformInputs::all_cores(CoreCstate::Cc7, 4).graphics(GraphicsCstate::Rc6);
+        base.memory = MemoryState::SelfRefresh;
+        base.llc_flushed = true;
         assert_eq!(
             resolve(&base.clone().display(DisplayState::SelfRefresh)),
             PackageCstate::C9
@@ -225,29 +189,30 @@ mod tests {
 
     #[test]
     fn legacy_desktop_clamps_at_c7() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc7, 4)
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc7, 4)
             .graphics(GraphicsCstate::Rc6)
-            .memory(MemoryState::SelfRefresh)
-            .llc_flushed(true)
-            .display(DisplayState::Off)
-            .deepest_allowed(PackageCstate::legacy_desktop_deepest());
+            .display(DisplayState::Off);
+        i.memory = MemoryState::SelfRefresh;
+        i.llc_flushed = true;
+        i.deepest_allowed = PackageCstate::legacy_desktop_deepest();
         assert_eq!(resolve(&i), PackageCstate::C7);
     }
 
     #[test]
     fn darkgates_desktop_clamps_at_c8() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc7, 4)
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc7, 4)
             .graphics(GraphicsCstate::Rc6)
-            .memory(MemoryState::SelfRefresh)
-            .llc_flushed(true)
-            .display(DisplayState::Off)
-            .deepest_allowed(PackageCstate::darkgates_desktop_deepest());
+            .display(DisplayState::Off);
+        i.memory = MemoryState::SelfRefresh;
+        i.llc_flushed = true;
+        i.deepest_allowed = PackageCstate::darkgates_desktop_deepest();
         assert_eq!(resolve(&i), PackageCstate::C8);
     }
 
     #[test]
     fn shallowest_core_is_binding() {
-        let i = PlatformInputs::all_cores(CoreCstate::Cc7, 4).with_core(3, CoreCstate::Cc0);
+        let mut i = PlatformInputs::all_cores(CoreCstate::Cc7, 4);
+        i.cores[3] = CoreCstate::Cc0;
         assert_eq!(i.shallowest_core(), CoreCstate::Cc0);
     }
 

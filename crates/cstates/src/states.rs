@@ -36,7 +36,7 @@ impl ThreadCstate {
     ];
 
     /// The deepest core state this thread request maps to.
-    pub fn core_equivalent(self) -> CoreCstate {
+    fn core_equivalent(self) -> CoreCstate {
         match self {
             ThreadCstate::Tc0 => CoreCstate::Cc0,
             ThreadCstate::Tc1 => CoreCstate::Cc1,
@@ -60,6 +60,7 @@ impl fmt::Display for ThreadCstate {
 /// Resolves a core's C-state from its hardware threads' requests: the
 /// shallowest thread binds. An empty thread list resolves to `Tc0`'s
 /// equivalent (the conservative answer: the core stays active).
+// dg-analyze: allow(unreached-pub, reason = "only states::tests call it; deleting it retires those tests (ROADMAP item 4)")
 pub fn core_state_from_threads(threads: &[ThreadCstate]) -> CoreCstate {
     threads
         .iter()
@@ -94,11 +95,6 @@ impl CoreCstate {
         CoreCstate::Cc6,
         CoreCstate::Cc7,
     ];
-
-    /// `true` when the core is executing instructions.
-    pub fn is_executing(self) -> bool {
-        self == CoreCstate::Cc0
-    }
 
     /// `true` when the core's clocks are off (CC3 or deeper).
     pub fn clocks_off(self) -> bool {
@@ -333,8 +329,6 @@ mod tests {
 
     #[test]
     fn core_predicates() {
-        assert!(CoreCstate::Cc0.is_executing());
-        assert!(!CoreCstate::Cc1.is_executing());
         assert!(!CoreCstate::Cc1.clocks_off());
         assert!(CoreCstate::Cc3.clocks_off());
         assert!(!CoreCstate::Cc3.power_gated());

@@ -24,28 +24,28 @@ fn arb_inputs() -> impl Strategy<Value = PlatformInputs> {
         prop::bool::ANY,
         arb_package_state(),
     )
-        .prop_map(|(cores, gfx_active, display, mem_sr, llc, deepest)| {
-            let mut inputs = PlatformInputs::all_cores(CoreCstate::Cc0, cores.len());
-            inputs.cores = cores;
-            inputs.graphics = if gfx_active {
-                GraphicsCstate::Rc0
-            } else {
-                GraphicsCstate::Rc6
-            };
-            inputs.display = match display {
-                0 => DisplayState::On,
-                1 => DisplayState::SelfRefresh,
-                _ => DisplayState::Off,
-            };
-            inputs.memory = if mem_sr {
-                MemoryState::SelfRefresh
-            } else {
-                MemoryState::Active
-            };
-            inputs.llc_flushed = llc;
-            inputs.deepest_allowed = deepest;
-            inputs
-        })
+        .prop_map(
+            |(cores, gfx_active, display, mem_sr, llc, deepest)| PlatformInputs {
+                cores,
+                graphics: if gfx_active {
+                    GraphicsCstate::Rc0
+                } else {
+                    GraphicsCstate::Rc6
+                },
+                display: match display {
+                    0 => DisplayState::On,
+                    1 => DisplayState::SelfRefresh,
+                    _ => DisplayState::Off,
+                },
+                memory: if mem_sr {
+                    MemoryState::SelfRefresh
+                } else {
+                    MemoryState::Active
+                },
+                llc_flushed: llc,
+                deepest_allowed: deepest,
+            },
+        )
 }
 
 proptest! {

@@ -132,7 +132,7 @@ impl Drop for ScheduleSeedGuard {
 /// The order in which work items are claimed for `n` items under `seed`:
 /// a bijection over `0..n` (ascending when `seed == 0`). Exposed so tests
 /// and the chaos harness can log and replay the exact claim order.
-pub fn schedule_order(seed: u64, n: usize) -> Vec<usize> {
+fn schedule_order(seed: u64, n: usize) -> Vec<usize> {
     (0..n).map(|slot| schedule_index(seed, slot, n)).collect()
 }
 
@@ -525,6 +525,7 @@ where
 /// If `f` panics for any item, the panic payload is re-raised on the
 /// calling thread (for the lowest panicking index in the first chunk that
 /// panicked); chunks after it do not run at all.
+// dg-analyze: allow(unreached-pub, reason = "live (par_map_progress's sequential path); crates/engine/tests/stream_map_props.rs names it as the differential oracle")
 pub fn par_map_progress_barrier<T, U, F, P>(
     items: &[T],
     chunk: usize,

@@ -1,10 +1,9 @@
 //! Named, poison-recovering lock wrappers with an optional runtime
 //! lock-order witness.
 //!
-//! Every shared lock in the workspace is a [`TrackedMutex`] (or
-//! [`TrackedRwLock`]) carrying a `&'static str` **lock class** — a stable,
-//! human-chosen name like `"serve.queue.state"`. The wrapper gives three
-//! things:
+//! Every shared lock in the workspace is a [`TrackedMutex`] carrying a
+//! `&'static str` **lock class** — a stable, human-chosen name like
+//! `"serve.queue.state"`. The wrapper gives three things:
 //!
 //! 1. **Poison recovery by construction.** `lock()` returns the guard
 //!    directly, recovering from a poisoned mutex via
@@ -33,9 +32,7 @@
 //! deterministic.
 
 use std::mem::ManuallyDrop;
-use std::sync::{
-    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A mutex with a static lock-class name, poison recovery, and optional
 /// acquisition-order recording. Drop-in for `std::sync::Mutex` except that
@@ -170,104 +167,6 @@ impl TrackedCondvar {
 impl std::fmt::Debug for TrackedCondvar {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrackedCondvar").finish_non_exhaustive()
-    }
-}
-
-/// A reader-writer lock with a static lock-class name and poison
-/// recovery. Both read and write acquisitions record the same class in
-/// the witness: lock-order discipline applies to either mode (a
-/// read-after-write inversion deadlocks just as surely once a writer
-/// queues between them).
-pub struct TrackedRwLock<T> {
-    class: &'static str,
-    inner: RwLock<T>,
-}
-
-impl<T> TrackedRwLock<T> {
-    /// Wraps `value` under the lock class `class` (same naming contract
-    /// as [`TrackedMutex::new`]).
-    pub fn new(class: &'static str, value: T) -> Self {
-        TrackedRwLock {
-            class,
-            inner: RwLock::new(value),
-        }
-    }
-
-    /// Acquires a shared read guard, recovering from poison.
-    pub fn read(&self) -> TrackedReadGuard<'_, T> {
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        witness::record_acquire(self.class);
-        TrackedReadGuard {
-            class: self.class,
-            inner,
-        }
-    }
-
-    /// Acquires an exclusive write guard, recovering from poison.
-    pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-        let inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        witness::record_acquire(self.class);
-        TrackedWriteGuard {
-            class: self.class,
-            inner,
-        }
-    }
-
-    /// The lock class this lock was constructed with.
-    pub fn class(&self) -> &'static str {
-        self.class
-    }
-}
-
-impl<T> std::fmt::Debug for TrackedRwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrackedRwLock")
-            .field("class", &self.class)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Shared guard returned by [`TrackedRwLock::read`].
-pub struct TrackedReadGuard<'a, T> {
-    class: &'static str,
-    inner: RwLockReadGuard<'a, T>,
-}
-
-impl<T> std::ops::Deref for TrackedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> Drop for TrackedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        witness::record_release(self.class);
-    }
-}
-
-/// Exclusive guard returned by [`TrackedRwLock::write`].
-pub struct TrackedWriteGuard<'a, T> {
-    class: &'static str,
-    inner: RwLockWriteGuard<'a, T>,
-}
-
-impl<T> std::ops::Deref for TrackedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::DerefMut for TrackedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T> Drop for TrackedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        witness::record_release(self.class);
     }
 }
 
@@ -474,25 +373,6 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         assert!(waiter.join().expect("waiter exits"));
-    }
-
-    #[test]
-    fn tracked_rwlock_allows_concurrent_reads_and_recovers() {
-        let l = Arc::new(TrackedRwLock::new("engine.test.rw", 5u32));
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!((*a, *b), (5, 5), "shared reads coexist");
-        }
-        *l.write() = 6;
-        let l2 = Arc::clone(&l);
-        let _ = std::thread::spawn(move || {
-            let _g = l2.write();
-            panic!("poison the rwlock");
-        })
-        .join();
-        assert_eq!(*l.read(), 6, "read() must recover from poison");
-        assert_eq!(l.class(), "engine.test.rw");
     }
 
     #[cfg(feature = "lock-witness")]

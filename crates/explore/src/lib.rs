@@ -45,7 +45,7 @@ use spec::fuse_label;
 
 /// Hard cap on grid points a single run will expand (memory bound; the
 /// serve tier applies its own much tighter request bound first).
-pub const MAX_POINTS: u64 = 1_000_000;
+const MAX_POINTS: u64 = 1_000_000;
 
 /// One progress record, emitted after each evaluated batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,7 +204,7 @@ struct ProgressState {
 ///
 /// # Errors
 ///
-/// [`ExploreError::GridTooLarge`] past [`MAX_POINTS`]; spec-shaped
+/// [`ExploreError::GridTooLarge`] past `MAX_POINTS`; spec-shaped
 /// errors never reach here (the spec was already validated).
 pub fn run(spec: &ExploreSpec) -> Result<ExploreResult, ExploreError> {
     run_with_progress(spec, |_| {})
@@ -219,7 +219,7 @@ pub fn run(spec: &ExploreSpec) -> Result<ExploreResult, ExploreError> {
 /// # Errors
 ///
 /// [`ExploreError::GridTooLarge`] when the axes cross into more than
-/// [`MAX_POINTS`] points.
+/// `MAX_POINTS` points.
 pub fn run_with_progress(
     spec: &ExploreSpec,
     mut on_progress: impl FnMut(Progress),

@@ -20,7 +20,7 @@
 //!   delivery impedance and claws that performance back.
 //! * **Serial-phase leakage** — with the gates bypassed the little cores
 //!   cannot be power-gated, so during the serial fraction of the
-//!   schedule they leak [`BYPASS_LEAK_FRACTION`] of their active power.
+//!   schedule they leak `BYPASS_LEAK_FRACTION` of their active power.
 //!   That tax is weighted by the serial share of the execution time and
 //!   added to package power, which is exactly the perf-vs-power tension
 //!   the Pareto frontier trades.
@@ -40,19 +40,19 @@ use darkgates::pdn::units::{Amps, Seconds, Volts, Watts};
 use darkgates::pmu::GuardbandManager;
 
 /// Nominal core supply the guardband is paid out of, volts.
-pub const V_NOM: f64 = 1.0;
+const V_NOM: f64 = 1.0;
 
 /// Fraction of a little core's active power it leaks while idle with the
 /// power-gates bypassed (serial phase of the schedule).
-pub const BYPASS_LEAK_FRACTION: f64 = 0.3;
+const BYPASS_LEAK_FRACTION: f64 = 0.3;
 
 /// Slew of the staggered power-gate wake-up used for transient lanes
 /// (paper Sec. 2.1: 10–20 ns).
-pub const WAKE_SLEW_NS: f64 = 15.0;
+const WAKE_SLEW_NS: f64 = 15.0;
 
 /// Most transient lanes per `run_batch` call (mirrors the serve tier's
 /// droop-batch lane bound).
-pub const TRANSIENT_LANES: usize = 64;
+const TRANSIENT_LANES: usize = 64;
 
 /// One evaluated design point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -253,10 +253,10 @@ impl EvalContext {
     /// guardband policy re-derives its droop component from a measured
     /// PDN transient: the point's power-gate wake-up (serial-phase
     /// big-core current stepping to full-chip current over
-    /// [`WAKE_SLEW_NS`]) is run through `TransientSim::run_batch_in` on
+    /// `WAKE_SLEW_NS`) is run through `TransientSim::run_batch_in` on
     /// the point's variant ladder — via the calling thread's warm
     /// `BatchWorkspace`, so repeated waves integrate alloc-free — grouped
-    /// by variant in chunk order and batched [`TRANSIENT_LANES`] lanes at
+    /// by variant in chunk order and batched `TRANSIENT_LANES` lanes at
     /// a time. Grouping and lane order are functions of the chunk alone,
     /// so refinement is bit-deterministic.
     pub fn refine_chunk(&self, chunk: &[PointEval]) -> Vec<PointEval> {

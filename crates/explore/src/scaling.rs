@@ -17,7 +17,7 @@
 use crate::error::ExploreError;
 
 /// The 45 nm anchor node all fits are expressed against.
-pub const REF_NODE_NM: u32 = 45;
+const REF_NODE_NM: u32 = 45;
 
 /// Reference-performance domain of the fitted polynomials (Charm sweeps
 /// `range(1, 50)`); specs outside it are rejected rather than
@@ -39,14 +39,14 @@ pub struct NodeScaling {
 
 impl NodeScaling {
     /// Geometric area multiplier vs. 45 nm: `(node/45)²`.
-    pub fn area(&self) -> f64 {
+    fn area(&self) -> f64 {
         let r = f64::from(self.node_nm) / f64::from(REF_NODE_NM);
         r * r
     }
 }
 
 /// The default piecewise table (Charm's published factors, 45→8 nm).
-pub const DEFAULT_NODES: [NodeScaling; 6] = [
+const DEFAULT_NODES: [NodeScaling; 6] = [
     NodeScaling {
         node_nm: 45,
         perf: 1.0,
@@ -86,7 +86,7 @@ pub fn default_scaling(node_nm: u32) -> Option<NodeScaling> {
 
 /// Die area (mm²) of a core with 45 nm reference performance `p`,
 /// before node scaling.
-pub fn perf_to_area_45nm(p: f64) -> f64 {
+fn perf_to_area_45nm(p: f64) -> f64 {
     0.0152 * p * p + 0.0265 * p + 7.4393
 }
 

@@ -20,15 +20,15 @@ use darkgates::pdn::skylake::PdnVariant;
 
 /// Most values one axis may carry (keeps the count math and the grid
 /// expansion honest before the caller's own point bound applies).
-pub const MAX_AXIS_VALUES: usize = 256;
+const MAX_AXIS_VALUES: usize = 256;
 
 /// Progress-batch cadence bounds (items evaluated between progress
 /// records).
-pub const MIN_BATCH: usize = 16;
+const MIN_BATCH: usize = 16;
 /// Upper progress-batch bound.
-pub const MAX_BATCH: usize = 8_192;
+const MAX_BATCH: usize = 8_192;
 /// Default progress-batch cadence.
-pub const DEFAULT_BATCH: usize = 512;
+const DEFAULT_BATCH: usize = 512;
 
 /// How much voltage guardband a design point pays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -84,7 +84,7 @@ impl Default for ContentKey {
 
 /// Content key of a ladder: VR model plus every stage's series R/L and
 /// shunt C/ESR/ESL/count, in order.
-pub fn ladder_key(ladder: &Ladder) -> u64 {
+fn ladder_key(ladder: &Ladder) -> u64 {
     let vr = ladder.vr();
     let mut k = ContentKey::new()
         .f64(vr.loadline.value())
@@ -155,7 +155,7 @@ pub fn skylake_profile(variant: PdnVariant) -> Arc<ImpedanceProfile> {
     }))
 }
 
-/// [`ladder_key`] of the calibrated Skylake PDN of `variant`, computed
+/// `ladder_key` of the calibrated Skylake PDN of `variant`, computed
 /// once per variant: the serve tier folds it into every request key, so
 /// deriving a key never builds a ladder.
 pub fn skylake_ladder_key(variant: PdnVariant) -> u64 {
@@ -233,12 +233,15 @@ mod tests {
     fn perturbed_ladder_gets_its_own_entry() {
         let pdn = SkylakePdn::build(PdnVariant::Gated);
         let base_key = ladder_key(&pdn.ladder);
-        let perturbed = pdn
-            .ladder
-            .with_mapped_stage("power-gate", |s| {
-                s.series.resistance = s.series.resistance * 1.01;
-            })
-            .expect("gated ladder has a power-gate stage");
+        let mut b = Ladder::builder(pdn.ladder.name(), *pdn.ladder.vr());
+        for stage in pdn.ladder.stages() {
+            let mut stage = stage.clone();
+            if stage.name == "power-gate" {
+                stage.series.resistance = stage.series.resistance * 1.01;
+            }
+            b.stage(stage);
+        }
+        let perturbed = b.build().expect("perturbed gated ladder builds");
         assert_ne!(base_key, ladder_key(&perturbed));
         // And the same content always produces the same key.
         assert_eq!(

@@ -3,9 +3,8 @@
 //! Fast current transients (pipeline restarts, power-gate wake-ups,
 //! AVX bursts) excite the PDN's resonances and can drive the die voltage
 //! below the functional floor `Vmin` — a *voltage emergency*
-//! (paper Sec. 2.4.2 and its references). This module sweeps a family of
-//! load-step events over a ladder, reports the droop of each, and checks
-//! whether the applied guardband prevents every emergency.
+//! (paper Sec. 2.4.2 and its references). This module sweeps grids of
+//! load-step magnitudes over a ladder and reports the droop of each.
 
 use crate::ladder::Ladder;
 use crate::transient::{LoadStep, TransientResult, TransientSim};
@@ -22,134 +21,6 @@ pub(crate) const SWEEP_LANES: usize = 32;
 /// consumer sees steady progress.
 pub(crate) const PROGRESS_GROUPS: usize = 8;
 
-/// A named di/dt event class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DidtEvent {
-    /// Event name (e.g. `"1-core pipeline restart"`).
-    pub name: String,
-    /// Current step magnitude.
-    pub delta: Amps,
-    /// Ramp time of the event.
-    pub slew: Seconds,
-}
-
-/// The standard event family for a 4-core client part: pipeline restarts
-/// per active-core count plus a staggered full-domain power-gate wake.
-pub fn client_event_family() -> Vec<DidtEvent> {
-    vec![
-        DidtEvent {
-            name: "1-core pipeline restart".to_owned(),
-            delta: Amps::new(12.0),
-            slew: Seconds::from_ns(2.0),
-        },
-        DidtEvent {
-            name: "2-core pipeline restart".to_owned(),
-            delta: Amps::new(24.0),
-            slew: Seconds::from_ns(2.0),
-        },
-        DidtEvent {
-            name: "4-core pipeline restart".to_owned(),
-            delta: Amps::new(48.0),
-            slew: Seconds::from_ns(2.0),
-        },
-        DidtEvent {
-            name: "staggered power-gate wake".to_owned(),
-            delta: Amps::new(30.0),
-            slew: Seconds::from_ns(15.0),
-        },
-        DidtEvent {
-            name: "AVX burst".to_owned(),
-            delta: Amps::new(35.0),
-            slew: Seconds::from_ns(5.0),
-        },
-    ]
-}
-
-/// Result of simulating one event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DidtResult {
-    /// The event.
-    pub event: DidtEvent,
-    /// Worst droop below the pre-event level.
-    pub droop: Volts,
-    /// Minimum die voltage reached.
-    pub v_min: Volts,
-    /// Whether the voltage fell below the functional floor.
-    pub emergency: bool,
-}
-
-/// Noise analysis of a ladder under the event family.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NoiseAnalysis {
-    /// Per-event results.
-    pub results: Vec<DidtResult>,
-    /// The worst droop across all events.
-    pub worst_droop: Volts,
-    /// Number of emergencies.
-    pub emergencies: usize,
-}
-
-impl NoiseAnalysis {
-    /// `true` when no event drove the rail below Vmin.
-    pub fn is_safe(&self) -> bool {
-        self.emergencies == 0
-    }
-}
-
-/// Simulates every event in `events` on `ladder`.
-///
-/// `v_nominal` is the rail setpoint (including guardband); `v_min_limit`
-/// is the functional floor; `quiescent` the pre-event current.
-pub fn analyze(
-    ladder: &Ladder,
-    events: &[DidtEvent],
-    v_nominal: Volts,
-    v_min_limit: Volts,
-    quiescent: Amps,
-) -> NoiseAnalysis {
-    let sim = TransientSim {
-        source: v_nominal,
-        dt: Seconds::from_ns(0.2),
-        duration: Seconds::from_us(30.0),
-        decimate: 256,
-    };
-    // The whole event family integrates as one batch: the kernel is
-    // bit-identical to per-event scalar runs, so the results (and every
-    // downstream guardband) are unchanged.
-    let steps: Vec<LoadStep> = events
-        .iter()
-        .map(|event| LoadStep {
-            from: quiescent,
-            to: quiescent + event.delta,
-            at: Seconds::from_us(1.0),
-            slew: event.slew,
-        })
-        .collect();
-    let runs = sim.run_batch(ladder, &steps);
-    let mut results = Vec::with_capacity(events.len());
-    let mut worst = Volts::ZERO;
-    let mut emergencies = 0;
-    for (event, r) in events.iter().zip(&runs) {
-        let droop = r.droop();
-        let emergency = r.v_min < v_min_limit;
-        if emergency {
-            emergencies += 1;
-        }
-        worst = worst.max(droop);
-        results.push(DidtResult {
-            event: event.clone(),
-            droop,
-            v_min: r.v_min,
-            emergency,
-        });
-    }
-    NoiseAnalysis {
-        results,
-        worst_droop: worst,
-        emergencies,
-    }
-}
-
 /// Worst droop for each step magnitude in `deltas` (from `quiescent`, with
 /// a common `slew`), in input order.
 ///
@@ -157,7 +28,7 @@ pub fn analyze(
 /// fan out over the [`dg_engine`] worker pool, so each worker integrates
 /// several lanes per task instead of one scenario. Results are
 /// bit-identical to sequential [`TransientSim::run`] calls (ramp start at
-/// 1 µs, as in [`analyze`]) for any thread count.
+/// 1 µs) for any thread count.
 pub fn droop_sweep(
     ladder: &Ladder,
     sim: &TransientSim,
@@ -208,8 +79,8 @@ pub fn droop_sweep_with_progress(
     .collect()
 }
 
-/// Expands a delta grid into the load steps [`analyze`] applies (ramp
-/// start at 1 µs, shared slew).
+/// Expands a delta grid into load steps (ramp start at 1 µs, shared
+/// slew).
 fn sweep_steps(quiescent: Amps, deltas: &[Amps], slew: Seconds) -> Vec<LoadStep> {
     deltas
         .iter()
@@ -240,48 +111,68 @@ mod tests {
     use super::*;
     use crate::skylake::{PdnVariant, SkylakePdn};
 
+    /// The client event family as `(step A, slew ns)`: 1-, 2- and 4-core
+    /// pipeline restarts, a staggered power-gate wake and an AVX burst.
+    const CLIENT_EVENTS: [(f64, f64); 5] = [
+        (12.0, 2.0),
+        (24.0, 2.0),
+        (48.0, 2.0),
+        (30.0, 15.0),
+        (35.0, 5.0),
+    ];
+
+    /// Runs each `(step A, slew ns)` event from 5 A on `ladder` with the
+    /// rail at `v_nominal` (0.2 ns steps over 30 µs, ramp at 1 µs) as one
+    /// batch.
+    fn run_events(
+        ladder: &Ladder,
+        v_nominal: Volts,
+        events: &[(f64, f64)],
+    ) -> Vec<TransientResult> {
+        let sim = TransientSim {
+            source: v_nominal,
+            dt: Seconds::from_ns(0.2),
+            duration: Seconds::from_us(30.0),
+            decimate: 256,
+        };
+        let steps: Vec<LoadStep> = events
+            .iter()
+            .map(|&(delta, slew)| LoadStep {
+                from: Amps::new(5.0),
+                to: Amps::new(5.0 + delta),
+                at: Seconds::from_us(1.0),
+                slew: Seconds::from_ns(slew),
+            })
+            .collect();
+        sim.run_batch(ladder, &steps)
+    }
+
+    fn worst_droop(runs: &[TransientResult]) -> Volts {
+        runs.iter()
+            .map(TransientResult::droop)
+            .fold(Volts::ZERO, Volts::max)
+    }
+
     #[test]
     fn droop_grows_with_event_magnitude() {
         let pdn = SkylakePdn::build(PdnVariant::Bypassed);
-        let events = client_event_family();
-        let a = analyze(
-            &pdn.ladder,
-            &events,
-            Volts::new(1.0),
-            Volts::new(0.60),
-            Amps::new(5.0),
-        );
-        let one_core = &a.results[0];
-        let four_core = &a.results[2];
-        assert!(four_core.droop > one_core.droop);
-        assert_eq!(a.results.len(), events.len());
+        let runs = run_events(&pdn.ladder, Volts::new(1.0), &CLIENT_EVENTS);
+        assert_eq!(runs.len(), CLIENT_EVENTS.len());
+        let (one_core, four_core) = (&runs[0], &runs[2]);
+        assert!(four_core.droop() > one_core.droop());
     }
 
     #[test]
     fn bypassed_droops_less_than_gated() {
         let gated = SkylakePdn::build(PdnVariant::Gated);
         let bypassed = SkylakePdn::build(PdnVariant::Bypassed);
-        let events = client_event_family();
-        let ag = analyze(
-            &gated.ladder,
-            &events,
-            Volts::new(1.0),
-            Volts::new(0.60),
-            Amps::new(5.0),
-        );
-        let ab = analyze(
+        let wg = worst_droop(&run_events(&gated.ladder, Volts::new(1.0), &CLIENT_EVENTS));
+        let wb = worst_droop(&run_events(
             &bypassed.ladder,
-            &events,
             Volts::new(1.0),
-            Volts::new(0.60),
-            Amps::new(5.0),
-        );
-        assert!(
-            ab.worst_droop < ag.worst_droop,
-            "bypassed {} vs gated {}",
-            ab.worst_droop,
-            ag.worst_droop
-        );
+            &CLIENT_EVENTS,
+        ));
+        assert!(wb < wg, "bypassed {wb} vs gated {wg}");
     }
 
     #[test]
@@ -289,14 +180,9 @@ mod tests {
         let pdn = SkylakePdn::build(PdnVariant::Gated);
         // Run a Vmin-level rail with a generous guardband above it.
         let v_min = Volts::new(0.60);
-        let a = analyze(
-            &pdn.ladder,
-            &client_event_family(),
-            v_min + Volts::from_mv(320.0),
-            v_min,
-            Amps::new(5.0),
-        );
-        assert!(a.is_safe(), "emergencies: {}", a.emergencies);
+        let runs = run_events(&pdn.ladder, v_min + Volts::from_mv(320.0), &CLIENT_EVENTS);
+        let emergencies = runs.iter().filter(|r| r.v_min < v_min).count();
+        assert_eq!(emergencies, 0, "emergencies: {emergencies}");
     }
 
     #[test]
@@ -304,15 +190,8 @@ mod tests {
         let pdn = SkylakePdn::build(PdnVariant::Gated);
         let v_min = Volts::new(0.60);
         // Only 40 mV above Vmin: the 4-core restart must punch through.
-        let a = analyze(
-            &pdn.ladder,
-            &client_event_family(),
-            v_min + Volts::from_mv(40.0),
-            v_min,
-            Amps::new(5.0),
-        );
-        assert!(!a.is_safe());
-        assert!(a.results.iter().any(|r| r.emergency));
+        let runs = run_events(&pdn.ladder, v_min + Volts::from_mv(40.0), &CLIENT_EVENTS);
+        assert!(runs.iter().any(|r| r.v_min < v_min));
     }
 
     #[test]
@@ -398,28 +277,8 @@ mod tests {
     #[test]
     fn slower_slew_softens_the_droop() {
         let pdn = SkylakePdn::build(PdnVariant::Bypassed);
-        let sharp = DidtEvent {
-            name: "sharp".into(),
-            delta: Amps::new(30.0),
-            slew: Seconds::from_ns(1.0),
-        };
-        let staggered = DidtEvent {
-            name: "staggered".into(),
-            delta: Amps::new(30.0),
-            slew: Seconds::from_ns(500.0),
-        };
-        let a = analyze(
-            &pdn.ladder,
-            &[sharp, staggered],
-            Volts::new(1.0),
-            Volts::new(0.6),
-            Amps::new(5.0),
-        );
-        assert!(
-            a.results[1].droop <= a.results[0].droop,
-            "staggered {} vs sharp {}",
-            a.results[1].droop,
-            a.results[0].droop
-        );
+        let runs = run_events(&pdn.ladder, Volts::new(1.0), &[(30.0, 1.0), (30.0, 500.0)]);
+        let (sharp, staggered) = (runs[0].droop(), runs[1].droop());
+        assert!(staggered <= sharp, "staggered {staggered} vs sharp {sharp}");
     }
 }

@@ -55,30 +55,12 @@ impl SeriesBranch {
         }
     }
 
-    /// A purely resistive branch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::InvalidComponent`] for a negative or non-finite
-    /// resistance.
-    pub fn resistive(resistance: Ohms) -> Result<Self, PdnError> {
-        SeriesBranch::new(resistance, Henries::ZERO)
-    }
-
     /// Phasor impedance `R + jωL` at frequency `f`.
     pub fn impedance(&self, f: Hertz) -> Complex {
         Complex::new(
             self.resistance.value(),
             f.angular() * self.inductance.value(),
         )
-    }
-
-    /// Combines two branches in series (summing R and L).
-    pub fn in_series(&self, other: &SeriesBranch) -> SeriesBranch {
-        SeriesBranch {
-            resistance: self.resistance + other.resistance,
-            inductance: self.inductance + other.inductance,
-        }
     }
 
     /// Combines `n` identical copies of this branch in parallel.
@@ -163,12 +145,12 @@ impl CapBank {
     }
 
     /// Effective ESR of the bank (`ESR / count`).
-    pub fn effective_esr(&self) -> Ohms {
+    fn effective_esr(&self) -> Ohms {
         self.esr / self.count as f64
     }
 
     /// Effective ESL of the bank (`ESL / count`).
-    pub fn effective_esl(&self) -> Henries {
+    fn effective_esl(&self) -> Henries {
         self.esl / self.count as f64
     }
 
@@ -181,19 +163,6 @@ impl CapBank {
             w * self.esl.value() - 1.0 / (w * self.capacitance.value()),
         );
         single / self.count as f64
-    }
-
-    /// Self-resonant frequency of a single capacitor: `1 / (2π√(L·C))`.
-    ///
-    /// Below this frequency the bank is capacitive; above, inductive.
-    /// Returns `None` when ESL is zero (an ideal capacitor never resonates).
-    pub fn self_resonance(&self) -> Option<Hertz> {
-        if self.esl.value() <= 0.0 {
-            return None;
-        }
-        let f = 1.0
-            / (2.0 * std::f64::consts::PI * (self.esl.value() * self.capacitance.value()).sqrt());
-        Some(Hertz::new(f))
     }
 
     /// Returns a bank scaled to `factor ×` the capacitor count (rounded,
@@ -265,9 +234,15 @@ mod tests {
     fn series_combination_adds() {
         let a = SeriesBranch::new(Ohms::from_mohm(1.0), Henries::from_ph(10.0)).unwrap();
         let b = SeriesBranch::new(Ohms::from_mohm(2.0), Henries::from_ph(20.0)).unwrap();
-        let c = a.in_series(&b);
-        assert!((c.resistance.as_mohm() - 3.0).abs() < 1e-12);
-        assert!((c.inductance.value() - 30e-12).abs() < 1e-24);
+        let c = SeriesBranch::new(Ohms::from_mohm(3.0), Henries::from_ph(30.0)).unwrap();
+        for f in [1e3, 1e6, 1e9] {
+            let f = Hertz::new(f);
+            let sum = a.impedance(f) + b.impedance(f);
+            assert!(
+                (sum - c.impedance(f)).abs() < 1e-12,
+                "series impedances add at {f}"
+            );
+        }
     }
 
     #[test]
@@ -301,7 +276,8 @@ mod tests {
             10,
         )
         .unwrap();
-        let fres = bank.self_resonance().unwrap();
+        // A single capacitor's self-resonance: 1 / (2π√(L·C)).
+        let fres = Hertz::new(1.0 / (2.0 * std::f64::consts::PI * (0.5e-9f64 * 22e-6).sqrt()));
         let below = bank.impedance(Hertz::new(fres.value() / 100.0));
         let above = bank.impedance(Hertz::new(fres.value() * 100.0));
         assert!(below.im < 0.0, "capacitive below resonance");
@@ -313,8 +289,11 @@ mod tests {
 
     #[test]
     fn ideal_cap_has_no_resonance() {
+        // With no ESL the reactance stays capacitive at every frequency.
         let bank = CapBank::new(Farads::from_uf(1.0), Ohms::ZERO, Henries::ZERO, 1).unwrap();
-        assert!(bank.self_resonance().is_none());
+        for f in [1e3, 1e6, 1e9, 1e12] {
+            assert!(bank.impedance(Hertz::new(f)).im < 0.0);
+        }
     }
 
     #[test]

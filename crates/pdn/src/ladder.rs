@@ -35,7 +35,7 @@ pub struct Stage {
 
 impl Stage {
     /// Creates a stage with a shunt capacitor bank.
-    pub fn with_shunt(name: impl Into<String>, series: SeriesBranch, shunt: CapBank) -> Self {
+    fn with_shunt(name: impl Into<String>, series: SeriesBranch, shunt: CapBank) -> Self {
         Stage {
             name: name.into(),
             series,
@@ -44,7 +44,7 @@ impl Stage {
     }
 
     /// Creates a stage with no decoupling at its downstream node.
-    pub fn bare(name: impl Into<String>, series: SeriesBranch) -> Self {
+    fn bare(name: impl Into<String>, series: SeriesBranch) -> Self {
         Stage {
             name: name.into(),
             series,
@@ -167,7 +167,7 @@ impl Ladder {
     ///
     /// Walks the ladder from the VR: the running impedance accumulates each
     /// series branch and is then shunted by each decap bank.
-    pub fn impedance_at(&self, f: Hertz) -> Complex {
+    fn impedance_at(&self, f: Hertz) -> Complex {
         let mut z = self.vr.impedance(f);
         for stage in &self.stages {
             z = z + stage.series.impedance(f);
@@ -197,15 +197,6 @@ impl Ladder {
     /// Looks up a stage by name.
     pub fn stage(&self, name: &str) -> Option<&Stage> {
         self.stages.iter().find(|s| s.name == name)
-    }
-
-    /// Returns a copy of the ladder with the named stage transformed by
-    /// `f`, or `None` if no stage has that name.
-    pub fn with_mapped_stage(&self, name: &str, f: impl FnOnce(&mut Stage)) -> Option<Ladder> {
-        let idx = self.stages.iter().position(|s| s.name == name)?;
-        let mut copy = self.clone();
-        f(&mut copy.stages[idx]);
-        Some(copy)
     }
 
     /// Number of stages.

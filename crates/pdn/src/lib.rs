@@ -55,10 +55,7 @@ pub mod units;
 pub mod vr;
 
 pub use batch::{with_thread_workspace, BatchWorkspace};
-pub use didt::{
-    analyze as didt_analyze, client_event_family, droop_sweep, droop_sweep_with_progress,
-    DidtEvent, NoiseAnalysis,
-};
+pub use didt::{droop_sweep, droop_sweep_with_progress};
 pub use error::PdnError;
 pub use impedance::{ImpedanceAnalyzer, ImpedanceProfile};
 pub use ladder::{Ladder, LadderBuilder, Stage};

@@ -41,6 +41,7 @@ impl LoadLine {
     }
 
     /// VR output voltage required so the load sees `v_load` at `icc`.
+    // dg-analyze: allow(unreached-pub, reason = "live (VirusLevelTable::setpoint runs it); crates/pdn/tests/properties.rs names it")
     pub fn required_vcc(&self, v_load: Volts, icc: Amps) -> Volts {
         v_load + self.resistance * icc
     }
@@ -134,7 +135,7 @@ impl VirusLevelTable {
     /// # Panics
     ///
     /// Panics if either index is out of bounds.
-    pub fn guardband_step(&self, from: usize, to: usize) -> Volts {
+    fn guardband_step(&self, from: usize, to: usize) -> Volts {
         self.guardband_at(to) - self.guardband_at(from)
     }
 

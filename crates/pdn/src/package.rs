@@ -134,13 +134,8 @@ impl PackageLayout {
     }
 
     /// Looks up a domain.
-    pub fn domain(&self, name: &str) -> Option<&VoltageDomain> {
+    fn domain(&self, name: &str) -> Option<&VoltageDomain> {
         self.domains.iter().find(|d| d.name == name)
-    }
-
-    /// Total bumps across all domains (conserved by shorting).
-    pub fn total_bumps(&self) -> usize {
-        self.domains.iter().map(|d| d.bumps).sum()
     }
 
     /// The DarkGates package transform: merges every domain selected by
@@ -150,6 +145,7 @@ impl PackageLayout {
     /// # Errors
     ///
     /// Returns [`PdnError::InvalidComponent`] if `select` matches nothing.
+    // dg-analyze: allow(unreached-pub, reason = "live (skylake_desktop runs it); crates/pdn/tests/extension_properties.rs names it")
     pub fn short_domains(
         &self,
         merged_name: impl Into<String>,
@@ -187,28 +183,6 @@ impl PackageLayout {
         })?;
         Ok(self.max_current_per_bump * d.bumps as f64)
     }
-
-    /// Per-bump current in a domain at load `current`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::UnknownDomain`] if the domain does not exist.
-    pub fn per_bump_current(&self, domain: &str, current: Amps) -> Result<Amps, PdnError> {
-        let d = self.domain(domain).ok_or_else(|| PdnError::UnknownDomain {
-            name: domain.to_owned(),
-        })?;
-        Ok(current / d.bumps as f64)
-    }
-
-    /// `true` when carrying `current` through `domain` stays within the EM
-    /// limit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::UnknownDomain`] if the domain does not exist.
-    pub fn within_em_limit(&self, domain: &str, current: Amps) -> Result<bool, PdnError> {
-        Ok(self.per_bump_current(domain, current)? <= self.max_current_per_bump)
-    }
 }
 
 #[cfg(test)]
@@ -232,9 +206,10 @@ mod tests {
         assert_eq!(desktop.domains().len(), 1);
         let merged = desktop.domain("VCC_CORES").unwrap();
         assert!(!merged.gated);
-        assert_eq!(merged.bumps, mobile.total_bumps());
+        let total_bumps = |p: &PackageLayout| p.domains.iter().map(|d| d.bumps).sum::<usize>();
+        assert_eq!(merged.bumps, total_bumps(&mobile));
         // Shorting conserves bumps.
-        assert_eq!(desktop.total_bumps(), mobile.total_bumps());
+        assert_eq!(total_bumps(&desktop), total_bumps(&mobile));
     }
 
     #[test]
@@ -244,16 +219,18 @@ mod tests {
         let mobile = PackageLayout::skylake_mobile();
         let desktop = PackageLayout::skylake_desktop();
         let burst = Amps::new(34.0);
-        let private = mobile.per_bump_current("VC0G", burst).unwrap();
-        let pooled = desktop.per_bump_current("VCC_CORES", burst).unwrap();
+        let private = mobile.current_capacity("VC0G").unwrap();
+        let pooled = desktop.current_capacity("VCC_CORES").unwrap();
+        // Per-bump current is the burst over the bumps, so pooling cuts it
+        // by the capacity ratio.
         assert!(
-            pooled.value() < 0.25 * private.value(),
+            private.value() < 0.25 * pooled.value(),
             "pooled {pooled} vs private {private}"
         );
         // The private domain violates the EM limit on this burst; the
         // pooled one does not.
-        assert!(!mobile.within_em_limit("VC0G", burst).unwrap());
-        assert!(desktop.within_em_limit("VCC_CORES", burst).unwrap());
+        assert!(burst > private);
+        assert!(burst <= pooled);
     }
 
     #[test]
@@ -309,8 +286,6 @@ mod tests {
                 name: "nope".to_owned()
             }
         );
-        assert!(p.per_bump_current("nope", Amps::new(1.0)).is_err());
-        assert!(p.within_em_limit("nope", Amps::new(1.0)).is_err());
     }
 
     #[test]

@@ -24,48 +24,48 @@ use crate::units::{Amps, Farads, Henries, Hertz, Ohms, Volts, Watts};
 use crate::vr::{VoltageRegulator, VrLimits};
 
 /// Number of CPU cores on the modeled die.
-pub const CORE_COUNT: usize = 4;
+const CORE_COUNT: usize = 4;
 
 /// VR load-line resistance (paper Sec. 2.3: 1.6–2.4 mΩ).
-pub const LOADLINE_MOHM: f64 = 1.6;
+const LOADLINE_MOHM: f64 = 1.6;
 /// VR control-loop bandwidth.
-pub const VR_BANDWIDTH_HZ: f64 = 300e3;
+const VR_BANDWIDTH_HZ: f64 = 300e3;
 /// VR thermal design current.
-pub const TDC_A: f64 = 100.0;
+const TDC_A: f64 = 100.0;
 /// VR electrical design current (Iccmax).
-pub const EDC_A: f64 = 138.0;
+const EDC_A: f64 = 138.0;
 /// Upstream supply power limit (PL3-class).
-pub const SUPPLY_LIMIT_W: f64 = 250.0;
+const SUPPLY_LIMIT_W: f64 = 250.0;
 
 /// Board routing resistance / inductance.
-pub const BOARD_R_MOHM: f64 = 0.2;
+const BOARD_R_MOHM: f64 = 0.2;
 /// Board routing inductance in picohenries.
-pub const BOARD_L_PH: f64 = 120.0;
+const BOARD_L_PH: f64 = 120.0;
 /// Package routing resistance / inductance (shared segment).
-pub const PACKAGE_R_MOHM: f64 = 0.25;
+const PACKAGE_R_MOHM: f64 = 0.25;
 /// Package routing inductance in picohenries.
-pub const PACKAGE_L_PH: f64 = 35.0;
+const PACKAGE_L_PH: f64 = 35.0;
 /// On-die grid resistance from the domain node to the load.
-pub const DIE_R_MOHM: f64 = 0.15;
+const DIE_R_MOHM: f64 = 0.15;
 /// On-die grid inductance in picohenries.
-pub const DIE_L_PH: f64 = 4.0;
+const DIE_L_PH: f64 = 4.0;
 
 /// Power-gate on-state resistance. Sized per the paper's area/impedance
 /// trade-off discussion (Sec. 2.1): small enough to be viable, large enough
 /// that bypassing it roughly halves the path impedance.
-pub const POWER_GATE_R_MOHM: f64 = 1.2;
+const POWER_GATE_R_MOHM: f64 = 1.2;
 /// Power-gate parasitic inductance in picohenries.
-pub const POWER_GATE_L_PH: f64 = 2.0;
+const POWER_GATE_L_PH: f64 = 2.0;
 
 /// Per-core MIM capacitance slice in nanofarads.
-pub const MIM_PER_CORE_NF: f64 = 500.0;
+const MIM_PER_CORE_NF: f64 = 500.0;
 /// Ungated-domain (shared) MIM capacitance in nanofarads.
-pub const MIM_SHARED_NF: f64 = 500.0;
+const MIM_SHARED_NF: f64 = 500.0;
 /// MIM ESR in milliohms. The MIM sits behind the distributed on-die grid,
 /// which contributes series resistance that damps the die anti-resonance.
-pub const MIM_ESR_MOHM: f64 = 3.5;
+const MIM_ESR_MOHM: f64 = 3.5;
 /// MIM ESL in picohenries.
-pub const MIM_ESL_PH: f64 = 1.0;
+const MIM_ESL_PH: f64 = 1.0;
 
 /// Which side of the DarkGates hybrid a package implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,7 +106,7 @@ impl SkylakePdn {
     /// Builds the calibrated PDN for `variant`.
     ///
     /// The component values are compile-time calibration constants, so the
-    /// fallible assembly in [`Self::try_build`] cannot actually fail here.
+    /// fallible assembly in `Self::try_build` cannot actually fail here.
     pub fn build(variant: PdnVariant) -> Self {
         Self::try_build(variant)
             // dg-analyze: allow(no-panic-in-lib, reason = "inputs are compile-time calibration constants; a test exercises try_build on every variant")
@@ -120,7 +120,7 @@ impl SkylakePdn {
     /// Returns [`PdnError`](crate::error::PdnError) if any calibration
     /// constant fails component validation (only possible if the constants
     /// are edited into an invalid range).
-    pub fn try_build(variant: PdnVariant) -> Result<Self, crate::error::PdnError> {
+    fn try_build(variant: PdnVariant) -> Result<Self, crate::error::PdnError> {
         let vr_model =
             VrOutputModel::new(Ohms::from_mohm(LOADLINE_MOHM), Hertz::new(VR_BANDWIDTH_HZ))?;
 

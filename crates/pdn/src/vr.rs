@@ -106,11 +106,13 @@ impl VoltageRegulator {
     }
 
     /// `true` when the VR output is enabled (setpoint above zero).
+    // dg-analyze: allow(unreached-pub, reason = "only vr::tests call it; deleting it retires those tests (ROADMAP item 4)")
     pub fn is_on(&self) -> bool {
         self.setpoint > Volts::ZERO
     }
 
     /// Turns the VR off (package C8 turns the core VR off; paper Table 1).
+    // dg-analyze: allow(unreached-pub, reason = "only vr::tests call it; deleting it retires those tests (ROADMAP item 4)")
     pub fn turn_off(&mut self) {
         self.setpoint = Volts::ZERO;
     }
@@ -126,6 +128,7 @@ impl VoltageRegulator {
     }
 
     /// Voltage delivered to the load at current `icc`.
+    // dg-analyze: allow(unreached-pub, reason = "only vr::tests call it; deleting it retires those tests (ROADMAP item 4)")
     pub fn output_voltage(&self, icc: Amps) -> Volts {
         if !self.is_on() {
             return Volts::ZERO;
@@ -134,6 +137,7 @@ impl VoltageRegulator {
     }
 
     /// Checks `icc` against the current limits; the worst violation wins.
+    // dg-analyze: allow(unreached-pub, reason = "only vr::tests call it; deleting it retires those tests (ROADMAP item 4)")
     pub fn check_current(&self, icc: Amps) -> LimitCheck {
         if icc > self.limits.edc {
             return LimitCheck::AboveEdc;
@@ -149,11 +153,13 @@ impl VoltageRegulator {
     }
 
     /// The maximum current deliverable without tripping EDC.
+    // dg-analyze: allow(unreached-pub, reason = "only vr::tests call it; deleting it retires those tests (ROADMAP item 4)")
     pub fn max_instantaneous_current(&self) -> Amps {
         self.limits.edc
     }
 
     /// Power dissipated in the load-line at current `icc` (delivery loss).
+    // dg-analyze: allow(unreached-pub, reason = "only vr::tests call it; deleting it retires those tests (ROADMAP item 4)")
     pub fn delivery_loss(&self, icc: Amps) -> Watts {
         (self.loadline.resistance * icc) * icc
     }
@@ -161,6 +167,7 @@ impl VoltageRegulator {
 
 /// Convenience constructor for a Skylake-class desktop VR:
 /// 1.6 mΩ load-line, 100 A TDC, 138 A EDC, 250 W supply.
+// dg-analyze: allow(unreached-pub, reason = "only vr::tests call it; deleting it retires those tests (ROADMAP item 4)")
 pub fn skylake_desktop_vr() -> VoltageRegulator {
     // Constructed literally: the constants are positive, finite, and keep
     // EDC ≥ TDC, so the checked constructors could not reject them (a test

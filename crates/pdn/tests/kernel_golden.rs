@@ -8,7 +8,6 @@
 //! inputs and compares against constants recorded from a known-good
 //! kernel. Any rewrite of the integration loop must keep every constant.
 
-use dg_pdn::didt::{self, client_event_family};
 use dg_pdn::simd::KernelWidth;
 use dg_pdn::skylake::{PdnVariant, SkylakePdn};
 use dg_pdn::transient::{LoadStep, TransientResult, TransientSim};
@@ -132,23 +131,46 @@ fn droop_capture_sweep_groups_match_golden() {
 
 #[test]
 fn didt_event_family_matches_golden() {
+    // The client di/dt family from 5 A as `(step A, slew ns)`: 1-, 2- and
+    // 4-core pipeline restarts, a staggered power-gate wake, an AVX burst.
+    let family = [
+        (12.0, 2.0),
+        (24.0, 2.0),
+        (48.0, 2.0),
+        (30.0, 15.0),
+        (35.0, 5.0),
+    ];
+    let steps: Vec<LoadStep> = family
+        .iter()
+        .map(|&(delta, slew)| LoadStep {
+            from: Amps::new(5.0),
+            to: Amps::new(5.0 + delta),
+            at: Seconds::from_us(1.0),
+            slew: Seconds::from_ns(slew),
+        })
+        .collect();
+    let sim = TransientSim {
+        source: Volts::new(1.0),
+        dt: Seconds::from_ns(0.2),
+        duration: Seconds::from_us(30.0),
+        decimate: 256,
+    };
+    let v_floor = Volts::new(0.60);
     let mut h = Fnv::new();
     for variant in [PdnVariant::Gated, PdnVariant::Bypassed] {
         let pdn = SkylakePdn::build(variant);
-        let a = didt::analyze(
-            &pdn.ladder,
-            &client_event_family(),
-            Volts::new(1.0),
-            Volts::new(0.60),
-            Amps::new(5.0),
-        );
-        for r in &a.results {
-            h.f64(r.droop.value());
+        let mut worst = Volts::ZERO;
+        let mut emergencies = 0u64;
+        for r in sim.run_batch(&pdn.ladder, &steps) {
+            let emergency = r.v_min < v_floor;
+            h.f64(r.droop().value());
             h.f64(r.v_min.value());
-            h.word(u64::from(r.emergency));
+            h.word(u64::from(emergency));
+            worst = worst.max(r.droop());
+            emergencies += u64::from(emergency);
         }
-        h.f64(a.worst_droop.value());
-        h.word(a.emergencies as u64);
+        h.f64(worst.value());
+        h.word(emergencies);
     }
     assert_eq!(h.0, 0xc83b_4aa4_bb46_e429, "didt family: got {:#018x}", h.0);
 }

@@ -17,6 +17,7 @@ use std::sync::OnceLock;
 /// Worst-case transient current step for the droop guardband: a
 /// domain-wide di/dt event (simultaneous pipeline restart across the
 /// domain). Calibrated to ≈35 % of the VR's EDC.
+// dg-analyze: allow(unreached-pub, reason = "live (the guardband manager's design current step); tests/full_system.rs names it")
 pub const DROOP_STEP_CURRENT_A: f64 = 48.0;
 
 /// The guardband manager for one PDN variant.
@@ -31,7 +32,7 @@ pub struct GuardbandManager {
 impl GuardbandManager {
     /// Builds the manager from an impedance profile (e.g. measured by the
     /// PDN simulator).
-    pub fn from_profile(variant: PdnVariant, profile: &ImpedanceProfile) -> Self {
+    fn from_profile(variant: PdnVariant, profile: &ImpedanceProfile) -> Self {
         GuardbandManager {
             variant,
             peak_impedance: profile.peak().1,

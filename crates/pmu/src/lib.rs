@@ -50,7 +50,7 @@ pub use error::PmuError;
 pub use guardband::GuardbandManager;
 pub use license::{License, LicenseManager};
 pub use modes::{Fuse, OperatingMode};
-pub use pbm::{BudgetSplit, PowerBudgetManager, PowerEma, TurboController};
+pub use pbm::{BudgetSplit, PowerBudgetManager, TurboController};
 pub use pcode::{Pcode, PcodeConfig, PcodeEvent, Telemetry};
 pub use reliability::ReliabilityModel;
 pub use svid::{SvidBus, SvidCommand, VidCode};

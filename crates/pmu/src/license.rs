@@ -28,7 +28,7 @@ impl License {
     pub const ALL: [License; 3] = [License::L0, License::L1, License::L2];
 
     /// Multiplier on the per-core worst-case current for this license.
-    pub fn current_factor(self) -> f64 {
+    fn current_factor(self) -> f64 {
         match self {
             License::L0 => 1.0,
             License::L1 => 1.25,
@@ -38,7 +38,7 @@ impl License {
 
     /// Frequency offset (in 100 MHz bins) the part fuses for this license
     /// (the familiar "AVX offset").
-    pub fn frequency_offset_bins(self) -> u32 {
+    fn frequency_offset_bins(self) -> u32 {
         match self {
             License::L0 => 0,
             License::L1 => 2,
@@ -47,14 +47,14 @@ impl License {
     }
 
     /// The frequency offset in hertz.
-    pub fn frequency_offset(self) -> Hertz {
+    fn frequency_offset(self) -> Hertz {
         Hertz::from_mhz(self.frequency_offset_bins() as f64 * 100.0)
     }
 
     /// Time to grant an *upgrade* to this license: the wide units'
     /// power-gates wake with a staggered ramp and the guardband must be
     /// re-established first (stall or reduced throughput meanwhile).
-    pub fn grant_latency(self) -> Seconds {
+    fn grant_latency(self) -> Seconds {
         match self {
             License::L0 => Seconds::ZERO,
             License::L1 => Seconds::from_us(10.0),
@@ -110,13 +110,14 @@ impl LicenseManager {
 
     /// Worst-case current for `active_cores` cores under the current
     /// license, given the per-core base virus current.
-    pub fn virus_current(&self, active_cores: usize, per_core_base: Amps) -> Amps {
+    fn virus_current(&self, active_cores: usize, per_core_base: Amps) -> Amps {
         per_core_base * active_cores as f64 * self.current.current_factor()
     }
 
     /// The virus level index in `table` for the present system state, or
     /// `None` if it exceeds even the top level (an EDC violation the PMU
     /// must prevent).
+    // dg-analyze: allow(unreached-pub, reason = "only tests call it (license::tests, tests/full_system.rs); deleting it retires those tests (ROADMAP item 4)")
     pub fn virus_level(
         &self,
         table: &VirusLevelTable,

@@ -20,9 +20,10 @@ pub struct Fuse {
 
 impl Fuse {
     /// Bit 0 of the fuse word selects bypass mode.
-    pub const BYPASS_BIT: u32 = 1;
+    const BYPASS_BIT: u32 = 1;
 
     /// Creates a fuse from its raw word.
+    // dg-analyze: allow(unreached-pub, reason = "only modes::tests call it; deleting it retires raw_round_trip (ROADMAP item 4)")
     pub fn from_raw(raw: u32) -> Self {
         Fuse { raw }
     }
@@ -74,6 +75,7 @@ impl OperatingMode {
 
     /// `true` when idle cores cannot be power-gated (their leakage must be
     /// charged to the compute budget).
+    // dg-analyze: allow(unreached-pub, reason = "only modes::tests calls it; deleting it retires bypass_charges_idle_leakage (ROADMAP item 4)")
     pub fn charges_idle_leakage(self) -> bool {
         self == OperatingMode::Bypass
     }

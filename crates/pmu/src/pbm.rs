@@ -45,12 +45,14 @@ impl PowerBudgetManager {
     }
 
     /// The compute-domain budget (TDP minus the uncore floor).
+    // dg-analyze: allow(unreached-pub, reason = "live (split_for_graphics runs it); crates/pmu/tests/properties.rs names it")
     pub fn compute_budget(&self) -> Watts {
         self.tdp - self.uncore_active
     }
 
     /// Budget available to the CPU cores when the graphics engine is idle.
     /// `idle_leak` is the un-gated idle-core leakage (zero on gated parts).
+    // dg-analyze: allow(unreached-pub, reason = "only pbm::tests call it; deleting it retires those tests (ROADMAP item 4)")
     pub fn budget_for_cores(&self, idle_leak: Watts) -> Watts {
         (self.compute_budget() - idle_leak).max(Watts::ZERO)
     }
@@ -70,6 +72,7 @@ impl PowerBudgetManager {
 
 /// Exponentially-weighted moving average of package power.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// dg-analyze: allow(unreached-pub, reason = "live (TurboController owns one); crates/pmu/tests/properties.rs names it")
 pub struct PowerEma {
     tau: Seconds,
     value: Option<f64>,

@@ -203,22 +203,19 @@ impl Pcode {
         }
     }
 
-    /// Current junction temperature.
-    pub fn junction_temperature(&self) -> Celsius {
-        self.tj
-    }
-
     /// The telemetry counters.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
     /// SVID commands issued so far.
+    // dg-analyze: allow(unreached-pub, reason = "only tests read it (pcode::tests, tests/firmware.rs); deleting it retires their assertions (ROADMAP item 4)")
     pub fn svid_commands(&self) -> u64 {
         self.svid.commands_issued()
     }
 
     /// The package state while idle, if idle.
+    // dg-analyze: allow(unreached-pub, reason = "only tests read it (pcode::tests, tests/firmware.rs); deleting it retires their assertions (ROADMAP item 4)")
     pub fn idle_state(&self) -> Option<PackageCstate> {
         match self.activity {
             Activity::Idle(s) => Some(s),
@@ -510,7 +507,7 @@ mod tests {
         let f = p.frequency().unwrap();
         assert!(f < Hertz::from_ghz(4.0), "sustained {f}");
         assert!(p.telemetry().energy.average_power().value() < 45.0);
-        assert!(p.junction_temperature().value() <= 94.0);
+        assert!(p.tj.value() <= 94.0);
     }
 
     #[test]

@@ -22,10 +22,10 @@
 use dg_power::units::{Celsius, Volts, Watts};
 
 /// The extra junction temperature caused by bypassing (paper: ~5 °C).
-pub const EXTRA_TEMPERATURE_C: f64 = 5.0;
+const EXTRA_TEMPERATURE_C: f64 = 5.0;
 
 /// Aging temperature scale (°C per e-fold of aging rate).
-pub const AGING_THETA_C: f64 = 35.0;
+const AGING_THETA_C: f64 = 35.0;
 
 /// TDP endpoints of the calibration.
 const TDP_LOW_W: f64 = 35.0;
@@ -53,7 +53,7 @@ impl ReliabilityModel {
     /// The additional stress-time fraction a bypassed part accumulates at
     /// `tdp`, linearly interpolated between the calibrated endpoints and
     /// clamped outside them.
-    pub fn stress_increase(&self, tdp: Watts) -> f64 {
+    fn stress_increase(&self, tdp: Watts) -> f64 {
         let t = ((tdp.value() - TDP_LOW_W) / (TDP_HIGH_W - TDP_LOW_W)).clamp(0.0, 1.0);
         STRESS_LOW_TDP + (STRESS_HIGH_TDP - STRESS_LOW_TDP) * t
     }

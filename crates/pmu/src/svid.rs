@@ -9,10 +9,10 @@
 use dg_pdn::units::{Seconds, Volts};
 
 /// Voltage of VID code 0 (codes below the offset are "off").
-pub const VID_OFFSET_V: f64 = 0.245;
+const VID_OFFSET_V: f64 = 0.245;
 
 /// Voltage per VID step (Intel SVID: 5 mV).
-pub const VID_STEP_V: f64 = 0.005;
+const VID_STEP_V: f64 = 0.005;
 
 /// An 8-bit VID code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -20,7 +20,7 @@ pub struct VidCode(pub u8);
 
 impl VidCode {
     /// VID code 0 turns the rail off.
-    pub const OFF: VidCode = VidCode(0);
+    const OFF: VidCode = VidCode(0);
 
     /// Encodes a voltage into the nearest VID code (rounding up, so the
     /// delivered voltage is never below the request).
@@ -42,6 +42,7 @@ impl VidCode {
     }
 
     /// Decodes the code back into volts (0 decodes to 0 V: rail off).
+    // dg-analyze: allow(unreached-pub, reason = "live (the SVID bus decodes every SetVid); crates/pmu/tests/properties.rs names it")
     pub fn decode(self) -> Volts {
         if self.0 == 0 {
             return Volts::ZERO;
@@ -103,6 +104,7 @@ impl SvidBus {
     }
 
     /// The current phase-shedding level.
+    // dg-analyze: allow(unreached-pub, reason = "only svid::tests calls it; deleting it retires phase_shedding_level_clamped (ROADMAP item 4)")
     pub fn ps_level(&self) -> u8 {
         self.ps_level
     }
@@ -113,6 +115,7 @@ impl SvidBus {
     }
 
     /// `true` once the output has reached the target.
+    // dg-analyze: allow(unreached-pub, reason = "only tests call it (svid::tests, crates/pmu/tests/properties.rs); deleting it retires those tests (ROADMAP item 4)")
     pub fn is_settled(&self) -> bool {
         (self.output - self.target).abs().value() < 1e-9 && self.now >= self.busy_until
     }

@@ -52,11 +52,6 @@ impl CdynProfile {
         }
     }
 
-    /// A CPU core running a power-virus (maximum possible `C_dyn`).
-    pub fn core_virus() -> Self {
-        CdynProfile::from_nf_unchecked(2.2)
-    }
-
     /// A CPU core running a typical compute-heavy application.
     pub fn core_typical() -> Self {
         CdynProfile::from_nf_unchecked(1.45)
@@ -70,11 +65,6 @@ impl CdynProfile {
     /// A graphics engine at full tilt.
     pub fn graphics_full() -> Self {
         CdynProfile::from_nf_unchecked(20.0)
-    }
-
-    /// The dynamic capacitance in nanofarads.
-    pub fn as_nf(&self) -> f64 {
-        self.cdyn * 1e9
     }
 
     /// Dynamic power at voltage `v` and frequency `f`.
@@ -98,6 +88,7 @@ impl CdynProfile {
     /// # Panics
     ///
     /// Panics if `t` is outside `[0, 1]`.
+    // dg-analyze: allow(unreached-pub, reason = "only dynamic::tests call it; deleting it retires those tests (ROADMAP item 4)")
     pub fn lerp(&self, other: &CdynProfile, t: f64) -> CdynProfile {
         assert!((0.0..=1.0).contains(&t), "t must be in [0,1], got {t}");
         CdynProfile {
@@ -125,6 +116,13 @@ impl CdynProfile {
 mod tests {
     use super::*;
 
+    /// A power-virus core's `C_dyn` in nF (the maximum a core can draw).
+    const VIRUS_NF: f64 = 2.2;
+
+    fn nf(p: CdynProfile) -> f64 {
+        p.cdyn * 1e9
+    }
+
     #[test]
     fn power_is_cv2f() {
         let p = CdynProfile::from_nf(2.0).unwrap();
@@ -134,7 +132,7 @@ mod tests {
 
     #[test]
     fn power_quadratic_in_voltage() {
-        let p = CdynProfile::core_virus();
+        let p = CdynProfile::from_nf(VIRUS_NF).unwrap();
         let f = Hertz::from_ghz(3.0);
         let p1 = p.power(Volts::new(0.9), f).value();
         let p2 = p.power(Volts::new(1.8), f).value();
@@ -153,7 +151,7 @@ mod tests {
     fn virus_exceeds_typical_exceeds_memory_bound() {
         let v = Volts::new(1.1);
         let f = Hertz::from_ghz(4.0);
-        let virus = CdynProfile::core_virus().power(v, f);
+        let virus = CdynProfile::from_nf(VIRUS_NF).unwrap().power(v, f);
         let typical = CdynProfile::core_typical().power(v, f);
         let membound = CdynProfile::core_memory_bound().power(v, f);
         assert!(virus > typical);
@@ -189,12 +187,11 @@ mod tests {
     fn constant_profiles_pass_validation() {
         // Backs the unchecked literal construction of the presets.
         for p in [
-            CdynProfile::core_virus(),
             CdynProfile::core_typical(),
             CdynProfile::core_memory_bound(),
             CdynProfile::graphics_full(),
         ] {
-            assert!(CdynProfile::from_nf(p.as_nf()).is_ok());
+            assert!(CdynProfile::from_nf(nf(p)).is_ok());
         }
     }
 
@@ -202,9 +199,9 @@ mod tests {
     fn lerp_endpoints_and_midpoint() {
         let a = CdynProfile::from_nf(1.0).unwrap();
         let b = CdynProfile::from_nf(3.0).unwrap();
-        assert!((a.lerp(&b, 0.0).as_nf() - 1.0).abs() < 1e-12);
-        assert!((a.lerp(&b, 1.0).as_nf() - 3.0).abs() < 1e-12);
-        assert!((a.lerp(&b, 0.5).as_nf() - 2.0).abs() < 1e-12);
+        assert!((nf(a.lerp(&b, 0.0)) - 1.0).abs() < 1e-12);
+        assert!((nf(a.lerp(&b, 1.0)) - 3.0).abs() < 1e-12);
+        assert!((nf(a.lerp(&b, 0.5)) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -217,6 +214,6 @@ mod tests {
     #[test]
     fn scaled_profile() {
         let p = CdynProfile::from_nf(2.0).unwrap().scaled(0.5);
-        assert!((p.as_nf() - 1.0).abs() < 1e-12);
+        assert!((nf(p) - 1.0).abs() < 1e-12);
     }
 }

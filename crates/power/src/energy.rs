@@ -11,7 +11,6 @@ use dg_pdn::units::{Seconds, Watts};
 pub struct EnergyCounter {
     joules: f64,
     elapsed: f64,
-    peak: f64,
 }
 
 impl EnergyCounter {
@@ -30,7 +29,6 @@ impl EnergyCounter {
         assert!(power.is_finite(), "non-finite power");
         self.joules += power.value() * dt.value();
         self.elapsed += dt.value();
-        self.peak = self.peak.max(power.value());
     }
 
     /// Total accumulated energy in joules.
@@ -51,17 +49,10 @@ impl EnergyCounter {
         Watts::new(self.joules / self.elapsed)
     }
 
-    /// The highest single power sample recorded.
-    pub fn peak_power(&self) -> Watts {
-        Watts::new(self.peak)
-    }
-
-    /// Merges another counter into this one (summing energy and time; the
-    /// peak is the max of the two).
+    /// Merges another counter into this one (summing energy and time).
     pub fn merge(&mut self, other: &EnergyCounter) {
         self.joules += other.joules;
         self.elapsed += other.elapsed;
-        self.peak = self.peak.max(other.peak);
     }
 }
 
@@ -77,7 +68,6 @@ mod tests {
         assert!((c.energy_joules() - 80.0).abs() < 1e-12);
         assert!((c.average_power().value() - 20.0).abs() < 1e-12);
         assert!((c.elapsed().value() - 4.0).abs() < 1e-12);
-        assert!((c.peak_power().value() - 30.0).abs() < 1e-12);
     }
 
     #[test]
@@ -96,7 +86,6 @@ mod tests {
         a.merge(&b);
         assert!((a.energy_joules() - 20.0).abs() < 1e-12);
         assert!((a.average_power().value() - 10.0).abs() < 1e-12);
-        assert!((a.peak_power().value() - 15.0).abs() < 1e-12);
     }
 
     #[test]

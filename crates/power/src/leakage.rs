@@ -101,17 +101,6 @@ impl LeakageModel {
         }
     }
 
-    /// The uncore (LLC, ring, system agent): 1.0 W at 1.0 V / 50 °C.
-    pub fn skylake_uncore() -> Self {
-        LeakageModel {
-            p0: Watts::new(1.0),
-            v0: Volts::new(1.0),
-            t0: Celsius::new(50.0),
-            alpha: 2.0,
-            theta: 32.0,
-        }
-    }
-
     /// Leakage power at voltage `v` and junction temperature `t`.
     ///
     /// A component whose supply is power-gated or whose VR is off leaks
@@ -154,7 +143,6 @@ mod tests {
         for m in [
             LeakageModel::skylake_core(),
             LeakageModel::skylake_graphics(),
-            LeakageModel::skylake_uncore(),
         ] {
             assert!(LeakageModel::new(m.p0, m.v0, m.t0, m.alpha, m.theta).is_ok());
         }

@@ -17,11 +17,12 @@
 //! let curve = VfCurve::skylake_core();
 //! let v = curve.voltage_at(Hertz::from_ghz(4.0)).unwrap();
 //! assert!(v > Volts::new(1.0) && v < Volts::new(1.3));
-//! // Reducing the guardband raises the attainable frequency at Vmax.
+//! // Reducing the guardband raises the attainable 100 MHz bin at Vmax.
+//! let bin = Hertz::from_mhz(100.0);
 //! let fmax_tight = curve.with_guardband(Volts::from_mv(90.0))
-//!     .max_frequency_at(Volts::new(1.35)).unwrap();
+//!     .max_frequency_at_quantized(Volts::new(1.35), bin).unwrap();
 //! let fmax_loose = curve.with_guardband(Volts::from_mv(45.0))
-//!     .max_frequency_at(Volts::new(1.35)).unwrap();
+//!     .max_frequency_at_quantized(Volts::new(1.35), bin).unwrap();
 //! assert!(fmax_loose > fmax_tight);
 //! ```
 
@@ -32,6 +33,7 @@ pub mod leakage;
 pub mod limits;
 pub mod pstate;
 pub mod thermal;
+// dg-analyze: allow(unreached-mod, reason = "independent model: tests/full_system.rs checks pmu::reliability's EXTRA_TEMPERATURE_C against it")
 pub mod thermal_network;
 pub mod variation;
 pub mod vf;
@@ -46,6 +48,5 @@ pub use leakage::LeakageModel;
 pub use limits::{DesignLimits, PowerLimits};
 pub use pstate::{PState, PStateTable};
 pub use thermal::ThermalModel;
-pub use thermal_network::ThermalNetwork;
 pub use variation::{bin_population, BinningReport, DieSample, ProcessVariation};
 pub use vf::VfCurve;

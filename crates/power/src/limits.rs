@@ -53,7 +53,7 @@ impl PowerLimits {
     /// # Panics
     ///
     /// Panics if `tdp` is not strictly positive.
-    pub fn from_tdp(tdp: Watts) -> Self {
+    fn from_tdp(tdp: Watts) -> Self {
         assert!(
             tdp.value() > 0.0 && tdp.is_finite(),
             "TDP must be positive, got {tdp}"

@@ -102,6 +102,7 @@ impl PStateTable {
     }
 
     /// The state at exactly frequency `f`, if present in the table.
+    // dg-analyze: allow(unreached-pub, reason = "only pstate::tests (and tests in dvfs, products) call it; deleting it retires lookup_by_frequency (ROADMAP item 4)")
     pub fn at_frequency(&self, f: Hertz) -> Option<PState> {
         self.states
             .iter()
@@ -110,6 +111,7 @@ impl PStateTable {
     }
 
     /// The highest state at or below frequency `f`, if any.
+    // dg-analyze: allow(unreached-pub, reason = "only pstate::tests call it; deleting it retires lookup_by_frequency (ROADMAP item 4)")
     pub fn floor_frequency(&self, f: Hertz) -> Option<PState> {
         self.states.iter().rev().find(|s| s.frequency <= f).copied()
     }

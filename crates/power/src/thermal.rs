@@ -86,11 +86,6 @@ impl ThermalModel {
         let decay = (-dt.value() / tau).exp();
         Celsius::new(t_target + (t_junction.value() - t_target) * decay)
     }
-
-    /// Thermal time constant `τ = R_th · C_th`.
-    pub fn time_constant(&self) -> Seconds {
-        Seconds::new(self.r_th * self.c_th)
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +132,7 @@ mod tests {
         let p = Watts::new(65.0);
         // 20 time constants: fully settled.
         for _ in 0..20 {
-            t = m.step(t, p, m.time_constant());
+            t = m.step(t, p, Seconds::new(m.r_th * m.c_th));
         }
         assert!((t.value() - m.steady_state(p).value()).abs() < 0.01);
     }
@@ -147,7 +142,7 @@ mod tests {
         let m = ThermalModel::new(1.0, 100.0, Celsius::new(25.0)).unwrap();
         let p = Watts::new(50.0);
         // One time constant from ambient: 1 − 1/e of the way to target.
-        let t = m.step(m.t_ambient, p, m.time_constant());
+        let t = m.step(m.t_ambient, p, Seconds::new(m.r_th * m.c_th));
         let expected = 25.0 + 50.0 * (1.0 - (-1.0f64).exp());
         assert!((t.value() - expected).abs() < 1e-9);
     }

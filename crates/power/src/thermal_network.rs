@@ -16,6 +16,7 @@ use dg_pdn::units::{Celsius, Seconds, Watts};
 
 /// A lumped multi-node thermal model.
 #[derive(Debug, Clone, PartialEq)]
+// dg-analyze: allow(unreached-pub, reason = "independent model: tests/full_system.rs checks pmu::reliability's EXTRA_TEMPERATURE_C against it")
 pub struct ThermalNetwork {
     names: Vec<String>,
     /// Symmetric coupling conductances `G[i][j]` in W/°C (`i != j`).
@@ -97,14 +98,6 @@ impl ThermalNetwork {
         })
     }
 
-    /// The calibrated Skylake-class floorplan with a 91 W cooling solution
-    /// (see [`skylake_floorplan_for_tdp`] for other TDP levels).
-    ///
-    /// [`skylake_floorplan_for_tdp`]: ThermalNetwork::skylake_floorplan_for_tdp
-    pub fn skylake_floorplan() -> Self {
-        Self::skylake_floorplan_for_tdp(Watts::new(91.0))
-    }
-
     /// The calibrated Skylake-class floorplan: four cores in a row, the
     /// graphics engine beside core 3, the uncore spanning the die. The
     /// node-to-ambient conductances are scaled so that dissipating the
@@ -114,6 +107,7 @@ impl ThermalNetwork {
     /// # Panics
     ///
     /// Panics if `tdp` is not strictly positive.
+    // dg-analyze: allow(unreached-pub, reason = "independent model: tests/full_system.rs checks pmu::reliability's EXTRA_TEMPERATURE_C against it")
     pub fn skylake_floorplan_for_tdp(tdp: Watts) -> Self {
         assert!(
             tdp.value() > 0.0 && tdp.is_finite(),
@@ -163,11 +157,6 @@ impl ThermalNetwork {
     /// `true` if the network has no nodes (impossible after construction).
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// Index of a node by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
     }
 
     /// Steady-state temperatures for per-node power `p`.
@@ -235,6 +224,7 @@ impl ThermalNetwork {
     /// The hottest node's temperature and index. Returns node 0 at ambient
     /// for an empty slice (networks always have nodes, so this cannot
     /// happen with a matching temperature vector).
+    // dg-analyze: allow(unreached-pub, reason = "independent model: tests/full_system.rs checks pmu::reliability's EXTRA_TEMPERATURE_C against it")
     pub fn hottest(&self, temps: &[Celsius]) -> (usize, Celsius) {
         temps
             .iter()
@@ -283,7 +273,7 @@ mod tests {
     use super::*;
 
     fn net() -> ThermalNetwork {
-        ThermalNetwork::skylake_floorplan()
+        ThermalNetwork::skylake_floorplan_for_tdp(Watts::new(91.0))
     }
 
     fn watts(v: [f64; 6]) -> Vec<Watts> {
@@ -379,8 +369,7 @@ mod tests {
     #[test]
     fn index_lookup_and_names() {
         let n = net();
-        assert_eq!(n.index_of("gfx"), Some(4));
-        assert_eq!(n.index_of("nope"), None);
+        assert_eq!(n.names()[4], "gfx");
         assert_eq!(n.len(), 6);
         assert!(!n.is_empty());
         assert_eq!(n.names()[5], "uncore");

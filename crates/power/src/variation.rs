@@ -31,7 +31,7 @@ impl ProcessVariation {
     }
 
     /// Samples one die.
-    pub fn sample(&self, rng: &mut StdRng) -> DieSample {
+    fn sample(&self, rng: &mut StdRng) -> DieSample {
         let z_v = standard_normal(rng);
         let z_l = standard_normal(rng);
         DieSample {
@@ -72,7 +72,7 @@ impl DieSample {
 
     /// The highest bin (multiple of `bin`) this die reaches within
     /// `vmax` after paying `guardband`.
-    pub fn fmax_bin(
+    fn fmax_bin(
         &self,
         nominal: &VfCurve,
         guardband: Volts,
@@ -97,23 +97,8 @@ pub struct BinningReport {
 
 impl BinningReport {
     /// Total dies binned (excluding rejects).
-    pub fn yielded(&self) -> usize {
+    fn yielded(&self) -> usize {
         self.bins.iter().map(|(_, n)| n).sum()
-    }
-
-    /// Fraction of the (non-rejected) population at or above `freq`.
-    pub fn fraction_at_or_above(&self, freq: Hertz) -> f64 {
-        let total = self.yielded();
-        if total == 0 {
-            return 0.0;
-        }
-        let above: usize = self
-            .bins
-            .iter()
-            .filter(|(f, _)| *f >= freq)
-            .map(|(_, n)| n)
-            .sum();
-        above as f64 / total as f64
     }
 
     /// The median bin.
@@ -168,6 +153,17 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Share of the yielded dies binned at or above `freq`.
+    fn share_at_or_above(r: &BinningReport, freq: Hertz) -> f64 {
+        let above: usize = r
+            .bins
+            .iter()
+            .filter(|(f, _)| *f >= freq)
+            .map(|(_, n)| n)
+            .sum();
+        above as f64 / r.yielded() as f64
+    }
 
     fn nominal() -> VfCurve {
         VfCurve::skylake_core()
@@ -240,7 +236,7 @@ mod tests {
         );
         // The bypassed population has a strictly better high-bin yield.
         let probe = m_gated + Hertz::from_mhz(200.0);
-        assert!(bypassed.fraction_at_or_above(probe) > gated.fraction_at_or_above(probe));
+        assert!(share_at_or_above(&bypassed, probe) > share_at_or_above(&gated, probe));
     }
 
     #[test]
@@ -256,7 +252,7 @@ mod tests {
         assert_eq!(r.yielded(), 10);
         assert_eq!(r.rejects, 0);
         assert_eq!(r.bins.len(), 1);
-        assert!((r.fraction_at_or_above(r.median_bin().unwrap()) - 1.0).abs() < 1e-12);
+        assert!((share_at_or_above(&r, r.median_bin().unwrap()) - 1.0).abs() < 1e-12);
     }
 
     #[test]

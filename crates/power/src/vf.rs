@@ -200,6 +200,7 @@ impl VfCurve {
     ///
     /// [`voltage_at`]: VfCurve::voltage_at
     /// [`fmax`]: VfCurve::fmax
+    // dg-analyze: allow(unreached-pub, reason = "live (max_frequency_at_quantized runs it); crates/power/tests/properties.rs names it")
     pub fn max_frequency_at(&self, v: Volts) -> Result<Hertz, PowerError> {
         let v_bare = v - self.guardband;
         let v_lo = self.points.first().map_or(Volts::ZERO, |p| p.1);
@@ -260,6 +261,7 @@ impl VfCurve {
     /// # Errors
     ///
     /// Returns [`PowerError::OutOfRange`] if `f` lies outside the curve.
+    // dg-analyze: allow(unreached-pub, reason = "only vf::tests calls it; deleting it retires slope_steepens_toward_top (ROADMAP item 4)")
     pub fn slope_at(&self, f: Hertz) -> Result<f64, PowerError> {
         if f < self.fmin() || f > self.fmax() {
             return Err(PowerError::OutOfRange {

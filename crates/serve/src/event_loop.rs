@@ -12,7 +12,7 @@
 //! an eventfd: the write side is shared behind an `Arc` (a one-byte write
 //! on a `SOCK_STREAM` socket is atomic), the read side sits in the epoll
 //! set like any connection, and a full socket buffer simply means a wakeup
-//! is already pending — [`Waker::notify`] ignores `WouldBlock` by design.
+//! is already pending — `Waker::notify` ignores `WouldBlock` by design.
 //!
 //! Life of a connection, the same on a shard and on the router:
 //!
@@ -30,7 +30,7 @@
 //! 4. while a job is queued or running the connection's epoll interest
 //!    drops to zero: the peer's further pipelined bytes stay in the kernel
 //!    buffer (TCP backpressure bounds memory) and only the worker's
-//!    completions — delivered through a self-pipe [`Waker`] — resume the
+//!    completions — delivered through a self-pipe `Waker` — resume the
 //!    state machine. A streamed reply arrives as several completions and
 //!    is written as they land,
 //! 5. replies are written optimistically; a short write parks the
@@ -69,9 +69,9 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 /// Readable interest (`EPOLLIN`).
-pub const EVENT_READ: u32 = 0x001;
+const EVENT_READ: u32 = 0x001;
 /// Writable interest (`EPOLLOUT`).
-pub const EVENT_WRITE: u32 = 0x004;
+const EVENT_WRITE: u32 = 0x004;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
@@ -99,7 +99,7 @@ const WAIT_CAPACITY: usize = 256;
 
 /// An owned epoll instance: register fds with a `u64` token, then block in
 /// [`Poller::wait`] for `(token, readiness)` pairs.
-pub struct Poller {
+struct Poller {
     epoll: OwnedFd,
 }
 
@@ -160,7 +160,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_ctl` failure (fd was never registered).
-    pub fn modify(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
+    fn modify(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
@@ -213,7 +213,7 @@ impl Poller {
 
 /// The write side of the loop's self-pipe; clone freely across workers.
 #[derive(Clone)]
-pub struct Waker {
+struct Waker {
     tx: Arc<UnixStream>,
 }
 
@@ -226,7 +226,7 @@ impl std::fmt::Debug for Waker {
 impl Waker {
     /// Nudges the event loop out of [`Poller::wait`]. Never blocks: a full
     /// pipe means a wakeup is already pending, which is just as good.
-    pub fn notify(&self) {
+    fn notify(&self) {
         let _ = (&*self.tx).write(&[1u8]);
     }
 }
@@ -237,7 +237,7 @@ impl Waker {
 /// # Errors
 ///
 /// Propagates socketpair creation or `set_nonblocking` failure.
-pub fn waker_pair() -> io::Result<(Waker, UnixStream)> {
+fn waker_pair() -> io::Result<(Waker, UnixStream)> {
     let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;
     rx.set_nonblocking(true)?;
@@ -245,7 +245,7 @@ pub fn waker_pair() -> io::Result<(Waker, UnixStream)> {
 }
 
 /// Drains every pending wakeup byte; call on read-readiness of the pipe.
-pub fn drain_wakeups(rx: &mut UnixStream) {
+fn drain_wakeups(rx: &mut UnixStream) {
     let mut sink = [0u8; 256];
     while matches!(rx.read(&mut sink), Ok(n) if n > 0) {}
 }

@@ -27,13 +27,14 @@ use std::fmt;
 use std::io::{self, ErrorKind, Read};
 
 /// Default cap on the request head (request line + headers).
-pub const DEFAULT_MAX_HEAD_BYTES: usize = 8 * 1024;
+const DEFAULT_MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Default cap on a request body.
+// dg-analyze: allow(unreached-pub, reason = "live (the default body limit); crates/serve/tests/http_proptests.rs names it")
 pub const DEFAULT_MAX_BODY_BYTES: usize = 64 * 1024;
 
 /// Default cap on the number of headers.
-pub const DEFAULT_MAX_HEADERS: usize = 64;
+const DEFAULT_MAX_HEADERS: usize = 64;
 
 /// Framing limits for [`RequestParser`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -456,7 +457,7 @@ fn chunk_size_at(buf: &[u8], at: usize) -> Option<(usize, usize)> {
 /// returns the total encoded length (through the terminal `0\r\n\r\n`)
 /// once the whole message has arrived, `None` while incomplete. Used by
 /// [`read_reply`] to frame streamed replies.
-pub fn chunked_body_end(buf: &[u8]) -> Option<usize> {
+fn chunked_body_end(buf: &[u8]) -> Option<usize> {
     let mut at = 0usize;
     loop {
         let (payload_start, size) = chunk_size_at(buf, at)?;
@@ -508,6 +509,7 @@ pub struct RawReply {
 
 /// Finds the end of a reply head (`\r\n\r\n`), returning the offset just
 /// past it.
+// dg-analyze: allow(unreached-pub, reason = "live (read_reply frames reply heads with it); crates/serve/tests/router.rs names it")
 pub fn head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
 }

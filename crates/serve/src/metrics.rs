@@ -19,7 +19,7 @@ use std::time::Instant;
 
 /// Number of histogram buckets: bucket `i` counts samples with
 /// `latency_us < 2^i`, the last bucket is the overflow (+Inf) bucket.
-pub const BUCKETS: usize = 22;
+const BUCKETS: usize = 22;
 
 /// A monotonic microsecond timestamp for latency measurement.
 ///
@@ -58,47 +58,12 @@ impl Histogram {
     }
 
     /// Sum of all recorded latencies, in microseconds.
-    pub fn sum_us(&self) -> u64 {
+    fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
     }
 
-    /// The upper bucket bound (µs) below which a `q` fraction of samples
-    /// fall — a conservative quantile estimate (returns 0 with no samples).
-    ///
-    /// The rank is clamped to `1..=count`, so `q = 0` reports the first
-    /// *non-empty* bucket (not bucket zero's bound) and f64 rounding on
-    /// huge counts cannot push the rank past the last sample. If racing
-    /// recorders make `count` momentarily outrun the bucket increments,
-    /// the estimate falls back to the highest non-empty bucket instead of
-    /// claiming the overflow (+Inf) bound.
-    pub fn quantile_upper_us(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        let rank = (((total as f64) * q.clamp(0.0, 1.0)).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        let mut last_nonempty = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n > 0 {
-                last_nonempty = bucket_bound_us(i);
-            }
-            seen += n;
-            if seen >= rank {
-                return bucket_bound_us(i);
-            }
-        }
-        last_nonempty
-    }
-
     /// Snapshot of cumulative bucket counts `(upper_bound_us, count)`.
-    pub fn cumulative(&self) -> Vec<(u64, u64)> {
+    fn cumulative(&self) -> Vec<(u64, u64)> {
         let mut acc = 0u64;
         self.buckets
             .iter()
@@ -362,44 +327,30 @@ mod tests {
             prev = *c;
         }
         assert_eq!(cum.last().map(|(_, c)| *c), Some(6));
-        // p50 of the set is 7 µs → bucket bound 8; p99 covers the max.
-        assert_eq!(h.quantile_upper_us(0.5), 8);
-        assert!(h.quantile_upper_us(0.99) >= 100_000);
-        assert_eq!(Histogram::default().quantile_upper_us(0.5), 0);
+        // The median sample (7 µs) is counted by the bound-8 bucket; the
+        // largest (100 ms) by the first bound at or above it.
+        assert_eq!(
+            cum.iter().find(|(bound, _)| *bound == 8).map(|(_, c)| *c),
+            Some(3)
+        );
+        assert_eq!(
+            cum.iter().find(|(_, c)| *c == 6).map(|(b, _)| *b),
+            Some(131_072)
+        );
+        assert!(Histogram::default()
+            .cumulative()
+            .iter()
+            .all(|(_, c)| *c == 0));
     }
 
     #[test]
     fn overflow_bucket_catches_huge_samples() {
         let h = Histogram::default();
         h.record(u64::MAX / 2);
-        assert_eq!(h.quantile_upper_us(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn quantile_edge_cases_never_report_empty_overflow() {
-        // q = 0 must report the first non-empty bucket, not bucket zero.
-        let h = Histogram::default();
-        h.record(100); // bucket bound 128
-        h.record(100);
-        assert_eq!(h.quantile_upper_us(0.0), 128);
-        // An exact-boundary rank (q = 1 → rank == count) lands on the
-        // last non-empty bucket, never the +Inf bound.
-        assert_eq!(h.quantile_upper_us(1.0), 128);
-        // q outside [0, 1] clamps instead of overshooting the ranks.
-        assert_eq!(h.quantile_upper_us(-1.0), 128);
-        assert_eq!(h.quantile_upper_us(2.0), 128);
-    }
-
-    #[test]
-    fn quantile_survives_count_outrunning_buckets() {
-        // record() bumps the bucket and then the count; a reader between
-        // two racing recorders can observe count > Σ buckets. The estimate
-        // must degrade to the highest non-empty bucket, not +Inf.
-        let h = Histogram::default();
-        h.record(1000); // bucket bound 1024
-        h.count.fetch_add(3, Ordering::Relaxed);
-        assert_eq!(h.quantile_upper_us(0.99), 1024);
-        assert_eq!(h.quantile_upper_us(1.0), 1024);
+        // Only the overflow (+Inf) bucket counts it.
+        let cum = h.cumulative();
+        assert_eq!(cum.iter().rev().nth(1).map(|(_, c)| *c), Some(0));
+        assert_eq!(cum.last(), Some(&(u64::MAX, 1)));
     }
 
     #[test]

@@ -398,11 +398,6 @@ impl RouterHandle {
         self.inner.local_addr()
     }
 
-    /// Whether the router currently considers `shard` live.
-    pub fn is_shard_alive(&self, shard: usize) -> bool {
-        self.inner.engine().dispatcher.is_alive(shard)
-    }
-
     /// Whether a drain has been requested (by `POST /admin/drain`, or by
     /// [`RouterHandle::shutdown`]).
     pub fn is_draining(&self) -> bool {
@@ -836,13 +831,25 @@ mod tests {
             0
         );
 
-        // The health loop confirms the ejection.
+        // The health loop confirms the ejection in the liveness gauges.
+        let gauges = || {
+            http_request(addr, "GET", "/metrics", None)
+                .expect("metrics")
+                .body
+        };
         let deadline = crate::metrics::monotonic_us() + 5_000_000;
-        while router.is_shard_alive(1) && crate::metrics::monotonic_us() < deadline {
+        let mut metrics = gauges();
+        while !metrics.contains("dg_router_shard_alive{shard=\"1\"} 0")
+            && crate::metrics::monotonic_us() < deadline
+        {
             std::thread::sleep(Duration::from_millis(25));
+            metrics = gauges();
         }
-        assert!(!router.is_shard_alive(1), "shard 1 must be ejected");
-        assert!(router.is_shard_alive(0));
+        assert!(
+            metrics.contains("dg_router_shard_alive{shard=\"1\"} 0"),
+            "shard 1 must be ejected"
+        );
+        assert!(metrics.contains("dg_router_shard_alive{shard=\"0\"} 1"));
         assert!(
             router.counters().ejections_total.load(Ordering::SeqCst) >= 1,
             "ejection must be counted"

@@ -22,7 +22,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Default bound on cached entries.
-pub const DEFAULT_MAX_ENTRIES: usize = 1_024;
+const DEFAULT_MAX_ENTRIES: usize = 1_024;
 
 /// Default bound on total cached body bytes (64 MiB), for the shard's
 /// response cache and the router's reply cache alike. Large sweep bodies

@@ -42,7 +42,7 @@ const MAX_SWEEP_POINTS: u64 = 20_000;
 
 /// Largest accepted `/v1/explore` grid (compute admission: one sweep
 /// holds a worker for its whole runtime; the library's own
-/// [`dg_explore::MAX_POINTS`] memory bound is far looser).
+/// `dg_explore::MAX_POINTS` memory bound is far looser).
 pub const MAX_EXPLORE_POINTS: u64 = 20_000;
 
 /// Largest accepted `/v1/droop_batch` lane count (compute admission: one
@@ -55,7 +55,7 @@ const MAX_BATCH_LANES: usize = 256;
 /// expansion (population-scale admission: the sweep is chunked across the
 /// worker pool in [`darkgates::pdn::didt`]-sized batches, so the cap bounds
 /// total stream size rather than any single worker's runtime).
-pub const MAX_SWEEP_LANES: u64 = 8_192;
+const MAX_SWEEP_LANES: u64 = 8_192;
 
 /// Largest accepted debug-sleep duration.
 const MAX_SLEEP_MS: u64 = 10_000;
@@ -171,7 +171,7 @@ fn rendered(result: HandlerResult) -> (u16, Arc<String>) {
 /// shape: invoke it with a sink for newline-terminated NDJSON progress
 /// lines and collect the status and the final result line (no trailing
 /// newline). The runner caches a `200` result line.
-pub type StreamRunner<'r> = Box<dyn FnOnce(&mut dyn FnMut(&str)) -> (u16, Arc<String>) + 'r>;
+type StreamRunner<'r> = Box<dyn FnOnce(&mut dyn FnMut(&str)) -> (u16, Arc<String>) + 'r>;
 
 /// What the worker should do with a query on a streaming route
 /// (computed by [`Router::plan_stream`] before any bytes go out).
@@ -369,6 +369,7 @@ impl Query {
 
 /// The content key `dg-router` hashes for shard affinity:
 /// [`Query::key`] of the parsed request.
+// dg-analyze: allow(unreached-pub, reason = "the cache key a consumer outside the workspace uses: benchmark/tests/workloads.rs")
 pub fn content_key_of(method: &str, target: &str, body: &[u8]) -> u64 {
     Query::parse(method, target, body).key
 }

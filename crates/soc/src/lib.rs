@@ -37,7 +37,7 @@ pub mod run;
 pub mod sim;
 pub mod trace_run;
 
-pub use products::{catalog, Product};
+pub use products::Product;
 pub use run::{run_energy, run_graphics, run_spec, EnergyReport, GraphicsReport, SpecReport};
 pub use sim::{SimConfig, Simulator, StepTrace};
-pub use trace_run::{pcode_config, run_trace, TraceReport};
+pub use trace_run::{run_trace, TraceReport};

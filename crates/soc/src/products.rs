@@ -32,11 +32,11 @@ use std::sync::OnceLock;
 
 /// Uncore active floor charged off the top of the TDP (matches the C0
 /// entry of [`dg_cstates::power::UNCORE_POWER_W`]).
-pub const UNCORE_ACTIVE_W: f64 = 3.0;
+const UNCORE_ACTIVE_W: f64 = 3.0;
 
 /// Guardband applied to the graphics rail (unchanged by DarkGates: the
 /// graphics engine is not behind the bypassed core gates).
-pub const GFX_GUARDBAND_MV: f64 = 50.0;
+const GFX_GUARDBAND_MV: f64 = 50.0;
 
 /// Gated-baseline fused turbo ceilings per TDP, `(tdp_w, 1-core_ghz,
 /// all-core_ghz)` — the SKU ladder.
@@ -266,6 +266,7 @@ impl Product {
     /// # Panics
     ///
     /// Panics if `new_tdp` is outside the catalog's 35–91 W envelope.
+    // dg-analyze: allow(unreached-pub, reason = "only products::tests call it; deleting it retires the two ctdp tests (ROADMAP item 4)")
     pub fn with_ctdp(&self, new_tdp: Watts) -> Product {
         assert!(
             (35.0..=91.0).contains(&new_tdp.value()),
@@ -328,19 +329,6 @@ impl Product {
     }
 }
 
-/// The full Skylake catalog: both packages at every TDP level (eight
-/// products), desktop variants first.
-pub fn catalog() -> Vec<Product> {
-    let mut all = Vec::with_capacity(8);
-    for tdp in Product::skylake_tdp_levels() {
-        all.push(Product::skylake_s(tdp));
-    }
-    for tdp in Product::skylake_tdp_levels() {
-        all.push(Product::skylake_h(tdp));
-    }
-    all
-}
-
 fn lookup_fused(table: &[(f64, f64, f64)], tdp: Watts) -> Option<(f64, f64)> {
     table
         .iter()
@@ -350,7 +338,7 @@ fn lookup_fused(table: &[(f64, f64, f64)], tdp: Watts) -> Option<(f64, f64)> {
 
 /// The Broadwell-generation core V/F curve: same shape as Skylake's but
 /// shifted down in frequency (one process/design generation older).
-pub fn broadwell_core_curve() -> VfCurve {
+fn broadwell_core_curve() -> VfCurve {
     VfCurve::new(vec![
         (Hertz::from_ghz(0.8), Volts::new(0.640)),
         (Hertz::from_ghz(1.2), Volts::new(0.675)),
@@ -373,7 +361,13 @@ mod tests {
 
     #[test]
     fn full_catalog_is_coherent() {
-        let all = catalog();
+        // Both packages at every TDP level, desktop variants first.
+        let levels = Product::skylake_tdp_levels();
+        let all: Vec<Product> = levels
+            .iter()
+            .map(|&tdp| Product::skylake_s(tdp))
+            .chain(levels.iter().map(|&tdp| Product::skylake_h(tdp)))
+            .collect();
         assert_eq!(all.len(), 8);
         // Unique names; four bypassed then four gated.
         let mut names: Vec<&str> = all.iter().map(|p| p.name.as_str()).collect();

@@ -10,10 +10,10 @@ use dg_workloads::graphics::GraphicsWorkload;
 use dg_workloads::spec::{SpecBenchmark, SpecMode};
 
 /// The nominal frequency at which SPEC scalability factors are defined.
-pub const SPEC_NOMINAL_HZ: f64 = 4.2e9;
+const SPEC_NOMINAL_HZ: f64 = 4.2e9;
 
 /// The graphics reference frequency for relative-FPS reporting.
-pub const GFX_REF_HZ: f64 = 1.15e9;
+const GFX_REF_HZ: f64 = 1.15e9;
 
 /// Result of a SPEC run on one product.
 #[derive(Debug, Clone, PartialEq)]

@@ -208,67 +208,6 @@ impl<'a> Simulator<'a> {
         table.pn()
     }
 
-    /// Spatial steady-state thermal map of a CPU operating point: per-node
-    /// junction temperatures from the TDP-matched floorplan network, with
-    /// `active_cores` dissipating at `state` and the remaining cores
-    /// leaking (bypassed) or gated.
-    ///
-    /// Returns `(node name, temperature)` pairs plus the hotspot, letting
-    /// callers check the *local* junction limit that the lumped model
-    /// averages away.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active_cores` is zero or exceeds the product's cores.
-    pub fn thermal_map(
-        &self,
-        state: PState,
-        active_cores: usize,
-        cdyn: CdynProfile,
-    ) -> (Vec<(String, Celsius)>, Celsius) {
-        assert!(
-            active_cores >= 1 && active_cores <= self.product.core_count,
-            "active_cores {active_cores} out of range"
-        );
-        let p = self.product;
-        let net = dg_power::thermal_network::ThermalNetwork::skylake_floorplan_for_tdp(p.tdp);
-        // Approximate per-core power at a warm junction.
-        let tj_guess = Celsius::new(75.0);
-        let active_power = cdyn.power(state.voltage, state.frequency)
-            + p.core_leakage.power(state.voltage, tj_guess);
-        let idle_power = if p.gating_config().bypassed {
-            p.core_leakage.power(state.voltage, tj_guess)
-        } else {
-            Watts::new(dg_cstates::power::GATED_CORE_RESIDUAL_W)
-        };
-        let mut powers = Vec::with_capacity(net.len());
-        for name in net.names() {
-            let w = if let Some(idx) = name.strip_prefix("core") {
-                // Floorplan core nodes are "core0".."core3"; a node with
-                // an unparseable suffix is treated as idle.
-                match idx.parse::<usize>() {
-                    Ok(i) if i < active_cores => active_power,
-                    _ => idle_power,
-                }
-            } else if name == "uncore" {
-                p.uncore_active()
-            } else {
-                Watts::ZERO // graphics idle during CPU workloads
-            };
-            powers.push(w);
-        }
-        let temps = net.steady_state(&powers);
-        let (_, hottest) = net.hottest(&temps);
-        (
-            net.names()
-                .iter()
-                .cloned()
-                .zip(temps.iter().copied())
-                .collect(),
-            hottest,
-        )
-    }
-
     /// Convenience: evaluates a graphics operating point. Runs the
     /// firmware's [`DvfsSolver`] over the graphics table: the highest
     /// state whose *total* package power (graphics + overhead) fits
@@ -360,7 +299,9 @@ mod tests {
         for tdp in Product::skylake_tdp_levels() {
             let p = Product::skylake_s(tdp);
             let sim = Simulator::new(&p);
-            let r = sim.run_cpu(&p.table_ac, 4, CdynProfile::core_virus(), quick());
+            // A power-virus core draws 2.2 nF.
+            let virus = CdynProfile::from_nf(2.2).unwrap();
+            let r = sim.run_cpu(&p.table_ac, 4, virus, quick());
             assert!(
                 r.max_tj.value() <= p.limits.tjmax.value() + 1.0,
                 "{tdp}: Tj {}",
@@ -435,45 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn thermal_map_shows_hotspot_and_neighbor_heating() {
-        let tdp = Watts::new(45.0);
-        let s = Product::skylake_s(tdp);
-        let h = Product::skylake_h(tdp);
-        let state = s.table_1c.p0();
-        let (map_s, hot_s) = Simulator::new(&s).thermal_map(state, 1, CdynProfile::core_typical());
-        let state_h = h.table_1c.p0();
-        let (map_h, hot_h) =
-            Simulator::new(&h).thermal_map(state_h, 1, CdynProfile::core_typical());
-        assert_eq!(map_s.len(), 6);
-        // The active core (core0) is the hotspot in both cases.
-        let core0_s = map_s.iter().find(|(n, _)| n == "core0").unwrap().1;
-        assert!((core0_s.value() - hot_s.value()).abs() < 1e-9);
-        // The bypassed die runs hotter: idle cores leak next door and the
-        // active core runs a faster state.
-        assert!(hot_s > hot_h, "bypassed {hot_s} vs gated {}", hot_h);
-        let _ = map_h;
-    }
-
-    #[test]
-    fn thermal_map_within_junction_limit_at_sustained_state() {
-        // At the fused ceiling with a typical workload, even the hotspot
-        // stays under Tjmax for every catalog part.
-        for tdp in Product::skylake_tdp_levels() {
-            let p = Product::skylake_s(tdp);
-            let sim = Simulator::new(&p);
-            let sustained = sim
-                .run_cpu(&p.table_1c, 1, CdynProfile::core_typical(), quick())
-                .sustained_frequency;
-            let state = p.table_1c.floor_frequency(sustained).unwrap();
-            let (_, hotspot) = sim.thermal_map(state, 1, CdynProfile::core_typical());
-            assert!(
-                hotspot.value() <= p.limits.tjmax.value() + 2.0,
-                "{tdp}: hotspot {hotspot}"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn zero_active_cores_panics() {
         let p = Product::skylake_h(Watts::new(91.0));
@@ -489,7 +391,7 @@ mod tests {
         let state = sim.pick_state(
             &p.table_ac,
             4,
-            CdynProfile::core_virus(),
+            CdynProfile::from_nf(2.2).unwrap(),
             Watts::new(30.0),
             Watts::new(1.0),
             Celsius::new(25.0),

@@ -31,6 +31,7 @@ pub struct TraceReport {
 
 /// Builds the Pcode configuration for a product (all-core table — traces
 /// schedule arbitrary core counts).
+// dg-analyze: allow(unreached-pub, reason = "live (run_trace boots the Pcode with it); tests/firmware.rs names it")
 pub fn pcode_config(product: &Product) -> PcodeConfig {
     PcodeConfig {
         mode: product.mode,

@@ -120,7 +120,7 @@ impl SpecBenchmark {
 
 /// Memory-bandwidth contention stretch per additional rate-mode copy
 /// (fraction of the memory-bound time added per extra copy).
-pub const RATE_CONTENTION_PER_COPY: f64 = 0.06;
+const RATE_CONTENTION_PER_COPY: f64 = 0.06;
 
 /// The full 29-benchmark suite with calibrated scalability factors.
 pub fn suite() -> Vec<SpecBenchmark> {
@@ -172,37 +172,22 @@ pub fn by_name(name: &str) -> Option<SpecBenchmark> {
     suite().into_iter().find(|b| b.name == name)
 }
 
-/// The integer subset.
-pub fn int_benchmarks() -> Vec<SpecBenchmark> {
-    suite()
-        .into_iter()
-        .filter(|b| b.suite == SpecSuite::Int)
-        .collect()
-}
-
-/// The floating-point subset.
-pub fn fp_benchmarks() -> Vec<SpecBenchmark> {
-    suite()
-        .into_iter()
-        .filter(|b| b.suite == SpecSuite::Fp)
-        .collect()
-}
-
-/// Arithmetic-mean scalability of the whole suite.
-pub fn mean_scalability() -> f64 {
-    let s = suite();
-    s.iter().map(|b| b.scalability).sum::<f64>() / s.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_power::units::{Hertz, Volts};
+
+    /// `C_dyn` in nF: the dynamic power in W at 1 V and 1 GHz.
+    fn nf(c: CdynProfile) -> f64 {
+        c.power(Volts::new(1.0), Hertz::from_ghz(1.0)).value()
+    }
 
     #[test]
     fn suite_has_29_benchmarks_12_int_17_fp() {
         assert_eq!(suite().len(), 29);
-        assert_eq!(int_benchmarks().len(), 12);
-        assert_eq!(fp_benchmarks().len(), 17);
+        let count = |s: SpecSuite| suite().iter().filter(|b| b.suite == s).count();
+        assert_eq!(count(SpecSuite::Int), 12);
+        assert_eq!(count(SpecSuite::Fp), 17);
     }
 
     #[test]
@@ -227,7 +212,8 @@ mod tests {
 
     #[test]
     fn mean_scalability_calibrated() {
-        let m = mean_scalability();
+        let s = suite();
+        let m = s.iter().map(|b| b.scalability).sum::<f64>() / s.len() as f64;
         assert!((0.48..0.56).contains(&m), "mean scalability {m}");
     }
 
@@ -322,8 +308,8 @@ mod tests {
     fn cdyn_tracks_scalability() {
         let hot = by_name("416.gamess").unwrap().cdyn();
         let cold = by_name("410.bwaves").unwrap().cdyn();
-        assert!(hot.as_nf() > cold.as_nf());
-        assert!((0.9..1.7).contains(&hot.as_nf()));
+        assert!(nf(hot) > nf(cold));
+        assert!((0.9..1.7).contains(&nf(hot)));
     }
 
     #[test]

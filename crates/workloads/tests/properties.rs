@@ -2,7 +2,7 @@
 
 use dg_cstates::power::{GatingConfig, IdlePowerModel};
 use dg_cstates::states::PackageCstate;
-use dg_power::units::{Seconds, Watts};
+use dg_power::units::{Hertz, Seconds, Volts, Watts};
 use dg_workloads::energy::{EnergyWorkload, Phase, PhaseKind};
 use dg_workloads::spec::{suite, SpecBenchmark, SpecSuite};
 use dg_workloads::trace::bursty;
@@ -49,7 +49,8 @@ proptest! {
     #[test]
     fn suite_cdyn_bounded(idx in 0..29usize) {
         let b = &suite()[idx];
-        let nf = b.cdyn().as_nf();
+        // C_dyn in nF: the dynamic power in W at 1 V and 1 GHz.
+        let nf = b.cdyn().power(Volts::new(1.0), Hertz::from_ghz(1.0)).value();
         prop_assert!((0.9..1.7).contains(&nf), "{}: {nf}", b.name);
     }
 
@@ -76,7 +77,8 @@ proptest! {
             ],
             limit: Watts::new(1.0),
         };
-        prop_assert!(wl.weights_sum_to_one());
+        let weight_sum: f64 = wl.phases.iter().map(|p| p.weight).sum();
+        prop_assert!((weight_sum - 1.0).abs() < 1e-9);
         let model = IdlePowerModel::new();
         for bypassed in [false, true] {
             let cfg = GatingConfig::skylake(bypassed, 4);

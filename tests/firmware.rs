@@ -138,7 +138,8 @@ fn firmware_respects_tjmax_at_35w() {
     let mut p = boot(&DarkGates::desktop(), 35.0);
     p.handle(PcodeEvent::WorkloadChange {
         active_cores: 4,
-        cdyn: CdynProfile::core_virus(),
+        // A power-virus core draws 2.2 nF.
+        cdyn: CdynProfile::from_nf(2.2).unwrap(),
     });
     run_for(&mut p, 180.0);
     assert!(
