@@ -71,13 +71,8 @@ impl RunningFrontier {
     }
 
     /// Current frontier size.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the frontier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Frontier ids, ascending — the canonical (insertion-order-free)
@@ -130,7 +125,7 @@ mod tests {
         // Identical metrics co-exist.
         assert!(f.insert(5, m(2.5, 9.0, 0.4)));
         assert_eq!(f.ids(), vec![3, 5]);
-        assert!(!f.is_empty());
+        assert_ne!(f.len(), 0);
     }
 
     #[test]

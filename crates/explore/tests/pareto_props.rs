@@ -137,7 +137,6 @@ proptest! {
             rf.insert(id, m);
         }
         prop_assert_eq!(rf.ids(), frontier_ids(&ids));
-        prop_assert_eq!(rf.len(), frontier_ids(&ids).len());
     }
 
     #[test]
