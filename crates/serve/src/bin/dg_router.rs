@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p dg-serve --bin dg-router -- \
 //!     --shard HOST:PORT --shard HOST:PORT [--addr HOST:PORT]
-//!     [--workers N] [--replicas N] [--queue N] [--health-interval-ms N]
+//!     [--workers N] [--queue N] [--health-interval-ms N] [--reply-cache N]
 //! ```
 //!
 //! Prints `listening on <addr>` once bound (the load and chaos harnesses
@@ -22,7 +22,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: dg-router --shard HOST:PORT [--shard HOST:PORT ...] \
-         [--addr HOST:PORT] [--workers N] [--replicas N] [--queue N] \
+         [--addr HOST:PORT] [--workers N] [--queue N] \
          [--health-interval-ms N] [--reply-cache N]"
     );
     std::process::exit(2);
@@ -54,7 +54,6 @@ fn parse_config(args: &[String]) -> RouterConfig {
                 }
             },
             "--workers" => config.workers = numeric("--workers"),
-            "--replicas" => config.replicas = numeric("--replicas"),
             "--queue" => config.queue_depth = numeric("--queue"),
             "--health-interval-ms" => {
                 config.health_interval_ms = numeric("--health-interval-ms") as u64;

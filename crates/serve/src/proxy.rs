@@ -71,8 +71,6 @@ pub struct RouterConfig {
     pub addr: String,
     /// Shard addresses, in ring order (index = shard id).
     pub shards: Vec<SocketAddr>,
-    /// Virtual nodes per shard on the hash ring.
-    pub replicas: usize,
     /// Forwarding worker threads (each owns its upstream pool). Only
     /// cache-miss requests reach them; everything else is answered on
     /// the event loop.
@@ -111,7 +109,6 @@ impl Default for RouterConfig {
         RouterConfig {
             addr: "127.0.0.1:0".to_owned(),
             shards: Vec::new(),
-            replicas: DEFAULT_REPLICAS,
             workers: 16,
             queue_depth: 256,
             max_connections: 4_096,
@@ -130,23 +127,23 @@ impl Default for RouterConfig {
 /// The router's own observability counters (rendered under
 /// `dg_router_*` in the aggregated `/metrics`).
 #[derive(Debug, Default)]
-pub struct RouterMetrics {
+struct RouterMetrics {
     /// Requests parsed from clients (forwarded or answered locally).
-    pub requests_total: AtomicU64,
+    requests_total: AtomicU64,
     /// Forward attempts that failed over to another shard.
-    pub retries_total: AtomicU64,
+    retries_total: AtomicU64,
     /// Shards marked dead (by the request path or the health loop).
-    pub ejections_total: AtomicU64,
+    ejections_total: AtomicU64,
     /// Shards marked live again by the health loop.
-    pub rejoins_total: AtomicU64,
+    rejoins_total: AtomicU64,
     /// Requests answered 503 because no live shard remained.
-    pub unrouteable_total: AtomicU64,
+    unrouteable_total: AtomicU64,
     /// Client requests rejected by the router's own parser.
-    pub bad_requests_total: AtomicU64,
+    bad_requests_total: AtomicU64,
     /// Connections shed because the dispatch queue was full.
-    pub shed_total: AtomicU64,
+    shed_total: AtomicU64,
     /// Requests answered from the router's reply cache.
-    pub cache_hits_total: AtomicU64,
+    cache_hits_total: AtomicU64,
     /// Successful forwards per shard.
     shard_requests: Vec<AtomicU64>,
 }
@@ -368,7 +365,7 @@ impl RouterServer {
         let n = config.shards.len();
         let draining = Arc::new(AtomicBool::new(false));
         let proxy = Proxy {
-            ring: HashRing::new(n, config.replicas),
+            ring: HashRing::new(n, DEFAULT_REPLICAS),
             alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
             draining: Arc::clone(&draining),
             counters: RouterMetrics {
@@ -402,11 +399,6 @@ impl RouterHandle {
     /// [`RouterHandle::shutdown`]).
     pub fn is_draining(&self) -> bool {
         self.inner.engine().draining.load(Ordering::SeqCst)
-    }
-
-    /// The router's own counters.
-    pub fn counters(&self) -> &RouterMetrics {
-        &self.inner.engine().dispatcher.counters
     }
 
     /// Drains like a shard — the listener closes, idle connections drop,
@@ -719,6 +711,11 @@ mod tests {
         .expect("shard start")
     }
 
+    /// The router's own counters.
+    fn counters(router: &RouterHandle) -> &RouterMetrics {
+        &router.inner.engine().dispatcher.counters
+    }
+
     /// A test router with the reply cache off, so every request actually
     /// exercises the forward path (affinity and failover assertions
     /// depend on shard traffic, which cache hits would mask).
@@ -757,8 +754,7 @@ mod tests {
             assert_eq!(reply.status, 200, "{}", reply.body);
             assert!(reply.body.contains("\"ok\":true"));
         }
-        let per_shard: Vec<u64> = router
-            .counters()
+        let per_shard: Vec<u64> = counters(&router)
             .shard_requests
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
@@ -786,7 +782,7 @@ mod tests {
         let bad = crate::client::raw_request(addr, b"NOT HTTP\r\n\r\n").expect("raw");
         assert_eq!(bad.status, 400);
         assert_eq!(
-            router.counters().bad_requests_total.load(Ordering::SeqCst),
+            counters(&router).bad_requests_total.load(Ordering::SeqCst),
             1
         );
 
@@ -827,7 +823,7 @@ mod tests {
             );
         }
         assert_eq!(
-            router.counters().unrouteable_total.load(Ordering::SeqCst),
+            counters(&router).unrouteable_total.load(Ordering::SeqCst),
             0
         );
 
@@ -851,7 +847,7 @@ mod tests {
         );
         assert!(metrics.contains("dg_router_shard_alive{shard=\"0\"} 1"));
         assert!(
-            router.counters().ejections_total.load(Ordering::SeqCst) >= 1,
+            counters(&router).ejections_total.load(Ordering::SeqCst) >= 1,
             "ejection must be counted"
         );
 
@@ -877,12 +873,11 @@ mod tests {
             );
         }
         assert_eq!(
-            router.counters().cache_hits_total.load(Ordering::SeqCst),
+            counters(&router).cache_hits_total.load(Ordering::SeqCst),
             3,
             "repeats must be served from the router cache"
         );
-        let forwarded: u64 = router
-            .counters()
+        let forwarded: u64 = counters(&router)
             .shard_requests
             .iter()
             .map(|c| c.load(Ordering::SeqCst))
@@ -895,7 +890,7 @@ mod tests {
             assert_eq!(bad.status, 400);
         }
         assert_eq!(
-            router.counters().cache_hits_total.load(Ordering::SeqCst),
+            counters(&router).cache_hits_total.load(Ordering::SeqCst),
             3,
             "non-200 replies must not be admitted to the cache"
         );
@@ -914,5 +909,40 @@ mod tests {
             relabel("dg_shed_total 3", 0),
             "dg_shed_total{shard=\"0\"} 3"
         );
+    }
+
+    #[test]
+    fn shutdown_finishes_a_request_already_in_flight() {
+        let shard = Server::start(ServerConfig {
+            workers: 2,
+            enable_debug_routes: true,
+            ..ServerConfig::default()
+        })
+        .expect("shard start");
+        let router = RouterServer::start(RouterConfig {
+            shards: vec![shard.local_addr()],
+            workers: 1,
+            reply_cache_entries: 0,
+            ..RouterConfig::default()
+        })
+        .expect("router start");
+        let addr = router.local_addr();
+        let client = std::thread::spawn(move || {
+            http_request(addr, "POST", "/v1/debug/sleep", Some(r#"{"ms":300}"#))
+        });
+        // Admitted by the router's event loop: from here on the request is
+        // queued or forwarded, so the drain must wait for its reply.
+        let deadline = crate::metrics::monotonic_us() + 10_000_000;
+        while counters(&router).requests_total.load(Ordering::SeqCst) == 0 {
+            assert!(
+                crate::metrics::monotonic_us() < deadline,
+                "request never reached the router"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(router.shutdown(), "router drains cleanly");
+        let reply = client.join().expect("client").expect("in-flight reply");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert!(shard.shutdown().clean);
     }
 }

@@ -64,13 +64,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Items currently queued (racy; for observability only).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().items.len()
-    }
-
-    /// Whether the queue is currently empty (racy; observability only).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Admits `item` if there is room and the queue is open.
@@ -190,6 +185,6 @@ mod tests {
     fn capacity_floor_is_one() {
         let q: BoundedQueue<u32> = BoundedQueue::new(0);
         assert_eq!(q.capacity(), 1);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 }

@@ -152,16 +152,6 @@ impl ResponseCache {
         }
         diskcache::store_blob(key, body.as_bytes());
     }
-
-    /// Entries currently in the memory tier (observability).
-    pub fn len(&self) -> usize {
-        self.state.lock().len()
-    }
-
-    /// Whether the memory tier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +172,11 @@ mod tests {
             cache.get(1).as_deref().map(String::as_str),
             Some("{\"ok\":true}")
         );
-        assert_eq!(cache.len(), 1, "idempotent put must not duplicate");
+        assert_eq!(
+            cache.state.lock().len(),
+            1,
+            "idempotent put must not duplicate"
+        );
     }
 
     #[test]

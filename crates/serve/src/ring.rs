@@ -25,7 +25,6 @@ pub const DEFAULT_REPLICAS: usize = 64;
 pub struct HashRing {
     /// `(ring position, shard index)` sorted by position.
     points: Vec<(u64, usize)>,
-    shards: usize,
 }
 
 impl HashRing {
@@ -46,12 +45,7 @@ impl HashRing {
             }
         }
         points.sort_unstable();
-        HashRing { points, shards }
-    }
-
-    /// Number of shards the ring was built over.
-    pub fn shards(&self) -> usize {
-        self.shards
+        HashRing { points }
     }
 
     /// Routes `key` to the owning live shard: the first ring point at or

@@ -18,8 +18,8 @@
 //!   `par_map` inlined and stream `/v1/explore` and `/v1/droop_sweep` as
 //!   chunked NDJSON, one completion per wave.
 //!
-//! Drain ([`ServerHandle::request_drain`], `POST /admin/drain`, or SIGTERM
-//! in the binary) is the engine's: the listener closes, idle connections
+//! Drain ([`ServerHandle::shutdown`], `POST /admin/drain`, or SIGTERM in
+//! the binary) is the engine's: the listener closes, idle connections
 //! drop, admitted requests finish with `Connection: close`, and
 //! [`ServerHandle::shutdown`] reports whether every thread exited cleanly.
 //!
@@ -151,12 +151,6 @@ impl ServerHandle {
     /// `POST /admin/drain`, or by a signal in the binary).
     pub fn is_draining(&self) -> bool {
         self.inner.engine().draining.load(Ordering::SeqCst)
-    }
-
-    /// Starts a graceful drain: stop admitting, serve what was admitted.
-    /// Idempotent; returns immediately.
-    pub fn request_drain(&self) {
-        self.inner.engine().request_drain();
     }
 
     /// Drains (if not already draining) and blocks until the event loop
@@ -666,7 +660,7 @@ mod tests {
     fn drain_refuses_new_connections_but_finishes_admitted_work() {
         let handle = Server::start(tiny_config()).expect("bind");
         let addr = handle.local_addr();
-        handle.request_drain();
+        handle.inner.engine().request_drain();
         assert!(handle.is_draining());
         // Give the event loop a tick to notice and close the listener.
         thread::sleep(Duration::from_millis(100));
