@@ -19,7 +19,7 @@ use dg_cstates::states::PackageCstate;
 use dg_engine::sync::TrackedMutex;
 use dg_pdn::skylake::PdnVariant;
 use dg_pmu::guardband::GuardbandManager;
-use dg_pmu::modes::{Fuse, OperatingMode};
+use dg_pmu::modes::OperatingMode;
 use dg_power::error::PowerError;
 use dg_power::leakage::LeakageModel;
 use dg_power::limits::DesignLimits;
@@ -256,30 +256,6 @@ impl Product {
         })
     }
 
-    /// Reconfigures this product to a different TDP within the catalog
-    /// range — *configurable TDP* (cTDP, paper Sec. 2.2): the OEM trades
-    /// sustained power for cooling budget without changing the silicon or
-    /// the fused ceilings. Power limits and the thermal solution follow
-    /// the new TDP; guardbands, P-state tables, and C-state capability are
-    /// untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_tdp` is outside the catalog's 35–91 W envelope.
-    // dg-analyze: allow(unreached-pub, reason = "only products::tests call it; deleting it retires the two ctdp tests (ROADMAP item 4)")
-    pub fn with_ctdp(&self, new_tdp: Watts) -> Product {
-        assert!(
-            (35.0..=91.0).contains(&new_tdp.value()),
-            "cTDP {new_tdp} outside the 35-91 W envelope"
-        );
-        let mut p = self.clone();
-        p.tdp = new_tdp;
-        p.limits = DesignLimits::skylake(new_tdp).with_vmax(self.limits.vmax);
-        p.thermal = ThermalModel::for_tdp(new_tdp);
-        p.name = format!("{} (cTDP {}W)", self.name, new_tdp.value());
-        p
-    }
-
     /// The catalog TDP levels for Skylake products.
     pub fn skylake_tdp_levels() -> [Watts; 4] {
         [
@@ -298,14 +274,6 @@ impl Product {
             Watts::new(65.0),
             Watts::new(95.0),
         ]
-    }
-
-    /// The fuse this product would be programmed with.
-    pub fn fuse(&self) -> Fuse {
-        match self.mode {
-            OperatingMode::Bypass => Fuse::desktop(),
-            OperatingMode::Normal => Fuse::mobile(),
-        }
     }
 
     /// The C-state gating configuration of this package.
@@ -458,36 +426,15 @@ mod tests {
         // And the bypassed product's rail voltage at a common frequency is
         // lower, which is the active-power side benefit of Sec. 4.2.
         let f = Hertz::from_ghz(3.5);
-        let vs = s.table_1c.at_frequency(f).unwrap().voltage;
-        let vh = h.table_1c.at_frequency(f).unwrap().voltage;
+        let at = |t: &PStateTable| {
+            t.iter_descending()
+                .find(|s| (s.frequency.value() - f.value()).abs() < 0.5)
+                .unwrap()
+                .voltage
+        };
+        let vs = at(&s.table_1c);
+        let vh = at(&h.table_1c);
         assert!(vs < vh);
-    }
-
-    #[test]
-    fn ctdp_reconfigures_power_not_silicon() {
-        use crate::run::run_spec;
-        use dg_workloads::spec::{by_name, SpecMode};
-        let base = Product::skylake_s(Watts::new(91.0));
-        let down = base.with_ctdp(Watts::new(45.0));
-        // Silicon artifacts unchanged.
-        assert_eq!(down.fmax_1c(), base.fmax_1c());
-        assert_eq!(down.guardband, base.guardband);
-        assert_eq!(down.deepest_pkg_cstate, base.deepest_pkg_cstate);
-        // Power/thermal envelope changed.
-        assert!((down.tdp.value() - 45.0).abs() < 1e-12);
-        assert!(down.thermal.r_th > base.thermal.r_th);
-        assert!(down.name.contains("cTDP"));
-        // cTDP-down throttles an all-core run harder.
-        let gcc = by_name("403.gcc").unwrap();
-        let f_down = run_spec(&down, &gcc, SpecMode::Rate).sustained_frequency;
-        let f_base = run_spec(&base, &gcc, SpecMode::Rate).sustained_frequency;
-        assert!(f_down < f_base, "{f_down} !< {f_base}");
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the 35-91 W envelope")]
-    fn ctdp_out_of_envelope_panics() {
-        Product::skylake_s(Watts::new(65.0)).with_ctdp(Watts::new(120.0));
     }
 
     #[test]
@@ -509,8 +456,8 @@ mod tests {
         let h = Product::skylake_h(Watts::new(91.0));
         assert_eq!(s.deepest_pkg_cstate, PackageCstate::C8);
         assert_eq!(h.deepest_pkg_cstate, PackageCstate::C7);
-        assert_eq!(s.fuse(), Fuse::desktop());
-        assert_eq!(h.fuse(), Fuse::mobile());
+        assert_eq!(s.mode, OperatingMode::Bypass);
+        assert_eq!(h.mode, OperatingMode::Normal);
         assert!(s.gating_config().bypassed);
         assert!(!h.gating_config().bypassed);
     }

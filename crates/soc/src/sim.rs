@@ -90,11 +90,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// The product under simulation.
-    pub fn product(&self) -> &Product {
-        self.product
-    }
-
     /// Runs a CPU workload: `active_cores` cores at `cdyn`, the remaining
     /// cores idle (leaking if the package is bypassed), on P-state table
     /// `table`.
