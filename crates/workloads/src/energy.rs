@@ -113,40 +113,7 @@ impl EnergyWorkload {
         }
         tracker.average_power(model, config)
     }
-
-    /// `true` when the configuration meets the program's limit.
-    pub fn meets_limit(
-        &self,
-        model: &IdlePowerModel,
-        config: &GatingConfig,
-        deepest: PackageCstate,
-    ) -> bool {
-        self.average_power(model, config, deepest) <= self.limit
-    }
-
-    /// ENERGY STAR-style *typical energy consumption* (TEC) in kWh/year:
-    /// the residency-weighted average power sustained for a year
-    /// (`8760 h`), which is how the program's compliance tables are
-    /// denominated.
-    // dg-analyze: allow(unreached-pub, reason = "only energy::tests calls it; deleting it retires tec_is_consistent_with_average_power (ROADMAP item 4)")
-    pub fn tec_kwh_per_year(
-        &self,
-        model: &IdlePowerModel,
-        config: &GatingConfig,
-        deepest: PackageCstate,
-    ) -> f64 {
-        self.average_power(model, config, deepest).value() * HOURS_PER_YEAR / 1000.0
-    }
-
-    /// The program limit expressed as TEC (kWh/year).
-    // dg-analyze: allow(unreached-pub, reason = "only energy::tests calls it; deleting it retires tec_is_consistent_with_average_power (ROADMAP item 4)")
-    pub fn tec_limit_kwh(&self) -> f64 {
-        self.limit.value() * HOURS_PER_YEAR / 1000.0
-    }
 }
-
-/// Hours in a (365-day) year, the TEC normalization constant.
-const HOURS_PER_YEAR: f64 = 8760.0;
 
 /// The ENERGY STAR desktop workload: 25 % off, 30 % sleep, 40 % long idle
 /// (deepest package state), 5 % short idle (display on, frequent wakes,
@@ -310,8 +277,8 @@ mod tests {
             "RMT reduction {reduction} (C7 {dg_c7}, C8 {dg_c8})"
         );
         // Observation 2: DarkGates at C7 misses the limit; C8 meets it.
-        assert!(!rmt.meets_limit(&m, &bypassed, PackageCstate::C7));
-        assert!(rmt.meets_limit(&m, &bypassed, PackageCstate::C8));
+        assert!(rmt.average_power(&m, &bypassed, PackageCstate::C7) > rmt.limit);
+        assert!(rmt.average_power(&m, &bypassed, PackageCstate::C8) <= rmt.limit);
         // Observation 3: the gated baseline at C7 is (slightly) below
         // DarkGates at C8.
         assert!(
@@ -336,8 +303,8 @@ mod tests {
             (0.25..0.42).contains(&reduction),
             "ENERGY STAR reduction {reduction} (C7 {dg_c7}, C8 {dg_c8})"
         );
-        assert!(!es.meets_limit(&m, &bypassed, PackageCstate::C7));
-        assert!(es.meets_limit(&m, &bypassed, PackageCstate::C8));
+        assert!(es.average_power(&m, &bypassed, PackageCstate::C7) > es.limit);
+        assert!(es.average_power(&m, &bypassed, PackageCstate::C8) <= es.limit);
         assert!(base_c7 < dg_c8);
     }
 
@@ -373,22 +340,8 @@ mod tests {
             );
             // The mobile (gated, C10) configuration meets its battery
             // budget.
-            assert!(wl.meets_limit(&m, &gated, PackageCstate::C10));
+            assert!(wl.average_power(&m, &gated, PackageCstate::C10) <= wl.limit);
         }
-    }
-
-    #[test]
-    fn tec_is_consistent_with_average_power() {
-        let m = model();
-        let bypassed = GatingConfig::skylake(true, 4);
-        let es = energy_star();
-        let avg = es.average_power(&m, &bypassed, PackageCstate::C8).value();
-        let tec = es.tec_kwh_per_year(&m, &bypassed, PackageCstate::C8);
-        assert!((tec - avg * 8.760).abs() < 1e-9, "tec {tec} vs avg {avg}");
-        // The compliant configuration sits under the TEC limit too.
-        assert!(tec < es.tec_limit_kwh());
-        // 1 W for a year is 8.76 kWh.
-        assert!((es.tec_limit_kwh() - 8.76).abs() < 1e-9);
     }
 
     #[test]
