@@ -71,11 +71,6 @@ impl DvfsSolver {
         }
     }
 
-    /// The thermal model in use.
-    pub fn thermal(&self) -> &ThermalModel {
-        &self.thermal
-    }
-
     /// Evaluates the self-consistent power/temperature of running
     /// `active_cores` at `state` with the given workload and overhead.
     pub fn evaluate(
@@ -181,7 +176,10 @@ mod tests {
         let op = s.solve(&request(&t, 1, 500.0, 1.35)).unwrap();
         assert!(op.state.voltage <= Volts::new(1.35));
         // The next bin up must violate Vmax.
-        let next = t.states().iter().find(|x| x.frequency > op.state.frequency);
+        let next = t
+            .iter_descending()
+            .take_while(|x| x.frequency > op.state.frequency)
+            .last();
         if let Some(n) = next {
             assert!(n.voltage > Volts::new(1.35));
         }
@@ -278,7 +276,8 @@ mod tests {
         let t = table(150.0);
         let s = solver(65.0);
         let state = t
-            .at_frequency(dg_power::units::Hertz::from_ghz(3.5))
+            .iter_descending()
+            .find(|s| (s.frequency.as_mhz() - 3500.0).abs() < 0.5)
             .unwrap();
         let op = s.evaluate(state, 4, CdynProfile::core_typical(), Watts::new(3.0));
         // Self-consistency: recomputing power at the reported Tj reproduces
@@ -287,7 +286,7 @@ mod tests {
             + LeakageModel::skylake_core().power(state.voltage, op.tj);
         let total = per_core * 4.0 + Watts::new(3.0);
         assert!((total.value() - op.total_power.value()).abs() < 1e-6);
-        let tj = s.thermal().steady_state(total);
+        let tj = s.thermal.steady_state(total);
         assert!((tj.value() - op.tj.value()).abs() < 1e-6);
     }
 }

@@ -59,11 +59,6 @@ impl GuardbandManager {
             .clone()
     }
 
-    /// The PDN variant this manager serves.
-    pub fn variant(&self) -> PdnVariant {
-        self.variant
-    }
-
     /// The peak impedance the droop guardband is derived from.
     pub fn peak_impedance(&self) -> Ohms {
         self.peak_impedance
@@ -158,6 +153,6 @@ mod tests {
     fn peak_impedance_recorded() {
         let b = GuardbandManager::for_variant(PdnVariant::Bypassed);
         assert!(b.peak_impedance().value() > 0.0);
-        assert_eq!(b.variant(), PdnVariant::Bypassed);
+        assert_eq!(b.variant, PdnVariant::Bypassed);
     }
 }

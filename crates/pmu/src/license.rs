@@ -8,8 +8,7 @@
 //! virus level and costs a frequency offset while the guardband is
 //! re-established.
 
-use dg_pdn::loadline::VirusLevelTable;
-use dg_pdn::units::{Amps, Hertz, Seconds};
+use dg_pdn::units::{Hertz, Seconds};
 
 /// Instruction-intensity license classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -26,15 +25,6 @@ pub enum License {
 impl License {
     /// All licenses, lightest first.
     pub const ALL: [License; 3] = [License::L0, License::L1, License::L2];
-
-    /// Multiplier on the per-core worst-case current for this license.
-    fn current_factor(self) -> f64 {
-        match self {
-            License::L0 => 1.0,
-            License::L1 => 1.25,
-            License::L2 => 1.55,
-        }
-    }
 
     /// Frequency offset (in 100 MHz bins) the part fuses for this license
     /// (the familiar "AVX offset").
@@ -63,8 +53,8 @@ impl License {
     }
 }
 
-/// Tracks the current license and resolves virus levels for
-/// (active-cores, license) system states.
+/// Tracks the current license, its grant latency and the frequency
+/// offset it costs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LicenseManager {
     current: License,
@@ -84,11 +74,6 @@ impl LicenseManager {
         }
     }
 
-    /// The license currently in force.
-    pub fn current(&self) -> License {
-        self.current
-    }
-
     /// Requests a license; returns the grant latency (zero for downgrades
     /// or no-ops).
     pub fn request(&mut self, license: License) -> Seconds {
@@ -106,25 +91,6 @@ impl LicenseManager {
             }
             Ordering::Equal => Seconds::ZERO,
         }
-    }
-
-    /// Worst-case current for `active_cores` cores under the current
-    /// license, given the per-core base virus current.
-    fn virus_current(&self, active_cores: usize, per_core_base: Amps) -> Amps {
-        per_core_base * active_cores as f64 * self.current.current_factor()
-    }
-
-    /// The virus level index in `table` for the present system state, or
-    /// `None` if it exceeds even the top level (an EDC violation the PMU
-    /// must prevent).
-    // dg-analyze: allow(unreached-pub, reason = "only tests call it (license::tests, tests/full_system.rs); deleting it retires those tests (ROADMAP item 4)")
-    pub fn virus_level(
-        &self,
-        table: &VirusLevelTable,
-        active_cores: usize,
-        per_core_base: Amps,
-    ) -> Option<usize> {
-        table.level_for(self.virus_current(active_cores, per_core_base))
     }
 
     /// The effective frequency ceiling after the license offset.
@@ -148,28 +114,11 @@ impl Default for LicenseManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_pdn::loadline::{LoadLine, VirusLevel};
-    use dg_pdn::units::Ohms;
-
-    fn table() -> VirusLevelTable {
-        let ll = LoadLine::new(Ohms::from_mohm(1.6)).unwrap();
-        VirusLevelTable::new(
-            ll,
-            vec![
-                VirusLevel::new("1 core", Amps::new(34.0)),
-                VirusLevel::new("2 cores", Amps::new(62.0)),
-                VirusLevel::new("4 cores", Amps::new(118.0)),
-            ],
-        )
-        .unwrap()
-    }
-
     #[test]
     fn licenses_order_by_intensity() {
         assert!(License::L0 < License::L1);
         assert!(License::L1 < License::L2);
         for w in License::ALL.windows(2) {
-            assert!(w[0].current_factor() < w[1].current_factor());
             assert!(w[0].frequency_offset_bins() < w[1].frequency_offset_bins());
             assert!(w[0].grant_latency() <= w[1].grant_latency());
         }
@@ -180,7 +129,7 @@ mod tests {
         let mut m = LicenseManager::new();
         let up = m.request(License::L2);
         assert!(up > Seconds::ZERO);
-        assert_eq!(m.current(), License::L2);
+        assert_eq!(m.current, License::L2);
         let down = m.request(License::L0);
         assert_eq!(down, Seconds::ZERO);
         assert_eq!(m.upgrades, 1);
@@ -188,27 +137,6 @@ mod tests {
         // No-op request.
         assert_eq!(m.request(License::L0), Seconds::ZERO);
         assert_eq!(m.upgrades, 1);
-    }
-
-    #[test]
-    fn avx_raises_the_virus_level() {
-        let t = table();
-        let base = Amps::new(26.0);
-        let mut m = LicenseManager::new();
-        // 2 scalar cores: 52 A -> level 1.
-        assert_eq!(m.virus_level(&t, 2, base), Some(1));
-        // The same 2 cores under AVX-512: 80.6 A -> level 2.
-        m.request(License::L2);
-        assert_eq!(m.virus_level(&t, 2, base), Some(2));
-    }
-
-    #[test]
-    fn avx512_on_all_cores_can_exceed_edc() {
-        let t = table();
-        let mut m = LicenseManager::new();
-        m.request(License::L2);
-        // 4 × 26 A × 1.55 = 161 A > 118 A top level.
-        assert_eq!(m.virus_level(&t, 4, Amps::new(26.0)), None);
     }
 
     #[test]

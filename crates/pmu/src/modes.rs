@@ -22,12 +22,6 @@ impl Fuse {
     /// Bit 0 of the fuse word selects bypass mode.
     const BYPASS_BIT: u32 = 1;
 
-    /// Creates a fuse from its raw word.
-    // dg-analyze: allow(unreached-pub, reason = "only modes::tests call it; deleting it retires raw_round_trip (ROADMAP item 4)")
-    pub fn from_raw(raw: u32) -> Self {
-        Fuse { raw }
-    }
-
     /// The fuse programmed into desktop (Skylake-S-like) parts.
     pub fn desktop() -> Self {
         Fuse {
@@ -38,11 +32,6 @@ impl Fuse {
     /// The fuse programmed into mobile (Skylake-H-like) parts.
     pub fn mobile() -> Self {
         Fuse { raw: 0 }
-    }
-
-    /// Raw fuse word.
-    pub fn raw(self) -> u32 {
-        self.raw
     }
 
     /// Decodes the operating mode.
@@ -73,13 +62,6 @@ impl OperatingMode {
         }
     }
 
-    /// `true` when idle cores cannot be power-gated (their leakage must be
-    /// charged to the compute budget).
-    // dg-analyze: allow(unreached-pub, reason = "only modes::tests calls it; deleting it retires bypass_charges_idle_leakage (ROADMAP item 4)")
-    pub fn charges_idle_leakage(self) -> bool {
-        self == OperatingMode::Bypass
-    }
-
     /// Approximate firmware size of the DarkGates mode-handling flow
     /// (paper Sec. 5: ~0.3 KB of Pcode).
     pub const FIRMWARE_BYTES: usize = 300;
@@ -102,20 +84,14 @@ mod tests {
     fn fuse_decoding() {
         assert_eq!(Fuse::desktop().mode(), OperatingMode::Bypass);
         assert_eq!(Fuse::mobile().mode(), OperatingMode::Normal);
-        assert_eq!(Fuse::from_raw(0b11).mode(), OperatingMode::Bypass);
-        assert_eq!(Fuse::from_raw(0b10).mode(), OperatingMode::Normal);
+        assert_eq!(Fuse { raw: 0b11 }.mode(), OperatingMode::Bypass);
+        assert_eq!(Fuse { raw: 0b10 }.mode(), OperatingMode::Normal);
     }
 
     #[test]
     fn mode_to_pdn_variant() {
         assert_eq!(OperatingMode::Bypass.pdn_variant(), PdnVariant::Bypassed);
         assert_eq!(OperatingMode::Normal.pdn_variant(), PdnVariant::Gated);
-    }
-
-    #[test]
-    fn bypass_charges_idle_leakage() {
-        assert!(OperatingMode::Bypass.charges_idle_leakage());
-        assert!(!OperatingMode::Normal.charges_idle_leakage());
     }
 
     #[test]
@@ -127,10 +103,5 @@ mod tests {
     fn displays() {
         assert_eq!(OperatingMode::Bypass.to_string(), "bypass");
         assert_eq!(OperatingMode::Normal.to_string(), "normal");
-    }
-
-    #[test]
-    fn raw_round_trip() {
-        assert_eq!(Fuse::from_raw(42).raw(), 42);
     }
 }

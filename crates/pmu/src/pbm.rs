@@ -50,13 +50,6 @@ impl PowerBudgetManager {
         self.tdp - self.uncore_active
     }
 
-    /// Budget available to the CPU cores when the graphics engine is idle.
-    /// `idle_leak` is the un-gated idle-core leakage (zero on gated parts).
-    // dg-analyze: allow(unreached-pub, reason = "only pbm::tests call it; deleting it retires those tests (ROADMAP item 4)")
-    pub fn budget_for_cores(&self, idle_leak: Watts) -> Watts {
-        (self.compute_budget() - idle_leak).max(Watts::ZERO)
-    }
-
     /// Splits the compute budget for a graphics workload: the driver core's
     /// power and the idle-core leakage are charged first, the graphics
     /// engine receives the remainder (graphics has budget priority in
@@ -103,11 +96,6 @@ impl PowerEma {
         self.value = Some(new);
         Watts::new(new)
     }
-
-    /// The current average (zero before any sample).
-    pub fn value(&self) -> Watts {
-        Watts::new(self.value.unwrap_or(0.0))
-    }
 }
 
 /// The PL1/PL2 turbo controller.
@@ -145,11 +133,6 @@ impl TurboController {
             self.pl1
         }
     }
-
-    /// The current running average.
-    pub fn average(&self) -> Watts {
-        self.ema.value()
-    }
 }
 
 #[cfg(test)]
@@ -160,21 +143,6 @@ mod tests {
     fn compute_budget_subtracts_uncore() {
         let pbm = PowerBudgetManager::new(Watts::new(91.0), Watts::new(3.0));
         assert!((pbm.compute_budget().value() - 88.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn idle_leak_cuts_core_budget() {
-        let pbm = PowerBudgetManager::new(Watts::new(35.0), Watts::new(3.0));
-        let lean = pbm.budget_for_cores(Watts::ZERO);
-        let taxed = pbm.budget_for_cores(Watts::new(4.0));
-        assert!((lean.value() - 32.0).abs() < 1e-12);
-        assert!((taxed.value() - 28.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn core_budget_clamps_at_zero() {
-        let pbm = PowerBudgetManager::new(Watts::new(10.0), Watts::new(3.0));
-        assert_eq!(pbm.budget_for_cores(Watts::new(20.0)), Watts::ZERO);
     }
 
     #[test]
@@ -199,18 +167,19 @@ mod tests {
     #[test]
     fn ema_converges_to_constant_input() {
         let mut ema = PowerEma::new(Seconds::new(8.0));
+        let mut avg = Watts::ZERO;
         for _ in 0..100 {
-            ema.step(Watts::new(50.0), Seconds::new(1.0));
+            avg = ema.step(Watts::new(50.0), Seconds::new(1.0));
         }
-        assert!((ema.value().value() - 50.0).abs() < 0.1);
+        assert!((avg.value() - 50.0).abs() < 0.1);
     }
 
     #[test]
     fn ema_first_sample_initializes() {
         let mut ema = PowerEma::new(Seconds::new(8.0));
-        assert_eq!(ema.value(), Watts::ZERO);
-        ema.step(Watts::new(30.0), Seconds::new(1.0));
-        assert!((ema.value().value() - 30.0).abs() < 1e-12);
+        assert_eq!(ema.value, None);
+        let avg = ema.step(Watts::new(30.0), Seconds::new(1.0));
+        assert!((avg.value() - 30.0).abs() < 1e-12);
     }
 
     #[test]

@@ -73,9 +73,6 @@ pub struct SvidBus {
     target: Volts,
     busy_until: f64,
     now: f64,
-    /// Current power-state (phase shedding) level.
-    ps_level: u8,
-    commands_issued: u64,
 }
 
 impl SvidBus {
@@ -88,8 +85,6 @@ impl SvidBus {
             target: Volts::ZERO,
             busy_until: 0.0,
             now: 0.0,
-            ps_level: 0,
-            commands_issued: 0,
         }
     }
 
@@ -103,32 +98,16 @@ impl SvidBus {
         self.target
     }
 
-    /// The current phase-shedding level.
-    // dg-analyze: allow(unreached-pub, reason = "only svid::tests calls it; deleting it retires phase_shedding_level_clamped (ROADMAP item 4)")
-    pub fn ps_level(&self) -> u8 {
-        self.ps_level
-    }
-
-    /// Total commands issued (telemetry).
-    pub fn commands_issued(&self) -> u64 {
-        self.commands_issued
-    }
-
-    /// `true` once the output has reached the target.
-    // dg-analyze: allow(unreached-pub, reason = "only tests call it (svid::tests, crates/pmu/tests/properties.rs); deleting it retires those tests (ROADMAP item 4)")
-    pub fn is_settled(&self) -> bool {
-        (self.output - self.target).abs().value() < 1e-9 && self.now >= self.busy_until
-    }
-
     /// Issues a command. Takes effect after the command latency; voltage
     /// then slews toward the new target.
     pub fn issue(&mut self, cmd: SvidCommand) {
-        self.commands_issued += 1;
         self.busy_until = self.now + self.command_latency.value();
         match cmd {
             SvidCommand::SetVid(code) => self.target = code.decode(),
             SvidCommand::VrOff => self.target = Volts::ZERO,
-            SvidCommand::SetPs(level) => self.ps_level = level.min(2),
+            // Phase shedding changes the VR's efficiency, not its output
+            // voltage, so the command only occupies the bus.
+            SvidCommand::SetPs(_) => {}
         }
     }
 
@@ -170,6 +149,12 @@ impl Default for SvidBus {
 mod tests {
     use super::*;
 
+    /// The output has reached the target and the command latency has
+    /// elapsed.
+    fn settled(bus: &SvidBus) -> bool {
+        (bus.output - bus.target).abs().value() < 1e-9 && bus.now >= bus.busy_until
+    }
+
     #[test]
     fn vid_round_trip_never_undershoots() {
         for mv in [600.0, 850.0, 1000.0, 1234.0, 1350.0] {
@@ -197,13 +182,13 @@ mod tests {
     fn slewing_takes_finite_time() {
         let mut bus = SvidBus::skylake();
         bus.issue(SvidCommand::SetVid(VidCode::encode(Volts::new(1.0))));
-        assert!(!bus.is_settled());
+        assert!(!settled(&bus));
         // 1 µs latency + 1.0 V / 15 mV/µs ≈ 67.7 µs.
         bus.step(Seconds::from_us(30.0));
-        assert!(!bus.is_settled());
+        assert!(!settled(&bus));
         assert!(bus.output() > Volts::ZERO);
         bus.step(Seconds::from_us(50.0));
-        assert!(bus.is_settled());
+        assert!(settled(&bus));
         assert!(
             (bus.output() - VidCode::encode(Volts::new(1.0)).decode())
                 .abs()
@@ -219,7 +204,7 @@ mod tests {
         let estimate = bus.settle_time(target);
         bus.issue(SvidCommand::SetVid(VidCode::encode(Volts::new(0.9))));
         bus.step(estimate);
-        assert!(bus.is_settled());
+        assert!(settled(&bus));
     }
 
     #[test]
@@ -230,14 +215,6 @@ mod tests {
         bus.issue(SvidCommand::VrOff);
         bus.step(Seconds::from_us(100.0));
         assert_eq!(bus.output(), Volts::ZERO);
-        assert_eq!(bus.commands_issued(), 2);
-    }
-
-    #[test]
-    fn phase_shedding_level_clamped() {
-        let mut bus = SvidBus::skylake();
-        bus.issue(SvidCommand::SetPs(7));
-        assert_eq!(bus.ps_level(), 2);
     }
 
     #[test]
@@ -250,6 +227,6 @@ mod tests {
         bus.step(Seconds::from_us(10.0));
         assert!(bus.output() < high);
         bus.step(Seconds::from_us(100.0));
-        assert!(bus.is_settled());
+        assert!(settled(&bus));
     }
 }
