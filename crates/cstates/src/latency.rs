@@ -49,18 +49,6 @@ impl LatencyTable {
         self.entry(state) + self.exit(state)
     }
 
-    /// The deepest state whose exit latency does not exceed `budget`
-    /// (a wake-latency / QoS constraint).
-    // dg-analyze: allow(unreached-pub, reason = "only latency::tests calls it; deleting it retires exit_budget_selects_deepest_fitting_state (ROADMAP item 4)")
-    pub fn deepest_within_exit_budget(&self, budget: Seconds) -> PackageCstate {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(_, _, exit)| *exit <= budget)
-            .map(|(s, _, _)| *s)
-            .unwrap_or(PackageCstate::C0)
-    }
-
     fn lookup(&self, state: PackageCstate) -> (PackageCstate, Seconds, Seconds) {
         self.entries
             .iter()
@@ -123,27 +111,6 @@ mod tests {
         let t = LatencyTable::skylake();
         let s = PackageCstate::C6;
         assert_eq!(t.round_trip(s), t.entry(s) + t.exit(s));
-    }
-
-    #[test]
-    fn exit_budget_selects_deepest_fitting_state() {
-        let t = LatencyTable::skylake();
-        assert_eq!(
-            t.deepest_within_exit_budget(Seconds::from_us(150.0)),
-            PackageCstate::C7
-        );
-        assert_eq!(
-            t.deepest_within_exit_budget(Seconds::from_us(250.0)),
-            PackageCstate::C8
-        );
-        assert_eq!(
-            t.deepest_within_exit_budget(Seconds::from_us(0.5)),
-            PackageCstate::C0
-        );
-        assert_eq!(
-            t.deepest_within_exit_budget(Seconds::new(1.0)),
-            PackageCstate::C10
-        );
     }
 
     #[test]

@@ -40,6 +40,4 @@ pub use latency::{break_even_time, LatencyTable};
 pub use power::{GatingConfig, IdlePowerModel};
 pub use residency::ResidencyTracker;
 pub use resolve::{resolve, PlatformInputs};
-pub use states::{
-    CoreCstate, DisplayState, GraphicsCstate, MemoryState, PackageCstate, ThreadCstate,
-};
+pub use states::{CoreCstate, DisplayState, GraphicsCstate, MemoryState, PackageCstate};

@@ -68,16 +68,6 @@ impl ResidencyTracker {
         self.idle.get(&state).copied().unwrap_or(0.0) / total
     }
 
-    /// Fraction of the total time spent active (package C0).
-    // dg-analyze: allow(unreached-pub, reason = "only tests read it (residency and pcode unit tests, cstates properties, tests/firmware.rs); deleting it retires their assertions (ROADMAP item 4)")
-    pub fn active_fraction(&self) -> f64 {
-        let total = self.total().value();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.active_seconds / total
-    }
-
     /// Residency-weighted average package power under `model`/`config`.
     ///
     /// Active phases contribute the energy recorded with
@@ -99,12 +89,6 @@ impl ResidencyTracker {
             .sum();
         Watts::new((idle_joules + self.active_joules) / total)
     }
-
-    /// Iterates over `(state, seconds)` idle entries, shallowest first.
-    // dg-analyze: allow(unreached-pub, reason = "only residency::tests calls it; deleting it retires iter_idle_lists_entries (ROADMAP item 4)")
-    pub fn iter_idle(&self) -> impl Iterator<Item = (PackageCstate, Seconds)> + '_ {
-        self.idle.iter().map(|(s, t)| (*s, Seconds::new(*t)))
-    }
 }
 
 #[cfg(test)]
@@ -117,9 +101,10 @@ mod tests {
         t.record_idle(PackageCstate::C7, Seconds::new(99.0));
         t.record_active(Watts::new(5.0), Seconds::new(1.0));
         assert!((t.total().value() - 100.0).abs() < 1e-12);
-        let sum = t.idle_fraction(PackageCstate::C7) + t.active_fraction();
+        let active = t.active_seconds / t.total().value();
+        let sum = t.idle_fraction(PackageCstate::C7) + active;
         assert!((sum - 1.0).abs() < 1e-12);
-        assert!((t.active_fraction() - 0.01).abs() < 1e-12);
+        assert!((active - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -142,7 +127,6 @@ mod tests {
         let cfg = GatingConfig::skylake(true, 4);
         assert_eq!(t.average_power(&model, &cfg), Watts::ZERO);
         assert_eq!(t.total(), Seconds::ZERO);
-        assert_eq!(t.active_fraction(), 0.0);
         assert_eq!(t.idle_fraction(PackageCstate::C7), 0.0);
     }
 
@@ -168,18 +152,6 @@ mod tests {
             (0.55..0.80).contains(&reduction),
             "RMT-shaped reduction {reduction}"
         );
-    }
-
-    #[test]
-    fn iter_idle_lists_entries() {
-        let mut t = ResidencyTracker::new();
-        t.record_idle(PackageCstate::C3, Seconds::new(1.0));
-        t.record_idle(PackageCstate::C8, Seconds::new(2.0));
-        t.record_idle(PackageCstate::C3, Seconds::new(1.5));
-        let entries: Vec<_> = t.iter_idle().collect();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0, PackageCstate::C3);
-        assert!((entries[0].1.value() - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -25,37 +25,6 @@ pub struct PlatformInputs {
 }
 
 impl PlatformInputs {
-    /// Starts from `count` cores all in `state`, graphics active, display
-    /// on, memory active, LLC unflushed, mobile-class ceiling (C10).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    // dg-analyze: allow(unreached-pub, reason = "only resolve::tests call it; deleting it retires zero_cores_panics (ROADMAP item 4)")
-    pub fn all_cores(state: CoreCstate, count: usize) -> Self {
-        assert!(count > 0, "a platform needs at least one core");
-        PlatformInputs {
-            cores: vec![state; count],
-            graphics: GraphicsCstate::Rc0,
-            display: DisplayState::On,
-            memory: MemoryState::Active,
-            llc_flushed: false,
-            deepest_allowed: PackageCstate::mobile_deepest(),
-        }
-    }
-
-    /// Sets the graphics state (builder style).
-    pub fn graphics(mut self, g: GraphicsCstate) -> Self {
-        self.graphics = g;
-        self
-    }
-
-    /// Sets the display state.
-    pub fn display(mut self, d: DisplayState) -> Self {
-        self.display = d;
-        self
-    }
-
     /// The shallowest core state (the binding constraint). An empty core
     /// list resolves to `Cc0` (the conservative answer: package stays
     /// active).
@@ -105,9 +74,22 @@ pub fn resolve(inputs: &PlatformInputs) -> PackageCstate {
 mod tests {
     use super::*;
 
+    /// Four cores in `core`, memory active, LLC unflushed and the
+    /// mobile-class ceiling (C10).
+    fn inputs(core: CoreCstate, graphics: GraphicsCstate, display: DisplayState) -> PlatformInputs {
+        PlatformInputs {
+            cores: vec![core; 4],
+            graphics,
+            display,
+            memory: MemoryState::Active,
+            llc_flushed: false,
+            deepest_allowed: PackageCstate::C10,
+        }
+    }
+
     #[test]
     fn executing_core_pins_c0() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc6, 4).graphics(GraphicsCstate::Rc6);
+        let mut i = inputs(CoreCstate::Cc6, GraphicsCstate::Rc6, DisplayState::On);
         i.cores[2] = CoreCstate::Cc0;
         i.memory = MemoryState::SelfRefresh;
         assert_eq!(resolve(&i), PackageCstate::C0);
@@ -116,34 +98,34 @@ mod tests {
     #[test]
     fn halted_core_still_c0() {
         // CC1 keeps clocks on: package stays in C0 per Table 1.
-        let i = PlatformInputs::all_cores(CoreCstate::Cc1, 4).graphics(GraphicsCstate::Rc6);
+        let i = inputs(CoreCstate::Cc1, GraphicsCstate::Rc6, DisplayState::On);
         assert_eq!(resolve(&i), PackageCstate::C0);
     }
 
     #[test]
     fn active_graphics_pins_c0() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc6, 4).graphics(GraphicsCstate::Rc0);
+        let mut i = inputs(CoreCstate::Cc6, GraphicsCstate::Rc0, DisplayState::On);
         i.memory = MemoryState::SelfRefresh;
         assert_eq!(resolve(&i), PackageCstate::C0);
     }
 
     #[test]
     fn clocks_off_with_active_dram_is_c2() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc3, 4).graphics(GraphicsCstate::Rc6);
+        let mut i = inputs(CoreCstate::Cc3, GraphicsCstate::Rc6, DisplayState::On);
         i.memory = MemoryState::Active;
         assert_eq!(resolve(&i), PackageCstate::C2);
     }
 
     #[test]
     fn clocks_off_with_self_refresh_is_c3() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc3, 4).graphics(GraphicsCstate::Rc6);
+        let mut i = inputs(CoreCstate::Cc3, GraphicsCstate::Rc6, DisplayState::On);
         i.memory = MemoryState::SelfRefresh;
         assert_eq!(resolve(&i), PackageCstate::C3);
     }
 
     #[test]
     fn mixed_cc3_cc6_limited_by_shallowest() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc6, 4).graphics(GraphicsCstate::Rc6);
+        let mut i = inputs(CoreCstate::Cc6, GraphicsCstate::Rc6, DisplayState::On);
         i.cores[0] = CoreCstate::Cc3;
         i.memory = MemoryState::SelfRefresh;
         assert_eq!(resolve(&i), PackageCstate::C3);
@@ -151,7 +133,7 @@ mod tests {
 
     #[test]
     fn gated_cores_unflushed_llc_is_c6() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc6, 4).graphics(GraphicsCstate::Rc6);
+        let mut i = inputs(CoreCstate::Cc6, GraphicsCstate::Rc6, DisplayState::On);
         i.memory = MemoryState::SelfRefresh;
         i.llc_flushed = false;
         assert_eq!(resolve(&i), PackageCstate::C6);
@@ -159,14 +141,14 @@ mod tests {
 
     #[test]
     fn gated_cores_active_dram_pins_c2() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc6, 4).graphics(GraphicsCstate::Rc6);
+        let mut i = inputs(CoreCstate::Cc6, GraphicsCstate::Rc6, DisplayState::On);
         i.memory = MemoryState::Active;
         assert_eq!(resolve(&i), PackageCstate::C2);
     }
 
     #[test]
     fn flushed_llc_display_on_reaches_c8() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc7, 4).graphics(GraphicsCstate::Rc6);
+        let mut i = inputs(CoreCstate::Cc7, GraphicsCstate::Rc6, DisplayState::On);
         i.memory = MemoryState::SelfRefresh;
         i.llc_flushed = true;
         assert_eq!(resolve(&i), PackageCstate::C8);
@@ -174,24 +156,18 @@ mod tests {
 
     #[test]
     fn display_psr_reaches_c9_and_off_reaches_c10() {
-        let mut base = PlatformInputs::all_cores(CoreCstate::Cc7, 4).graphics(GraphicsCstate::Rc6);
+        let mut base = inputs(CoreCstate::Cc7, GraphicsCstate::Rc6, DisplayState::On);
         base.memory = MemoryState::SelfRefresh;
         base.llc_flushed = true;
-        assert_eq!(
-            resolve(&base.clone().display(DisplayState::SelfRefresh)),
-            PackageCstate::C9
-        );
-        assert_eq!(
-            resolve(&base.display(DisplayState::Off)),
-            PackageCstate::C10
-        );
+        base.display = DisplayState::SelfRefresh;
+        assert_eq!(resolve(&base), PackageCstate::C9);
+        base.display = DisplayState::Off;
+        assert_eq!(resolve(&base), PackageCstate::C10);
     }
 
     #[test]
     fn legacy_desktop_clamps_at_c7() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc7, 4)
-            .graphics(GraphicsCstate::Rc6)
-            .display(DisplayState::Off);
+        let mut i = inputs(CoreCstate::Cc7, GraphicsCstate::Rc6, DisplayState::Off);
         i.memory = MemoryState::SelfRefresh;
         i.llc_flushed = true;
         i.deepest_allowed = PackageCstate::legacy_desktop_deepest();
@@ -200,9 +176,7 @@ mod tests {
 
     #[test]
     fn darkgates_desktop_clamps_at_c8() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc7, 4)
-            .graphics(GraphicsCstate::Rc6)
-            .display(DisplayState::Off);
+        let mut i = inputs(CoreCstate::Cc7, GraphicsCstate::Rc6, DisplayState::Off);
         i.memory = MemoryState::SelfRefresh;
         i.llc_flushed = true;
         i.deepest_allowed = PackageCstate::darkgates_desktop_deepest();
@@ -211,14 +185,8 @@ mod tests {
 
     #[test]
     fn shallowest_core_is_binding() {
-        let mut i = PlatformInputs::all_cores(CoreCstate::Cc7, 4);
+        let mut i = inputs(CoreCstate::Cc7, GraphicsCstate::Rc0, DisplayState::On);
         i.cores[3] = CoreCstate::Cc0;
         assert_eq!(i.shallowest_core(), CoreCstate::Cc0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one core")]
-    fn zero_cores_panics() {
-        PlatformInputs::all_cores(CoreCstate::Cc0, 0);
     }
 }

@@ -8,68 +8,6 @@
 
 use std::fmt;
 
-/// Hardware-thread C-states (TCi) — the finest level of Table 1.
-///
-/// With SMT, each hardware thread requests its own idle state; the core's
-/// state is bound by its *shallowest* thread (a core can only clock-gate
-/// once both threads have).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum ThreadCstate {
-    /// Executing instructions.
-    #[default]
-    Tc0,
-    /// Halted (MWAIT shallow).
-    Tc1,
-    /// Requesting clocks off.
-    Tc3,
-    /// Requesting power-gating.
-    Tc6,
-}
-
-impl ThreadCstate {
-    /// All states, shallowest first.
-    pub const ALL: [ThreadCstate; 4] = [
-        ThreadCstate::Tc0,
-        ThreadCstate::Tc1,
-        ThreadCstate::Tc3,
-        ThreadCstate::Tc6,
-    ];
-
-    /// The deepest core state this thread request maps to.
-    fn core_equivalent(self) -> CoreCstate {
-        match self {
-            ThreadCstate::Tc0 => CoreCstate::Cc0,
-            ThreadCstate::Tc1 => CoreCstate::Cc1,
-            ThreadCstate::Tc3 => CoreCstate::Cc3,
-            ThreadCstate::Tc6 => CoreCstate::Cc6,
-        }
-    }
-}
-
-impl fmt::Display for ThreadCstate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ThreadCstate::Tc0 => "TC0",
-            ThreadCstate::Tc1 => "TC1",
-            ThreadCstate::Tc3 => "TC3",
-            ThreadCstate::Tc6 => "TC6",
-        })
-    }
-}
-
-/// Resolves a core's C-state from its hardware threads' requests: the
-/// shallowest thread binds. An empty thread list resolves to `Tc0`'s
-/// equivalent (the conservative answer: the core stays active).
-// dg-analyze: allow(unreached-pub, reason = "only states::tests call it; deleting it retires those tests (ROADMAP item 4)")
-pub fn core_state_from_threads(threads: &[ThreadCstate]) -> CoreCstate {
-    threads
-        .iter()
-        .copied()
-        .min()
-        .unwrap_or(ThreadCstate::Tc0)
-        .core_equivalent()
-}
-
 /// CPU-core component C-states (CCi).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum CoreCstate {
@@ -212,11 +150,6 @@ impl PackageCstate {
         PackageCstate::C10,
     ];
 
-    /// `true` when at least one compute engine is executing.
-    pub fn is_active(self) -> bool {
-        self == PackageCstate::C0
-    }
-
     /// `true` when the CPU cores' voltage regulator is off in this state
     /// (C8 and deeper; paper Table 1).
     pub fn core_vr_off(self) -> bool {
@@ -263,11 +196,6 @@ impl PackageCstate {
     pub fn darkgates_desktop_deepest() -> PackageCstate {
         PackageCstate::C8
     }
-
-    /// The deepest package state mobile platforms support.
-    pub fn mobile_deepest() -> PackageCstate {
-        PackageCstate::C10
-    }
 }
 
 impl fmt::Display for PackageCstate {
@@ -289,35 +217,6 @@ impl fmt::Display for PackageCstate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn thread_states_bind_the_core() {
-        use ThreadCstate::*;
-        // Both threads deep: core follows.
-        assert_eq!(core_state_from_threads(&[Tc6, Tc6]), CoreCstate::Cc6);
-        // One thread active pins the core at CC0.
-        assert_eq!(core_state_from_threads(&[Tc0, Tc6]), CoreCstate::Cc0);
-        assert_eq!(core_state_from_threads(&[Tc3, Tc6]), CoreCstate::Cc3);
-        // Single-threaded core.
-        assert_eq!(core_state_from_threads(&[Tc1]), CoreCstate::Cc1);
-    }
-
-    #[test]
-    fn thread_ordering_and_mapping_monotone() {
-        for w in ThreadCstate::ALL.windows(2) {
-            assert!(w[0] < w[1]);
-            assert!(w[0].core_equivalent() <= w[1].core_equivalent());
-        }
-        assert_eq!(ThreadCstate::Tc6.to_string(), "TC6");
-        assert_eq!(ThreadCstate::default(), ThreadCstate::Tc0);
-    }
-
-    #[test]
-    fn empty_thread_list_resolves_active() {
-        // The conservative answer: with no thread requests, the core is
-        // treated as executing.
-        assert_eq!(core_state_from_threads(&[]), CoreCstate::Cc0);
-    }
 
     #[test]
     fn core_ordering_deepens() {
@@ -371,7 +270,6 @@ mod tests {
             PackageCstate::darkgates_desktop_deepest(),
             PackageCstate::C8
         );
-        assert_eq!(PackageCstate::mobile_deepest(), PackageCstate::C10);
     }
 
     #[test]

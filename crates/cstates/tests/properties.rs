@@ -150,7 +150,7 @@ proptest! {
             .iter()
             .map(|s| t.idle_fraction(*s))
             .sum::<f64>()
-            + t.active_fraction();
+            + secs_active / total;
         prop_assert!((frac_sum - 1.0).abs() < 1e-9);
 
         let avg = t.average_power(&model, &cfg).value();
