@@ -7,7 +7,7 @@
 //! less.
 
 use crate::error::PowerError;
-use dg_pdn::units::{Amps, Farads, Hertz, Volts, Watts};
+use dg_pdn::units::{Farads, Hertz, Volts, Watts};
 
 /// A dynamic-capacitance operating profile for one component.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,30 +72,6 @@ impl CdynProfile {
         Watts::new(self.cdyn * v.value() * v.value() * f.value())
     }
 
-    /// Dynamic current draw at voltage `v` and frequency `f`
-    /// (`I = P/V = C_dyn · V · f`).
-    pub fn current(&self, v: Volts, f: Hertz) -> Amps {
-        if v.value() <= 0.0 {
-            return Amps::ZERO;
-        }
-        Amps::new(self.cdyn * v.value() * f.value())
-    }
-
-    /// Linearly interpolates between two profiles (`t = 0` → `self`,
-    /// `t = 1` → `other`). Used to model workloads with intermediate
-    /// compute intensity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is outside `[0, 1]`.
-    // dg-analyze: allow(unreached-pub, reason = "only dynamic::tests call it; deleting it retires those tests (ROADMAP item 4)")
-    pub fn lerp(&self, other: &CdynProfile, t: f64) -> CdynProfile {
-        assert!((0.0..=1.0).contains(&t), "t must be in [0,1], got {t}");
-        CdynProfile {
-            cdyn: self.cdyn + (other.cdyn - self.cdyn) * t,
-        }
-    }
-
     /// Returns a profile scaled by `factor` (e.g. utilization below 100 %).
     ///
     /// # Panics
@@ -137,14 +113,6 @@ mod tests {
         let p1 = p.power(Volts::new(0.9), f).value();
         let p2 = p.power(Volts::new(1.8), f).value();
         assert!((p2 / p1 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn current_is_cvf() {
-        let p = CdynProfile::from_nf(2.0).unwrap();
-        let i = p.current(Volts::new(1.2), Hertz::from_ghz(4.0));
-        assert!((i.value() - 9.6).abs() < 1e-9);
-        assert_eq!(p.current(Volts::ZERO, Hertz::from_ghz(4.0)), Amps::ZERO);
     }
 
     #[test]
@@ -193,22 +161,6 @@ mod tests {
         ] {
             assert!(CdynProfile::from_nf(nf(p)).is_ok());
         }
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = CdynProfile::from_nf(1.0).unwrap();
-        let b = CdynProfile::from_nf(3.0).unwrap();
-        assert!((nf(a.lerp(&b, 0.0)) - 1.0).abs() < 1e-12);
-        assert!((nf(a.lerp(&b, 1.0)) - 3.0).abs() < 1e-12);
-        assert!((nf(a.lerp(&b, 0.5)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "t must be in [0,1]")]
-    fn lerp_out_of_range_panics() {
-        let a = CdynProfile::from_nf(1.0).unwrap();
-        let _ = a.lerp(&a, 1.5);
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl EnergyCounter {
         }
         Watts::new(self.joules / self.elapsed)
     }
-
-    /// Merges another counter into this one (summing energy and time).
-    pub fn merge(&mut self, other: &EnergyCounter) {
-        self.joules += other.joules;
-        self.elapsed += other.elapsed;
-    }
 }
 
 #[cfg(test)]
@@ -75,17 +69,6 @@ mod tests {
         let c = EnergyCounter::new();
         assert_eq!(c.average_power(), Watts::ZERO);
         assert_eq!(c.energy_joules(), 0.0);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = EnergyCounter::new();
-        a.record(Watts::new(5.0), Seconds::new(1.0));
-        let mut b = EnergyCounter::new();
-        b.record(Watts::new(15.0), Seconds::new(1.0));
-        a.merge(&b);
-        assert!((a.energy_joules() - 20.0).abs() < 1e-12);
-        assert!((a.average_power().value() - 10.0).abs() < 1e-12);
     }
 
     #[test]

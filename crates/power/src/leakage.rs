@@ -113,24 +113,6 @@ impl LeakageModel {
         let t_term = ((t.value() - self.t0.value()) / self.theta).exp();
         self.p0 * v_term * t_term
     }
-
-    /// Returns a model scaled to `factor ×` the reference leakage (e.g. for
-    /// die-to-die process variation, or for aggregating `n` identical
-    /// components).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not strictly positive.
-    pub fn scaled(&self, factor: f64) -> LeakageModel {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "invalid scale factor {factor}"
-        );
-        LeakageModel {
-            p0: self.p0 * factor,
-            ..*self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,24 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn scaled_multiplies_reference() {
-        let m = LeakageModel::skylake_core().scaled(4.0);
-        assert!((m.p0.value() - 2.4).abs() < 1e-12);
-        let p = m.power(m.v0, m.t0);
-        assert!((p.value() - 2.4).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid scale factor")]
-    fn zero_scale_panics() {
-        LeakageModel::skylake_core().scaled(0.0);
-    }
-
-    #[test]
     fn four_core_leakage_in_plausible_band() {
         // Four active cores at 1.2 V / 80 °C should leak single-digit watts.
-        let m = LeakageModel::skylake_core().scaled(4.0);
-        let p = m.power(Volts::new(1.2), Celsius::new(80.0));
+        let p = LeakageModel::skylake_core().power(Volts::new(1.2), Celsius::new(80.0)) * 4.0;
         assert!(
             (2.0..12.0).contains(&p.value()),
             "4-core leakage {p} implausible"

@@ -22,7 +22,6 @@ pub struct PState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PStateTable {
     states: Vec<PState>,
-    bin: Hertz,
 }
 
 impl PStateTable {
@@ -62,17 +61,7 @@ impl PStateTable {
                 voltage,
             });
         }
-        Ok(PStateTable { states, bin })
-    }
-
-    /// The operating points, lowest frequency first.
-    pub fn states(&self) -> &[PState] {
-        &self.states
-    }
-
-    /// The bin granularity.
-    pub fn bin(&self) -> Hertz {
-        self.bin
+        Ok(PStateTable { states })
     }
 
     /// Placeholder returned for the impossible empty table (construction
@@ -99,21 +88,6 @@ impl PStateTable {
             .rev()
             .find(|s| s.voltage <= vmax)
             .copied()
-    }
-
-    /// The state at exactly frequency `f`, if present in the table.
-    // dg-analyze: allow(unreached-pub, reason = "only pstate::tests (and tests in dvfs, products) call it; deleting it retires lookup_by_frequency (ROADMAP item 4)")
-    pub fn at_frequency(&self, f: Hertz) -> Option<PState> {
-        self.states
-            .iter()
-            .find(|s| (s.frequency.value() - f.value()).abs() < 0.5)
-            .copied()
-    }
-
-    /// The highest state at or below frequency `f`, if any.
-    // dg-analyze: allow(unreached-pub, reason = "only pstate::tests call it; deleting it retires lookup_by_frequency (ROADMAP item 4)")
-    pub fn floor_frequency(&self, f: Hertz) -> Option<PState> {
-        self.states.iter().rev().find(|s| s.frequency <= f).copied()
     }
 
     /// Iterates from the highest state downward (the order in which the
@@ -146,20 +120,7 @@ impl PStateTable {
                 value: ceiling.value(),
             });
         }
-        Ok(PStateTable {
-            states,
-            bin: self.bin,
-        })
-    }
-
-    /// Number of operating points.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// `false` always (construction guarantees at least one state).
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        Ok(PStateTable { states })
     }
 }
 
@@ -176,18 +137,18 @@ mod tests {
         let t = table();
         assert!((t.pn().frequency.as_mhz() - 800.0).abs() < 1e-6);
         assert!((t.p0().frequency.as_mhz() - 5000.0).abs() < 1e-6);
-        assert_eq!(t.len(), 43); // 800..=5000 step 100
+        assert_eq!(t.states.len(), 43); // 800..=5000 step 100
     }
 
     #[test]
     fn frequencies_are_bin_multiples_and_increasing() {
         let t = table();
-        for w in t.states().windows(2) {
+        for w in t.states.windows(2) {
             assert!(w[1].frequency > w[0].frequency);
             assert!(w[1].voltage > w[0].voltage);
         }
-        for s in t.states() {
-            let bins = s.frequency.value() / t.bin().value();
+        for s in &t.states {
+            let bins = s.frequency.value() / PStateTable::standard_bin().value();
             assert!((bins - bins.round()).abs() < 1e-9);
         }
     }
@@ -199,11 +160,7 @@ mod tests {
         let s = t.highest_below_voltage(vmax).unwrap();
         assert!(s.voltage <= vmax);
         // The next state up (if any) must exceed vmax.
-        let next = t
-            .states()
-            .iter()
-            .find(|x| x.frequency > s.frequency)
-            .unwrap();
+        let next = t.states.iter().find(|x| x.frequency > s.frequency).unwrap();
         assert!(next.voltage > vmax);
     }
 
@@ -222,19 +179,9 @@ mod tests {
             PStateTable::standard_bin(),
         )
         .unwrap();
-        for (a, b) in base.states().iter().zip(gb.states()) {
+        for (a, b) in base.states.iter().zip(&gb.states) {
             assert!(((b.voltage - a.voltage).as_mv() - 100.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn lookup_by_frequency() {
-        let t = table();
-        assert!(t.at_frequency(Hertz::from_mhz(3500.0)).is_some());
-        assert!(t.at_frequency(Hertz::from_mhz(3550.0)).is_none());
-        let f = t.floor_frequency(Hertz::from_mhz(3550.0)).unwrap();
-        assert!((f.frequency.as_mhz() - 3500.0).abs() < 1e-6);
-        assert!(t.floor_frequency(Hertz::from_mhz(100.0)).is_none());
     }
 
     #[test]
@@ -250,7 +197,7 @@ mod tests {
         let capped = t.truncated_at(Hertz::from_ghz(4.2)).unwrap();
         assert!((capped.p0().frequency.as_mhz() - 4200.0).abs() < 1e-6);
         assert_eq!(capped.pn().frequency, t.pn().frequency);
-        assert!(capped.len() < t.len());
+        assert!(capped.states.len() < t.states.len());
         // Ceiling below the table: error.
         assert!(t.truncated_at(Hertz::from_mhz(100.0)).is_err());
     }

@@ -57,14 +57,6 @@ pub struct DieSample {
 }
 
 impl DieSample {
-    /// The nominal die.
-    pub fn nominal() -> Self {
-        DieSample {
-            voltage_offset: Volts::ZERO,
-            leakage_factor: 1.0,
-        }
-    }
-
     /// This die's V/F curve, derived from the design's nominal curve.
     pub fn curve(&self, nominal: &VfCurve) -> VfCurve {
         nominal.with_voltage_offset(self.voltage_offset)
@@ -241,7 +233,11 @@ mod tests {
 
     #[test]
     fn binning_report_accounting() {
-        let pop = vec![DieSample::nominal(); 10];
+        let nominal_die = DieSample {
+            voltage_offset: Volts::ZERO,
+            leakage_factor: 1.0,
+        };
+        let pop = vec![nominal_die; 10];
         let r = bin_population(
             &pop,
             &nominal(),

@@ -96,16 +96,6 @@ impl VfCurve {
         }
     }
 
-    /// The calibration points (bare, without guardband).
-    pub fn points(&self) -> &[(Hertz, Volts)] {
-        &self.points
-    }
-
-    /// The guardband currently applied on top of the bare curve.
-    pub fn guardband(&self) -> Volts {
-        self.guardband
-    }
-
     /// Returns a copy of the curve with `guardband` applied on top.
     ///
     /// # Panics
@@ -255,32 +245,6 @@ impl VfCurve {
         }
         Ok(quantized)
     }
-
-    /// Local slope dV/df around frequency `f`, in volts per hertz.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::OutOfRange`] if `f` lies outside the curve.
-    // dg-analyze: allow(unreached-pub, reason = "only vf::tests calls it; deleting it retires slope_steepens_toward_top (ROADMAP item 4)")
-    pub fn slope_at(&self, f: Hertz) -> Result<f64, PowerError> {
-        if f < self.fmin() || f > self.fmax() {
-            return Err(PowerError::OutOfRange {
-                what: "frequency",
-                value: f.value(),
-                min: self.fmin().value(),
-                max: self.fmax().value(),
-            });
-        }
-        for w in self.points.windows(2) {
-            if let &[(f0, v0), (f1, v1)] = w {
-                if f <= f1 {
-                    return Ok((v1 - v0).value() / (f1 - f0).value());
-                }
-            }
-        }
-        // Unreachable: the range check above guarantees f ≤ fmax.
-        Ok(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -308,14 +272,14 @@ mod tests {
     fn literal_curves_pass_validation() {
         // Backs the literal construction of the calibrated constants.
         for c in [VfCurve::skylake_core(), VfCurve::skylake_graphics()] {
-            assert!(VfCurve::new(c.points().to_vec()).is_ok());
+            assert!(VfCurve::new(c.points.clone()).is_ok());
         }
     }
 
     #[test]
     fn interpolation_hits_calibration_points() {
         let c = VfCurve::skylake_core();
-        for &(f, v) in c.points() {
+        for &(f, v) in &c.points {
             let got = c.voltage_at(f).unwrap();
             assert!((got.value() - v.value()).abs() < 1e-12, "{f}: {got} vs {v}");
         }
@@ -410,14 +374,6 @@ mod tests {
     fn zero_bin_panics() {
         let c = VfCurve::skylake_core();
         let _ = c.max_frequency_at_quantized(Volts::new(1.0), Hertz::ZERO);
-    }
-
-    #[test]
-    fn slope_steepens_toward_top() {
-        let c = VfCurve::skylake_core();
-        let s_low = c.slope_at(Hertz::from_ghz(1.0)).unwrap();
-        let s_high = c.slope_at(Hertz::from_ghz(4.6)).unwrap();
-        assert!(s_high > s_low);
     }
 
     #[test]

@@ -96,9 +96,8 @@ proptest! {
     fn pstate_table_consistency(bin_mhz in 50.0..500.0f64) {
         let c = VfCurve::skylake_core();
         let t = PStateTable::from_curve(&c, Hertz::from_mhz(bin_mhz)).unwrap();
-        prop_assert!(!t.is_empty());
         prop_assert!(t.pn().frequency <= t.p0().frequency);
-        for s in t.states() {
+        for s in t.iter_descending() {
             // Every state's voltage matches the curve at its frequency.
             let v = c.voltage_at(s.frequency).unwrap();
             prop_assert!((v.value() - s.voltage.value()).abs() < 1e-12);
@@ -112,14 +111,14 @@ proptest! {
         let t = PStateTable::from_curve(&c, PStateTable::standard_bin()).unwrap();
         if let Some(s) = t.highest_below_voltage(Volts::new(v)) {
             prop_assert!(s.voltage.value() <= v);
-            for other in t.states() {
+            for other in t.iter_descending() {
                 if other.voltage.value() <= v {
                     prop_assert!(other.frequency <= s.frequency);
                 }
             }
         } else {
             // No state fits: every state must exceed v.
-            for other in t.states() {
+            for other in t.iter_descending() {
                 prop_assert!(other.voltage.value() > v);
             }
         }
