@@ -239,7 +239,10 @@ mod tests {
             if stage.name == "power-gate" {
                 stage.series.resistance = stage.series.resistance * 1.01;
             }
-            b.stage(stage);
+            match stage.shunt {
+                Some(bank) => b.series_with_decap(stage.name, stage.series, bank),
+                None => b.series(stage.name, stage.series),
+            };
         }
         let perturbed = b.build().expect("perturbed gated ladder builds");
         assert_ne!(base_key, ladder_key(&perturbed));

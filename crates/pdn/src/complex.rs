@@ -45,19 +45,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Phase angle in radians.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
-    /// Complex conjugate.
-    #[inline]
-    // dg-analyze: allow(unreached-pub, reason = "only complex::tests calls it; deleting it retires that test (ROADMAP item 4)")
-    pub fn conj(self) -> Self {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Parallel combination of two impedances: `z1 ∥ z2 = z1·z2 / (z1+z2)`.
     ///
     /// If either operand is zero the result is zero (a short dominates); if
@@ -74,12 +61,6 @@ impl Complex {
             return self;
         }
         (self * other) / (self + other)
-    }
-
-    /// `true` when both parts are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 }
 
@@ -188,8 +169,6 @@ mod tests {
         let z = Complex::new(3.0, 4.0);
         assert!((z.abs() - 5.0).abs() < 1e-12);
         assert!((z.norm_sqr() - 25.0).abs() < 1e-12);
-        let j = Complex::new(0.0, 1.0);
-        assert!((j.arg() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
     }
 
     #[test]
@@ -217,13 +196,6 @@ mod tests {
         let open = Complex::real(f64::INFINITY);
         assert!(close(r.parallel(open), r));
         assert!(close(open.parallel(r), r));
-    }
-
-    #[test]
-    fn conjugate_negates_imaginary() {
-        let z = Complex::new(1.0, 2.0);
-        assert_eq!(z.conj(), Complex::new(1.0, -2.0));
-        assert_eq!((-z), Complex::new(-1.0, -2.0));
     }
 
     #[test]

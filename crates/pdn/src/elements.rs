@@ -144,16 +144,6 @@ impl CapBank {
         self.capacitance * self.count as f64
     }
 
-    /// Effective ESR of the bank (`ESR / count`).
-    fn effective_esr(&self) -> Ohms {
-        self.esr / self.count as f64
-    }
-
-    /// Effective ESL of the bank (`ESL / count`).
-    fn effective_esl(&self) -> Henries {
-        self.esl / self.count as f64
-    }
-
     /// Phasor impedance of the whole bank at frequency `f`:
     /// `(ESR + jωESL + 1/(jωC)) / count`.
     pub fn impedance(&self, f: Hertz) -> Complex {
@@ -163,43 +153,6 @@ impl CapBank {
             w * self.esl.value() - 1.0 / (w * self.capacitance.value()),
         );
         single / self.count as f64
-    }
-
-    /// Returns a bank scaled to `factor ×` the capacitor count (rounded,
-    /// minimum one). Used to split a shared decap budget among voltage
-    /// domains.
-    pub fn scaled(&self, factor: f64) -> CapBank {
-        let count = ((self.count as f64 * factor).round() as usize).max(1);
-        CapBank { count, ..*self }
-    }
-
-    /// Merges two banks on the same node into an equivalent single bank
-    /// description (exact only when both banks have identical per-unit
-    /// parameters; otherwise the result preserves total C and parallel
-    /// ESR/ESL at DC, which is what the ladder analysis needs).
-    pub fn merged(&self, other: &CapBank) -> CapBank {
-        let total_c = self.total_capacitance() + other.total_capacitance();
-        // Parallel ESR/ESL of the two banks.
-        let esr_a = self.effective_esr().value();
-        let esr_b = other.effective_esr().value();
-        let esr = if esr_a + esr_b > 0.0 {
-            (esr_a * esr_b) / (esr_a + esr_b)
-        } else {
-            0.0
-        };
-        let esl_a = self.effective_esl().value();
-        let esl_b = other.effective_esl().value();
-        let esl = if esl_a + esl_b > 0.0 {
-            (esl_a * esl_b) / (esl_a + esl_b)
-        } else {
-            0.0
-        };
-        CapBank {
-            capacitance: total_c,
-            esr: Ohms::new(esr),
-            esl: Henries::new(esl),
-            count: 1,
-        }
     }
 }
 
@@ -284,7 +237,7 @@ mod tests {
         assert!(above.im > 0.0, "inductive above resonance");
         // At resonance, reactance cancels: |Z| ≈ ESR/count.
         let at = bank.impedance(fres);
-        assert!((at.abs() - bank.effective_esr().value()).abs() < 1e-6);
+        assert!((at.abs() - bank.esr.value() / bank.count as f64).abs() < 1e-6);
     }
 
     #[test]
@@ -306,39 +259,5 @@ mod tests {
         )
         .unwrap();
         assert!((bank.total_capacitance().value() - 50e-6).abs() < 1e-15);
-        assert!((bank.effective_esr().as_mohm() - 1.0).abs() < 1e-12);
-        assert!((bank.effective_esl().value() - 0.2e-9).abs() < 1e-20);
-    }
-
-    #[test]
-    fn scaled_bank_rounds_and_clamps() {
-        let bank = CapBank::new(Farads::from_uf(1.0), Ohms::ZERO, Henries::ZERO, 10).unwrap();
-        assert_eq!(bank.scaled(0.5).count, 5);
-        assert_eq!(bank.scaled(0.01).count, 1);
-        assert_eq!(bank.scaled(2.0).count, 20);
-    }
-
-    #[test]
-    fn merged_banks_preserve_total_capacitance() {
-        let a = CapBank::new(
-            Farads::from_uf(10.0),
-            Ohms::from_mohm(2.0),
-            Henries::from_nh(0.5),
-            4,
-        )
-        .unwrap();
-        let b = CapBank::new(
-            Farads::from_uf(20.0),
-            Ohms::from_mohm(4.0),
-            Henries::from_nh(1.0),
-            2,
-        )
-        .unwrap();
-        let m = a.merged(&b);
-        let expect = a.total_capacitance() + b.total_capacitance();
-        assert!((m.total_capacitance().value() - expect.value()).abs() < 1e-15);
-        // Merged ESR must be below either constituent's effective ESR.
-        assert!(m.effective_esr() < a.effective_esr());
-        assert!(m.effective_esr() < b.effective_esr());
     }
 }

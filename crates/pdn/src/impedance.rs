@@ -106,28 +106,6 @@ pub struct ImpedanceProfile {
 }
 
 impl ImpedanceProfile {
-    /// Creates a profile from precomputed points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` is empty or the frequencies are not strictly
-    /// increasing (lookups binary-search on frequency).
-    // dg-analyze: allow(unreached-pub, reason = "only impedance::tests call it; deleting it retires those tests (ROADMAP item 4)")
-    pub fn from_points(name: impl Into<String>, points: Vec<(Hertz, Ohms)>) -> Self {
-        assert!(!points.is_empty(), "impedance profile cannot be empty");
-        assert!(
-            points.windows(2).all(|w| match w {
-                [below, above] => below.0 < above.0,
-                _ => true,
-            }),
-            "profile frequencies must be strictly increasing"
-        );
-        ImpedanceProfile {
-            name: name.into(),
-            points,
-        }
-    }
-
     /// The profile's name (usually the ladder's name).
     pub fn name(&self) -> &str {
         &self.name
@@ -184,21 +162,6 @@ impl ImpedanceProfile {
             .iter()
             .map(|p| p.1)
             .fold(Ohms::new(f64::INFINITY), Ohms::min)
-    }
-
-    /// Local maxima of the profile — the anti-resonance peaks ("droop"
-    /// frequencies). Endpoints are excluded.
-    // dg-analyze: allow(unreached-pub, reason = "only impedance::tests calls it; deleting it retires that test (ROADMAP item 4)")
-    pub fn resonances(&self) -> Vec<(Hertz, Ohms)> {
-        let mut peaks = Vec::new();
-        for w in self.points.windows(3) {
-            if let [left, mid, right] = w {
-                if mid.1 > left.1 && mid.1 > right.1 {
-                    peaks.push(*mid);
-                }
-            }
-        }
-        peaks
     }
 
     /// Mean impedance ratio of `self` over `other`, evaluated at `other`'s
@@ -321,7 +284,10 @@ mod tests {
             (Hertz::new(1e5), Ohms::from_mohm(3.0)),
             (Hertz::new(1e6), Ohms::from_mohm(4.0)),
         ];
-        let p = ImpedanceProfile::from_points("x", points);
+        let p = ImpedanceProfile {
+            name: "x".to_owned(),
+            points,
+        };
         assert!((p.at(Hertz::new(9e4)).as_mohm() - 3.0).abs() < 1e-12);
         assert!((p.at(Hertz::new(1.0)).as_mohm() - 2.0).abs() < 1e-12);
         assert!((p.at(Hertz::new(1e9)).as_mohm() - 4.0).abs() < 1e-12);
@@ -336,7 +302,10 @@ mod tests {
             (Hertz::new(1024.0), Ohms::from_mohm(1.0)),
             (Hertz::new(16384.0), Ohms::from_mohm(2.0)),
         ];
-        let p = ImpedanceProfile::from_points("edges", points);
+        let p = ImpedanceProfile {
+            name: "edges".to_owned(),
+            points,
+        };
         // Exact samples return themselves.
         assert_eq!(p.at(Hertz::new(1024.0)).as_mohm(), 1.0);
         assert_eq!(p.at(Hertz::new(16384.0)).as_mohm(), 2.0);
@@ -350,33 +319,5 @@ mod tests {
         // Out-of-range queries clamp to the end samples.
         assert_eq!(p.at(Hertz::new(1.0)).as_mohm(), 1.0);
         assert_eq!(p.at(Hertz::new(1e12)).as_mohm(), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_profile_panics() {
-        ImpedanceProfile::from_points(
-            "bad",
-            vec![
-                (Hertz::new(1e5), Ohms::from_mohm(1.0)),
-                (Hertz::new(1e4), Ohms::from_mohm(2.0)),
-            ],
-        );
-    }
-
-    #[test]
-    fn resonances_found_in_multi_cap_ladder() {
-        let analyzer = ImpedanceAnalyzer::default();
-        let p = analyzer.profile(&ladder(0.0));
-        // Board-cap/die-cap ladder produces at least one anti-resonance.
-        assert!(!p.resonances().is_empty());
-        // Every resonance is an interior local max: at most a few exist.
-        assert!(p.resonances().len() < 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be empty")]
-    fn empty_profile_panics() {
-        ImpedanceProfile::from_points("bad", Vec::new());
     }
 }

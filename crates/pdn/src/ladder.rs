@@ -193,22 +193,6 @@ impl Ladder {
                 .map(|s| s.series.resistance)
                 .sum::<Ohms>()
     }
-
-    /// Looks up a stage by name.
-    pub fn stage(&self, name: &str) -> Option<&Stage> {
-        self.stages.iter().find(|s| s.name == name)
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// `true` when the ladder has no stages (cannot happen for ladders built
-    /// through [`LadderBuilder::build`], which rejects the empty case).
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
 }
 
 /// Incremental builder for [`Ladder`] ([C-BUILDER]).
@@ -222,12 +206,6 @@ pub struct LadderBuilder {
 }
 
 impl LadderBuilder {
-    /// Appends a stage at the die-side end of the ladder.
-    pub fn stage(&mut self, stage: Stage) -> &mut Self {
-        self.stages.push(stage);
-        self
-    }
-
     /// Appends a series-only stage.
     pub fn series(&mut self, name: impl Into<String>, branch: SeriesBranch) -> &mut Self {
         self.stages.push(Stage::bare(name, branch));
@@ -346,7 +324,13 @@ mod tests {
         // At 10 MHz, impedance is dominated by the die MIM bank, far below
         // the inductive path impedance.
         let z = l.impedance_magnitude(Hertz::from_mhz(10.0));
-        let die_only = l.stage("die").unwrap().shunt.unwrap();
+        let die_only = l
+            .stages()
+            .iter()
+            .find(|s| s.name == "die")
+            .unwrap()
+            .shunt
+            .unwrap();
         let zd = die_only.impedance(Hertz::from_mhz(10.0)).abs();
         assert!(z.value() <= zd * 1.05, "shunt path must dominate: {z}");
     }
@@ -384,10 +368,9 @@ mod tests {
     #[test]
     fn stage_lookup_by_name() {
         let l = simple_ladder();
-        assert!(l.stage("package").is_some());
-        assert!(l.stage("nonexistent").is_none());
-        assert_eq!(l.len(), 3);
-        assert!(!l.is_empty());
+        let names: Vec<&str> = l.stages().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["board", "package", "die"]);
+        assert!(!names.contains(&"nonexistent"));
         assert_eq!(l.name(), "test");
     }
 }

@@ -17,8 +17,7 @@
 //!   profile of the paper's Fig. 4),
 //! * time-domain [`transient`] simulation of load-step voltage droops,
 //! * the [`loadline`] (adaptive voltage positioning) model with multi-level
-//!   power-virus guardbands (paper Fig. 2),
-//! * a motherboard [`vr`] model with TDC/EDC current limits, and
+//!   power-virus guardbands (paper Fig. 2), and
 //! * calibrated [`skylake`] topologies for the gated (Skylake-H-like) and
 //!   bypassed (Skylake-S-like, DarkGates) configurations.
 //!
@@ -52,7 +51,6 @@ pub mod simd;
 pub mod skylake;
 pub mod transient;
 pub mod units;
-pub mod vr;
 
 pub use batch::{with_thread_workspace, BatchWorkspace};
 pub use didt::{droop_sweep, droop_sweep_with_progress};
@@ -64,4 +62,3 @@ pub use package::{PackageLayout, VoltageDomain};
 pub use simd::{KernelWidth, Lanes};
 pub use transient::{LadderCoeffs, LoadStep, TransientResult, TransientSim};
 pub use units::{Amps, Celsius, Farads, Henries, Hertz, Ohms, Seconds, Volts, Watts};
-pub use vr::{VoltageRegulator, VrLimits};

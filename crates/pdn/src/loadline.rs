@@ -104,20 +104,9 @@ impl VirusLevelTable {
         Ok(VirusLevelTable { loadline, levels })
     }
 
-    /// The underlying load-line.
-    pub fn loadline(&self) -> LoadLine {
-        self.loadline
-    }
-
     /// The levels, lowest current first.
     pub fn levels(&self) -> &[VirusLevel] {
         &self.levels
-    }
-
-    /// Index of the lowest level whose virus current covers `icc`, or `None`
-    /// if `icc` exceeds even the top level (an EDC violation).
-    pub fn level_for(&self, icc: Amps) -> Option<usize> {
-        self.levels.iter().position(|l| l.icc_virus >= icc)
     }
 
     /// IR guardband paid at level `index`.
@@ -222,16 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn level_selection_covers_current() {
-        let t = table();
-        assert_eq!(t.level_for(Amps::new(10.0)), Some(0));
-        assert_eq!(t.level_for(Amps::new(30.0)), Some(0));
-        assert_eq!(t.level_for(Amps::new(31.0)), Some(1));
-        assert_eq!(t.level_for(Amps::new(99.0)), Some(2));
-        assert_eq!(t.level_for(Amps::new(101.0)), None);
-    }
-
-    #[test]
     fn guardbands_increase_with_level() {
         let t = table();
         let g: Vec<f64> = (0..3).map(|i| t.guardband_at(i).as_mv()).collect();
@@ -256,7 +235,7 @@ mod tests {
         let v_min = Volts::new(0.75);
         for i in 0..3 {
             let setpoint = t.setpoint(i, v_min);
-            let worst = t.loadline().load_voltage(setpoint, t.levels()[i].icc_virus);
+            let worst = t.loadline.load_voltage(setpoint, t.levels()[i].icc_virus);
             assert!((worst.value() - v_min.value()).abs() < 1e-12);
         }
     }

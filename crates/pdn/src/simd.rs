@@ -42,15 +42,6 @@ impl KernelWidth {
     /// this).
     pub const ALL: [KernelWidth; 2] = [KernelWidth::Scalar, KernelWidth::X4];
 
-    /// Number of f64 lanes integrated together in one block.
-    #[must_use]
-    pub fn lanes(self) -> usize {
-        match self {
-            KernelWidth::Scalar => 1,
-            KernelWidth::X4 => 4,
-        }
-    }
-
     /// Stable label used in bench rows and diagnostics.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -230,7 +221,6 @@ mod tests {
         let w = KernelWidth::detect();
         assert_eq!(w, KernelWidth::detect());
         assert!(KernelWidth::Scalar <= w);
-        assert_eq!(KernelWidth::ALL.map(KernelWidth::lanes), [1, 4]);
         assert_eq!(KernelWidth::Scalar.label(), "scalar");
         assert_eq!(KernelWidth::X4.label(), "x4");
     }

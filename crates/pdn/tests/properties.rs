@@ -144,10 +144,6 @@ proptest! {
         ).unwrap();
         prop_assert!(t.guardband_at(0) < t.guardband_at(1));
         prop_assert!(t.guardband_at(1) < t.guardband_at(2));
-        // level_for is consistent: the chosen level covers the current.
-        let probe = Amps::new(base * 0.9);
-        let idx = t.level_for(probe).unwrap();
-        prop_assert!(t.levels()[idx].icc_virus >= probe);
     }
 
     /// The impedance profile's peak is an upper bound for `at` queries.
