@@ -28,7 +28,9 @@
 //! a `--smoke` CI gate. A second campaign, [`run_shard_kill`] (binary
 //! flag `--shards`), spawns a real `dg-router` over two `dg-serve` shard
 //! processes, SIGKILLs one mid-run, and requires uninterrupted,
-//! byte-identical service plus an observed health ejection.
+//! byte-identical service plus an observed health ejection, then drains
+//! the router and the surviving shard and requires both processes to
+//! exit 0.
 
 use dg_serve::client::{http_request, spawn_sibling, Lcg};
 use dg_serve::http::Request;
@@ -896,19 +898,24 @@ pub struct ShardKillReport {
     /// `dg-router` exited 0 within the deadline and the surviving shard
     /// still answered `/healthz` with `"draining":false`.
     pub router_drained: bool,
+    /// Whether the surviving shard, sent its own `POST /admin/drain`
+    /// after the router's, exited 0 within the deadline.
+    pub shard_drained: bool,
     /// Wall time of the campaign, µs.
     pub elapsed_us: u64,
 }
 
 impl ShardKillReport {
     /// The gate verdict: every request answered below 500, every body
-    /// byte-identical to the library, the kill actually ejected, and the
-    /// closing drain stopped the router alone.
+    /// byte-identical to the library, the kill actually ejected, the
+    /// router's drain stopped the router alone, and the surviving shard's
+    /// drain stopped its process cleanly.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
             && self.mismatches.is_empty()
             && self.ejection_observed
             && self.router_drained
+            && self.shard_drained
             && self.ok == self.requests
     }
 }
@@ -987,7 +994,8 @@ fn service_probe(rng: &mut Lcg) -> Probe {
 /// shard traffic), drive seeded requests through the router, SIGKILL
 /// shard 0 mid-run, and require uninterrupted, byte-identical service.
 /// It ends by posting `/admin/drain` to the router, which must exit 0
-/// while the surviving shard keeps serving undrained.
+/// while the surviving shard keeps serving undrained, and then to the
+/// surviving shard, whose process must exit 0 too.
 ///
 /// # Errors
 ///
@@ -1004,10 +1012,6 @@ pub fn run_shard_kill(config: &ShardKillConfig) -> Result<ShardKillReport, Strin
     let router_args = vec![
         "--addr".to_owned(),
         "127.0.0.1:0".to_owned(),
-        "--workers".to_owned(),
-        "4".to_owned(),
-        "--queue".to_owned(),
-        "256".to_owned(),
         "--reply-cache".to_owned(),
         "0".to_owned(),
         "--shard".to_owned(),
@@ -1088,6 +1092,18 @@ pub fn run_shard_kill(config: &ShardKillConfig) -> Result<ShardKillReport, Strin
             "router drain: reply {:?}, router exited 0: {exited}, surviving shard /healthz {:?}",
             drained.map(|r| r.status),
             survivor.map(|r| r.body)
+        ));
+    }
+
+    // Then the surviving shard's own drain: the `dg-serve` process must
+    // exit 0 within the same deadline.
+    let drained = http_request(shard_b.addr, "POST", "/admin/drain", None);
+    let exited = fleet.exits_cleanly(1, monotonic_us().saturating_add(10_000_000));
+    report.shard_drained = matches!(&drained, Ok(reply) if reply.status == 200) && exited;
+    if !report.shard_drained {
+        report.failures.push(format!(
+            "shard drain: reply {:?}, dg-serve exited 0: {exited}",
+            drained.map(|r| r.status)
         ));
     }
 

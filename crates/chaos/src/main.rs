@@ -49,13 +49,14 @@ fn run_shards_mode(args: &[String]) -> ! {
     println!("{:-<72}", "");
     println!(
         "  ok {}/{} | failures {} | mismatches {} | ejection observed {} | \
-         router drained {} | {:.2} s",
+         router drained {} | shard drained {} | {:.2} s",
         report.ok,
         report.requests,
         report.failures.len(),
         report.mismatches.len(),
         report.ejection_observed,
         report.router_drained,
+        report.shard_drained,
         report.elapsed_us as f64 / 1e6
     );
     for line in report.failures.iter().chain(&report.mismatches).take(10) {

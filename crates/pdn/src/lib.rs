@@ -40,7 +40,6 @@ pub mod batch;
 pub mod cache;
 pub mod complex;
 pub mod didt;
-pub mod diskcache;
 pub mod elements;
 pub mod error;
 pub mod impedance;

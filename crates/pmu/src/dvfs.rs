@@ -47,8 +47,6 @@ pub struct DvfsRequest<'a> {
 pub struct OperatingPoint {
     /// The chosen P-state.
     pub state: PState,
-    /// Power of the active cores alone.
-    pub compute_power: Watts,
     /// Total domain power (compute + overhead).
     pub total_power: Watts,
     /// Steady-state junction temperature at that power.
@@ -83,17 +81,14 @@ impl DvfsSolver {
         let v = state.voltage;
         let f = state.frequency;
         let mut tj = Celsius::new(60.0);
-        let mut compute = Watts::ZERO;
         let mut total = overhead;
         for _ in 0..16 {
             let per_core = cdyn.power(v, f) + self.core_leakage.power(v, tj);
-            compute = per_core * active_cores as f64;
-            total = compute + overhead;
+            total = per_core * active_cores as f64 + overhead;
             tj = self.thermal.steady_state(total);
         }
         OperatingPoint {
             state,
-            compute_power: compute,
             total_power: total,
             tj,
         }

@@ -58,10 +58,6 @@ impl License {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LicenseManager {
     current: License,
-    /// Upgrades granted (telemetry).
-    pub upgrades: u64,
-    /// Downgrades applied.
-    pub downgrades: u64,
 }
 
 impl LicenseManager {
@@ -69,8 +65,6 @@ impl LicenseManager {
     pub fn new() -> Self {
         LicenseManager {
             current: License::L0,
-            upgrades: 0,
-            downgrades: 0,
         }
     }
 
@@ -81,12 +75,10 @@ impl LicenseManager {
         match license.cmp(&self.current) {
             Ordering::Greater => {
                 self.current = license;
-                self.upgrades += 1;
                 license.grant_latency()
             }
             Ordering::Less => {
                 self.current = license;
-                self.downgrades += 1;
                 Seconds::ZERO
             }
             Ordering::Equal => Seconds::ZERO,
@@ -132,11 +124,9 @@ mod tests {
         assert_eq!(m.current, License::L2);
         let down = m.request(License::L0);
         assert_eq!(down, Seconds::ZERO);
-        assert_eq!(m.upgrades, 1);
-        assert_eq!(m.downgrades, 1);
+        assert_eq!(m.current, License::L0);
         // No-op request.
         assert_eq!(m.request(License::L0), Seconds::ZERO);
-        assert_eq!(m.upgrades, 1);
     }
 
     #[test]

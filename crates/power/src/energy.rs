@@ -2,7 +2,7 @@
 //!
 //! Plays the role of the paper's NI-DAQ measurement rig (Sec. 6): the
 //! simulator feeds per-step power samples into an [`EnergyCounter`] and the
-//! benchmarks read back average power and total energy.
+//! benchmarks read back average power over the elapsed time.
 
 use dg_pdn::units::{Seconds, Watts};
 
@@ -31,11 +31,6 @@ impl EnergyCounter {
         self.elapsed += dt.value();
     }
 
-    /// Total accumulated energy in joules.
-    pub fn energy_joules(&self) -> f64 {
-        self.joules
-    }
-
     /// Total elapsed time.
     pub fn elapsed(&self) -> Seconds {
         Seconds::new(self.elapsed)
@@ -59,7 +54,6 @@ mod tests {
         let mut c = EnergyCounter::new();
         c.record(Watts::new(10.0), Seconds::new(2.0));
         c.record(Watts::new(30.0), Seconds::new(2.0));
-        assert!((c.energy_joules() - 80.0).abs() < 1e-12);
         assert!((c.average_power().value() - 20.0).abs() < 1e-12);
         assert!((c.elapsed().value() - 4.0).abs() < 1e-12);
     }
@@ -68,7 +62,7 @@ mod tests {
     fn empty_counter_is_zero() {
         let c = EnergyCounter::new();
         assert_eq!(c.average_power(), Watts::ZERO);
-        assert_eq!(c.energy_joules(), 0.0);
+        assert_eq!(c.elapsed(), Seconds::ZERO);
     }
 
     #[test]

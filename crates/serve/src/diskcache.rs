@@ -1,14 +1,14 @@
-//! Disk tier for the serve tier's cached response bodies.
+//! The disk tier of one shard's response cache.
 //!
 //! The in-memory maps reset on every process start, so a freshly spawned
 //! serve shard pays the full cold-compute cost for every entry its traffic
-//! touches. This module persists the one kind whose compute costs far
-//! more than a file read — whole deterministic response bodies (`resp/`) —
-//! under a configurable root directory, so restarted or newly spawned
-//! shards warm from disk instead of recomputing. Cheaper derivations
-//! (impedance profiles at about 0.1 ms each, ladder coefficients, DC
-//! operating points) are never written, and older `profile/`, `state/`
-//! and `coeffs/` directories are ignored.
+//! touches. A [`DiskTier`] persists whole deterministic response bodies
+//! (`resp/`) under the root directory its server was started with
+//! (`--cache-dir`), so restarted or newly spawned shards warm from disk
+//! instead of recomputing. Each tier belongs to one
+//! [`ResponseCache`](crate::respcache::ResponseCache): it owns its
+//! directory and its hit, miss and store counters, and a server started
+//! without a directory has no tier and touches no disk.
 //!
 //! Format, by construction simple enough to audit byte-by-byte:
 //!
@@ -21,21 +21,17 @@
 //!   half-written entry and a crash leaves at worst a stray temp file.
 //! * **Corruption is a miss**: every payload carries a magic, a kind tag,
 //!   and an FNV-1a checksum of the body. Any mismatch — truncation, bit
-//!   rot, a format change between versions — makes [`load_blob`] return
-//!   `None` and the caller recompute (and overwrite) the entry.
+//!   rot, a format change between versions — makes
+//!   [`DiskTier::load_body`] return `None` and the caller recompute (and
+//!   overwrite) the entry.
 //!
-//! The tier is disabled until [`set_dir`] is called (the `--cache-dir`
-//! flag of `dg-serve`); with no directory configured every operation is a
-//! no-op and the hit/miss counters stay untouched. All I/O errors are
-//! deliberately swallowed: the disk tier is an accelerator, never a
-//! correctness dependency.
+//! All I/O errors are deliberately swallowed: the disk tier is an
+//! accelerator, never a correctness dependency.
 
-use crate::cache::ContentKey;
-use dg_engine::sync::TrackedMutex;
+use darkgates::pdn::cache::ContentKey;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 const MAGIC: [u8; 4] = *b"DGC1";
 
@@ -47,40 +43,76 @@ const KIND: &str = "resp";
 /// (tag 1 for impedance profiles) reads as a miss.
 const TAG: u8 = 4;
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static STORES: AtomicU64 = AtomicU64::new(0);
+/// Makes temp-file names unique across every tier in the process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn dir_slot() -> &'static TrackedMutex<Option<PathBuf>> {
-    static DIR: OnceLock<TrackedMutex<Option<PathBuf>>> = OnceLock::new();
-    DIR.get_or_init(|| TrackedMutex::new("pdn.diskcache.dir", None))
+/// One response cache's directory of bodies, and its counters.
+#[derive(Debug)]
+pub(crate) struct DiskTier {
+    root: PathBuf,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    stores: AtomicU64,
 }
 
-/// Points the disk tier at `root` (creating it), or disables it with
-/// `None`. Process-wide; typically called once at startup from the
-/// `--cache-dir` flag.
-pub fn set_dir(root: Option<PathBuf>) {
-    if let Some(dir) = &root {
-        let _ = fs::create_dir_all(dir);
+impl DiskTier {
+    /// The tier rooted at `root`, which it creates (best-effort).
+    pub(crate) fn new(root: PathBuf) -> Self {
+        let _ = fs::create_dir_all(&root);
+        DiskTier {
+            root,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            stores: AtomicU64::new(0),
+        }
     }
-    *dir_slot().lock() = root;
-}
 
-/// The currently configured root, if the tier is enabled.
-pub fn dir() -> Option<PathBuf> {
-    dir_slot().lock().clone()
-}
+    /// Cumulative `(hits, misses, stores)` of this tier.
+    pub(crate) fn stats(&self) -> (u64, u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+            self.stores.load(Ordering::Relaxed),
+        )
+    }
 
-/// Cumulative `(hits, misses, stores)` since process start. Misses count
-/// only while a directory is configured, so a warm-start comparison can
-/// read the first-window hit rate directly.
-pub fn stats() -> (u64, u64, u64) {
-    (
-        HITS.load(Ordering::Relaxed),
-        MISSES.load(Ordering::Relaxed),
-        STORES.load(Ordering::Relaxed),
-    )
+    /// Loads the raw body stored under `key`, or `None` when the entry is
+    /// absent or fails validation.
+    pub(crate) fn load_body(&self, key: u64) -> Option<Vec<u8>> {
+        let body = fs::read(entry_path(&self.root, key))
+            .ok()
+            .and_then(|raw| decode_envelope(&raw).map(<[u8]>::to_vec));
+        let counter = if body.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        body
+    }
+
+    /// Persists `body` under `key` via a unique temp file and an atomic
+    /// rename. Best-effort: errors are swallowed, success is counted.
+    pub(crate) fn store_body(&self, key: u64, body: &[u8]) {
+        let final_path = entry_path(&self.root, key);
+        let Some(parent) = final_path.parent() else {
+            return;
+        };
+        if fs::create_dir_all(parent).is_err() {
+            return;
+        }
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = parent.join(format!("{key:016x}.{}.{seq}.tmp", std::process::id()));
+        if fs::write(&tmp, encode_envelope(body)).is_err() {
+            let _ = fs::remove_file(&tmp);
+            return;
+        }
+        if fs::rename(&tmp, &final_path).is_ok() {
+            self.stores.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let _ = fs::remove_file(&tmp);
+        }
+    }
 }
 
 fn entry_path(root: &Path, key: u64) -> PathBuf {
@@ -120,49 +152,6 @@ fn decode_envelope(raw: &[u8]) -> Option<&[u8]> {
     Some(body)
 }
 
-/// Loads the raw body stored under `key`, or `None` when the tier is
-/// disabled, the entry is absent, or the entry fails validation.
-pub fn load_blob(key: u64) -> Option<Vec<u8>> {
-    let root = dir()?;
-    match fs::read(entry_path(&root, key))
-        .ok()
-        .and_then(|raw| decode_envelope(&raw).map(<[u8]>::to_vec))
-    {
-        Some(body) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            Some(body)
-        }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
-}
-
-/// Persists `body` under `key` via a unique temp file and an atomic
-/// rename. Best-effort: errors are swallowed, success is counted.
-pub fn store_blob(key: u64, body: &[u8]) {
-    let Some(root) = dir() else { return };
-    let final_path = entry_path(&root, key);
-    let Some(parent) = final_path.parent() else {
-        return;
-    };
-    if fs::create_dir_all(parent).is_err() {
-        return;
-    }
-    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = parent.join(format!("{key:016x}.{}.{seq}.tmp", std::process::id()));
-    if fs::write(&tmp, encode_envelope(body)).is_err() {
-        let _ = fs::remove_file(&tmp);
-        return;
-    }
-    if fs::rename(&tmp, &final_path).is_ok() {
-        STORES.fetch_add(1, Ordering::Relaxed);
-    } else {
-        let _ = fs::remove_file(&tmp);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,16 +189,14 @@ mod tests {
         }
     }
 
-    /// One sequential test owns the process-global directory so parallel
-    /// tests never observe each other's roots.
     #[test]
     fn disk_tier_round_trips_all_kinds_and_treats_corruption_as_miss() {
         let root = scratch("roundtrip");
-        set_dir(Some(root.clone()));
+        let tier = DiskTier::new(root.clone());
 
         let body = b"{\"ok\":true}";
-        store_blob(7, body);
-        assert_eq!(load_blob(7).as_deref(), Some(&body[..]));
+        tier.store_body(7, body);
+        assert_eq!(tier.load_body(7).as_deref(), Some(&body[..]));
 
         // Filename is the content hash.
         assert!(root
@@ -223,11 +210,15 @@ mod tests {
         let last = raw.len() - 1;
         raw[last] ^= 0xff;
         fs::write(&path, &raw).expect("rewrite corrupted");
-        assert!(load_blob(7).is_none(), "corruption must read as a miss");
+        assert!(
+            tier.load_body(7).is_none(),
+            "corruption must read as a miss"
+        );
 
         // A recompute overwrites the corrupt entry in place.
-        store_blob(7, body);
-        assert_eq!(load_blob(7).as_deref(), Some(&body[..]));
+        tier.store_body(7, body);
+        assert_eq!(tier.load_body(7).as_deref(), Some(&body[..]));
+        assert_eq!(tier.stats(), (2, 1, 2), "(hits, misses, stores)");
 
         // No stray temp files remain.
         let strays: Vec<_> = fs::read_dir(root.join("resp"))
@@ -237,8 +228,11 @@ mod tests {
             .collect();
         assert!(strays.is_empty(), "temp files must be renamed or removed");
 
-        set_dir(None);
-        assert!(load_blob(7).is_none(), "disabled tier never hits");
+        // A second tier on the same root reads the entry and counts the
+        // hit as its own.
+        let restarted = DiskTier::new(root.clone());
+        assert_eq!(restarted.load_body(7).as_deref(), Some(&body[..]));
+        assert_eq!(restarted.stats(), (1, 0, 0));
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -26,7 +26,7 @@
 //! 3. the server's `Dispatcher::admit` either answers the request inline
 //!    or hands back a job for the bounded worker queue. A full queue sheds
 //!    **that request** with `503`, a `Retry-After` derived from the current
-//!    queue depth ([`retry_after_secs`]), and `Connection: close`,
+//!    queue depth (`retry_after_secs`), and `Connection: close`,
 //! 4. while a job is queued or running the connection's epoll interest
 //!    drops to zero: the peer's further pipelined bytes stay in the kernel
 //!    buffer (TCP backpressure bounds memory) and only the worker's
@@ -289,11 +289,12 @@ pub fn stop_signalled() -> bool {
     STOP.load(Ordering::SeqCst)
 }
 
-/// The `Retry-After` a shed response carries: the configured base plus a
-/// penalty that grows with how deep the queue already is, so a client of
-/// a lightly loaded server retries quickly while a client of a saturated
-/// one backs off harder. Monotone in `queue_len`, capped at 30 s.
-pub fn retry_after_secs(base: u32, queue_len: usize, capacity: usize) -> u32 {
+/// The `Retry-After` a shed response carries: `base` (the engine sends
+/// 1 s) plus a penalty that grows with how deep the queue already is, so
+/// a client of a lightly loaded server retries quickly while a client of
+/// a saturated one backs off harder. Monotone in `queue_len`, capped at
+/// 30 s.
+pub(crate) fn retry_after_secs(base: u32, queue_len: usize, capacity: usize) -> u32 {
     if capacity == 0 {
         // Nothing can ever be admitted; advertise the maximum backoff.
         return 30;
@@ -326,7 +327,16 @@ pub struct DrainReport {
     pub clean: bool,
 }
 
-/// The settings a server maps its own config onto.
+/// Base of every `Retry-After` the serve tier sends: a shed reply adds a
+/// queue-depth penalty to it, the router's no-live-shard 503 sends it
+/// as is.
+pub(crate) const RETRY_AFTER_BASE_SECS: u32 = 1;
+
+/// Open-connection cap; beyond it new sockets get a best-effort 503.
+const MAX_CONNECTIONS: usize = 4_096;
+
+/// The settings a server maps its own config onto. Every connection is
+/// framed with the default [`ParserLimits`].
 #[derive(Debug, Clone)]
 pub(crate) struct EngineConfig {
     /// Bind address; port 0 picks an ephemeral port.
@@ -337,17 +347,11 @@ pub(crate) struct EngineConfig {
     pub(crate) workers: usize,
     /// Jobs queued ahead of the workers before requests are shed.
     pub(crate) queue_depth: usize,
-    /// HTTP framing limits.
-    pub(crate) limits: ParserLimits,
     /// Idle deadline: a connection that neither delivers bytes nor accepts
     /// reply bytes for this long is closed. Drain latency is bounded by it.
     pub(crate) read_timeout_ms: u64,
-    /// Base of the shed reply's `Retry-After`.
-    pub(crate) retry_after_secs: u32,
     /// Requests served on one connection before it is closed.
     pub(crate) max_requests_per_conn: usize,
-    /// Open-connection cap; beyond it new sockets get a best-effort 503.
-    pub(crate) max_connections: usize,
 }
 
 /// What a dispatcher decided for one request parsed on the event loop.
@@ -517,7 +521,7 @@ impl<D: Dispatcher> Engine<D> {
     /// current queue depth, and `Connection: close`.
     fn shed_reply(&self) -> Vec<u8> {
         let secs = retry_after_secs(
-            self.config.retry_after_secs,
+            RETRY_AFTER_BASE_SECS,
             self.queue.len(),
             self.queue.capacity(),
         );
@@ -752,7 +756,7 @@ impl<'a, D: Dispatcher> EventLoop<'a, D> {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    if self.conns.len() >= self.engine.config.max_connections {
+                    if self.conns.len() >= MAX_CONNECTIONS {
                         // Best-effort shed; never block the loop on it.
                         self.engine.dispatcher.note(Event::Shed);
                         let mut stream = stream;
@@ -772,7 +776,7 @@ impl<'a, D: Dispatcher> EventLoop<'a, D> {
                         token,
                         Conn {
                             stream,
-                            parser: RequestParser::new(self.engine.config.limits),
+                            parser: RequestParser::new(ParserLimits::default()),
                             out: Vec::new(),
                             out_pos: 0,
                             state: ConnState::Reading,
@@ -1154,11 +1158,8 @@ mod tests {
             name: "panicky",
             workers: 1,
             queue_depth: 4,
-            limits: ParserLimits::default(),
             read_timeout_ms: 2_000,
-            retry_after_secs: 1,
             max_requests_per_conn: 100,
-            max_connections: 64,
         };
         Engine::start(config, Panicky::default(), Arc::new(AtomicBool::new(false))).expect("bind")
     }

@@ -23,13 +23,13 @@
 //! ([`server`]) and the `dg-router` binary ([`proxy`]) are two small
 //! dispatchers on that engine. The router consistent-hashes requests
 //! across N shards on the same content keys the caches use, so each
-//! shard's caches see every repeat of a key; `--cache-dir` persists
-//! response bodies to disk ([`darkgates::pdn::diskcache`]) so restarted
+//! shard's caches see every repeat of a key; `--cache-dir` gives a
+//! shard's response cache ([`respcache`]) its own disk tier so restarted
 //! shards warm instantly.
 //!
 //! The client side has one connection type too, [`client::Conn`]: the
-//! router's upstream pool and health probe, the `dg-load` burst and the
-//! one-shot [`client::http_request`] all send on it, and every reply they
+//! router's upstream pool and health probe and the one-shot
+//! [`client::http_request`] both send on it, and every reply they
 //! read is framed by [`http::read_reply`]. It retries once, on a fresh
 //! socket, only when a reused keep-alive socket failed.
 //!
@@ -56,6 +56,7 @@
 //! `dg_panics_total` increment, never a dead worker.
 
 pub mod client;
+mod diskcache;
 pub mod event_loop;
 pub mod http;
 pub mod json;

@@ -2,68 +2,53 @@
 //!
 //! ```text
 //! cargo run --release -p dg-serve --bin dg-serve -- [--addr HOST:PORT]
-//!     [--workers N] [--queue N] [--read-timeout-ms N] [--debug-routes]
 //!     [--cache-dir PATH]
 //! ```
 //!
-//! Prints `listening on <addr>` once bound (the `dg-load --spawn` harness
-//! reads that line), then serves until SIGTERM/SIGINT or a
+//! Prints `listening on <addr>` once bound (the benchmark and `dg-chaos
+//! --shards` read that line), then serves until SIGTERM/SIGINT or a
 //! `POST /admin/drain`, at which point it drains gracefully: stops
 //! admitting, finishes every admitted request, reports, and exits 0 only
-//! if the drain was clean.
+//! if the drain was clean. A usage error exits 2.
 
 use dg_serve::event_loop::{stop_on_signals, stop_signalled};
 use dg_serve::{Server, ServerConfig};
 use std::io::Write;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: dg-serve [--addr HOST:PORT] [--workers N] [--queue N] \
-         [--read-timeout-ms N] [--debug-routes] [--cache-dir PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: dg-serve [--addr HOST:PORT] [--cache-dir PATH]";
 
-fn parse_config(args: &[String]) -> ServerConfig {
+/// Parses the command line. `Err` holds the message to print above the
+/// usage line (empty for `--help`).
+fn parse_config(args: &[String]) -> Result<ServerConfig, String> {
     let mut config = ServerConfig::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut numeric = |what: &str| -> usize {
-            match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => n,
-                _ => {
-                    eprintln!("error: {what} requires a positive integer");
-                    usage();
-                }
-            }
-        };
         match arg.as_str() {
-            "--addr" => match iter.next() {
-                Some(a) => config.addr = a.clone(),
-                None => usage(),
-            },
-            "--workers" => config.workers = numeric("--workers"),
-            "--queue" => config.queue_depth = numeric("--queue"),
-            "--read-timeout-ms" => config.read_timeout_ms = numeric("--read-timeout-ms") as u64,
-            "--debug-routes" => config.enable_debug_routes = true,
-            "--cache-dir" => match iter.next() {
-                Some(dir) => config.cache_dir = Some(std::path::PathBuf::from(dir)),
-                None => usage(),
-            },
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                usage();
+            "--addr" => config.addr = iter.next().ok_or("--addr requires HOST:PORT")?.clone(),
+            "--cache-dir" => {
+                let dir = iter.next().ok_or("--cache-dir requires a path")?;
+                config.cache_dir = Some(dir.into());
             }
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    config
+    Ok(config)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = parse_config(&args);
+    let config = match parse_config(&args) {
+        Ok(config) => config,
+        Err(message) => {
+            if !message.is_empty() {
+                eprintln!("error: {message}");
+            }
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     // Invalid thread-count environment variables are a configuration
     // mistake worth a visible warning, not a silent fallback.
@@ -93,4 +78,46 @@ fn main() {
         report.requests_served, report.clean
     );
     std::process::exit(i32::from(!report.clean));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ServerConfig, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse_config(&args)
+    }
+
+    #[test]
+    fn kept_flags_parse() {
+        let config = parse(&[]).expect("no flags");
+        assert_eq!(config.addr, ServerConfig::default().addr);
+        assert!(config.cache_dir.is_none());
+        let config = parse(&["--addr", "127.0.0.1:9", "--cache-dir", "/tmp/dg"]).expect("valid");
+        assert_eq!(config.addr, "127.0.0.1:9");
+        assert_eq!(config.cache_dir, Some("/tmp/dg".into()));
+    }
+
+    #[test]
+    fn removed_flags_are_usage_errors() {
+        for args in [
+            &["--workers", "4"][..],
+            &["--queue", "4"],
+            &["--read-timeout-ms", "500"],
+            &["--debug-routes"],
+        ] {
+            let err = parse(args).expect_err("a removed flag must be rejected");
+            assert!(err.contains("unknown flag"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_a_usage_error() {
+        for flag in ["--addr", "--cache-dir"] {
+            let err = parse(&[flag]).expect_err("a missing value must be rejected");
+            assert!(err.contains(flag), "{flag}: {err}");
+        }
+        assert_eq!(parse(&["--help"]).err().as_deref(), Some(""));
+    }
 }

@@ -205,8 +205,9 @@ impl Metrics {
         slot.latency.record(latency_us);
     }
 
-    /// Renders the registry in Prometheus text exposition format.
-    pub fn render(&self) -> String {
+    /// Renders the registry in Prometheus text exposition format, with
+    /// `disk` as the response cache's disk-tier `(hits, misses, stores)`.
+    pub fn render(&self, disk: (u64, u64, u64)) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("# HELP dg_requests_total Handled requests by route and status class.\n");
         out.push_str("# TYPE dg_requests_total counter\n");
@@ -248,7 +249,7 @@ impl Metrics {
                 slot.latency.count()
             ));
         }
-        let (disk_hits, disk_misses, disk_stores) = darkgates::pdn::diskcache::stats();
+        let (disk_hits, disk_misses, disk_stores) = disk;
         for (name, help, v) in [
             (
                 "dg_connections_total",
@@ -360,7 +361,7 @@ mod tests {
         m.record(Route::Droop, 400, 1);
         m.record(Route::Sweep, 503, 5);
         m.shed_total.fetch_add(3, Ordering::Relaxed);
-        let text = m.render();
+        let text = m.render((0, 0, 0));
         assert!(text.contains("dg_requests_total{route=\"droop\",class=\"2xx\"} 1"));
         assert!(text.contains("dg_requests_total{route=\"droop\",class=\"4xx\"} 1"));
         assert!(text.contains("dg_requests_total{route=\"sweep\",class=\"5xx\"} 1"));
@@ -382,10 +383,22 @@ mod tests {
         }
         m.shed_total.fetch_add(2, Ordering::Relaxed);
         m.resp_cache_hits_total.fetch_add(5, Ordering::Relaxed);
-        // The disk-tier values are process-wide, so only their sample
-        // lines are left out; every other byte is pinned.
-        let text: String = m
-            .render()
+        // The disk-tier sample lines carry the response cache's counters
+        // as given; they are checked apart, and every other byte is pinned.
+        let rendered = m.render((3, 4, 5));
+        let disk: Vec<&str> = rendered
+            .lines()
+            .filter(|l| l.starts_with("dg_disk_cache_"))
+            .collect();
+        assert_eq!(
+            disk,
+            [
+                "dg_disk_cache_hits_total 3",
+                "dg_disk_cache_misses_total 4",
+                "dg_disk_cache_stores_total 5"
+            ]
+        );
+        let text: String = rendered
             .lines()
             .filter(|l| !l.starts_with("dg_disk_cache_"))
             .map(|l| format!("{l}\n"))

@@ -19,9 +19,8 @@
 //!   shard clockwise, so a SIGKILLed shard costs in-flight requests at
 //!   most one retry, never a 5xx.
 //! * **health loop** — a background thread probes `GET /healthz` on every
-//!   shard; [`RouterConfig::health_failures`] consecutive failures eject
-//!   a shard, and a single success rejoins it (its cache-warm arcs return
-//!   with it).
+//!   shard every 100 ms; two consecutive failures eject a shard, and a
+//!   single success rejoins it (its cache-warm arcs return with it).
 //!
 //! The router answers every control route ([`Kind::Control`]) itself:
 //! `GET /healthz` with per-shard liveness, `GET /metrics` by aggregating
@@ -47,8 +46,10 @@
 //! their content key).
 
 use crate::client::{http_request, Conn};
-use crate::event_loop::{Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox};
-use crate::http::{write_response, ParserLimits, RawReply, Request};
+use crate::event_loop::{
+    Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox, RETRY_AFTER_BASE_SECS,
+};
+use crate::http::{write_response, RawReply, Request};
 use crate::json::{obj, Json};
 use crate::metrics::Route;
 use crate::respcache::{Fifo, DEFAULT_MAX_BYTES};
@@ -64,6 +65,25 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Cache-miss requests queued ahead of the forward workers before the
+/// router sheds that request with 503.
+const QUEUE_DEPTH: usize = 256;
+
+/// Requests served on one client connection before it is closed.
+const MAX_REQUESTS_PER_CONN: usize = 10_000;
+
+/// Idle client-connection timeout, ms.
+const READ_TIMEOUT_MS: u64 = 5_000;
+
+/// Per-operation upstream socket timeout.
+const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Health-probe cadence, ms.
+const HEALTH_INTERVAL_MS: u64 = 100;
+
+/// Consecutive probe failures before a shard is ejected.
+const HEALTH_FAILURES: u32 = 2;
+
 /// Configuration for [`RouterServer::start`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -75,27 +95,6 @@ pub struct RouterConfig {
     /// cache-miss requests reach them; everything else is answered on
     /// the event loop.
     pub workers: usize,
-    /// Cache-miss requests queued ahead of the forward workers before
-    /// the router sheds that request with 503.
-    pub queue_depth: usize,
-    /// Open client-connection cap; beyond it new sockets get a
-    /// best-effort 503.
-    pub max_connections: usize,
-    /// Client-side HTTP framing limits (the router rejects malformed
-    /// framing itself, so broken probes never consume a shard).
-    pub limits: ParserLimits,
-    /// Idle client-connection timeout, ms.
-    pub read_timeout_ms: u64,
-    /// Per-operation upstream socket timeout, ms.
-    pub upstream_timeout_ms: u64,
-    /// Health-probe cadence, ms.
-    pub health_interval_ms: u64,
-    /// Consecutive probe failures before a shard is ejected.
-    pub health_failures: u32,
-    /// Requests served on one client connection before it is closed.
-    pub max_requests_per_conn: usize,
-    /// `Retry-After` base for router-level 503s.
-    pub retry_after_secs: u32,
     /// Entries in the router's reply cache (0 disables it). Simulation
     /// responses are pure functions of their content key — the same
     /// argument that makes the shard's response cache sound — so the
@@ -110,15 +109,6 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".to_owned(),
             shards: Vec::new(),
             workers: 16,
-            queue_depth: 256,
-            max_connections: 4_096,
-            limits: ParserLimits::default(),
-            read_timeout_ms: 5_000,
-            upstream_timeout_ms: 30_000,
-            health_interval_ms: 100,
-            health_failures: 2,
-            max_requests_per_conn: 10_000,
-            retry_after_secs: 1,
             reply_cache_entries: 4_096,
         }
     }
@@ -300,7 +290,7 @@ impl Dispatcher for Proxy {
                     self.counters
                         .unrouteable_total
                         .fetch_add(1, Ordering::Relaxed);
-                    (unrouteable_bytes(self), true)
+                    (unrouteable_bytes(), true)
                 }
             },
         };
@@ -355,12 +345,9 @@ impl RouterServer {
             addr: config.addr.clone(),
             name: "dg-router",
             workers: config.workers,
-            queue_depth: config.queue_depth,
-            limits: config.limits,
-            read_timeout_ms: config.read_timeout_ms,
-            retry_after_secs: config.retry_after_secs.max(1),
-            max_requests_per_conn: config.max_requests_per_conn,
-            max_connections: config.max_connections,
+            queue_depth: QUEUE_DEPTH,
+            read_timeout_ms: READ_TIMEOUT_MS,
+            max_requests_per_conn: MAX_REQUESTS_PER_CONN,
         };
         let n = config.shards.len();
         let draining = Arc::new(AtomicBool::new(false));
@@ -412,7 +399,7 @@ impl RouterHandle {
 }
 
 /// The 503 for a request with no live shard to take it.
-fn unrouteable_bytes(proxy: &Proxy) -> Vec<u8> {
+fn unrouteable_bytes() -> Vec<u8> {
     let body = obj(vec![
         ("ok", Json::Bool(false)),
         ("error", Json::Str("no live shard".to_owned())),
@@ -422,10 +409,7 @@ fn unrouteable_bytes(proxy: &Proxy) -> Vec<u8> {
         503,
         reason_of(503),
         "application/json",
-        &[(
-            "Retry-After".to_owned(),
-            proxy.config.retry_after_secs.max(1).to_string(),
-        )],
+        &[("Retry-After".to_owned(), RETRY_AFTER_BASE_SECS.to_string())],
         body.as_bytes(),
         true,
     )
@@ -550,8 +534,7 @@ fn exchange_with_shard(
             let addr = proxy.config.shards.get(shard).copied().ok_or_else(|| {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, "shard index out of range")
             })?;
-            let timeout = Duration::from_millis(proxy.config.upstream_timeout_ms.max(1));
-            slot.insert(Conn::new(addr, timeout))
+            slot.insert(Conn::new(addr, UPSTREAM_TIMEOUT))
         }
     };
     conn.exchange(raw)
@@ -571,13 +554,13 @@ fn health_loop(proxy: &Proxy, stop: &AtomicBool) {
                 proxy.rejoin(i);
             } else {
                 *streak = streak.saturating_add(1);
-                if *streak >= proxy.config.health_failures.max(1) {
+                if *streak >= HEALTH_FAILURES {
                     proxy.eject(i);
                 }
             }
         }
         // Sleep in small slices so shutdown is prompt.
-        let deadline = proxy.config.health_interval_ms.max(10);
+        let deadline = HEALTH_INTERVAL_MS;
         let mut slept = 0;
         while slept < deadline && !stop.load(Ordering::SeqCst) {
             let slice = (deadline - slept).min(25);
@@ -730,10 +713,6 @@ mod tests {
         RouterServer::start(RouterConfig {
             shards,
             workers: 4,
-            read_timeout_ms: 1_000,
-            upstream_timeout_ms: 10_000,
-            health_interval_ms: 50,
-            health_failures: 2,
             reply_cache_entries,
             ..RouterConfig::default()
         })

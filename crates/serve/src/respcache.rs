@@ -4,21 +4,22 @@
 //! Every simulation route is a pure function of its content key (what the
 //! chaos oracle's byte-identical differential check proves on every CI
 //! run), so a *successful* response body can be reused outright instead
-//! of recomputed: across time in one process and, through the disk tier
-//! ([`darkgates::pdn::diskcache`]), across process restarts. Identical
-//! requests that overlap in time each compute, at most one per worker;
-//! their bodies are identical and the first to finish fills the cache.
+//! of recomputed: across time in one process and, through the cache's own
+//! disk tier (`diskcache.rs`, a server's `--cache-dir`), across process
+//! restarts. Identical requests that overlap in time each compute, at most
+//! one per worker; their bodies are identical and the first to finish
+//! fills the cache.
 //!
 //! Only `200 OK` bodies are cached: errors are cheap to re-render and a
 //! cached error could mask a fixed input. The memory tier is a `Fifo`
-//! bounded by entry count and total bytes; the disk tier is
-//! content-addressed (filename = content key) with atomic rename writes,
-//! enabled by `--cache-dir`. The router's reply cache
-//! ([`crate::proxy`]) is a second `Fifo` under its own lock.
+//! bounded by entry count and total bytes; disk I/O runs outside its lock.
+//! The router's reply cache ([`crate::proxy`]) is a second `Fifo` under
+//! its own lock.
 
-use darkgates::pdn::diskcache;
+use crate::diskcache::DiskTier;
 use dg_engine::sync::TrackedMutex;
 use std::collections::{HashMap, VecDeque};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Default bound on cached entries.
@@ -92,9 +93,10 @@ impl<V> Fifo<V> {
 }
 
 /// A bounded FIFO cache of response bodies keyed by content key, with a
-/// write-through disk tier when the process-wide cache dir is set.
+/// write-through disk tier when it was built with a directory.
 pub struct ResponseCache {
     state: TrackedMutex<Fifo<Arc<String>>>,
+    disk: Option<DiskTier>,
 }
 
 impl std::fmt::Debug for ResponseCache {
@@ -103,6 +105,7 @@ impl std::fmt::Debug for ResponseCache {
         f.debug_struct("ResponseCache")
             .field("entries", &state.len())
             .field("bytes", &state.bytes())
+            .field("disk", &self.disk)
             .finish()
     }
 }
@@ -114,14 +117,25 @@ impl Default for ResponseCache {
 }
 
 impl ResponseCache {
-    /// A cache bounded by `max_entries` entries and `max_bytes` total
-    /// body bytes (both floors of 1 so the cache is never degenerate).
+    /// A memory-only cache bounded by `max_entries` entries and
+    /// `max_bytes` total body bytes (both floors of 1 so the cache is
+    /// never degenerate).
     pub fn new(max_entries: usize, max_bytes: usize) -> Self {
         ResponseCache {
             state: TrackedMutex::new(
                 "serve.respcache.state",
                 Fifo::new(max_entries.max(1), max_bytes.max(1)),
             ),
+            disk: None,
+        }
+    }
+
+    /// A default-sized cache that writes through to, and reads misses
+    /// from, the `resp/` directory under `root`.
+    pub(crate) fn on_disk(root: PathBuf) -> Self {
+        ResponseCache {
+            disk: Some(DiskTier::new(root)),
+            ..Self::default()
         }
     }
 
@@ -131,7 +145,7 @@ impl ResponseCache {
         if let Some(hit) = self.get_memory(key) {
             return Some(hit);
         }
-        let raw = diskcache::load_blob(key)?;
+        let raw = self.disk.as_ref()?.load_body(key)?;
         let body = Arc::new(String::from_utf8(raw).ok()?);
         self.state.lock().insert(key, Arc::clone(&body), body.len());
         Some(body)
@@ -145,12 +159,20 @@ impl ResponseCache {
     }
 
     /// Caches a `200` body under `key` (idempotent), writing through to
-    /// the disk tier when enabled.
+    /// the disk tier when there is one.
     pub fn put(&self, key: u64, body: &Arc<String>) {
         if !self.state.lock().insert(key, Arc::clone(body), body.len()) {
             return; // already cached: disk entry exists (or is in flight)
         }
-        diskcache::store_blob(key, body.as_bytes());
+        if let Some(disk) = &self.disk {
+            disk.store_body(key, body.as_bytes());
+        }
+    }
+
+    /// The disk tier's cumulative `(hits, misses, stores)`; all zero
+    /// without one.
+    pub(crate) fn disk_stats(&self) -> (u64, u64, u64) {
+        self.disk.as_ref().map_or((0, 0, 0), DiskTier::stats)
     }
 }
 

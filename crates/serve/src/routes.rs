@@ -396,6 +396,11 @@ impl Router {
         }
     }
 
+    /// The same router over `respcache` (a shard's, with its disk tier).
+    pub(crate) fn with_cache(self, respcache: ResponseCache) -> Self {
+        Router { respcache, ..self }
+    }
+
     /// Resolves a request as this router answers it: [`Query::parse`],
     /// with the debug route a `404` unless it is enabled.
     pub(crate) fn query(&self, req: &Request) -> Query {
@@ -465,7 +470,7 @@ impl Router {
                 ("status", Json::Str("ok".to_owned())),
                 ("draining", Json::Bool(self.draining.load(Ordering::SeqCst))),
             ])),
-            Route::Metrics => Response::text(self.metrics.render()),
+            Route::Metrics => Response::text(self.metrics.render(self.respcache.disk_stats())),
             // `POST /admin/drain`, the one other control route.
             _ => drain(&self.draining),
         }

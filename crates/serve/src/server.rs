@@ -27,15 +27,19 @@
 //! byte of the reply has gone out, a cut stream and a close after a
 //! stream head.
 
-pub use crate::event_loop::{retry_after_secs, DrainReport};
+pub use crate::event_loop::DrainReport;
 use crate::event_loop::{Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox};
-use crate::http::{write_chunk, write_stream_head, ParserLimits, Request, LAST_CHUNK};
+use crate::http::{write_chunk, write_stream_head, Request, LAST_CHUNK};
 use crate::metrics::{monotonic_us, Metrics, Route};
+use crate::respcache::ResponseCache;
 use crate::routes::{Kind, Query, Router, StreamPlan};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Requests a shard serves on one connection before it closes it.
+const MAX_REQUESTS_PER_CONN: usize = 1_000;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -48,23 +52,15 @@ pub struct ServerConfig {
     /// Admission bound: requests queued ahead of the workers before the
     /// event loop starts shedding with 503.
     pub queue_depth: usize,
-    /// HTTP framing limits.
-    pub limits: ParserLimits,
     /// Idle deadline: a keep-alive connection that neither delivers bytes
     /// nor accepts response bytes for this long is closed. Drain latency
     /// is bounded by it.
     pub read_timeout_ms: u64,
-    /// Base value of the `Retry-After` header on shed responses; the
-    /// current queue depth adds to it (see [`retry_after_secs`]).
-    pub retry_after_secs: u32,
-    /// Requests served on one connection before it is closed.
-    pub max_requests_per_conn: usize,
-    /// Open-connection cap; beyond it new sockets get a best-effort 503.
-    pub max_connections: usize,
     /// Enables `POST /v1/debug/sleep` (overload tests only).
     pub enable_debug_routes: bool,
-    /// Root of the persistent content-addressed cache (`--cache-dir`).
-    /// Enables the process-wide disk tier for cached response bodies.
+    /// Root of this server's on-disk response cache (`--cache-dir`): its
+    /// response cache writes `200` bodies through to `<dir>/resp/` and
+    /// serves memory misses from there. `None` keeps the cache in memory.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -74,11 +70,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
             queue_depth: 64,
-            limits: ParserLimits::default(),
             read_timeout_ms: 2_000,
-            retry_after_secs: 1,
-            max_requests_per_conn: 1_000,
-            max_connections: 4_096,
             enable_debug_routes: false,
             cache_dir: None,
         }
@@ -105,17 +97,18 @@ impl Server {
     /// Propagates the bind failure (address in use, permission, …) and
     /// epoll/self-pipe setup failures.
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
-        if let Some(dir) = &config.cache_dir {
-            darkgates::pdn::diskcache::set_dir(Some(dir.clone()));
-        }
         let metrics = Arc::new(Metrics::default());
         let draining = Arc::new(AtomicBool::new(false));
+        let router = Router::new(
+            Arc::clone(&metrics),
+            Arc::clone(&draining),
+            config.enable_debug_routes,
+        );
         let shard = Shard {
-            router: Router::new(
-                Arc::clone(&metrics),
-                Arc::clone(&draining),
-                config.enable_debug_routes,
-            ),
+            router: match config.cache_dir {
+                Some(dir) => router.with_cache(ResponseCache::on_disk(dir)),
+                None => router,
+            },
             metrics,
             draining: Arc::clone(&draining),
         };
@@ -124,11 +117,8 @@ impl Server {
             name: "dg-serve",
             workers: config.workers,
             queue_depth: config.queue_depth,
-            limits: config.limits,
             read_timeout_ms: config.read_timeout_ms,
-            retry_after_secs: config.retry_after_secs,
-            max_requests_per_conn: config.max_requests_per_conn,
-            max_connections: config.max_connections,
+            max_requests_per_conn: MAX_REQUESTS_PER_CONN,
         };
         Ok(ServerHandle {
             inner: Engine::start(engine, shard, draining)?,
@@ -308,6 +298,7 @@ fn stream_reply(body: &str, close: bool) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event_loop::retry_after_secs;
     use std::io::{Read, Write};
     use std::net::{Shutdown, TcpStream};
     use std::thread;

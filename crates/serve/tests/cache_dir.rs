@@ -1,10 +1,7 @@
 //! The `--cache-dir` disk tier driven through real shards: what a shard
 //! leaves on disk after streaming droop sweeps and answering a wide
-//! impedance sweep, and what a second shard on the same directory replays.
-//!
-//! Its own test binary with a single `#[test]`: the disk tier's directory
-//! (`diskcache::set_dir`) is process-wide, so nothing else in this
-//! process may start a server or point the tier elsewhere.
+//! impedance sweep, what a second shard on the same directory replays,
+//! and that a directory belongs to the one server started with it.
 
 use dg_serve::client::{http_request, HttpReply};
 use dg_serve::{Server, ServerConfig, ServerHandle};
@@ -21,14 +18,25 @@ const GRID_128: &str = r#"{"variant":"bypassed","delta":{"start_a":2,"stop_a":50
 const WIDE_SWEEP: &str = r#"{"variant":"gated","points":20000,"decimate":1000}"#;
 
 fn start(dir: &Path) -> ServerHandle {
+    start_with(Some(dir.to_path_buf()))
+}
+
+fn start_with(cache_dir: Option<PathBuf>) -> ServerHandle {
     Server::start(ServerConfig {
         workers: 2,
         queue_depth: 16,
         read_timeout_ms: 5_000,
-        cache_dir: Some(dir.to_path_buf()),
+        cache_dir,
         ..ServerConfig::default()
     })
     .expect("bind on 127.0.0.1:0")
+}
+
+/// A fresh, empty directory for one test.
+fn fresh_dir(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dg-serve-{label}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
 }
 
 fn droop_sweep(addr: SocketAddr, grid: &str) -> HttpReply {
@@ -69,8 +77,7 @@ fn metric(addr: SocketAddr, name: &str) -> u64 {
 
 #[test]
 fn cache_dir_holds_only_response_bodies_and_a_restarted_shard_replays_them() {
-    let dir = std::env::temp_dir().join(format!("dg-serve-cache-dir-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
+    let dir = fresh_dir("cache-dir");
 
     let first = start(&dir);
     let addr = first.local_addr();
@@ -110,5 +117,26 @@ fn cache_dir_holds_only_response_bodies_and_a_restarted_shard_replays_them() {
     assert!(metric(second.local_addr(), "dg_disk_cache_hits_total") >= 1);
     assert!(second.shutdown().clean);
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_server_without_cache_dir_writes_nothing_into_another_servers_directory() {
+    let dir = fresh_dir("owned-dir");
+    let owner = start(&dir);
+    let memory_only = start_with(None);
+
+    // A droop sweep no other test sends: the memory-only server computes
+    // and caches it, and the owner never sees it.
+    let grid = r#"{"variant":"gated","quiescent_a":3,"delta":{"start_a":7,"stop_a":9,"points":3}}"#;
+    droop_sweep(memory_only.local_addr(), grid);
+    assert!(memory_only.shutdown().clean);
+    assert_eq!(
+        files_under(&dir),
+        Vec::<PathBuf>::new(),
+        "a server without --cache-dir wrote into another server's directory"
+    );
+    assert_eq!(metric(owner.local_addr(), "dg_disk_cache_stores_total"), 0);
+    assert!(owner.shutdown().clean);
     let _ = fs::remove_dir_all(&dir);
 }

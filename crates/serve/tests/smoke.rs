@@ -1,15 +1,16 @@
-//! In-process end-to-end smoke: a real server on a real socket, the real
-//! mixed burst (including malformed and oversized probes), forced
-//! overload, metrics, and a clean drain.
+//! In-process end-to-end smoke: a real server on a real socket, the
+//! seeded mixed burst of [`mix`] (including malformed and oversized
+//! probes), forced overload, metrics, and a clean drain.
 //!
-//! This is the library-level twin of the CI `dg-load --smoke --spawn`
-//! step: same assertions, but against `Server::start` in-process, so a
-//! regression is caught by `cargo test` without building binaries.
+//! That a spawned `dg-serve` process drains and exits 0 is checked by
+//! `dg-chaos --shards`, which runs the binaries.
 
-use dg_serve::client::{http_request, run_mix};
-use dg_serve::http::ParserLimits;
+mod mix;
+
+use dg_serve::client::http_request;
 use dg_serve::json::{self, Json};
 use dg_serve::{Server, ServerConfig};
+use mix::run_mix;
 use std::sync::atomic::Ordering;
 
 fn start(config: ServerConfig) -> dg_serve::ServerHandle {
@@ -63,7 +64,7 @@ fn mixed_burst_has_no_5xx_other_than_503_and_drains_cleanly() {
     // framing is answered before a request parses, so the worker-served
     // count covers (at least) every 2xx the burst saw.
     assert!(
-        drained.requests_served >= report.ok_2xx as usize,
+        drained.requests_served >= report.ok_2xx,
         "served {} < ok_2xx {}",
         drained.requests_served,
         report.ok_2xx
@@ -240,14 +241,9 @@ fn claims_endpoint_grades_all_twelve() {
 
 #[test]
 fn oversized_and_malformed_requests_do_not_kill_the_connection_handling() {
-    let handle = start(ServerConfig {
-        limits: ParserLimits {
-            max_body_bytes: 256,
-            ..ParserLimits::default()
-        },
-        ..small()
-    });
+    let handle = start(small());
     let addr = handle.local_addr();
+    // 100 000 declared bytes are past the default 64 KiB body cap.
     let reply = dg_serve::client::raw_request(
         addr,
         b"POST /v1/droop HTTP/1.1\r\nHost: x\r\nContent-Length: 100000\r\n\r\n",

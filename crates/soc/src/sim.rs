@@ -68,8 +68,6 @@ pub struct CpuSimResult {
     pub avg_power: Watts,
     /// Peak junction temperature.
     pub max_tj: Celsius,
-    /// Total energy in joules.
-    pub energy_joules: f64,
     /// Per-step trace (empty unless requested).
     pub trace: Vec<StepTrace>,
 }
@@ -158,7 +156,6 @@ impl<'a> Simulator<'a> {
             sustained_frequency: Hertz::new(tail_freq_time / tail_secs.max(f64::MIN_POSITIVE)),
             avg_power: energy.average_power(),
             max_tj,
-            energy_joules: energy.energy_joules(),
             trace,
         }
     }

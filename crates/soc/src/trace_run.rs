@@ -17,8 +17,6 @@ pub struct TraceReport {
     pub trace: String,
     /// Average package power over the whole trace.
     pub avg_power: Watts,
-    /// Total energy in joules.
-    pub energy_joules: f64,
     /// Time-averaged busy-phase core frequency.
     pub avg_busy_frequency: Hertz,
     /// Fraction of time the package sat in its deepest supported state.
@@ -123,7 +121,6 @@ pub fn run_trace(product: &Product, trace: &PhaseTrace, dt: Seconds) -> TraceRep
     TraceReport {
         trace: trace.name.clone(),
         avg_power: telemetry.energy.average_power(),
-        energy_joules: telemetry.energy.energy_joules(),
         avg_busy_frequency: Hertz::new(busy_freq_time / busy_time.max(f64::MIN_POSITIVE)),
         deepest_state_fraction: telemetry.residency.idle_fraction(deepest),
         wakes: telemetry.wakes,

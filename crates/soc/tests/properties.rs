@@ -102,15 +102,4 @@ proptest! {
             .sustained_frequency;
         prop_assert!(fs >= fh, "{tdp}: {fs} < {fh}");
     }
-
-    /// Energy accounting is consistent: energy ≈ avg_power × duration.
-    #[test]
-    fn energy_accounting_consistent(tdp_idx in 0..4usize, cores in 1..5usize) {
-        let p = Product::skylake_h(tdp_level(tdp_idx));
-        let sim = Simulator::new(&p);
-        let cfg = quick();
-        let r = sim.run_cpu(&p.table_ac, cores, CdynProfile::core_typical(), cfg);
-        let expected = r.avg_power.value() * cfg.duration.value();
-        prop_assert!((r.energy_joules - expected).abs() < 1e-6 * expected.max(1.0));
-    }
 }

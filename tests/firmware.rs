@@ -2,7 +2,7 @@
 //! sequencing, licenses, the idle governor, and the C-state model working
 //! together across crates.
 
-use darkgates::units::{Seconds, Watts};
+use darkgates::units::{Hertz, Seconds, Watts};
 use darkgates::DarkGates;
 use dg_cstates::states::PackageCstate;
 use dg_pmu::license::License;
@@ -25,12 +25,17 @@ fn deepest_resident(pcode: &Pcode) -> Option<PackageCstate> {
         .max()
 }
 
-fn run_for(pcode: &mut Pcode, seconds: f64) {
+/// Steps the firmware for `seconds` in 10 ms steps and returns the
+/// frequency it ran at after each step.
+fn run_for(pcode: &mut Pcode, seconds: f64) -> Vec<Option<Hertz>> {
     let dt = Seconds::from_ms(10.0);
     let steps = (seconds / dt.value()).round() as usize;
-    for _ in 0..steps {
-        pcode.step(dt);
-    }
+    (0..steps)
+        .map(|_| {
+            pcode.step(dt);
+            pcode.frequency()
+        })
+        .collect()
 }
 
 /// A full day-in-the-life scenario: boot → burst → AVX phase → idle →
@@ -45,23 +50,23 @@ fn day_in_the_life() {
         active_cores: 4,
         cdyn: namd.cdyn(),
     });
-    run_for(&mut p, 10.0);
+    let mut frequencies = run_for(&mut p, 10.0);
     let f_scalar = p.frequency().expect("running");
     assert!(f_scalar.as_ghz() >= 4.0, "scalar burst at {f_scalar}");
 
     // AVX-512 phase: frequency steps down by the license offset.
     p.handle(PcodeEvent::LicenseRequest(License::L2));
-    run_for(&mut p, 5.0);
+    frequencies.extend(run_for(&mut p, 5.0));
     let f_avx = p.frequency().expect("running");
     assert!(f_avx < f_scalar);
 
     // Back to scalar, then into a long idle.
     p.handle(PcodeEvent::LicenseRequest(License::L0));
-    run_for(&mut p, 2.0);
+    frequencies.extend(run_for(&mut p, 2.0));
     p.handle(PcodeEvent::IdleRequest {
         expected_idle: Seconds::new(5.0),
     });
-    run_for(&mut p, 5.0);
+    frequencies.extend(run_for(&mut p, 5.0));
     assert!(p.frequency().is_none());
     assert_eq!(deepest_resident(&p), Some(PackageCstate::C8));
 
@@ -70,19 +75,24 @@ fn day_in_the_life() {
         active_cores: 1,
         cdyn: CdynProfile::core_memory_bound(),
     });
-    run_for(&mut p, 2.0);
+    frequencies.extend(run_for(&mut p, 2.0));
     assert!(p.frequency().is_some());
+
+    // The firmware moved between running P-states more than twice.
+    let changes = frequencies
+        .windows(2)
+        .filter(|w| matches!(w, [Some(a), Some(b)] if a != b))
+        .count();
+    assert!(changes > 2, "{changes} P-state change(s)");
 
     let t = p.telemetry();
     assert!(t.wakes >= 1);
-    assert!(t.pstate_changes > 2);
     assert!(t.residency.idle_fraction(PackageCstate::C8) > 0.15);
     let idle: f64 = PackageCstate::ALL
         .into_iter()
         .map(|s| t.residency.idle_fraction(s))
         .sum();
     assert!(1.0 - idle > 0.5, "active fraction {}", 1.0 - idle);
-    assert!(t.max_tj.value() <= 94.0);
     // Energy bookkeeping covers the whole scenario.
     assert!((t.energy.elapsed().value() - 24.0).abs() < 0.5);
 }
@@ -104,10 +114,14 @@ fn hybrid_packages_compared_via_firmware() {
             expected_idle: Seconds::new(10.0),
         });
         // Average power over the idle stretch only.
-        let before = p.telemetry().energy.energy_joules();
+        let joules = |p: &Pcode| {
+            let energy = &p.telemetry().energy;
+            energy.average_power().value() * energy.elapsed().value()
+        };
+        let before = joules(&p);
         run_for(&mut p, 10.0);
         let idle_state = deepest_resident(&p).expect("idle");
-        let idle_power = (p.telemetry().energy.energy_joules() - before) / 10.0;
+        let idle_power = (joules(&p) - before) / 10.0;
         results.push((busy_f, idle_state, idle_power));
     }
     let (f_desktop, s_desktop, p_desktop) = results[0];
@@ -144,7 +158,10 @@ fn voltage_leads_frequency() {
 }
 
 /// Thermal integrity under the firmware at the smallest cooler: a
-/// sustained all-core virus run never breaches Tjmax.
+/// sustained all-core virus run is held by the power budget, far from
+/// the cooler's limit. The junction temperature is the firmware's private
+/// state; `dg_pmu`'s `virus_run_never_breaches_tjmax_at_35w` bounds it at
+/// every step of a 35 W all-core virus run.
 #[test]
 fn firmware_respects_tjmax_at_35w() {
     let mut p = boot(&DarkGates::desktop(), 35.0);
@@ -154,11 +171,6 @@ fn firmware_respects_tjmax_at_35w() {
         cdyn: CdynProfile::from_nf(2.2).unwrap(),
     });
     run_for(&mut p, 180.0);
-    assert!(
-        p.telemetry().max_tj.value() <= 93.5,
-        "Tj {}",
-        p.telemetry().max_tj
-    );
     // The budget binds long before the cooler does (that is what a
     // TDP-sized cooler means): the virus run is pinned well below the
     // fused ceiling.
