@@ -500,6 +500,30 @@ mod tests {
     }
 
     #[test]
+    fn thermal_cap_holds_tj_at_tjmax_when_cooling_binds_before_pl1() {
+        // A cooler too weak for the 35 W PL1: at PL1 the junction would
+        // settle at 25 + 3 × 35 = 130 °C, so the thermal cap, not the
+        // power budget, must hold it. The 15 s time constant lets the
+        // run reach Tjmax.
+        let mut cfg = config(OperatingMode::Normal, 35.0);
+        cfg.thermal = ThermalModel::new(3.0, 5.0, Celsius::new(25.0)).unwrap();
+        let tjmax = cfg.limits.tjmax.value();
+        assert!(cfg.thermal.steady_state(cfg.limits.power.pl1).value() > tjmax + 10.0);
+        let mut p = Pcode::boot(cfg);
+        p.handle(PcodeEvent::WorkloadChange {
+            active_cores: 4,
+            cdyn: CdynProfile::from_nf(2.2).unwrap(),
+        });
+        let mut peak = p.tj;
+        for _ in 0..12_000 {
+            p.step(Seconds::new(0.01));
+            assert!(p.tj.value() <= tjmax + 0.5, "Tj {} above Tjmax", p.tj);
+            peak = peak.max(p.tj);
+        }
+        assert!(peak.value() >= tjmax - 0.5, "peak Tj {peak} below Tjmax");
+    }
+
+    #[test]
     fn long_idle_selects_deepest_state() {
         let mut p = Pcode::boot(config(OperatingMode::Bypass, 91.0));
         p.handle(PcodeEvent::IdleRequest {

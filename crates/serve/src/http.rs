@@ -494,6 +494,40 @@ pub fn decode_chunked(buf: &[u8]) -> Option<(Vec<u8>, usize)> {
     }
 }
 
+/// Whether `reply` is a whole stream in the form a shard replays a cached
+/// result in: a `200` keep-alive chunked head, then exactly one data
+/// chunk holding one newline-terminated line that starts `{"ok":true`,
+/// then the terminal chunk and nothing after it. A shard sends these
+/// exact bytes for every later request on the stream's key, so
+/// `dg-router` may cache them. A computed stream (progress lines before
+/// its result) never matches, and neither does a failed one, whose
+/// `{"ok":false…}` result rides a head that still says keep-alive.
+pub(crate) fn is_stream_replay(reply: &[u8]) -> bool {
+    let Some(head_len) = head_end(reply) else {
+        return false;
+    };
+    let (head, body) = reply.split_at(head_len);
+    if status_of(head) != Some(200)
+        || header_is(head, "connection", "close")
+        || !header_is(head, "transfer-encoding", "chunked")
+    {
+        return false;
+    }
+    let Some((start, size)) = chunk_size_at(body, 0) else {
+        return false;
+    };
+    let Some(line) = body.get(start..start + size) else {
+        return false;
+    };
+    // One line: its only newline is its last byte.
+    line.starts_with(br#"{"ok":true"#)
+        && line.iter().position(|&b| b == b'\n') == Some(line.len() - 1)
+        && body
+            .get(start + size..)
+            .and_then(|rest| rest.strip_prefix(b"\r\n"))
+            == Some(LAST_CHUNK)
+}
+
 /// One HTTP/1.1 reply exactly as it came off the wire.
 #[derive(Debug)]
 pub struct RawReply {
@@ -512,6 +546,19 @@ pub struct RawReply {
 // dg-analyze: allow(unreached-pub, reason = "live (read_reply frames reply heads with it); crates/serve/tests/router.rs names it")
 pub fn head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+}
+
+/// The status code of a raw head's `HTTP/1.x` status line.
+fn status_of(head: &[u8]) -> Option<u16> {
+    head.strip_prefix(b"HTTP/1.1 ")
+        .or_else(|| head.strip_prefix(b"HTTP/1.0 "))
+        .and_then(|rest| std::str::from_utf8(rest.get(..3)?).ok()?.parse().ok())
+}
+
+/// Whether a raw head carries header `name` with value `value`, both
+/// compared case-insensitively.
+fn header_is(head: &[u8], name: &str, value: &str) -> bool {
+    header_value(head, name).is_some_and(|v| v.eq_ignore_ascii_case(value))
 }
 
 /// Case-insensitively finds a header's trimmed value in a raw head.
@@ -542,15 +589,10 @@ pub fn read_reply(stream: &mut impl Read, leftover: &mut Vec<u8>) -> io::Result<
     let mut chunk = [0u8; 16 * 1024];
     let head_len = fill_until(stream, leftover, &mut chunk, head_end)?;
     let head = leftover.get(..head_len).unwrap_or_default();
-    let status: u16 = head
-        .strip_prefix(b"HTTP/1.1 ")
-        .or_else(|| head.strip_prefix(b"HTTP/1.0 "))
-        .and_then(|rest| std::str::from_utf8(rest.get(..3)?).ok()?.parse().ok())
+    let status = status_of(head)
         .ok_or_else(|| io::Error::new(ErrorKind::InvalidData, "reply is not HTTP"))?;
-    let close = header_value(head, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
-    let total = if header_value(head, "transfer-encoding")
-        .is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
-    {
+    let close = header_is(head, "connection", "close");
+    let total = if header_is(head, "transfer-encoding", "chunked") {
         fill_until(stream, leftover, &mut chunk, |buf| {
             chunked_body_end(buf.get(head_len..)?).map(|n| head_len + n)
         })?
@@ -804,6 +846,85 @@ mod tests {
         assert_eq!(chunked_body_end(&body), Some(end));
         for bad in [&b"zz\r\nhi\r\n0\r\n\r\n"[..], b"5\r\nhelloXX0\r\n\r\n"] {
             assert_eq!(decode_chunked(bad), None, "{bad:?}");
+        }
+    }
+
+    /// A whole NDJSON stream as a shard frames it: the head, one chunk
+    /// per entry of `chunks`, then the terminal chunk.
+    fn stream(close: bool, chunks: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = write_stream_head(200, "OK", "application/x-ndjson", close);
+        for chunk in chunks {
+            bytes.extend_from_slice(&write_chunk(chunk));
+        }
+        bytes.extend_from_slice(LAST_CHUNK);
+        bytes
+    }
+
+    const RESULT: &[u8] = b"{\"ok\":true,\"result\":{\"lanes\":[1.5,2.5]}}\n";
+
+    #[test]
+    fn stream_replay_form_is_recognized() {
+        // A shard's framing of a cached result, spelled out by hand.
+        let mut replay = write_stream_head(200, "OK", "application/x-ndjson", false);
+        replay.extend_from_slice(b"29\r\n");
+        replay.extend_from_slice(RESULT);
+        replay.extend_from_slice(b"\r\n0\r\n\r\n");
+        assert!(is_stream_replay(&replay));
+        assert_eq!(replay, stream(false, &[RESULT]), "the helper frames it too");
+    }
+
+    #[test]
+    fn computed_and_failed_streams_are_not_replays() {
+        let progress = &b"{\"completed\":1,\"total\":2,\"droop_mv\":[1.5]}\n"[..];
+        let failed = &b"{\"ok\":false,\"error\":\"internal\"}\n"[..];
+        for (what, bytes) in [
+            (
+                "progress then result",
+                stream(false, &[progress, progress, RESULT]),
+            ),
+            ("a failed result", stream(false, &[failed])),
+            (
+                "two lines in one chunk",
+                stream(false, &[&[RESULT, RESULT].concat()]),
+            ),
+            (
+                "progress and result in one chunk",
+                stream(false, &[&[progress, RESULT].concat()]),
+            ),
+            (
+                "a result without its newline",
+                stream(false, &[RESULT.trim_ascii_end()]),
+            ),
+            ("a closing head", stream(true, &[RESULT])),
+            ("no data chunk", stream(false, &[])),
+        ] {
+            assert!(!is_stream_replay(&bytes), "{what}");
+        }
+        let mut not_ok = stream(false, &[RESULT]);
+        not_ok.splice(9..12, b"500".iter().copied());
+        assert!(!is_stream_replay(&not_ok), "a non-200 status");
+        let plain = write_response(200, "OK", "application/x-ndjson", &[], RESULT, false);
+        assert!(!is_stream_replay(&plain), "Content-Length framing");
+    }
+
+    #[test]
+    fn malformed_replay_framing_is_not_a_replay() {
+        let whole = stream(false, &[RESULT]);
+        let head_len = head_end(&whole).expect("head");
+        // Cut anywhere: inside the head, the size line, the line, or the
+        // terminal chunk.
+        for cut in 0..whole.len() {
+            let bytes = whole.get(..cut).expect("prefix");
+            assert!(!is_stream_replay(bytes), "cut at {cut}");
+        }
+        for (what, size_line) in [("short", "28"), ("long", "2a"), ("not hex", "zz")] {
+            let mut bytes = whole.clone();
+            bytes.splice(head_len..head_len + 2, size_line.bytes());
+            assert!(!is_stream_replay(&bytes), "{what} chunk size");
+        }
+        for trailing in [&b"x"[..], b"\r\n", b"HTTP/1.1 200 OK\r\n"] {
+            let bytes = [&whole[..], trailing].concat();
+            assert!(!is_stream_replay(&bytes), "trailing {trailing:?}");
         }
     }
 

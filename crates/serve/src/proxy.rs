@@ -43,13 +43,15 @@
 //! bounded reply cache (a `respcache::Fifo`, like the shard's response
 //! cache) serves repeat keys their exact shard bytes without an upstream
 //! exchange (sound because simulation responses are pure functions of
-//! their content key).
+//! their content key). A stream enters that cache only in the form a
+//! shard replays a cached result in — one result line, no progress — so
+//! a hit never repeats a computed stream's progress lines.
 
 use crate::client::{http_request, Conn};
 use crate::event_loop::{
     Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox, RETRY_AFTER_BASE_SECS,
 };
-use crate::http::{write_response, RawReply, Request};
+use crate::http::{is_stream_replay, write_response, RawReply, Request};
 use crate::json::{obj, Json};
 use crate::metrics::Route;
 use crate::respcache::{Fifo, DEFAULT_MAX_BYTES};
@@ -140,11 +142,12 @@ struct RouterMetrics {
 
 /// What a forward worker is asked to do.
 enum ProxyJob {
-    /// Forward to the key's shard (the cache-miss path).
+    /// Forward to the key's shard (the cache-miss path). `kind` decides
+    /// which replies the reply cache may admit.
     Forward {
         request: Request,
         key: u64,
-        cacheable: bool,
+        kind: Kind,
     },
     /// Render the aggregated `/metrics` (scrapes every live shard, so it
     /// must not run on the event loop).
@@ -163,10 +166,12 @@ struct Proxy {
     draining: Arc<AtomicBool>,
     /// Verbatim shard replies by content key; `None` when
     /// [`RouterConfig::reply_cache_entries`] is 0. Only clean 200 replies
-    /// to [`Kind::Cacheable`] routes are admitted, so an entry is exactly
-    /// the bytes the owning shard would send again. Streams are relayed,
-    /// never cached: a computed stream carries progress lines that a
-    /// replay would repeat to every client.
+    /// to [`Kind::Cacheable`] routes and [`Kind::Stream`] replies in the
+    /// shard's replay form ([`is_stream_replay`]: one `{"ok":true…}`
+    /// result line and no progress) are admitted, so an entry is exactly
+    /// the bytes the owning shard would send again. A computed stream is
+    /// relayed but never cached: its progress lines must not reach a
+    /// later client.
     replies: Option<TrackedMutex<Fifo<Arc<Vec<u8>>>>>,
 }
 
@@ -182,8 +187,8 @@ impl Proxy {
         self.replies.as_ref()?.lock().get(key).map(Arc::clone)
     }
 
-    /// Admits a clean 200 reply to the reply cache (a no-op when the
-    /// cache is off or already holds `key`).
+    /// Admits a reply to the reply cache (a no-op when the cache is off
+    /// or already holds `key`).
     fn cache_reply(&self, key: u64, bytes: &[u8]) {
         if let Some(replies) = &self.replies {
             let entry = Arc::new(bytes.to_vec());
@@ -227,7 +232,7 @@ impl Dispatcher for Proxy {
         close: bool,
     ) -> Admit<ProxyJob> {
         self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
-        let cacheable = match kind_of(&request.method, &request.target) {
+        let kind = match kind_of(&request.method, &request.target) {
             Kind::Control(Route::Healthz) => {
                 let bytes = healthz_bytes(self, close);
                 return Admit::Reply { bytes, close };
@@ -238,10 +243,10 @@ impl Dispatcher for Proxy {
                 let bytes = drain(&self.draining).framed(true);
                 return Admit::Reply { bytes, close: true };
             }
-            kind => matches!(kind, Kind::Cacheable(_)),
+            kind => kind,
         };
         let key = routing_key(&request, aliases);
-        if cacheable {
+        if matches!(kind, Kind::Cacheable(_) | Kind::Stream(_)) {
             if let Some(bytes) = self.cached_reply(key) {
                 self.counters
                     .cache_hits_total
@@ -250,11 +255,7 @@ impl Dispatcher for Proxy {
                 return Admit::Reply { bytes, close };
             }
         }
-        Admit::Queue(ProxyJob::Forward {
-            request,
-            key,
-            cacheable,
-        })
+        Admit::Queue(ProxyJob::Forward { request, key, kind })
     }
 
     fn serve(
@@ -269,11 +270,7 @@ impl Dispatcher for Proxy {
                 Response::text(aggregated_metrics(self)).framed(close),
                 close,
             ),
-            ProxyJob::Forward {
-                request,
-                key,
-                cacheable,
-            } => match forward(self, &request, key, pools) {
+            ProxyJob::Forward { request, key, kind } => match forward(self, &request, key, pools) {
                 // Verbatim relay: the shard's exact bytes, headers
                 // included — Retry-After, Content-Type, and framing all
                 // pass through. (If the client-side `close` verdict
@@ -281,7 +278,15 @@ impl Dispatcher for Proxy {
                 // socket action after the write is what decides; both
                 // sides handle an early close cleanly.)
                 Some(reply) => {
-                    if cacheable && !reply.close && reply.status == 200 {
+                    let admit = match kind {
+                        Kind::Cacheable(_) => !reply.close && reply.status == 200,
+                        // A computed stream's progress lines must never
+                        // be replayed; the shard's replay form is what it
+                        // sends every later request on this key.
+                        Kind::Stream(_) => is_stream_replay(&reply.bytes),
+                        _ => false,
+                    };
+                    if admit {
                         self.cache_reply(key, &reply.bytes);
                     }
                     (reply.bytes, close)
@@ -629,6 +634,26 @@ fn aggregated_metrics(proxy: &Proxy) -> String {
             "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
         ));
     }
+    let (entries, bytes) = proxy.replies.as_ref().map_or((0, 0), |replies| {
+        let replies = replies.lock();
+        (replies.len(), replies.bytes())
+    });
+    for (name, help, v) in [
+        (
+            "dg_router_reply_cache_entries",
+            "Replies held in the router reply cache.",
+            entries,
+        ),
+        (
+            "dg_router_reply_cache_bytes",
+            "Reply bytes held in the router reply cache.",
+            bytes,
+        ),
+    ] {
+        out.push_str(&format!(
+            "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
+        ));
+    }
     out.push_str("# HELP dg_router_shard_requests_total Successful forwards per shard.\n");
     out.push_str("# TYPE dg_router_shard_requests_total counter\n");
     for (i, v) in c.shard_requests.iter().enumerate() {
@@ -756,6 +781,9 @@ mod tests {
         assert!(metrics.body.contains("shard=\"0\""));
         assert!(metrics.body.contains("shard=\"1\""));
         assert!(metrics.body.contains("dg_requests_total{shard="));
+        // The reply cache is off, so its budget gauges read 0.
+        assert!(metrics.body.contains("dg_router_reply_cache_entries 0\n"));
+        assert!(metrics.body.contains("dg_router_reply_cache_bytes 0\n"));
 
         // Malformed framing is rejected by the router itself.
         let bad = crate::client::raw_request(addr, b"NOT HTTP\r\n\r\n").expect("raw");
@@ -873,6 +901,92 @@ mod tests {
             3,
             "non-200 replies must not be admitted to the cache"
         );
+
+        assert!(router.shutdown());
+        shard.shutdown();
+    }
+
+    /// Entries held in the router's reply cache.
+    fn cached_entries(router: &RouterHandle) -> usize {
+        let replies = router.inner.engine().dispatcher.replies.as_ref();
+        replies.map_or(0, |r| r.lock().len())
+    }
+
+    #[test]
+    fn reply_cache_admits_a_stream_in_its_replay_form_only() {
+        let shard = start_shard();
+        let router = start_router_with_cache(vec![shard.local_addr()], 1_024);
+        let addr = router.local_addr();
+        let hits = || counters(&router).cache_hits_total.load(Ordering::SeqCst);
+        let forwarded = || -> u64 {
+            let per_shard = &counters(&router).shard_requests;
+            per_shard.iter().map(|c| c.load(Ordering::SeqCst)).sum()
+        };
+        let mut conn = Conn::new(addr, UPSTREAM_TIMEOUT);
+        let mut held_bytes = 0;
+        for (i, (path, body)) in [
+            (
+                "/v1/droop_sweep",
+                r#"{"variant":"gated","source_v":1.0,"quiescent_a":6,"slew_ns":3,
+                    "delta":{"start_a":4,"stop_a":44,"points":11}}"#,
+            ),
+            (
+                "/v1/explore",
+                r#"{"tech_nodes":[45,22],"tdp_w":[35,45,65,91],"big_perf":[10,20],
+                    "small_perf":[1,2],"fraction_parallelism":[0.9],"batch":16}"#,
+            ),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let raw = format!(
+                "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let (hits_before, forwarded_before) = (hits(), forwarded());
+
+            // 1: computed — progress lines, then the result. Relayed,
+            // never cached.
+            let computed = conn.exchange(raw.as_bytes()).expect("computed stream");
+            assert_eq!(computed.status, 200, "{path}");
+            let text = String::from_utf8_lossy(&computed.bytes);
+            assert!(text.contains("{\"completed\":"), "{path}: {text}");
+            assert!(!is_stream_replay(&computed.bytes), "{path}");
+            assert_eq!(cached_entries(&router), i, "{path}: progress is not cached");
+
+            // 2: the shard's replay of its cached result. Relayed and
+            // cached.
+            let replay = conn.exchange(raw.as_bytes()).expect("replayed stream");
+            assert!(is_stream_replay(&replay.bytes), "{path}");
+            assert_eq!(
+                cached_entries(&router),
+                i + 1,
+                "{path}: the replay is cached"
+            );
+            assert_eq!(forwarded(), forwarded_before + 2, "{path}");
+
+            // 3-4: router hits, the replay's exact bytes.
+            for _ in 0..2 {
+                let hit = conn.exchange(raw.as_bytes()).expect("router hit");
+                assert_eq!(
+                    hit.bytes, replay.bytes,
+                    "{path}: a hit is the shard's replay"
+                );
+            }
+            assert_eq!(hits(), hits_before + 2, "{path}");
+            assert_eq!(
+                forwarded(),
+                forwarded_before + 2,
+                "{path}: hits skip the shard"
+            );
+            held_bytes += replay.bytes.len();
+        }
+
+        // The budget gauges count both replays.
+        let metrics = http_request(addr, "GET", "/metrics", None).expect("metrics");
+        assert!(metrics.body.contains("dg_router_reply_cache_entries 2\n"));
+        let bytes_gauge = format!("dg_router_reply_cache_bytes {held_bytes}\n");
+        assert!(metrics.body.contains(&bytes_gauge), "{}", metrics.body);
 
         assert!(router.shutdown());
         shard.shutdown();

@@ -120,7 +120,7 @@ impl ResponseCache {
     /// A memory-only cache bounded by `max_entries` entries and
     /// `max_bytes` total body bytes (both floors of 1 so the cache is
     /// never degenerate).
-    pub fn new(max_entries: usize, max_bytes: usize) -> Self {
+    fn new(max_entries: usize, max_bytes: usize) -> Self {
         ResponseCache {
             state: TrackedMutex::new(
                 "serve.respcache.state",

@@ -202,7 +202,9 @@ pub enum Kind {
     /// reply cache may answer a repeat.
     Cacheable(Route),
     /// `POST /v1/explore` and `POST /v1/droop_sweep`: chunked NDJSON
-    /// streams, relayed by the router and never held in its reply cache.
+    /// streams. The router relays a computed stream (progress lines, then
+    /// the result) and holds only the shard's replay of a cached result,
+    /// the one-line form every later request on the key receives.
     Stream(Route),
     /// Anything else: 404s, 405s and the debug route.
     Other,
