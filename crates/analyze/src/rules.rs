@@ -592,7 +592,7 @@ pub fn determinism_hygiene(lexed: &Lexed, allow_threads: bool) -> Vec<Finding> {
                     rule: RuleId::DeterminismHygiene,
                     line,
                     message: format!("`{needle}` bypasses the deterministic execution engine"),
-                    help: "use dg_engine::par_map / par_tasks so results are \
+                    help: "use dg_engine::par_map / par_map_progress so results are \
                            bit-identical for any thread count"
                         .into(),
                 });

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! # dg-lock-witness v1
-//! class engine.bucket
+//! class engine.stream.window
 //! edge serve.queue.state serve.completions
 //! ```
 //!

@@ -6,10 +6,11 @@
 //! `dg-serve`'s `GET /v1/claims` endpoint grade through the same code
 //! path — the daemon never shells out to a binary.
 //!
-//! The graders run concurrently on the `dg-engine` pool ([`grade`] uses
-//! `par_tasks`) and are collected in submission order, so the report is
-//! identical for any thread count — and, because the engine inlines
-//! nested parallelism, also when invoked from inside a server worker.
+//! The graders run concurrently on the `dg-engine` pool ([`grade`] maps
+//! them with `par_map`) and are collected in submission order, so the
+//! report is identical for any thread count — and, because the engine
+//! inlines nested parallelism, also when invoked from inside a server
+//! worker.
 
 use crate::experiments::{self, Ablations, Fig10Row, Fig4Result, Fig7Result, Fig8Cell, Fig9Row};
 use crate::DarkGates;
@@ -77,7 +78,7 @@ fn incomplete(name: &'static str, paper: String) -> Claim {
 
 /// Grades every claim against `eval`, concurrently, in a fixed order.
 pub fn grade(eval: &ClaimData) -> Vec<Claim> {
-    type Grader<'a> = Box<dyn FnOnce() -> Claim + Send + 'a>;
+    type Grader<'a> = Box<dyn Fn() -> Claim + Sync + 'a>;
     let graders: Vec<Grader<'_>> = vec![
         // Fig. 4: impedance halving.
         Box::new(|| {
@@ -255,7 +256,7 @@ pub fn grade(eval: &ClaimData) -> Vec<Claim> {
             )
         }),
     ];
-    dg_engine::par_tasks(graders)
+    dg_engine::par_map(&graders, |_, grader| grader())
 }
 
 /// Computes the datasets and grades everything: the one call `dg-serve`

@@ -3,31 +3,32 @@
 //! The experiment pipeline is embarrassingly parallel at several levels
 //! (benchmarks within a figure, TDP×suite×mode grid cells, frequency
 //! samples within an impedance sweep, claims within a validation run).
-//! This crate provides the primitives the rest of the workspace builds on:
+//! This crate provides the primitives the rest of the workspace builds on,
+//! all running on one scheduler:
 //!
-//! * [`par_map`] — map a closure over an indexed slice
-//!   on a transient thread pool, returning results **in input order**.
-//!   Output is bit-identical to the sequential loop for any thread count,
-//!   because each result is written back to its input index and any
-//!   reduction is done by the caller in index order.
-//! * [`par_map_progress`] — the same map with a streaming progress seam:
-//!   a barrier-free scheduler claims items across the whole range, parks
-//!   completed chunks in a preallocated reorder window, and emits the
-//!   sealed prefix to the caller's `progress` callback in index order as
-//!   soon as it closes (no join between chunks). The retired
-//!   chunk-barrier scheduler survives as [`par_map_progress_barrier`],
-//!   the executable oracle the streaming one is differentially tested
-//!   against.
-//! * [`par_tasks`] — run a set of heterogeneous boxed closures
-//!   concurrently, again collecting results in input order.
+//! * [`par_map_progress`] — map a closure over an indexed slice on a
+//!   transient thread pool with a streaming progress seam: a barrier-free
+//!   scheduler claims items across the whole range, parks completed chunks
+//!   in a preallocated reorder window, and emits the sealed prefix to the
+//!   caller's `progress` callback in index order as soon as it closes (no
+//!   join between chunks).
+//! * [`par_map`] — the same map as a single chunk with no progress
+//!   callback, returning results **in input order**.
+//! * [`par_map_progress_sequential`] — the plain sequential loop both are
+//!   defined against. Single-threaded and nested calls run it, and the
+//!   differential proptests compare the scheduler with it.
+//!
+//! Output is bit-identical to the sequential loop for any thread count,
+//! because each result is written back to its input index and any
+//! reduction is done by the caller in index order.
 //!
 //! Worker panics do **not** poison the pool: every unit of work runs under
-//! `catch_unwind`, the remaining items still complete, and then the
-//! payload is re-raised on the calling thread, so callers observe the same
-//! behaviour as a sequential loop. When several items panic in one call,
-//! the payload re-raised is always the **lowest panicking index**'s,
-//! independent of thread scheduling — panics are as deterministic as
-//! results.
+//! `catch_unwind`, the remaining items of its chunk (for [`par_map`], every
+//! item) still complete, and then the payload is re-raised on the calling
+//! thread, so callers observe the same behaviour as a sequential loop.
+//! When several items of a chunk panic, the payload re-raised is always
+//! the **lowest panicking index**'s, independent of thread scheduling —
+//! panics are as deterministic as results.
 //!
 //! Nested calls degrade gracefully: a `par_map` issued from inside a
 //! worker thread runs inline on that worker (no thread explosion, no
@@ -129,13 +130,6 @@ impl Drop for ScheduleSeedGuard {
     }
 }
 
-/// The order in which work items are claimed for `n` items under `seed`:
-/// a bijection over `0..n` (ascending when `seed == 0`). Exposed so tests
-/// and the chaos harness can log and replay the exact claim order.
-fn schedule_order(seed: u64, n: usize) -> Vec<usize> {
-    (0..n).map(|slot| schedule_index(seed, slot, n)).collect()
-}
-
 /// Maps the `slot`-th claim to an input index: an affine permutation
 /// `slot * step + offset (mod n)` with `step` coprime to `n`, derived from
 /// the seed. Identity when the seed is 0 or there is nothing to permute.
@@ -168,8 +162,8 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 }
 
 /// Runs `f` with this thread marked as a pool worker, so every nested
-/// [`par_map`] / [`par_tasks`] call inside `f` executes inline on the
-/// current thread instead of spawning a scope of its own.
+/// [`par_map`] / [`par_map_progress`] call inside `f` executes inline on
+/// the current thread instead of spawning a scope of its own.
 ///
 /// This is how a server thread-pool composes with the engine: each request
 /// handler runs under `inline_scope`, costing exactly one thread per
@@ -215,22 +209,34 @@ impl fmt::Display for ThreadEnvIssue {
     }
 }
 
+/// The thread-count environment variables, in resolution order.
+const THREAD_VARS: [&str; 2] = ["DG_NUM_THREADS", "RAYON_NUM_THREADS"];
+
+/// Reads a thread-count variable's value, surrounding whitespace ignored:
+/// the positive count it names, or why it is unusable. [`num_threads`]
+/// and [`thread_env_issues`] both parse through here, so a value is used
+/// exactly when it is not reported.
+fn parse_thread_count(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(0) => Err("a zero-thread pool cannot make progress".to_owned()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("{:?} is not a positive integer", value.trim())),
+    }
+}
+
 /// Inspects the thread-count environment variables and reports every one
 /// that is set but unusable (non-numeric, zero, or otherwise unparsable).
 /// [`num_threads`] silently skips these; callers with a user interface
 /// (the bench binaries, `dg-serve`) print them as startup warnings.
 pub fn thread_env_issues() -> Vec<ThreadEnvIssue> {
     let mut issues = Vec::new();
-    for var in ["DG_NUM_THREADS", "RAYON_NUM_THREADS"] {
+    for var in THREAD_VARS {
         let Ok(value) = std::env::var(var) else {
             continue;
         };
-        let reason = match value.trim().parse::<usize>() {
-            Ok(0) => "a zero-thread pool cannot make progress".to_owned(),
-            Ok(_) => continue,
-            Err(_) => format!("{:?} is not a positive integer", value.trim()),
-        };
-        issues.push(ThreadEnvIssue { var, value, reason });
+        if let Err(reason) = parse_thread_count(&value) {
+            issues.push(ThreadEnvIssue { var, value, reason });
+        }
     }
     issues
 }
@@ -241,11 +247,9 @@ pub fn num_threads() -> usize {
     if forced > 0 {
         return forced;
     }
-    for var in ["DG_NUM_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(var).ok().and_then(|v| v.parse().ok()) {
-            if n > 0 {
-                return n;
-            }
+    for var in THREAD_VARS {
+        if let Some(Ok(n)) = std::env::var(var).ok().map(|v| parse_thread_count(&v)) {
+            return n;
         }
     }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -254,18 +258,13 @@ pub fn num_threads() -> usize {
 /// One work item's outcome inside the pool.
 type Outcome<U> = Result<U, String>;
 
-/// One worker's local results: `(index, outcome)` pairs, merged into slot
-/// order after the scope joins. [`TrackedMutex`] recovers from poison by
-/// construction; the protected state is always valid because payloads are
-/// only written after a work item completes.
-type Bucket<U> = TrackedMutex<Vec<(usize, Outcome<U>)>>;
-
 /// Maps `f` over `items` in parallel, returning outputs in input order.
 ///
 /// `f` receives `(index, &item)`. The result at position `i` is always
 /// `f(i, &items[i])`, regardless of thread count or scheduling, so any
 /// caller-side reduction done in index order is bit-identical to the
-/// sequential loop.
+/// sequential loop. This is [`par_map_progress`] with the whole input as
+/// one chunk and no progress callback.
 ///
 /// # Panics
 ///
@@ -278,56 +277,7 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let threads = num_threads().min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 || IN_WORKER.with(Cell::get) {
-        return collect_outcomes(
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, x)| (i, run_guarded(|| f(i, x))))
-                .collect(),
-            items.len(),
-        );
-    }
-
-    // Work-stealing via a shared atomic cursor: each worker claims the
-    // next unprocessed slot, computes, and stashes (index, outcome) in a
-    // local bucket. Buckets are merged into slot order afterwards, so the
-    // output permutation is independent of which worker ran which index.
-    // Under a schedule seed the claimed slot maps through a seeded
-    // permutation, perturbing the interleaving without touching results.
-    let schedule_seed = SCHEDULE_SEED.load(Ordering::SeqCst);
-    let cursor = AtomicUsize::new(0);
-    let buckets: Vec<Bucket<U>> = (0..threads)
-        .map(|_| TrackedMutex::new("engine.bucket", Vec::new()))
-        .collect();
-
-    std::thread::scope(|scope| {
-        for bucket in &buckets {
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                let mut local = Vec::new();
-                loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    if slot >= items.len() {
-                        break;
-                    }
-                    let i = schedule_index(schedule_seed, slot, items.len());
-                    local.push((i, run_guarded(|| f(i, &items[i]))));
-                }
-                *bucket.lock() = local;
-                IN_WORKER.with(|w| w.set(false));
-            });
-        }
-    });
-
-    let mut outcomes = Vec::with_capacity(items.len());
-    for bucket in &buckets {
-        outcomes.extend(bucket.lock().drain(..));
-    }
-    collect_outcomes(outcomes, items.len())
+    par_map_progress(items, items.len(), f, |_, _| {})
 }
 
 /// One chunk's cell in the streaming scheduler's reorder window: outcome
@@ -345,38 +295,38 @@ struct StreamCell<U> {
 /// Maps `f` over `items` in parallel like [`par_map`], reporting progress
 /// after each contiguous chunk of `chunk` items (floored to 1) completes.
 ///
-/// Since PR 10 this is a **barrier-free ordered-streaming** map: workers
-/// claim item slots off one work-stealing atomic cursor across the
-/// *entire* input range (no join between chunks), completed items land in
-/// a preallocated per-chunk reorder window, and the calling thread emits
-/// the sealed prefix — invoking `progress` with the number of items
-/// completed so far and the just-sealed chunk's outputs in index order —
-/// while workers keep integrating ahead. A slow item therefore delays
-/// only the chunks at or after it; it no longer idles every worker at a
-/// wave boundary the way the retired
-/// [`par_map_progress_barrier`] scheduler did.
+/// This is a **barrier-free ordered-streaming** map: workers claim item
+/// slots off one work-stealing atomic cursor across the *entire* input
+/// range (no join between chunks), completed items land in a preallocated
+/// per-chunk reorder window, and the calling thread emits the sealed
+/// prefix — invoking `progress` with the number of items completed so far
+/// and the just-sealed chunk's outputs in index order — while workers keep
+/// integrating ahead. A slow item therefore delays only the chunks at or
+/// after it, not every worker at a wave boundary.
 ///
-/// The observable contract is exactly the barrier scheduler's: the
-/// returned vector, and the *sequence* of progress calls (both the `done`
-/// counts and the emitted slices), are bit-identical to
-/// [`par_map_progress_barrier`] for any thread count and any
+/// The returned vector, and the *sequence* of progress calls (both the
+/// `done` counts and the emitted slices), are bit-identical to
+/// [`par_map_progress_sequential`] for any thread count and any
 /// [`set_schedule_seed`] permutation; `progress` always runs on the
-/// calling thread. This is the seam `dg-explore` streams `/v1/explore`
-/// progress records and `didt` streams `/v1/droop_sweep` waves through.
+/// calling thread. Single-threaded and nested calls (and calls under
+/// [`inline_scope`]) run that sequential loop directly. This is the seam
+/// `dg-explore` streams `/v1/explore` progress records and `didt` streams
+/// `/v1/droop_sweep` waves through.
 ///
-/// The one divergence is speculation, which is unobservable through the
-/// contract: when an item panics, the barrier scheduler never invoked `f`
-/// past the panicking chunk, whereas the streaming scheduler may already
-/// have run items from later chunks. The emitted prefix, the progress
-/// sequence, and the re-raised payload are unchanged — chunks after the
-/// first panicking chunk are never emitted, and workers stop claiming
-/// their items as soon as the panic is observed.
+/// The one divergence from the sequential loop is speculation, which is
+/// unobservable through the contract: when an item panics, the sequential
+/// loop never invokes `f` past the panicking chunk, whereas the streaming
+/// scheduler may already have run items from later chunks. The emitted
+/// prefix, the progress sequence, and the re-raised payload are unchanged
+/// — chunks after the first panicking chunk are never emitted, and workers
+/// stop claiming their items as soon as the panic is observed.
 ///
 /// # Panics
 ///
-/// If `f` panics for any item, the panic payload is re-raised on the
-/// calling thread (for the lowest panicking index in the first chunk that
-/// panicked); chunks after it are never emitted.
+/// If `f` panics for any item, every other item of its chunk still runs,
+/// then the panic payload is re-raised on the calling thread (for the
+/// lowest panicking index in the first chunk that panicked); chunks after
+/// it are never emitted.
 pub fn par_map_progress<T, U, F, P>(items: &[T], chunk: usize, f: F, mut progress: P) -> Vec<U>
 where
     T: Sync,
@@ -387,14 +337,11 @@ where
     let chunk = chunk.max(1);
     let n = items.len();
     let threads = num_threads().min(n.max(1));
-    let n_chunks = n.div_ceil(chunk);
-    if threads <= 1 || n <= 1 || n_chunks <= 1 || IN_WORKER.with(Cell::get) {
-        // Sequential, single-chunk, and nested calls have no wave
-        // boundaries to dissolve; the barrier scheduler *is* the
-        // reference semantics there.
-        return par_map_progress_barrier(items, chunk, f, progress);
+    if threads <= 1 || n <= 1 || IN_WORKER.with(Cell::get) {
+        return par_map_progress_sequential(items, chunk, f, progress);
     }
 
+    let n_chunks = n.div_ceil(chunk);
     let schedule_seed = SCHEDULE_SEED.load(Ordering::SeqCst);
     let cursor = AtomicUsize::new(0);
     // Lowest chunk known to hold a panicking item. Chunks strictly after
@@ -459,10 +406,10 @@ where
 
         // The calling thread is the emitter: it drains the window in
         // chunk order, so the output vector and the progress sequence are
-        // reconstructed exactly as the barrier scheduler produced them.
-        // Waiting on chunk `c` is deadlock-free: the emitter only reaches
-        // `c` after chunks `0..c` sealed clean, so `doomed >= c` and no
-        // worker ever skips an item of chunk `c`.
+        // exactly the sequential loop's. Waiting on chunk `c` is
+        // deadlock-free: the emitter only reaches `c` after chunks `0..c`
+        // sealed clean, so `doomed >= c` and no worker ever skips an item
+        // of chunk `c`.
         for c in 0..n_chunks {
             let taken: Vec<Option<Outcome<U>>> = {
                 let mut cells = window.lock();
@@ -472,30 +419,12 @@ where
                 std::mem::take(&mut cells[c].slots)
             };
             let base = out.len();
-            let mut failure: Option<String> = None;
-            for slot in taken {
-                match slot {
-                    Some(Ok(value)) => {
-                        if failure.is_none() {
-                            out.push(value);
-                        }
-                    }
-                    Some(Err(payload)) => {
-                        if failure.is_none() {
-                            failure = Some(payload);
-                        }
-                    }
-                    // Unreachable by construction (a sealed chunk has
-                    // every slot deposited); treated as a panic outcome
-                    // rather than panicking here directly.
-                    None => {
-                        if failure.is_none() {
-                            failure = Some("work item produced no result".to_string());
-                        }
-                    }
-                }
-            }
-            if let Some(payload) = failure {
+            // A sealed chunk has every slot deposited; an empty one is
+            // treated as a panic outcome rather than panicking here.
+            let outcomes = taken
+                .into_iter()
+                .map(|slot| slot.unwrap_or_else(|| Err("work item produced no result".into())));
+            if let Err(payload) = append_chunk(outcomes, &mut out) {
                 panic_payload = Some(payload);
                 doomed.fetch_min(c, Ordering::Relaxed);
                 break;
@@ -510,117 +439,46 @@ where
     }
 }
 
-/// The retired chunk-barrier progress scheduler: items are processed in
-/// contiguous chunks, each chunk runs through a full [`par_map`] (spawn,
-/// integrate, join), then `progress` observes it before the next wave
-/// starts.
+/// The sequential loop [`par_map_progress`] is defined against: chunk by
+/// chunk, every item of the chunk runs under `catch_unwind`; if any
+/// panicked, the lowest panicking index's payload is re-raised before
+/// `progress` sees the chunk, otherwise `progress` observes it and the
+/// next chunk starts.
 ///
-/// Kept as the executable reference semantics for [`par_map_progress`]:
-/// the streaming scheduler's differential proptests oracle against it,
-/// and the sequential/nested paths of [`par_map_progress`] delegate to
-/// it. New code should call [`par_map_progress`].
+/// [`par_map_progress`] runs this loop itself for single-threaded and
+/// nested calls; the differential proptests compare its streaming
+/// scheduler with it. New code should call [`par_map_progress`].
 ///
 /// # Panics
 ///
-/// If `f` panics for any item, the panic payload is re-raised on the
-/// calling thread (for the lowest panicking index in the first chunk that
-/// panicked); chunks after it do not run at all.
-// dg-analyze: allow(unreached-pub, reason = "live (par_map_progress's sequential path); crates/engine/tests/stream_map_props.rs names it as the differential oracle")
-pub fn par_map_progress_barrier<T, U, F, P>(
+/// If `f` panics for any item, every other item of its chunk still runs,
+/// then the panic payload of the chunk's lowest panicking index is
+/// re-raised on the calling thread; chunks after it do not run at all.
+// dg-analyze: allow(unreached-pub, reason = "live (par_map_progress's single-threaded and nested path); crates/engine/tests/stream_map_props.rs names it as the reference the streaming scheduler is compared against")
+pub fn par_map_progress_sequential<T, U, F, P>(
     items: &[T],
     chunk: usize,
     f: F,
     mut progress: P,
 ) -> Vec<U>
 where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
+    F: Fn(usize, &T) -> U,
     P: FnMut(usize, &[U]),
 {
     let chunk = chunk.max(1);
     let mut out: Vec<U> = Vec::with_capacity(items.len());
     for slice in items.chunks(chunk) {
         let base = out.len();
-        let part = par_map(slice, |i, x| f(base + i, x));
-        out.extend(part);
+        let outcomes = slice
+            .iter()
+            .enumerate()
+            .map(|(k, x)| run_guarded(|| f(base + k, x)));
+        if let Err(payload) = append_chunk(outcomes, &mut out) {
+            resume_unwind(Box::new(payload));
+        }
         progress(out.len(), &out[base..]);
     }
     out
-}
-
-/// A boxed unit of work for [`par_tasks`].
-pub type Task<'a, U> = Box<dyn FnOnce() -> U + Send + 'a>;
-
-/// Runs heterogeneous closures concurrently, returning their results in
-/// input order. Useful when the units of work differ in shape (e.g. "all
-/// figure datasets at once").
-///
-/// # Panics
-///
-/// If a task panics, the remaining tasks still run to completion, then
-/// the payload of the lowest panicking submission index is re-raised on
-/// the calling thread.
-#[must_use]
-pub fn par_tasks<U: Send>(tasks: Vec<Task<'_, U>>) -> Vec<U> {
-    let n = tasks.len();
-    let threads = num_threads().min(n.max(1));
-    if threads <= 1 || n <= 1 || IN_WORKER.with(Cell::get) {
-        return collect_outcomes(
-            tasks
-                .into_iter()
-                .enumerate()
-                .map(|(i, task)| (i, run_guarded(task)))
-                .collect(),
-            n,
-        );
-    }
-
-    let outcomes: TrackedMutex<Vec<(usize, Outcome<U>)>> =
-        TrackedMutex::new("engine.tasks.outcomes", Vec::with_capacity(n));
-    // Tasks are popped from the back; reversing yields submission order.
-    // A schedule seed instead permutes the pop order deterministically
-    // (results are still collected in submission order).
-    let schedule_seed = SCHEDULE_SEED.load(Ordering::SeqCst);
-    let mut indexed: Vec<(usize, Task<'_, U>)> = tasks.into_iter().enumerate().collect();
-    if schedule_seed != 0 {
-        let order = schedule_order(schedule_seed, n);
-        let mut slots: Vec<Option<(usize, Task<'_, U>)>> = indexed.into_iter().map(Some).collect();
-        let mut permuted = Vec::with_capacity(n);
-        for idx in order.into_iter().rev() {
-            if let Some(slot) = slots.get_mut(idx) {
-                if let Some(task) = slot.take() {
-                    permuted.push(task);
-                }
-            }
-        }
-        indexed = permuted;
-    } else {
-        indexed.reverse();
-    }
-    let queue: TrackedMutex<Vec<(usize, Task<'_, U>)>> =
-        TrackedMutex::new("engine.tasks.queue", indexed);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let queue = &queue;
-            let outcomes = &outcomes;
-            scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let Some((i, task)) = queue.lock().pop() else {
-                        break;
-                    };
-                    let outcome = run_guarded(task);
-                    outcomes.lock().push((i, outcome));
-                }
-                IN_WORKER.with(|w| w.set(false));
-            });
-        }
-    });
-
-    let pairs: Vec<(usize, Outcome<U>)> = outcomes.lock().drain(..).collect();
-    collect_outcomes(pairs, n)
 }
 
 /// Runs one unit of work, converting a panic into an `Err(payload)`.
@@ -628,46 +486,30 @@ fn run_guarded<U>(work: impl FnOnce() -> U) -> Outcome<U> {
     catch_unwind(AssertUnwindSafe(work)).map_err(|payload| describe_payload(payload.as_ref()))
 }
 
-/// Merges `(index, outcome)` pairs into input order. On any panic the
-/// payload of the **lowest** panicking index is re-raised, so the panic
-/// the caller sees is independent of scheduling.
-fn collect_outcomes<U>(pairs: Vec<(usize, Outcome<U>)>, n: usize) -> Vec<U> {
-    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    let mut first_panic: Option<(usize, String)> = None;
-    for (i, outcome) in pairs {
+/// Consumes one chunk's outcomes in index order, appending the values to
+/// `out`. Every outcome is drawn, so a lazy iterator runs every item; if
+/// any panicked, the lowest panicking index's payload is returned and the
+/// values from that index on are dropped.
+fn append_chunk<U>(
+    outcomes: impl IntoIterator<Item = Outcome<U>>,
+    out: &mut Vec<U>,
+) -> Result<(), String> {
+    let mut failure = None;
+    for outcome in outcomes {
         match outcome {
-            Ok(value) => {
-                if let Some(slot) = slots.get_mut(i) {
-                    *slot = Some(value);
-                }
-            }
-            Err(payload) => {
-                if first_panic.as_ref().is_none_or(|(j, _)| i < *j) {
-                    first_panic = Some((i, payload));
-                }
-            }
+            Ok(value) if failure.is_none() => out.push(value),
+            Err(payload) if failure.is_none() => failure = Some(payload),
+            _ => {}
         }
     }
-    if let Some((_, payload)) = first_panic {
-        resume_unwind(Box::new(payload));
-    }
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        match slot {
-            Some(value) => out.push(value),
-            // Unreachable by construction (every index is claimed exactly
-            // once); re-raised like a work item's panic rather than
-            // panicking here directly.
-            None => resume_unwind(Box::new("work item produced no result".to_string())),
-        }
-    }
-    out
+    failure.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Mutex;
+    use std::time::Duration;
 
     /// The override is process-global, so tests that touch it must not
     /// interleave. Poisoning is expected (one test panics on purpose).
@@ -741,6 +583,8 @@ mod tests {
         assert_eq!(n, 3);
     }
 
+    /// The streaming scheduler against the sequential loop, which computes
+    /// exactly what the retired chunk-barrier scheduler did.
     #[test]
     fn streaming_progress_matches_barrier_scheduler_bit_for_bit() {
         let _l = serial();
@@ -751,20 +595,21 @@ mod tests {
                 for chunk in [1usize, 5, 16, 131, 500] {
                     let _g = set_thread_override(threads);
                     let _s = set_schedule_seed(seed);
-                    let mut barrier_calls: Vec<(usize, Vec<u64>)> = Vec::new();
-                    let barrier = par_map_progress_barrier(&items, chunk, work, |done, fresh| {
-                        barrier_calls.push((done, fresh.to_vec()));
-                    });
+                    let mut reference_calls: Vec<(usize, Vec<u64>)> = Vec::new();
+                    let reference =
+                        par_map_progress_sequential(&items, chunk, work, |done, fresh| {
+                            reference_calls.push((done, fresh.to_vec()));
+                        });
                     let mut stream_calls: Vec<(usize, Vec<u64>)> = Vec::new();
                     let streamed = par_map_progress(&items, chunk, work, |done, fresh| {
                         stream_calls.push((done, fresh.to_vec()));
                     });
                     assert_eq!(
-                        streamed, barrier,
+                        streamed, reference,
                         "threads={threads} seed={seed} chunk={chunk}: outputs diverged"
                     );
                     assert_eq!(
-                        stream_calls, barrier_calls,
+                        stream_calls, reference_calls,
                         "threads={threads} seed={seed} chunk={chunk}: progress diverged"
                     );
                 }
@@ -814,15 +659,30 @@ mod tests {
     }
 
     #[test]
-    fn par_tasks_keeps_submission_order() {
+    fn one_chunk_maps_run_their_items_concurrently() {
         let _l = serial();
-        let _g = set_thread_override(4);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..23usize)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let out = par_tasks(tasks);
-        let expected: Vec<usize> = (0..23).map(|i| i * i).collect();
-        assert_eq!(out, expected);
+        let _g = set_thread_override(2);
+        // Each item arrives, then waits (at most 5 s, in 1 ms sleeps) for
+        // the other one; run one after the other, the first would read 1.
+        let rendezvous = |arrived: &AtomicUsize| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            for _ in 0..5_000 {
+                if arrived.load(Ordering::SeqCst) >= 2 {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            arrived.load(Ordering::SeqCst)
+        };
+        let items = [(), ()];
+        let arrived = AtomicUsize::new(0);
+        let out = par_map(&items, |_, _| rendezvous(&arrived));
+        assert_eq!(out, vec![2, 2], "par_map ran its items one at a time");
+        for chunk in [2, 64] {
+            let arrived = AtomicUsize::new(0);
+            let out = par_map_progress(&items, chunk, |_, _| rendezvous(&arrived), |_, _| {});
+            assert_eq!(out, vec![2, 2], "chunk {chunk} ran its items one at a time");
+        }
     }
 
     #[test]
@@ -920,29 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn par_tasks_surfaces_payload_and_index() {
-        let _l = serial();
-        let _g = set_thread_override(3);
-        let ran = AtomicUsize::new(0);
-        let tasks: Vec<Task<'_, usize>> = (0..17usize)
-            .map(|i| {
-                let ran = &ran;
-                Box::new(move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    assert!(i != 11, "task {i} failed");
-                    i
-                }) as Task<'_, usize>
-            })
-            .collect();
-        assert_eq!(panic_payload(|| par_tasks(tasks)), "task 11 failed");
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            17,
-            "every other task still runs"
-        );
-    }
-
-    #[test]
     fn inline_scope_inlines_nested_parallel_calls() {
         let _l = serial();
         let _g = set_thread_override(8);
@@ -995,6 +832,11 @@ mod tests {
         assert!(num_threads() >= 1, "bad env values must still fall back");
         std::env::set_var("DG_NUM_THREADS", "4");
         assert!(thread_env_issues().is_empty());
+        // Padding is ignored the same way by the check and by the resolver,
+        // so an unreported value is always the one in use.
+        std::env::set_var("DG_NUM_THREADS", " 13");
+        assert!(thread_env_issues().is_empty());
+        assert_eq!(num_threads(), 13);
         let display = ThreadEnvIssue {
             var: "DG_NUM_THREADS",
             value: "abc".to_owned(),
@@ -1006,6 +848,12 @@ mod tests {
             Some(v) => std::env::set_var("DG_NUM_THREADS", v),
             None => std::env::remove_var("DG_NUM_THREADS"),
         }
+    }
+
+    /// The input indices the scheduler's claims map to for `n` items under
+    /// `seed`, in claim order.
+    fn schedule_order(seed: u64, n: usize) -> Vec<usize> {
+        (0..n).map(|slot| schedule_index(seed, slot, n)).collect()
     }
 
     #[test]
@@ -1061,19 +909,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_seed_never_changes_par_tasks_results_or_error_index() {
+    fn schedule_seed_never_changes_par_map_error_index() {
         let _l = serial();
         let _g = set_thread_override(4);
         for seed in [0u64, 9, 77] {
             let _s = set_schedule_seed(seed);
-            let tasks: Vec<Task<'_, usize>> = (0..31usize)
-                .map(|i| Box::new(move || i * i) as Task<'_, usize>)
-                .collect();
-            assert_eq!(
-                par_tasks(tasks),
-                (0..31).map(|i| i * i).collect::<Vec<usize>>(),
-                "seed {seed}"
-            );
             let items: Vec<u32> = (0..64).collect();
             let payload = panic_payload(|| {
                 par_map(&items, |_, &x| {

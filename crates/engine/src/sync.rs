@@ -206,8 +206,8 @@ mod witness {
 
     thread_local! {
         /// Lock classes currently held by this thread, in acquisition
-        /// order. Duplicate entries are possible for distinct instances
-        /// sharing a class (e.g. two `engine.bucket`s) and are kept.
+        /// order. Duplicate entries are possible when two instances of one
+        /// class are held at once, and are kept.
         static HELD: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     }
 

@@ -1,8 +1,9 @@
 //! Differential property tests pinning the barrier-free streaming
-//! [`dg_engine::par_map_progress`] to the retired chunk-barrier scheduler
-//! it replaced ([`dg_engine::par_map_progress_barrier`]).
+//! [`dg_engine::par_map_progress`] to the sequential loop it is defined
+//! against ([`dg_engine::par_map_progress_sequential`]), which computes
+//! exactly what the retired chunk-barrier scheduler did.
 //!
-//! The streaming scheduler's contract is that nothing observable changed:
+//! The streaming scheduler's contract is that nothing observable differs:
 //! for any thread count, chunk size, and seeded schedule permutation,
 //!
 //! * the returned vector is bit-identical,
@@ -11,13 +12,15 @@
 //! * a panicking item propagates the same payload (the lowest panicking
 //!   index of the first panicking chunk) after the same emitted prefix.
 //!
-//! Both schedulers run under the same process-global thread override and
-//! schedule seed, so the file serializes its cases with a local lock
-//! (the overrides are process-wide, exactly like the engine's own unit
-//! tests).
+//! Cases with one chunk (`len <= chunk`, at least two items and threads)
+//! check the streaming scheduler's one-chunk path, the one
+//! [`dg_engine::par_map`] takes. Both runs happen under the same
+//! process-global thread override and schedule seed, so the file
+//! serializes its cases with a local lock (the overrides are
+//! process-wide, exactly like the engine's own unit tests).
 
 use dg_engine::{
-    par_map_progress, par_map_progress_barrier, set_schedule_seed, set_thread_override,
+    par_map_progress, par_map_progress_sequential, set_schedule_seed, set_thread_override,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -59,9 +62,9 @@ struct Observed {
     result: Result<Vec<u64>, String>,
 }
 
-/// Runs one scheduler over `items` with a deterministic workload that
-/// panics at every index `i` with `(i + 1) % panic_every == 0` (never,
-/// when `panic_every` is 0).
+/// Runs the streaming scheduler or the sequential reference over `items`
+/// with a deterministic workload that panics at every index `i` with
+/// `(i + 1) % panic_every == 0` (never, when `panic_every` is 0).
 fn observe(streaming: bool, items: &[f64], chunk: usize, panic_every: usize) -> Observed {
     let work = move |i: usize, &x: &f64| {
         assert!(
@@ -76,7 +79,7 @@ fn observe(streaming: bool, items: &[f64], chunk: usize, panic_every: usize) -> 
         if streaming {
             par_map_progress(items, chunk, work, record)
         } else {
-            par_map_progress_barrier(items, chunk, work, record)
+            par_map_progress_sequential(items, chunk, work, record)
         }
     }));
     let result = outcome.map_err(|payload| {
@@ -102,7 +105,7 @@ proptest! {
     ) {
         let _serial = serial();
         let items: Vec<f64> = (0..len).map(|i| 0.3 + (i as f64) * 0.17).collect();
-        let (barrier, streamed) = {
+        let (reference, streamed) = {
             let _quiet = QuietPanics::install();
             let _t = set_thread_override(threads);
             let _s = set_schedule_seed(seed);
@@ -112,12 +115,12 @@ proptest! {
             )
         };
         prop_assert_eq!(
-            &streamed.result, &barrier.result,
+            &streamed.result, &reference.result,
             "len={} chunk={} seed={} threads={} panic_every={}",
             len, chunk, seed, threads, panic_every
         );
         prop_assert_eq!(
-            &streamed.progress, &barrier.progress,
+            &streamed.progress, &reference.progress,
             "len={} chunk={} seed={} threads={} panic_every={}",
             len, chunk, seed, threads, panic_every
         );
