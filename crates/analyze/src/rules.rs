@@ -551,11 +551,11 @@ pub fn determinism_hygiene(lexed: &Lexed, allow_threads: bool) -> Vec<Finding> {
     }
 
     // Runtime CPU-feature probes: an answer must never depend on the
-    // host's ISA extensions. The one legitimate site is the SIMD width
-    // dispatch seam (`KernelWidth::detect` in dg-pdn), which carries an
-    // explicit allow — detection may pick a kernel *width* there because
-    // every width is proven bit-identical, but scattered probes anywhere
-    // else are machine-dependent behavior.
+    // host's ISA extensions. The one legitimate site is the transient
+    // kernel's dispatch seam (`uses_avx2` in dg-pdn's `batch`), which
+    // carries an explicit allow — detection may pick which *build* of the
+    // kernel runs there because both builds are proven bit-identical, but
+    // scattered probes anywhere else are machine-dependent behavior.
     {
         let needle = "is_x86_feature_detected!";
         let mut from = 0;
@@ -571,8 +571,8 @@ pub fn determinism_hygiene(lexed: &Lexed, allow_threads: bool) -> Vec<Finding> {
                 line,
                 message: format!("`{needle}` makes behavior depend on the host CPU"),
                 help: "confine runtime feature probes to the SIMD dispatch seam \
-                       (KernelWidth::detect), where every selectable width is \
-                       bit-identical"
+                       (dg_pdn::batch::uses_avx2), where both builds of the \
+                       kernel are bit-identical"
                     .into(),
             });
         }
@@ -971,7 +971,7 @@ mod tests {
         let f = determinism_hygiene(&lex(src), false);
         assert_eq!(lines(&f), vec![2]);
         assert!(f[0].message.contains("is_x86_feature_detected"));
-        assert!(f[0].help.contains("KernelWidth::detect"));
+        assert!(f[0].help.contains("uses_avx2"));
         // Test code is exempt, like the clock and thread needles.
         let test_src =
             "#[cfg(test)]\nmod tests {\n  #[test]\n  fn f() { let _ = std::arch::is_x86_feature_detected!(\"avx2\"); }\n}\n";

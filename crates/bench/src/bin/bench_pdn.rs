@@ -1,52 +1,44 @@
 //! `bench-pdn`: throughput gate for the explicit-SIMD transient kernel.
 //!
-//! Verifies that every forced kernel width (scalar, ×4) is bit-identical
-//! to sequential scalar `run` calls on a 32-lane batch, then measures each
-//! width's wall-clock speedup over the sequential baseline and emits one
-//! row per width.
+//! Verifies that a 32-lane batch is bit-identical to 32 sequential
+//! one-lane `run` calls, then measures the batch's wall-clock speedup
+//! over that sequential baseline and emits one row.
 //!
 //! The sequential baseline runs the same kernel one lane at a time, so the
-//! ratio measures what lane blocking buys over single-lane blocks — not
+//! ratio measures what 4-lane blocking buys over single-lane blocks — not
 //! an old kernel against a new one.
 //!
 //! ```text
 //! # Human-readable report:
 //! cargo run --release -p dg-bench --bin bench-pdn
 //!
-//! # CI gate: exit nonzero on a bit-identity break or a best-width
-//! # speedup below the regression floor:
+//! # CI gate: exit nonzero on a bit-identity break or a speedup below
+//! # the regression floor:
 //! cargo run --release -p dg-bench --bin bench-pdn -- --check
 //!
 //! # The committed BENCH_pdn.json payload:
 //! cargo run --release -p dg-bench --bin bench-pdn -- --json
 //! ```
 
-use dg_pdn::simd::KernelWidth;
 use dg_pdn::skylake::{PdnVariant, SkylakePdn};
 use dg_pdn::transient::{LoadStep, TransientResult, TransientSim};
 use dg_pdn::units::{Amps, Seconds, Volts};
+use dg_pdn::uses_avx2;
 use std::hint::black_box;
 
 /// Lanes in the headline batch: the `didt::SWEEP_LANES` shape that droop
-/// sweeps carve their populations into — eight full ×4 blocks.
+/// sweeps carve their populations into — eight full 4-lane blocks.
 const LANES: usize = 32;
 
 /// Timing repetitions; the best (minimum) of these is reported, which is
 /// the standard way to strip scheduler noise from a throughput claim.
 const REPS: usize = 5;
 
-/// `--check` fails when the *best* width's speedup lands below this. The
+/// `--check` fails when the batch's speedup lands below this. The
 /// PR-5 auto-vectorized kernel measured 2.416x at 8 lanes; the blocked
 /// kernel at 32 lanes clears 2.5x over its own single-lane runs, so a dip
 /// below the old baseline is a real regression, not runner noise.
 const CHECK_FLOOR: f64 = 2.5;
-
-/// One measured row: a forced kernel width and its best-of-[`REPS`]
-/// wall-clock seconds for the 32-lane batch.
-struct WidthRow {
-    width: KernelWidth,
-    batch_best: f64,
-}
 
 fn steps() -> Vec<LoadStep> {
     (0..LANES)
@@ -97,101 +89,60 @@ fn main() {
     let pdn = SkylakePdn::build(PdnVariant::Bypassed);
     let sim = TransientSim::droop_capture(Volts::new(1.0));
     let steps = steps();
-    let widths = KernelWidth::ALL;
 
-    // Correctness first: every forced width must reproduce the scalar
-    // path bit-for-bit on every lane (this also warms the substrate
-    // caches so the timing below measures the kernels, not first-touch
-    // DC solves).
+    // Correctness first: the batch must reproduce the one-lane runs
+    // bit-for-bit on every lane (this also warms the substrate caches so
+    // the timing below measures the kernel, not first-touch DC solves).
     let scalars: Vec<TransientResult> = steps.iter().map(|s| sim.run(&pdn.ladder, *s)).collect();
-    for width in widths {
-        let batched = sim.run_batch_with_width(&pdn.ladder, &steps, width);
-        let identical = batched.len() == scalars.len()
-            && batched
-                .iter()
-                .zip(&scalars)
-                .all(|(b, s)| bit_identical(b, s));
-        if !identical {
-            eprintln!(
-                "FAIL: {} kernel is not bit-identical to the scalar path",
-                width.label()
-            );
-            std::process::exit(1);
-        }
+    let batched = sim.run_batch(&pdn.ladder, &steps);
+    let identical = batched.len() == scalars.len()
+        && batched
+            .iter()
+            .zip(&scalars)
+            .all(|(b, s)| bit_identical(b, s));
+    if !identical {
+        eprintln!("FAIL: the batch is not bit-identical to the one-lane runs");
+        std::process::exit(1);
     }
 
-    // Interleave the sequential baseline and every width inside each
+    // Interleave the sequential baseline and the batch inside each
     // repetition.
     let mut seq_best = f64::INFINITY;
-    let mut rows: Vec<WidthRow> = widths
-        .iter()
-        .map(|&width| WidthRow {
-            width,
-            batch_best: f64::INFINITY,
-        })
-        .collect();
+    let mut batch_best = f64::INFINITY;
     for _ in 0..REPS {
         timed(&mut seq_best, || {
             let results: Vec<TransientResult> =
                 steps.iter().map(|s| sim.run(&pdn.ladder, *s)).collect();
             black_box(results);
         });
-        for row in &mut rows {
-            let width = row.width;
-            timed(&mut row.batch_best, || {
-                black_box(sim.run_batch_with_width(&pdn.ladder, &steps, width));
-            });
-        }
+        timed(&mut batch_best, || {
+            black_box(sim.run_batch(&pdn.ladder, &steps));
+        });
     }
 
-    let dispatched = KernelWidth::detect();
-    let best_speedup = rows
-        .iter()
-        .map(|r| seq_best / r.batch_best)
-        .fold(0.0f64, f64::max);
+    let codegen = if uses_avx2() { "avx2" } else { "portable" };
+    let speedup = seq_best / batch_best;
 
     if json {
-        let row_json: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"width\":\"{}\",\"batch_best_ms\":{:.3},\"speedup\":{:.3}}}",
-                    r.width.label(),
-                    r.batch_best * 1e3,
-                    seq_best / r.batch_best,
-                )
-            })
-            .collect();
         println!(
             "{{\"bench\":\"dg-pdn-transient-batch\",\"lanes\":{LANES},\"reps\":{REPS},\
-             \"bit_identical\":true,\"dispatched\":\"{}\",\"seq_best_ms\":{:.3},\
-             \"rows\":[{}],\"best_speedup\":{:.3},\"check_floor\":{CHECK_FLOOR}}}",
-            dispatched.label(),
+             \"bit_identical\":true,\"codegen\":\"{codegen}\",\"seq_best_ms\":{:.3},\
+             \"batch_best_ms\":{:.3},\"speedup\":{speedup:.3},\"check_floor\":{CHECK_FLOOR}}}",
             seq_best * 1e3,
-            row_json.join(","),
-            best_speedup,
+            batch_best * 1e3,
         );
     } else {
         println!("bench-pdn: explicit-SIMD transient kernel, batched vs sequential runs");
         println!("  lanes            : {LANES}");
-        println!("  bit-identical    : yes (every width, all fields and samples, to_bits)");
-        println!("  dispatched width : {}", dispatched.label());
+        println!("  bit-identical    : yes (all fields and samples, to_bits)");
+        println!("  codegen          : {codegen}");
         println!("  seq best-of-{REPS}    : {:.3} ms", seq_best * 1e3);
-        for row in &rows {
-            println!(
-                "  {:<6} best-of-{REPS} : {:.3} ms  ({:.2}x)",
-                row.width.label(),
-                row.batch_best * 1e3,
-                seq_best / row.batch_best,
-            );
-        }
-        println!("  best speedup     : {best_speedup:.2}x");
+        println!("  batch best-of-{REPS}  : {:.3} ms", batch_best * 1e3);
+        println!("  speedup          : {speedup:.2}x");
     }
 
-    if check && best_speedup < CHECK_FLOOR {
-        eprintln!(
-            "FAIL: best speedup {best_speedup:.2}x below the {CHECK_FLOOR}x regression floor"
-        );
+    if check && speedup < CHECK_FLOOR {
+        eprintln!("FAIL: speedup {speedup:.2}x below the {CHECK_FLOOR}x regression floor");
         std::process::exit(1);
     }
 }

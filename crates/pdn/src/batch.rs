@@ -1,22 +1,22 @@
 //! Register-blocked transient kernel with explicit-SIMD lanes.
 //!
 //! Sweeps integrate hundreds of independent load-step scenarios ("lanes")
-//! against the *same* ladder. This module takes the lanes `L::WIDTH` at a
-//! time — [`F64x4`] blocks under AVX2, single `f64` lanes for the
-//! remainder and for the scalar width — and carries each block through the
-//! whole simulated window before starting the next. A block's state, its
-//! RK4 stages and the coefficient splats live in local `[L; N]` arrays,
-//! where `N` is the ladder's chain-node count as a const generic
-//! (instantiated for `1..=MAX_NODES`), so the hot loop is straight-line
-//! vector arithmetic on registers rather than passes over memory.
+//! against the *same* ladder. This module takes the lanes four at a time,
+//! in 4-lane blocks, then runs the remainder as single `f64` lanes, and
+//! carries each block through the whole simulated window before starting
+//! the next. A block's state, its RK4 stages and the coefficient splats
+//! live in local `[L; N]` arrays, where `L` is the lane type and `N` is
+//! the ladder's chain-node count as a const generic (instantiated for
+//! `1..=MAX_NODES`), so the hot loop is straight-line vector arithmetic
+//! on registers rather than passes over memory.
 //!
-//! [`TransientSim::run_batch`] picks a [`KernelWidth`] once per batch
-//! ([`KernelWidth::detect`]) and hands the integration to a width-specific
-//! entry point compiled under the matching `target_feature`. Every lane
+//! There is one data path and two builds of it: [`uses_avx2`] picks, once
+//! per batch, between the build compiled under
+//! `#[target_feature(enable = "avx2")]` and the portable one. Every lane
 //! operation is a pure per-element IEEE-754 expression in the same form
 //! and order as [`LadderCoeffs::derivative`] and the classical RK4 update —
 //! lanes never mix, nothing fuses into FMA — so every lane is
-//! bit-identical at every width and in every block position.
+//! bit-identical in every block position, in either build.
 //!
 //! A lane that reaches the settle band retires: a per-lane mask stops its
 //! bookkeeping, and the block stops once every lane has retired.
@@ -26,15 +26,15 @@
 //! optimize and test.
 
 use crate::ladder::Ladder;
-use crate::simd::{F64x4, KernelWidth, Lanes};
+use crate::simd::{F64x4, Lanes};
 use crate::transient::{
     push_final_sample, LadderCoeffs, LoadStep, TransientResult, TransientSim, MAX_NODES,
     SETTLE_ABS_TOL_V, SETTLE_REL_TOL, SETTLE_WINDOW_S,
 };
 use crate::units::{Seconds, Volts};
 
-/// Lanes in the widest block ([`F64x4`]); sizes the per-lane bookkeeping
-/// arrays every block width shares.
+/// Lanes in a full block (`F64x4`); sizes the per-lane bookkeeping arrays
+/// that full blocks and one-lane remainders share.
 const BLOCK: usize = 4;
 
 const _: () = assert!(<F64x4 as Lanes>::WIDTH == BLOCK);
@@ -130,8 +130,8 @@ pub fn with_thread_workspace<R>(f: impl FnOnce(&mut BatchWorkspace) -> R) -> R {
     })
 }
 
-/// Everything the width-dispatched integration touches, bundled so the
-/// `#[target_feature]` entry points stay non-generic while the kernel
+/// Everything the integration touches, bundled so the
+/// `#[target_feature]` entry point stays non-generic while the kernel
 /// itself is generic over the lane type and node count. All buffers are
 /// borrowed from a [`BatchWorkspace`]; the kernel owns no heap memory.
 struct Kernel<'a> {
@@ -152,11 +152,11 @@ impl TransientSim {
     /// Runs `steps.len()` independent load-step scenarios against `ladder`,
     /// returning one [`TransientResult`] per input step, in input order.
     ///
-    /// The kernel width is chosen once per call via
-    /// [`KernelWidth::detect`]. Each lane's result is bit-identical at
-    /// every width — including lanes that settle and retire at different
-    /// times — so the width choice can never perturb the repo's
-    /// determinism contract. An empty slice returns an empty vector.
+    /// Each lane's result is bit-identical to running that step alone
+    /// ([`TransientSim::run`]) — including lanes that settle and retire at
+    /// different times — whatever its position in a 4-lane block or the
+    /// remainder, and whichever build [`uses_avx2`] picks. An empty slice
+    /// returns an empty vector.
     ///
     /// Heap traffic: this convenience wrapper borrows the calling
     /// thread's warm [`BatchWorkspace`] and clones the results out, so it
@@ -164,24 +164,7 @@ impl TransientSim {
     /// workspace should call [`TransientSim::run_batch_in`] directly.
     #[must_use]
     pub fn run_batch(&self, ladder: &Ladder, steps: &[LoadStep]) -> Vec<TransientResult> {
-        self.run_batch_with_width(ladder, steps, KernelWidth::detect())
-    }
-
-    /// [`TransientSim::run_batch`] with an explicit kernel width.
-    ///
-    /// A request wider than the running CPU supports falls back to the
-    /// *portable* compilation of the same generic kernel (no AVX codegen),
-    /// so the wide data path — vector blocks plus scalar remainder — can be
-    /// exercised and benchmarked on any machine. Results are bit-identical
-    /// to [`KernelWidth::Scalar`] in every case.
-    #[must_use]
-    pub fn run_batch_with_width(
-        &self,
-        ladder: &Ladder,
-        steps: &[LoadStep],
-        width: KernelWidth,
-    ) -> Vec<TransientResult> {
-        with_thread_workspace(|ws| self.run_batch_in(ladder, steps, width, ws).to_vec())
+        with_thread_workspace(|ws| self.run_batch_in(ladder, steps, ws).to_vec())
     }
 
     /// The allocation-free core of [`TransientSim::run_batch`]: integrates
@@ -196,14 +179,13 @@ impl TransientSim {
     /// waveform `Vec` are reused. The returned slice borrows `ws` and is
     /// overwritten by the next batch run through the same workspace.
     ///
-    /// Results are bit-identical to [`TransientSim::run_batch`] at every
-    /// width; the wrappers are thin clones of this path.
+    /// Results are bit-identical to [`TransientSim::run_batch`], which is
+    /// a thin clone of this path.
     #[must_use]
     pub fn run_batch_in<'w>(
         &self,
         ladder: &Ladder,
         steps: &[LoadStep],
-        width: KernelWidth,
         ws: &'w mut BatchWorkspace,
     ) -> &'w [TransientResult] {
         let b = steps.len();
@@ -273,26 +255,44 @@ impl TransientSim {
             lanes: &ws.lanes,
             results: &mut ws.results[..b],
         };
-        match width {
-            KernelWidth::Scalar => kernel.integrate::<f64>(),
-            KernelWidth::X4 => integrate_x4(&mut kernel),
-        }
+        integrate_x4(&mut kernel);
 
         &ws.results[..b]
     }
 }
 
+/// Whether the running CPU has AVX2, so [`TransientSim::run_batch`] runs
+/// the kernel's AVX2 build rather than its portable one.
+///
+/// This is the workspace's **only** runtime CPU-feature query. It picks
+/// which compilation of the one 4-lane data path runs, never what that
+/// path computes: both builds are bit-identical lane for lane, so the
+/// answer stays outside the determinism contract by construction. There
+/// is no wider block: an 8-lane block needs two ymm registers per state
+/// row and spills under AVX2, and the AVX-512 build measured slower than
+/// 4-lane blocks on every host it ran on (DESIGN.md §11).
+#[must_use]
+pub fn uses_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // dg-analyze: allow(determinism-hygiene, reason = "the single sanctioned dispatch seam; both builds of the kernel are bit-identical")
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return true;
+        }
+    }
+    false
+}
+
 /// Runs the 4-lane kernel — under AVX2 codegen when the CPU has it, else
-/// the portable compilation of the same generic code (so the 4-lane data
-/// path is exercisable anywhere).
+/// the portable compilation of the same generic code.
 #[cfg(target_arch = "x86_64")]
 fn integrate_x4(kernel: &mut Kernel<'_>) {
     #[target_feature(enable = "avx2")]
     fn inner(kernel: &mut Kernel<'_>) {
         kernel.integrate::<F64x4>();
     }
-    if KernelWidth::detect() == KernelWidth::X4 {
-        // SAFETY: `detect()` returns X4 only when the running CPU reports
+    if uses_avx2() {
+        // SAFETY: `uses_avx2()` is true only when the running CPU reports
         // AVX2, so the feature-gated entry point is sound here.
         unsafe { inner(kernel) }
     } else {
@@ -357,8 +357,13 @@ fn accumulate<L: Lanes, const N: usize>(acc: &mut [L; N], k: &[L; N]) {
 impl Kernel<'_> {
     /// Dispatches on the chain's node count so every block runs with its
     /// state rows sized at compile time. `#[inline(always)]` (as is
-    /// everything below) so each width-specific entry point gets its own
-    /// codegen under its own target features.
+    /// everything below) so each build of the 4-lane entry point gets its
+    /// own codegen under its own target features.
+    ///
+    /// `L` stays a parameter although only `F64x4` fills it: a
+    /// non-generic rewrite gave the same bits but rebuilt the AVX2 build
+    /// with a different stack layout, and sweeps ran slower end to end
+    /// (DESIGN.md §11).
     #[inline(always)]
     fn integrate<L: Lanes>(&mut self) {
         const _: () = assert!(MAX_NODES == 8);
@@ -577,8 +582,9 @@ mod tests {
             duration: Seconds::from_us(20.0),
             decimate: 64,
         };
-        // Deltas chosen so lanes settle at different times (small steps
-        // settle fast, large ones ring longer), exercising mid-block lane
+        // Five lanes: one 4-lane block plus one remainder lane. Deltas
+        // chosen so lanes settle at different times (small steps settle
+        // fast, large ones ring longer), exercising mid-block lane
         // retirement.
         let steps: Vec<LoadStep> = [2.0, 45.0, 0.0, 18.0, 30.0]
             .iter()
@@ -594,34 +600,6 @@ mod tests {
         for (step, got) in steps.iter().zip(&batch) {
             let scalar = sim.run(&ladder, *step);
             assert_results_bit_identical(&scalar, got);
-        }
-    }
-
-    #[test]
-    fn every_kernel_width_is_bit_identical() {
-        let ladder = small_ladder();
-        let sim = TransientSim {
-            source: Volts::new(1.0),
-            dt: Seconds::from_ns(0.5),
-            duration: Seconds::from_us(20.0),
-            decimate: 64,
-        };
-        // 5 lanes: not a multiple of the block width, so the x4 kernel
-        // integrates a scalar remainder lane alongside a full block.
-        let steps: Vec<LoadStep> = [3.0, 40.0, 12.0, 27.0, 8.0]
-            .iter()
-            .map(|&delta| LoadStep {
-                from: Amps::new(5.0),
-                to: Amps::new(5.0 + delta),
-                at: Seconds::from_us(1.0),
-                slew: Seconds::from_ns(10.0),
-            })
-            .collect();
-        let reference = sim.run_batch_with_width(&ladder, &steps, KernelWidth::Scalar);
-        let wide = sim.run_batch_with_width(&ladder, &steps, KernelWidth::X4);
-        assert_eq!(wide.len(), reference.len());
-        for (a, b) in reference.iter().zip(&wide) {
-            assert_results_bit_identical(a, b);
         }
     }
 

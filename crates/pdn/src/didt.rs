@@ -10,10 +10,9 @@ use crate::ladder::Ladder;
 use crate::transient::{LoadStep, TransientResult, TransientSim};
 use crate::units::{Amps, Seconds, Volts};
 
-/// Lanes per batched transient task: eight full 4-lane blocks of the x4
-/// kernel ([`crate::simd::KernelWidth::X4`]), so no lane falls into the
-/// scalar remainder, yet small enough that a sweep still spreads across
-/// the worker pool.
+/// Lanes per batched transient task: eight full 4-lane blocks of the
+/// kernel, so no lane falls into the one-lane remainder, yet small enough
+/// that a sweep still spreads across the worker pool.
 pub(crate) const SWEEP_LANES: usize = 32;
 
 /// Lane groups per progress wave in [`droop_sweep_with_progress`]: enough
@@ -22,13 +21,11 @@ pub(crate) const SWEEP_LANES: usize = 32;
 pub(crate) const PROGRESS_GROUPS: usize = 8;
 
 /// Worst droop for each step magnitude in `deltas` (from `quiescent`, with
-/// a common `slew`), in input order.
+/// a common `slew`), in input order: [`droop_sweep_with_progress`] with no
+/// progress callback.
 ///
-/// The grid is carved into 32-lane (`SWEEP_LANES`) batches and the batches
-/// fan out over the [`dg_engine`] worker pool, so each worker integrates
-/// several lanes per task instead of one scenario. Results are
-/// bit-identical to sequential [`TransientSim::run`] calls (ramp start at
-/// 1 µs) for any thread count.
+/// Results are bit-identical to sequential [`TransientSim::run`] calls
+/// (ramp start at 1 µs) for any thread count.
 pub fn droop_sweep(
     ladder: &Ladder,
     sim: &TransientSim,
@@ -36,12 +33,7 @@ pub fn droop_sweep(
     deltas: &[Amps],
     slew: Seconds,
 ) -> Vec<Volts> {
-    let steps = sweep_steps(quiescent, deltas, slew);
-    let chunks: Vec<&[LoadStep]> = steps.chunks(SWEEP_LANES).collect();
-    dg_engine::par_map(&chunks, |_, chunk| droop_group(ladder, sim, chunk))
-        .into_iter()
-        .flatten()
-        .collect()
+    droop_sweep_with_progress(ladder, sim, quiescent, deltas, slew, |_, _| {})
 }
 
 /// [`droop_sweep`] with streaming progress: `progress` is called on the
@@ -49,10 +41,13 @@ pub fn droop_sweep(
 /// with the total number of finished lanes and the just-finished droops in
 /// input order.
 ///
-/// Built on [`dg_engine::par_map_progress`], so the returned vector — and
-/// the *sequence* of progress calls — is bit-identical to [`droop_sweep`]
-/// for any thread count. This is the seam `/v1/droop_sweep` streams
-/// population-scale sweeps through.
+/// The grid is carved into 32-lane (`SWEEP_LANES`) batches and the batches
+/// fan out over the [`dg_engine`] worker pool through
+/// [`dg_engine::par_map_progress`], so each worker integrates several
+/// lanes per task instead of one scenario. The returned vector — and the
+/// *sequence* of progress calls — is bit-identical for any thread count.
+/// This is the seam `/v1/droop_sweep` streams population-scale sweeps
+/// through.
 pub fn droop_sweep_with_progress(
     ladder: &Ladder,
     sim: &TransientSim,
@@ -99,7 +94,7 @@ fn sweep_steps(quiescent: Amps, deltas: &[Amps], slew: Seconds) -> Vec<LoadStep>
 /// the droop vector itself.
 fn droop_group(ladder: &Ladder, sim: &TransientSim, group: &[LoadStep]) -> Vec<Volts> {
     crate::batch::with_thread_workspace(|ws| {
-        sim.run_batch_in(ladder, group, crate::simd::KernelWidth::detect(), ws)
+        sim.run_batch_in(ladder, group, ws)
             .iter()
             .map(TransientResult::droop)
             .collect()
@@ -242,7 +237,18 @@ mod tests {
         let deltas: Vec<Amps> = (0..n).map(|k| Amps::new(0.25 * k as f64 + 1.0)).collect();
         let quiescent = Amps::new(5.0);
         let slew = Seconds::from_ns(10.0);
-        let plain = droop_sweep(&pdn.ladder, &sim, quiescent, &deltas, slew);
+        let per_lane: Vec<Volts> = deltas
+            .iter()
+            .map(|&delta| {
+                let step = LoadStep {
+                    from: quiescent,
+                    to: quiescent + delta,
+                    at: Seconds::from_us(1.0),
+                    slew,
+                };
+                sim.run(&pdn.ladder, step).droop()
+            })
+            .collect();
 
         let mut seen: Vec<Volts> = Vec::new();
         let mut counts: Vec<usize> = Vec::new();
@@ -258,14 +264,14 @@ mod tests {
             },
         );
 
-        // The returned vector is bit-identical to the plain sweep, and the
-        // progress stream concatenates to exactly that vector.
-        assert_eq!(streamed.len(), plain.len());
-        for (a, b) in plain.iter().zip(&streamed) {
+        // The returned vector is bit-identical to per-lane `run` droops,
+        // and the progress stream concatenates to exactly that vector.
+        assert_eq!(streamed.len(), per_lane.len());
+        for (a, b) in per_lane.iter().zip(&streamed) {
             assert_eq!(a.value().to_bits(), b.value().to_bits());
         }
-        assert_eq!(seen.len(), plain.len());
-        for (a, b) in plain.iter().zip(&seen) {
+        assert_eq!(seen.len(), per_lane.len());
+        for (a, b) in per_lane.iter().zip(&seen) {
             assert_eq!(a.value().to_bits(), b.value().to_bits());
         }
         // Done-counts are strictly increasing and end at the lane count.

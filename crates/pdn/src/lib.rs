@@ -46,18 +46,17 @@ pub mod impedance;
 pub mod ladder;
 pub mod loadline;
 pub mod package;
-pub mod simd;
+mod simd;
 pub mod skylake;
 pub mod transient;
 pub mod units;
 
-pub use batch::{with_thread_workspace, BatchWorkspace};
+pub use batch::{uses_avx2, with_thread_workspace, BatchWorkspace};
 pub use didt::{droop_sweep, droop_sweep_with_progress};
 pub use error::PdnError;
 pub use impedance::{ImpedanceAnalyzer, ImpedanceProfile};
 pub use ladder::{Ladder, LadderBuilder, Stage};
 pub use loadline::{LoadLine, VirusLevel, VirusLevelTable};
 pub use package::{PackageLayout, VoltageDomain};
-pub use simd::{KernelWidth, Lanes};
 pub use transient::{LadderCoeffs, LoadStep, TransientResult, TransientSim};
 pub use units::{Amps, Celsius, Farads, Henries, Hertz, Ohms, Seconds, Volts, Watts};

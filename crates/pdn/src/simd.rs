@@ -6,72 +6,19 @@
 //! lanes, which this module expresses explicitly: a [`Lanes`] trait over
 //! the array-backed [`F64x4`] newtype plus the plain `f64` scalar fallback.
 //!
-//! Two invariants make the wrapper safe to dispatch at any width:
-//!
-//! * **Lanes never mix.** Every operation is a per-element IEEE-754 add,
-//!   subtract, or multiply in lane order — never a horizontal reduction and
-//!   never a fused multiply-add (Rust does not contract `a * b + c`). An
-//!   element's value therefore depends only on its own lane's inputs, and
-//!   every width produces bit-identical results element-for-element.
-//! * **One dispatch seam.** [`KernelWidth::detect`] is the only place in the
-//!   workspace allowed to query CPU features at runtime (enforced by
-//!   `dg-analyze`'s determinism-hygiene rule); the kernel picks a width once
-//!   per batch, and lanes past the last full block run the scalar
-//!   implementation.
+//! **Lanes never mix.** Every operation is a per-element IEEE-754 add,
+//! subtract, or multiply in lane order — never a horizontal reduction and
+//! never a fused multiply-add (Rust does not contract `a * b + c`). An
+//! element's value therefore depends only on its own lane's inputs, so a
+//! lane integrated in an [`F64x4`] block and the same lane integrated
+//! alone as an `f64` (the kernel's remainder lanes) agree bit-for-bit.
 //!
 //! [`F64x4`] is a plain `[f64; 4]` array, not `std::arch` intrinsics: the
-//! kernel's x4 entry point is compiled under
+//! kernel's 4-lane entry point is compiled under
 //! `#[target_feature(enable = "avx2")]`, where LLVM lowers the per-element
 //! loops to ymm instructions. Off x86-64, or on CPUs without AVX2, the same
-//! generic code compiles portably.
-
-/// Kernel vector width, selected once per batch at the dispatch seam.
-///
-/// Widths are ordered narrowest-first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum KernelWidth {
-    /// One lane per block — the portable fallback, and the reference
-    /// semantics the wider width must reproduce bit-for-bit.
-    Scalar,
-    /// Four f64 lanes per block (AVX2 ymm registers).
-    X4,
-}
-
-impl KernelWidth {
-    /// Every width, narrowest first (bench and equivalence tests iterate
-    /// this).
-    pub const ALL: [KernelWidth; 2] = [KernelWidth::Scalar, KernelWidth::X4];
-
-    /// Stable label used in bench rows and diagnostics.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelWidth::Scalar => "scalar",
-            KernelWidth::X4 => "x4",
-        }
-    }
-
-    /// The kernel width for the running CPU: x4 under AVX2, else scalar.
-    ///
-    /// This is the workspace's **only** runtime CPU-feature query: every
-    /// other module takes a [`KernelWidth`] value and trusts it. The choice
-    /// cannot perturb results — all widths are bit-identical — so dispatch
-    /// stays outside the determinism contract by construction. There is no
-    /// wider width: an 8-lane block needs two ymm registers per state row
-    /// and spills under AVX2, and the AVX-512 build measured slower than
-    /// x4 on every host it ran on (DESIGN.md §11).
-    #[must_use]
-    pub fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // dg-analyze: allow(determinism-hygiene, reason = "the single sanctioned dispatch seam; all widths are bit-identical")
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return KernelWidth::X4;
-            }
-        }
-        KernelWidth::Scalar
-    }
-}
+//! generic code compiles portably; `crate::batch::uses_avx2` picks which
+//! build runs.
 
 /// Element-wise f64 arithmetic over a fixed number of lanes.
 ///
@@ -79,7 +26,7 @@ impl KernelWidth {
 /// order with no fused multiply-add and no cross-lane interaction, so that
 /// any two implementations agree bit-for-bit element-for-element. The
 /// kernel's golden and equivalence tests pin this contract.
-pub trait Lanes: Copy {
+pub(crate) trait Lanes: Copy {
     /// Number of f64 elements per vector.
     const WIDTH: usize;
 
@@ -149,7 +96,7 @@ impl Lanes for f64 {
 /// Four f64 lanes backed by a plain array; lowers to one ymm register
 /// under AVX2 codegen and to SSE2 pairs portably.
 #[derive(Debug, Clone, Copy)]
-pub struct F64x4([f64; 4]);
+pub(crate) struct F64x4([f64; 4]);
 
 impl Lanes for F64x4 {
     const WIDTH: usize = 4;
@@ -214,14 +161,5 @@ mod tests {
         let lanes: Vec<f64> = (0..4).map(|j| v.lane(j)).collect();
         assert_eq!(lanes, [7.0, 8.0, 0.0, 0.0]);
         assert_eq!(f64::load(&[]).to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn detect_is_stable_and_ordered() {
-        let w = KernelWidth::detect();
-        assert_eq!(w, KernelWidth::detect());
-        assert!(KernelWidth::Scalar <= w);
-        assert_eq!(KernelWidth::Scalar.label(), "scalar");
-        assert_eq!(KernelWidth::X4.label(), "x4");
     }
 }

@@ -13,7 +13,6 @@
 use dg_pdn::didt;
 use dg_pdn::elements::{CapBank, SeriesBranch};
 use dg_pdn::ladder::{Ladder, VrOutputModel};
-use dg_pdn::simd::KernelWidth;
 use dg_pdn::transient::{
     LadderCoeffs, LoadStep, TransientResult, TransientSim, MAX_NODES, SETTLE_ABS_TOL_V,
     SETTLE_REL_TOL, SETTLE_WINDOW_S,
@@ -270,6 +269,9 @@ proptest! {
 
     /// For random ladders, random step mixes, and random batch sizes, the
     /// batched kernel reproduces the scalar path bit-for-bit on every lane.
+    /// Batch sizes 1..=11 cover every residue mod 4, so 4-lane blocks and
+    /// one-lane remainder blocks both have to be the same arithmetic in
+    /// the same order as a one-lane `run`.
     #[test]
     fn batch_is_bit_identical_to_scalar(
         r_board in 0.05..2.0f64,
@@ -277,7 +279,7 @@ proptest! {
         c_bulk in 10.0..2000.0f64,
         r_die in 0.01..1.0f64,
         c_die in 10.0..2000.0f64,
-        lanes in prop::collection::vec(lane_spec(), 1..7),
+        lanes in prop::collection::vec(lane_spec(), 1..12),
         dur_us in 1.5..6.0f64,
         decimate in 1..64usize,
     ) {
@@ -342,45 +344,11 @@ proptest! {
         }
     }
 
-    /// Remainder lanes: for batch sizes that are *not* multiples of the
-    /// block width (1..=11 covers every residue mod 4), the forced x4
-    /// kernel must agree bit-for-bit with the forced scalar kernel — the
-    /// vector blocks and the single-lane remainder blocks have to be the
-    /// same arithmetic in the same order.
-    #[test]
-    fn every_kernel_width_matches_scalar_for_remainder_counts(
-        lanes in prop::collection::vec(lane_spec(), 1..12),
-        dur_us in 1.5..4.0f64,
-    ) {
-        let ladder = build_ladder(0.3, 100.0, 400.0, 0.1, 300.0);
-        let sim = TransientSim::new(
-            Volts::new(1.0),
-            Seconds::from_ns(1.0),
-            Seconds::from_us(dur_us),
-        ).unwrap();
-        let steps: Vec<LoadStep> = lanes
-            .iter()
-            .map(|l| LoadStep {
-                from: Amps::new(l.from_a),
-                to: Amps::new(l.to_a),
-                at: Seconds::from_us(l.at_us),
-                slew: Seconds::from_ns(l.slew_ns),
-            })
-            .collect();
-        let scalar = sim.run_batch_with_width(&ladder, &steps, KernelWidth::Scalar);
-        prop_assert_eq!(scalar.len(), steps.len());
-        let wide = sim.run_batch_with_width(&ladder, &steps, KernelWidth::X4);
-        prop_assert_eq!(wide.len(), scalar.len());
-        for (lane, (w, s)) in wide.iter().zip(&scalar).enumerate() {
-            assert_lane_bit_identical(lane, w, s)?;
-        }
-    }
-
     /// `didt::droop_sweep` (the engine behind `/v1/droop_sweep`) is
     /// bit-identical to per-lane scalar `run` calls for population sizes
     /// around the sweep's group size — including counts that leave
-    /// remainder lanes in the last group and are not multiples of any
-    /// SIMD width.
+    /// remainder lanes in the last group and are not multiples of the
+    /// 4-lane block.
     #[test]
     fn droop_sweep_matches_per_lane_scalar_runs(
         n_small in 1usize..12,
@@ -425,11 +393,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On random ladders of every supported depth, `run_batch` at the
-    /// detected width and at the forced scalar width reproduces the
-    /// test-local scalar RK4 over `LadderCoeffs::derivative` bit-for-bit
-    /// on every lane — the check that catches an arithmetic change the
-    /// kernel would otherwise share with `run`.
+    /// On random ladders of every supported depth, `run_batch` and
+    /// one-lane `run`s reproduce the test-local scalar RK4 over
+    /// `LadderCoeffs::derivative` bit-for-bit on every lane — the check
+    /// that catches an arithmetic change the kernel would otherwise share
+    /// with `run`.
     #[test]
     fn batch_matches_reference_rk4_at_every_depth(
         nodes in 1..=MAX_NODES,
@@ -455,14 +423,12 @@ proptest! {
                 slew: Seconds::from_ns(l.slew_ns),
             })
             .collect();
-        let detected = sim.run_batch(&ladder, &steps);
-        let scalar = sim.run_batch_with_width(&ladder, &steps, KernelWidth::Scalar);
-        prop_assert_eq!(detected.len(), steps.len());
-        prop_assert_eq!(scalar.len(), steps.len());
+        let batched = sim.run_batch(&ladder, &steps);
+        prop_assert_eq!(batched.len(), steps.len());
         for (lane, step) in steps.iter().enumerate() {
             let reference = reference_run(&sim, &ladder, *step);
-            assert_lane_bit_identical(lane, &detected[lane], &reference)?;
-            assert_lane_bit_identical(lane, &scalar[lane], &reference)?;
+            assert_lane_bit_identical(lane, &batched[lane], &reference)?;
+            assert_lane_bit_identical(lane, &sim.run(&ladder, *step), &reference)?;
         }
     }
 }

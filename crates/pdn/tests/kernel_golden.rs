@@ -1,14 +1,13 @@
 //! Byte-level golden pins for the transient kernel.
 //!
 //! The equivalence proptests compare the kernel with itself (`run_batch`
-//! against per-lane `run`, wide widths against the scalar width), so a
-//! change that alters the arithmetic of *every* lane the same way would
+//! against per-lane `run`, 4-lane blocks against one-lane remainders), so
+//! a change that alters the arithmetic of *every* lane the same way would
 //! pass them all. These tests close that gap: each hashes the `to_bits`
 //! of every `TransientResult` field and every waveform sample for fixed
 //! inputs and compares against constants recorded from a known-good
 //! kernel. Any rewrite of the integration loop must keep every constant.
 
-use dg_pdn::simd::KernelWidth;
 use dg_pdn::skylake::{PdnVariant, SkylakePdn};
 use dg_pdn::transient::{LoadStep, TransientResult, TransientSim};
 use dg_pdn::units::{Amps, Seconds, Volts};
@@ -75,8 +74,8 @@ fn sweep_group(
         .collect()
 }
 
-/// Runs `steps` through the default width and the forced scalar width,
-/// requires the two to agree, and checks the shared hash.
+/// Runs `steps` as one batch and as one-lane `run`s, requires the two to
+/// agree, and checks the shared hash.
 fn assert_golden(
     label: &str,
     sim: &TransientSim,
@@ -85,13 +84,14 @@ fn assert_golden(
     want: u64,
 ) {
     let pdn = SkylakePdn::build(variant);
-    let default = hash_results(&sim.run_batch(&pdn.ladder, steps));
-    let scalar = hash_results(&sim.run_batch_with_width(&pdn.ladder, steps, KernelWidth::Scalar));
+    let batch = hash_results(&sim.run_batch(&pdn.ladder, steps));
+    let lanes: Vec<TransientResult> = steps.iter().map(|s| sim.run(&pdn.ladder, *s)).collect();
+    let one_lane = hash_results(&lanes);
     assert_eq!(
-        default, scalar,
-        "{label}: default width and scalar width disagree"
+        batch, one_lane,
+        "{label}: the batch and one-lane runs disagree"
     );
-    assert_eq!(default, want, "{label}: got {default:#018x}");
+    assert_eq!(batch, want, "{label}: got {batch:#018x}");
 }
 
 #[test]

@@ -11,7 +11,6 @@
 //! leak into other test processes, and it holds exactly one `#[test]` so
 //! no concurrent test can allocate inside the measurement window.
 
-use dg_pdn::simd::KernelWidth;
 use dg_pdn::skylake::{PdnVariant, SkylakePdn};
 use dg_pdn::transient::{LoadStep, TransientResult, TransientSim};
 use dg_pdn::units::{Amps, Seconds, Volts};
@@ -93,14 +92,13 @@ fn warm_workspace_run_batch_performs_zero_allocations() {
             slew: Seconds::from_ns(10.0),
         })
         .collect();
-    let width = KernelWidth::detect();
     let mut ws = BatchWorkspace::new();
 
     // Warm-up: fills the ladder-coefficient cache and grows every
     // workspace buffer to this batch shape. Capture reference
     // bits so the measured calls can be checked without allocating.
     let expected: Vec<(u64, u64, usize)> = sim
-        .run_batch_in(&pdn.ladder, &steps, width, &mut ws)
+        .run_batch_in(&pdn.ladder, &steps, &mut ws)
         .iter()
         .map(|r| {
             (
@@ -110,7 +108,7 @@ fn warm_workspace_run_batch_performs_zero_allocations() {
             )
         })
         .collect();
-    let _ = sim.run_batch_in(&pdn.ladder, &steps, width, &mut ws);
+    let _ = sim.run_batch_in(&pdn.ladder, &steps, &mut ws);
 
     // Fresh load steps: 16 batches of 8 operating points no earlier call
     // used (distinct quiescent and post-step currents per lane). Built,
@@ -136,7 +134,7 @@ fn warm_workspace_run_batch_performs_zero_allocations() {
 
     COUNTING.set(true);
     for _ in 0..16 {
-        let out = sim.run_batch_in(&pdn.ladder, &steps, width, &mut ws);
+        let out = sim.run_batch_in(&pdn.ladder, &steps, &mut ws);
         assert_eq!(out.len(), expected.len());
         for (r, &(v_min, v_final, n_samples)) in out.iter().zip(&expected) {
             assert_eq!(r.v_min.value().to_bits(), v_min);
@@ -146,7 +144,7 @@ fn warm_workspace_run_batch_performs_zero_allocations() {
     }
     let repeat_events = ALLOC_EVENTS.load(Ordering::SeqCst);
     for batch in &fresh {
-        for r in sim.run_batch_in(&pdn.ladder, batch, width, &mut ws) {
+        for r in sim.run_batch_in(&pdn.ladder, batch, &mut ws) {
             recorded.push(bits(r));
         }
     }

@@ -8,9 +8,16 @@
 //!
 //! Sustained-vs-turbo power is managed with an exponentially-weighted
 //! moving average of recent power: while the average is below PL1, short
-//! bursts up to PL2 are allowed.
+//! bursts up to PL2 are allowed. [`pick_state`] turns that budget into a
+//! P-state, for the firmware model and the time-stepped simulator alike.
 
-use dg_power::units::{Seconds, Watts};
+use dg_power::limits::DesignLimits;
+use dg_power::pstate::{PState, PStateTable};
+use dg_power::thermal::ThermalModel;
+use dg_power::units::{Celsius, Hertz, Seconds, Watts};
+
+/// Margin below Tjmax at which reactive throttling engages.
+const THROTTLE_MARGIN_C: f64 = 0.5;
 
 /// A compute-domain budget split.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,9 +142,43 @@ impl TurboController {
     }
 }
 
+/// The highest state of `table` at or below `ceiling` whose power
+/// (`power_at`) fits `budget`.
+///
+/// Within 0.5 °C of Tjmax the power must also fit what the cooler can
+/// reject at Tjmax (reactive throttling). If nothing fits, the part runs
+/// at Pn, as real parts clamp at Pn/LFM. `power_at` is called for
+/// candidates from the highest down and never past the first that fits.
+pub fn pick_state(
+    table: &PStateTable,
+    ceiling: Hertz,
+    budget: Watts,
+    tj: Celsius,
+    limits: &DesignLimits,
+    thermal: &ThermalModel,
+    mut power_at: impl FnMut(PState) -> Watts,
+) -> PState {
+    let thermal_cap = if tj.value() >= limits.tjmax.value() - THROTTLE_MARGIN_C {
+        thermal.max_sustained_power(limits.tjmax)
+    } else {
+        Watts::new(f64::INFINITY)
+    };
+    let cap = budget.min(thermal_cap);
+    for state in table.iter_descending() {
+        if state.frequency > ceiling {
+            continue;
+        }
+        if power_at(state) <= cap {
+            return state;
+        }
+    }
+    table.pn()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_power::vf::VfCurve;
 
     #[test]
     fn compute_budget_subtracts_uncore() {
@@ -156,6 +197,52 @@ mod tests {
         // Fig. 9 mechanism.
         assert!(bypassed.graphics < gated.graphics);
         assert_eq!(gated.cores, Watts::new(4.0));
+    }
+
+    #[test]
+    fn floor_state_when_nothing_fits() {
+        let table =
+            PStateTable::from_curve(&VfCurve::skylake_core(), PStateTable::standard_bin()).unwrap();
+        let limits = DesignLimits::skylake(Watts::new(35.0));
+        let thermal = ThermalModel::for_tdp(Watts::new(35.0));
+        // One watt per 100 MHz: power rises with frequency.
+        let power = |s: PState| Watts::new(s.frequency.value() / 1e8);
+        let pick = |ceiling: Hertz, budget: f64, tj: f64| {
+            pick_state(
+                &table,
+                ceiling,
+                Watts::new(budget),
+                Celsius::new(tj),
+                &limits,
+                &thermal,
+                power,
+            )
+        };
+        let (pn, p0) = (table.pn(), table.p0());
+        assert_eq!(pick(p0.frequency, 1e9, 25.0), p0);
+
+        // The ceiling: the fastest state at or below it.
+        let ceiling = Hertz::from_ghz(2.05);
+        let capped = pick(ceiling, 1e9, 25.0);
+        assert!(capped.frequency <= ceiling);
+        assert!(table
+            .iter_descending()
+            .all(|s| s.frequency <= capped.frequency || s.frequency > ceiling));
+
+        // The budget: the fastest state whose power fits it.
+        let fitted = pick(p0.frequency, 20.0, 25.0);
+        assert!(power(fitted).value() <= 20.0);
+        assert!(table
+            .iter_descending()
+            .all(|s| s.frequency <= fitted.frequency || power(s).value() > 20.0));
+
+        // At Tjmax the cooler's sustained power caps it too.
+        let hot = pick(p0.frequency, 1e9, limits.tjmax.value());
+        assert!(power(hot) <= thermal.max_sustained_power(limits.tjmax));
+
+        // Nothing fits, by budget or by ceiling: Pn.
+        assert_eq!(pick(p0.frequency, 1.0, 25.0), pn);
+        assert_eq!(pick(Hertz::ZERO, 1e9, 25.0), pn);
     }
 
     #[test]

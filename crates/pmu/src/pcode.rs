@@ -10,7 +10,7 @@
 
 use crate::license::{License, LicenseManager};
 use crate::modes::OperatingMode;
-use crate::pbm::TurboController;
+use crate::pbm::{pick_state, TurboController};
 use crate::svid::{SvidBus, SvidCommand, VidCode};
 use dg_cstates::latency::{break_even_time, LatencyTable};
 use dg_cstates::power::{GatingConfig, IdlePowerModel};
@@ -332,7 +332,18 @@ impl Pcode {
         }
 
         let budget = self.turbo.step(self.last_power, dt);
-        let desired = self.pick_state(budget);
+        let ceiling = self
+            .license
+            .effective_ceiling(self.cfg.table.p0().frequency);
+        let desired = pick_state(
+            &self.cfg.table,
+            ceiling,
+            budget,
+            self.tj,
+            &self.cfg.limits,
+            &self.cfg.thermal,
+            |state| self.power_at(state),
+        );
 
         // Sequencing: frequency may only rise once the rail has reached
         // the required voltage.
@@ -372,28 +383,6 @@ impl Pcode {
         let per_core = self.cdyn.power(state.voltage, state.frequency)
             + self.cfg.core_leakage.power(state.voltage, self.tj);
         per_core * self.active_cores as f64 + self.cfg.uncore_active + idle_leak
-    }
-
-    fn pick_state(&self, budget: Watts) -> PState {
-        let throttling = self.tj.value() >= self.cfg.limits.tjmax.value() - 0.5;
-        let thermal_cap = if throttling {
-            self.cfg.thermal.max_sustained_power(self.cfg.limits.tjmax)
-        } else {
-            Watts::new(f64::INFINITY)
-        };
-        let cap = budget.min(thermal_cap);
-        let ceiling = self
-            .license
-            .effective_ceiling(self.cfg.table.p0().frequency);
-        for state in self.cfg.table.iter_descending() {
-            if state.frequency > ceiling {
-                continue;
-            }
-            if self.power_at(state) <= cap {
-                return state;
-            }
-        }
-        self.cfg.table.pn()
     }
 }
 

@@ -574,6 +574,11 @@ fn header_value<'a>(head: &'a [u8], name: &str) -> Option<&'a str> {
     None
 }
 
+/// Most bytes [`read_reply`] buffers for one reply, head and body
+/// together. A shard's largest reply, a 20,000-point `/v1/sweep` at
+/// `decimate` 1, is under 1 MiB.
+const MAX_REPLY_BYTES: usize = 16 * 1024 * 1024;
+
 /// Reads one reply off `stream` without parsing it into headers: only its
 /// status, its framing (`Content-Length` or chunked) and its
 /// `Connection: close` verdict are scanned. `leftover` is the
@@ -583,8 +588,10 @@ fn header_value<'a>(head: &'a [u8], name: &str) -> Option<&'a str> {
 /// # Errors
 ///
 /// Socket errors, a close before the reply is complete
-/// (`UnexpectedEof`), or a head that is not an HTTP/1.x status line
-/// (`InvalidData`).
+/// (`UnexpectedEof`), or `InvalidData` for a head that is not an
+/// HTTP/1.x status line, a `Content-Length` that is not a number, or a
+/// reply longer than `MAX_REPLY_BYTES` (16 MiB) — declared or read so
+/// far. An oversized reply is refused before more of it is read.
 pub fn read_reply(stream: &mut impl Read, leftover: &mut Vec<u8>) -> io::Result<RawReply> {
     let mut chunk = [0u8; 16 * 1024];
     let head_len = fill_until(stream, leftover, &mut chunk, head_end)?;
@@ -597,10 +604,19 @@ pub fn read_reply(stream: &mut impl Read, leftover: &mut Vec<u8>) -> io::Result<
             chunked_body_end(buf.get(head_len..)?).map(|n| head_len + n)
         })?
     } else {
-        let body_len: usize = header_value(head, "content-length")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+        let body_len: usize = match header_value(head, "content-length") {
+            None => 0,
+            Some(v) => v.parse().map_err(|_| {
+                io::Error::new(
+                    ErrorKind::InvalidData,
+                    "reply Content-Length is not a number",
+                )
+            })?,
+        };
         let total = head_len.saturating_add(body_len);
+        if total > MAX_REPLY_BYTES {
+            return Err(too_long());
+        }
         fill_until(stream, leftover, &mut chunk, |buf| {
             (buf.len() >= total).then_some(total)
         })?
@@ -612,7 +628,14 @@ pub fn read_reply(stream: &mut impl Read, leftover: &mut Vec<u8>) -> io::Result<
     })
 }
 
-/// Reads from `stream` into `buf` until `done(buf)` has an answer.
+/// The error for a reply past `MAX_REPLY_BYTES`.
+fn too_long() -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, "reply exceeds 16 MiB")
+}
+
+/// Reads from `stream` into `buf` until `done(buf)` has an answer; fails
+/// with `InvalidData` rather than read once `buf` holds
+/// `MAX_REPLY_BYTES` without one.
 fn fill_until<T>(
     stream: &mut impl Read,
     buf: &mut Vec<u8>,
@@ -622,6 +645,9 @@ fn fill_until<T>(
     loop {
         if let Some(answer) = done(buf) {
             return Ok(answer);
+        }
+        if buf.len() >= MAX_REPLY_BYTES {
+            return Err(too_long());
         }
         match stream.read(chunk) {
             Ok(0) => {
@@ -1000,6 +1026,75 @@ mod tests {
             let err = read_reply(&mut Trickle(cut), &mut Vec::new()).expect_err("cut reply");
             assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{cut:?}");
         }
+    }
+
+    /// A finite upstream: `head`, then `frame` repeated `frames` times,
+    /// counting the bytes `read_reply` pulled off it.
+    struct Upstream {
+        head: &'static [u8],
+        frame: Vec<u8>,
+        frames: usize,
+        served: usize,
+    }
+
+    impl Read for Upstream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let total = self.head.len() + self.frames * self.frame.len();
+            if self.served >= total {
+                return Ok(0);
+            }
+            let (src, at) = match self.served.checked_sub(self.head.len()) {
+                None => (self.head, self.served),
+                Some(body) => (&self.frame[..], body % self.frame.len()),
+            };
+            let n = (src.len() - at).min(buf.len());
+            buf[..n].copy_from_slice(&src[at..at + n]);
+            self.served += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_reply_caps_what_it_buffers() {
+        // A declared body past the cap is refused before any of it is read.
+        let head = b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n";
+        let mut upstream = Upstream {
+            head,
+            frame: vec![b'x'; 1024],
+            frames: 4,
+            served: 0,
+        };
+        let err = read_reply(&mut upstream, &mut Vec::new()).expect_err("declared too long");
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert_eq!(upstream.served, head.len(), "no body byte may be read");
+
+        // Well-formed 1 MiB chunks that run past the cap: reading stops
+        // within one read of it.
+        let mib = 1 << 20;
+        let frame = [format!("{mib:x}\r\n").as_bytes(), &vec![b'x'; mib], b"\r\n"].concat();
+        let mut upstream = Upstream {
+            head: b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+            frame,
+            frames: 20,
+            served: 0,
+        };
+        let err = read_reply(&mut upstream, &mut Vec::new()).expect_err("chunks too long");
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(
+            upstream.served < MAX_REPLY_BYTES + 16 * 1024,
+            "{}",
+            upstream.served
+        );
+
+        // A length that is not a number frames nothing.
+        let mut upstream = Upstream {
+            head: b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
+            frame: b"0123456789".to_vec(),
+            frames: 1,
+            served: 0,
+        };
+        let err = read_reply(&mut upstream, &mut Vec::new()).expect_err("bad length");
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
     }
 
     #[test]

@@ -10,14 +10,11 @@
 use crate::products::Product;
 use dg_cstates::power::IdlePowerModel;
 use dg_pmu::dvfs::{DvfsRequest, DvfsSolver};
-use dg_pmu::pbm::TurboController;
+use dg_pmu::pbm::{pick_state, TurboController};
 use dg_power::dynamic::CdynProfile;
 use dg_power::energy::EnergyCounter;
 use dg_power::pstate::{PState, PStateTable};
 use dg_power::units::{Celsius, Hertz, Seconds, Watts};
-
-/// Margin below Tjmax at which reactive throttling engages.
-const THROTTLE_MARGIN_C: f64 = 0.5;
 
 /// Configuration of a time-stepped run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,7 +124,15 @@ impl<'a> Simulator<'a> {
         let tail_start = (steps * 3) / 4;
         for s in 0..steps {
             let budget = turbo.step(last_power, config.dt);
-            let state = self.pick_state(table, active_cores, cdyn, overhead, budget, tj);
+            let state = pick_state(
+                table,
+                table.p0().frequency,
+                budget,
+                tj,
+                &p.limits,
+                &p.thermal,
+                |state| self.power_at(state, active_cores, cdyn, overhead, tj),
+            );
             let power = self.power_at(state, active_cores, cdyn, overhead, tj);
 
             tj = p.thermal.step(tj, power, config.dt);
@@ -174,32 +179,6 @@ impl<'a> Simulator<'a> {
         per_core * active_cores as f64 + overhead
     }
 
-    /// Highest state fitting the budget and — once hot — the cooler.
-    fn pick_state(
-        &self,
-        table: &PStateTable,
-        active_cores: usize,
-        cdyn: CdynProfile,
-        overhead: Watts,
-        budget: Watts,
-        tj: Celsius,
-    ) -> PState {
-        let p = self.product;
-        let thermal_cap = if tj.value() >= p.limits.tjmax.value() - THROTTLE_MARGIN_C {
-            p.thermal.max_sustained_power(p.limits.tjmax)
-        } else {
-            Watts::new(f64::INFINITY)
-        };
-        let cap = budget.min(thermal_cap);
-        for state in table.iter_descending() {
-            if self.power_at(state, active_cores, cdyn, overhead, tj) <= cap {
-                return state;
-            }
-        }
-        // Nothing fits: run at the floor (real parts clamp at Pn/LFM).
-        table.pn()
-    }
-
     /// Convenience: evaluates a graphics operating point. Runs the
     /// firmware's [`DvfsSolver`] over the graphics table: the highest
     /// state whose *total* package power (graphics + overhead) fits
@@ -231,7 +210,6 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_power::units::Volts;
 
     fn quick() -> SimConfig {
         SimConfig {
@@ -373,22 +351,5 @@ mod tests {
         let p = Product::skylake_h(Watts::new(91.0));
         let sim = Simulator::new(&p);
         sim.run_cpu(&p.table_1c, 0, CdynProfile::core_typical(), quick());
-    }
-
-    #[test]
-    fn floor_state_when_nothing_fits() {
-        // Absurdly small TDP limits: the engine clamps at Pn.
-        let p = Product::skylake_h(Watts::new(35.0));
-        let sim = Simulator::new(&p);
-        let state = sim.pick_state(
-            &p.table_ac,
-            4,
-            CdynProfile::from_nf(2.2).unwrap(),
-            Watts::new(30.0),
-            Watts::new(1.0),
-            Celsius::new(25.0),
-        );
-        assert_eq!(state.frequency, p.table_ac.pn().frequency);
-        let _ = Volts::ZERO;
     }
 }
