@@ -5,12 +5,10 @@
 //! extracted by [`crate::scope`]:
 //!
 //! * **lock-order** — every `.lock()` on a tracked lock is resolved to its
-//!   declared *class*; nesting one acquisition inside another guard's live
-//!   span (directly, or by calling a uniquely named free function that
-//!   transitively locks) contributes an edge to a workspace-wide
-//!   lock-order graph, which must be acyclic. Self-loops
-//!   (re-acquiring a held class) are cycles of length one. The same graph
-//!   backs the `--witness` runtime cross-check.
+//!   declared *class*. Tracked locks are leaves, so each acquisition inside
+//!   another guard's live span (directly, or by calling a uniquely named
+//!   free function that transitively locks) is reported; re-acquiring the
+//!   held class is reported as a self-deadlock.
 //! * **guard-across-blocking** — in `dg-serve`/`dg-pdn`, no guard may be
 //!   live across a blocking operation (file I/O, channel recv, thread
 //!   join) or across a call to a free function that transitively blocks.
@@ -86,67 +84,14 @@ pub struct FlowAllow {
     pub target_line: Option<usize>,
 }
 
-/// The static lock-order graph, shared with the witness cross-check.
-#[derive(Debug, Default)]
-pub struct LockGraph {
-    /// Every declared lock class (from `TrackedMutex::new("…")` sites).
-    pub classes: BTreeSet<String>,
-    /// Active edges `from → to` with the site (file index, line) that
-    /// first recorded them.
-    pub edges: BTreeMap<(String, String), (usize, usize)>,
-    /// Edges excused by `allow(lock-order, …)`: removed from cycle
-    /// detection but still *explaining* a matching runtime edge.
-    pub sanctioned: BTreeSet<(String, String)>,
-}
-
-impl LockGraph {
-    /// `true` when the static analysis explains a runtime edge.
-    pub fn explains(&self, from: &str, to: &str) -> bool {
-        let key = (from.to_string(), to.to_string());
-        self.edges.contains_key(&key) || self.sanctioned.contains(&key)
-    }
-
-    /// `true` when `to` is reachable from `from` over active edges.
-    pub fn reaches(&self, from: &str, to: &str) -> bool {
-        self.path(from, to).is_some()
-    }
-
-    /// A shortest path `from ⇝ to` over active edges, if one exists.
-    pub fn path(&self, from: &str, to: &str) -> Option<Vec<String>> {
-        let mut parent: BTreeMap<&str, &str> = BTreeMap::new();
-        let mut queue: Vec<&str> = vec![from];
-        let mut seen: BTreeSet<&str> = queue.iter().copied().collect();
-        while let Some(node) = queue.pop() {
-            for (a, b) in self.edges.keys() {
-                if a == node && seen.insert(b) {
-                    parent.insert(b, a);
-                    if b == to {
-                        let mut path = vec![to.to_string()];
-                        let mut cur = to;
-                        while let Some(&p) = parent.get(cur) {
-                            path.push(p.to_string());
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push(b);
-                }
-            }
-        }
-        None
-    }
-}
-
 /// Everything the flow pass produced.
 #[derive(Debug, Default)]
 pub struct FlowReport {
     /// Findings, attributed to file indices in the input slice.
     pub findings: Vec<(usize, Finding)>,
-    /// `(file index, allow index)` pairs consumed by edge pruning.
+    /// `(file index, allow index)` pairs consumed by event-loop edge
+    /// pruning.
     pub consumed: BTreeSet<(usize, usize)>,
-    /// The static lock-order graph, for the witness cross-check.
-    pub graph: LockGraph,
 }
 
 /// One function with its attributed sites.
@@ -184,7 +129,6 @@ pub fn analyze_flow(files: &[FileFlow], enabled: &[RuleId]) -> FlowReport {
     for (_, decls, ..) in &per_file {
         let mut local: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
         for d in decls {
-            report.graph.classes.insert(d.class.clone());
             if let Some(b) = &d.binding {
                 local.entry(b).or_default().insert(&d.class);
                 global_bindings.entry(b).or_default().insert(&d.class);
@@ -331,61 +275,44 @@ pub fn analyze_flow(files: &[FileFlow], enabled: &[RuleId]) -> FlowReport {
     };
 
     // ---- Rule: lock-order ----------------------------------------------
-    // Candidate edges first, so allow(lock-order) at a site can divert the
-    // edge to the sanctioned set before cycle detection.
-    let mut candidates: Vec<(String, String, usize, usize)> = Vec::new();
-    for f in &fn_data {
-        for (i, (a, a_class)) in f.acqs.iter().enumerate() {
-            let in_span = |off: usize| a.span.0 <= off && off < a.span.1;
-            for (b, b_class) in f.acqs.iter().skip(i + 1) {
-                if in_span(b.offset) {
-                    candidates.push((a_class.clone(), b_class.clone(), f.file, b.line));
+    // Tracked locks are leaves: any acquisition inside a live guard's span,
+    // direct or through a uniquely named free call, is a finding.
+    if enabled.contains(&RuleId::LockOrder) {
+        for f in &fn_data {
+            for (i, (a, held)) in f.acqs.iter().enumerate() {
+                let in_span = |off: usize| a.span.0 <= off && off < a.span.1;
+                for (b, taken) in f.acqs.iter().skip(i + 1) {
+                    if !in_span(b.offset) {
+                        continue;
+                    }
+                    let message = if taken == held {
+                        format!(
+                            "lock class `{taken}` is acquired while a guard on it is already \
+                             live (self-deadlock)"
+                        )
+                    } else {
+                        format!(
+                            "lock class `{taken}` is acquired while a guard on `{held}` is live"
+                        )
+                    };
+                    report.findings.push((f.file, nested_lock(b.line, message)));
                 }
-            }
-            for call in &f.calls {
-                if call.method || !in_span(call.offset) {
-                    continue;
-                }
-                if let Some(callee) = unique_free(&call.name) {
-                    for c in &locks[callee] {
-                        candidates.push((a_class.clone(), c.clone(), f.file, call.line));
+                for call in f.calls.iter().filter(|c| !c.method && in_span(c.offset)) {
+                    let Some(callee) = unique_free(&call.name) else {
+                        continue;
+                    };
+                    for taken in &locks[callee] {
+                        let message = format!(
+                            "`{}()` acquires lock class `{taken}` while a guard on `{held}` is \
+                             live",
+                            call.name
+                        );
+                        report
+                            .findings
+                            .push((f.file, nested_lock(call.line, message)));
                     }
                 }
             }
-        }
-    }
-    for (from, to, file, line) in candidates {
-        if let Some(idx) = allowed(file, RuleId::LockOrder, line) {
-            report.consumed.insert((file, idx));
-            report.graph.sanctioned.insert((from, to));
-        } else {
-            report.graph.edges.entry((from, to)).or_insert((file, line));
-        }
-    }
-    if enabled.contains(&RuleId::LockOrder) {
-        for ((from, to), &(file, line)) in &report.graph.edges {
-            let message = if from == to {
-                format!("lock class `{from}` is acquired while a guard on it is already live (self-deadlock)")
-            } else if let Some(back) = report.graph.path(to, from) {
-                format!(
-                    "acquiring `{to}` while holding `{from}` closes a lock-order cycle: {}",
-                    render_cycle(from, &back)
-                )
-            } else {
-                continue;
-            };
-            report.findings.push((
-                file,
-                Finding {
-                    rule: RuleId::LockOrder,
-                    line,
-                    message,
-                    help: "acquire lock classes in one global order (or drop the outer guard \
-                           first); a vetted exception needs `// dg-analyze: allow(lock-order, \
-                           reason = \"…\")` on this line"
-                        .into(),
-                },
-            ));
         }
     }
 
@@ -635,12 +562,17 @@ fn discard_sites(lexed: &Lexed) -> Vec<(usize, (usize, usize))> {
     out
 }
 
-/// `a → b → … → a`, given the path `b ⇝ a` and the closing edge `a → b`.
-fn render_cycle(from: &str, back: &[String]) -> String {
-    let mut parts = vec![from.to_string()];
-    parts.extend(back.iter().cloned());
-    parts.push(from.to_string());
-    parts.join(" → ")
+/// A `lock-order` finding at `line`.
+fn nested_lock(line: usize, message: String) -> Finding {
+    Finding {
+        rule: RuleId::LockOrder,
+        line,
+        message,
+        help: "tracked locks are leaves: drop the outer guard before taking another lock; a \
+               vetted exception needs `// dg-analyze: allow(lock-order, reason = \"…\")` on \
+               this line"
+            .into(),
+    }
 }
 
 /// `root → … → f` over the BFS parent map.
@@ -692,26 +624,36 @@ mod tests {
         let lexed = lex(src);
         let files = [file("dg-engine", "src/x.rs", &lexed, src)];
         let report = analyze_flow(&files, &[RuleId::LockOrder]);
-        assert_eq!(report.graph.edges.len(), 2);
-        assert_eq!(report.findings.len(), 2);
-        assert!(report.findings[0].1.message.contains("cycle"));
+        let messages: Vec<&str> = report
+            .findings
+            .iter()
+            .map(|(_, f)| f.message.as_str())
+            .collect();
+        assert_eq!(
+            messages,
+            [
+                "lock class `t.b` is acquired while a guard on `t.a` is live",
+                "lock class `t.a` is acquired while a guard on `t.b` is live",
+            ]
+        );
     }
 
     #[test]
-    fn consistent_nesting_order_is_clean() {
+    fn consistent_nesting_order_fires_once() {
         let src = r#"
             fn setup() {
                 let a = TrackedMutex::new("t.a", 0);
                 let b = TrackedMutex::new("t.b", 0);
             }
-            fn ab1() { let g = a.lock(); b.lock().clone(); }
-            fn ab2() { let g = a.lock(); b.lock().clone(); }
+            fn ab() { let g = a.lock(); b.lock().clone(); }
         "#;
         let lexed = lex(src);
         let files = [file("dg-engine", "src/x.rs", &lexed, src)];
         let report = analyze_flow(&files, &[RuleId::LockOrder]);
-        assert_eq!(report.graph.edges.len(), 1);
-        assert!(report.findings.is_empty());
+        assert_eq!(report.findings.len(), 1);
+        assert_eq!(report.findings[0].1.line, 6);
+        assert!(report.findings[0].1.message.contains("`t.b`"));
+        assert!(report.findings[0].1.message.contains("`t.a`"));
     }
 
     #[test]
@@ -736,53 +678,17 @@ mod tests {
             }
             fn inner_lock() { b.lock().clone(); }
             fn outer() { let g = a.lock(); inner_lock(); }
-            fn reverse() { let g = b.lock(); a.lock().clone(); }
+            fn after() { let g = a.lock(); drop(g); inner_lock(); }
         "#;
         let lexed = lex(src);
         let files = [file("dg-engine", "src/x.rs", &lexed, src)];
         let report = analyze_flow(&files, &[RuleId::LockOrder]);
-        assert!(report
-            .graph
-            .edges
-            .contains_key(&("t.a".to_string(), "t.b".to_string())));
-        assert_eq!(report.findings.len(), 2);
-    }
-
-    #[test]
-    fn sanctioned_edges_leave_cycle_detection_but_still_explain() {
-        let src = r#"
-            fn setup() {
-                let a = TrackedMutex::new("t.a", 0);
-                let b = TrackedMutex::new("t.b", 0);
-            }
-            fn ab() { let g = a.lock(); b.lock().clone(); }
-            fn ba() {
-                let g = b.lock();
-                // dg-analyze: allow(lock-order, reason = "vetted")
-                a.lock().clone();
-            }
-        "#;
-        let lexed = lex(src);
-        let mut f = file("dg-engine", "src/x.rs", &lexed, src);
-        let (allows, _) = crate::allow::collect_allows(&lexed);
-        f.allows = allows
-            .iter()
-            .enumerate()
-            .map(|(i, a)| FlowAllow {
-                index: i,
-                rule: RuleId::parse(&a.rule).expect("rule"),
-                target_line: a.target_line,
-            })
-            .collect();
-        let files = [f];
-        let report = analyze_flow(&files, &[RuleId::LockOrder]);
-        assert!(report.findings.is_empty());
-        assert_eq!(report.consumed.len(), 1);
-        assert!(report.graph.explains("t.b", "t.a"));
-        assert!(!report
-            .graph
-            .edges
-            .contains_key(&("t.b".into(), "t.a".into())));
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        assert_eq!(report.findings[0].1.line, 7);
+        assert_eq!(
+            report.findings[0].1.message,
+            "`inner_lock()` acquires lock class `t.b` while a guard on `t.a` is live"
+        );
     }
 
     #[test]

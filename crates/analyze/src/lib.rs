@@ -20,10 +20,9 @@
 //! On top of the per-file rules, a flow pass ([`flow`], fed by the
 //! item/scope parser in [`scope`]) reasons across functions and crates:
 //!
-//! * `lock-order` — the workspace-wide tracked-lock acquisition graph must
-//!   be acyclic; `--witness FILE` additionally cross-checks runtime
-//!   acquisition orders recorded by `dg-engine`'s `lock-witness` feature
-//!   against it ([`witness`]).
+//! * `lock-order` — tracked locks are leaves: no tracked lock is acquired
+//!   while another tracked guard is live, directly or through a uniquely
+//!   named free function.
 //! * `guard-across-blocking` — no live guard spans a blocking call in
 //!   `dg-serve`/`dg-pdn`.
 //! * `no-blocking-in-event-loop` — nothing reachable from an epoll pump in
@@ -49,7 +48,6 @@ pub mod manifest;
 pub mod reach;
 pub mod rules;
 pub mod scope;
-pub mod witness;
 
 use crate::allow::{collect_allows, Allow, BadAllow};
 use crate::rules::{Finding, RuleId};
@@ -174,20 +172,15 @@ struct FileData {
 }
 
 /// Analyses the workspace rooted at `root` (the directory holding the
-/// top-level `Cargo.toml`) with the `enabled` rules, optionally
-/// cross-checking a runtime lock-order witness file (see [`witness`])
-/// against the static graph. [`RuleId::AllowSyntax`] is always implied:
-/// suppression hygiene cannot be opted out of.
+/// top-level `Cargo.toml`) with the `enabled` rules.
+/// [`RuleId::AllowSyntax`] is always implied: suppression hygiene cannot
+/// be opted out of.
 ///
 /// The engine runs in two phases: a per-file pass (local rules, allow
 /// collection), then the workspace-wide flow pass whose findings are
 /// attributed back to their files and filtered through the same
 /// allow-comments.
-pub fn analyze_workspace_witness(
-    root: &Path,
-    enabled: &[RuleId],
-    witness_path: Option<&Path>,
-) -> io::Result<Report> {
+pub fn analyze_workspace(root: &Path, enabled: &[RuleId]) -> io::Result<Report> {
     let mut report = Report::default();
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
@@ -279,35 +272,7 @@ pub fn analyze_workspace_witness(
         }
     }
 
-    // Phase 3: cross-check the runtime witness against the static graph.
-    if let Some(path) = witness_path {
-        let text = fs::read_to_string(path)?;
-        let lines: Vec<&str> = text.lines().collect();
-        let findings = match witness::parse_witness(&text) {
-            Ok(w) => witness::check_witness(&w, &flow_report.graph),
-            Err((line, error)) => vec![Finding {
-                rule: RuleId::LockOrder,
-                line,
-                message: format!("malformed witness file: {error}"),
-                help: "regenerate the witness (dg-chaos --smoke --witness FILE, built with \
-                       --features dg-engine/lock-witness)"
-                    .into(),
-            }],
-        };
-        let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
-        for f in findings {
-            report.violations.push(Violation {
-                rule: f.rule,
-                path: rel.clone(),
-                line: f.line,
-                message: f.message,
-                snippet: snippet_of(&lines, f.line),
-                help: f.help,
-            });
-        }
-    }
-
-    // Phase 4: allow-comment filtering and suppression hygiene per file.
+    // Phase 3: allow-comment filtering and suppression hygiene per file.
     for (file_idx, d) in data.into_iter().enumerate() {
         let pre_consumed: Vec<usize> = flow_report
             .consumed

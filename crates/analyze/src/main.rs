@@ -1,26 +1,20 @@
 //! The `dg-analyze` command-line interface.
 //!
 //! ```text
-//! dg-analyze [--root DIR] [--rule RULE]... [--witness FILE] [--quiet] [--list-rules]
+//! dg-analyze [--root DIR] [--rule RULE]... [--quiet] [--list-rules]
 //! ```
 //!
 //! Exits 0 on a clean tree, 1 when any rule has a violation, and 2 on a
 //! usage or I/O error. The printed summary names each failing rule.
-//!
-//! `--witness FILE` cross-checks a runtime lock-order witness (recorded by
-//! `dg-engine`'s `lock-witness` feature, e.g. via `dg-chaos --smoke
-//! --witness FILE`) against the static lock-order graph; mismatches report
-//! under the `lock-order` rule against the witness file.
 
 use dg_analyze::rules::RuleId;
-use dg_analyze::{analyze_workspace_witness, Report};
+use dg_analyze::{analyze_workspace, Report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut enabled: Vec<RuleId> = Vec::new();
-    let mut witness: Option<PathBuf> = None;
     let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
@@ -34,10 +28,6 @@ fn main() -> ExitCode {
                 Some(rule) => enabled.push(rule),
                 None => return usage("--rule needs a known rule name (see --list-rules)"),
             },
-            "--witness" => match args.next() {
-                Some(file) => witness = Some(PathBuf::from(file)),
-                None => return usage("--witness needs a file path"),
-            },
             "--quiet" | "-q" => quiet = true,
             "--list-rules" => {
                 for rule in RuleId::ALL {
@@ -48,11 +38,9 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "dg-analyze: DarkGates workspace lint engine\n\n\
-                     USAGE: dg-analyze [--root DIR] [--rule RULE]... [--witness FILE] \
-                     [--quiet] [--list-rules]\n\n\
+                     USAGE: dg-analyze [--root DIR] [--rule RULE]... [--quiet] [--list-rules]\n\n\
                      Without --rule, every rule runs. Exits 0 on a clean tree, 1 on any\n\
-                     violation, 2 on a usage or I/O error. --witness cross-checks a\n\
-                     runtime lock-order witness file against the static graph."
+                     violation, 2 on a usage or I/O error."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -67,7 +55,7 @@ fn main() -> ExitCode {
         enabled
     };
 
-    let report = match analyze_workspace_witness(&root, &enabled, witness.as_deref()) {
+    let report = match analyze_workspace(&root, &enabled) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("dg-analyze: cannot analyze {}: {err}", root.display());

@@ -25,8 +25,8 @@ pub enum RuleId {
     DepHygiene,
     /// Malformed, reason-less, or unused `dg-analyze:` directives.
     AllowSyntax,
-    /// Cycles (including self-loops) in the workspace-wide lock-order
-    /// graph, plus runtime-witness edges the static graph cannot explain.
+    /// A tracked lock acquired while another tracked guard is live
+    /// (tracked locks are leaves).
     LockOrder,
     /// A live lock guard spanning a blocking operation (file I/O, channel
     /// recv, thread join) in the serve/pdn tiers.
@@ -107,9 +107,9 @@ impl RuleId {
                  at least one violation"
             }
             RuleId::LockOrder => {
-                "the workspace-wide lock-order graph (tracked-lock classes, with \
-                 cross-function propagation) must be acyclic; --witness also \
-                 cross-checks runtime acquisition orders against it"
+                "tracked locks are leaves: no tracked lock may be acquired while \
+                 another tracked guard is live, directly or through a uniquely \
+                 named free function"
             }
             RuleId::GuardAcrossBlocking => {
                 "no live lock guard may span a blocking call (file I/O, channel \

@@ -10,8 +10,8 @@
 //! immune to strings and comments by construction.
 //!
 //! Sites inside `#[cfg(test)]` / `#[test]` spans are skipped throughout:
-//! tests may nest locks deliberately (the witness unit tests do), and the
-//! flow rules police production code only.
+//! tests may nest locks deliberately (the leaf-rule unit tests in
+//! `dg_engine::sync` do), and the flow rules police production code only.
 
 use crate::lexer::Lexed;
 use crate::rules::{

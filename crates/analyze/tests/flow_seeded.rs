@@ -1,14 +1,13 @@
-//! Negative-path regressions for the flow rules and the witness
-//! cross-check. The real workspace is clean (`workspace_clean.rs`), so
-//! each test seeds a scratch mini-workspace with one deliberate violation
-//! and asserts (a) the rule fires with its own exit bit and (b) an
-//! explained `allow(...)` suppresses it — proving both the detection and
-//! the escape hatch.
+//! Negative-path regressions for the flow rules. The real workspace is
+//! clean (`workspace_clean.rs`), so each test seeds a scratch
+//! mini-workspace with one deliberate violation and asserts (a) the rule
+//! fires with its own exit bit and (b) an explained `allow(...)`
+//! suppresses it — proving both the detection and the escape hatch.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dg_analyze::analyze_workspace_witness;
+use dg_analyze::analyze_workspace;
 use dg_analyze::rules::RuleId;
 
 /// Builds `<tmp>/dg-analyze-flow-<pid>-<tag>` with one crate `dir` named
@@ -33,12 +32,25 @@ fn seed_workspace(tag: &str, dir: &str, name: &str, lib_src: &str) -> PathBuf {
 }
 
 fn scan(root: &Path) -> dg_analyze::Report {
-    let report =
-        analyze_workspace_witness(root, &RuleId::ALL, None).expect("scan scratch workspace");
+    let report = analyze_workspace(root, &RuleId::ALL).expect("scan scratch workspace");
     fs::remove_dir_all(root).expect("clean up scratch workspace");
     report
 }
 
+/// One consistent nesting: `seed.beta` taken under `seed.alpha` (line 8).
+const CONSISTENT_ORDER: &str = concat!(
+    "//! Seeded fixture: one consistent nesting order.\n",
+    "fn setup() {\n",
+    "    let alpha = TrackedMutex::new(\"seed.alpha\", 0usize);\n",
+    "    let beta = TrackedMutex::new(\"seed.beta\", 0usize);\n",
+    "}\n",
+    "fn ab() {\n",
+    "    let g = alpha.lock();\n",
+    "    beta.lock().clone();\n",
+    "}\n",
+);
+
+/// `CONSISTENT_ORDER` plus the opposite nesting (line 12): a 2-cycle.
 const LOCK_ORDER_CYCLE: &str = concat!(
     "//! Seeded fixture: opposite lock nesting orders.\n",
     "fn setup() {\n",
@@ -55,44 +67,102 @@ const LOCK_ORDER_CYCLE: &str = concat!(
     "}\n",
 );
 
+/// `(line, message)` of every `lock-order` violation.
+fn lock_order_findings(report: &dg_analyze::Report) -> Vec<(usize, &str)> {
+    report
+        .violations
+        .iter()
+        .filter(|v| v.rule == RuleId::LockOrder)
+        .map(|v| (v.line, v.message.as_str()))
+        .collect()
+}
+
+#[test]
+fn lock_order_fires_once_on_a_consistent_nesting() {
+    let root = seed_workspace("nest", "pdn", "dg-pdn", CONSISTENT_ORDER);
+    let report = scan(&root);
+    assert_eq!(
+        lock_order_findings(&report),
+        [(
+            8,
+            "lock class `seed.beta` is acquired while a guard on `seed.alpha` is live"
+        )]
+    );
+}
+
 #[test]
 fn lock_order_fires_on_opposite_nesting_orders() {
     let root = seed_workspace("cycle", "pdn", "dg-pdn", LOCK_ORDER_CYCLE);
     let report = scan(&root);
     assert_eq!(
-        report.count(RuleId::LockOrder),
-        2,
-        "both edges of the 2-cycle must report: {:?}",
-        report.violations
+        lock_order_findings(&report),
+        [
+            (
+                8,
+                "lock class `seed.beta` is acquired while a guard on `seed.alpha` is live"
+            ),
+            (
+                12,
+                "lock class `seed.alpha` is acquired while a guard on `seed.beta` is live"
+            ),
+        ],
+        "both nestings of the 2-cycle must report"
     );
-    let v = report
-        .violations
-        .iter()
-        .find(|v| v.rule == RuleId::LockOrder)
-        .expect("seeded violation present");
-    assert!(v.message.contains("cycle"), "{v}");
+}
+
+#[test]
+fn lock_order_fires_on_self_nesting_and_through_a_unique_free_call() {
+    let src = concat!(
+        "//! Seeded fixture: a self-nesting and a nesting through a call.\n",
+        "fn setup() {\n",
+        "    let alpha = TrackedMutex::new(\"seed.alpha\", 0usize);\n",
+        "    let beta = TrackedMutex::new(\"seed.beta\", 0usize);\n",
+        "}\n",
+        "fn twice() {\n",
+        "    let g = alpha.lock();\n",
+        "    alpha.lock().clone();\n",
+        "}\n",
+        "fn take_beta() {\n",
+        "    beta.lock().clone();\n",
+        "}\n",
+        "fn through_call() {\n",
+        "    let g = alpha.lock();\n",
+        "    take_beta();\n",
+        "}\n",
+    );
+    let root = seed_workspace("nest-call", "pdn", "dg-pdn", src);
+    let report = scan(&root);
+    assert_eq!(
+        lock_order_findings(&report),
+        [
+            (
+                8,
+                "lock class `seed.alpha` is acquired while a guard on it is already live \
+                 (self-deadlock)"
+            ),
+            (
+                15,
+                "`take_beta()` acquires lock class `seed.beta` while a guard on `seed.alpha` \
+                 is live"
+            ),
+        ]
+    );
 }
 
 #[test]
 fn lock_order_allow_sanctions_the_edge_and_is_counted_used() {
-    let src = LOCK_ORDER_CYCLE.replace(
-        "    alpha.lock().clone();\n",
+    let src = CONSISTENT_ORDER.replace(
+        "    beta.lock().clone();\n",
         concat!(
-            "    // dg-analyze: allow(lock-order, reason = \"seeded: vetted inversion\")\n",
-            "    alpha.lock().clone();\n",
+            "    // dg-analyze: allow(lock-order, reason = \"seeded: vetted nesting\")\n",
+            "    beta.lock().clone();\n",
         ),
     );
-    assert_ne!(src, LOCK_ORDER_CYCLE, "replacement must hit");
-    let root = seed_workspace("cycle-allow", "pdn", "dg-pdn", &src);
+    assert_ne!(src, CONSISTENT_ORDER, "replacement must hit");
+    let root = seed_workspace("nest-allow", "pdn", "dg-pdn", &src);
     let report = scan(&root);
-    assert_eq!(
-        report.count(RuleId::LockOrder),
-        0,
-        "sanctioning one edge breaks the cycle: {:?}",
-        report.violations
-    );
-    assert!(report.allows_used >= 1, "the allow must count as used");
     assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert_eq!(report.allows_used, 1, "the allow must count as used");
 }
 
 const GUARD_ACROSS_BLOCKING: &str = concat!(
@@ -246,83 +316,6 @@ fn swallowed_result_allow_suppresses() {
     let report = scan(&root);
     assert_eq!(report.count(RuleId::SwallowedResult), 0);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
-}
-
-/// A clean fixture with one consistent nesting (static edge alpha → beta),
-/// for the witness tests.
-const CONSISTENT_ORDER: &str = concat!(
-    "//! Seeded fixture: one consistent nesting order.\n",
-    "fn setup() {\n",
-    "    let alpha = TrackedMutex::new(\"seed.alpha\", 0usize);\n",
-    "    let beta = TrackedMutex::new(\"seed.beta\", 0usize);\n",
-    "}\n",
-    "fn ab() {\n",
-    "    let g = alpha.lock();\n",
-    "    beta.lock().clone();\n",
-    "}\n",
-);
-
-#[test]
-fn witness_matching_the_static_graph_passes() {
-    let root = seed_workspace("witness-ok", "pdn", "dg-pdn", CONSISTENT_ORDER);
-    let witness = root.join("witness.txt");
-    fs::write(
-        &witness,
-        "# dg-lock-witness v1\nclass seed.alpha\nclass seed.beta\nedge seed.alpha seed.beta\n",
-    )
-    .expect("write witness");
-    let report =
-        analyze_workspace_witness(&root, &RuleId::ALL, Some(&witness)).expect("witness scan");
-    fs::remove_dir_all(&root).expect("clean up scratch workspace");
-    assert!(report.violations.is_empty(), "{:?}", report.violations);
-}
-
-#[test]
-fn witness_with_unknown_class_and_contradicting_edge_fails() {
-    let root = seed_workspace("witness-bad", "pdn", "dg-pdn", CONSISTENT_ORDER);
-    let witness = root.join("witness.txt");
-    fs::write(
-        &witness,
-        "# dg-lock-witness v1\nclass seed.ghost\nedge seed.beta seed.alpha\n",
-    )
-    .expect("write witness");
-    let report =
-        analyze_workspace_witness(&root, &RuleId::ALL, Some(&witness)).expect("witness scan");
-    fs::remove_dir_all(&root).expect("clean up scratch workspace");
-    assert_ne!(report.count(RuleId::LockOrder), 0);
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.message.contains("seed.ghost") && v.path.ends_with("witness.txt")),
-        "{:?}",
-        report.violations
-    );
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.message.contains("contradicts")),
-        "the reversed edge proves a cycle the static graph forbids: {:?}",
-        report.violations
-    );
-}
-
-#[test]
-fn malformed_witness_reports_with_line_number() {
-    let root = seed_workspace("witness-syntax", "pdn", "dg-pdn", CONSISTENT_ORDER);
-    let witness = root.join("witness.txt");
-    fs::write(&witness, "# dg-lock-witness v1\nvertex nope\n").expect("write witness");
-    let report =
-        analyze_workspace_witness(&root, &RuleId::ALL, Some(&witness)).expect("witness scan");
-    fs::remove_dir_all(&root).expect("clean up scratch workspace");
-    let v = report
-        .violations
-        .iter()
-        .find(|v| v.message.contains("malformed"))
-        .expect("parse error reported");
-    assert_eq!(v.line, 2);
-    assert_ne!(report.count(RuleId::LockOrder), 0);
 }
 
 #[test]

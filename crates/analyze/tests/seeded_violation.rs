@@ -9,7 +9,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use dg_analyze::analyze_workspace_witness;
+use dg_analyze::analyze_workspace;
 use dg_analyze::rules::RuleId;
 
 /// Builds `<tmp>/dg-analyze-seeded-<pid>-<tag>/crates/<dir>` for each
@@ -53,8 +53,7 @@ fn seed_workspace() -> PathBuf {
 #[test]
 fn no_panic_in_lib_fires_on_a_seeded_violation_in_crates_serve() {
     let root = seed_workspace();
-    let report =
-        analyze_workspace_witness(&root, &RuleId::ALL, None).expect("scan scratch workspace");
+    let report = analyze_workspace(&root, &RuleId::ALL).expect("scan scratch workspace");
     fs::remove_dir_all(&root).expect("clean up scratch workspace");
 
     assert_eq!(
@@ -75,9 +74,8 @@ fn no_panic_in_lib_fires_on_a_seeded_violation_in_crates_serve() {
     // The same fixture with the rule disabled stays clean — the firing
     // above is attributable to no-panic-in-lib alone.
     let root = seed_workspace();
-    let narrowed =
-        analyze_workspace_witness(&root, &[RuleId::DocCoverage, RuleId::DepHygiene], None)
-            .expect("narrowed scan");
+    let narrowed = analyze_workspace(&root, &[RuleId::DocCoverage, RuleId::DepHygiene])
+        .expect("narrowed scan");
     fs::remove_dir_all(&root).expect("clean up scratch workspace");
     assert!(
         narrowed.violations.is_empty(),
@@ -91,8 +89,7 @@ fn no_panic_in_lib_fires_on_a_seeded_violation_in_crates_explore() {
     // The design-space engine streams long-running sweeps through
     // `/v1/explore`; its registration must have the same teeth.
     let root = seed_workspace_with("explore", &[("explore", "dg-explore")]);
-    let report =
-        analyze_workspace_witness(&root, &RuleId::ALL, None).expect("scan scratch workspace");
+    let report = analyze_workspace(&root, &RuleId::ALL).expect("scan scratch workspace");
     fs::remove_dir_all(&root).expect("clean up scratch workspace");
 
     assert_eq!(
@@ -117,8 +114,7 @@ fn no_panic_in_lib_fires_on_a_seeded_violation_in_crates_chaos() {
     // The chaos harness is registered alongside the daemon: a seeded
     // unwrap in either library must fire, and nothing else.
     let root = seed_workspace_with("chaos", &[("chaos", "dg-chaos"), ("serve", "dg-serve")]);
-    let report =
-        analyze_workspace_witness(&root, &RuleId::ALL, None).expect("scan scratch workspace");
+    let report = analyze_workspace(&root, &RuleId::ALL).expect("scan scratch workspace");
     fs::remove_dir_all(&root).expect("clean up scratch workspace");
 
     assert_eq!(
@@ -246,8 +242,7 @@ fn demo_files(lib: &'static str) -> Vec<(&'static str, &'static str)> {
 #[test]
 fn unreached_mod_fires_on_a_module_only_tests_name() {
     let root = seed_demo_workspace("fires", &demo_files(DEMO_LIB));
-    let report = analyze_workspace_witness(&root, &[RuleId::UnreachedMod], None)
-        .expect("scan scratch workspace");
+    let report = analyze_workspace(&root, &[RuleId::UnreachedMod]).expect("scan scratch workspace");
     fs::remove_dir_all(&root).expect("clean up scratch workspace");
 
     assert_eq!(
@@ -290,8 +285,7 @@ fn unreached_mod_allow_suppresses_and_counts_as_used() {
         "}\n",
     );
     let root = seed_demo_workspace("allow", &demo_files(ALLOWED));
-    let report = analyze_workspace_witness(&root, &[RuleId::UnreachedMod], None)
-        .expect("scan scratch workspace");
+    let report = analyze_workspace(&root, &[RuleId::UnreachedMod]).expect("scan scratch workspace");
     fs::remove_dir_all(&root).expect("clean up scratch workspace");
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert_eq!(report.allows_used, 1, "the allow must count as used");
@@ -431,8 +425,7 @@ fn pub_files(items: &'static str) -> Vec<(&'static str, &'static str)> {
 
 fn unreached_pub_scan(tag: &str, items: &'static str) -> dg_analyze::Report {
     let root = seed_demo_workspace(tag, &pub_files(items));
-    let report = analyze_workspace_witness(&root, &[RuleId::UnreachedPub], None)
-        .expect("scan scratch workspace");
+    let report = analyze_workspace(&root, &[RuleId::UnreachedPub]).expect("scan scratch workspace");
     fs::remove_dir_all(&root).expect("clean up scratch workspace");
     report
 }

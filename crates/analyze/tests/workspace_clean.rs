@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use dg_analyze::analyze_workspace_witness;
+use dg_analyze::analyze_workspace;
 use dg_analyze::rules::RuleId;
 
 #[test]
@@ -17,8 +17,7 @@ fn workspace_has_no_rule_violations() {
         .parent()
         .and_then(Path::parent)
         .expect("crates/analyze sits two levels below the workspace root");
-    let report =
-        analyze_workspace_witness(root, &RuleId::ALL, None).expect("workspace scan succeeds");
+    let report = analyze_workspace(root, &RuleId::ALL).expect("workspace scan succeeds");
 
     assert!(
         report.files_scanned > 50,

@@ -5,18 +5,12 @@
 //! cargo run --release -p dg-chaos -- --smoke
 //! cargo run --release -p dg-chaos -- --seed 7 --connections 1000 --verbose
 //! cargo run --release -p dg-chaos -- --shards   # router + 2 shards, kill one, drain
-//! cargo run --release -p dg-chaos --features dg-engine/lock-witness -- \
-//!     --smoke --witness target/lock-witness.txt
 //! ```
 //!
 //! Exit code 0 when the campaign passes (no worker deaths, no
 //! HTTP-vs-library mismatches, every sampled seed reproduces), 1 otherwise.
 //! `--shards` runs the process-level shard-kill campaign instead and
 //! requires the `dg-serve`/`dg-router` binaries next to this one.
-//! `--witness FILE` dumps the lock-acquisition orders the campaign actually
-//! exercised (for `dg-analyze --witness`); it requires a build with the
-//! `dg-engine/lock-witness` feature and fails loudly without it, so CI can
-//! never validate an empty witness.
 
 use dg_chaos::{run_chaos, run_shard_kill, ChaosConfig, Fault, ShardKillConfig};
 
@@ -77,33 +71,6 @@ fn main() {
     }
     let smoke = args.iter().any(|a| a == "--smoke");
     let verbose = args.iter().any(|a| a == "--verbose");
-    let witness = args
-        .iter()
-        .position(|a| a == "--witness")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    if let Some(path) = &witness {
-        if !dg_engine::sync::witness_enabled() {
-            eprintln!(
-                "dg-chaos: --witness needs a build with the lock recorder; \
-                 rebuild with --features dg-engine/lock-witness"
-            );
-            std::process::exit(1);
-        }
-        // Start from a clean file: witness_save appends so cooperating
-        // processes can accumulate, but one campaign is one witness.
-        match std::fs::remove_file(path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                eprintln!(
-                    "dg-chaos: cannot clear stale witness {}: {e}",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        }
-    }
 
     let defaults = ChaosConfig::default();
     let config = ChaosConfig {
@@ -150,17 +117,6 @@ fn main() {
     let failures = report.mismatches.iter().chain(&report.repro_failures);
     for line in failures.take(if verbose { usize::MAX } else { 10 }) {
         println!("  FAIL {line}");
-    }
-
-    if let Some(path) = &witness {
-        if let Err(e) = dg_engine::sync::witness_save(path) {
-            eprintln!(
-                "dg-chaos: failed to write lock witness {}: {e}",
-                path.display()
-            );
-            std::process::exit(1);
-        }
-        println!("  lock witness written to {}", path.display());
     }
 
     if report.passed() {

@@ -1,5 +1,4 @@
-//! Named, poison-recovering lock wrappers with an optional runtime
-//! lock-order witness.
+//! Named, poison-recovering lock wrappers whose locks are leaves.
 //!
 //! Every shared lock in the workspace is a [`TrackedMutex`] carrying a
 //! `&'static str` **lock class** — a stable, human-chosen name like
@@ -13,30 +12,25 @@
 //!    step (writes are completed before guards drop), so a panic between
 //!    acquire and release never leaves torn data — recovery is safe, and
 //!    now it is also unforgettable.
-//! 2. **A static analysis anchor.** `dg-analyze`'s lock-order rule
-//!    resolves acquisition sites to these class names (see DESIGN.md §13),
-//!    so the class string is the shared vocabulary between the code, the
-//!    static lock-order graph, and the runtime witness.
-//! 3. **A runtime witness** (feature `lock-witness`): every acquisition
-//!    records the set of classes already held by the acquiring thread,
-//!    building the *observed* lock-order graph. `dg-analyze --witness`
-//!    cross-checks it against the static graph: every runtime edge must
-//!    appear statically, and no runtime edge may close a cycle. With the
-//!    feature disabled (the default) the wrappers compile down to plain
-//!    poison-recovering locks with zero bookkeeping.
-//!
-//! Witness recording is deliberately leaf-locked: the global registry uses
-//! a raw [`std::sync::Mutex`] and never acquires a tracked lock, so the
-//! recorder itself can never deadlock against the locks it observes. The
-//! witness file contains no timestamps and sorted snapshots, keeping runs
-//! deterministic.
+//! 2. **A static analysis anchor.** `dg-analyze` resolves acquisition
+//!    sites to these class names (see DESIGN.md §13), so the class string
+//!    is the shared vocabulary between the code and the `lock-order`,
+//!    `guard-across-blocking` and `no-blocking-in-event-loop` findings.
+//! 3. **The leaf rule, checked in debug builds.** No thread acquires a
+//!    tracked lock while it holds another tracked guard, so no two tracked
+//!    locks can deadlock against each other. Under `debug_assertions` each
+//!    thread keeps the class of the guard it holds in a thread-local slot;
+//!    [`TrackedMutex::lock`] (before it blocks) and the re-acquire in
+//!    [`TrackedCondvar::wait`] assert that the slot is empty, naming both
+//!    classes, so every debug `cargo test` checks the rule. Release builds
+//!    compile to a plain poison-recovering lock.
 
 use std::mem::ManuallyDrop;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// A mutex with a static lock-class name, poison recovery, and optional
-/// acquisition-order recording. Drop-in for `std::sync::Mutex` except that
-/// [`TrackedMutex::lock`] returns the guard directly (never a `Result`).
+/// A mutex with a static lock-class name and poison recovery. Drop-in for
+/// `std::sync::Mutex` except that [`TrackedMutex::lock`] returns the guard
+/// directly (never a `Result`).
 pub struct TrackedMutex<T> {
     class: &'static str,
     inner: Mutex<T>,
@@ -45,8 +39,8 @@ pub struct TrackedMutex<T> {
 impl<T> TrackedMutex<T> {
     /// Wraps `value` under the lock class `class`. Class names are
     /// workspace-unique dotted paths (`"crate.module.role"`); the static
-    /// analyzer scans these literals to name nodes in the lock-order
-    /// graph, so the string must be a literal at the construction site.
+    /// analyzer scans these literals to resolve `.lock()` sites to
+    /// classes, so the string must be a literal at the construction site.
     pub fn new(class: &'static str, value: T) -> Self {
         TrackedMutex {
             class,
@@ -55,21 +49,21 @@ impl<T> TrackedMutex<T> {
     }
 
     /// Acquires the mutex, recovering from poison (a previous holder
-    /// panicked) by taking the inner value as-is. Records the acquisition
-    /// against the thread's held-lock stack when the `lock-witness`
-    /// feature is enabled.
+    /// panicked) by taking the inner value as-is.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when this thread already holds a tracked guard
+    /// (see the module docs): the check runs before blocking, so a
+    /// nested acquisition panics instead of deadlocking.
     pub fn lock(&self) -> TrackedGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        leaf::acquire(self.class);
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        witness::record_acquire(self.class);
         TrackedGuard {
             class: self.class,
             inner: ManuallyDrop::new(inner),
         }
-    }
-
-    /// The lock class this mutex was constructed with.
-    pub fn class(&self) -> &'static str {
-        self.class
     }
 }
 
@@ -81,8 +75,8 @@ impl<T> std::fmt::Debug for TrackedMutex<T> {
     }
 }
 
-/// Guard returned by [`TrackedMutex::lock`]. Releases the mutex (and pops
-/// the witness held-stack) on drop.
+/// Guard returned by [`TrackedMutex::lock`]. Releases the mutex (and, in
+/// debug builds, the thread's held-class slot) on drop.
 pub struct TrackedGuard<'a, T> {
     class: &'static str,
     inner: ManuallyDrop<MutexGuard<'a, T>>,
@@ -103,7 +97,8 @@ impl<T> std::ops::DerefMut for TrackedGuard<'_, T> {
 
 impl<T> Drop for TrackedGuard<'_, T> {
     fn drop(&mut self) {
-        witness::record_release(self.class);
+        #[cfg(debug_assertions)]
+        leaf::release();
         // SAFETY: `inner` is initialized at construction and only ever
         // taken out by `TrackedCondvar::wait`, which then forgets the
         // guard so this Drop never runs for it.
@@ -112,9 +107,9 @@ impl<T> Drop for TrackedGuard<'_, T> {
 }
 
 /// A condition variable for use with [`TrackedMutex`]: `wait` releases
-/// and re-acquires the tracked guard, keeping the witness held-stack
-/// consistent across the block (a condvar wait releases the lock, so it
-/// must not look like the lock was held across the sleep).
+/// and re-acquires the tracked guard, and the re-acquire is checked like
+/// [`TrackedMutex::lock`] (a condvar wait releases the lock, so the thread
+/// holds nothing while it sleeps).
 pub struct TrackedCondvar {
     inner: Condvar,
 }
@@ -141,12 +136,14 @@ impl TrackedCondvar {
         // Drop (which would drop `inner` a second time) never runs.
         let inner = unsafe { ManuallyDrop::take(&mut guard.inner) };
         std::mem::forget(guard);
-        witness::record_release(class);
+        #[cfg(debug_assertions)]
+        leaf::release();
         let inner = self
             .inner
             .wait(inner)
             .unwrap_or_else(PoisonError::into_inner);
-        witness::record_acquire(class);
+        #[cfg(debug_assertions)]
+        leaf::acquire(class);
         TrackedGuard {
             class,
             inner: ManuallyDrop::new(inner),
@@ -170,150 +167,31 @@ impl std::fmt::Debug for TrackedCondvar {
     }
 }
 
-/// Whether this build records lock acquisitions (the `lock-witness`
-/// feature). Binaries print this so a mis-wired CI step fails loudly
-/// instead of validating an empty witness.
-pub fn witness_enabled() -> bool {
-    cfg!(feature = "lock-witness")
-}
-
-/// Writes the full witness snapshot (`# dg-lock-witness v1` header, every
-/// observed `class` and `edge` line, sorted) to `path`, appending so that
-/// snapshots from cooperating processes accumulate (the parser tolerates
-/// duplicates).
-///
-/// # Errors
-///
-/// Any I/O error from opening or writing the file; with the
-/// `lock-witness` feature disabled, an [`std::io::ErrorKind::Unsupported`]
-/// error, so callers asked to produce a witness cannot silently emit an
-/// empty one.
-pub fn witness_save(path: &std::path::Path) -> std::io::Result<()> {
-    witness::save(path)
-}
-
-#[cfg(feature = "lock-witness")]
-mod witness {
-    //! The recorder behind the `lock-witness` feature: a thread-local
-    //! stack of held classes plus a process-global registry of observed
-    //! classes and ordered edges `(held, acquired)`.
-
-    use std::cell::RefCell;
-    use std::collections::BTreeSet;
-    use std::io::Write;
-    use std::path::{Path, PathBuf};
-    use std::sync::{Mutex, OnceLock, PoisonError};
+/// The debug-build leaf check: the class of the one tracked guard this
+/// thread holds, if any.
+#[cfg(debug_assertions)]
+mod leaf {
+    use std::cell::Cell;
 
     thread_local! {
-        /// Lock classes currently held by this thread, in acquisition
-        /// order. Duplicate entries are possible when two instances of one
-        /// class are held at once, and are kept.
-        static HELD: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+        static HELD: Cell<Option<&'static str>> = const { Cell::new(None) };
     }
 
-    struct Registry {
-        classes: BTreeSet<&'static str>,
-        edges: BTreeSet<(&'static str, &'static str)>,
-        /// Incremental sink from `DG_LOCK_WITNESS`, read once at first
-        /// recording; new classes/edges are appended as observed so even
-        /// an aborted process leaves a usable (partial) witness.
-        sink: Option<PathBuf>,
+    /// Records that this thread takes `class`, asserting it held nothing.
+    pub(super) fn acquire(class: &'static str) {
+        let held = HELD.get();
+        debug_assert!(
+            held.is_none(),
+            "lock class `{class}` acquired while this thread holds `{}`: tracked locks are \
+             leaves, so drop the outer guard first",
+            held.unwrap_or_default()
+        );
+        HELD.set(Some(class));
     }
 
-    fn registry() -> &'static Mutex<Registry> {
-        static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-        REGISTRY.get_or_init(|| {
-            Mutex::new(Registry {
-                classes: BTreeSet::new(),
-                edges: BTreeSet::new(),
-                sink: std::env::var_os("DG_LOCK_WITNESS").map(PathBuf::from),
-            })
-        })
-    }
-
-    /// Best-effort append; the witness is diagnostic, never a
-    /// correctness dependency, so I/O errors are swallowed.
-    fn append_sink(sink: &Path, lines: &str) {
-        if let Ok(mut file) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(sink)
-        {
-            let _ = file.write_all(lines.as_bytes());
-        }
-    }
-
-    pub(super) fn record_acquire(class: &'static str) {
-        let held_snapshot: Vec<&'static str> = HELD.with(|held| {
-            let mut held = held.borrow_mut();
-            let snapshot = held.clone();
-            held.push(class);
-            snapshot
-        });
-        let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
-        let mut fresh = String::new();
-        if reg.classes.insert(class) {
-            fresh.push_str(&format!("class {class}\n"));
-        }
-        for held in held_snapshot {
-            if held != class && reg.edges.insert((held, class)) {
-                fresh.push_str(&format!("edge {held} {class}\n"));
-            }
-        }
-        if !fresh.is_empty() {
-            if let Some(sink) = reg.sink.clone() {
-                append_sink(&sink, &fresh);
-            }
-        }
-    }
-
-    pub(super) fn record_release(class: &'static str) {
-        HELD.with(|held| {
-            let mut held = held.borrow_mut();
-            if let Some(pos) = held.iter().rposition(|&c| c == class) {
-                held.remove(pos);
-            }
-        });
-    }
-
-    /// Sorted snapshot of everything observed so far.
-    pub(super) fn snapshot() -> String {
-        let reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = String::from("# dg-lock-witness v1\n");
-        for class in &reg.classes {
-            out.push_str(&format!("class {class}\n"));
-        }
-        for (from, to) in &reg.edges {
-            out.push_str(&format!("edge {from} {to}\n"));
-        }
-        out
-    }
-
-    pub(super) fn save(path: &Path) -> std::io::Result<()> {
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        file.write_all(snapshot().as_bytes())
-    }
-}
-
-#[cfg(not(feature = "lock-witness"))]
-mod witness {
-    //! No-op recorder: without the `lock-witness` feature the wrappers
-    //! cost exactly a poison-recovering lock and nothing else.
-
-    #[inline]
-    pub(super) fn record_acquire(_class: &'static str) {}
-
-    #[inline]
-    pub(super) fn record_release(_class: &'static str) {}
-
-    pub(super) fn save(_path: &std::path::Path) -> std::io::Result<()> {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "lock-witness feature not compiled in; rebuild with --features dg-engine/lock-witness",
-        ))
+    /// Records that this thread released its tracked guard.
+    pub(super) fn release() {
+        HELD.set(None);
     }
 }
 
@@ -339,7 +217,6 @@ mod tests {
             t.join().expect("incrementer");
         }
         assert_eq!(*m.lock(), 4000);
-        assert_eq!(m.class(), "engine.test.counter");
     }
 
     #[test]
@@ -375,73 +252,57 @@ mod tests {
         assert!(waiter.join().expect("waiter exits"));
     }
 
-    #[cfg(feature = "lock-witness")]
+    #[cfg(debug_assertions)]
     #[test]
-    fn witness_records_nested_acquisition_edges() {
-        // Deliberately nest two classes; the registry must contain both
-        // classes and the (outer, inner) edge — this is the runtime half
-        // of the lock-order cross-check, proven live.
+    #[should_panic(
+        expected = "lock class `engine.test.inner` acquired while this thread holds \
+                    `engine.test.outer`"
+    )]
+    fn nested_acquisition_panics_naming_both_classes() {
         let outer = TrackedMutex::new("engine.test.outer", ());
         let inner = TrackedMutex::new("engine.test.inner", ());
-        {
-            let _o = outer.lock();
-            let _i = inner.lock();
-        }
-        let dir = std::env::temp_dir().join(format!("dg-witness-{}", std::process::id()));
-        let _ = std::fs::remove_file(&dir);
-        witness_save(&dir).expect("snapshot written");
-        let text = std::fs::read_to_string(&dir).expect("witness readable");
-        assert!(text.starts_with("# dg-lock-witness v1"), "{text}");
-        assert!(text.contains("class engine.test.outer"), "{text}");
-        assert!(text.contains("class engine.test.inner"), "{text}");
-        assert!(
-            text.contains("edge engine.test.outer engine.test.inner"),
-            "{text}"
-        );
-        assert!(
-            !text.contains("edge engine.test.inner engine.test.outer"),
-            "no inverted edge was observed: {text}"
-        );
-        let _ = std::fs::remove_file(&dir);
+        let _o = outer.lock();
+        let _i = inner.lock();
     }
 
-    #[cfg(feature = "lock-witness")]
+    #[cfg(debug_assertions)]
     #[test]
-    fn witness_condvar_wait_releases_the_held_class() {
-        // While parked in wait() the class must not be on the held stack:
-        // an acquisition from the waiting thread after wakeup must not
-        // fabricate a self-edge, and the post-wait re-acquire must.
-        let m = Arc::new(TrackedMutex::new("engine.test.cvheld", 0u32));
+    fn dropped_guards_and_condvar_waits_free_the_thread() {
+        let first = TrackedMutex::new("engine.test.first", ());
+        let second = TrackedMutex::new("engine.test.second", ());
+        drop(first.lock());
+        drop(second.lock());
+
+        // Handshake on one state word: the main thread reads 1 only after
+        // the waiter has released the lock inside `wait`, so the waiter
+        // always re-acquires through the condvar.
+        let m = Arc::new(TrackedMutex::new("engine.test.cvheld", 0u8));
         let cv = Arc::new(TrackedCondvar::new());
         let side = Arc::new(TrackedMutex::new("engine.test.cvside", ()));
         let waiter = {
             let (m, cv, side) = (Arc::clone(&m), Arc::clone(&cv), Arc::clone(&side));
             std::thread::spawn(move || {
-                let mut g = m.lock();
-                while *g == 0 {
-                    g = cv.wait(g);
+                let mut state = m.lock();
+                *state = 1;
+                cv.notify_all();
+                while *state != 2 {
+                    state = cv.wait(state);
                 }
-                // Held stack here: [cvheld] (re-acquired by wait).
-                let _s = side.lock();
+                // The re-acquired guard counts as held ...
+                let nested = std::panic::catch_unwind(|| drop(side.lock()));
+                assert!(nested.is_err(), "the re-acquire must be tracked");
+                // ... and once it drops, the thread may take another class.
+                drop(state);
+                drop(side.lock());
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        *m.lock() = 1;
+        let mut state = m.lock();
+        while *state != 1 {
+            state = cv.wait(state);
+        }
+        *state = 2;
+        drop(state);
         cv.notify_all();
         waiter.join().expect("waiter exits");
-        let text = super::witness::snapshot();
-        assert!(
-            text.contains("edge engine.test.cvheld engine.test.cvside"),
-            "re-acquired class must be back on the stack: {text}"
-        );
-    }
-
-    #[cfg(not(feature = "lock-witness"))]
-    #[test]
-    fn witness_save_is_unsupported_without_the_feature() {
-        assert!(!witness_enabled());
-        let err = witness_save(std::path::Path::new("/nonexistent/w"))
-            .expect_err("featureless build must refuse");
-        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
     }
 }

@@ -39,7 +39,6 @@ pub use pareto::{dominates, Objectives, RunningFrontier};
 pub use spec::{ExploreSpec, GuardbandPolicy};
 
 use darkgates::json::{obj, Json};
-use dg_engine::sync::TrackedMutex;
 use grid::ConfigPoint;
 use spec::fuse_label;
 
@@ -191,15 +190,6 @@ fn u64_to_f64(v: u64) -> f64 {
     v as f64
 }
 
-/// Shared progress state: the running frontier and the accumulated
-/// (possibly transient-refined) evaluations. Behind a [`TrackedMutex`]
-/// so the lock-order witness covers the explore tier like every other
-/// shared-state seam in the workspace.
-struct ProgressState {
-    frontier: RunningFrontier,
-    evals: Vec<PointEval>,
-}
-
 /// Runs a sweep to completion without observing progress.
 ///
 /// # Errors
@@ -237,13 +227,10 @@ pub fn run_with_progress(
     let ordered: Vec<ConfigPoint> = order.iter().filter_map(|&i| grid.get(i).copied()).collect();
 
     let ctx = EvalContext::new(spec);
-    let state = TrackedMutex::new(
-        "explore.progress",
-        ProgressState {
-            frontier: RunningFrontier::new(),
-            evals: Vec::with_capacity(total),
-        },
-    );
+    // `par_map_progress` runs the progress closure on this thread, so the
+    // running frontier and the refined evaluations need no lock.
+    let mut frontier = RunningFrontier::new();
+    let mut evals: Vec<PointEval> = Vec::with_capacity(total);
 
     dg_engine::par_map_progress(
         &ordered,
@@ -251,29 +238,21 @@ pub fn run_with_progress(
         |_, p| ctx.evaluate(*p),
         |done, chunk| {
             let refined = ctx.refine_chunk(chunk);
-            let frontier_len = {
-                let mut st = state.lock();
-                for e in &refined {
-                    if e.feasible {
-                        st.frontier.insert(e.point.id, e.objectives());
-                    }
+            for e in &refined {
+                if e.feasible {
+                    frontier.insert(e.point.id, e.objectives());
                 }
-                st.evals.extend(refined);
-                st.frontier.len()
-            };
+            }
+            evals.extend(refined);
             on_progress(Progress {
                 completed: done,
                 total,
-                frontier: frontier_len,
+                frontier: frontier.len(),
             });
         },
     );
 
-    let mut st = state.lock();
-    let evals = std::mem::take(&mut st.evals);
-    let frontier_ids = st.frontier.ids();
-    drop(st);
-    Ok(assemble(spec, evals, &frontier_ids))
+    Ok(assemble(spec, evals, &frontier.ids()))
 }
 
 /// Builds the result record from the evaluations and the frontier ids.
