@@ -286,16 +286,15 @@ fn pass(ok: bool) -> &'static str {
 /// 1. a `--threads N` (or `--threads=N`) command-line flag, mapped onto
 ///    [`dg_engine::set_thread_override`] — the returned guard must stay
 ///    alive for the run;
-/// 2. the `DG_NUM_THREADS` / `RAYON_NUM_THREADS` environment variables,
-///    which `dg-engine` resolves itself — but any *invalid* value
-///    (`abc`, `0`, …) is printed as a startup warning on stderr here,
-///    because [`dg_engine::num_threads`] deliberately falls back in
-///    silence.
+/// 2. the `DG_NUM_THREADS` environment variable, which `dg-engine`
+///    resolves itself — but an *invalid* value (`abc`, `0`, …) is
+///    printed as a startup warning on stderr here, because
+///    [`dg_engine::num_threads`] deliberately falls back in silence.
 ///
 /// An invalid or missing `--threads` value is also warned about and
 /// ignored.
 pub fn apply_thread_overrides(args: &[String]) -> Option<dg_engine::ThreadOverrideGuard> {
-    for issue in dg_engine::thread_env_issues() {
+    if let Some(issue) = dg_engine::thread_env_issues() {
         eprintln!("warning: {issue} to auto-detected thread count");
     }
     match threads_flag(args)? {

@@ -11,7 +11,9 @@
 //!    read timeout (no client-side clock), keep-alive connections left
 //!    idle until the server's deadline reaps them, and slow readers that
 //!    force the server's optimistic write to park on write readiness.
-//!    Every connection's behaviour is a pure function of its seed.
+//!    Every connection's behaviour is a pure function of its seed, and
+//!    every connection whose fault does not cut it must end in a reply
+//!    that [`read_reply`] decodes whole.
 //! 2. **Do HTTP results equal library results?** A differential oracle
 //!    replays every completed request against an in-process
 //!    [`dg_serve::routes::Router`] — the same `darkgates::claims`,
@@ -24,8 +26,8 @@
 //!    outcome class, so a red chaos run is always a one-seed repro, never
 //!    a shrug.
 //!
-//! The entry point is [`run_chaos`]; the `dg-chaos` binary wraps it with
-//! a `--smoke` CI gate. A second campaign, [`run_shard_kill`] (binary
+//! The entry point is [`run_chaos`]; the `dg-chaos` binary runs it as
+//! the CI gate. A second campaign, [`run_shard_kill`] (binary
 //! flag `--shards`), spawns a real `dg-router` over two `dg-serve` shard
 //! processes, SIGKILLs one mid-run, and requires uninterrupted,
 //! byte-identical service plus an observed health ejection, then drains
@@ -33,7 +35,7 @@
 //! exit 0.
 
 use dg_serve::client::{http_request, spawn_sibling, Lcg};
-use dg_serve::http::Request;
+use dg_serve::http::{read_reply, Request};
 use dg_serve::metrics::monotonic_us;
 use dg_serve::routes::Router;
 use dg_serve::{Server, ServerConfig};
@@ -106,6 +108,15 @@ impl Fault {
             Fault::KeepAliveIdle => "keep-alive-idle",
             Fault::SlowReader => "slow-reader",
         }
+    }
+
+    /// Whether this fault cuts the connection short on purpose, so a
+    /// truncated reply is its expected outcome.
+    fn cuts_the_connection(self) -> bool {
+        matches!(
+            self,
+            Fault::PartialBody | Fault::MidResponseReset | Fault::StalledHead
+        )
     }
 
     /// The position of this fault in [`Fault::ALL`] (for counters).
@@ -287,10 +298,11 @@ impl ConnPlan {
 /// How a chaos connection ended, from the client's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutcomeClass {
-    /// A complete, parseable HTTP reply with this status.
+    /// A reply whose framing is complete, with this status.
     Reply(u16),
     /// The connection closed without a complete reply — the *expected*
-    /// outcome for `PartialBody`, `MidResponseReset`, and `StalledHead`.
+    /// outcome for `PartialBody`, `MidResponseReset`, and `StalledHead`,
+    /// and an oracle failure under every other fault.
     Truncated,
     /// A transport-level failure (connect error, or a stalled connection
     /// the server failed to reap inside the client's guard timeout).
@@ -323,42 +335,11 @@ pub struct ConnRecord {
     pub body: Option<String>,
 }
 
-/// Splits a raw response buffer into `(status, body)` if it parses as a
-/// complete HTTP/1.1 reply.
-fn split_reply(bytes: &[u8]) -> Option<(u16, String)> {
-    let text = String::from_utf8_lossy(bytes);
-    let (head, body) = text.split_once("\r\n\r\n")?;
-    let status: u16 = head.lines().next()?.split(' ').nth(1)?.parse().ok()?;
-    Some((status, body.to_owned()))
-}
-
-/// Reads the stream to EOF with a guard timeout, collecting every byte.
-/// Returns `None` when the guard fires (server never closed).
-fn read_to_close(stream: &mut TcpStream, guard_ms: u64) -> Option<Vec<u8>> {
-    let deadline = monotonic_us().saturating_add(guard_ms.saturating_mul(1_000));
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(guard_ms.max(1))));
-    let mut bytes = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if monotonic_us() >= deadline {
-            return None;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Some(bytes),
-            Ok(n) => bytes.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return None;
-            }
-            Err(_) => return Some(bytes),
-        }
-    }
-}
-
-/// Reads the stream to EOF a few bytes at a time, pausing `pace_ms`
-/// between reads, so the sender experiences a peer that drains slowly.
-/// Returns `None` when the guard deadline fires first.
-fn read_slowly(
+/// Reads the stream to EOF within a guard timeout, `step` bytes per
+/// read, pausing `pace_ms` after each read (0: no pause), so a paced
+/// read is a peer that drains slowly. Returns `None` when the guard
+/// fires first (the server never closed).
+fn read_to_close(
     stream: &mut TcpStream,
     step: usize,
     pace_ms: u64,
@@ -386,6 +367,22 @@ fn read_slowly(
             }
             Err(_) => return Some(bytes),
         }
+    }
+}
+
+/// Classifies what a connection read before the server closed it: a
+/// reply whose framing [`read_reply`] completes, with its body, or a
+/// truncated one. `None` (the guard fired) is a transport failure.
+fn classify(read: Option<Vec<u8>>) -> (OutcomeClass, Option<String>) {
+    let Some(bytes) = read else {
+        return (OutcomeClass::Transport, None);
+    };
+    match read_reply(&mut bytes.as_slice(), &mut Vec::new()) {
+        Ok(reply) => {
+            let body = String::from_utf8_lossy(&reply.body()).into_owned();
+            (OutcomeClass::Reply(reply.status), Some(body))
+        }
+        Err(_) => (OutcomeClass::Truncated, None),
     }
 }
 
@@ -453,68 +450,39 @@ pub fn run_connection(
         }
         Fault::MidResponseReset => stream.write_all(&raw),
     };
-    if write_outcome.is_err() {
-        // The server may have legitimately closed first (e.g. an early
-        // 413 on an oversized head); try to collect what it said.
-        return match read_to_close(&mut stream, guard_ms) {
-            Some(bytes) => match split_reply(&bytes) {
-                Some((status, body)) => (OutcomeClass::Reply(status), Some(body)),
-                None => (OutcomeClass::Truncated, None),
-            },
-            None => (OutcomeClass::Transport, None),
-        };
-    }
-
-    match plan.fault {
-        // Half-close so the server sees EOF after the request; then the
-        // reply must arrive complete.
-        Fault::None | Fault::ShortWrite | Fault::Slowloris | Fault::Oversized => {
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            match read_to_close(&mut stream, guard_ms) {
-                Some(bytes) => match split_reply(&bytes) {
-                    Some((status, body)) => (OutcomeClass::Reply(status), Some(body)),
-                    None => (OutcomeClass::Truncated, None),
-                },
-                None => (OutcomeClass::Transport, None),
+    if write_outcome.is_ok() {
+        match plan.fault {
+            Fault::MidResponseReset => {
+                // Read a few bytes of the response, then drop the socket
+                // with the rest unread (the drop sends RST if bytes are
+                // pending).
+                let _ = stream.set_read_timeout(Some(Duration::from_millis(guard_ms.max(1))));
+                let _ = stream.read(&mut vec![0u8; plan.cut.max(1)]);
+                return (OutcomeClass::Truncated, None);
             }
-        }
-        // The write side stays open (the server still expects bytes); the
-        // outcome is decided by the server's read timeout closing us.
-        // `KeepAliveIdle` is the same wait with a complete request: the
-        // reply arrives, then only the server's idle deadline may close
-        // the connection (the client never half-closes).
-        Fault::PartialBody | Fault::StalledHead | Fault::KeepAliveIdle => {
-            match read_to_close(&mut stream, guard_ms) {
-                Some(bytes) => match split_reply(&bytes) {
-                    Some((status, body)) => (OutcomeClass::Reply(status), Some(body)),
-                    None => (OutcomeClass::Truncated, None),
-                },
-                None => (OutcomeClass::Transport, None),
+            // The write side stays open (the server still expects bytes);
+            // the outcome is decided by the server's read timeout closing
+            // us. `KeepAliveIdle` is the same wait with a complete
+            // request: the reply arrives, then only the server's idle
+            // deadline may close the connection.
+            Fault::PartialBody | Fault::StalledHead | Fault::KeepAliveIdle => {}
+            // Half-close so the server sees EOF after the request; then
+            // the reply must arrive complete.
+            _ => {
+                let _ = stream.shutdown(std::net::Shutdown::Write);
             }
-        }
-        // Drain the reply deliberately slowly: short server writes must
-        // park on write readiness and still deliver every byte.
-        Fault::SlowReader => {
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            match read_slowly(&mut stream, 512, plan.pace_ms, guard_ms) {
-                Some(bytes) => match split_reply(&bytes) {
-                    Some((status, body)) => (OutcomeClass::Reply(status), Some(body)),
-                    None => (OutcomeClass::Truncated, None),
-                },
-                None => (OutcomeClass::Transport, None),
-            }
-        }
-        Fault::MidResponseReset => {
-            // Read a few bytes of the response, then drop the socket with
-            // the rest unread (the drop sends RST if bytes are pending).
-            let want = plan.cut.max(1);
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(guard_ms.max(1))));
-            let mut sink = vec![0u8; want];
-            let _ = stream.read(&mut sink);
-            drop(stream);
-            (OutcomeClass::Truncated, None)
         }
     }
+    // A failed write may be the server legitimately closing first (e.g.
+    // an early 413 on an oversized head): collect what it said all the
+    // same. A slow reader drains the reply a few bytes at a time, so
+    // short server writes must park on write readiness and still deliver
+    // every byte.
+    let (step, pace_ms) = match plan.fault {
+        Fault::SlowReader => (512, plan.pace_ms),
+        _ => (4096, 0),
+    };
+    classify(read_to_close(&mut stream, step, pace_ms, guard_ms))
 }
 
 /// The differential oracle: an in-process router over the same library
@@ -554,13 +522,24 @@ impl Oracle {
         (response.status, response.body.as_str().to_owned())
     }
 
-    /// Checks one record against the library path. Returns a mismatch
+    /// Checks one record against the library path. Returns a failure
     /// description, or `None` when the record matches or is out of the
-    /// oracle's scope (truncated outcomes, sheds, non-deterministic
-    /// probes, parser-level `413`s).
+    /// oracle's scope (sheds, non-deterministic probes, parser-level
+    /// `413`s, and truncations under the faults that cut a connection).
     pub fn check(&self, plan: &ConnPlan, record: &ConnRecord) -> Option<String> {
         let (status, body) = match (&record.outcome, &record.body) {
             (OutcomeClass::Reply(status), Some(body)) => (*status, body),
+            // Under any other fault a whole request must end in a whole
+            // reply.
+            (OutcomeClass::Truncated, _) if !plan.fault.cuts_the_connection() => {
+                return Some(format!(
+                    "seed {:#018x}: {} {} under {} ended without a complete reply",
+                    record.seed,
+                    plan.probe.method,
+                    plan.probe.path,
+                    plan.fault.label()
+                ));
+            }
             _ => return None,
         };
         if !plan.probe.deterministic || status == 503 {
@@ -652,7 +631,7 @@ impl Default for ChaosConfig {
     }
 }
 
-/// Aggregated result of a chaos run; the smoke gate requires
+/// Aggregated result of a chaos run; the CI gate requires
 /// [`ChaosReport::passed`].
 #[derive(Debug, Clone, Default)]
 pub struct ChaosReport {
@@ -660,14 +639,15 @@ pub struct ChaosReport {
     pub connections: usize,
     /// Connections that ended with a complete HTTP reply.
     pub replies: usize,
-    /// Connections that ended without a complete reply (expected for the
-    /// truncating faults).
+    /// Connections that ended without a complete reply (a failure, in
+    /// `mismatches`, except under the truncating faults).
     pub truncated: usize,
     /// Transport failures — the gate requires zero.
     pub transport_errors: usize,
     /// Per-fault connection counts, indexed like [`Fault::ALL`].
     pub fault_counts: [usize; 9],
-    /// Differential mismatches between HTTP and library results.
+    /// Oracle failures: HTTP results that differ from the library's, and
+    /// truncated replies under faults that do not cut the connection.
     pub mismatches: Vec<String>,
     /// Connections whose seed replay diverged.
     pub repro_failures: Vec<String>,
@@ -680,9 +660,9 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// The smoke-gate verdict: every connection accounted for, zero
-    /// transport failures, zero worker deaths or panics, zero
-    /// differential mismatches, and every sampled seed reproduced.
+    /// The campaign's verdict: every connection accounted for, zero
+    /// transport failures, zero worker deaths or panics, zero oracle
+    /// failures, and every sampled seed reproduced.
     pub fn passed(&self) -> bool {
         self.clean_shutdown
             && self.worker_panics == 0
@@ -1220,11 +1200,57 @@ mod tests {
     }
 
     #[test]
-    fn split_reply_parses_and_rejects() {
-        let (status, body) =
-            split_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi").expect("parse");
-        assert_eq!((status, body.as_str()), (200, "hi"));
-        assert!(split_reply(b"HTTP/1.1 200").is_none());
-        assert!(split_reply(b"").is_none());
+    fn a_truncated_reply_fails_unless_the_fault_cuts_the_connection() {
+        let oracle = Oracle::new();
+        let seed = conn_seed(1, 0);
+        for fault in Fault::ALL {
+            let plan = ConnPlan {
+                seed,
+                fault,
+                probe: Probe {
+                    method: "GET",
+                    path: "/healthz",
+                    body: String::new(),
+                    deterministic: true,
+                },
+                chunk_len: 1,
+                pace_ms: 0,
+                cut: 1,
+            };
+            let record = ConnRecord {
+                index: 0,
+                seed,
+                fault,
+                outcome: OutcomeClass::Truncated,
+                body: None,
+            };
+            let cuts = fault.cuts_the_connection();
+            match oracle.check(&plan, &record) {
+                None => assert!(cuts, "{} passed a truncated reply", fault.label()),
+                Some(failure) => {
+                    assert!(!cuts, "{}: {failure}", fault.label());
+                    assert!(failure.contains(&format!("{seed:#018x}")), "{failure}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_completely_framed_reply_is_a_reply() {
+        let whole = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi".to_vec();
+        let (outcome, body) = classify(Some(whole.clone()));
+        assert_eq!(
+            (outcome, body.as_deref()),
+            (OutcomeClass::Reply(200), Some("hi"))
+        );
+        for cut in 0..whole.len() {
+            let (outcome, body) = classify(whole.get(..cut).map(<[u8]>::to_vec));
+            assert_eq!(
+                (outcome, body),
+                (OutcomeClass::Truncated, None),
+                "cut at {cut}"
+            );
+        }
+        assert_eq!(classify(None), (OutcomeClass::Transport, None));
     }
 }

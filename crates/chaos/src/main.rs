@@ -2,38 +2,82 @@
 //! `dg-serve`, with a differential oracle and seed-replay checks.
 //!
 //! ```text
-//! cargo run --release -p dg-chaos -- --smoke
+//! cargo run --release -p dg-chaos                # the CI campaign: 240 connections
 //! cargo run --release -p dg-chaos -- --seed 7 --connections 1000 --verbose
 //! cargo run --release -p dg-chaos -- --shards   # router + 2 shards, kill one, drain
 //! ```
 //!
 //! Exit code 0 when the campaign passes (no worker deaths, no
-//! HTTP-vs-library mismatches, every sampled seed reproduces), 1 otherwise.
-//! `--shards` runs the process-level shard-kill campaign instead and
-//! requires the `dg-serve`/`dg-router` binaries next to this one.
+//! HTTP-vs-library mismatches, no truncated reply under a fault that does
+//! not cut the connection, every sampled seed reproduces), 1 otherwise,
+//! and 2 on a usage error. `--shards` runs the process-level shard-kill
+//! campaign instead and requires the `dg-serve`/`dg-router` binaries next
+//! to this one.
 
 use dg_chaos::{run_chaos, run_shard_kill, ChaosConfig, Fault, ShardKillConfig};
 
-fn parse_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+const USAGE: &str = "usage: dg-chaos [--seed N] [--connections N] [--verbose]\n       \
+                     dg-chaos --shards [--seed N]";
+
+/// What one command line asks for.
+#[derive(Debug)]
+enum Campaign {
+    /// The fault campaign, printing every failure when `verbose`.
+    Faults { config: ChaosConfig, verbose: bool },
+    /// The shard-kill campaign.
+    Shards(ShardKillConfig),
 }
 
-fn run_shards_mode(args: &[String]) -> ! {
-    let defaults = ShardKillConfig::default();
-    let config = ShardKillConfig {
-        seed: parse_u64(args, "--seed", defaults.seed),
+/// Parses the command line. `Err` holds the message to print above the
+/// usage line (empty for `--help`).
+fn parse_args(args: &[String]) -> Result<Campaign, String> {
+    let (mut seed, mut connections, mut verbose, mut shards) = (None, None, false, false);
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let mut number = |what: &str| -> Result<u64, String> {
+            let value = iter.next().ok_or(format!("{arg} requires {what}"))?;
+            value
+                .parse()
+                .map_err(|_| format!("{arg} takes {what}, not {value:?}"))
+        };
+        match arg.as_str() {
+            "--seed" => seed = Some(number("a number")?),
+            "--connections" => match number("a positive count")? {
+                0 => return Err("--connections takes a positive count, not 0".to_owned()),
+                n => connections = Some(usize::try_from(n).map_err(|e| e.to_string())?),
+            },
+            "--verbose" => verbose = true,
+            "--shards" => shards = true,
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    if shards {
+        if connections.is_some() || verbose {
+            return Err("--shards takes only --seed".to_owned());
+        }
+        let defaults = ShardKillConfig::default();
+        return Ok(Campaign::Shards(ShardKillConfig {
+            seed: seed.unwrap_or(defaults.seed),
+            ..defaults
+        }));
+    }
+    let defaults = ChaosConfig::default();
+    let config = ChaosConfig {
+        seed: seed.unwrap_or(defaults.seed),
+        connections: connections.unwrap_or(defaults.connections),
         ..defaults
     };
+    Ok(Campaign::Faults { config, verbose })
+}
+
+fn run_shards_mode(config: &ShardKillConfig) -> ! {
     println!(
         "dg-chaos: shard-kill campaign, seed {:#018x}, {} requests, \
          SIGKILL shard 0 after {}",
         config.seed, config.requests, config.kill_after
     );
-    let report = match run_shard_kill(&config) {
+    let report = match run_shard_kill(config) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("dg-chaos: shard-kill setup failed: {e}");
@@ -66,26 +110,16 @@ fn run_shards_mode(args: &[String]) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--shards") {
-        run_shards_mode(&args);
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let verbose = args.iter().any(|a| a == "--verbose");
-
-    let defaults = ChaosConfig::default();
-    let config = ChaosConfig {
-        seed: parse_u64(&args, "--seed", defaults.seed),
-        connections: usize::try_from(parse_u64(
-            &args,
-            "--connections",
-            if smoke {
-                240
-            } else {
-                defaults.connections as u64
-            },
-        ))
-        .unwrap_or(defaults.connections),
-        ..defaults
+    let (config, verbose) = match parse_args(&args) {
+        Ok(Campaign::Shards(config)) => run_shards_mode(&config),
+        Ok(Campaign::Faults { config, verbose }) => (config, verbose),
+        Err(message) => {
+            if !message.is_empty() {
+                eprintln!("error: {message}");
+            }
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
     };
 
     println!(
@@ -124,5 +158,57 @@ fn main() {
     } else {
         println!("dg-chaos: FAIL (replay any seed above with ConnPlan::from_seed)");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Campaign, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn no_flag_runs_the_default_fault_campaign() {
+        let Ok(Campaign::Faults { config, verbose }) = parse(&[]) else {
+            panic!("no flags is the fault campaign");
+        };
+        let defaults = ChaosConfig::default();
+        assert_eq!((config.seed, config.connections), (defaults.seed, 240));
+        assert!(!verbose);
+    }
+
+    #[test]
+    fn kept_flags_parse() {
+        let parsed = parse(&["--seed", "7", "--connections", "1000", "--verbose"]);
+        let Ok(Campaign::Faults { config, verbose }) = parsed else {
+            panic!("valid flags: {parsed:?}");
+        };
+        assert_eq!((config.seed, config.connections, verbose), (7, 1000, true));
+        let Ok(Campaign::Shards(config)) = parse(&["--shards", "--seed", "9"]) else {
+            panic!("--shards with a seed is the shard-kill campaign");
+        };
+        assert_eq!(config.seed, 9);
+    }
+
+    #[test]
+    fn unknown_flags_and_bad_values_are_usage_errors() {
+        for (args, want) in [
+            (&["--smoke"][..], "unknown flag"),
+            (&["--smok"], "unknown flag"),
+            (&["--witness", "/tmp/x"], "unknown flag"),
+            (&["--seed"], "--seed requires"),
+            (&["--connections"], "--connections requires"),
+            (&["--seed", "0x10"], "not \"0x10\""),
+            (&["--connections", "many"], "not \"many\""),
+            (&["--connections", "0"], "not 0"),
+            (&["--shards", "--connections", "10"], "only --seed"),
+        ] {
+            let err = parse(args).expect_err("a usage error");
+            assert!(err.contains(want), "{args:?}: {err}");
+        }
+        assert_eq!(parse(&["--help"]).err().as_deref(), Some(""));
     }
 }

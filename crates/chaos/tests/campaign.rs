@@ -1,6 +1,6 @@
 //! End-to-end chaos campaign at reduced scale: a real server, seeded
 //! transport faults, the differential oracle, and seed replay — the same
-//! path the `--smoke` CI gate drives, small enough for `cargo test`.
+//! path the `dg-chaos` CI gate drives, small enough for `cargo test`.
 
 use dg_chaos::{conn_seed, run_chaos, run_connection, ChaosConfig, ConnPlan, OutcomeClass};
 

@@ -399,12 +399,13 @@ pub struct Evaluation {
 
 /// Runs every figure experiment once and returns the combined datasets.
 ///
-/// This is the single entry point the `validate` and `all` binaries use so
-/// a full evaluation computes each dataset exactly once. The figures run
-/// in sequence — each one already saturates the [`dg_engine`] pool
-/// internally, and the shared substrate caches warmed by the first figure
-/// (impedance profiles, guardband managers, finished products) feed all
-/// later ones.
+/// The `all` binary prints these, so a full evaluation computes each
+/// dataset exactly once. (`validate` grades the claims from
+/// [`crate::claims::ClaimData::compute`], which runs only the five graded
+/// figures, without Fig. 3 and its sweep.) The figures run in sequence —
+/// each one already saturates the [`dg_engine`] pool internally, and the
+/// shared substrate caches warmed by the first figure (impedance
+/// profiles, guardband managers, finished products) feed all later ones.
 pub fn evaluate_all() -> Evaluation {
     Evaluation {
         fig3: fig3(),
@@ -640,6 +641,151 @@ mod tests {
         }
         let copies: Vec<usize> = a.rate_gains.iter().map(|&(c, _)| c).collect();
         assert_eq!(copies, [1, 2, 4]);
+    }
+
+    /// One FNV-1a digest per dataset [`evaluate_all`] returns (the ones
+    /// `all` prints), over the `to_bits` of every value and every label,
+    /// so a model change that moves any figure shows here even while
+    /// every claim band still holds.
+    #[test]
+    fn evaluation_datasets_are_pinned() {
+        use dg_pdn::cache::ContentKey;
+        let eval = evaluate_all();
+        let digest = |rows: usize, values: &[f64], labels: &[String]| {
+            let key = ContentKey::new().word(rows as u64);
+            let key = values.iter().fold(key, |k, &x| k.f64(x));
+            labels
+                .iter()
+                .fold(key, |k, l| k.bytes(l.as_bytes()))
+                .finish()
+        };
+        let profile = |p: &ImpedanceProfile| -> Vec<f64> {
+            p.points()
+                .iter()
+                .flat_map(|(f, z)| [f.value(), z.value()])
+                .collect()
+        };
+        let f4 = &eval.fig4;
+        let f7 = &eval.fig7;
+        let got = [
+            digest(
+                eval.fig3.len(),
+                &eval
+                    .fig3
+                    .iter()
+                    .flat_map(|r| [r.tdp.value(), r.gain])
+                    .collect::<Vec<_>>(),
+                &eval
+                    .fig3
+                    .iter()
+                    .map(|r| format!("{:?}/{:?}", r.suite, r.mode))
+                    .collect::<Vec<_>>(),
+            ),
+            digest(
+                eval.fig3_sweep.len(),
+                &eval
+                    .fig3_sweep
+                    .iter()
+                    .flat_map(|p| [p.tdp.value(), p.reduction_mv, p.uplift_mhz, p.gain])
+                    .collect::<Vec<_>>(),
+                &[],
+            ),
+            digest(
+                f4.gated.points().len(),
+                &[
+                    profile(&f4.gated),
+                    profile(&f4.bypassed),
+                    vec![f4.mean_ratio, f4.peak_ratio],
+                ]
+                .concat(),
+                &[f4.gated.name().to_owned(), f4.bypassed.name().to_owned()],
+            ),
+            digest(
+                f7.rows.len(),
+                &[
+                    f7.rows
+                        .iter()
+                        .flat_map(|r| [r.scalability, r.gain])
+                        .collect(),
+                    vec![f7.average, f7.max],
+                ]
+                .concat(),
+                &f7.rows
+                    .iter()
+                    .map(|r| format!("{}/{:?}", r.benchmark, r.suite))
+                    .collect::<Vec<_>>(),
+            ),
+            digest(
+                eval.fig8.len(),
+                &eval
+                    .fig8
+                    .iter()
+                    .flat_map(|c| [c.tdp.value(), c.base_gain, c.rate_gain])
+                    .collect::<Vec<_>>(),
+                &[],
+            ),
+            digest(
+                eval.fig9.len(),
+                &eval
+                    .fig9
+                    .iter()
+                    .flat_map(|r| [r.tdp.value(), r.degradation])
+                    .collect::<Vec<_>>(),
+                &[],
+            ),
+            digest(
+                eval.fig10.len(),
+                &eval
+                    .fig10
+                    .iter()
+                    .flat_map(|r| {
+                        [
+                            r.dg_c7_power.value(),
+                            r.dg_c8_power.value(),
+                            r.non_dg_c7_power.value(),
+                            r.dg_c8_reduction,
+                            r.non_dg_reduction,
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+                &eval
+                    .fig10
+                    .iter()
+                    .map(|r| {
+                        let met = [
+                            r.dg_c7_meets_limit,
+                            r.dg_c8_meets_limit,
+                            r.non_dg_meets_limit,
+                        ];
+                        format!("{}/{met:?}", r.workload)
+                    })
+                    .collect::<Vec<_>>(),
+            ),
+        ];
+        let names = [
+            "fig3",
+            "fig3_sweep",
+            "fig4",
+            "fig7",
+            "fig8",
+            "fig9",
+            "fig10",
+        ];
+        let pinned: [u64; 7] = [
+            0x0f85_0398_31f7_949d, // fig3
+            0xf4da_ed40_062d_419b, // fig3_sweep
+            0x4e7e_2faa_6b35_30c6, // fig4
+            0x6ca9_6521_223a_c0ba, // fig7
+            0x8ebf_8a19_6795_fad0, // fig8
+            0x540f_18fa_ebd1_71f3, // fig9
+            0xb8e8_8d57_6184_92d6, // fig10
+        ];
+        let report: Vec<String> = names
+            .iter()
+            .zip(got)
+            .map(|(name, d)| format!("{name} {d:#018x}"))
+            .collect();
+        assert_eq!(got, pinned, "{report:?}");
     }
 
     #[test]

@@ -37,8 +37,7 @@
 //!
 //! Thread count resolution order: the test override set via
 //! [`set_thread_override`], then the `DG_NUM_THREADS` environment
-//! variable, then `RAYON_NUM_THREADS` (honoured for familiarity), then
-//! [`std::thread::available_parallelism`].
+//! variable, then [`std::thread::available_parallelism`].
 
 pub mod sync;
 
@@ -187,11 +186,11 @@ pub fn inline_scope<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// A problem with a thread-count environment variable, surfaced so the
+/// A problem with the thread-count environment variable, surfaced so the
 /// binaries can warn at startup instead of silently falling back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadEnvIssue {
-    /// The offending variable (`DG_NUM_THREADS` or `RAYON_NUM_THREADS`).
+    /// The offending variable (`DG_NUM_THREADS`).
     pub var: &'static str,
     /// The value it was set to.
     pub value: String,
@@ -209,10 +208,10 @@ impl fmt::Display for ThreadEnvIssue {
     }
 }
 
-/// The thread-count environment variables, in resolution order.
-const THREAD_VARS: [&str; 2] = ["DG_NUM_THREADS", "RAYON_NUM_THREADS"];
+/// The thread-count environment variable.
+const THREAD_VAR: &str = "DG_NUM_THREADS";
 
-/// Reads a thread-count variable's value, surrounding whitespace ignored:
+/// Reads the thread-count variable's value, surrounding whitespace ignored:
 /// the positive count it names, or why it is unusable. [`num_threads`]
 /// and [`thread_env_issues`] both parse through here, so a value is used
 /// exactly when it is not reported.
@@ -224,21 +223,18 @@ fn parse_thread_count(value: &str) -> Result<usize, String> {
     }
 }
 
-/// Inspects the thread-count environment variables and reports every one
-/// that is set but unusable (non-numeric, zero, or otherwise unparsable).
-/// [`num_threads`] silently skips these; callers with a user interface
-/// (the bench binaries, `dg-serve`) print them as startup warnings.
-pub fn thread_env_issues() -> Vec<ThreadEnvIssue> {
-    let mut issues = Vec::new();
-    for var in THREAD_VARS {
-        let Ok(value) = std::env::var(var) else {
-            continue;
-        };
-        if let Err(reason) = parse_thread_count(&value) {
-            issues.push(ThreadEnvIssue { var, value, reason });
-        }
-    }
-    issues
+/// Reports the thread-count environment variable when it is set but
+/// unusable (non-numeric, zero, or otherwise unparsable). [`num_threads`]
+/// silently skips such a value; callers with a user interface (the bench
+/// binaries, `dg-serve`) print it as a startup warning.
+pub fn thread_env_issues() -> Option<ThreadEnvIssue> {
+    let value = std::env::var(THREAD_VAR).ok()?;
+    let reason = parse_thread_count(&value).err()?;
+    Some(ThreadEnvIssue {
+        var: THREAD_VAR,
+        value,
+        reason,
+    })
 }
 
 /// The number of worker threads parallel calls will use.
@@ -247,10 +243,8 @@ pub fn num_threads() -> usize {
     if forced > 0 {
         return forced;
     }
-    for var in THREAD_VARS {
-        if let Some(Ok(n)) = std::env::var(var).ok().map(|v| parse_thread_count(&v)) {
-            return n;
-        }
+    if let Ok(Ok(n)) = std::env::var(THREAD_VAR).map(|v| parse_thread_count(&v)) {
+        return n;
     }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
@@ -831,11 +825,11 @@ mod tests {
         );
         assert!(num_threads() >= 1, "bad env values must still fall back");
         std::env::set_var("DG_NUM_THREADS", "4");
-        assert!(thread_env_issues().is_empty());
+        assert!(thread_env_issues().is_none());
         // Padding is ignored the same way by the check and by the resolver,
         // so an unreported value is always the one in use.
         std::env::set_var("DG_NUM_THREADS", " 13");
-        assert!(thread_env_issues().is_empty());
+        assert!(thread_env_issues().is_none());
         assert_eq!(num_threads(), 13);
         let display = ThreadEnvIssue {
             var: "DG_NUM_THREADS",

@@ -73,10 +73,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_options(&args);
 
-    // Invalid thread-count environment variables are a configuration
+    // An invalid thread-count environment variable is a configuration
     // mistake worth a visible warning, not a silent fallback — the same
     // contract as dg-serve and the bench binaries.
-    for issue in dg_engine::thread_env_issues() {
+    if let Some(issue) = dg_engine::thread_env_issues() {
         eprintln!("warning: {issue} to auto-detected thread count");
     }
     let _guard = options.threads.map(dg_engine::set_thread_override);

@@ -13,7 +13,7 @@
 //! [`spawn_sibling`] starts a server binary next to the running
 //! executable and reads the address it bound.
 
-use crate::http::{decode_chunked, read_reply, RawReply};
+use crate::http::{read_reply, RawReply};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
@@ -23,24 +23,32 @@ use std::time::Duration;
 /// The socket timeout of the one-shot helpers.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A parsed HTTP response.
+/// A reply as the one-shot helpers hand it out: [`read_reply`]'s
+/// decoded reply with its de-chunked body as text.
 #[derive(Debug, Clone)]
 pub struct HttpReply {
     /// Status code from the status line.
     pub status: u16,
-    /// Headers, names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// Body as text.
+    /// Body as text, any chunk framing removed.
     pub body: String,
+    /// The reply as it was read.
+    raw: RawReply,
 }
 
 impl HttpReply {
-    /// The first header value for `name` (lowercase), if present.
+    /// The first value of header `name`, compared case-insensitively.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        self.raw.header(name)
+    }
+}
+
+impl From<RawReply> for HttpReply {
+    fn from(raw: RawReply) -> Self {
+        HttpReply {
+            status: raw.status,
+            body: String::from_utf8_lossy(&raw.body()).into_owned(),
+            raw,
+        }
     }
 }
 
@@ -131,46 +139,17 @@ pub fn http_request(
     raw_request(addr, raw.as_bytes())
 }
 
-/// Writes `raw` bytes verbatim on a fresh [`Conn`] and parses the one
+/// Writes `raw` bytes verbatim on a fresh [`Conn`] and returns the one
 /// reply that comes back — the escape hatch the malformed-framing probes
 /// use.
 ///
 /// # Errors
 ///
-/// Any [`Conn::exchange`] error, or a reply whose head does not parse
-/// (`InvalidData`).
+/// Any [`Conn::exchange`] error.
 pub fn raw_request(addr: SocketAddr, raw: &[u8]) -> std::io::Result<HttpReply> {
-    let reply = Conn::new(addr, CLIENT_TIMEOUT).exchange(raw)?;
-    parse_reply(&reply.bytes)
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "unparseable reply"))
-}
-
-fn parse_reply(bytes: &[u8]) -> Option<HttpReply> {
-    let text = String::from_utf8_lossy(bytes);
-    let (head, body) = text.split_once("\r\n\r\n")?;
-    let mut lines = head.lines();
-    let status_line = lines.next()?;
-    let status: u16 = status_line.split(' ').nth(1)?.parse().ok()?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_owned()))
-        .collect();
-    let chunked = headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    let body = if chunked {
-        // A streamed reply: de-chunk so callers see the NDJSON payload,
-        // not the chunk framing.
-        let (payload, _) = decode_chunked(body.as_bytes())?;
-        String::from_utf8_lossy(&payload).into_owned()
-    } else {
-        body.to_owned()
-    };
-    Some(HttpReply {
-        status,
-        headers,
-        body,
-    })
+    Conn::new(addr, CLIENT_TIMEOUT)
+        .exchange(raw)
+        .map(HttpReply::from)
 }
 
 /// A deterministic linear-congruential generator (Knuth MMIX constants).
@@ -381,7 +360,6 @@ mod tests {
         assert!(first.bytes.ends_with(b"\r\n\r\nfirst"));
         let second = conn.exchange(HEALTHZ).expect("second");
         assert_eq!(second.status, 503);
-        let second = parse_reply(&second.bytes).expect("parse");
         assert_eq!(second.header("retry-after"), Some("2"));
         assert!(conn.leftover.is_empty());
         drop(conn);
@@ -477,12 +455,16 @@ mod tests {
 
     #[test]
     fn reply_parser_reads_status_and_headers() {
-        let reply = parse_reply(
-            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 2\r\n\r\nhi",
-        )
-        .expect("parse");
+        let wire =
+            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 2\r\n\r\nhi";
+        let reply = read_reply(&mut &wire[..], &mut Vec::new()).expect("a framed reply");
+        let reply = HttpReply::from(reply);
         assert_eq!(reply.status, 503);
         assert_eq!(reply.header("retry-after"), Some("1"));
         assert_eq!(reply.body, "hi");
+        // A streamed reply's body arrives de-chunked.
+        let wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nab\n\r\n0\r\n\r\n";
+        let reply = read_reply(&mut &wire[..], &mut Vec::new()).expect("a framed reply");
+        assert_eq!(HttpReply::from(reply).body, "ab\n");
     }
 }

@@ -18,13 +18,17 @@
 //! Header names are case-insensitive per RFC 9110 and are normalised to
 //! lowercase at parse time.
 //!
-//! Replies are framed once, by [`read_reply`]: it finds where a reply
-//! ends on a persistent connection and hands back its exact bytes. Every
-//! serve-crate client reads its replies through it, via
-//! [`crate::client::Conn`].
+//! Replies are decoded once, by [`read_reply`]: one forward pass finds
+//! where a reply ends on a persistent connection and records its status,
+//! headers and chunk spans, and the [`RawReply`] it returns hands out the
+//! exact bytes, the de-chunked body and the stream-replay verdict. Every
+//! serve-crate client and `dg-chaos` read replies through it, the
+//! clients via [`crate::client::Conn`].
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, ErrorKind, Read};
+use std::ops::Range;
 
 /// Default cap on the request head (request line + headers).
 const DEFAULT_MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -428,108 +432,10 @@ pub fn write_chunk(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Largest chunk size the decoders will honour (matches the spirit of
-/// the request-body cap: our own streams emit far smaller chunks).
-const MAX_CHUNK_BYTES: usize = 16 * 1024 * 1024;
-
-/// Parses one chunk-size line at `buf[at..]`: returns
-/// `(payload_start, size)`. `None` while the line is incomplete or on
-/// malformed framing (callers treat both as "not a complete message").
-fn chunk_size_at(buf: &[u8], at: usize) -> Option<(usize, usize)> {
-    let rest = buf.get(at..)?;
-    let line_end = rest.windows(2).position(|w| w == b"\r\n")?;
-    let digits = rest.get(..line_end)?;
-    if digits.is_empty() || digits.len() > 8 {
-        return None;
-    }
-    let mut size = 0usize;
-    for &b in digits {
-        let d = (b as char).to_digit(16)?;
-        size = size.checked_mul(16)?.checked_add(d as usize)?;
-    }
-    if size > MAX_CHUNK_BYTES {
-        return None;
-    }
-    Some((at + line_end + 2, size))
-}
-
-/// Finds the end of a chunked message body starting at `buf[0]`:
-/// returns the total encoded length (through the terminal `0\r\n\r\n`)
-/// once the whole message has arrived, `None` while incomplete. Used by
-/// [`read_reply`] to frame streamed replies.
-fn chunked_body_end(buf: &[u8]) -> Option<usize> {
-    let mut at = 0usize;
-    loop {
-        let (payload_start, size) = chunk_size_at(buf, at)?;
-        if size == 0 {
-            // Terminal chunk: we never emit trailers, so the next two
-            // bytes close the message.
-            if buf.get(payload_start..payload_start + 2)? == b"\r\n" {
-                return Some(payload_start + 2);
-            }
-            return None;
-        }
-        let after = payload_start.checked_add(size)?;
-        if buf.get(after..after + 2)? != b"\r\n" {
-            return None;
-        }
-        at = after + 2;
-    }
-}
-
-/// Decodes a complete chunked body into its payload bytes, returning
-/// `(payload, encoded_len)`. `None` while the message is incomplete.
-/// Used by the load/differential clients to read `/v1/explore` streams.
-pub fn decode_chunked(buf: &[u8]) -> Option<(Vec<u8>, usize)> {
-    let total = chunked_body_end(buf)?;
-    let mut payload = Vec::new();
-    let mut at = 0usize;
-    loop {
-        let (payload_start, size) = chunk_size_at(buf, at)?;
-        if size == 0 {
-            return Some((payload, total));
-        }
-        payload.extend_from_slice(buf.get(payload_start..payload_start + size)?);
-        at = payload_start + size + 2;
-    }
-}
-
-/// Whether `reply` is a whole stream in the form a shard replays a cached
-/// result in: a `200` keep-alive chunked head, then exactly one data
-/// chunk holding one newline-terminated line that starts `{"ok":true`,
-/// then the terminal chunk and nothing after it. A shard sends these
-/// exact bytes for every later request on the stream's key, so
-/// `dg-router` may cache them. A computed stream (progress lines before
-/// its result) never matches, and neither does a failed one, whose
-/// `{"ok":false…}` result rides a head that still says keep-alive.
-pub(crate) fn is_stream_replay(reply: &[u8]) -> bool {
-    let Some(head_len) = head_end(reply) else {
-        return false;
-    };
-    let (head, body) = reply.split_at(head_len);
-    if status_of(head) != Some(200)
-        || header_is(head, "connection", "close")
-        || !header_is(head, "transfer-encoding", "chunked")
-    {
-        return false;
-    }
-    let Some((start, size)) = chunk_size_at(body, 0) else {
-        return false;
-    };
-    let Some(line) = body.get(start..start + size) else {
-        return false;
-    };
-    // One line: its only newline is its last byte.
-    line.starts_with(br#"{"ok":true"#)
-        && line.iter().position(|&b| b == b'\n') == Some(line.len() - 1)
-        && body
-            .get(start + size..)
-            .and_then(|rest| rest.strip_prefix(b"\r\n"))
-            == Some(LAST_CHUNK)
-}
-
-/// One HTTP/1.1 reply exactly as it came off the wire.
-#[derive(Debug)]
+/// One HTTP/1.1 reply exactly as it came off the wire, with what
+/// [`read_reply`] recorded while it framed it: where the head ends, each
+/// header's name and value, and each data chunk's payload.
+#[derive(Debug, Clone, Default)]
 pub struct RawReply {
     /// The complete reply — head, body, and any chunk framing — byte for
     /// byte.
@@ -539,13 +445,180 @@ pub struct RawReply {
     /// Whether the sender closes its side after this reply
     /// (`Connection: close`).
     pub close: bool,
+    /// The offset just past the head's blank line.
+    head_len: usize,
+    /// Each header line's name and value, as spans of `bytes`.
+    headers: Vec<(Range<usize>, Range<usize>)>,
+    /// Each data chunk's payload span; `None` for a `Content-Length` body.
+    chunks: Option<Vec<Range<usize>>>,
 }
 
-/// Finds the end of a reply head (`\r\n\r\n`), returning the offset just
-/// past it.
-// dg-analyze: allow(unreached-pub, reason = "live (read_reply frames reply heads with it); crates/serve/tests/router.rs names it")
-pub fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+impl RawReply {
+    /// The first value of header `name`, compared case-insensitively.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        std::str::from_utf8(header_in(&self.bytes, &self.headers, name)?).ok()
+    }
+
+    /// The body with any chunk framing removed.
+    pub fn body(&self) -> Cow<'_, [u8]> {
+        let span = |s: &Range<usize>| self.bytes.get(s.clone()).unwrap_or_default();
+        match &self.chunks {
+            None => Cow::Borrowed(span(&(self.head_len..self.bytes.len()))),
+            Some(chunks) => Cow::Owned(chunks.iter().flat_map(span).copied().collect()),
+        }
+    }
+
+    /// Whether this is a stream in the form a shard replays a cached
+    /// result in: a `200` keep-alive chunked reply whose one data chunk
+    /// holds one newline-terminated line that starts `{"ok":true`. A
+    /// shard sends these exact bytes for every later request on the
+    /// stream's key, so `dg-router` may cache them. A computed stream
+    /// (progress lines before its result) never matches, and neither does
+    /// a failed one, whose `{"ok":false…}` result rides a head that still
+    /// says keep-alive.
+    pub fn is_stream_replay(&self) -> bool {
+        let Some([span]) = self.chunks.as_deref() else {
+            return false;
+        };
+        let line = self.bytes.get(span.clone()).unwrap_or_default();
+        // One line: its only newline is its last byte.
+        self.status == 200
+            && !self.close
+            && line.starts_with(br#"{"ok":true"#)
+            && line.iter().position(|&b| b == b'\n') == Some(line.len() - 1)
+    }
+
+    /// Carries the one pass over a reply as far as `buf` goes, from
+    /// `stage`, where the last call stopped: `Some(total)` once the reply
+    /// is complete, `None` while it needs more bytes. Every head and
+    /// chunk frame is parsed here, once.
+    fn advance(&mut self, stage: &mut Stage, buf: &[u8]) -> io::Result<Option<usize>> {
+        loop {
+            *stage = match *stage {
+                Stage::Head { scanned } => {
+                    let from = scanned.saturating_sub(3);
+                    let rest = buf.get(from..).unwrap_or_default();
+                    let Some(i) = rest.windows(4).position(|w| w == b"\r\n\r\n") else {
+                        *stage = Stage::Head { scanned: buf.len() };
+                        return Ok(None);
+                    };
+                    self.head_len = from + i + 4;
+                    self.parse_head(buf.get(..self.head_len).unwrap_or_default())?
+                }
+                Stage::Sized { end } => return Ok((buf.len() >= end).then_some(end)),
+                Stage::Size { at } => {
+                    let line = buf.get(at..).unwrap_or_default();
+                    let hex_digit = |b: &&u8| b.is_ascii_hexdigit();
+                    let digits = line.iter().take(9).take_while(hex_digit).count();
+                    if digits > 8 {
+                        return Err(bad_framing("a chunk size longer than 8 digits"));
+                    }
+                    if !crlf(line.get(digits..).unwrap_or_default())? {
+                        return Ok(None);
+                    }
+                    let hex = std::str::from_utf8(line.get(..digits).unwrap_or_default());
+                    let size = hex.ok().and_then(|h| usize::from_str_radix(h, 16).ok());
+                    let start = at + digits + 2;
+                    let size = size.ok_or_else(|| bad_framing("an empty chunk size"))?;
+                    let end = start.saturating_add(size);
+                    if end.saturating_add(2) > MAX_REPLY_BYTES {
+                        return Err(too_long());
+                    }
+                    Stage::Data { start, end }
+                }
+                Stage::Data { start, end } => {
+                    if !crlf(buf.get(end..).unwrap_or_default())? {
+                        return Ok(None);
+                    }
+                    if start == end {
+                        // The terminal chunk: we never send trailers.
+                        return Ok(Some(end + 2));
+                    }
+                    self.chunks.get_or_insert_with(Vec::new).push(start..end);
+                    Stage::Size { at: end + 2 }
+                }
+            };
+        }
+    }
+
+    /// Records what the complete `head` says — status, headers, the
+    /// `Connection: close` verdict — and returns the stage its body
+    /// framing starts in.
+    fn parse_head(&mut self, head: &[u8]) -> io::Result<Stage> {
+        self.status = status_of(head).ok_or_else(|| bad_framing("a head that is not HTTP"))?;
+        let mut at = 0;
+        for line in head.split(|&b| b == b'\n') {
+            let start = at;
+            at += line.len() + 1;
+            // The status line, at 0, is no header even if it holds a ':'.
+            let colon = line.iter().position(|&b| b == b':').filter(|_| start > 0);
+            if let Some(colon) = colon {
+                let end = start + line.len();
+                self.headers
+                    .push((start..start + colon, start + colon + 1..end));
+            }
+        }
+        let is = |name, value: &str| {
+            header_in(head, &self.headers, name)
+                .is_some_and(|v| v.eq_ignore_ascii_case(value.as_bytes()))
+        };
+        self.close = is("connection", "close");
+        if is("transfer-encoding", "chunked") {
+            self.chunks = Some(Vec::new());
+            return Ok(Stage::Size { at: head.len() });
+        }
+        let body_len = match header_in(head, &self.headers, "content-length") {
+            None => 0,
+            Some(v) => std::str::from_utf8(v)
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok())
+                .ok_or_else(|| bad_framing("a Content-Length that is not a number"))?,
+        };
+        let end = head.len().saturating_add(body_len);
+        if end > MAX_REPLY_BYTES {
+            return Err(too_long());
+        }
+        Ok(Stage::Sized { end })
+    }
+}
+
+/// The first value of header `name`, compared case-insensitively, among
+/// `headers` (name and value spans of `buf`), trimmed.
+fn header_in<'a>(
+    buf: &'a [u8],
+    headers: &[(Range<usize>, Range<usize>)],
+    name: &str,
+) -> Option<&'a [u8]> {
+    let span = |s: &Range<usize>| buf.get(s.clone()).unwrap_or_default().trim_ascii();
+    let (_, value) = headers
+        .iter()
+        .find(|(k, _)| span(k).eq_ignore_ascii_case(name.as_bytes()))?;
+    Some(span(value))
+}
+
+/// Where [`read_reply`]'s one pass over a reply stands between reads.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// Looking for the blank line that ends the head; none ends before
+    /// `scanned`.
+    Head { scanned: usize },
+    /// A `Content-Length` body that ends at `end`.
+    Sized { end: usize },
+    /// A chunk-size line starts at `at`.
+    Size { at: usize },
+    /// A chunk's payload spans `start..end`, and a CRLF follows it. An
+    /// empty payload is the terminal chunk.
+    Data { start: usize, end: usize },
+}
+
+/// Whether `rest` opens with a CRLF: `false` while only part of one has
+/// arrived, `InvalidData` when anything else is there.
+fn crlf(rest: &[u8]) -> io::Result<bool> {
+    let n = rest.len().min(2);
+    if rest.get(..n) != b"\r\n".get(..n) {
+        return Err(bad_framing("a chunk frame without its CRLF"));
+    }
+    Ok(n == 2)
 }
 
 /// The status code of a raw head's `HTTP/1.x` status line.
@@ -555,33 +628,15 @@ fn status_of(head: &[u8]) -> Option<u16> {
         .and_then(|rest| std::str::from_utf8(rest.get(..3)?).ok()?.parse().ok())
 }
 
-/// Whether a raw head carries header `name` with value `value`, both
-/// compared case-insensitively.
-fn header_is(head: &[u8], name: &str, value: &str) -> bool {
-    header_value(head, name).is_some_and(|v| v.eq_ignore_ascii_case(value))
-}
-
-/// Case-insensitively finds a header's trimmed value in a raw head.
-fn header_value<'a>(head: &'a [u8], name: &str) -> Option<&'a str> {
-    for line in head.split(|&b| b == b'\n') {
-        let line = std::str::from_utf8(line).ok()?.trim_end_matches('\r');
-        if let Some((k, v)) = line.split_once(':') {
-            if k.trim().eq_ignore_ascii_case(name) {
-                return Some(v.trim());
-            }
-        }
-    }
-    None
-}
-
 /// Most bytes [`read_reply`] buffers for one reply, head and body
 /// together. A shard's largest reply, a 20,000-point `/v1/sweep` at
 /// `decimate` 1, is under 1 MiB.
 const MAX_REPLY_BYTES: usize = 16 * 1024 * 1024;
 
-/// Reads one reply off `stream` without parsing it into headers: only its
-/// status, its framing (`Content-Length` or chunked) and its
-/// `Connection: close` verdict are scanned. `leftover` is the
+/// Reads one reply off `stream` in one forward pass that resumes where
+/// the last read stopped, recording its status, headers, `Connection:
+/// close` verdict and body framing (`Content-Length` or chunked) as it
+/// goes. This is the only code that parses a reply. `leftover` is the
 /// connection's read buffer: bytes already read past this reply stay in
 /// it for the next call.
 ///
@@ -589,78 +644,46 @@ const MAX_REPLY_BYTES: usize = 16 * 1024 * 1024;
 ///
 /// Socket errors, a close before the reply is complete
 /// (`UnexpectedEof`), or `InvalidData` for a head that is not an
-/// HTTP/1.x status line, a `Content-Length` that is not a number, or a
-/// reply longer than `MAX_REPLY_BYTES` (16 MiB) — declared or read so
-/// far. An oversized reply is refused before more of it is read.
+/// HTTP/1.x status line, a `Content-Length` that is not a number,
+/// malformed chunk framing, or a reply longer than `MAX_REPLY_BYTES`
+/// (16 MiB) — declared or read so far. An oversized reply is refused
+/// before more of it is read.
 pub fn read_reply(stream: &mut impl Read, leftover: &mut Vec<u8>) -> io::Result<RawReply> {
+    let mut reply = RawReply::default();
+    let mut stage = Stage::Head { scanned: 0 };
     let mut chunk = [0u8; 16 * 1024];
-    let head_len = fill_until(stream, leftover, &mut chunk, head_end)?;
-    let head = leftover.get(..head_len).unwrap_or_default();
-    let status = status_of(head)
-        .ok_or_else(|| io::Error::new(ErrorKind::InvalidData, "reply is not HTTP"))?;
-    let close = header_is(head, "connection", "close");
-    let total = if header_is(head, "transfer-encoding", "chunked") {
-        fill_until(stream, leftover, &mut chunk, |buf| {
-            chunked_body_end(buf.get(head_len..)?).map(|n| head_len + n)
-        })?
-    } else {
-        let body_len: usize = match header_value(head, "content-length") {
-            None => 0,
-            Some(v) => v.parse().map_err(|_| {
-                io::Error::new(
-                    ErrorKind::InvalidData,
-                    "reply Content-Length is not a number",
-                )
-            })?,
-        };
-        let total = head_len.saturating_add(body_len);
-        if total > MAX_REPLY_BYTES {
+    let total = loop {
+        if let Some(total) = reply.advance(&mut stage, leftover)? {
+            break total;
+        }
+        if leftover.len() >= MAX_REPLY_BYTES {
             return Err(too_long());
         }
-        fill_until(stream, leftover, &mut chunk, |buf| {
-            (buf.len() >= total).then_some(total)
-        })?
-    };
-    Ok(RawReply {
-        bytes: leftover.drain(..total).collect(),
-        status,
-        close,
-    })
-}
-
-/// The error for a reply past `MAX_REPLY_BYTES`.
-fn too_long() -> io::Error {
-    io::Error::new(ErrorKind::InvalidData, "reply exceeds 16 MiB")
-}
-
-/// Reads from `stream` into `buf` until `done(buf)` has an answer; fails
-/// with `InvalidData` rather than read once `buf` holds
-/// `MAX_REPLY_BYTES` without one.
-fn fill_until<T>(
-    stream: &mut impl Read,
-    buf: &mut Vec<u8>,
-    chunk: &mut [u8],
-    done: impl Fn(&[u8]) -> Option<T>,
-) -> io::Result<T> {
-    loop {
-        if let Some(answer) = done(buf) {
-            return Ok(answer);
-        }
-        if buf.len() >= MAX_REPLY_BYTES {
-            return Err(too_long());
-        }
-        match stream.read(chunk) {
+        match stream.read(&mut chunk) {
             Ok(0) => {
                 return Err(io::Error::new(
                     ErrorKind::UnexpectedEof,
                     "connection closed mid-reply",
                 ))
             }
-            Ok(n) => buf.extend_from_slice(chunk.get(..n).unwrap_or_default()),
+            Ok(n) => leftover.extend_from_slice(chunk.get(..n).unwrap_or_default()),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
-    }
+    };
+    let rest = leftover.split_off(total);
+    reply.bytes = std::mem::replace(leftover, rest);
+    Ok(reply)
+}
+
+/// The error for a reply that does not frame.
+fn bad_framing(what: &str) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, format!("reply has {what}"))
+}
+
+/// The error for a reply past `MAX_REPLY_BYTES`.
+fn too_long() -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, "reply exceeds 16 MiB")
 }
 
 #[cfg(test)]
@@ -842,16 +865,29 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n"));
     }
 
+    /// Reads one reply off `wire`, returning it with the bytes left
+    /// unread after it. (`tests/http_proptests.rs` reads the stream-replay
+    /// cases below at every split point.)
+    fn decode(wire: &[u8]) -> io::Result<(RawReply, Vec<u8>)> {
+        let mut rest = Vec::new();
+        let reply = read_reply(&mut &wire[..], &mut rest)?;
+        Ok((reply, rest))
+    }
+
     #[test]
     fn chunk_round_trips_through_the_decoder() {
         let mut body = write_chunk(b"{\"a\":1}\n");
         body.extend_from_slice(&write_chunk(b"{\"b\":22}\n"));
         body.extend_from_slice(LAST_CHUNK);
         assert!(body.starts_with(b"8\r\n"));
-        let (payload, consumed) = decode_chunked(&body).expect("complete");
-        assert_eq!(payload, b"{\"a\":1}\n{\"b\":22}\n");
-        assert_eq!(consumed, body.len());
-        assert_eq!(chunked_body_end(&body), Some(body.len()));
+        let wire = [
+            write_stream_head(200, "OK", "application/x-ndjson", false),
+            body,
+        ]
+        .concat();
+        let (reply, rest) = decode(&wire).expect("complete");
+        assert_eq!(&*reply.body(), b"{\"a\":1}\n{\"b\":22}\n");
+        assert_eq!((reply.bytes, rest), (wire, Vec::new()));
         // Empty payloads frame to nothing rather than a premature
         // terminator.
         assert!(write_chunk(b"").is_empty());
@@ -859,19 +895,20 @@ mod tests {
 
     #[test]
     fn incomplete_or_malformed_chunked_bodies_are_not_decoded() {
-        let mut body = write_chunk(b"hello");
-        assert_eq!(chunked_body_end(&body), None, "no terminator yet");
-        body.extend_from_slice(b"0\r\n");
-        assert_eq!(chunked_body_end(&body), None, "terminator still partial");
-        body.extend_from_slice(b"\r\n");
-        assert!(chunked_body_end(&body).is_some());
-        // Trailing pipelined bytes after the terminator don't confuse the
-        // end finder.
-        let end = chunked_body_end(&body).expect("complete");
-        body.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
-        assert_eq!(chunked_body_end(&body), Some(end));
+        let head = write_stream_head(200, "OK", "text/plain", false);
+        let mut wire = [&head[..], &write_chunk(b"hello")].concat();
+        let eof = |wire: &[u8]| decode(wire).expect_err("incomplete").kind();
+        assert_eq!(eof(&wire), ErrorKind::UnexpectedEof, "no terminator yet");
+        wire.extend_from_slice(b"0\r\n");
+        assert_eq!(eof(&wire), ErrorKind::UnexpectedEof, "terminator partial");
+        wire.extend_from_slice(b"\r\n");
+        // Pipelined bytes after the terminator stay unread.
+        let next = b"HTTP/1.1 200 OK\r\n";
+        let (reply, rest) = decode(&[&wire[..], next].concat()).expect("complete");
+        assert_eq!((reply.bytes, &rest[..]), (wire, &next[..]));
         for bad in [&b"zz\r\nhi\r\n0\r\n\r\n"[..], b"5\r\nhelloXX0\r\n\r\n"] {
-            assert_eq!(decode_chunked(bad), None, "{bad:?}");
+            let err = decode(&[&head[..], bad].concat()).expect_err("malformed");
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{bad:?}");
         }
     }
 
@@ -888,6 +925,11 @@ mod tests {
 
     const RESULT: &[u8] = b"{\"ok\":true,\"result\":{\"lanes\":[1.5,2.5]}}\n";
 
+    /// Whether `wire` decodes to a reply in the replay form.
+    fn is_replay(wire: &[u8]) -> bool {
+        decode(wire).expect("a framed reply").0.is_stream_replay()
+    }
+
     #[test]
     fn stream_replay_form_is_recognized() {
         // A shard's framing of a cached result, spelled out by hand.
@@ -895,7 +937,7 @@ mod tests {
         replay.extend_from_slice(b"29\r\n");
         replay.extend_from_slice(RESULT);
         replay.extend_from_slice(b"\r\n0\r\n\r\n");
-        assert!(is_stream_replay(&replay));
+        assert!(is_replay(&replay));
         assert_eq!(replay, stream(false, &[RESULT]), "the helper frames it too");
     }
 
@@ -924,33 +966,35 @@ mod tests {
             ("a closing head", stream(true, &[RESULT])),
             ("no data chunk", stream(false, &[])),
         ] {
-            assert!(!is_stream_replay(&bytes), "{what}");
+            assert!(!is_replay(&bytes), "{what}");
         }
         let mut not_ok = stream(false, &[RESULT]);
         not_ok.splice(9..12, b"500".iter().copied());
-        assert!(!is_stream_replay(&not_ok), "a non-200 status");
+        assert!(!is_replay(&not_ok), "a non-200 status");
         let plain = write_response(200, "OK", "application/x-ndjson", &[], RESULT, false);
-        assert!(!is_stream_replay(&plain), "Content-Length framing");
+        assert!(!is_replay(&plain), "Content-Length framing");
     }
 
     #[test]
     fn malformed_replay_framing_is_not_a_replay() {
         let whole = stream(false, &[RESULT]);
-        let head_len = head_end(&whole).expect("head");
+        let head_len = write_stream_head(200, "OK", "application/x-ndjson", false).len();
         // Cut anywhere: inside the head, the size line, the line, or the
-        // terminal chunk.
+        // terminal chunk. No reply frames, so nothing can be cached.
         for cut in 0..whole.len() {
-            let bytes = whole.get(..cut).expect("prefix");
-            assert!(!is_stream_replay(bytes), "cut at {cut}");
+            let err = decode(&whole[..cut]).expect_err("a cut reply");
+            assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "cut at {cut}");
         }
         for (what, size_line) in [("short", "28"), ("long", "2a"), ("not hex", "zz")] {
             let mut bytes = whole.clone();
             bytes.splice(head_len..head_len + 2, size_line.bytes());
-            assert!(!is_stream_replay(&bytes), "{what} chunk size");
+            let err = decode(&bytes).expect_err("a mis-sized chunk");
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{what} chunk size");
         }
+        // Bytes after the terminal chunk are never part of the reply.
         for trailing in [&b"x"[..], b"\r\n", b"HTTP/1.1 200 OK\r\n"] {
-            let bytes = [&whole[..], trailing].concat();
-            assert!(!is_stream_replay(&bytes), "trailing {trailing:?}");
+            let (reply, rest) = decode(&[&whole[..], trailing].concat()).expect("framed");
+            assert_eq!((&reply.bytes, &rest[..]), (&whole, trailing));
         }
     }
 

@@ -29,9 +29,13 @@
 //!
 //! The client side has one connection type too, [`client::Conn`]: the
 //! router's upstream pool and health probe and the one-shot
-//! [`client::http_request`] both send on it, and every reply they
-//! read is framed by [`http::read_reply`]. It retries once, on a fresh
-//! socket, only when a reused keep-alive socket failed.
+//! [`client::http_request`] both send on it. It retries once, on a fresh
+//! socket, only when a reused keep-alive socket failed. Every reply it
+//! reads is decoded once, by [`http::read_reply`]: one forward pass,
+//! resumed where each read stopped, records the status, headers,
+//! `Connection: close` verdict and chunk spans, and the
+//! [`http::RawReply`] it returns hands out the de-chunked body and the
+//! router's stream-replay verdict without parsing the reply again.
 //!
 //! Three mechanisms keep the daemon well-behaved under load (DESIGN.md
 //! §9, §12): **admission control** (a bounded dispatch queue; overflow is

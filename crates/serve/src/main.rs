@@ -50,9 +50,9 @@ fn main() {
         }
     };
 
-    // Invalid thread-count environment variables are a configuration
+    // An invalid thread-count environment variable is a configuration
     // mistake worth a visible warning, not a silent fallback.
-    for issue in dg_engine::thread_env_issues() {
+    if let Some(issue) = dg_engine::thread_env_issues() {
         eprintln!("warning: {issue} to auto-detected thread count");
     }
 

@@ -51,7 +51,7 @@ use crate::client::{http_request, Conn};
 use crate::event_loop::{
     Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox, RETRY_AFTER_BASE_SECS,
 };
-use crate::http::{is_stream_replay, write_response, RawReply, Request};
+use crate::http::{write_response, RawReply, Request};
 use crate::json::{obj, Json};
 use crate::metrics::Route;
 use crate::respcache::{Fifo, DEFAULT_MAX_BYTES};
@@ -167,7 +167,7 @@ struct Proxy {
     /// Verbatim shard replies by content key; `None` when
     /// [`RouterConfig::reply_cache_entries`] is 0. Only clean 200 replies
     /// to [`Kind::Cacheable`] routes and [`Kind::Stream`] replies in the
-    /// shard's replay form ([`is_stream_replay`]: one `{"ok":true…}`
+    /// shard's replay form ([`RawReply::is_stream_replay`]: one `{"ok":true…}`
     /// result line and no progress) are admitted, so an entry is exactly
     /// the bytes the owning shard would send again. A computed stream is
     /// relayed but never cached: its progress lines must not reach a
@@ -283,7 +283,7 @@ impl Dispatcher for Proxy {
                         // A computed stream's progress lines must never
                         // be replayed; the shard's replay form is what it
                         // sends every later request on this key.
-                        Kind::Stream(_) => is_stream_replay(&reply.bytes),
+                        Kind::Stream(_) => reply.is_stream_replay(),
                         _ => false,
                     };
                     if admit {
@@ -951,13 +951,13 @@ mod tests {
             assert_eq!(computed.status, 200, "{path}");
             let text = String::from_utf8_lossy(&computed.bytes);
             assert!(text.contains("{\"completed\":"), "{path}: {text}");
-            assert!(!is_stream_replay(&computed.bytes), "{path}");
+            assert!(!computed.is_stream_replay(), "{path}");
             assert_eq!(cached_entries(&router), i, "{path}: progress is not cached");
 
             // 2: the shard's replay of its cached result. Relayed and
             // cached.
             let replay = conn.exchange(raw.as_bytes()).expect("replayed stream");
-            assert!(is_stream_replay(&replay.bytes), "{path}");
+            assert!(replay.is_stream_replay(), "{path}");
             assert_eq!(
                 cached_entries(&router),
                 i + 1,

@@ -10,7 +10,7 @@ use darkgates::pdn::skylake::{PdnVariant, SkylakePdn};
 use darkgates::pdn::transient::TransientSim;
 use darkgates::pdn::units::{Amps, Seconds, Volts};
 use dg_serve::client::http_request;
-use dg_serve::http::decode_chunked;
+use dg_serve::http::read_reply;
 use dg_serve::json::{self, Json};
 use dg_serve::proxy::{RouterConfig, RouterServer};
 use dg_serve::routes::delta_grid;
@@ -111,24 +111,21 @@ fn assert_streams_bit_identical_lanes(addr: SocketAddr) {
     s.write_all(raw.as_bytes()).expect("write");
     let mut bytes = Vec::new();
     s.read_to_end(&mut bytes).expect("read");
-    let text = String::from_utf8_lossy(&bytes).into_owned();
-
+    let mut wire = bytes.as_slice();
+    let mut leftover = Vec::new();
+    let reply = read_reply(&mut wire, &mut leftover).expect("one complete chunked reply");
+    assert!(wire.is_empty() && leftover.is_empty(), "nothing follows it");
+    let text = String::from_utf8_lossy(&reply.bytes);
     assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
-    let head_end = text.find("\r\n\r\n").expect("head terminator") + 4;
-    let head = &text[..head_end];
+    assert_eq!(reply.header("transfer-encoding"), Some("chunked"), "{text}");
+    let content_type = reply.header("content-type").unwrap_or_default();
+    assert!(content_type.contains("application/x-ndjson"), "{text}");
     assert!(
-        head.to_ascii_lowercase()
-            .contains("transfer-encoding: chunked"),
-        "{head}"
-    );
-    assert!(head.contains("application/x-ndjson"), "{head}");
-    assert!(
-        !head.to_ascii_lowercase().contains("content-length"),
-        "a chunked head must not also declare a length: {head}"
+        reply.header("content-length").is_none(),
+        "a chunked head must not also declare a length: {text}"
     );
 
-    let (payload, _) = decode_chunked(bytes.get(head_end..).unwrap_or_default())
-        .expect("complete chunked body with terminal chunk");
+    let payload = reply.body().into_owned();
     let payload = String::from_utf8(payload).expect("utf-8 NDJSON");
     let lines: Vec<&str> = payload.lines().collect();
     assert!(

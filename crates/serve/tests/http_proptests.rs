@@ -1,9 +1,13 @@
-//! Property tests for the hand-rolled HTTP parser: framing must be
-//! invariant under arbitrary byte-boundary splits, header-name case, and
-//! hostile `Content-Length` values.
+//! Property tests for the hand-rolled HTTP parser and reply decoder:
+//! framing must be invariant under arbitrary byte-boundary splits,
+//! header-name case, and hostile `Content-Length` values.
 
-use dg_serve::http::{HttpError, ParserLimits, Request, RequestParser};
+use dg_serve::http::{
+    read_reply, write_chunk, write_response, write_stream_head, HttpError, ParserLimits, RawReply,
+    Request, RequestParser, LAST_CHUNK,
+};
 use proptest::prelude::*;
+use std::io::{self, ErrorKind, Read};
 
 /// Parses `raw` delivered in the chunks produced by splitting at every
 /// position in `cuts` (sorted, deduped).
@@ -65,7 +69,124 @@ fn lower_path(seed: &[u8]) -> String {
         .collect()
 }
 
+/// A reader that hands `wire` out in the pieces `bounds` cut it into,
+/// never more than one piece per `read`.
+struct Pieces<'a> {
+    wire: &'a [u8],
+    bounds: Vec<usize>,
+    at: usize,
+}
+
+impl Read for Pieces<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let next = self.bounds.iter().copied().find(|&b| b > self.at);
+        let n = (next.unwrap_or(self.wire.len()) - self.at).min(buf.len());
+        buf[..n].copy_from_slice(&self.wire[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// What a decode leaves: the reply's bytes, status, close verdict and
+/// de-chunked body, and every byte of `wire` past the reply — or the
+/// error's kind.
+type Decoded = Result<(Vec<u8>, u16, bool, Vec<u8>, Vec<u8>), ErrorKind>;
+
+/// Decodes the first reply of `wire` delivered in the pieces `cuts`
+/// (taken modulo its length) split it into.
+fn decode_split(wire: &[u8], cuts: &[usize]) -> (Decoded, Option<RawReply>) {
+    let bounds = cuts.iter().map(|&c| c % (wire.len() + 1)).collect();
+    let mut pieces = Pieces {
+        wire,
+        bounds,
+        at: 0,
+    };
+    let mut leftover = Vec::new();
+    match read_reply(&mut pieces, &mut leftover) {
+        Ok(reply) => {
+            leftover.extend_from_slice(&wire[pieces.at..]);
+            let body = reply.body().into_owned();
+            let decoded = (
+                reply.bytes.clone(),
+                reply.status,
+                reply.close,
+                body,
+                leftover,
+            );
+            (Ok(decoded), Some(reply))
+        }
+        Err(e) => (Err(e.kind()), None),
+    }
+}
+
+/// One reply as a server frames it: chunked with one chunk per payload,
+/// or the payloads joined under a `Content-Length`.
+fn framed_reply(status: u16, close: bool, chunked: bool, payloads: &[Vec<u8>]) -> Vec<u8> {
+    if !chunked {
+        return write_response(
+            status,
+            "Status",
+            "text/plain",
+            &[],
+            &payloads.concat(),
+            close,
+        );
+    }
+    let mut wire = write_stream_head(status, "Status", "application/x-ndjson", close);
+    for payload in payloads {
+        wire.extend_from_slice(&write_chunk(payload));
+    }
+    wire.extend_from_slice(LAST_CHUNK);
+    wire
+}
+
+/// Payload bytes rich in framing look-alikes.
+fn payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let byte = prop::sample::select(b"ab0\r\n{}:".to_vec());
+    prop::collection::vec(prop::collection::vec(byte, 1..40), 0..=8)
+}
+
 proptest! {
+    /// A reply read in arbitrary pieces decodes to the same bytes,
+    /// status, close verdict, body and leftover as one whole read, with
+    /// or without a pipelined reply after it.
+    #[test]
+    fn reply_decode_is_invariant_under_read_splits(
+        status in prop::sample::select(vec![200u16, 400, 404, 503]),
+        close in prop::bool::ANY,
+        chunked in prop::bool::ANY,
+        payloads in payloads(),
+        pipelined in prop::bool::ANY,
+        cuts in prop::collection::vec(0usize..2_000, 0..8),
+    ) {
+        let reply = framed_reply(status, close, chunked, &payloads);
+        let next = if pipelined {
+            write_response(204, "No Content", "text/plain", &[], b"", false)
+        } else {
+            Vec::new()
+        };
+        let wire = [&reply[..], &next[..]].concat();
+        let (whole, _) = decode_split(&wire, &[]);
+        let want = (reply, status, close, payloads.concat(), next);
+        prop_assert_eq!(&whole, &Ok(want));
+        let (split, _) = decode_split(&wire, &cuts);
+        prop_assert_eq!(split, whole);
+    }
+
+    /// Every strict prefix of a reply is a reply cut short.
+    #[test]
+    fn every_strict_prefix_of_a_reply_is_unexpected_eof(
+        close in prop::bool::ANY,
+        chunked in prop::bool::ANY,
+        payloads in payloads(),
+    ) {
+        let reply = framed_reply(200, close, chunked, &payloads);
+        for cut in 0..reply.len() {
+            let (decoded, _) = decode_split(&reply[..cut], &[cut / 2]);
+            prop_assert_eq!(decoded, Err(ErrorKind::UnexpectedEof), "cut at {}", cut);
+        }
+    }
+
     /// Splitting the byte stream at every combination of positions never
     /// changes the parse: same request, same body, same errors.
     #[test]
@@ -239,5 +360,50 @@ fn pipelined_requests_survive_splits() {
             }
         }
         assert_eq!(got, ["/a", "/b"], "cut at {cut}");
+    }
+}
+
+/// The crafted replies of the stream-replay unit tests decode the same,
+/// verdict included, at every single split point.
+#[test]
+fn crafted_stream_replies_decode_alike_at_every_split() {
+    const RESULT: &[u8] = b"{\"ok\":true,\"result\":{\"lanes\":[1.5,2.5]}}\n";
+    let progress = &b"{\"completed\":1,\"total\":2,\"droop_mv\":[1.5]}\n"[..];
+    let failed = &b"{\"ok\":false,\"error\":\"internal\"}\n"[..];
+    let stream = |close, chunks: &[&[u8]]| {
+        let chunks: Vec<Vec<u8>> = chunks.iter().map(|c| c.to_vec()).collect();
+        framed_reply(200, close, true, &chunks)
+    };
+    let replay = stream(false, &[RESULT]);
+    let head_len = write_stream_head(200, "Status", "application/x-ndjson", false).len();
+    let mut cases = vec![
+        (replay.clone(), true),
+        (stream(false, &[progress, progress, RESULT]), false),
+        (stream(false, &[failed]), false),
+        (stream(false, &[&[RESULT, RESULT].concat()]), false),
+        (stream(false, &[&[progress, RESULT].concat()]), false),
+        (stream(false, &[RESULT.trim_ascii_end()]), false),
+        (stream(true, &[RESULT]), false),
+        (stream(false, &[]), false),
+        (framed_reply(500, false, true, &[RESULT.to_vec()]), false),
+        (framed_reply(200, false, false, &[RESULT.to_vec()]), false),
+    ];
+    for trailing in [&b"x"[..], b"\r\n", b"HTTP/1.1 200 OK\r\n"] {
+        cases.push(([&replay[..], trailing].concat(), true));
+    }
+    for size_line in ["28", "2a", "zz"] {
+        let mut bytes = replay.clone();
+        bytes.splice(head_len..head_len + 2, size_line.bytes());
+        cases.push((bytes, false));
+    }
+    for (wire, replays) in cases {
+        let (whole, reply) = decode_split(&wire, &[]);
+        let verdict = reply.is_some_and(|r| r.is_stream_replay());
+        assert_eq!(verdict, replays, "{}", String::from_utf8_lossy(&wire));
+        for cut in 0..=wire.len() {
+            let (split, reply) = decode_split(&wire, &[cut]);
+            assert_eq!(split, whole, "cut at {cut}");
+            assert_eq!(reply.is_some_and(|r| r.is_stream_replay()), verdict);
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! connections, and the graceful drain it shares with the shards.
 
 use dg_serve::client::{http_request, raw_request};
-use dg_serve::http::{head_end, read_reply, RawReply};
+use dg_serve::http::{read_reply, RawReply};
 use dg_serve::metrics::monotonic_us;
 use dg_serve::proxy::{RouterConfig, RouterHandle, RouterServer};
 use dg_serve::{Server, ServerConfig, ServerHandle};
@@ -43,11 +43,6 @@ fn post(path: &str, body: &str, close: bool) -> String {
     )
 }
 
-fn body_of(reply: &RawReply) -> &[u8] {
-    let start = head_end(&reply.bytes).expect("reply head");
-    &reply.bytes[start..]
-}
-
 #[test]
 fn pipelined_requests_through_the_router_are_answered_in_order() {
     let shard = start_shard(false);
@@ -84,10 +79,10 @@ fn pipelined_requests_through_the_router_are_answered_in_order() {
         "exactly three replies"
     );
     assert!(replies.iter().all(|r| r.status == 200));
-    let health = String::from_utf8_lossy(body_of(&replies[0])).into_owned();
+    let health = String::from_utf8_lossy(&replies[0].body()).into_owned();
     assert!(health.contains("\"role\":\"router\""), "{health}");
-    assert_eq!(body_of(&replies[1]), want_40.as_bytes());
-    assert_eq!(body_of(&replies[2]), want_60.as_bytes());
+    assert_eq!(&*replies[1].body(), want_40.as_bytes());
+    assert_eq!(&*replies[2].body(), want_60.as_bytes());
 
     assert!(router.shutdown());
     assert!(shard.shutdown().clean);
