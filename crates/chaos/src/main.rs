@@ -71,12 +71,25 @@ fn parse_args(args: &[String]) -> Result<Campaign, String> {
     Ok(Campaign::Faults { config, verbose })
 }
 
-fn run_shards_mode(config: &ShardKillConfig) -> ! {
-    println!(
-        "dg-chaos: shard-kill campaign, seed {:#018x}, {} requests, \
-         SIGKILL shard 0 after {}",
+/// The fault campaign's first line. The seed prints in decimal, the form
+/// `--seed` reads back.
+fn faults_banner(config: &ChaosConfig) -> String {
+    format!(
+        "dg-chaos: seed {}, {} connections, {} client threads",
+        config.seed, config.connections, config.concurrency
+    )
+}
+
+/// The shard-kill campaign's first line, seed in decimal as above.
+fn shards_banner(config: &ShardKillConfig) -> String {
+    format!(
+        "dg-chaos: shard-kill campaign, seed {}, {} requests, SIGKILL shard 0 after {}",
         config.seed, config.requests, config.kill_after
-    );
+    )
+}
+
+fn run_shards_mode(config: &ShardKillConfig) -> ! {
+    println!("{}", shards_banner(config));
     let report = match run_shard_kill(config) {
         Ok(report) => report,
         Err(e) => {
@@ -122,10 +135,7 @@ fn main() {
         }
     };
 
-    println!(
-        "dg-chaos: seed {:#018x}, {} connections, {} client threads",
-        config.seed, config.connections, config.concurrency
-    );
+    println!("{}", faults_banner(&config));
     let report = run_chaos(&config);
 
     println!("{:-<72}", "");
@@ -191,6 +201,46 @@ mod tests {
             panic!("--shards with a seed is the shard-kill campaign");
         };
         assert_eq!(config.seed, 9);
+    }
+
+    /// The seed a banner prints, as typed after `--seed`.
+    fn banner_seed(banner: &str) -> &str {
+        banner
+            .split("seed ")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn banner_seeds_feed_back_through_seed() {
+        for flags in [
+            &[][..],
+            &["--seed", "7"],
+            &["--seed", "18446744073709551615"],
+        ] {
+            let Ok(Campaign::Faults { config, .. }) = parse(flags) else {
+                panic!("{flags:?} is the fault campaign");
+            };
+            let banner = faults_banner(&config);
+            let Ok(Campaign::Faults { config: again, .. }) =
+                parse(&["--seed", banner_seed(&banner)])
+            else {
+                panic!("{banner:?} prints a seed --seed rejects");
+            };
+            assert_eq!(format!("{again:?}"), format!("{config:?}"), "{banner}");
+
+            let shards: Vec<&str> = ["--shards"].iter().chain(flags).copied().collect();
+            let Ok(Campaign::Shards(config)) = parse(&shards) else {
+                panic!("{shards:?} is the shard-kill campaign");
+            };
+            let banner = shards_banner(&config);
+            let Ok(Campaign::Shards(again)) = parse(&["--shards", "--seed", banner_seed(&banner)])
+            else {
+                panic!("{banner:?} prints a seed --seed rejects");
+            };
+            assert_eq!(format!("{again:?}"), format!("{config:?}"), "{banner}");
+        }
     }
 
     #[test]

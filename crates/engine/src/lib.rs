@@ -307,6 +307,13 @@ struct StreamCell<U> {
 /// `dg-explore` streams `/v1/explore` progress records and `didt` streams
 /// `/v1/droop_sweep` waves through.
 ///
+/// Every item costs one cursor claim and one lock of the reorder window,
+/// and a chunk's last item wakes the emitter, so callers group cheap work
+/// into one item: `didt` maps 32-lane groups and `dg-explore` whole
+/// progress batches with `chunk` 1. A multi-threaded call also spawns and
+/// joins its workers (about 80–90 µs on a 2-vCPU host); one item runs
+/// inline.
+///
 /// The one divergence from the sequential loop is speculation, which is
 /// unobservable through the contract: when an item panics, the sequential
 /// loop never invokes `f` past the panicking chunk, whereas the streaming

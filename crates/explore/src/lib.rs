@@ -12,19 +12,20 @@
 //! extracting the exact Pareto frontier over (performance, power,
 //! dark-silicon ratio) with per-axis marginals ([`pareto`]).
 //!
-//! Evaluation is chunked through [`dg_engine::par_map_progress`] — since
-//! the barrier-free streaming rewrite, workers race ahead across the
-//! whole grid while each batch's progress record flushes the moment its
-//! prefix seals, with results bit-identical for any thread count — and a
-//! caller-supplied observer sees `(completed, total, frontier-size)`
-//! after every batch, the seam `POST /v1/explore` streams progress
-//! records through. Transient refinement integrates through each
-//! thread's warm `dg_pdn::BatchWorkspace`, so steady-state waves
-//! allocate nothing in the kernel. The
-//! spec seed shuffles evaluation *order* only: the progress trace is a
-//! function of (spec, seed), the final [`ExploreResult`] of the spec
-//! alone, and its JSON rendering is byte-identical across the CLI, the
-//! HTTP route, and cache replay.
+//! Each progress batch (`batch` points of the seeded order) is one work
+//! item of [`dg_engine::par_map_progress`]: a worker evaluates the batch
+//! and runs its transient refinement through that thread's warm
+//! `dg_pdn::BatchWorkspace`. A spec of one batch runs on the calling
+//! thread and never spawns one. The calling thread folds each batch into the running frontier in
+//! batch order and hands a caller-supplied observer `(completed, total,
+//! frontier-size)`, counted in points, after every batch: the seam
+//! `POST /v1/explore` streams progress records through. The per-axis
+//! marginals are one pass over the evaluations, reading each point's row
+//! on every axis from the digits of its id. The spec seed shuffles
+//! evaluation *order* only: the progress trace is a function of (spec,
+//! seed), the final [`ExploreResult`] of the spec alone, and its JSON
+//! rendering is byte-identical for any thread count and across the CLI,
+//! the HTTP route, and cache replay.
 
 pub mod error;
 pub mod grid;
@@ -225,33 +226,34 @@ pub fn run_with_progress(
     let total = grid.len();
     let order = grid::evaluation_order(spec.seed, total);
     let ordered: Vec<ConfigPoint> = order.iter().filter_map(|&i| grid.get(i).copied()).collect();
+    let batches: Vec<&[ConfigPoint]> = ordered.chunks(spec.batch).collect();
 
     let ctx = EvalContext::new(spec);
-    // `par_map_progress` runs the progress closure on this thread, so the
-    // running frontier and the refined evaluations need no lock.
+    // One work item per batch: a point costs well under a microsecond,
+    // so per-point items would spend the map on scheduling. The progress
+    // closure runs on this thread, so the running frontier needs no lock.
     let mut frontier = RunningFrontier::new();
-    let mut evals: Vec<PointEval> = Vec::with_capacity(total);
-
-    dg_engine::par_map_progress(
-        &ordered,
-        spec.batch,
-        |_, p| ctx.evaluate(*p),
-        |done, chunk| {
-            let refined = ctx.refine_chunk(chunk);
-            for e in &refined {
+    let mut completed = 0;
+    let batch_evals = dg_engine::par_map_progress(
+        &batches,
+        1,
+        |_, batch| ctx.refine_chunk(batch.iter().map(|&p| ctx.evaluate(p)).collect()),
+        |_, fresh| {
+            for e in fresh.iter().flatten() {
                 if e.feasible {
                     frontier.insert(e.point.id, e.objectives());
                 }
             }
-            evals.extend(refined);
+            completed += fresh.iter().map(Vec::len).sum::<usize>();
             on_progress(Progress {
-                completed: done,
+                completed,
                 total,
                 frontier: frontier.len(),
             });
         },
     );
 
+    let evals = batch_evals.into_iter().flatten().collect();
     Ok(assemble(spec, evals, &frontier.ids()))
 }
 
@@ -275,107 +277,104 @@ fn assemble(spec: &ExploreSpec, mut evals: Vec<PointEval>, frontier_ids: &[u64])
     }
 }
 
-/// One marginal axis: name, row labels in spec order, and the label
-/// extractor applied to each evaluated point.
-type MarginalAxis = (
-    &'static str,
-    Vec<String>,
-    Box<dyn Fn(&ConfigPoint) -> String>,
-);
+impl MarginalRow {
+    /// An empty row. `min_power_w` starts at infinity so [`Self::add`]
+    /// can fold it; [`marginals_of`] resets a row that saw no feasible
+    /// point to 0.
+    fn empty(value: String) -> Self {
+        MarginalRow {
+            value,
+            points: 0,
+            feasible: 0,
+            frontier_points: 0,
+            best_speedup: 0.0,
+            min_power_w: f64::INFINITY,
+            min_dark_ratio: 1.0,
+        }
+    }
 
-/// Computes per-axis marginals: one row per axis value, in spec order.
+    /// Folds one evaluated point into the row.
+    fn add(&mut self, e: &PointEval, on_frontier: bool) {
+        self.points += 1;
+        if !e.feasible {
+            return;
+        }
+        self.feasible += 1;
+        self.best_speedup = self.best_speedup.max(e.speedup);
+        self.min_power_w = self.min_power_w.min(e.power_w);
+        self.min_dark_ratio = self.min_dark_ratio.min(e.dark_ratio);
+        if on_frontier {
+            self.frontier_points += 1;
+        }
+    }
+}
+
+/// Computes per-axis marginals, one row per axis value in spec order,
+/// in one pass over the id-sorted evaluations.
+///
+/// A point's id is its index in the lexicographic cross product
+/// ([`grid::expand`]), so its row on each axis is one digit of the id in
+/// the mixed radix of the axis lengths, guardband varying fastest. Each
+/// row therefore sees its points in id order, as a scan per row would.
 fn marginals_of(
     spec: &ExploreSpec,
     evals: &[PointEval],
     frontier_ids: &[u64],
 ) -> Vec<AxisMarginal> {
-    let axes: Vec<MarginalAxis> = vec![
-        (
+    let labelled = |axis, values: Vec<String>| AxisMarginal {
+        axis,
+        rows: values.into_iter().map(MarginalRow::empty).collect(),
+    };
+    let numbers = |values: &[f64]| values.iter().map(f64::to_string).collect();
+    let mut axes = [
+        labelled(
             "tech_nodes",
             spec.tech_nodes
                 .iter()
                 .map(|n| n.node_nm.to_string())
                 .collect(),
-            Box::new(|p| p.node.node_nm.to_string()),
         ),
-        (
-            "tdp_w",
-            spec.tdp_w.iter().map(|v| format!("{v}")).collect(),
-            Box::new(|p| format!("{}", p.tdp_w)),
-        ),
-        (
-            "big_perf",
-            spec.big_perf.iter().map(|v| format!("{v}")).collect(),
-            Box::new(|p| format!("{}", p.big_perf)),
-        ),
-        (
-            "small_perf",
-            spec.small_perf.iter().map(|v| format!("{v}")).collect(),
-            Box::new(|p| format!("{}", p.small_perf)),
-        ),
-        (
-            "fraction_parallelism",
-            spec.fraction_parallelism
-                .iter()
-                .map(|v| format!("{v}"))
-                .collect(),
-            Box::new(|p| format!("{}", p.fraction_parallelism)),
-        ),
-        (
+        labelled("tdp_w", numbers(&spec.tdp_w)),
+        labelled("big_perf", numbers(&spec.big_perf)),
+        labelled("small_perf", numbers(&spec.small_perf)),
+        labelled("fraction_parallelism", numbers(&spec.fraction_parallelism)),
+        labelled(
             "fuse",
             spec.fuse
                 .iter()
-                .map(|v| fuse_label(*v).to_owned())
+                .map(|&v| fuse_label(v).to_owned())
                 .collect(),
-            Box::new(|p| fuse_label(p.fuse).to_owned()),
         ),
-        (
+        labelled(
             "guardband",
             spec.guardband
                 .iter()
                 .map(|g| g.label().to_owned())
                 .collect(),
-            Box::new(|p| p.guardband.label().to_owned()),
         ),
     ];
 
-    axes.into_iter()
-        .map(|(axis, values, label_of)| {
-            let rows = values
-                .iter()
-                .map(|value| {
-                    let mut row = MarginalRow {
-                        value: value.clone(),
-                        points: 0,
-                        feasible: 0,
-                        frontier_points: 0,
-                        best_speedup: 0.0,
-                        min_power_w: 0.0,
-                        min_dark_ratio: 1.0,
-                    };
-                    let mut min_power = f64::INFINITY;
-                    for e in evals.iter().filter(|e| label_of(&e.point) == *value) {
-                        row.points += 1;
-                        if !e.feasible {
-                            continue;
-                        }
-                        row.feasible += 1;
-                        row.best_speedup = row.best_speedup.max(e.speedup);
-                        min_power = min_power.min(e.power_w);
-                        row.min_dark_ratio = row.min_dark_ratio.min(e.dark_ratio);
-                        if frontier_ids.binary_search(&e.point.id).is_ok() {
-                            row.frontier_points += 1;
-                        }
-                    }
-                    if min_power.is_finite() {
-                        row.min_power_w = min_power;
-                    }
-                    row
-                })
-                .collect();
-            AxisMarginal { axis, rows }
-        })
-        .collect()
+    for e in evals {
+        let on_frontier = e.feasible && frontier_ids.binary_search(&e.point.id).is_ok();
+        let mut rest = e.point.id;
+        for axis in axes.iter_mut().rev() {
+            let radix = axis.rows.len() as u64;
+            if let Some(row) = usize::try_from(rest % radix)
+                .ok()
+                .and_then(|digit| axis.rows.get_mut(digit))
+            {
+                row.add(e, on_frontier);
+            }
+            rest /= radix;
+        }
+    }
+
+    for row in axes.iter_mut().flat_map(|a| a.rows.iter_mut()) {
+        if !row.min_power_w.is_finite() {
+            row.min_power_w = 0.0;
+        }
+    }
+    axes.into()
 }
 
 #[cfg(test)]

@@ -247,7 +247,8 @@ impl EvalContext {
         }
     }
 
-    /// Transient refinement of one chunk of analytic evals.
+    /// Transient refinement of one chunk of analytic evals, returned in
+    /// place of them.
     ///
     /// When the spec asks for it, every feasible point with a non-`none`
     /// guardband policy re-derives its droop component from a measured
@@ -259,16 +260,15 @@ impl EvalContext {
     /// by variant in chunk order and batched `TRANSIENT_LANES` lanes at
     /// a time. Grouping and lane order are functions of the chunk alone,
     /// so refinement is bit-deterministic.
-    pub fn refine_chunk(&self, chunk: &[PointEval]) -> Vec<PointEval> {
+    pub fn refine_chunk(&self, mut chunk: Vec<PointEval>) -> Vec<PointEval> {
         if !self.transient {
-            return chunk.to_vec();
+            return chunk;
         }
-        let mut out = chunk.to_vec();
         for variant in [PdnVariant::Gated, PdnVariant::Bypassed] {
             let Some(ladder) = self.variant(variant).ladder.as_ref() else {
                 continue;
             };
-            let lanes: Vec<usize> = out
+            let lanes: Vec<usize> = chunk
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| {
@@ -282,14 +282,14 @@ impl EvalContext {
             for group in lanes.chunks(TRANSIENT_LANES) {
                 let steps: Vec<LoadStep> = group
                     .iter()
-                    .filter_map(|&i| out.get(i).map(wake_step))
+                    .filter_map(|&i| chunk.get(i).map(wake_step))
                     .collect();
                 // Integrate through the calling thread's warm workspace
-                // (bit-identical to `run_batch`): refinement happens on
-                // whichever thread drains the streaming progress seam, so
-                // repeated waves reuse the same buffers alloc-free. Only
-                // the droop scalar is read, so the borrowed results never
-                // escape the closure.
+                // (bit-identical to `run_batch`): `dg_explore::run` refines
+                // each batch on the worker that evaluated it, so that
+                // worker's later waves reuse the same buffers alloc-free.
+                // Only the droop scalar is read, so the borrowed results
+                // never escape the closure.
                 let droops: Vec<f64> = darkgates::pdn::with_thread_workspace(|ws| {
                     sim.run_batch_in(ladder, &steps, ws)
                         .iter()
@@ -297,7 +297,7 @@ impl EvalContext {
                         .collect()
                 });
                 for (&i, droop) in group.iter().zip(droops.iter()) {
-                    let Some(e) = out.get(i).copied() else {
+                    let Some(e) = chunk.get(i).copied() else {
                         continue;
                     };
                     let (Ok(big), Ok(small)) = (
@@ -309,13 +309,13 @@ impl EvalContext {
                     #[allow(clippy::cast_precision_loss)]
                     let n = e.n_small as f64;
                     let refined = self.finish(e.point, big, small, n, droop.max(0.0));
-                    if let Some(slot) = out.get_mut(i) {
+                    if let Some(slot) = chunk.get_mut(i) {
                         *slot = refined;
                     }
                 }
             }
         }
-        out
+        chunk
     }
 }
 
@@ -442,8 +442,8 @@ mod tests {
                 "fraction_parallelism":[0.95],"guardband":["droop"],"transient":true}"#,
         );
         let analytic: Vec<PointEval> = grid.iter().map(|&p| ctx.evaluate(p)).collect();
-        let refined = ctx.refine_chunk(&analytic);
-        let refined_again = ctx.refine_chunk(&analytic);
+        let refined = ctx.refine_chunk(analytic.clone());
+        let refined_again = ctx.refine_chunk(analytic.clone());
         assert_eq!(refined, refined_again, "refinement must be deterministic");
         assert_eq!(refined.len(), analytic.len());
         // The measured droop differs from the analytic Z_peak × 48 A

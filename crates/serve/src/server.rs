@@ -235,11 +235,11 @@ impl Shard {
                 out.push(stream_reply(&body, close), true, close);
                 200
             }
-            // The sweep deliberately runs with the engine's par_map pool
-            // live (no inline_scope): a 10k-point explore grid or a
-            // thousand-lane droop population is exactly the workload the
-            // chunked evaluation parallelises, and its results are
-            // bit-identical for any thread count.
+            // The computation deliberately runs with the engine's pool
+            // live (no inline_scope): an explore spreads its progress
+            // batches over the workers, one batch per work item, and a
+            // droop sweep its 32-lane groups, with results bit-identical
+            // for any thread count. A one-batch explore runs inline.
             StreamPlan::Run(run) => {
                 out.push(stream_head(close), false, close);
                 let (status, body) =
