@@ -29,18 +29,21 @@
 //! The entry point is [`run_chaos`]; the `dg-chaos` binary runs it as
 //! the CI gate. A second campaign, [`run_shard_kill`] (binary
 //! flag `--shards`), spawns a real `dg-router` over two `dg-serve` shard
-//! processes, SIGKILLs one mid-run, and requires uninterrupted,
-//! byte-identical service plus an observed health ejection, then drains
-//! the router and the surviving shard and requires both processes to
-//! exit 0.
+//! processes with cache directories, SIGKILLs one mid-run, and requires
+//! uninterrupted, byte-identical service plus an observed health
+//! ejection, then drains the router and the surviving shard and requires
+//! both processes to exit 0. A fresh shard on the killed shard's
+//! directory must then replay its probes byte-identically, some from
+//! disk.
 
-use dg_serve::client::{http_request, spawn_sibling, Lcg};
+use dg_serve::client::{http_request, spawn_sibling, Lcg, SpawnedServer};
 use dg_serve::http::{read_reply, Request};
 use dg_serve::metrics::monotonic_us;
 use dg_serve::routes::Router;
 use dg_serve::{Server, ServerConfig};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -881,6 +884,10 @@ pub struct ShardKillReport {
     /// Whether the surviving shard, sent its own `POST /admin/drain`
     /// after the router's, exited 0 within the deadline.
     pub shard_drained: bool,
+    /// `dg_disk_cache_hits_total` of a fresh shard started on the killed
+    /// shard's cache directory after replaying every probe sent before
+    /// the kill.
+    pub disk_replay_hits: u64,
     /// Wall time of the campaign, µs.
     pub elapsed_us: u64,
 }
@@ -888,23 +895,27 @@ pub struct ShardKillReport {
 impl ShardKillReport {
     /// The gate verdict: every request answered below 500, every body
     /// byte-identical to the library, the kill actually ejected, the
-    /// router's drain stopped the router alone, and the surviving shard's
-    /// drain stopped its process cleanly.
+    /// router's drain stopped the router alone, the surviving shard's
+    /// drain stopped its process cleanly, and the killed shard's cache
+    /// directory answered at least one replay from disk.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
             && self.mismatches.is_empty()
             && self.ejection_observed
             && self.router_drained
             && self.shard_drained
+            && self.disk_replay_hits > 0
             && self.ok == self.requests
     }
 }
 
-/// Child processes with guaranteed teardown: any exit path from the
-/// campaign (including early errors) reaps every spawned server.
+/// Child processes and cache directories with guaranteed teardown: any
+/// exit path from the campaign (including early errors) reaps every
+/// spawned server and then removes the directories.
 #[derive(Default)]
 struct Fleet {
     children: Vec<Option<Child>>,
+    dirs: Vec<PathBuf>,
 }
 
 impl Fleet {
@@ -949,6 +960,60 @@ impl Drop for Fleet {
         for index in 0..self.children.len() {
             self.kill(index);
         }
+        for dir in &self.dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// Spawns a `dg-serve` on an ephemeral port over `cache_dir`.
+fn spawn_shard(cache_dir: &Path) -> Result<SpawnedServer, String> {
+    let args = [
+        "--addr".to_owned(),
+        "127.0.0.1:0".to_owned(),
+        "--cache-dir".to_owned(),
+        cache_dir.display().to_string(),
+    ];
+    spawn_sibling("dg-serve", &args)
+}
+
+/// One unlabelled sample from a server's `/metrics` text.
+fn counter(addr: SocketAddr, name: &str) -> Option<u64> {
+    let reply = http_request(addr, "GET", "/metrics", None).ok()?;
+    reply
+        .body
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+}
+
+/// Sends `probe` to `addr`: `Ok` when the reply is byte-identical to
+/// the library's render, else what differed.
+fn replay_matches(oracle: &Oracle, addr: SocketAddr, probe: &Probe) -> Result<(), String> {
+    let body = (!probe.body.is_empty()).then_some(probe.body.as_str());
+    let reply =
+        http_request(addr, probe.method, probe.path, body).map_err(|e| format!("transport {e}"))?;
+    let (want_status, want_body) = oracle.expected(probe);
+    if reply.status == want_status && reply.body == want_body {
+        return Ok(());
+    }
+    Err(format!(
+        "served {} ({} bytes), library says {} ({} bytes)",
+        reply.status,
+        reply.body.len(),
+        want_status,
+        want_body.len()
+    ))
+}
+
+/// The probe sent straight to shard 0 before the kill, so its cache
+/// directory holds at least one record the replay must read back.
+fn known_probe() -> Probe {
+    Probe {
+        method: "POST",
+        path: "/v1/droop",
+        body: r#"{"variant":"gated","from_a":10,"to_a":60,"source_v":1.0}"#.to_owned(),
+        deterministic: true,
     }
 }
 
@@ -969,13 +1034,17 @@ fn service_probe(rng: &mut Lcg) -> Probe {
     }
 }
 
-/// Runs the shard-kill campaign: spawn two `dg-serve` shards and a
-/// `dg-router` over them (reply cache off, so repeat keys exercise real
-/// shard traffic), drive seeded requests through the router, SIGKILL
+/// Runs the shard-kill campaign: spawn two `dg-serve` shards, each over
+/// its own `--cache-dir`, and a `dg-router` over them (reply cache off,
+/// so repeat keys exercise real shard traffic), drive seeded requests
+/// through the router, send one known probe straight to shard 0, SIGKILL
 /// shard 0 mid-run, and require uninterrupted, byte-identical service.
-/// It ends by posting `/admin/drain` to the router, which must exit 0
-/// while the surviving shard keeps serving undrained, and then to the
-/// surviving shard, whose process must exit 0 too.
+/// It then posts `/admin/drain` to the router, which must exit 0 while
+/// the surviving shard keeps serving undrained, and then to the surviving
+/// shard, whose process must exit 0 too. Last, a fresh shard on the
+/// killed shard's directory must answer every probe sent before the kill
+/// byte-identically to the library, at least one of them from disk. The
+/// directories are removed at the end.
 ///
 /// # Errors
 ///
@@ -984,10 +1053,16 @@ fn service_probe(rng: &mut Lcg) -> Probe {
 pub fn run_shard_kill(config: &ShardKillConfig) -> Result<ShardKillReport, String> {
     let started = monotonic_us();
     let mut fleet = Fleet::default();
-    let shard_args = vec!["--addr".to_owned(), "127.0.0.1:0".to_owned()];
-    let shard_a = spawn_sibling("dg-serve", &shard_args)?;
+    let dir_of =
+        |i: usize| std::env::temp_dir().join(format!("dg-chaos-shard{i}-{}", std::process::id()));
+    let (dir_a, dir_b) = (dir_of(0), dir_of(1));
+    for dir in [&dir_a, &dir_b] {
+        let _ = std::fs::remove_dir_all(dir);
+        fleet.dirs.push(dir.clone());
+    }
+    let shard_a = spawn_shard(&dir_a)?;
     fleet.adopt(shard_a.child);
-    let shard_b = spawn_sibling("dg-serve", &shard_args)?;
+    let shard_b = spawn_shard(&dir_b)?;
     fleet.adopt(shard_b.child);
     let router_args = vec![
         "--addr".to_owned(),
@@ -1008,14 +1083,21 @@ pub fn run_shard_kill(config: &ShardKillConfig) -> Result<ShardKillReport, Strin
         requests: config.requests,
         ..ShardKillReport::default()
     };
+    let mut before_kill = vec![known_probe()];
     for index in 0..config.requests {
         if index == config.kill_after {
+            if let Err(e) = replay_matches(&oracle, shard_a.addr, &known_probe()) {
+                report.failures.push(format!("known probe to shard 0: {e}"));
+            }
             // SIGKILL, not SIGTERM: the shard gets no chance to drain, so
             // the router sees resets on pooled connections and refusals on
             // fresh ones — the request-path retry must absorb both.
             fleet.kill(0);
         }
         let probe = service_probe(&mut rng);
+        if index < config.kill_after {
+            before_kill.push(probe.clone());
+        }
         let body = (!probe.body.is_empty()).then_some(probe.body.as_str());
         match http_request(router.addr, probe.method, probe.path, body) {
             Ok(reply) if reply.status >= 500 => report.failures.push(format!(
@@ -1085,6 +1167,24 @@ pub fn run_shard_kill(config: &ShardKillConfig) -> Result<ShardKillReport, Strin
             "shard drain: reply {:?}, dg-serve exited 0: {exited}",
             drained.map(|r| r.status)
         ));
+    }
+
+    // A fresh shard on the killed shard's directory: what the SIGKILL
+    // left on disk must replay byte-identically, some of it from disk.
+    match spawn_shard(&dir_a) {
+        Ok(replay) => {
+            fleet.adopt(replay.child);
+            for probe in &before_kill {
+                if let Err(e) = replay_matches(&oracle, replay.addr, probe) {
+                    report.mismatches.push(format!(
+                        "disk replay ({} {}): {e}",
+                        probe.method, probe.path
+                    ));
+                }
+            }
+            report.disk_replay_hits = counter(replay.addr, "dg_disk_cache_hits_total").unwrap_or(0);
+        }
+        Err(e) => report.failures.push(format!("disk replay shard: {e}")),
     }
 
     report.elapsed_us = monotonic_us().saturating_sub(started);

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p dg-chaos                # the CI campaign: 240 connections
 //! cargo run --release -p dg-chaos -- --seed 7 --connections 1000 --verbose
-//! cargo run --release -p dg-chaos -- --shards   # router + 2 shards, kill one, drain
+//! cargo run --release -p dg-chaos -- --shards   # router + 2 shards, kill one, drain, replay its dir
 //! ```
 //!
 //! Exit code 0 when the campaign passes (no worker deaths, no
@@ -100,7 +100,7 @@ fn run_shards_mode(config: &ShardKillConfig) -> ! {
     println!("{:-<72}", "");
     println!(
         "  ok {}/{} | failures {} | mismatches {} | ejection observed {} | \
-         router drained {} | shard drained {} | {:.2} s",
+         router drained {} | shard drained {} | disk replay hits {} | {:.2} s",
         report.ok,
         report.requests,
         report.failures.len(),
@@ -108,6 +108,7 @@ fn run_shards_mode(config: &ShardKillConfig) -> ! {
         report.ejection_observed,
         report.router_drained,
         report.shard_drained,
+        report.disk_replay_hits,
         report.elapsed_us as f64 / 1e6
     );
     for line in report.failures.iter().chain(&report.mismatches).take(10) {

@@ -643,22 +643,25 @@ mod tests {
         assert_eq!(copies, [1, 2, 4]);
     }
 
+    /// FNV-1a over a dataset's row count, then the `to_bits` of every
+    /// value, then every label's bytes.
+    fn digest(rows: usize, values: &[f64], labels: &[String]) -> u64 {
+        use dg_pdn::cache::ContentKey;
+        let key = ContentKey::new().word(rows as u64);
+        let key = values.iter().fold(key, |k, &x| k.f64(x));
+        labels
+            .iter()
+            .fold(key, |k, l| k.bytes(l.as_bytes()))
+            .finish()
+    }
+
     /// One FNV-1a digest per dataset [`evaluate_all`] returns (the ones
     /// `all` prints), over the `to_bits` of every value and every label,
     /// so a model change that moves any figure shows here even while
     /// every claim band still holds.
     #[test]
     fn evaluation_datasets_are_pinned() {
-        use dg_pdn::cache::ContentKey;
         let eval = evaluate_all();
-        let digest = |rows: usize, values: &[f64], labels: &[String]| {
-            let key = ContentKey::new().word(rows as u64);
-            let key = values.iter().fold(key, |k, &x| k.f64(x));
-            labels
-                .iter()
-                .fold(key, |k, l| k.bytes(l.as_bytes()))
-                .finish()
-        };
         let profile = |p: &ImpedanceProfile| -> Vec<f64> {
             p.points()
                 .iter()
@@ -779,6 +782,113 @@ mod tests {
             0x8ebf_8a19_6795_fad0, // fig8
             0x540f_18fa_ebd1_71f3, // fig9
             0xb8e8_8d57_6184_92d6, // fig10
+        ];
+        let report: Vec<String> = names
+            .iter()
+            .zip(got)
+            .map(|(name, d)| format!("{name} {d:#018x}"))
+            .collect();
+        assert_eq!(got, pinned, "{report:?}");
+    }
+
+    /// One digest per section `all` prints ahead of the evaluation
+    /// datasets (Table 1, Table 2, Figs. 1/5/6 and Fig. 2), over the
+    /// values and labels its printers read, so a change to the C-state
+    /// table, the product catalog, the package layouts, the ladders or
+    /// the load-line shows here even where the printed text rounds it
+    /// away.
+    #[test]
+    fn printed_sections_are_pinned() {
+        use dg_pdn::package::PackageLayout;
+        use dg_pdn::units::Amps;
+        let t1 = table1();
+        let t2 = table2();
+        let layouts = [
+            PackageLayout::skylake_mobile(),
+            PackageLayout::skylake_desktop(),
+        ];
+        let pdns = [
+            DarkGates::mobile().build_pdn(),
+            DarkGates::desktop().build_pdn(),
+        ];
+        let (mut f156_values, mut f156_labels, mut f156_rows) = (Vec::new(), Vec::new(), 0);
+        for layout in &layouts {
+            f156_labels.push(layout.name.clone());
+            for d in layout.domains() {
+                f156_rows += 1;
+                f156_values.push(d.bumps as f64);
+                f156_values.push(
+                    layout
+                        .current_capacity(&d.name)
+                        .map_or(f64::NAN, |a| a.value()),
+                );
+                f156_labels.push(format!("{}/{}", d.name, d.gated));
+            }
+        }
+        for pdn in &pdns {
+            f156_labels.push(pdn.ladder.name().to_owned());
+            for stage in pdn.ladder.stages() {
+                f156_rows += 1;
+                f156_values.push(stage.series.resistance.value());
+                f156_values.push(stage.series.inductance.value());
+                if let Some(bank) = &stage.shunt {
+                    f156_values.push(bank.total_capacitance().value());
+                }
+                f156_labels.push(format!("{}/{}", stage.name, stage.shunt.is_some()));
+            }
+        }
+        let fig2 = SkylakePdn::build(PdnVariant::Bypassed);
+        let table = &fig2.virus_table;
+        let mut f2_values = vec![fig2.loadline.resistance.value()];
+        for icc in [0.0, 25.0, 50.0, 75.0, 100.0, 125.0] {
+            f2_values.push(
+                fig2.loadline
+                    .load_voltage(Volts::new(1.2), Amps::new(icc))
+                    .value(),
+            );
+        }
+        for (i, level) in table.levels().iter().enumerate() {
+            f2_values.push(level.icc_virus.value());
+            f2_values.push(table.guardband_at(i).value());
+            f2_values.push(table.setpoint(i, Volts::new(0.60)).value());
+        }
+        let got = [
+            digest(
+                t1.len(),
+                &[],
+                &t1.iter()
+                    .map(|(state, cond)| format!("{state}/{cond}"))
+                    .collect::<Vec<_>>(),
+            ),
+            digest(
+                t2.cores,
+                &[
+                    t2.core_freq_ghz.0,
+                    t2.core_freq_ghz.1,
+                    t2.gfx_freq_mhz.0,
+                    t2.gfx_freq_mhz.1,
+                    t2.tdp_w.0,
+                    t2.tdp_w.1,
+                ],
+                &[t2.desktop.clone(), t2.mobile.clone()],
+            ),
+            digest(f156_rows, &f156_values, &f156_labels),
+            digest(
+                table.levels().len(),
+                &f2_values,
+                &table
+                    .levels()
+                    .iter()
+                    .map(|l| l.name.clone())
+                    .collect::<Vec<_>>(),
+            ),
+        ];
+        let names = ["table1", "table2", "fig1_5_6", "fig2"];
+        let pinned: [u64; 4] = [
+            0x8fa6_9a75_5274_c8f5, // table1
+            0xaea6_b70e_3906_94eb, // table2
+            0x159b_4ee4_a6e2_fad0, // fig1_5_6
+            0xcbdc_8007_38da_bc24, // fig2
         ];
         let report: Vec<String> = names
             .iter()

@@ -24,8 +24,9 @@
 //! dispatchers on that engine. The router consistent-hashes requests
 //! across N shards on the same content keys the caches use, so each
 //! shard's caches see every repeat of a key; `--cache-dir` gives a
-//! shard's response cache ([`respcache`]) its own disk tier so restarted
-//! shards warm instantly.
+//! shard's response cache ([`respcache`]) its own disk tier, an
+//! append-only log of bodies under a byte budget, so restarted shards
+//! warm instantly.
 //!
 //! The client side has one connection type too, [`client::Conn`]: the
 //! router's upstream pool and health probe and the one-shot

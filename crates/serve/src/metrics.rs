@@ -166,6 +166,34 @@ pub struct RouteMetrics {
     pub latency: Histogram,
 }
 
+/// A disk tier's counters and gauges; all zero without a tier.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DiskStats {
+    /// Loads answered from disk.
+    pub hits: u64,
+    /// Loads that found no valid record.
+    pub misses: u64,
+    /// Records written and indexed.
+    pub stores: u64,
+    /// Records the index holds.
+    pub entries: u64,
+    /// Bytes the tier's segments hold, headers and superseded records
+    /// included.
+    pub bytes: u64,
+}
+
+/// What `/metrics` reports of a shard's response cache: the memory tier's
+/// gauges and the disk tier's numbers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Bodies the memory tier holds.
+    pub entries: u64,
+    /// Body bytes the memory tier holds.
+    pub bytes: u64,
+    /// The disk tier's counters and gauges.
+    pub disk: DiskStats,
+}
+
 /// The process-wide metrics registry.
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -206,8 +234,8 @@ impl Metrics {
     }
 
     /// Renders the registry in Prometheus text exposition format, with
-    /// `disk` as the response cache's disk-tier `(hits, misses, stores)`.
-    pub fn render(&self, disk: (u64, u64, u64)) -> String {
+    /// `cache` as the response cache's tiers.
+    pub fn render(&self, cache: &CacheStats) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("# HELP dg_requests_total Handled requests by route and status class.\n");
         out.push_str("# TYPE dg_requests_total counter\n");
@@ -249,7 +277,6 @@ impl Metrics {
                 slot.latency.count()
             ));
         }
-        let (disk_hits, disk_misses, disk_stores) = disk;
         for (name, help, v) in [
             (
                 "dg_connections_total",
@@ -279,17 +306,37 @@ impl Metrics {
             (
                 "dg_disk_cache_hits_total",
                 "Disk-tier content-cache hits (all kinds).",
-                disk_hits,
+                cache.disk.hits,
             ),
             (
                 "dg_disk_cache_misses_total",
                 "Disk-tier content-cache misses (all kinds).",
-                disk_misses,
+                cache.disk.misses,
             ),
             (
                 "dg_disk_cache_stores_total",
                 "Disk-tier content-cache stores (all kinds).",
-                disk_stores,
+                cache.disk.stores,
+            ),
+            (
+                "dg_resp_cache_entries",
+                "Bodies held in the response cache's memory tier.",
+                cache.entries,
+            ),
+            (
+                "dg_resp_cache_bytes",
+                "Body bytes held in the response cache's memory tier.",
+                cache.bytes,
+            ),
+            (
+                "dg_disk_cache_entries",
+                "Records indexed by the disk tier.",
+                cache.disk.entries,
+            ),
+            (
+                "dg_disk_cache_bytes",
+                "Bytes held in the disk tier's segments.",
+                cache.disk.bytes,
             ),
             (
                 "dg_inflight_requests",
@@ -298,10 +345,10 @@ impl Metrics {
             ),
         ] {
             out.push_str(&format!("# HELP {name} {help}\n"));
-            let kind = if name == "dg_inflight_requests" {
-                "gauge"
-            } else {
+            let kind = if name.ends_with("_total") {
                 "counter"
+            } else {
+                "gauge"
             };
             out.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
         }
@@ -361,7 +408,7 @@ mod tests {
         m.record(Route::Droop, 400, 1);
         m.record(Route::Sweep, 503, 5);
         m.shed_total.fetch_add(3, Ordering::Relaxed);
-        let text = m.render((0, 0, 0));
+        let text = m.render(&CacheStats::default());
         assert!(text.contains("dg_requests_total{route=\"droop\",class=\"2xx\"} 1"));
         assert!(text.contains("dg_requests_total{route=\"droop\",class=\"4xx\"} 1"));
         assert!(text.contains("dg_requests_total{route=\"sweep\",class=\"5xx\"} 1"));
@@ -383,24 +430,53 @@ mod tests {
         }
         m.shed_total.fetch_add(2, Ordering::Relaxed);
         m.resp_cache_hits_total.fetch_add(5, Ordering::Relaxed);
-        // The disk-tier sample lines carry the response cache's counters
-        // as given; they are checked apart, and every other byte is pinned.
-        let rendered = m.render((3, 4, 5));
+        // The cache lines carry the response cache's numbers as given;
+        // they are checked apart (the four gauges with their HELP and
+        // TYPE lines), and every other byte is pinned.
+        let rendered = m.render(&CacheStats {
+            entries: 6,
+            bytes: 7,
+            disk: DiskStats {
+                hits: 3,
+                misses: 4,
+                stores: 5,
+                entries: 8,
+                bytes: 9,
+            },
+        });
+        let gauges = [
+            "dg_resp_cache_entries",
+            "dg_resp_cache_bytes",
+            "dg_disk_cache_entries",
+            "dg_disk_cache_bytes",
+        ];
+        let is_gauge = |l: &str| gauges.iter().any(|g| l.split(' ').any(|w| w == *g));
         let disk: Vec<&str> = rendered
             .lines()
-            .filter(|l| l.starts_with("dg_disk_cache_"))
+            .filter(|l| l.starts_with("dg_disk_cache_") || l.starts_with("dg_resp_cache_"))
             .collect();
         assert_eq!(
             disk,
             [
+                "dg_resp_cache_hits_total 5",
                 "dg_disk_cache_hits_total 3",
                 "dg_disk_cache_misses_total 4",
-                "dg_disk_cache_stores_total 5"
+                "dg_disk_cache_stores_total 5",
+                "dg_resp_cache_entries 6",
+                "dg_resp_cache_bytes 7",
+                "dg_disk_cache_entries 8",
+                "dg_disk_cache_bytes 9",
             ]
         );
+        for gauge in gauges {
+            assert!(
+                rendered.contains(&format!("# TYPE {gauge} gauge\n{gauge} ")),
+                "{gauge} is not a gauge"
+            );
+        }
         let text: String = rendered
             .lines()
-            .filter(|l| !l.starts_with("dg_disk_cache_"))
+            .filter(|l| !l.starts_with("dg_disk_cache_") && !is_gauge(l))
             .map(|l| format!("{l}\n"))
             .collect();
         assert_eq!(

@@ -784,6 +784,22 @@ mod tests {
         // The reply cache is off, so its budget gauges read 0.
         assert!(metrics.body.contains("dg_router_reply_cache_entries 0\n"));
         assert!(metrics.body.contains("dg_router_reply_cache_bytes 0\n"));
+        // Each shard's cache gauges arrive per shard: the droop's one body
+        // sits in the memory tier of the shard that computed it, and
+        // neither shard has a disk tier.
+        let resp_entries: u64 = metrics
+            .body
+            .lines()
+            .filter_map(|l| l.strip_prefix("dg_resp_cache_entries{shard="))
+            .filter_map(|rest| rest.rsplit(' ').next()?.parse::<u64>().ok())
+            .sum();
+        assert_eq!(resp_entries, 1, "{}", metrics.body);
+        for i in 0..2 {
+            for gauge in ["dg_disk_cache_entries", "dg_disk_cache_bytes"] {
+                let line = format!("{gauge}{{shard=\"{i}\"}} 0\n");
+                assert!(metrics.body.contains(&line), "{line}{}", metrics.body);
+            }
+        }
 
         // Malformed framing is rejected by the router itself.
         let bad = crate::client::raw_request(addr, b"NOT HTTP\r\n\r\n").expect("raw");

@@ -5,21 +5,24 @@
 //! chaos oracle's byte-identical differential check proves on every CI
 //! run), so a *successful* response body can be reused outright instead
 //! of recomputed: across time in one process and, through the cache's own
-//! disk tier (`diskcache.rs`, a server's `--cache-dir`), across process
-//! restarts. Identical requests that overlap in time each compute, at most
-//! one per worker; their bodies are identical and the first to finish
-//! fills the cache.
+//! disk tier (`diskcache.rs`, a server's `--cache-dir`: an append-only
+//! log of bodies under a 256 MiB budget), across process restarts.
+//! Identical requests that overlap in time each compute, at most one per
+//! worker; their bodies are identical and the first to finish fills the
+//! cache.
 //!
 //! Only `200 OK` bodies are cached: errors are cheap to re-render and a
 //! cached error could mask a fixed input. The memory tier is a `Fifo`
-//! bounded by entry count and total bytes; disk I/O runs outside its lock.
-//! The router's reply cache ([`crate::proxy`]) is a second `Fifo` under
-//! its own lock.
+//! bounded by entry count and total bytes; the disk tier has its own lock
+//! and does its I/O outside both. `/metrics` reads each tier's gauges
+//! under its own lock, one after the other. The router's reply cache
+//! ([`crate::proxy`]) is a second `Fifo` under its own lock.
 
 use crate::diskcache::DiskTier;
+use crate::metrics::CacheStats;
 use dg_engine::sync::TrackedMutex;
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Default bound on cached entries.
@@ -112,31 +115,32 @@ impl std::fmt::Debug for ResponseCache {
 
 impl Default for ResponseCache {
     fn default() -> Self {
-        Self::new(DEFAULT_MAX_ENTRIES, DEFAULT_MAX_BYTES)
+        Self::new(DEFAULT_MAX_ENTRIES, DEFAULT_MAX_BYTES, None)
     }
 }
 
 impl ResponseCache {
-    /// A memory-only cache bounded by `max_entries` entries and
+    /// A cache whose memory tier is bounded by `max_entries` entries and
     /// `max_bytes` total body bytes (both floors of 1 so the cache is
-    /// never degenerate).
-    fn new(max_entries: usize, max_bytes: usize) -> Self {
+    /// never degenerate), over `disk` when given.
+    pub(crate) fn new(max_entries: usize, max_bytes: usize, disk: Option<DiskTier>) -> Self {
         ResponseCache {
             state: TrackedMutex::new(
                 "serve.respcache.state",
                 Fifo::new(max_entries.max(1), max_bytes.max(1)),
             ),
-            disk: None,
+            disk,
         }
     }
 
     /// A default-sized cache that writes through to, and reads misses
-    /// from, the `resp/` directory under `root`.
-    pub(crate) fn on_disk(root: PathBuf) -> Self {
-        ResponseCache {
-            disk: Some(DiskTier::new(root)),
-            ..Self::default()
-        }
+    /// from, the `resp/` log under `root`.
+    pub(crate) fn on_disk(root: &Path) -> Self {
+        Self::new(
+            DEFAULT_MAX_ENTRIES,
+            DEFAULT_MAX_BYTES,
+            Some(DiskTier::open(root)),
+        )
     }
 
     /// Looks up a cached `200` body: memory first, then the disk tier (a
@@ -169,10 +173,18 @@ impl ResponseCache {
         }
     }
 
-    /// The disk tier's cumulative `(hits, misses, stores)`; all zero
-    /// without one.
-    pub(crate) fn disk_stats(&self) -> (u64, u64, u64) {
-        self.disk.as_ref().map_or((0, 0, 0), DiskTier::stats)
+    /// The memory tier's gauges, then the disk tier's numbers (all zero
+    /// without one), each read under its own lock in turn.
+    pub(crate) fn stats(&self) -> CacheStats {
+        let (entries, bytes) = {
+            let state = self.state.lock();
+            (state.len() as u64, state.bytes() as u64)
+        };
+        CacheStats {
+            entries,
+            bytes,
+            disk: self.disk.as_ref().map(DiskTier::stats).unwrap_or_default(),
+        }
     }
 }
 
@@ -186,7 +198,7 @@ mod tests {
 
     #[test]
     fn put_then_get_round_trips_and_is_idempotent() {
-        let cache = ResponseCache::new(8, 1 << 20);
+        let cache = ResponseCache::new(8, 1 << 20, None);
         assert!(cache.get(1).is_none());
         cache.put(1, &body("{\"ok\":true}"));
         cache.put(1, &body("{\"ok\":true}"));
@@ -203,7 +215,7 @@ mod tests {
 
     #[test]
     fn entry_count_eviction_is_fifo() {
-        let cache = ResponseCache::new(2, 1 << 20);
+        let cache = ResponseCache::new(2, 1 << 20, None);
         cache.put(1, &body("a"));
         cache.put(2, &body("b"));
         cache.put(3, &body("c"));
@@ -214,7 +226,7 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_large_bodies() {
-        let cache = ResponseCache::new(100, 10);
+        let cache = ResponseCache::new(100, 10, None);
         cache.put(1, &body("aaaaaaaa")); // 8 bytes
         cache.put(2, &body("bbbbbbbb")); // 16 total > 10 → evict key 1
         assert!(cache.get(1).is_none());

@@ -472,7 +472,7 @@ impl Router {
                 ("status", Json::Str("ok".to_owned())),
                 ("draining", Json::Bool(self.draining.load(Ordering::SeqCst))),
             ])),
-            Route::Metrics => Response::text(self.metrics.render(self.respcache.disk_stats())),
+            Route::Metrics => Response::text(self.metrics.render(&self.respcache.stats())),
             // `POST /admin/drain`, the one other control route.
             _ => drain(&self.draining),
         }
@@ -1683,6 +1683,87 @@ mod tests {
         );
     }
 
+    /// A one-entry memory tier over a tiny disk tier serves one request
+    /// per cacheable route, a 4-point explore and a 3-point droop sweep
+    /// three times (computed, from disk, and after eviction), and every
+    /// body is byte-identical to a fresh router's rendering.
+    #[test]
+    fn tiny_cache_tiers_never_change_served_bytes() {
+        use crate::diskcache::DiskTier;
+        let root = std::env::temp_dir().join(format!("dg-routes-tiny-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let disk = DiskTier::with_sizes(&root, 4 << 10, 256 << 10);
+        let r = router().with_cache(ResponseCache::new(1, 1 << 20, Some(disk)));
+        let requests = [
+            get("/v1/claims"),
+            post(
+                "/v1/droop",
+                r#"{"variant":"bypassed","from_a":5,"to_a":40}"#,
+            ),
+            post(
+                "/v1/droop_batch",
+                r#"{"variant":"gated","steps":[{"from_a":10,"to_a":40},{"from_a":10,"to_a":50}]}"#,
+            ),
+            post(
+                "/v1/sweep",
+                r#"{"variant":"gated","points":64,"decimate":8}"#,
+            ),
+            post(
+                "/v1/product",
+                r#"{"design":"mobile","tdp_w":45,"workload":{"kind":"energy","name":"energy-star"}}"#,
+            ),
+            post(
+                "/v1/explore",
+                r#"{"seed":1,"tech_nodes":[45,22],"tdp_w":[45,91],"big_perf":[20],"small_perf":[2],"fraction_parallelism":[0.9],"fuse":["bypassed"]}"#,
+            ),
+            post(
+                "/v1/droop_sweep",
+                r#"{"variant":"gated","delta":{"start_a":7,"stop_a":9,"points":3}}"#,
+            ),
+        ];
+        let n = requests.len() as u64;
+        let explore = router().handle(&requests[5]).1.body;
+        assert!(explore.contains("\"total_points\":4,"), "{explore}");
+        let oracle: Vec<Arc<String>> = requests
+            .iter()
+            .map(|req| {
+                let (_, resp) = router().handle(req);
+                assert_eq!(resp.status, 200, "{}: {}", req.target, resp.body);
+                resp.body
+            })
+            .collect();
+        let serve_all = |pass: &str| {
+            for (req, want) in requests.iter().zip(&oracle) {
+                let (_, got) = r.handle(req);
+                assert_eq!(got.status, 200, "{pass} {}", req.target);
+                assert_eq!(
+                    got.body.as_bytes(),
+                    want.as_bytes(),
+                    "{pass} {}",
+                    req.target
+                );
+            }
+        };
+        serve_all("computed");
+        let disk = r.respcache.stats().disk;
+        assert_eq!((disk.stores, disk.hits, disk.entries), (n, 0, n));
+        serve_all("from disk");
+        assert_eq!(r.respcache.stats().disk.hits, n, "every replay reads disk");
+        // Fillers bigger than a segment each take one, and push every
+        // segment the requests wrote out of the budget.
+        let filler = Arc::new("x".repeat(100 << 10));
+        for key in 0..4 {
+            r.respcache.put(u64::MAX - key, &filler);
+        }
+        let disk = r.respcache.stats().disk;
+        assert!(disk.entries < 4, "{disk:?}");
+        assert!(disk.bytes <= 256 << 10, "{disk:?}");
+        serve_all("after eviction");
+        let disk = r.respcache.stats().disk;
+        assert_eq!((disk.hits, disk.stores), (n, 2 * n + 4), "{disk:?}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn router_affinity_key_matches_the_shard_cache_key() {
         // Same physics, different JSON spelling → same affinity key.
@@ -1708,7 +1789,7 @@ mod tests {
     #[test]
     fn content_keys_are_pinned() {
         // Literal keys: a change to how any request is keyed strands every
-        // response-cache entry, `resp/` file and router affinity arc.
+        // response-cache entry, `resp/` record and router affinity arc.
         let cases: &[(&str, &str, &[u8], u64)] = &[
             // One valid request per route.
             ("GET", "/healthz", b"", 0x309d_4f26_9105_782c),

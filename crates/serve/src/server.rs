@@ -59,8 +59,9 @@ pub struct ServerConfig {
     /// Enables `POST /v1/debug/sleep` (overload tests only).
     pub enable_debug_routes: bool,
     /// Root of this server's on-disk response cache (`--cache-dir`): its
-    /// response cache writes `200` bodies through to `<dir>/resp/` and
-    /// serves memory misses from there. `None` keeps the cache in memory.
+    /// response cache appends `200` bodies to the log segments in
+    /// `<dir>/resp/` and serves memory misses from there. `None` keeps
+    /// the cache in memory.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -106,7 +107,7 @@ impl Server {
         );
         let shard = Shard {
             router: match config.cache_dir {
-                Some(dir) => router.with_cache(ResponseCache::on_disk(dir)),
+                Some(dir) => router.with_cache(ResponseCache::on_disk(&dir)),
                 None => router,
             },
             metrics,

@@ -1,7 +1,8 @@
 //! The `--cache-dir` disk tier driven through real shards: what a shard
-//! leaves on disk after streaming droop sweeps and answering a wide
-//! impedance sweep, what a second shard on the same directory replays,
-//! and that a directory belongs to the one server started with it.
+//! leaves on disk (one log segment) after streaming droop sweeps and
+//! answering a wide impedance sweep, what a second shard on the same
+//! directory replays, and that a directory belongs to the one server
+//! started with it.
 
 use dg_serve::client::{http_request, HttpReply};
 use dg_serve::{Server, ServerConfig, ServerHandle};
@@ -89,18 +90,21 @@ fn cache_dir_holds_only_response_bodies_and_a_restarted_shard_replays_them() {
     let result_128 = computed[1].body.lines().last().expect("result line");
     let sweep = http_request(addr, "POST", "/v1/sweep", Some(WIDE_SWEEP)).expect("sweep");
     assert_eq!(sweep.status, 200, "{}", sweep.body);
+    // One record per distinct response and nothing else: no per-lane DC
+    // states, no ladder coefficients, no profile of the client's grid.
+    assert_eq!(metric(addr, "dg_disk_cache_entries"), 3);
+    assert_eq!(metric(addr, "dg_disk_cache_stores_total"), 3);
     assert!(first.shutdown().clean);
 
-    // One entry per distinct response and nothing else: no per-lane DC
-    // states, no ladder coefficients, no profile of the client's grid.
+    // All three records sit in one log segment, the only file.
     let files = files_under(&dir);
-    assert_eq!(files.len(), 3, "{files:#?}");
+    assert_eq!(files.len(), 1, "{files:#?}");
     let resp = dir.join("resp");
     for file in &files {
         assert_eq!(file.parent(), Some(resp.as_path()), "{file:?}");
         assert!(
-            file.extension().is_some_and(|x| x == "bin"),
-            "{file:?} is not an entry file"
+            file.extension().is_some_and(|x| x == "log"),
+            "{file:?} is not a log segment"
         );
     }
 

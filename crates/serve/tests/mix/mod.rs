@@ -458,7 +458,7 @@ fn mix_content_keys_are_pinned() {
     // The content key of every framed probe, valid shapes and error
     // probes alike, folded into one digest: any change to how a
     // request is keyed moves it, which would strand every response
-    // cache entry, `resp/` file and router affinity arc.
+    // cache entry, `resp/` record and router affinity arc.
     let mut digest = darkgates::pdn::cache::ContentKey::new();
     let mut framed = 0;
     for seed in 1..=3 {
