@@ -306,7 +306,13 @@ fn names_of(lexed: &Lexed) -> Names {
         words: BTreeSet::new(),
         path_heads: BTreeSet::new(),
     };
+    let mut prev: Option<(usize, usize)> = None;
     for (start, end) in idents(&view) {
+        let defines = prev.is_some_and(|(s, e)| defines_next(bytes, s, e, start));
+        prev = Some((start, end));
+        if defines {
+            continue;
+        }
         let word = view[start..end].to_string();
         let is_path = next_nonspace(bytes, end)
             .is_some_and(|(i, b)| b == b':' && bytes.get(i + 1) == Some(&b':'));
@@ -316,6 +322,28 @@ fn names_of(lexed: &Lexed) -> Names {
         names.words.insert(word);
     }
     names
+}
+
+/// Whether the identifier at `bytes[start..end]` is a keyword that
+/// defines the identifier beginning at `next` (only whitespace between):
+/// `fn`, `struct`, `enum`, `trait`, `type`, `const`, `static`, `mod` or
+/// `union`. A definition is not a use. `'static` is a lifetime and
+/// `*const` a pointer type, so neither defines what follows.
+fn defines_next(bytes: &[u8], start: usize, end: usize, next: usize) -> bool {
+    let keyword = bytes.get(start..end).unwrap_or_default();
+    let defining = matches!(
+        keyword,
+        b"fn" | b"struct" | b"enum" | b"trait" | b"type" | b"const" | b"static" | b"mod" | b"union"
+    );
+    let before = start.checked_sub(1).and_then(|i| bytes.get(i));
+    let qualified = matches!(
+        (keyword, before),
+        (b"static", Some(b'\'')) | (b"const", Some(b'*'))
+    );
+    let adjacent = bytes
+        .get(end..next)
+        .is_some_and(|gap| gap.iter().all(u8::is_ascii_whitespace));
+    defining && !qualified && adjacent
 }
 
 /// `(module, exported name)` for every item a `pub use module::…;`
@@ -444,5 +472,18 @@ mod tests {
             assert!(!names.path_heads.contains(hidden), "{hidden}");
         }
         assert!(!names.words.contains("Thing"));
+        // A definition is not a use; a lifetime or a pointer type is no
+        // definition.
+        assert!(!names.words.contains("f") && !names.words.contains("S"));
+        let lexed = lex("pub(crate) const fn cf() {}\nstruct St;\nenum En {}\n\
+             trait Tr {}\ntype Ty = Used;\nstatic ST: u8 = 0;\nmod md {}\nunion Un {}\n\
+             fn r(a: &'static Lt, b: *const Ptr) { decode(a) }\n");
+        let words = names_of(&lexed).words;
+        for defined in ["cf", "St", "En", "Tr", "Ty", "ST", "md", "Un", "r"] {
+            assert!(!words.contains(defined), "{defined}");
+        }
+        for used in ["Used", "Lt", "Ptr", "decode"] {
+            assert!(words.contains(used), "{used}");
+        }
     }
 }

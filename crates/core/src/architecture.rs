@@ -47,7 +47,7 @@ impl DarkGates {
     }
 
     /// The PDN topology variant of this configuration.
-    pub fn pdn_variant(&self) -> PdnVariant {
+    fn pdn_variant(&self) -> PdnVariant {
         self.mode().pdn_variant()
     }
 

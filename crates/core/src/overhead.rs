@@ -6,8 +6,7 @@
 //! genuinely distinct artifacts — and those already exist for market
 //! reasons (LGA desktop vs. BGA mobile).
 
-/// Size of the DarkGates mode-handling firmware, bytes (paper: ~0.3 KB).
-pub const FIRMWARE_BYTES: usize = 300;
+use dg_pmu::OperatingMode;
 
 /// Die area of the modeled Skylake 4+2 die in mm² (client 4-core + GT2).
 const DIE_AREA_MM2: f64 = 122.3;
@@ -35,9 +34,10 @@ pub struct OverheadReport {
 
 /// Computes the overhead report.
 pub fn report() -> OverheadReport {
+    let firmware_bytes = OperatingMode::FIRMWARE_BYTES;
     OverheadReport {
-        firmware_bytes: FIRMWARE_BYTES,
-        firmware_die_fraction: FIRMWARE_BYTES as f64 * ROM_MM2_PER_BYTE / DIE_AREA_MM2,
+        firmware_bytes,
+        firmware_die_fraction: firmware_bytes as f64 * ROM_MM2_PER_BYTE / DIE_AREA_MM2,
         package_designs: PACKAGE_DESIGNS,
         c8_hardware_cost: 0,
     }

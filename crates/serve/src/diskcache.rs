@@ -130,11 +130,13 @@ impl Log {
         self.segments.get(at).filter(|s| s.seq == seq).map(|_| at)
     }
 
-    /// Claims `size` bytes for `key`: in `fresh` (a segment this store
-    /// just created) when given, else at the end of the newest segment
-    /// when it takes appends and has room. Drops the oldest segments over
-    /// `budget` and returns their sequence numbers for the caller to
-    /// delete once the lock is released.
+    /// Claims `size` bytes for `key`: at the end of the newest segment
+    /// when it takes appends and has room, else in `fresh` (a segment this
+    /// store just created) when given. A `fresh` segment the newest one
+    /// makes unnecessary (another store rolled meanwhile) is dropped.
+    /// Drops the oldest segments over `budget` too, and returns every
+    /// dropped sequence number for the caller to delete once the lock is
+    /// released.
     fn claim(
         &mut self,
         key: u64,
@@ -143,36 +145,45 @@ impl Log {
         segment_bytes: u64,
         budget: u64,
     ) -> (Claim, Vec<u64>) {
-        let target = fresh.map(|segment| {
-            let seq = segment.seq;
-            self.bytes += segment.len;
-            let at = self.segments.partition_point(|s| s.seq < seq);
-            self.segments.insert(at, segment);
-            seq
-        });
+        let mut unused = None;
+        let target = match fresh {
+            Some(segment) if self.appendable(size, segment_bytes).is_some() => {
+                unused = Some(segment.seq);
+                None
+            }
+            Some(segment) => {
+                let seq = segment.seq;
+                self.bytes += segment.len;
+                let at = self.segments.partition_point(|s| s.seq < seq);
+                self.segments.insert(at, segment);
+                Some(seq)
+            }
+            None => None,
+        };
         let claim = self.reserve(key, size, target, segment_bytes);
-        (claim, self.evict(budget))
+        let mut doomed = self.evict(budget);
+        doomed.extend(unused);
+        (claim, doomed)
     }
 
-    /// The claim half of [`Log::claim`], before eviction.
+    /// The newest segment, when it takes appends and `size` more bytes fit
+    /// (or it holds no record yet).
+    fn appendable(&self, size: u64, segment_bytes: u64) -> Option<u64> {
+        let newest = self.segments.back().filter(|s| s.writable)?;
+        let empty = newest.len == SEGMENT_HEAD.len() as u64;
+        (empty || newest.len + size <= segment_bytes).then_some(newest.seq)
+    }
+
+    /// The claim half of [`Log::claim`], before eviction: in `target`
+    /// when given, else in the newest segment when it has room.
     fn reserve(&mut self, key: u64, size: u64, target: Option<u64>, segment_bytes: u64) -> Claim {
         if self.index.contains_key(&key) {
             return Claim::Present;
         }
-        let seq = match (target, self.segments.back()) {
-            (Some(seq), _) => seq,
-            (None, Some(newest))
-                if newest.writable
-                    && (newest.len + size <= segment_bytes
-                        || newest.len == SEGMENT_HEAD.len() as u64) =>
-            {
-                newest.seq
-            }
-            (None, _) => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                return Claim::Roll(seq);
-            }
+        let Some(seq) = target.or_else(|| self.appendable(size, segment_bytes)) else {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            return Claim::Roll(seq);
         };
         let Some(segment) = self.position(seq).and_then(|at| self.segments.get_mut(at)) else {
             return Claim::Present;
@@ -741,6 +752,46 @@ mod tests {
             assert_eq!(reopened.load_body(key), Some(body_of(key)), "key {key}");
         }
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn two_overlapping_rolls_fill_one_segment() {
+        // Two stores find no segment with room and each creates one. The
+        // store that claims second, whichever segment it holds, appends to
+        // the segment the first one added and drops its own file.
+        for reversed in [false, true] {
+            let root = scratch("rolls");
+            let tier = DiskTier::open(&root);
+            let mut log = Log::default();
+            let mut claim = |key, fresh| log.claim(key, 100, fresh, SEGMENT_BYTES, BUDGET_BYTES);
+            let mut created = Vec::new();
+            for key in [1, 2] {
+                let (Claim::Roll(seq), doomed) = claim(key, None) else {
+                    panic!("store {key} rolls");
+                };
+                assert!(doomed.is_empty());
+                created.push((key, tier.create_segment(seq).expect("segment")));
+            }
+            if reversed {
+                created.reverse();
+            }
+            let (mut written, mut dropped) = (Vec::new(), Vec::new());
+            for (key, segment) in created {
+                let (Claim::Write { seq, offset, .. }, doomed) = claim(key, Some(segment)) else {
+                    panic!("store {key} writes");
+                };
+                written.push((seq, offset));
+                dropped.extend(doomed);
+            }
+            let seq = written[0].0;
+            assert_eq!(written, [(seq, 5), (seq, 105)], "reversed {reversed}");
+            assert_eq!(dropped, [1 - seq], "reversed {reversed}");
+            assert_eq!(log.segments.len(), 1);
+            assert_eq!(log.bytes, 205);
+            tier.remove_segments(&dropped);
+            assert_eq!(resp_files(&root), [segment_path(&root.join(KIND), seq)]);
+            let _ = fs::remove_dir_all(&root);
+        }
     }
 
     #[derive(Debug, Clone)]

@@ -377,20 +377,20 @@ pub(crate) enum Event {
 
 /// The per-server half of the connection engine: what a parsed request
 /// becomes. The engine owns everything else — sockets, parsing,
-/// backpressure, writes, linger, deadlines, shedding and drain.
+/// backpressure, writes, linger, deadlines, shedding and drain. The loop
+/// keeps no dispatcher state of its own: `admit` sees only `&self`, which
+/// the loop shares with the workers, and each worker keeps its own
+/// [`Dispatcher::WorkerState`].
 pub(crate) trait Dispatcher: Send + Sync + 'static {
     /// A queued request, as a worker receives it.
     type Job: Send + 'static;
-    /// State only the event-loop thread touches.
-    type LoopState: Default;
     /// State each worker keeps across the jobs it serves.
     type WorkerState: Default;
 
     /// Decides a request on the event loop: answer it inline or queue it.
     /// `close` is the engine's verdict (the client asked, a drain, or the
     /// per-connection cap). Runs on the loop thread, so it must not block.
-    fn admit(&self, state: &mut Self::LoopState, request: Request, close: bool)
-        -> Admit<Self::Job>;
+    fn admit(&self, request: Request, close: bool) -> Admit<Self::Job>;
 
     /// Serves one queued job on a worker, pushing its reply to `out`.
     /// `close` also covers a drain that began while the job was queued.
@@ -668,7 +668,6 @@ struct EventLoop<'a, D: Dispatcher> {
     listener: Option<TcpListener>,
     wake_rx: UnixStream,
     conns: HashMap<u64, Conn>,
-    state: D::LoopState,
     next_token: u64,
     served: usize,
     events: Vec<(u64, u32)>,
@@ -689,7 +688,6 @@ impl<'a, D: Dispatcher> EventLoop<'a, D> {
             listener: Some(listener),
             wake_rx,
             conns: HashMap::new(),
-            state: D::LoopState::default(),
             next_token: FIRST_CONN_TOKEN,
             served: 0,
             events: Vec::with_capacity(256),
@@ -867,10 +865,7 @@ impl<'a, D: Dispatcher> EventLoop<'a, D> {
             || conn.served >= self.engine.config.max_requests_per_conn;
 
         let engine = self.engine;
-        let state = &mut self.state;
-        let admitted = catch_unwind(AssertUnwindSafe(|| {
-            engine.dispatcher.admit(state, request, close)
-        }));
+        let admitted = catch_unwind(AssertUnwindSafe(|| engine.dispatcher.admit(request, close)));
         match admitted {
             Ok(Admit::Reply { bytes, close }) => self.queue_write(token, bytes, close),
             Ok(Admit::Queue(work)) => match engine.queue.try_push(Job { token, close, work }) {
@@ -1121,10 +1116,9 @@ mod tests {
 
     impl Dispatcher for Panicky {
         type Job = String;
-        type LoopState = ();
         type WorkerState = ();
 
-        fn admit(&self, _: &mut (), request: Request, _close: bool) -> Admit<String> {
+        fn admit(&self, request: Request, _close: bool) -> Admit<String> {
             assert_ne!(request.target, "/admit-panic", "admit panics on purpose");
             Admit::Queue(request.target)
         }

@@ -36,18 +36,18 @@
 //! drain and reply-cache hits are answered inline on the event loop, and
 //! only cache misses (and `/metrics` scrapes) are queued for a small pool
 //! of blocking forward workers. Parse errors, shedding and graceful drain
-//! are the engine's, exactly as on a shard. Two hot-path economies keep
-//! the hop cheap: the per-request routing key is served from a raw-bytes
-//! → content-key alias table, so the router resolves any given request
-//! shape against the route table once, not once per request; and a
-//! bounded reply cache (a `respcache::Fifo`, like the shard's response
-//! cache) serves repeat keys their exact shard bytes without an upstream
-//! exchange (sound because simulation responses are pure functions of
-//! their content key). A stream enters that cache only in the form a
-//! shard replays a cached result in — one result line, no progress — so
-//! a hit never repeats a computed stream's progress lines.
+//! are the engine's, exactly as on a shard. The loop never resolves a
+//! request against the route table beyond its path: a bounded reply
+//! cache (a `respcache::Fifo`, like the shard's response cache) is keyed
+//! by the FNV-1a hash of the request's method, target and body, so a
+//! repeat is answered from its bytes alone, with no upstream exchange
+//! (sound because every simulation reply is a pure function of its
+//! request). The forward worker that takes a miss derives the shard key.
+//! A stream enters that cache only in the form a shard replays a cached
+//! result in — one result line, no progress — so a hit never repeats a
+//! computed stream's progress lines.
 
-use crate::client::{http_request, Conn};
+use crate::client::Conn;
 use crate::event_loop::{
     Admit, Dispatcher, Engine, EngineConfig, EngineHandle, Event, Outbox, RETRY_AFTER_BASE_SECS,
 };
@@ -98,10 +98,10 @@ pub struct RouterConfig {
     /// the event loop.
     pub workers: usize,
     /// Entries in the router's reply cache (0 disables it). Simulation
-    /// responses are pure functions of their content key — the same
-    /// argument that makes the shard's response cache sound — so the
-    /// router may serve a repeat key's exact shard bytes without an
-    /// upstream exchange.
+    /// responses are pure functions of their request — the same argument
+    /// that makes the shard's response cache sound — so the router may
+    /// serve a repeated request the exact shard bytes without an upstream
+    /// exchange.
     pub reply_cache_entries: usize,
 }
 
@@ -142,8 +142,8 @@ struct RouterMetrics {
 
 /// What a forward worker is asked to do.
 enum ProxyJob {
-    /// Forward to the key's shard (the cache-miss path). `kind` decides
-    /// which replies the reply cache may admit.
+    /// Forward to the request's shard (the cache-miss path). `key` is the
+    /// reply-cache key; `kind` decides which replies the cache may admit.
     Forward {
         request: Request,
         key: u64,
@@ -164,7 +164,8 @@ struct Proxy {
     counters: RouterMetrics,
     /// The engine's drain flag, which `POST /admin/drain` sets.
     draining: Arc<AtomicBool>,
-    /// Verbatim shard replies by content key; `None` when
+    /// Verbatim shard replies by request bytes (the FNV-1a hash of method,
+    /// target and body); `None` when
     /// [`RouterConfig::reply_cache_entries`] is 0. Only clean 200 replies
     /// to [`Kind::Cacheable`] routes and [`Kind::Stream`] replies in the
     /// shard's replay form ([`RawReply::is_stream_replay`]: one `{"ok":true…}`
@@ -219,18 +220,10 @@ impl Proxy {
 
 impl Dispatcher for Proxy {
     type Job = ProxyJob;
-    /// The raw-bytes → content-key alias table: routing a request shape
-    /// costs one JSON parse ever, not one per request.
-    type LoopState = HashMap<u64, u64>;
     /// Each forward worker's pooled keep-alive connection per shard.
     type WorkerState = HashMap<usize, Conn>;
 
-    fn admit(
-        &self,
-        aliases: &mut HashMap<u64, u64>,
-        request: Request,
-        close: bool,
-    ) -> Admit<ProxyJob> {
+    fn admit(&self, request: Request, close: bool) -> Admit<ProxyJob> {
         self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
         let kind = match kind_of(&request.method, &request.target) {
             Kind::Control(Route::Healthz) => {
@@ -245,7 +238,13 @@ impl Dispatcher for Proxy {
             }
             kind => kind,
         };
-        let key = routing_key(&request, aliases);
+        let key = ContentKey::new()
+            .word(request.method.len() as u64)
+            .bytes(request.method.as_bytes())
+            .word(request.target.len() as u64)
+            .bytes(request.target.as_bytes())
+            .bytes(&request.body)
+            .finish();
         if matches!(kind, Kind::Cacheable(_) | Kind::Stream(_)) {
             if let Some(bytes) = self.cached_reply(key) {
                 self.counters
@@ -267,10 +266,10 @@ impl Dispatcher for Proxy {
     ) {
         let (bytes, close) = match job {
             ProxyJob::Metrics => (
-                Response::text(aggregated_metrics(self)).framed(close),
+                Response::text(aggregated_metrics(self, pools)).framed(close),
                 close,
             ),
-            ProxyJob::Forward { request, key, kind } => match forward(self, &request, key, pools) {
+            ProxyJob::Forward { request, key, kind } => match forward(self, &request, pools) {
                 // Verbatim relay: the shard's exact bytes, headers
                 // included — Retry-After, Content-Type, and framing all
                 // pass through. (If the client-side `close` verdict
@@ -450,13 +449,10 @@ fn healthz_bytes(proxy: &Proxy, close: bool) -> Vec<u8> {
     .framed(close)
 }
 
-/// Forwards to the key's shard, failing over clockwise on faults.
-fn forward(
-    proxy: &Proxy,
-    request: &Request,
-    key: u64,
-    pools: &mut HashMap<usize, Conn>,
-) -> Option<RawReply> {
+/// Forwards to the shard that owns the request's content key (the
+/// shard's own response-cache key), failing over clockwise on faults.
+fn forward(proxy: &Proxy, request: &Request, pools: &mut HashMap<usize, Conn>) -> Option<RawReply> {
+    let key = Query::parse(&request.method, &request.target, &request.body).key;
     let n = proxy.config.shards.len();
     let mut tried = vec![false; n];
     // The body goes out as the exact bytes the client sent: its
@@ -495,33 +491,6 @@ fn forward(
         }
     }
     None
-}
-
-/// The consistent-hash routing key for a request, via the event loop's
-/// alias table: identical raw bytes short-circuit straight to the key;
-/// a miss resolves the request against the route table once
-/// ([`Query::parse`]) and records the alias. Identical raw bytes always
-/// resolve to the same key, so the alias can never disagree with the
-/// shard's own response-cache key.
-fn routing_key(request: &Request, aliases: &mut HashMap<u64, u64>) -> u64 {
-    let raw_hash = ContentKey::new()
-        .word(request.method.len() as u64)
-        .bytes(request.method.as_bytes())
-        .word(request.target.len() as u64)
-        .bytes(request.target.as_bytes())
-        .bytes(&request.body)
-        .finish();
-    if let Some(&key) = aliases.get(&raw_hash) {
-        return key;
-    }
-    let key = Query::parse(&request.method, &request.target, &request.body).key;
-    if aliases.len() >= 16 * 1024 {
-        // A bounded table; real workloads repeat a small shape menu, so a
-        // wholesale reset on overflow is simpler than eviction order.
-        aliases.clear();
-    }
-    aliases.insert(raw_hash, key);
-    key
 }
 
 /// One upstream exchange on this worker's pooled connection to `shard`.
@@ -583,9 +552,10 @@ fn probe_health(addr: SocketAddr) -> bool {
     matches!(reply, Ok(reply) if reply.status == 200)
 }
 
-/// The router's counters plus every live shard's `/metrics`, with each
-/// shard sample rewritten to carry a `shard="i"` label.
-fn aggregated_metrics(proxy: &Proxy) -> String {
+/// The router's counters plus every live shard's `/metrics`, scraped over
+/// this worker's pooled connections, with each shard sample rewritten to
+/// carry a `shard="i"` label.
+fn aggregated_metrics(proxy: &Proxy, pools: &mut HashMap<usize, Conn>) -> String {
     let mut out = String::with_capacity(8 * 1024);
     let c = &proxy.counters;
     for (name, help, v) in [
@@ -670,17 +640,18 @@ fn aggregated_metrics(proxy: &Proxy) -> String {
             u8::from(proxy.is_alive(i))
         ));
     }
-    for (i, addr) in proxy.config.shards.iter().enumerate() {
+    let scrape = b"GET /metrics HTTP/1.1\r\nHost: dg-router\r\nContent-Length: 0\r\n\r\n";
+    for i in 0..proxy.config.shards.len() {
         if !proxy.is_alive(i) {
             continue;
         }
-        let Ok(reply) = http_request(*addr, "GET", "/metrics", None) else {
+        let Ok(reply) = exchange_with_shard(proxy, i, scrape, pools) else {
             continue;
         };
         if reply.status != 200 {
             continue;
         }
-        for line in reply.body.lines() {
+        for line in String::from_utf8_lossy(&reply.body()).lines() {
             if line.is_empty() || line.starts_with('#') {
                 continue; // HELP/TYPE would repeat per shard; drop them
             }
@@ -1006,6 +977,112 @@ mod tests {
 
         assert!(router.shutdown());
         shard.shutdown();
+    }
+
+    #[test]
+    fn a_reply_cache_hit_needs_no_forward_worker() {
+        let shard = Server::start(ServerConfig {
+            workers: 2,
+            enable_debug_routes: true,
+            ..ServerConfig::default()
+        })
+        .expect("shard start");
+        let router = RouterServer::start(RouterConfig {
+            shards: vec![shard.local_addr()],
+            workers: 1,
+            reply_cache_entries: 1_024,
+            ..RouterConfig::default()
+        })
+        .expect("router start");
+        let addr = router.local_addr();
+        let body = r#"{"variant":"gated","from_a":10,"to_a":60}"#;
+        let first = http_request(addr, "POST", "/v1/droop", Some(body)).expect("droop");
+        assert_eq!(first.status, 200, "{}", first.body);
+
+        // Park the only forward worker in the shard's sleep.
+        let sleeper = std::thread::spawn(move || {
+            http_request(addr, "POST", "/v1/debug/sleep", Some(r#"{"ms":3000}"#))
+        });
+        let inflight = || shard.metrics().inflight.load(Ordering::SeqCst);
+        let deadline = crate::metrics::monotonic_us() + 10_000_000;
+        while inflight() == 0 {
+            assert!(
+                crate::metrics::monotonic_us() < deadline,
+                "the sleep never reached the shard"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let hit = http_request(addr, "POST", "/v1/droop", Some(body)).expect("hit");
+        assert_eq!(hit.body, first.body);
+        assert_eq!(counters(&router).cache_hits_total.load(Ordering::SeqCst), 1);
+        assert!(
+            !sleeper.is_finished() && inflight() == 1,
+            "the hit was answered while the worker sat in the sleep"
+        );
+        let slept = sleeper.join().expect("sleeper").expect("sleep reply");
+        assert_eq!(slept.status, 200, "{}", slept.body);
+
+        assert!(router.shutdown());
+        assert!(shard.shutdown().clean);
+    }
+
+    #[test]
+    fn two_spellings_share_a_shard_and_each_gets_its_own_reply_entry() {
+        let shards = [start_shard(), start_shard()];
+        let router =
+            start_router_with_cache(shards.iter().map(|s| s.local_addr()).collect(), 1_024);
+        let addr = router.local_addr();
+        let forwarded = || -> Vec<u64> {
+            let per_shard = &counters(&router).shard_requests;
+            per_shard.iter().map(|c| c.load(Ordering::SeqCst)).collect()
+        };
+        let hits = || counters(&router).cache_hits_total.load(Ordering::SeqCst);
+        // The shards' response-cache hits, from the aggregated scrape.
+        let shard_hits = || -> u64 {
+            let metrics = http_request(addr, "GET", "/metrics", None).expect("metrics");
+            let samples = metrics.body.lines();
+            let hits = samples.filter_map(|l| l.strip_prefix("dg_resp_cache_hits_total{shard="));
+            hits.filter_map(|rest| rest.rsplit(' ').next()?.parse::<u64>().ok())
+                .sum()
+        };
+        let droop = |body: &str| {
+            let raw = format!(
+                "POST /v1/droop HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            raw.into_bytes()
+        };
+        let spelling_a = droop(r#"{"variant":"gated","from_a":10,"to_a":60}"#);
+        let spelling_b = droop(r#"{"to_a":60,"variant":"gated","from_a":10}"#);
+        let mut conn = Conn::new(addr, UPSTREAM_TIMEOUT);
+
+        let first = conn.exchange(&spelling_a).expect("first spelling");
+        assert_eq!(first.status, 200);
+        assert_eq!(forwarded().iter().sum::<u64>(), 1);
+        let shard_hits_before = shard_hits();
+
+        // The second spelling's first request is forwarded to the same
+        // shard, which answers it from its response cache.
+        let second = conn.exchange(&spelling_b).expect("second spelling");
+        assert_eq!(second.body(), first.body(), "one droop, one body");
+        assert!(forwarded().contains(&2), "one shard: {:?}", forwarded());
+        assert_eq!(shard_hits(), shard_hits_before + 1);
+        assert_eq!(hits(), 0);
+
+        // Its repeat is a router hit, as is the first spelling's.
+        for spelling in [&spelling_b, &spelling_a] {
+            let repeat = conn.exchange(spelling).expect("repeat");
+            assert_eq!(repeat.body(), first.body());
+        }
+        assert_eq!(hits(), 2);
+        assert_eq!(forwarded().iter().sum::<u64>(), 2);
+        assert_eq!(cached_entries(&router), 2, "each spelling has its entry");
+
+        assert!(router.shutdown());
+        for shard in shards {
+            assert!(shard.shutdown().clean);
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ const MAX_SWEEP_POINTS: u64 = 20_000;
 /// Largest accepted `/v1/explore` grid (compute admission: one sweep
 /// holds a worker for its whole runtime; the library's own
 /// `dg_explore::MAX_POINTS` memory bound is far looser).
-pub const MAX_EXPLORE_POINTS: u64 = 20_000;
+const MAX_EXPLORE_POINTS: u64 = 20_000;
 
 /// Largest accepted `/v1/droop_batch` lane count (compute admission: one
 /// batch integrates every lane in lockstep on one worker). The explicit-SIMD

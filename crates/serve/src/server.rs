@@ -162,10 +162,9 @@ struct Shard {
 
 impl Dispatcher for Shard {
     type Job = Query;
-    type LoopState = ();
     type WorkerState = ();
 
-    fn admit(&self, _: &mut (), request: Request, close: bool) -> Admit<Query> {
+    fn admit(&self, request: Request, close: bool) -> Admit<Query> {
         let query = self.router.query(&request);
         if let Kind::Control(route) = query.kind {
             let start = monotonic_us();
