@@ -127,7 +127,7 @@ fn parse_directive(body: &str) -> Result<(String, String, bool), String> {
 
 /// First line after `line` with non-blank masked content (i.e. real code,
 /// since comments are blanked by the lexer). Attribute lines (`#[…]`) are
-/// skipped: they annotate the statement the allow targets, and `#[allow]`
+/// skipped: they annotate the statement the allow targets, and `#[expect]`
 /// attributes routinely sit between a dg-analyze comment and its code.
 fn next_code_line(lexed: &Lexed, line: usize) -> usize {
     for (idx, text) in lexed.masked.lines().enumerate().skip(line) {
@@ -200,7 +200,7 @@ mod tests {
         for _ in 0..25 {
             src.push_str("code();\n");
         }
-        src.push_str("// dg-analyze: allow-file(doc-coverage, reason = \"late\")\n");
+        src.push_str("// dg-analyze: allow-file(unit-hygiene, reason = \"late\")\n");
         let (allows, bad) = collect_allows(&lex(&src));
         assert!(allows.is_empty());
         assert_eq!(bad.len(), 1);

@@ -12,10 +12,10 @@
 //!   literal indexing in library code of the simulation crates.
 //! * `unit-hygiene` — public fns in `dg-pdn`/`dg-power`/`dg-pmu` take unit
 //!   newtypes, not raw `f64`, for physical quantities.
-//! * `determinism-hygiene` — no wall-clock reads, ad-hoc threads, or
-//!   `HashMap` iteration on result paths.
-//! * `doc-coverage` — every public item is documented.
-//! * `dep-hygiene` — only vendored path/workspace dependencies.
+//! * `determinism-hygiene` — no ad-hoc threads or `HashMap` iteration on
+//!   result paths.
+//! * `dep-hygiene` — only vendored path/workspace dependencies, and every
+//!   crate opts in to the workspace lints.
 //!
 //! On top of the per-file rules, a flow pass ([`flow`], fed by the
 //! item/scope parser in [`scope`]) reasons across functions and crates:
@@ -40,6 +40,12 @@
 //! reason-less suppressions are themselves violations, so the tree stays
 //! honest. Run it three ways: `cargo run -p dg-analyze`, the tier-1
 //! `#[test]` harness (`tests/workspace_clean.rs`), or the CI step.
+//!
+//! What the compiler can check, it does, and this crate does not repeat
+//! it: the workspace lints in the root `Cargo.toml` make rustc require
+//! docs on every exported item (`missing_docs`) and `pub(crate)` where
+//! nothing outside the crate can reach (`unreachable_pub`), and
+//! `clippy.toml` bans wall-clock reads and runtime CPU-feature probes.
 
 pub mod allow;
 pub mod flow;
@@ -303,7 +309,11 @@ pub fn analyze_workspace(root: &Path, enabled: &[RuleId]) -> io::Result<Report> 
                 .unwrap_or(&manifest)
                 .to_path_buf();
             let lines: Vec<&str> = text.lines().collect();
-            for finding in manifest::check_manifest(&text) {
+            let mut findings = manifest::check_manifest(&text);
+            if manifest.starts_with(&crates_dir) {
+                findings.extend(manifest::missing_workspace_lints(&text));
+            }
+            for finding in findings {
                 report.violations.push(Violation {
                     rule: finding.rule,
                     path: rel.clone(),
@@ -350,27 +360,6 @@ fn load_file(
             crate_name == "dg-engine",
         ));
     }
-    if is_lib && enabled.contains(&RuleId::DocCoverage) && crate_name != "dg-bench" {
-        let (doc_findings, mod_decls) = rules::doc_coverage(&lexed, &src);
-        findings.extend(doc_findings);
-        for decl in mod_decls {
-            if !child_module_has_inner_docs(file, &decl.name) {
-                findings.push(Finding {
-                    rule: RuleId::DocCoverage,
-                    line: decl.line,
-                    message: format!(
-                        "public mod `{}` has no docs (neither `///` here nor `//!` \
-                         in the module file)",
-                        decl.name
-                    ),
-                    help: "add a `//!` header to the module file or `///` above the \
-                           declaration"
-                        .into(),
-                });
-            }
-        }
-    }
-
     let (allows, bad_allows) = collect_allows(&lexed);
     Ok(FileData {
         crate_name: crate_name.to_string(),
@@ -454,13 +443,12 @@ fn filter_file(d: FileData, enabled: &[RuleId], pre_consumed: &[usize], report: 
             report.allows_used += 1;
         } else if enabled.contains(&RuleId::parse(&a.rule).unwrap_or(RuleId::AllowSyntax)) {
             // Only police staleness when the named rule actually ran, so a
-            // `--rule` filtered invocation doesn't misreport live allows.
+            // scan with some rules disabled doesn't misreport live allows.
             let name = crate_name.as_str();
             let in_scope = match RuleId::parse(&a.rule) {
                 Some(RuleId::NoPanicInLib) => is_lib && NO_PANIC_CRATES.contains(&name),
                 Some(RuleId::UnitHygiene) => is_lib && UNIT_CRATES.contains(&name),
                 Some(RuleId::DeterminismHygiene) => DETERMINISM_CRATES.contains(&name),
-                Some(RuleId::DocCoverage) => is_lib,
                 Some(RuleId::LockOrder) => true,
                 Some(RuleId::GuardAcrossBlocking) => flow::GUARD_BLOCKING_CRATES.contains(&name),
                 Some(RuleId::NoBlockingInEventLoop) => name == flow::EVENT_LOOP_CRATE,
@@ -484,30 +472,6 @@ fn filter_file(d: FileData, enabled: &[RuleId], pre_consumed: &[usize], report: 
             }
         }
     }
-}
-
-/// `true` when `name.rs` / `name/mod.rs` next to `parent_file` starts with
-/// an inner doc comment (`//!`), which documents the `pub mod` declaration.
-fn child_module_has_inner_docs(parent_file: &Path, name: &str) -> bool {
-    let dir = match parent_file.parent() {
-        Some(d) => d,
-        None => return false,
-    };
-    for candidate in [
-        dir.join(format!("{name}.rs")),
-        dir.join(name).join("mod.rs"),
-    ] {
-        if let Ok(text) = fs::read_to_string(&candidate) {
-            for line in text.lines() {
-                let t = line.trim();
-                if t.is_empty() || t.starts_with("#!") {
-                    continue;
-                }
-                return t.starts_with("//!");
-            }
-        }
-    }
-    false
 }
 
 fn snippet_of(lines: &[&str], line: usize) -> String {

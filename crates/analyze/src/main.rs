@@ -1,11 +1,12 @@
 //! The `dg-analyze` command-line interface.
 //!
 //! ```text
-//! dg-analyze [--root DIR] [--rule RULE]... [--quiet] [--list-rules]
+//! dg-analyze [--root DIR] [--list-rules]
 //! ```
 //!
-//! Exits 0 on a clean tree, 1 when any rule has a violation, and 2 on a
-//! usage or I/O error. The printed summary names each failing rule.
+//! Runs every rule. Exits 0 on a clean tree, 1 when any rule has a
+//! violation, and 2 on a usage or I/O error. The printed summary names
+//! each failing rule.
 
 use dg_analyze::rules::RuleId;
 use dg_analyze::{analyze_workspace, Report};
@@ -14,8 +15,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut enabled: Vec<RuleId> = Vec::new();
-    let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -24,11 +23,6 @@ fn main() -> ExitCode {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root needs a directory"),
             },
-            "--rule" => match args.next().as_deref().and_then(RuleId::parse) {
-                Some(rule) => enabled.push(rule),
-                None => return usage("--rule needs a known rule name (see --list-rules)"),
-            },
-            "--quiet" | "-q" => quiet = true,
             "--list-rules" => {
                 for rule in RuleId::ALL {
                     println!("{:<26} {}", rule.name(), rule.description());
@@ -38,9 +32,9 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "dg-analyze: DarkGates workspace lint engine\n\n\
-                     USAGE: dg-analyze [--root DIR] [--rule RULE]... [--quiet] [--list-rules]\n\n\
-                     Without --rule, every rule runs. Exits 0 on a clean tree, 1 on any\n\
-                     violation, 2 on a usage or I/O error."
+                     USAGE: dg-analyze [--root DIR] [--list-rules]\n\n\
+                     Runs every rule. Exits 0 on a clean tree, 1 on any violation, 2 on\n\
+                     a usage or I/O error."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -49,13 +43,7 @@ fn main() -> ExitCode {
     }
 
     let root = root.unwrap_or_else(find_workspace_root);
-    let enabled = if enabled.is_empty() {
-        RuleId::ALL.to_vec()
-    } else {
-        enabled
-    };
-
-    let report = match analyze_workspace(&root, &enabled) {
+    let report = match analyze_workspace(&root, &RuleId::ALL) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("dg-analyze: cannot analyze {}: {err}", root.display());
@@ -63,12 +51,10 @@ fn main() -> ExitCode {
         }
     };
 
-    if !quiet {
-        for violation in &report.violations {
-            println!("{violation}\n");
-        }
+    for violation in &report.violations {
+        println!("{violation}\n");
     }
-    print_summary(&report, &enabled);
+    print_summary(&report);
 
     if report.violations.is_empty() {
         ExitCode::SUCCESS
@@ -78,22 +64,19 @@ fn main() -> ExitCode {
 }
 
 /// Per-rule counts plus a one-line verdict.
-fn print_summary(report: &Report, enabled: &[RuleId]) {
+fn print_summary(report: &Report) {
     println!(
         "dg-analyze: {} files, {} manifests scanned; {} allow-comment(s) in use",
         report.files_scanned, report.manifests_checked, report.allows_used
     );
     for rule in RuleId::ALL {
-        if !enabled.contains(&rule) && rule != RuleId::AllowSyntax {
-            continue;
-        }
         let n = report.count(rule);
         if n > 0 {
             println!("  {:<22} {} violation(s)", rule.name(), n);
         }
     }
     if report.violations.is_empty() {
-        println!("  clean: every enabled rule passed");
+        println!("  clean: every rule passed");
     }
 }
 
@@ -115,6 +98,6 @@ fn find_workspace_root() -> PathBuf {
 }
 
 fn usage(err: &str) -> ExitCode {
-    eprintln!("dg-analyze: {err}\nUSAGE: dg-analyze [--root DIR] [--rule RULE]... [--quiet] [--list-rules]");
+    eprintln!("dg-analyze: {err}\nUSAGE: dg-analyze [--root DIR] [--list-rules]");
     ExitCode::from(2)
 }

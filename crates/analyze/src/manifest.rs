@@ -4,7 +4,9 @@
 //! local `path` (directly or via `workspace = true`, with the workspace
 //! table itself using paths). Registry versions and `git` sources would
 //! silently reach for the network, and a short denylist of net-facing
-//! crates guards against accidentally vendoring a client stack.
+//! crates guards against accidentally vendoring a client stack. Each
+//! workspace crate must also opt in to the workspace lints, which is how
+//! rustc and clippy enforce docs, visibility and explained suppressions.
 
 use crate::rules::{Finding, RuleId};
 
@@ -83,6 +85,33 @@ pub fn check_manifest(text: &str) -> Vec<Finding> {
     out
 }
 
+/// A finding when a `crates/*` manifest lacks `[lints]` with
+/// `workspace = true`: without it rustc's `missing_docs` and
+/// `unreachable_pub` and clippy's `allow_attributes` skip the crate.
+pub fn missing_workspace_lints(text: &str) -> Option<Finding> {
+    let mut section = "";
+    for raw in text.lines() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            section = header.trim();
+        } else if section == "lints"
+            && line
+                .split_once('=')
+                .is_some_and(|(key, value)| key.trim() == "workspace" && value.trim() == "true")
+        {
+            return None;
+        }
+    }
+    Some(Finding {
+        rule: RuleId::DepHygiene,
+        line: 1,
+        message: "crate does not opt in to the workspace lints".into(),
+        help: "add `[lints]` with `workspace = true`, so rustc checks its docs and \
+               visibility and clippy its suppressions"
+            .into(),
+    })
+}
+
 /// Validates one dependency spec (`name = spec` or accumulated table keys).
 fn check_dep(name: &str, spec: &str, line: usize, out: &mut Vec<Finding>) {
     let name = name.trim_matches('"');
@@ -156,6 +185,24 @@ mod tests {
         let f = check_manifest(toml);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("rand"));
+    }
+
+    #[test]
+    fn a_member_must_opt_in_to_the_workspace_lints() {
+        let opted_in = "[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n\n[dependencies]\n";
+        assert!(missing_workspace_lints(opted_in).is_none());
+        for missing in [
+            "[package]\nname = \"x\"\n",
+            "[package]\nname = \"x\"\n[lints]\n[dependencies]\nworkspace = true\n",
+            "[package]\n[lints.rust]\nmissing_docs = \"deny\"\n",
+            "[package]\n# [lints]\n# workspace = true\n",
+        ] {
+            let finding = missing_workspace_lints(missing);
+            assert!(
+                finding.is_some_and(|f| f.rule == RuleId::DepHygiene),
+                "{missing}"
+            );
+        }
     }
 
     #[test]

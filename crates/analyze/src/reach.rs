@@ -18,9 +18,7 @@
 //! private, `dead_code` decides whether anything needs it at all.
 
 use crate::lexer::Lexed;
-use crate::rules::{
-    idents, in_spans, is_ident_byte, macro_rules_spans, next_nonspace, pub_item, Finding, RuleId,
-};
+use crate::rules::{idents, is_ident_byte, next_nonspace, prev_nonspace, Finding, RuleId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -39,7 +37,9 @@ pub struct ReachFile<'a> {
 }
 
 /// The names one file uses: every identifier, and the identifiers that
-/// start or continue a path (`name::`).
+/// start or continue a path (`name::`). A bare use (not after `.` or
+/// `::`) of a name the file itself defines names that definition, so it
+/// is not in `words`.
 struct Names {
     words: BTreeSet<String>,
     path_heads: BTreeSet<String>,
@@ -146,10 +146,11 @@ fn unreached_pubs(files: &[ReachFile<'_>], names: &[Names]) -> Vec<(usize, Findi
 /// `(keyword, name, line)` of each `pub` item `unreached-pub` checks,
 /// outside test code and `macro_rules!` bodies.
 fn pub_items(lexed: &Lexed) -> Vec<(&'static str, String, usize)> {
-    let macros = macro_rules_spans(&lexed.masked);
+    let macros = macro_rules_spans(lexed);
     let mut out = Vec::new();
     for (i, line) in lexed.masked.lines().enumerate() {
-        if lexed.is_test_line(i + 1) || in_spans(&macros, i + 1) {
+        let in_macro = macros.iter().any(|&(a, b)| (a..=b).contains(&(i + 1)));
+        if lexed.is_test_line(i + 1) || in_macro {
             continue;
         }
         if let Some((kw, name)) = pub_item(line) {
@@ -159,6 +160,69 @@ fn pub_items(lexed: &Lexed) -> Vec<(&'static str, String, usize)> {
         }
     }
     out
+}
+
+const ITEM_KEYWORDS: [&str; 9] = [
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+];
+
+/// The keyword and name of the `pub` item a masked source line declares,
+/// e.g. `("fn", "run")` for `pub const fn run(`. `pub(crate)` items,
+/// `pub use` and fields are not items here.
+fn pub_item(line: &str) -> Option<(&'static str, &str)> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let mut words = rest
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty());
+    let mut word = words.next()?;
+    while matches!(word, "const" | "unsafe" | "async") {
+        let next = words.next()?;
+        if word == "const" && !matches!(next, "fn" | "unsafe" | "async") {
+            // `pub const NAME: …` — `const` is the item keyword.
+            return Some(("const", next));
+        }
+        word = next;
+    }
+    let kw = ITEM_KEYWORDS.iter().find(|k| **k == word)?;
+    Some((kw, words.next()?))
+}
+
+/// Line spans of `macro_rules!` definitions (their bodies contain template
+/// fragments, not items).
+fn macro_rules_spans(lexed: &Lexed) -> Vec<(usize, usize)> {
+    let masked = &lexed.masked;
+    let bytes = masked.as_bytes();
+    let mut spans = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = masked[from..].find("macro_rules!") {
+        let at = from + pos;
+        from = at + "macro_rules!".len();
+        let mut depth = 0usize;
+        let mut j = from;
+        let mut open_line = None;
+        while j < bytes.len() {
+            match bytes[j] {
+                b'{' => {
+                    if depth == 0 {
+                        open_line = Some(lexed.line_of(j));
+                    }
+                    depth += 1;
+                }
+                b'}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        if let Some(start) = open_line {
+                            spans.push((start, lexed.line_of(j)));
+                        }
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+    }
+    spans
 }
 
 /// The identifiers in a file's public signatures: each `pub fn`'s
@@ -306,20 +370,35 @@ fn names_of(lexed: &Lexed) -> Names {
         words: BTreeSet::new(),
         path_heads: BTreeSet::new(),
     };
+    let mut defined = BTreeSet::new();
+    let mut bare = Vec::new();
     let mut prev: Option<(usize, usize)> = None;
     for (start, end) in idents(&view) {
         let defines = prev.is_some_and(|(s, e)| defines_next(bytes, s, e, start));
         prev = Some((start, end));
+        let word = &view[start..end];
         if defines {
+            defined.insert(word);
             continue;
         }
-        let word = view[start..end].to_string();
         let is_path = next_nonspace(bytes, end)
             .is_some_and(|(i, b)| b == b':' && bytes.get(i + 1) == Some(&b':'));
         if is_path {
-            names.path_heads.insert(word.clone());
+            names.path_heads.insert(word.to_string());
         }
-        names.words.insert(word);
+        let qualified = prev_nonspace(bytes, start).is_some_and(|(i, b)| {
+            b == b'.' || (b == b':' && i > 0 && bytes.get(i - 1) == Some(&b':'))
+        });
+        if qualified {
+            names.words.insert(word.to_string());
+        } else {
+            bare.push(word);
+        }
+    }
+    for word in bare {
+        if !defined.contains(word) {
+            names.words.insert(word.to_string());
+        }
     }
     names
 }
@@ -484,6 +563,14 @@ mod tests {
         }
         for used in ["Used", "Lt", "Ptr", "decode"] {
             assert!(words.contains(used), "{used}");
+        }
+        // A bare use of a name the file defines names that definition; a
+        // qualified use may name another file's item.
+        let words = names_of(&lex("fn decode() {}\nfn f() { decode() }\n")).words;
+        assert!(!words.contains("decode"));
+        for qualified in ["x.decode()", "T::decode()"] {
+            let src = format!("fn decode() {{}}\nfn f() {{ {qualified} }}\n");
+            assert!(names_of(&lex(&src)).words.contains("decode"), "{qualified}");
         }
     }
 }

@@ -16,12 +16,10 @@ pub enum RuleId {
     NoPanicInLib,
     /// Raw `f64` parameters carrying physical quantities in public fns.
     UnitHygiene,
-    /// Wall-clock reads, ad-hoc threading, and `HashMap` iteration on
-    /// result paths.
+    /// Ad-hoc threading and `HashMap` iteration on result paths.
     DeterminismHygiene,
-    /// Public items without doc comments.
-    DocCoverage,
-    /// Non-vendored or net-facing dependencies in Cargo manifests.
+    /// Non-vendored or net-facing dependencies in Cargo manifests, and a
+    /// crate manifest that skips the workspace lints.
     DepHygiene,
     /// Malformed, reason-less, or unused `dg-analyze:` directives.
     AllowSyntax,
@@ -44,11 +42,10 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::NoPanicInLib,
         RuleId::UnitHygiene,
         RuleId::DeterminismHygiene,
-        RuleId::DocCoverage,
         RuleId::DepHygiene,
         RuleId::AllowSyntax,
         RuleId::LockOrder,
@@ -65,7 +62,6 @@ impl RuleId {
             RuleId::NoPanicInLib => "no-panic-in-lib",
             RuleId::UnitHygiene => "unit-hygiene",
             RuleId::DeterminismHygiene => "determinism-hygiene",
-            RuleId::DocCoverage => "doc-coverage",
             RuleId::DepHygiene => "dep-hygiene",
             RuleId::AllowSyntax => "allow-syntax",
             RuleId::LockOrder => "lock-order",
@@ -77,7 +73,7 @@ impl RuleId {
         }
     }
 
-    /// Parses a rule name as written in an allow-comment or `--rule` flag.
+    /// Parses a rule name as written in an allow-comment.
     pub fn parse(name: &str) -> Option<RuleId> {
         RuleId::ALL.iter().copied().find(|r| r.name() == name)
     }
@@ -94,13 +90,14 @@ impl RuleId {
                  as unit newtypes, not raw f64"
             }
             RuleId::DeterminismHygiene => {
-                "forbid SystemTime::now/Instant::now, ad-hoc std::thread use, and \
-                 HashMap iteration in result-producing crates"
+                "forbid ad-hoc std::thread use and HashMap iteration in \
+                 result-producing crates (clippy.toml bans wall-clock reads and \
+                 CPU-feature probes everywhere)"
             }
-            RuleId::DocCoverage => "every public item needs a doc comment",
             RuleId::DepHygiene => {
-                "dependencies must be vendored path/workspace deps; net-facing \
-                 crates are forbidden"
+                "dependencies must be vendored path/workspace deps, net-facing \
+                 crates are forbidden, and every crates/*/Cargo.toml must opt in \
+                 to the workspace lints (`[lints] workspace = true`)"
             }
             RuleId::AllowSyntax => {
                 "dg-analyze: directives must parse, carry a reason, and suppress \
@@ -523,7 +520,9 @@ const HASHMAP_ITER_METHODS: [&str; 10] = [
     "retain",
 ];
 
-/// Flags wall-clock reads, ad-hoc threading, and `HashMap` iteration.
+/// Flags ad-hoc threading and `HashMap` iteration. Wall-clock reads and
+/// runtime CPU-feature probes are clippy's (`clippy.toml`), which bans
+/// them in every crate.
 ///
 /// `allow_threads` is set for `dg-engine`, the one crate allowed to spawn
 /// worker threads (everyone else must go through its deterministic
@@ -531,52 +530,6 @@ const HASHMAP_ITER_METHODS: [&str; 10] = [
 pub fn determinism_hygiene(lexed: &Lexed, allow_threads: bool) -> Vec<Finding> {
     let mut out = Vec::new();
     let masked = &lexed.masked;
-
-    for needle in ["SystemTime::now", "Instant::now"] {
-        let mut from = 0;
-        while let Some(pos) = masked[from..].find(needle) {
-            let at = from + pos;
-            from = at + needle.len();
-            let line = lexed.line_of(at);
-            if lexed.is_test_line(line) {
-                continue;
-            }
-            out.push(Finding {
-                rule: RuleId::DeterminismHygiene,
-                line,
-                message: format!("`{needle}()` makes results depend on wall-clock time"),
-                help: "thread timestamps in from the caller, or measure in benches only".into(),
-            });
-        }
-    }
-
-    // Runtime CPU-feature probes: an answer must never depend on the
-    // host's ISA extensions. The one legitimate site is the transient
-    // kernel's dispatch seam (`uses_avx2` in dg-pdn's `batch`), which
-    // carries an explicit allow — detection may pick which *build* of the
-    // kernel runs there because both builds are proven bit-identical, but
-    // scattered probes anywhere else are machine-dependent behavior.
-    {
-        let needle = "is_x86_feature_detected!";
-        let mut from = 0;
-        while let Some(pos) = masked[from..].find(needle) {
-            let at = from + pos;
-            from = at + needle.len();
-            let line = lexed.line_of(at);
-            if lexed.is_test_line(line) {
-                continue;
-            }
-            out.push(Finding {
-                rule: RuleId::DeterminismHygiene,
-                line,
-                message: format!("`{needle}` makes behavior depend on the host CPU"),
-                help: "confine runtime feature probes to the SIMD dispatch seam \
-                       (dg_pdn::batch::uses_avx2), where both builds of the \
-                       kernel are bit-identical"
-                    .into(),
-            });
-        }
-    }
 
     if !allow_threads {
         for needle in ["thread::spawn", "thread::scope", "thread::Builder"] {
@@ -724,172 +677,6 @@ fn hashmap_bindings(masked: &str) -> Vec<String> {
     names
 }
 
-// ---------------------------------------------------------------------------
-// doc-coverage
-// ---------------------------------------------------------------------------
-
-const ITEM_KEYWORDS: [&str; 9] = [
-    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
-];
-
-/// The keyword and name of the `pub` item a masked source line declares,
-/// e.g. `("fn", "run")` for `pub const fn run(`. `pub(crate)` items,
-/// `pub use` and fields are not items here.
-pub(crate) fn pub_item(line: &str) -> Option<(&'static str, &str)> {
-    let rest = line.trim_start().strip_prefix("pub ")?;
-    let mut words = rest
-        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|w| !w.is_empty());
-    let mut word = words.next()?;
-    while matches!(word, "const" | "unsafe" | "async") {
-        let next = words.next()?;
-        if word == "const" && !matches!(next, "fn" | "unsafe" | "async") {
-            // `pub const NAME: …` — `const` is the item keyword.
-            return Some(("const", next));
-        }
-        word = next;
-    }
-    let kw = ITEM_KEYWORDS.iter().find(|k| **k == word)?;
-    Some((kw, words.next()?))
-}
-
-/// A `pub mod name;` declaration whose docs may live in the child file.
-#[derive(Debug, Clone)]
-pub struct ModDecl {
-    /// Module name (child file `name.rs` or `name/mod.rs`).
-    pub name: String,
-    /// Line of the declaration.
-    pub line: usize,
-}
-
-/// Flags public items without a doc comment. Returns the findings plus the
-/// `pub mod x;` declarations the engine should resolve against child files.
-pub fn doc_coverage(lexed: &Lexed, original: &str) -> (Vec<Finding>, Vec<ModDecl>) {
-    let mut out = Vec::new();
-    let mut mods = Vec::new();
-    let src_lines: Vec<&str> = original.lines().collect();
-    let masked_lines: Vec<&str> = lexed.masked.lines().collect();
-    let macro_spans = macro_rules_spans(&lexed.masked);
-
-    for (i, line) in masked_lines.iter().enumerate() {
-        let lineno = i + 1;
-        if lexed.is_test_line(lineno) || in_spans(&macro_spans, lineno) {
-            continue;
-        }
-        let Some((kw, item_name)) = pub_item(line) else {
-            continue;
-        };
-        if has_doc_above(&src_lines, i) {
-            continue;
-        }
-        if kw == "mod" && line.trim_end().ends_with(';') {
-            // Docs may be inner (`//!`) in the child file; defer to engine.
-            mods.push(ModDecl {
-                name: item_name.to_string(),
-                line: lineno,
-            });
-            continue;
-        }
-        out.push(Finding {
-            rule: RuleId::DocCoverage,
-            line: lineno,
-            message: format!("public {kw} `{item_name}` has no doc comment"),
-            help: "add a `///` summary line above the item".into(),
-        });
-    }
-    (out, mods)
-}
-
-/// `true` when the lines above `idx` (skipping attributes) end in a doc
-/// comment (`///`, `//!`, or `#[doc…]`).
-fn has_doc_above(src_lines: &[&str], idx: usize) -> bool {
-    let mut i = idx;
-    let mut budget = 32;
-    while i > 0 && budget > 0 {
-        budget -= 1;
-        i -= 1;
-        let t = src_lines[i].trim();
-        if t.starts_with("#[doc") {
-            return true;
-        }
-        if t.starts_with("#[") || t.starts_with("#!") {
-            continue;
-        }
-        // Allow comments annotate the item, like attributes; docs may sit
-        // above them.
-        if t.starts_with("// dg-analyze:") {
-            continue;
-        }
-        // Tail of a multi-line attribute: scan up to its `#[` opener.
-        if (t.ends_with(']') || t.ends_with(',') || t.ends_with('(')) && !t.starts_with("//") {
-            let mut j = i;
-            let mut found_attr = false;
-            while j > 0 && i - j < 16 {
-                j -= 1;
-                if src_lines[j].trim_start().starts_with("#[") {
-                    found_attr = true;
-                    break;
-                }
-            }
-            if found_attr {
-                i = j + 1;
-                continue;
-            }
-        }
-        return t.starts_with("///") || t.starts_with("//!");
-    }
-    false
-}
-
-/// Line spans of `macro_rules!` definitions (their bodies contain template
-/// fragments, not items).
-pub(crate) fn macro_rules_spans(masked: &str) -> Vec<(usize, usize)> {
-    let bytes = masked.as_bytes();
-    let mut spans = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = masked[from..].find("macro_rules!") {
-        let at = from + pos;
-        from = at + "macro_rules!".len();
-        let mut depth = 0usize;
-        let mut j = from;
-        let mut open_line = None;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'{' => {
-                    if depth == 0 {
-                        open_line = Some(line_of_bytes(bytes, j));
-                    }
-                    depth += 1;
-                }
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        if let Some(start) = open_line {
-                            spans.push((start, line_of_bytes(bytes, j)));
-                        }
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    spans
-}
-
-fn line_of_bytes(bytes: &[u8], offset: usize) -> usize {
-    bytes[..offset.min(bytes.len())]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
-        + 1
-}
-
-pub(crate) fn in_spans(spans: &[(usize, usize)], line: usize) -> bool {
-    spans.iter().any(|&(a, b)| line >= a && line <= b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -956,26 +743,15 @@ mod tests {
 
     #[test]
     fn determinism_flags_clocks_and_threads() {
+        // The clock read is clippy's `disallowed-methods`; only the thread
+        // is this rule's.
         let src =
             "fn f() {\n  let t = std::time::Instant::now();\n  std::thread::spawn(|| {});\n}\n";
         let f = determinism_hygiene(&lex(src), false);
-        assert_eq!(lines(&f), vec![2, 3]);
+        assert_eq!(lines(&f), vec![3]);
         assert!(
             determinism_hygiene(&lex("fn f() { std::thread::scope(|s| {}); }\n"), true).is_empty()
         );
-    }
-
-    #[test]
-    fn determinism_flags_runtime_cpu_feature_probes() {
-        let src = "fn detect() -> bool {\n  std::arch::is_x86_feature_detected!(\"avx2\")\n}\n";
-        let f = determinism_hygiene(&lex(src), false);
-        assert_eq!(lines(&f), vec![2]);
-        assert!(f[0].message.contains("is_x86_feature_detected"));
-        assert!(f[0].help.contains("uses_avx2"));
-        // Test code is exempt, like the clock and thread needles.
-        let test_src =
-            "#[cfg(test)]\nmod tests {\n  #[test]\n  fn f() { let _ = std::arch::is_x86_feature_detected!(\"avx2\"); }\n}\n";
-        assert!(determinism_hygiene(&lex(test_src), false).is_empty());
     }
 
     #[test]
@@ -983,35 +759,5 @@ mod tests {
         let src = "use std::collections::HashMap;\nfn f(cache: &HashMap<u32, f64>) -> f64 {\n  let hit = cache.get(&1);\n  let mut s = 0.0;\n  for (_, v) in cache.iter() { s += v; }\n  s\n}\n";
         let f = determinism_hygiene(&lex(src), false);
         assert_eq!(lines(&f), vec![5]);
-    }
-
-    #[test]
-    fn doc_coverage_flags_undocumented_pub_items() {
-        let src = "/// Documented.\npub fn ok() {}\n\npub fn bare() {}\n\n#[derive(Debug)]\npub struct Bare2;\n";
-        let (f, _) = doc_coverage(&lex(src), src);
-        assert_eq!(lines(&f), vec![4, 7]);
-    }
-
-    #[test]
-    fn doc_coverage_accepts_attrs_between_doc_and_item() {
-        let src = "/// Documented.\n#[derive(Debug, Clone)]\n#[non_exhaustive]\npub enum E { A }\n";
-        let (f, _) = doc_coverage(&lex(src), src);
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn doc_coverage_defers_pub_mod_decls() {
-        let src = "pub mod error;\n";
-        let (f, mods) = doc_coverage(&lex(src), src);
-        assert!(f.is_empty());
-        assert_eq!(mods.len(), 1);
-        assert_eq!(mods[0].name, "error");
-    }
-
-    #[test]
-    fn doc_coverage_skips_macro_rules_bodies() {
-        let src = "macro_rules! gen {\n  () => {\n    pub fn generated() {}\n  };\n}\n";
-        let (f, _) = doc_coverage(&lex(src), src);
-        assert!(f.is_empty());
     }
 }

@@ -24,7 +24,10 @@ fn seed_workspace(tag: &str, dir: &str, name: &str, lib_src: &str) -> PathBuf {
     .expect("write root manifest");
     fs::write(
         member.join("Cargo.toml"),
-        format!("[package]\nname = \"{name}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n"),
+        format!(
+            "[package]\nname = \"{name}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n\
+             [lints]\nworkspace = true\n"
+        ),
     )
     .expect("write crate manifest");
     fs::write(member.join("src").join("lib.rs"), lib_src).expect("write seeded lib");

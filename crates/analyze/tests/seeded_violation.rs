@@ -28,7 +28,10 @@ fn seed_workspace_with(tag: &str, crates: &[(&str, &str)]) -> PathBuf {
         fs::create_dir_all(member.join("src")).expect("create member dir");
         fs::write(
             member.join("Cargo.toml"),
-            format!("[package]\nname = \"{name}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n"),
+            format!(
+                "[package]\nname = \"{name}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n\
+                 [lints]\nworkspace = true\n"
+            ),
         )
         .expect("write crate manifest");
         fs::write(
@@ -74,8 +77,7 @@ fn no_panic_in_lib_fires_on_a_seeded_violation_in_crates_serve() {
     // The same fixture with the rule disabled stays clean — the firing
     // above is attributable to no-panic-in-lib alone.
     let root = seed_workspace();
-    let narrowed = analyze_workspace(&root, &[RuleId::DocCoverage, RuleId::DepHygiene])
-        .expect("narrowed scan");
+    let narrowed = analyze_workspace(&root, &[RuleId::DepHygiene]).expect("narrowed scan");
     fs::remove_dir_all(&root).expect("clean up scratch workspace");
     assert!(
         narrowed.violations.is_empty(),
@@ -146,7 +148,8 @@ fn seed_demo_workspace(tag: &str, files: &[(&str, &str)]) -> PathBuf {
         ),
         (
             "crates/demo/Cargo.toml",
-            "[package]\nname = \"dg-demo\"\nversion = \"0.1.0\"\nedition = \"2021\"\n",
+            "[package]\nname = \"dg-demo\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n\
+             [lints]\nworkspace = true\n",
         ),
     ];
     all.extend_from_slice(files);
@@ -293,7 +296,21 @@ fn unreached_mod_allow_suppresses_and_counts_as_used() {
 
 #[test]
 fn cli_exits_1_on_a_violation_and_2_on_a_usage_error() {
-    let root = seed_demo_workspace("cli", &demo_files(DEMO_LIB));
+    let violating = seed_demo_workspace("cli", &demo_files(DEMO_LIB));
+    let clean = seed_demo_workspace(
+        "cli-clean",
+        &[
+            (
+                "crates/demo/src/lib.rs",
+                "//! Seeded fixture: clean under every rule.\n\n\
+                 /// One.\npub fn value() -> u32 {\n    1\n}\n",
+            ),
+            (
+                "crates/demo/src/main.rs",
+                "fn main() {\n    dg_demo::value();\n}\n",
+            ),
+        ],
+    );
     let bin = env!("CARGO_BIN_EXE_dg-analyze");
     let status = |args: &[&str]| {
         std::process::Command::new(bin)
@@ -304,15 +321,19 @@ fn cli_exits_1_on_a_violation_and_2_on_a_usage_error() {
             .expect("run dg-analyze")
             .code()
     };
-    let root_arg = root.display().to_string();
-    let violation = status(&["--root", &root_arg, "--rule", "unreached-mod", "-q"]);
-    let clean = status(&["--root", &root_arg, "--rule", "lock-order", "-q"]);
-    fs::remove_dir_all(&root).expect("clean up scratch workspace");
-    assert_eq!(violation, Some(1));
-    assert_eq!(clean, Some(0));
+    let violating_arg = violating.display().to_string();
+    let clean_arg = clean.display().to_string();
+    let on_violation = status(&["--root", &violating_arg]);
+    let on_clean = status(&["--root", &clean_arg]);
+    let with_rule_flag = status(&["--root", &clean_arg, "--rule", "lock-order"]);
+    fs::remove_dir_all(&violating).expect("clean up scratch workspace");
+    fs::remove_dir_all(&clean).expect("clean up scratch workspace");
+    assert_eq!(on_violation, Some(1));
+    assert_eq!(on_clean, Some(0));
+    assert_eq!(with_rule_flag, Some(2), "`--rule` is an unknown flag");
     assert_eq!(status(&["--no-such-flag"]), Some(2));
     assert_eq!(
-        status(&["--root", &format!("{root_arg}-missing")]),
+        status(&["--root", &format!("{violating_arg}-missing")]),
         Some(2),
         "an unreadable root is an I/O error"
     );
@@ -492,4 +513,71 @@ fn unreached_pub_allow_suppresses_and_a_stale_one_is_reported() {
     assert_eq!(stale.path, PathBuf::from("crates/demo/src/items.rs"));
     assert_eq!((stale.rule, stale.line), (RuleId::AllowSyntax, 5));
     assert!(stale.message.contains("suppresses nothing"), "{stale}");
+}
+
+#[test]
+fn unreached_pub_is_not_hidden_by_a_same_named_private_fn_elsewhere() {
+    let root = seed_demo_workspace(
+        "pub-bare",
+        &[
+            (
+                "crates/demo/src/lib.rs",
+                concat!(
+                    "//! Seeded fixture: two modules define a `decode`.\n",
+                    "\n",
+                    "/// Holds a `pub` method only tests name.\n",
+                    "pub mod codec;\n",
+                    "/// Defines a private `decode` and calls it bare.\n",
+                    "pub mod log;\n",
+                ),
+            ),
+            (
+                "crates/demo/src/codec.rs",
+                concat!(
+                    "//! A `pub` method only tests name.\n",
+                    "\n",
+                    "/// A code.\n",
+                    "pub struct T(pub u8);\n",
+                    "\n",
+                    "impl T {\n",
+                    "    /// Named only by `tests/`.\n",
+                    "    pub fn decode(&self) -> u8 {\n",
+                    "        self.0\n",
+                    "    }\n",
+                    "}\n",
+                ),
+            ),
+            (
+                "crates/demo/src/log.rs",
+                concat!(
+                    "//! A private `decode`, called bare.\n",
+                    "\n",
+                    "fn decode(b: u8) -> u8 {\n",
+                    "    b\n",
+                    "}\n",
+                    "\n",
+                    "/// Replays one byte.\n",
+                    "pub fn replay(b: u8) -> u8 {\n",
+                    "    decode(b)\n",
+                    "}\n",
+                ),
+            ),
+            (
+                "crates/demo/src/main.rs",
+                "fn main() {\n    dg_demo::log::replay(dg_demo::codec::T(1).0);\n}\n",
+            ),
+            (
+                "crates/demo/tests/it.rs",
+                "#[test]\nfn t() {\n    assert_eq!(dg_demo::codec::T(1).decode(), 1);\n}\n",
+            ),
+        ],
+    );
+    let report = analyze_workspace(&root, &[RuleId::UnreachedPub]).expect("scan scratch workspace");
+    fs::remove_dir_all(&root).expect("clean up scratch workspace");
+    let [v] = report.violations.as_slice() else {
+        panic!("one violation expected: {:?}", report.violations);
+    };
+    assert_eq!(v.path, PathBuf::from("crates/demo/src/codec.rs"));
+    assert_eq!((v.rule, v.line), (RuleId::UnreachedPub, 8));
+    assert!(v.message.contains("`decode`"), "{v}");
 }

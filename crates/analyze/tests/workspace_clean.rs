@@ -1,10 +1,11 @@
 //! Tier-1 harness: the whole workspace must pass every dg-analyze rule.
 //!
 //! This is the enforcement teeth behind `cargo run -p dg-analyze`: if a
-//! panic site, raw-unit seam, wall-clock call, undocumented public item,
-//! wildcard dependency, or malformed allow comment is reintroduced
-//! anywhere in the tree, this test fails with the same file:line
-//! diagnostics the CLI prints.
+//! panic site, raw-unit seam, ad-hoc thread, registry dependency, crate
+//! without the workspace lints, or malformed allow comment is
+//! reintroduced anywhere in the tree, this test fails with the same
+//! file:line diagnostics the CLI prints. Wall-clock reads and CPU-feature
+//! probes are clippy's (`clippy.toml`), checked by CI's clippy step.
 
 use std::path::Path;
 

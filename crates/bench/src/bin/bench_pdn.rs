@@ -73,9 +73,12 @@ fn bit_identical(batch: &TransientResult, scalar: &TransientResult) -> bool {
 /// the caller's loop so transient machine noise (a scheduler burst, a
 /// thermal dip) spreads across all measured routines instead of biasing
 /// whichever ran last.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a throughput benchmark measures elapsed wall time by definition; \
+              the bit-identity verdict does not depend on it"
+)]
 fn timed<F: FnMut()>(best: &mut f64, mut routine: F) {
-    // dg-analyze: allow(determinism-hygiene, reason = "a throughput benchmark measures elapsed wall time by definition; the bit-identity verdict does not depend on it")
     let started = std::time::Instant::now();
     routine();
     *best = best.min(started.elapsed().as_secs_f64());

@@ -15,8 +15,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let _threads = dg_bench::apply_thread_overrides(&args);
 
-    // dg-analyze: allow(determinism-hygiene, reason = "reports elapsed wall time in the footer only; no grading result depends on it")
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reports elapsed wall time in the footer only; no grading result depends on it"
+    )]
     let started = std::time::Instant::now();
     let eval = ClaimData::compute();
     let graded = claims::grade(&eval);

@@ -272,7 +272,7 @@ impl ConnPlan {
     }
 
     /// The raw request bytes this plan sends (before fault mangling).
-    pub fn raw_request(&self) -> Vec<u8> {
+    fn raw_request(&self) -> Vec<u8> {
         let declared = if self.fault == Fault::Oversized {
             // Far beyond the server's body cap: must be refused with 413.
             10_000_000

@@ -73,7 +73,11 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
         if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the guard admits only whole numbers in 0..=2^53"
+            )]
             Some(n as u64)
         } else {
             None

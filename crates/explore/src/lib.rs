@@ -186,7 +186,10 @@ impl ExploreResult {
 }
 
 /// `u64 → f64` for JSON rendering (values stay well inside 2⁵³).
-#[allow(clippy::cast_precision_loss)]
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "rendered values stay below 2^53"
+)]
 fn u64_to_f64(v: u64) -> f64 {
     v as f64
 }

@@ -234,7 +234,11 @@ impl EvalContext {
         let used_area = big.area_mm2 + n * small.area_mm2;
         let dark_ratio = (1.0 - used_area / self.chip_area_mm2).clamp(0.0, 1.0);
 
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "`n` is a small non-negative whole core count"
+        )]
         let n_small = n as u64;
         PointEval {
             point,
@@ -306,7 +310,10 @@ impl EvalContext {
                     ) else {
                         continue;
                     };
-                    #[allow(clippy::cast_precision_loss)]
+                    #[expect(
+                        clippy::cast_precision_loss,
+                        reason = "core counts stay far below 2^52"
+                    )]
                     let n = e.n_small as f64;
                     let refined = self.finish(e.point, big, small, n, droop.max(0.0));
                     if let Some(slot) = chunk.get_mut(i) {

@@ -342,7 +342,10 @@ pub fn fuse_label(variant: PdnVariant) -> &'static str {
 
 /// `u64 → f64` for JSON rendering; seeds and counts stay well inside
 /// 2⁵³ (spec parsing re-validates on the way back in).
-#[allow(clippy::cast_precision_loss)]
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "seeds and counts stay below 2^53"
+)]
 fn u64_to_f64(v: u64) -> f64 {
     v as f64
 }

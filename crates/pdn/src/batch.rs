@@ -195,12 +195,18 @@ impl TransientSim {
         let coeffs = crate::cache::ladder_coeffs(ladder);
         let n = coeffs.nodes();
         let dt = self.dt.value();
-        // Step counts and window sizes are small positive ratios; the
-        // casts cannot truncate or lose sign in practice.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a step count is a small positive ratio"
+        )]
         let n_steps = (self.duration.value() / dt).ceil() as usize;
         let decimate = self.decimate.max(1);
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a window size is a small positive ratio"
+        )]
         let settle_steps = ((SETTLE_WINDOW_S / dt).ceil() as usize).max(1);
         let source = self.source.value();
 
@@ -274,8 +280,11 @@ impl TransientSim {
 #[must_use]
 pub fn uses_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the single sanctioned dispatch seam; both builds of the kernel are bit-identical"
+    )]
     {
-        // dg-analyze: allow(determinism-hygiene, reason = "the single sanctioned dispatch seam; both builds of the kernel are bit-identical")
         if std::arch::is_x86_feature_detected!("avx2") {
             return true;
         }
@@ -437,7 +446,10 @@ impl Kernel<'_> {
         let mut until_sample = 0usize;
         let mut t_exit = 0.0;
         for s in 0..self.n_steps {
-            #[allow(clippy::cast_precision_loss)]
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "step indices stay far below 2^52"
+            )]
             let t = s as f64 * dt;
             if ramping {
                 let current =

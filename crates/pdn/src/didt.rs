@@ -233,7 +233,10 @@ mod tests {
         };
         // Enough lanes for several progress waves plus a short tail.
         let n = PROGRESS_GROUPS * SWEEP_LANES * 2 + 7;
-        #[allow(clippy::cast_precision_loss)]
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "lane indices stay far below 2^52"
+        )]
         let deltas: Vec<Amps> = (0..n).map(|k| Amps::new(0.25 * k as f64 + 1.0)).collect();
         let quiescent = Amps::new(5.0);
         let slew = Seconds::from_ns(10.0);

@@ -377,7 +377,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[allow(non_snake_case)]
+    #[expect(non_snake_case, reason = "named after the unit it builds")]
     fn Hz(v: f64) -> crate::units::Hertz {
         crate::units::Hertz::new(v)
     }
@@ -465,9 +465,10 @@ mod tests {
             at: Seconds::from_us(1.0),
             slew: Seconds::from_ns(100.0),
         };
-        // Exact equality is intended: outside the slew window the step
-        // returns its endpoint constants unchanged.
-        #[allow(clippy::float_cmp)]
+        #[expect(
+            clippy::float_cmp,
+            reason = "outside the slew window the step returns its endpoint constants unchanged"
+        )]
         {
             assert_eq!(s.current_at(Seconds::ZERO).value(), 1.0);
             assert_eq!(s.current_at(Seconds::from_us(2.0)).value(), 3.0);
@@ -479,7 +480,10 @@ mod tests {
     #[test]
     fn ideal_step_is_instant() {
         let s = LoadStep::step(Amps::ZERO, Amps::new(10.0), Seconds::from_us(1.0));
-        #[allow(clippy::float_cmp)]
+        #[expect(
+            clippy::float_cmp,
+            reason = "an ideal step returns its endpoint constants unchanged"
+        )]
         {
             assert_eq!(s.current_at(Seconds::new(0.999e-6)).value(), 0.0);
             assert_eq!(s.current_at(Seconds::from_us(1.0)).value(), 10.0);

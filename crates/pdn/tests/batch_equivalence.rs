@@ -29,9 +29,17 @@ fn reference_run(sim: &TransientSim, ladder: &Ladder, step: LoadStep) -> Transie
     let die = 2 * coeffs.nodes() - 1;
     let source = sim.source.value();
     let dt = sim.dt.value();
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a step count is a small positive ratio"
+    )]
     let n_steps = (sim.duration.value() / dt).ceil() as usize;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a window size is a small positive ratio"
+    )]
     let settle_steps = ((SETTLE_WINDOW_S / dt).ceil() as usize).max(1);
     let decimate = sim.decimate.max(1);
 
@@ -58,7 +66,10 @@ fn reference_run(sim: &TransientSim, ladder: &Ladder, step: LoadStep) -> Transie
         }
     };
     for s in 0..n_steps {
-        #[allow(clippy::cast_precision_loss)]
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "step indices stay far below 2^52"
+        )]
         let t = s as f64 * dt;
         let i_now = step.current_at(Seconds::new(t)).value();
         let i_mid = step.current_at(Seconds::new(t + 0.5 * dt)).value();

@@ -58,11 +58,17 @@ fn sweep_group(
     stop_a: f64,
     points: usize,
 ) -> Vec<LoadStep> {
-    #[allow(clippy::cast_precision_loss)]
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "point counts stay far below 2^52"
+    )]
     let span = (stop_a - start_a) / (points - 1) as f64;
     (0..points)
         .map(|k| {
-            #[allow(clippy::cast_precision_loss)]
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "point indices stay far below 2^52"
+            )]
             let delta = start_a + span * k as f64;
             LoadStep {
                 from: Amps::new(quiescent_a),
@@ -184,7 +190,6 @@ fn early_settling_fixture_matches_golden() {
         duration: Seconds::from_us(5.0),
         decimate: 64,
     };
-    #[allow(clippy::cast_precision_loss)]
     let steps: Vec<LoadStep> = (0..8)
         .map(|k| LoadStep {
             from: Amps::new(5.0),

@@ -83,7 +83,6 @@ fn warm_workspace_run_batch_performs_zero_allocations() {
     };
     // A multi-lane batch with lanes that settle at different times, so the
     // measured calls exercise settle detection and lane retirement too.
-    #[allow(clippy::cast_precision_loss)]
     let steps: Vec<LoadStep> = (0..8)
         .map(|k| LoadStep {
             from: Amps::new(5.0),
@@ -114,7 +113,6 @@ fn warm_workspace_run_batch_performs_zero_allocations() {
     // used (distinct quiescent and post-step currents per lane). Built,
     // with room for every recorded result, before the window opens — and
     // never run before it, so no per-operating-point memo could be warm.
-    #[allow(clippy::cast_precision_loss)]
     let fresh: Vec<Vec<LoadStep>> = (0..16)
         .map(|call| {
             (0..8)

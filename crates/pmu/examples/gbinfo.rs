@@ -1,3 +1,6 @@
+//! Prints the gated and bypassed PDNs' peak impedance, droop guardband
+//! and total guardband per TDP: `cargo run -p dg-pmu --example gbinfo`.
+
 use dg_pdn::skylake::PdnVariant;
 use dg_pdn::units::Watts;
 use dg_pmu::guardband::GuardbandManager;

@@ -117,7 +117,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_create1` failure (fd exhaustion).
-    pub fn new() -> io::Result<Self> {
+    fn new() -> io::Result<Self> {
         // SAFETY: epoll_create1 returns a fresh fd we uniquely own (or -1,
         // checked below before the fd is wrapped).
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -148,7 +148,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_ctl` failure (bad fd, duplicate registration).
-    pub fn add(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
+    fn add(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
@@ -170,7 +170,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_ctl` failure (fd was never registered).
-    pub fn remove(&self, fd: RawFd) -> io::Result<()> {
+    fn remove(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
@@ -181,7 +181,7 @@ impl Poller {
     ///
     /// Propagates `epoll_wait` failure other than `EINTR` (which is
     /// treated as an empty wakeup).
-    pub fn wait(&self, out: &mut Vec<(u64, u32)>, timeout_ms: i32) -> io::Result<()> {
+    fn wait(&self, out: &mut Vec<(u64, u32)>, timeout_ms: i32) -> io::Result<()> {
         out.clear();
         let mut buf = [EpollEvent { events: 0, data: 0 }; WAIT_CAPACITY];
         // SAFETY: `buf` is a valid array of WAIT_CAPACITY events; the

@@ -9,9 +9,9 @@
 //!
 //! This module is the one place in the workspace's library code that reads
 //! the wall clock: serving latency *is* wall time, and no simulation result
-//! flows through it (the determinism contract of the result-producing
-//! crates is untouched — `dg-serve` is deliberately not on the
-//! `dg-analyze` determinism-hygiene crate list).
+//! flows through it, so the determinism contract of the result-producing
+//! crates is untouched. `clippy.toml` bans `Instant::now` in every crate;
+//! [`monotonic_us`] carries the one library `#[expect]` for it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -26,7 +26,10 @@ const BUCKETS: usize = 22;
 /// Serving latency is observational-only and never feeds a simulation
 /// result, so the wall-clock read is sanctioned here (see the module
 /// docs); the clippy lint is acknowledged rather than disabled globally.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "serving latency is wall time and never feeds a simulation result"
+)]
 pub fn monotonic_us() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = EPOCH.get_or_init(Instant::now);

@@ -913,7 +913,10 @@ fn droop_sweep_key(p: &DroopSweepParams) -> u64 {
 /// This is *the* expansion the server integrates, so clients and probes
 /// that want bit-identity with a library-side
 /// [`didt::droop_sweep`] run must build their deltas through it.
-#[allow(clippy::cast_precision_loss)] // points ≤ MAX_SWEEP_LANES ≪ 2^52
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "points ≤ MAX_SWEEP_LANES ≪ 2^52"
+)]
 pub fn delta_grid(start_a: f64, stop_a: f64, points: usize) -> Vec<f64> {
     if points <= 1 {
         return vec![start_a];
@@ -1233,7 +1236,10 @@ fn approx_f64(n: usize) -> f64 {
     approx_f64_u64(n as u64)
 }
 
-#[allow(clippy::cast_precision_loss)]
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "every value this server produces is below 2^53"
+)]
 fn approx_f64_u64(n: u64) -> f64 {
     n as f64
 }

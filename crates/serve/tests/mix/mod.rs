@@ -222,7 +222,7 @@ fn mix_item_of(rng: &mut Lcg) -> MixItem {
 
 /// Aggregated outcome counts of a mix run.
 #[derive(Debug, Clone, Default)]
-pub struct LoadReport {
+pub(crate) struct LoadReport {
     /// Requests attempted.
     pub requests: usize,
     /// 2xx responses.
@@ -276,7 +276,7 @@ impl LoadReport {
 /// thread sends its framed probes on its own keep-alive [`Conn`]. The
 /// raw probes go out on one-shot connections, because broken framing on
 /// a shared connection would poison the requests behind it.
-pub fn run_mix(addr: SocketAddr, n: usize, seed: u64, concurrency: usize) -> LoadReport {
+pub(crate) fn run_mix(addr: SocketAddr, n: usize, seed: u64, concurrency: usize) -> LoadReport {
     let concurrency = concurrency.clamp(1, 256);
     let threads: Vec<_> = (0..concurrency)
         .map(|t| {

@@ -1,3 +1,7 @@
+//! Prints the mean and max SPEC gains of Skylake-S over Skylake-H at
+//! each TDP, then the mean gain of a -100 mV Broadwell (Fig. 3):
+//! `cargo run -p dg-soc --example shape`.
+
 use dg_power::units::{Volts, Watts};
 use dg_soc::products::Product;
 use dg_soc::run::run_spec;
